@@ -186,9 +186,12 @@ class Server:
         return parser(data)
 
     def store_blob(self, name: str, data: bytes) -> None:
-        """Write a blob to local disk, metering the transfer."""
+        """Write a blob to local disk, metering the transfer.  Whatever
+        either cache holds under this name is now stale and dropped."""
         self.disk.write(name, data)
         self.counters.disk_write += len(data)
+        if self.cache is not None:
+            self.cache.invalidate(name)
         if self.decoded_cache is not None:
             self.decoded_cache.invalidate(name)
 

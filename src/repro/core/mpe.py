@@ -2073,6 +2073,13 @@ class MPE:
         snap = CounterSnapshot.capture(server)
         if tag == "compute":
             superstep, spec, skips, knob_tuple = payload
+            # Taken before the knobs apply: a cache-mode switch learns
+            # sizes too, and the parent wants everything new.
+            sizes0 = (
+                server.cache.remembered_sizes()
+                if server.cache is not None
+                else None
+            )
             # The parent's per-superstep knob decision, applied *after*
             # the snapshot so a cache-mode switch's metering lands in
             # this superstep's delta — same instant as serial.  The
@@ -2132,6 +2139,14 @@ class MPE:
                 ),
                 cache_keys=(
                     tuple(cache.content_keys()) if cache is not None else None
+                ),
+                cache_sizes=(
+                    tuple(cache.remembered_sizes().items() - sizes0.items())
+                    if cache is not None
+                    else None
+                ),
+                compress_skipped=(
+                    cache.compress_skipped if cache is not None else 0
                 ),
                 decoded_keys=(
                     tuple(decoded.content_keys())
@@ -2381,6 +2396,11 @@ class MPE:
                 st.bytes_decompressed,
                 st.bytes_compressed_in,
             ) = step.cache_stats
+            # Sizes the worker's cache learned this superstep: the pool
+            # is forked per run, so without this every process-executor
+            # run would re-learn (re-compress) them.
+            server.cache.merge_sizes(step.cache_sizes)
+            server.cache.compress_skipped = step.compress_skipped
         if step.decoded_stats is not None and server.decoded_cache is not None:
             st = server.decoded_cache.stats
             (
@@ -2763,39 +2783,36 @@ class MPE:
         of the superstep; later receivers reuse it.  The lock spans the
         whole get-or-decode so the thread executor's miss count equals
         the number of distinct payloads exactly.  Emits a
-        ``payload_decode`` span (miss, covering the decode) or instant
-        (hit) on the server's trace buffer.
+        ``payload_decode`` span on the server's trace buffer either way
+        — ``cache="miss"`` covers the decode, ``cache="hit"`` is empty —
+        so span trees do not encode which server happened to decode a
+        payload first (under the process executor that depends on how
+        servers map to workers).
         """
         trace = server.trace
         with self._decode_lock:
             payload = self._decode_cache.get(payload_bytes)
-            if payload is None:
-                if trace is not None:
-                    d0 = trace.depth
-                    trace.begin(
-                        "payload_decode",
-                        "comm",
-                        src=src,
-                        nbytes=len(payload_bytes),
-                        cache="miss",
-                    )
-                try:
+            hit = payload is not None
+            if trace is not None:
+                d0 = trace.depth
+                trace.begin(
+                    "payload_decode",
+                    "comm",
+                    src=src,
+                    nbytes=len(payload_bytes),
+                    cache="hit" if hit else "miss",
+                )
+            try:
+                if not hit:
                     payload = decode_update(payload_bytes)
-                finally:
-                    if trace is not None:
-                        trace.close_to(d0)
+            finally:
+                if trace is not None:
+                    trace.close_to(d0)
+            if hit:
+                self.payload_decode_hits += 1
+            else:
                 self._decode_cache[payload_bytes] = payload
                 self.payload_decode_misses += 1
-            else:
-                self.payload_decode_hits += 1
-                if trace is not None:
-                    trace.instant(
-                        "payload_decode",
-                        "comm",
-                        src=src,
-                        nbytes=len(payload_bytes),
-                        cache="hit",
-                    )
         return payload
 
     def _collect_values(self, cfg, servers, init_values) -> np.ndarray:
@@ -2857,6 +2874,11 @@ class _ProcessStep:
     cache_stats: tuple | None
     decoded_stats: tuple | None
     cache_keys: tuple | None
+    # Blob sizes the worker's edge cache learned this superstep, as
+    # ``((name, mode), (raw length, stored length))`` pairs, and its
+    # absolute compress_skipped count (host telemetry).
+    cache_sizes: tuple | None
+    compress_skipped: int
     decoded_keys: tuple | None
     # Drained trace events from the worker's per-server buffer (None
     # when tracing is off); extended onto the parent's mirror buffer.

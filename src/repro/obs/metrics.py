@@ -269,6 +269,12 @@ def bridge_cluster(registry: MetricsRegistry, cluster, channel=None) -> MetricsR
     cache_used = registry.gauge(
         "repro_cache_used_bytes", "edge-cache occupancy", ("server",)
     )
+    # Host telemetry, not contract: a warm engine skips more.
+    cache_skipped = registry.gauge(
+        "repro_cache_compress_skipped",
+        "edge-cache inserts rejected from a remembered size, codec not run",
+        ("server",),
+    )
 
     for server in cluster.servers:
         sid = str(server.server_id)
@@ -311,6 +317,7 @@ def bridge_cluster(registry: MetricsRegistry, cluster, channel=None) -> MetricsR
                 st.bytes_compressed_in
             )
             cache_used.labels(server=sid).set(server.cache.used_bytes)
+            cache_skipped.labels(server=sid).set(server.cache.compress_skipped)
         if server.decoded_cache is not None:
             st = server.decoded_cache.stats
             for event in _DECODED_EVENTS:

@@ -16,6 +16,7 @@ turns one :class:`repro.core.mpe.RunResult` into
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 __all__ = [
@@ -81,6 +82,19 @@ def build_run_report(
     if cluster is not None:
         report["counters"] = {
             str(s.server_id): s.counters.snapshot() for s in cluster.servers
+        }
+        report["cache"] = {
+            str(s.server_id): {
+                **dataclasses.asdict(s.cache.stats),
+                "mode": s.cache.mode,
+                "used_bytes": s.cache.used_bytes,
+                "capacity_bytes": s.cache.capacity_bytes,
+                # Host telemetry (not contract): inserts rejected from a
+                # remembered size without running the codec.
+                "compress_skipped": s.cache.compress_skipped,
+            }
+            for s in cluster.servers
+            if s.cache is not None
         }
     if extra:
         report.update(extra)
@@ -263,6 +277,9 @@ def format_run_report(report: dict, max_rows: int = 40) -> str:
             "runtime: "
             + " ".join(f"{k}={v}" for k, v in sorted(runtime.items()))
         )
+    cache = report.get("cache")
+    if cache:
+        lines.append(_format_cache(cache))
     delta = report.get("delta")
     if delta:
         lines.append(
@@ -273,6 +290,23 @@ def format_run_report(report: dict, max_rows: int = 40) -> str:
     if tuning:
         lines.extend(_format_tuning(tuning))
     return "\n".join(lines)
+
+
+def _format_cache(cache: dict) -> str:
+    """Render the edge-cache line: cluster-wide §IV-B event totals, then
+    the host-telemetry count of inserts decided without the codec."""
+    def total(key: str) -> int:
+        return sum(row.get(key, 0) for row in cache.values())
+
+    modes = sorted({row["mode"] for row in cache.values()})
+    return (
+        f"cache: mode={','.join(str(m) for m in modes)} "
+        f"hits={total('hits')} misses={total('misses')} "
+        f"insertions={total('insertions')} rejected={total('rejected')} "
+        f"evictions={total('evictions')} "
+        f"used={total('used_bytes')}/{total('capacity_bytes')}B "
+        f"(host telemetry: compress_skipped={total('compress_skipped')})"
+    )
 
 
 def _format_tuning(tuning: dict) -> list[str]:

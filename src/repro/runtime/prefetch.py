@@ -17,8 +17,9 @@ The pipeline keeps that contract with a strict speculate/commit split:
 * **Background threads never mutate anything.**  Speculation
   (:func:`speculate_load`) uses only non-mutating probes —
   ``LocalDisk.peek``, ``EdgeCache.peek_stored``,
-  ``DecodedTileCache.peek`` — and computes codec/parse *products*
-  (decompressed bytes, compressed bytes, decoded tiles) that are pure
+  ``EdgeCache.would_reject``, ``DecodedTileCache.peek`` — and
+  computes codec/parse *products* (decompressed bytes, compressed
+  bytes, decoded tiles) that are pure
   functions of immutable blob bytes.  No stats, no counters, no cache
   contents, no recency order are touched off-thread.
 * **All metering happens at dequeue, on the compute thread, in the
@@ -134,7 +135,8 @@ def speculate_load(server, name: str, parser: Callable[[bytes], Any]):
     1. decoded-cache hit + edge-cache resident → the metered path does
        no codec/parse work, so there is nothing to stage;
     2. decoded-cache hit + edge-cache miss (thrashing) → stage the raw
-       bytes and their compression for the metered re-read/admission;
+       bytes and — unless the cache already knows it will reject them —
+       their compression for the metered re-read/admission;
     3. decoded-cache miss + edge-cache hit → stage the decompression
        and the parse;
     4. both miss (cache-cold) → stage raw bytes, compression, and parse.
@@ -153,7 +155,11 @@ def speculate_load(server, name: str, parser: Callable[[bytes], Any]):
             data = out.decompressed = cache.codec.decompress(stored)
         else:
             data = out.raw = _peek(server.disk, name)
-            if data is not None:
+            # Admission before compression, as in EdgeCache.put: a blob
+            # the cache is known to reject right now is not compressed.
+            # The guess can go stale by dequeue; put then compresses
+            # inline — a stall, never a divergence.
+            if data is not None and not cache.would_reject(name, len(data)):
                 out.compressed = cache.codec.compress(data)
     else:
         data = out.raw = _peek(server.disk, name)

@@ -16,6 +16,19 @@ mode selection rule are implemented verbatim:
 
 All cache activity is metered (:class:`CacheStats`) so Figure 7's hit
 ratios and the cost model's decompression charges come from real counts.
+
+Admission is decided *before* the codec runs.  A real worker never
+compresses a tile it is about to drop, and the only thing ``put`` needs
+from the codec to reject is the compressed length — a pure function of
+(blob bytes, cache mode).  The cache remembers that length the first
+time it compresses a blob and decides every later insert of the same
+blob from the remembered number, so the codec runs only for blobs that
+will be stored — and for one reject in :data:`SIZE_AUDIT_PERIOD`, which
+is compressed anyway and must reproduce the remembered length (a stale
+size would change metered admission decisions silently; the audit makes
+it an error).  Same decision from the same number: stats, contents,
+recency, and trace instants are bitwise what an always-compress cache
+produces.
 """
 
 from __future__ import annotations
@@ -25,6 +38,13 @@ from dataclasses import dataclass, field
 
 from repro.storage.codecs import CACHE_MODES, Codec, get_codec
 from repro.storage.disk import LocalDisk
+
+# One in this many rejects decided from a remembered size still runs the
+# codec and checks the size against it (EdgeCache.put).  The ordinal is
+# CacheStats.rejected, so every executor audits the same puts and every
+# run from a reset audits the same ones.  Deliberately dense for the
+# shortcut's first release — DESIGN.md §5a says what else sets it.
+SIZE_AUDIT_PERIOD = 3
 
 
 @dataclass
@@ -118,6 +138,15 @@ class EdgeCache:
         thrash), whereas admit-until-full pins a stable subset and
         yields the partial hit ratios of Figure 7b.  ``"lru"`` is
         available for non-cyclic workloads.
+
+    Remembered sizes are a fact about a blob, not about the cache's
+    contents: they survive :meth:`clear`, :meth:`reset_stats` and mode
+    switches (keyed per mode), and are dropped only by
+    :meth:`invalidate` (the blob was rewritten) or with the cache
+    object.  ``compress_skipped`` counts the puts rejected without
+    running the codec — host telemetry, deliberately outside
+    :class:`CacheStats` (a warm engine legitimately skips more than a
+    cold one while its metered story stays identical).
     """
 
     capacity_bytes: int
@@ -134,6 +163,9 @@ class EdgeCache:
             raise ValueError('eviction must be "none" or "lru"')
         self._entries: OrderedDict[str, bytes] = OrderedDict()
         self._used = 0
+        # (blob name, mode) -> (uncompressed length, stored length).
+        self._sizes: dict[tuple[str, int], tuple[int, int]] = {}
+        self.compress_skipped = 0
         # Owning server's TraceBuffer when tracing is on (see
         # repro.obs.trace); records eviction/rejection instants only —
         # stats and metering are untouched either way.
@@ -206,6 +238,87 @@ class EdgeCache:
         self.stats.bytes_decompressed += int(uncompressed_len)
         return True
 
+    def _remembered(self, key: str, raw_len: int) -> int | None:
+        """Stored length of blob ``key`` under the current mode, if it
+        has been compressed here before; ``None`` otherwise (or when the
+        remembered blob had a different uncompressed length)."""
+        known = self._sizes.get((key, self.mode))
+        if known is None or known[0] != raw_len:
+            return None
+        return known[1]
+
+    def remembered_sizes(self) -> dict[tuple[str, int], tuple[int, int]]:
+        """Copy of every remembered size, ``(name, mode) -> (raw length,
+        stored length)`` — what a process-executor worker ships back so
+        the parent's cache does not re-learn them next run."""
+        return dict(self._sizes)
+
+    def merge_sizes(self, sizes) -> None:
+        """Adopt sizes learned by another copy of this cache (a forked
+        worker's): ``((name, mode), (raw length, stored length))``
+        pairs or a mapping of them."""
+        self._sizes.update(sizes)
+
+    def would_reject(self, key: str, raw_len: int) -> bool:
+        """Whether a :meth:`put` of blob ``key`` right now is *known* to
+        be rejected; ``False`` whenever the size has not been learned
+        yet.  Read-only — safe for the prefetch pipeline's background
+        speculation."""
+        stored_len = self._remembered(key, raw_len)
+        return stored_len is not None and not self._fits(key, stored_len)
+
+    def _fits(self, key: str, stored_len: int) -> bool:
+        """The §IV-B admission rule on a stored length alone."""
+        if stored_len > self.capacity_bytes:
+            return False
+        if self.eviction == "lru":
+            return True
+        resident = self._entries.get(key)
+        held = len(resident) if resident is not None else 0
+        return self._used - held + stored_len <= self.capacity_bytes
+
+    def _compress(self, data: bytes, prefetched=None) -> bytes:
+        """Run the codec, unless ``prefetched`` already carries the
+        compression of this exact object (compression is deterministic,
+        so the bytes are identical)."""
+        if (
+            prefetched is not None
+            and prefetched.compressed is not None
+            and prefetched.raw is data
+        ):
+            return prefetched.compressed
+        return self.codec.compress(data)
+
+    def _measure(
+        self, key: str, data: bytes, prefetched=None
+    ) -> tuple[int, bytes | None]:
+        """``(stored length, compressed blob or None)`` for ``data``.
+
+        The codec runs only the first time a blob is seen under the
+        current mode; afterwards the remembered length is returned with
+        no blob, and the caller compresses only if it goes on to store.
+        """
+        stored_len = self._remembered(key, len(data))
+        if stored_len is not None:
+            return stored_len, None
+        blob = self._compress(data, prefetched)
+        self._sizes[(key, self.mode)] = (len(data), len(blob))
+        return len(blob), blob
+
+    def _recompress(
+        self, key: str, data: bytes, stored_len: int, prefetched=None
+    ) -> bytes:
+        """Run the codec on a blob whose stored length is remembered;
+        the two have to agree."""
+        blob = self._compress(data, prefetched)
+        if len(blob) != stored_len:
+            raise RuntimeError(
+                f"remembered size of blob {key!r} is stale ({stored_len} B "
+                f"remembered, {len(blob)} B now): it was rewritten without "
+                "EdgeCache.invalidate / Server.store_blob"
+            )
+        return blob
+
     def put(self, key: str, data: bytes, prefetched=None) -> bool:
         """Insert an uncompressed blob; returns False if not admitted.
 
@@ -213,41 +326,40 @@ class EdgeCache:
         remaining free space is simply rejected (§IV-B).  Under
         ``"lru"`` least-recently-used entries are evicted to make room;
         blobs bigger than the whole capacity are rejected rather than
-        flushing the entire cache.
+        flushing the entire cache.  A rejected insert leaves a resident
+        entry of the same key untouched.
 
+        The decision is taken on the blob's stored length before the
+        codec runs (see :meth:`_measure`); a rejected blob whose length
+        is remembered is not compressed, except on every
+        :data:`SIZE_AUDIT_PERIOD`-th reject.  Whenever the codec does
+        run on a blob with a remembered length (stored, or audited) the
+        two must agree; a mismatch raises ``RuntimeError``.
         ``prefetched`` may carry a speculatively pre-compressed copy of
         ``data``; it is reused only when compressed from this exact
-        object (compression is deterministic, so the bytes — and every
-        admission decision downstream of them — are identical).
+        object.
         """
-        if (
-            prefetched is not None
-            and prefetched.compressed is not None
-            and prefetched.raw is data
-        ):
-            blob = prefetched.compressed
-        else:
-            blob = self.codec.compress(data)
         self.stats.bytes_compressed_in += len(data)
-        if len(blob) > self.capacity_bytes:
+        stored_len, blob = self._measure(key, data, prefetched)
+        fits = self._fits(key, stored_len)
+        if blob is None and (fits or self.stats.rejected % SIZE_AUDIT_PERIOD == 0):
+            # About to be stored, or an audited reject.
+            blob = self._recompress(key, data, stored_len, prefetched)
+        if not fits:
+            if blob is None:
+                self.compress_skipped += 1
             self.stats.rejected += 1
             if self.trace is not None:
                 self.trace.instant("cache-reject", "cache", key=key)
             return False
         if key in self._entries:
             self._used -= len(self._entries.pop(key))
-        if self._used + len(blob) > self.capacity_bytes:
-            if self.eviction == "none":
-                self.stats.rejected += 1
-                if self.trace is not None:
-                    self.trace.instant("cache-reject", "cache", key=key)
-                return False
-            while self._used + len(blob) > self.capacity_bytes:
-                victim, evicted = self._entries.popitem(last=False)
-                self._used -= len(evicted)
-                self.stats.evictions += 1
-                if self.trace is not None:
-                    self.trace.instant("cache-evict", "cache", key=victim)
+        while self._used + len(blob) > self.capacity_bytes:
+            victim, evicted = self._entries.popitem(last=False)
+            self._used -= len(evicted)
+            self.stats.evictions += 1
+            if self.trace is not None:
+                self.trace.instant("cache-evict", "cache", key=victim)
         self._entries[key] = blob
         self._used += len(blob)
         self.stats.insertions += 1
@@ -282,7 +394,9 @@ class EdgeCache:
         dropped least-recent-first and counted as evictions.  Returns
         the total *uncompressed* bytes re-encoded so the caller can
         meter the decompression work (compression is uncharged, matching
-        the insert path); a same-mode call is a free no-op.
+        the insert path); a same-mode call is a free no-op.  Like
+        :meth:`put`, an entry whose new stored length is remembered and
+        does not fit is dropped without being recompressed.
 
         Deterministic: contents are a pure function of the admitted-key
         sequence and the mode history, so serial, thread, and process
@@ -298,7 +412,6 @@ class EdgeCache:
             for key, blob in self._entries.items()
         ]
         self.mode = mode
-        new_codec = self.codec
         self._entries = OrderedDict()
         self._used = 0
         total_raw = 0
@@ -307,12 +420,14 @@ class EdgeCache:
         kept = []
         for key, data in reversed(items):
             total_raw += len(data)
-            blob = new_codec.compress(data)
-            if self._used + len(blob) > self.capacity_bytes:
+            stored_len, blob = self._measure(key, data)
+            if self._used + stored_len > self.capacity_bytes:
                 self.stats.evictions += 1
                 if self.trace is not None:
                     self.trace.instant("cache-evict", "cache", key=key)
                 continue
+            if blob is None:
+                blob = self._recompress(key, data, stored_len)
             kept.append((key, blob))
             self._used += len(blob)
         for key, blob in reversed(kept):
@@ -340,11 +455,22 @@ class EdgeCache:
         self._used = 0
         for key, data in items:
             blob = self.codec.compress(data)
+            self._sizes[(key, self.mode)] = (len(data), len(blob))
             self._entries[key] = blob
             self._used += len(blob)
 
+    def invalidate(self, key: str) -> None:
+        """Forget blob ``key`` entirely — its entry, the bytes it held,
+        and its remembered sizes under every mode.  For a blob rewritten
+        under the same name; no stat is touched."""
+        blob = self._entries.pop(key, None)
+        if blob is not None:
+            self._used -= len(blob)
+        for mode in range(1, len(CACHE_MODES) + 1):
+            self._sizes.pop((key, mode), None)
+
     def clear(self) -> None:
-        """Drop every entry (stats retained)."""
+        """Drop every entry (stats and remembered sizes retained)."""
         self._entries.clear()
         self._used = 0
 

@@ -397,9 +397,19 @@ class TestRunReport:
                 program="pagerank",
                 num_servers=NUM_SERVERS,
             )
+            metrics_text = bridge_cluster(MetricsRegistry(), cluster).to_text()
         finally:
             cluster.close()
         assert report["schema"] == REPORT_SCHEMA
+        # The cache section carries the §IV-B stats plus the admission
+        # shortcut's host-telemetry count (0 here: the default cache
+        # holds every tile, so no insert is ever rejected).
+        assert set(report["cache"]) == {str(i) for i in range(NUM_SERVERS)}
+        assert all(
+            row["compress_skipped"] == 0 and row["rejected"] == 0
+            for row in report["cache"].values()
+        )
+        assert "repro_cache_compress_skipped" in metrics_text
         assert len(report["supersteps"]) == result.num_supersteps
         path = str(tmp_path / "report.json")
         save_run_report(report, path)
@@ -407,6 +417,7 @@ class TestRunReport:
         table = format_run_report(report)
         assert "load" in table and "gather-apply" in table
         assert "broadcast" in table and "sync" in table
+        assert "cache: mode=" in table and "compress_skipped=0" in table
 
 
 class _FakeServer:

@@ -6,6 +6,7 @@ modeled costs, same message modes.  These tests pin that contract for
 all three reference apps, plus the executor primitives themselves.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import threading
@@ -16,7 +17,8 @@ import pytest
 
 from repro.analysis.experiments import run_graphh
 from repro.apps import PageRank, SSSP, WCC
-from repro.core import MPEConfig
+from repro.cluster import Cluster, ClusterSpec
+from repro.core import MPE, SPE, MPEConfig
 from repro.graph import chung_lu_graph
 from repro.runtime import (
     ParallelExecutor,
@@ -28,6 +30,8 @@ from repro.runtime import (
     outstanding_segments,
     process_runtime_available,
 )
+from repro.service import reset_simulation
+from repro.storage.cache import SIZE_AUDIT_PERIOD
 
 needs_process = pytest.mark.skipif(
     not process_runtime_available(),
@@ -876,3 +880,93 @@ class TestCommFastpath:
             values, report = self._supervised(skewed, schedule, fastpath)
             assert report.restarts == 1, f"fastpath={fastpath}"
             assert np.array_equal(values, clean.values), f"fastpath={fastpath}"
+
+
+def _spilling_engine(graph, executor: str, depth: int):
+    """A set-up engine whose edge cache holds ~a quarter of each
+    server's tiles: §IV-B picks a zlib mode and the admit-until-full
+    cache rejects inserts every superstep."""
+    n = 3
+    cluster = Cluster(ClusterSpec(num_servers=n))
+    spe = SPE(cluster.dfs)
+    manifest = spe.preprocess(
+        graph, max(1, graph.num_edges // (12 * n)), name=graph.name
+    )
+    cfg = MPEConfig(
+        executor=executor,
+        num_workers=2,
+        num_threads=2,
+        prefetch_depth=depth,
+        io_threads=1,
+        cache_capacity_bytes=int(0.25 * spe.total_tile_bytes(manifest) / n),
+        max_supersteps=8,
+    )
+    mpe = MPE(cluster, manifest, cfg)
+    mpe.setup()
+    return cluster, mpe
+
+
+def _cold_run(cluster, mpe):
+    """One run from a cold metered start (the service's per-job reset:
+    fresh Counters, edge cache emptied, stats zeroed) and its story."""
+    reset_simulation(cluster, mpe.channel)
+    result = mpe.run(SSSP(source=1))
+    caches = [s.cache for s in cluster.servers]
+    assert all(c.mode in (3, 4) for c in caches)
+    return {
+        "values": result.values.tobytes(),
+        "counters": [s.counters.snapshot() for s in cluster.servers],
+        "cache": [dataclasses.asdict(c.stats) for c in caches],
+        "cached": [c.content_keys() for c in caches],
+        "modeled": [s.modeled for s in result.supersteps],
+        "net": [s.net_bytes for s in result.supersteps],
+        "disk": [s.disk_read_bytes for s in result.supersteps],
+        "skipped": [s.tiles_skipped for s in result.supersteps],
+    }, sum(c.compress_skipped for c in caches)
+
+
+class TestSpillingRememberedSizes:
+    """Admission before compression across executors × prefetch depth:
+    a second run on the same engine decides every rejected insert from
+    sizes remembered in the first, and its metered story is still the
+    cold one, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def serial_reference(self, skewed):
+        cluster, mpe = _spilling_engine(skewed, "serial", 0)
+        try:
+            first, skipped_first = _cold_run(cluster, mpe)
+            second, skipped_both = _cold_run(cluster, mpe)
+        finally:
+            cluster.close()
+        assert sum(c["rejected"] for c in first["cache"]) > 0
+        assert second == first
+        # The second run re-learns nothing: every reject but the audited
+        # ones (ordinals 0, P, 2P, ... per cache) skips the codec.
+        assert skipped_both - skipped_first == sum(
+            c["rejected"] - len(range(0, c["rejected"], SIZE_AUDIT_PERIOD))
+            for c in first["cache"]
+        )
+        return first, skipped_first, skipped_both
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize(
+        "executor",
+        ["serial", "parallel", pytest.param("process", marks=needs_process)],
+    )
+    def test_second_run_matches_cold_engine(
+        self, skewed, serial_reference, executor, depth
+    ):
+        reference, skipped_first, skipped_both = serial_reference
+        cluster, mpe = _spilling_engine(skewed, executor, depth)
+        try:
+            first, after_first = _cold_run(cluster, mpe)
+            second, after_second = _cold_run(cluster, mpe)
+        finally:
+            cluster.close()
+        assert first == reference
+        assert second == reference
+        # Host telemetry, equal here because every executor learns the
+        # same sizes at the same puts — under process only if the sizes
+        # learned in the first run's forked workers reached the parent.
+        assert (after_first, after_second) == (skipped_first, skipped_both)

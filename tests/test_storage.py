@@ -1,5 +1,8 @@
 """Tests for codecs, local disk, and the edge cache."""
 
+import dataclasses
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,8 @@ from repro.storage import (
     get_codec,
     select_cache_mode,
 )
+from repro.storage.cache import SIZE_AUDIT_PERIOD, CacheStats
+from repro.storage.codecs import CACHE_MODES
 
 
 class TestCodecs:
@@ -300,3 +305,301 @@ class TestEdgeCache:
             size = int(rng.integers(1, 200))
             cache.put(f"k{i}", rng.integers(0, 256, size, dtype=np.uint8).tobytes())
             assert cache.used_bytes <= cache.capacity_bytes
+
+    def test_rejected_put_leaves_resident_entry(self):
+        """A same-key insert that does not fit is rejected without
+        touching the copy already resident."""
+        cache = EdgeCache(capacity_bytes=250, mode=1)
+        cache.put("a", b"x" * 100)
+        cache.put("b", b"y" * 100)
+        assert not cache.put("a", b"z" * 200)  # 100 (b) + 200 > 250
+        assert cache.get("a") == b"x" * 100
+        assert cache.used_bytes == 200
+        assert cache.stats.rejected == 1
+        # Oversized for the whole cache: same under LRU.
+        lru = EdgeCache(capacity_bytes=250, mode=1, eviction="lru")
+        lru.put("a", b"x" * 100)
+        assert not lru.put("a", b"z" * 300)
+        assert lru.get("a") == b"x" * 100 and lru.used_bytes == 100
+
+    def test_invalidate_drops_entry_bytes_and_remembered_size(self):
+        cache = EdgeCache(capacity_bytes=40, mode=4)
+        zeros, noise = b"\x00" * 64, _noise(64, seed=5)
+        assert cache.put("t", zeros)  # compresses to a few bytes
+        before = dataclasses.asdict(cache.stats)
+        cache.invalidate("t")
+        assert "t" not in cache and cache.used_bytes == 0
+        assert dataclasses.asdict(cache.stats) == before
+        cache.invalidate("t")  # absent key: a no-op
+        # Same name, same length, now incompressible: the remembered
+        # (tiny) size must not admit it.
+        assert not cache.put("t", noise)
+        assert cache.used_bytes == 0
+
+    def test_store_blob_invalidates_edge_cache(self, tmp_path):
+        """A same-name rewrite must not be served stale by the cache."""
+        from repro.cluster.server import Server
+
+        server = Server(0, str(tmp_path))
+        server.attach_cache(capacity_bytes=10_000, mode=3)
+        server.store_blob("t", b"old" * 50)
+        assert server.load_blob("t") == b"old" * 50
+        assert "t" in server.cache
+        server.store_blob("t", b"new" * 50)
+        assert "t" not in server.cache and server.cache.used_bytes == 0
+        assert server.load_blob("t") == b"new" * 50
+
+    def test_remembered_size_survives_clear_and_is_per_mode(self, monkeypatch):
+        calls = _count_compress_calls(monkeypatch)
+        cache = EdgeCache(capacity_bytes=150, mode=4)
+        a, b = _noise(100, seed=1), _noise(100, seed=2)
+        assert cache.put("a", a) and not cache.put("b", b)
+        assert len(calls) == 2 and cache.compress_skipped == 0
+        assert not cache.put("b", b)  # reject #1: from the remembered size
+        assert len(calls) == 2 and cache.compress_skipped == 1
+        cache.clear()
+        cache.reset_stats()
+        assert cache.put("b", b)  # stored, so compressed
+        assert len(calls) == 3
+        assert not cache.put("a", a)  # reject #0 of the new count: audited
+        assert len(calls) == 4 and cache.compress_skipped == 1
+        assert not cache.put("a", a)  # reject #1: skipped
+        assert len(calls) == 4 and cache.compress_skipped == 2
+        # A new mode knows nothing yet: b is re-encoded, a measured once.
+        cache.switch_mode(3)
+        assert not cache.put("a", a)  # reject #2, measured
+        assert len(calls) == 6
+        cache.reset_stats()
+        assert not cache.put("a", a) and not cache.put("a", a)  # #0 audited, #1 not
+        assert len(calls) == 7
+
+    def test_second_sweep_over_full_cache_compresses_only_audits(
+        self, tmp_path, monkeypatch
+    ):
+        """The win, pinned by count: the first sweep over a full
+        admit-until-full cache compresses each blob once; a later sweep
+        runs the codec only for the audited rejects (one in
+        ``SIZE_AUDIT_PERIOD``, by reject ordinal)."""
+        disk = LocalDisk(tmp_path)
+        blobs = {f"t{i}": _noise(200, seed=i) for i in range(8)}
+        for name, data in blobs.items():
+            disk.write(name, data)
+        cache = EdgeCache(capacity_bytes=500, mode=4)  # holds two
+        calls = _count_compress_calls(monkeypatch)
+        for name, data in blobs.items():
+            assert cache.load(name, disk) == data
+        assert len(calls) == len(blobs)
+        assert cache.stats.rejected == 6 and cache.compress_skipped == 0
+        del calls[:]
+        for name, data in blobs.items():
+            assert cache.load(name, disk) == data
+        audits = sum(ordinal % SIZE_AUDIT_PERIOD == 0 for ordinal in range(6, 12))
+        assert 0 < audits < 6 and len(calls) == audits
+        assert cache.stats.rejected == 12 and cache.compress_skipped == 6 - audits
+        assert cache.stats.bytes_compressed_in == (8 + 6) * 200
+
+    def test_audit_catches_a_rewrite_that_skipped_invalidate(self):
+        """A blob rewritten under its name without ``invalidate`` (same
+        length, different compressibility) is caught the next time the
+        codec runs on it — loudly, not as a silent admission change."""
+        zeros, noise = b"\x00" * 64, _noise(64, seed=5)
+        # Store path: the remembered size says it fits, the codec disagrees.
+        cache = EdgeCache(capacity_bytes=40, mode=4)
+        assert cache.put("t", zeros)
+        cache.clear()
+        with pytest.raises(RuntimeError, match="stale"):
+            cache.put("t", noise)
+        # Reject path: caught by the audited reject.
+        cache = EdgeCache(capacity_bytes=40, mode=4)
+        assert not cache.put("t", noise)
+        cache.reset_stats()
+        with pytest.raises(RuntimeError, match="stale"):
+            cache.put("t", _noise(40, seed=6) + b"\x00" * 24)  # still too big
+
+
+def _noise(n: int, seed: int) -> bytes:
+    return np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()
+
+
+def _count_compress_calls(monkeypatch) -> list:
+    """Route every codec's ``compress`` through a call log."""
+    calls: list[tuple[str, int]] = []
+    # By class: zlib-1 and zlib-3 are two instances of one.
+    for cls in {type(codec) for codec in CODECS.values()}:
+
+        def counting(self, data, _orig=cls.compress):
+            calls.append((self.name, len(data)))
+            return _orig(self, data)
+
+        monkeypatch.setattr(cls, "compress", counting)
+    return calls
+
+
+class _AlwaysCompressCache:
+    """Differential oracle: the edge cache as it was before admission
+    moved ahead of compression — every insert runs the codec first and
+    decides second, nothing is remembered."""
+
+    def __init__(self, capacity_bytes: int, mode: int, eviction: str) -> None:
+        self.capacity_bytes = capacity_bytes
+        self.mode = mode
+        self.eviction = eviction
+        self.entries: OrderedDict[str, bytes] = OrderedDict()
+        self.used_bytes = 0
+        self.stats = CacheStats()
+
+    @property
+    def codec(self):
+        return get_codec(CACHE_MODES[self.mode - 1])
+
+    def get(self, key):
+        blob = self.entries.get(key)
+        if blob is None:
+            self.stats.misses += 1
+            return None
+        self.entries.move_to_end(key)
+        self.stats.hits += 1
+        data = self.codec.decompress(blob)
+        self.stats.bytes_decompressed += len(data)
+        return data
+
+    def touch(self, key, uncompressed_len):
+        if key not in self.entries:
+            return False
+        self.entries.move_to_end(key)
+        self.stats.hits += 1
+        self.stats.bytes_decompressed += uncompressed_len
+        return True
+
+    def put(self, key, data):
+        blob = self.codec.compress(data)
+        self.stats.bytes_compressed_in += len(data)
+        free = self.capacity_bytes - self.used_bytes + len(self.entries.get(key, b""))
+        if len(blob) > self.capacity_bytes or (
+            self.eviction == "none" and len(blob) > free
+        ):
+            self.stats.rejected += 1
+            return False
+        if key in self.entries:
+            self.used_bytes -= len(self.entries.pop(key))
+        while self.used_bytes + len(blob) > self.capacity_bytes:
+            _, evicted = self.entries.popitem(last=False)
+            self.used_bytes -= len(evicted)
+            self.stats.evictions += 1
+        self.entries[key] = blob
+        self.used_bytes += len(blob)
+        self.stats.insertions += 1
+        return True
+
+    def load(self, key, disk):
+        data = self.get(key)
+        if data is None:
+            data = disk.read(key)
+            self.put(key, data)
+        return data
+
+    def switch_mode(self, mode):
+        if mode == self.mode:
+            return 0
+        items = [(k, self.codec.decompress(b)) for k, b in self.entries.items()]
+        self.mode = mode
+        self.entries, self.used_bytes = OrderedDict(), 0
+        kept = []
+        for key, data in reversed(items):
+            blob = self.codec.compress(data)
+            if self.used_bytes + len(blob) > self.capacity_bytes:
+                self.stats.evictions += 1
+                continue
+            kept.append((key, blob))
+            self.used_bytes += len(blob)
+        self.entries.update(reversed(kept))
+        return sum(len(data) for _, data in items)
+
+    def clear(self):
+        self.entries.clear()
+        self.used_bytes = 0
+
+    def invalidate(self, key):
+        self.used_bytes -= len(self.entries.pop(key, b""))
+
+
+def _blob_variants() -> list[tuple[bytes, bytes]]:
+    """(content, same-length rewrite) per blob: sizes and
+    compressibility spread so every mode sees admits, rejects and
+    evictions at the test capacity."""
+    ramp = np.arange(150, dtype=np.uint32).tobytes()
+    return [
+        (b"\x00" * 400, _noise(400, seed=11)),
+        (ramp, ramp[::-1]),
+        (_noise(300, seed=12), b"\x07" * 300),
+        (_noise(150, seed=13), _noise(150, seed=14)),
+        (b"ab" * 300, b"abc" * 200),
+        (_noise(50, seed=15), b"\x00" * 50),
+        (_noise(900, seed=16), b"\x01" * 900),  # raw: over the whole capacity
+    ]
+
+
+# Inserts are weighted up: a remembered size only matters on the second
+# insert of a blob, so most of a sequence should be inserts.
+_OPS = (
+    ("put", "load") * 4
+    + ("get", "touch", "clear", "switch_mode", "invalidate", "invalidate")
+)
+
+
+class TestAdmissionBeforeCompression:
+    """EdgeCache decides from remembered sizes; the oracle compresses
+    every time.  Whatever the operation sequence, nobody can tell."""
+
+    @pytest.mark.parametrize("eviction", ["none", "lru"])
+    @pytest.mark.parametrize("mode", [1, 2, 3, 4])
+    @settings(max_examples=120, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(_OPS),
+                st.integers(0, len(_blob_variants()) - 1),
+                st.integers(1, 4),
+            ),
+            min_size=8,
+            max_size=80,
+        )
+    )
+    def test_matches_always_compress_oracle(self, tmp_path_factory, mode, eviction, ops):
+        disk = LocalDisk(tmp_path_factory.mktemp("diff"))
+        variants = _blob_variants()
+        current = {}
+        for i, (content, _) in enumerate(variants):
+            current[f"t{i}"] = content
+            disk.write(f"t{i}", content)
+        cache = EdgeCache(capacity_bytes=700, mode=mode, eviction=eviction)
+        oracle = _AlwaysCompressCache(700, mode, eviction)
+        for op, index, new_mode in ops:
+            name = f"t{index}"
+            data = current[name]
+            if op == "put":
+                assert cache.put(name, data) == oracle.put(name, data)
+            elif op == "get":
+                assert cache.get(name) == oracle.get(name)
+            elif op == "touch":
+                assert cache.touch(name, len(data)) == oracle.touch(name, len(data))
+            elif op == "load":
+                assert cache.load(name, disk) == oracle.load(name, disk) == data
+            elif op == "clear":
+                cache.clear()
+                oracle.clear()
+            elif op == "switch_mode":
+                assert cache.switch_mode(new_mode) == oracle.switch_mode(new_mode)
+            else:  # the blob is rewritten under its name, same length
+                a, b = variants[index]
+                current[name] = b if data is a else a
+                disk.write(name, current[name])
+                cache.invalidate(name)
+                oracle.invalidate(name)
+            assert dataclasses.asdict(cache.stats) == dataclasses.asdict(oracle.stats)
+            assert cache.content_keys() == list(oracle.entries)
+            assert [cache.peek_stored(k) for k in oracle.entries] == list(
+                oracle.entries.values()
+            )
+            assert cache.used_bytes == oracle.used_bytes <= 700
+            assert cache.mode == oracle.mode
