@@ -2,7 +2,7 @@
 """Regression gate: fresh bench runs vs the committed ``BENCH_*.json``.
 
 Re-runs the JSON-emitting benches (``bench_hotpath.py``, its
-``--sweep`` mode, ``bench_comm.py``, ``bench_faults.py``,
+``--sweep`` mode, ``bench_faults.py``,
 ``bench_incremental.py``, ``bench_prefetch.py``, ``bench_scale.py``,
 ``bench_service.py``, ``bench_tuning.py``) at the *baseline's own
 tier* and compares row by row:
@@ -21,11 +21,10 @@ tier* and compares row by row:
   and the autotuner's oracle gap / decision counts are executor- and
   host-invariant, so they must match the baseline *exactly*.  Any
   drift is a correctness regression, whatever its sign.
-* **Mixed rows** (comm): wall-clock rows carry executor-invariant
-  decode-count fields (``payload_decode_misses`` et al.) alongside the
-  rate.  The exact fields are gated to strict equality *before* the
-  host-metadata check — a decode-count drift fails even on a host whose
-  wall numbers are not comparable.
+* **Mixed rows**: a wall-clock row that also carries executor-invariant
+  fields (``supersteps``, ``disk_read_bytes`` ...) has those gated to
+  strict equality *before* the host-metadata check — a drift there
+  fails even on a host whose wall numbers are not comparable.
 
 ``--report-only`` prints the same comparison but always exits 0 — CI's
 mode on shared runners, where wall-clock noise is expected; the table
@@ -97,12 +96,6 @@ BENCHMARKS = {
         ("config",),
         True,
     ),
-    "comm": (
-        "BENCH_comm.json",
-        ["bench_comm.py"],
-        ("config",),
-        False,
-    ),
     "service": (
         "BENCH_service.json",
         ["bench_service.py"],
@@ -130,10 +123,9 @@ _META_KEYS = ("executor", "worker_width", "effective_parallelism")
 
 # Executor-invariant fields compared exactly wherever a baseline row
 # carries them — for deterministic benches that is the whole row; for
-# wall-clock benches with invariant side-fields (comm's decode counts)
-# the exact gate runs before, and independently of, the host-metadata
-# check.  Absent fields are skipped, so faults/scale rows share the
-# list.
+# wall-clock benches with invariant side-fields the exact gate runs
+# before, and independently of, the host-metadata check.  Absent fields
+# are skipped, so faults/scale rows share the list.
 _EXACT_KEYS = (
     "restarts",
     "reexecuted_supersteps",
@@ -157,13 +149,7 @@ _EXACT_KEYS = (
     "scratch_supersteps",
     "inc_modeled_s",
     "scratch_modeled_s",
-    # comm: decode-once fan-out counts (N·(N−1) → N per superstep)
     "supersteps",
-    "payload_decode_misses",
-    "payload_decode_hits",
-    "decode_calls",
-    "decodes_per_superstep",
-    "scatter_fallbacks",
 )
 
 

@@ -122,15 +122,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "mid-run at superstep boundaries (repro.tuning)",
     )
     parser.add_argument(
-        "--comm-fastpath",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="communication fast path: decode each broadcast payload "
-        "once per superstep, shared-inbox delivery for the process "
-        "executor, batched apply scatter (bitwise identical; "
-        "--no-comm-fastpath exists for A/B benchmarking)",
-    )
-    parser.add_argument(
         "--trace-out",
         default=None,
         metavar="JSON",
@@ -206,7 +197,6 @@ def _run(graph: Graph, program, args):
         selective_scheduling=args.selective,
         vertex_store=args.vertex_store,
         tune=args.tune,
-        comm_fastpath=args.comm_fastpath,
     )
     with GraphH(
         num_servers=args.servers,
@@ -304,7 +294,6 @@ def cmd_wcc(args) -> int:
         selective_scheduling=args.selective,
         vertex_store=args.vertex_store,
         tune=args.tune,
-        comm_fastpath=args.comm_fastpath,
     )
     with GraphH(
         num_servers=args.servers,
@@ -424,7 +413,6 @@ def cmd_chaos(args) -> int:
                 selective_scheduling=args.selective,
                 vertex_store=args.vertex_store,
                 tune=args.tune,
-                comm_fastpath=args.comm_fastpath,
             ),
         )
 
@@ -520,7 +508,6 @@ def cmd_trace(args) -> int:
         selective_scheduling=args.selective,
         vertex_store=args.vertex_store,
         tune=args.tune,
-        comm_fastpath=args.comm_fastpath,
     )
     with GraphH(
         num_servers=args.servers,
@@ -599,7 +586,6 @@ def cmd_tune(args) -> int:
         selective_scheduling=args.selective,
         vertex_store=args.vertex_store,
         tune=True,
-        comm_fastpath=args.comm_fastpath,
     )
     with GraphH(num_servers=args.servers, config=config) as gh:
         gh.load_graph(graph, avg_tile_edges=args.tile_edges)
@@ -941,10 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--tune", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="online autotuner (adds a tuning lane + report section)")
-    t.add_argument("--comm-fastpath", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="decode-once communication fast path (bitwise "
-                   "identical; off exists for A/B benchmarking)")
     t.add_argument(
         "--out", default=None, metavar="JSON",
         help="Chrome trace-event JSON (validated after writing)",
@@ -981,10 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=True,
                    help="bitmap selective scheduling (GraphMP)")
     n.add_argument("--vertex-store", choices=("mem", "mmap"), default="mem")
-    n.add_argument("--comm-fastpath", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="decode-once communication fast path (bitwise "
-                   "identical; off exists for A/B benchmarking)")
     n.add_argument("--report-out", default=None, metavar="JSON",
                    help="run report JSON (read back by `repro report`)")
     n.set_defaults(func=cmd_tune)
@@ -1035,10 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=False,
                    help="online autotuner (decision trace replays across "
                    "fault-recovery retries)")
-    c.add_argument("--comm-fastpath", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="decode-once communication fast path (bitwise "
-                   "identical; off exists for A/B benchmarking)")
     c.add_argument("--crash-at", type=int, default=None, metavar="STEP",
                    help="crash a server at this superstep")
     c.add_argument("--crash-server", type=int, default=0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.cluster.counters import Counters
+from repro.obs.trace import NULL_BUFFER
 from repro.storage.cache import DecodedTileCache, EdgeCache
 from repro.storage.disk import LocalDisk
 
@@ -28,14 +29,15 @@ class Server:
         # normal runs.  Consulted on the tile-load path only.
         self.fault_injector: Any | None = None
         # This server's repro.obs.trace.TraceBuffer, installed by the
-        # engine when tracing is on; None in normal runs.  Single-writer:
-        # only this server's executor thread / sticky worker records.
-        self.trace: Any | None = None
+        # engine when tracing is on; the null buffer in normal runs.
+        # Single-writer: only this server's executor thread / sticky
+        # worker records.
+        self.trace: Any = NULL_BUFFER
         # Separate buffer for the prefetch pipeline's background I/O
         # threads (multi-writer safe: complete-events only, one atomic
         # append each).  Installed alongside ``trace`` when tracing is
         # on and prefetch is enabled.
-        self.prefetch_trace: Any | None = None
+        self.prefetch_trace: Any = NULL_BUFFER
 
     def attach_cache(self, capacity_bytes: int, mode: int) -> EdgeCache:
         """Install an edge cache (replaces any existing one)."""
@@ -131,44 +133,29 @@ class Server:
         and charge retry costs here, before the cache lookup; fatal ones
         raise :class:`repro.faults.errors.DiskReadFault`.
         """
-        if self.trace is None:
-            return self._load_tile(name, parser, prefetched)
-        self.trace.begin("load", "io", blob=name)
-        try:
-            return self._load_tile(name, parser, prefetched)
-        finally:
-            self.trace.end()
-
-    def _load_tile(
-        self,
-        name: str,
-        parser: Callable[[bytes], Any],
-        prefetched: Any | None = None,
-    ) -> Any:
-        """:meth:`load_tile` body (split so the traced path can wrap it
-        in a span with exception-safe closing)."""
-        if self.fault_injector is not None:
-            self.fault_injector.on_tile_load(self, name)
-        dcache = self.decoded_cache
-        if dcache is None:
-            data = self.load_blob(name, prefetched)
-            return self._parse(data, parser, prefetched)
-        entry = dcache.get(name)
-        if entry is not None:
-            obj, orig_len = entry
-            if self.cache is not None and self.cache.touch(name, orig_len):
-                if orig_len and self.cache.mode != 1:
-                    self.counters.add_decompressed(
-                        self.cache.codec.name, orig_len
-                    )
-                self.counters.set_memory("cache", self.cache.used_bytes)
+        with self.trace.span("load", "io", blob=name):
+            if self.fault_injector is not None:
+                self.fault_injector.on_tile_load(self, name)
+            dcache = self.decoded_cache
+            if dcache is None:
+                data = self.load_blob(name, prefetched)
+                return self._parse(data, parser, prefetched)
+            entry = dcache.get(name)
+            if entry is not None:
+                obj, orig_len = entry
+                if self.cache is not None and self.cache.touch(name, orig_len):
+                    if orig_len and self.cache.mode != 1:
+                        self.counters.add_decompressed(
+                            self.cache.codec.name, orig_len
+                        )
+                    self.counters.set_memory("cache", self.cache.used_bytes)
+                    return obj
+                self.load_blob(name, prefetched)
                 return obj
-            self.load_blob(name, prefetched)
+            data = self.load_blob(name, prefetched)
+            obj = self._parse(data, parser, prefetched)
+            dcache.put(name, obj, len(data))
             return obj
-        data = self.load_blob(name, prefetched)
-        obj = self._parse(data, parser, prefetched)
-        dcache.put(name, obj, len(data))
-        return obj
 
     @staticmethod
     def _parse(

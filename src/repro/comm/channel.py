@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.cluster.server import Server
+from repro.obs.metrics import NULL_METRICS
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,9 @@ class Channel:
         # normal runs.  May drop deliveries (lost broadcasts).
         self.fault_injector = None
         # Message-size Histogram (repro.obs.metrics) installed by the
-        # engine when observability is on; observation only — metering
-        # is unchanged either way.
-        self.obs_bytes = None
+        # engine when observability is on, the null instrument
+        # otherwise; observation only — metering is unchanged either way.
+        self.obs_bytes = NULL_METRICS
 
     def _check(self, server_id: int) -> None:
         if not 0 <= server_id < len(self.servers):
@@ -65,8 +66,7 @@ class Channel:
         if src != dst:
             self.servers[src].counters.net_sent += len(payload)
             self.total_bytes += len(payload)
-            if self.obs_bytes is not None:
-                self.obs_bytes.observe(len(payload))
+            self.obs_bytes.observe(len(payload))
             if not dropped:
                 self.servers[dst].counters.net_recv += len(payload)
         # Every send is one message, local or not — mirroring the

@@ -178,11 +178,6 @@ class GraphH:
         the first supersteps, then switch codec / comm / bloom / cache /
         prefetch knobs at superstep boundaries.  Overlays
         ``config.tune`` when given.
-    comm_fastpath:
-        Communication fast path (decode-once broadcast fan-out with
-        shared-inbox delivery and batched apply).  On by default;
-        bitwise identical either way, so ``False`` exists only for A/B
-        benchmarking.  Overlays ``config.comm_fastpath`` when given.
     mutations:
         Evolving-graph support (:mod:`repro.delta`): attach a mutation
         log + delta-overlay store to the engine so :meth:`mutate` can
@@ -197,7 +192,7 @@ class GraphH:
         ``True`` enables the observability subsystem (:mod:`repro.obs`):
         every run records spans/instants into :attr:`tracer` and bridges
         the cluster's counters into its metrics registry.  Off (the
-        default) nothing is recorded and the hot paths stay guard-only.
+        default) nothing is recorded: every hook holds a null buffer.
         An existing :class:`repro.obs.trace.Tracer` may be passed
         instead of ``True`` to share one collector across systems.
     trace_out:
@@ -225,7 +220,6 @@ class GraphH:
         selective: bool | None = None,
         vertex_store: str | None = None,
         tune: bool | None = None,
-        comm_fastpath: bool | None = None,
         mutations: bool | None = None,
         incremental: bool | None = None,
         trace=False,
@@ -254,8 +248,6 @@ class GraphH:
             overrides["vertex_store"] = vertex_store
         if tune is not None:
             overrides["tune"] = tune
-        if comm_fastpath is not None:
-            overrides["comm_fastpath"] = comm_fastpath
         if mutations is not None:
             overrides["mutations"] = mutations
         if incremental is not None:

@@ -39,19 +39,14 @@ from repro.cluster.counters import CounterSnapshot, Counters
 from repro.comm import Channel, decode_update, encode_update
 from repro.comm.messages import DENSE, SPARSE, SPARSITY_THRESHOLD
 from repro.core.spe import SPE, TileManifest
-from repro.core.vertexstore import (
-    AllInAllStore,
-    MmapOnDemandStore,
-    MmapVertexStore,
-    OnDemandStore,
-    SharedOnDemandStore,
-    SharedVertexStore,
-)
+from repro.core.vertexstore import AllInAllStore, OnDemandStore
 from repro.delta.deltatiles import DeltaStore
 from repro.delta.incremental import build_plan
 from repro.delta.mutlog import MutationLog
 from repro.metrics.cost import CostModel, CostSample, SuperstepCost
 from repro.metrics.schedule import effective_parallel_volume
+from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, NULL_METRICS
+from repro.obs.trace import NULL_BUFFER
 from repro.partition.tiles import (
     Tile,
     assign_tiles_balanced,
@@ -154,18 +149,6 @@ class MPEConfig:
     # without the tuner.  The REPRO_TUNE environment variable overrides
     # this at run time (CI's forcing flag).
     tune: bool = False
-    # Communication fast path (decode-once broadcast fan-out): decode
-    # each broadcast payload once per superstep and share the immutable
-    # result across receivers, stage process-executor inboxes in a
-    # shared-memory arena instead of pickling the same bytes to every
-    # worker, and scatter all senders' updates in one batched
-    # ``store.write`` per receiver.  Values, Counters, CacheStats, and
-    # modeled costs are bitwise identical either way — every receiver
-    # still charges its own decompress bytes — so "off" exists only for
-    # A/B benchmarking (benchmarks/bench_comm.py).  The
-    # REPRO_COMM_FASTPATH environment variable overrides this at run
-    # time.
-    comm_fastpath: bool = True
 
     def __post_init__(self) -> None:
         if self.comm_mode not in ("hybrid", "dense", "sparse"):
@@ -225,19 +208,13 @@ class RunResult:
     converged: bool
     # --- host-runtime telemetry (PR-1 knobs) --------------------------
     executor: str = "serial"
-    sort_fallbacks: int = 0
     decoded_cache_hits: int = 0
     decoded_cache_misses: int = 0
-    # Communication fast path (decode-once fan-out): whether it ran,
-    # plus its payload-decode cache telemetry.  With the fast path off,
-    # every decode counts as a miss, so hits + misses is the total
-    # decode-call count in both modes.  scatter_fallbacks counts apply
-    # phases that fell back to per-sender writes because the static
-    # target-disjointness check failed (never, under AA/OD assignment).
-    comm_fastpath: bool = True
+    # Decode-once broadcast telemetry, counted from zero every run:
+    # envelopes served from the per-superstep decode cache vs actually
+    # decoded (hits + misses = envelopes received).
     payload_decode_hits: int = 0
     payload_decode_misses: int = 0
-    scatter_fallbacks: int = 0
     # Effective tile-prefetch pipeline depth this run executed with
     # (0 = pipeline off; REPRO_PREFETCH overrides already applied).
     prefetch_depth: int = 0
@@ -261,13 +238,10 @@ class RunResult:
         """Host-runtime telemetry (JSON-serialisable)."""
         return {
             "executor": self.executor,
-            "sort_fallbacks": self.sort_fallbacks,
             "decoded_cache_hits": self.decoded_cache_hits,
             "decoded_cache_misses": self.decoded_cache_misses,
-            "comm_fastpath": self.comm_fastpath,
             "payload_decode_hits": self.payload_decode_hits,
             "payload_decode_misses": self.payload_decode_misses,
-            "scatter_fallbacks": self.scatter_fallbacks,
             "prefetch_depth": self.prefetch_depth,
             "selective": self.selective,
             "vertex_store": self.vertex_store,
@@ -363,14 +337,10 @@ class MPE:
         self.manifest = manifest
         self.config = config or MPEConfig()
         self.channel = Channel(cluster.servers)
-        # Optional repro.obs.trace.Tracer.  None (the default) is the
-        # zero-cost path: no buffers exist and every instrumentation
-        # site reduces to one is-None check.
+        # Optional repro.obs.trace.Tracer.  With None (the default) no
+        # buffers exist: _wire_tracer hands every instrumentation site
+        # the null buffer / null instrument instead.
         self.tracer = tracer
-        self._obs_wall = None
-        self._obs_prefetch = None
-        self._obs_skipped = None
-        self._obs_scheduled = None
         # Effective prefetch knobs for the current run; re-resolved at
         # the top of run() (REPRO_PREFETCH override) *before* tracer
         # wiring and before the process pool forks, so workers inherit
@@ -430,10 +400,6 @@ class MPE:
         # Per-server sorted global ids of the targets its tiles own —
         # the shared static index behind range-dense broadcasts.
         self._server_target_ids: list[np.ndarray] = []
-        # Diagnostics: how often the pre-sorted-parts invariant failed
-        # and the concatenated update buffer needed a real argsort
-        # (expected to stay 0 for both assignment modes).
-        self.sort_fallbacks = 0
         # Installed by repro.faults.FaultInjector.attach(); None in
         # normal runs.
         self.injector = None
@@ -448,23 +414,16 @@ class MPE:
         self._worker_content: dict[int, tuple] = {}
         self._worker_last: dict[int, tuple] = {}
         self._worker_hash_memo: tuple | None = None
-        # --- communication fast path (decode-once fan-out) ------------
+        # --- decode-once broadcast fan-out -----------------------------
         # Per-superstep content-keyed decode cache: payload bytes →
         # immutable UpdatePayload.  The first receiver decodes, every
         # later one reuses the result while still charging its own
         # decompress bytes.  The lock spans the whole get-or-decode so
         # thread-executor hit/miss counts stay deterministic.
-        self._comm_fastpath = self.config.comm_fastpath
         self._decode_cache: dict[bytes, object] = {}
         self._decode_lock = threading.Lock()
         self.payload_decode_hits = 0
         self.payload_decode_misses = 0
-        # Batched apply: True when every server's target ids are
-        # globally disjoint (checked once in setup; holds under both AA
-        # and OD assignment).  scatter_fallbacks counts apply phases
-        # that had to fall back to per-sender writes.
-        self._targets_disjoint = False
-        self.scatter_fallbacks = 0
         # Worker side: the shared-inbox arena attachment for the
         # current superstep's apply phase, set post-fork.
         self._worker_arena: tuple[str, object] | None = None
@@ -474,16 +433,30 @@ class MPE:
     # ------------------------------------------------------------------
     # Observability wiring (repro.obs)
     # ------------------------------------------------------------------
-    def _wire_tracer(self) -> None:
-        """Install (or remove) trace buffers and live instruments.
+    def _lane(self, lane: str, *key):
+        """The attached tracer's ``lane`` buffer (``"engine"``,
+        ``"server"``, ``"prefetch"``, ``"tuning"``, ``"delta"``; created
+        on first use) — the null buffer when there is no tracer.  With
+        :attr:`_metrics`, the only place tracing on/off is decided."""
+        if self.tracer is not None:
+            return getattr(self.tracer, lane)(*key)
+        return NULL_BUFFER
+
+    @property
+    def _metrics(self):
+        """The tracer's metrics registry, or the null one."""
+        return self.tracer.metrics if self.tracer is not None else NULL_METRICS
+
+    def _wire_tracer(self):
+        """Install trace buffers and live instruments; returns the
+        engine buffer.
 
         Called at the top of every :meth:`run`, before :meth:`setup`, so
         caches attached during setup inherit their server's buffer and
-        setup's DFS reads land in the engine buffer.  With no tracer the
-        same pass resets every hook to ``None`` — a cluster previously
-        traced runs clean again.
+        setup's DFS reads land in the engine buffer.  With no tracer
+        every hook gets the null buffer / null instrument — a cluster
+        previously traced runs clean again.
         """
-        tracer = self.tracer
         # A tuned (or scripted) run may switch the pipeline on mid-run;
         # its buffers must exist before the process pool forks.
         prefetch_on = (
@@ -492,70 +465,56 @@ class MPE:
             or self.tuning_plan is not None
         )
         for server in self.cluster.servers:
-            buf = tracer.server(server.server_id) if tracer is not None else None
-            server.trace = buf
+            buf = server.trace = self._lane("server", server.server_id)
             # The prefetch pipeline's I/O threads get their own buffer
             # (complete-events only, multi-writer safe) — created only
             # when the pipeline is on, so depth-0 traces are unchanged.
             server.prefetch_trace = (
-                tracer.prefetch(server.server_id)
-                if tracer is not None and prefetch_on
-                else None
+                self._lane("prefetch", server.server_id)
+                if prefetch_on
+                else NULL_BUFFER
             )
             if server.cache is not None:
                 server.cache.trace = buf
             if server.decoded_cache is not None:
                 server.decoded_cache.trace = buf
-        self.cluster.dfs.trace = (
-            tracer.engine() if tracer is not None else None
+        ebuf = self.cluster.dfs.trace = self._lane("engine")
+        metrics = self._metrics
+        self.channel.obs_bytes = metrics.histogram(
+            "repro_channel_message_bytes",
+            "broadcast payload sizes",
+        ).labels()
+        self._obs_wall = metrics.histogram(
+            "repro_superstep_wall_seconds",
+            "host wall time per superstep",
+            buckets=DEFAULT_SECONDS_BUCKETS,
+        ).labels()
+        self._obs_prefetch = (
+            metrics.gauge(
+                "repro_prefetch_occupancy",
+                "fraction of tile dequeues served without stalling",
+                ("server",),
+            )
+            if prefetch_on
+            else NULL_METRICS
         )
-        if tracer is not None:
-            from repro.obs.metrics import (
-                DEFAULT_SECONDS_BUCKETS,
-            )
-
-            self.channel.obs_bytes = tracer.metrics.histogram(
-                "repro_channel_message_bytes",
-                "broadcast payload sizes",
-            ).labels()
-            self._obs_wall = tracer.metrics.histogram(
-                "repro_superstep_wall_seconds",
-                "host wall time per superstep",
-                buckets=DEFAULT_SECONDS_BUCKETS,
-            ).labels()
-            self._obs_prefetch = (
-                tracer.metrics.gauge(
-                    "repro_prefetch_occupancy",
-                    "fraction of tile dequeues served without stalling",
-                    ("server",),
-                )
-                if prefetch_on
-                else None
-            )
-            self._obs_skipped = tracer.metrics.counter(
-                "repro_tiles_skipped",
-                "tiles pruned from the schedule (bitmap or bloom)",
-            ).labels()
-            self._obs_scheduled = tracer.metrics.counter(
-                "repro_tiles_scheduled",
-                "tiles that survived schedule pruning and were processed",
-            ).labels()
-            self._obs_decode_hits = tracer.metrics.counter(
-                "repro_decode_cache_hits",
-                "broadcast payloads served from the decode-once cache",
-            ).labels()
-            self._obs_decode_misses = tracer.metrics.counter(
-                "repro_decode_cache_misses",
-                "broadcast payloads actually decoded",
-            ).labels()
-        else:
-            self.channel.obs_bytes = None
-            self._obs_wall = None
-            self._obs_prefetch = None
-            self._obs_skipped = None
-            self._obs_scheduled = None
-            self._obs_decode_hits = None
-            self._obs_decode_misses = None
+        self._obs_skipped = metrics.counter(
+            "repro_tiles_skipped",
+            "tiles pruned from the schedule (bitmap or bloom)",
+        ).labels()
+        self._obs_scheduled = metrics.counter(
+            "repro_tiles_scheduled",
+            "tiles that survived schedule pruning and were processed",
+        ).labels()
+        self._obs_decode_hits = metrics.counter(
+            "repro_decode_cache_hits",
+            "broadcast payloads served from the decode-once cache",
+        ).labels()
+        self._obs_decode_misses = metrics.counter(
+            "repro_decode_cache_misses",
+            "broadcast payloads actually decoded",
+        ).labels()
+        return ebuf
 
     # ------------------------------------------------------------------
     # Setup: fetch tiles, build blooms, size caches
@@ -637,15 +596,7 @@ class MPE:
             self._server_target_ids.append(
                 np.concatenate(ranges) if ranges else np.zeros(0, dtype=np.int64)
             )
-        # Static disjointness check for the batched apply scatter: every
-        # vertex has exactly one owning server under both assignment
-        # modes, so the concatenation of all servers' targets has no
-        # duplicates.  Checked once here — if it ever failed, the apply
-        # phase would fall back to per-sender writes (scatter_fallbacks).
-        all_targets = np.concatenate(self._server_target_ids)
-        self._targets_disjoint = (
-            np.unique(all_targets).size == all_targets.size
-        )
+        self._check_static_layout()
         # Edge cache per server (§IV-B): capacity = configured budget,
         # mode auto-selected from the server's own tile volume.
         for server_id, server in enumerate(self.cluster.servers):
@@ -660,6 +611,33 @@ class MPE:
                     max_entries=self.config.decoded_cache_entries
                 )
         self._tiles_fetched = True
+
+    def _check_static_layout(self) -> None:
+        """The two facts about stage-two placement the superstep relies
+        on, checked once instead of re-tested (and worked around) every
+        superstep; both hold for ``round_robin`` and ``balanced``.
+
+        * Each server's tile ids are strictly ascending, so its per-tile
+          changed-id parts — ascending disjoint target ranges — arrive
+          already sorted and the sweep concatenates them without a sort.
+        * Every vertex has exactly one owning server, so all senders'
+          updates land in one batched ``store.write`` per receiver: with
+          disjoint targets the write order cannot matter.
+        """
+        for server_id, tiles in enumerate(self._assignments):
+            ids = [tile_id for tile_id, _name, _nbytes in tiles]
+            if any(b <= a for a, b in zip(ids, ids[1:])):
+                raise RuntimeError(
+                    f"server {server_id}'s tile ids are not strictly "
+                    f"ascending ({ids}): its update parts would not "
+                    "concatenate sorted"
+                )
+        all_targets = np.concatenate(self._server_target_ids)
+        if np.unique(all_targets).size != all_targets.size:
+            raise RuntimeError(
+                "servers' target ids overlap: the batched apply scatter "
+                "needs every vertex owned by exactly one server"
+            )
 
     # ------------------------------------------------------------------
     # Execution
@@ -688,21 +666,21 @@ class MPE:
         # effective depth, and the process pool's forked workers inherit
         # these fields by value.
         self._prefetch_depth, self._io_threads = self._resolve_prefetch()
-        self._selective = self._resolve_selective()
-        self._tune = self._resolve_tune()
-        self._comm_fastpath = self._resolve_comm_fastpath()
+        self._selective = _env_flag(
+            "REPRO_SELECTIVE", self.config.selective_scheduling
+        )
+        self._tune = _env_flag("REPRO_TUNE", self.config.tune)
+        # Host telemetry is per run: a warm engine's second job reports
+        # its own decode counts, not the running total.
         self.payload_decode_hits = 0
         self.payload_decode_misses = 0
-        self.scatter_fallbacks = 0
         self._knobs = self._base_knobs()
-        self._wire_tracer()
-        ebuf = self.tracer.engine() if self.tracer is not None else None
-        if ebuf is not None:
-            # A previous attempt that aborted mid-superstep (supervised
-            # recovery) may have left engine spans open; close them so
-            # this attempt's run span is a sibling, not a child.
-            ebuf.close_to(0)
-            ebuf.begin("run", "run", program=program.name)
+        ebuf = self._wire_tracer()
+        # A previous attempt that aborted mid-superstep (supervised
+        # recovery) may have left engine spans open; close them so
+        # this attempt's run span is a sibling, not a child.
+        ebuf.close_to(0)
+        ebuf.begin("run", "run", program=program.name)
         self.setup()
         # setup() may have run before REPRO_SELECTIVE flipped selective
         # on (it is idempotent); backfill the source summaries from the
@@ -723,17 +701,13 @@ class MPE:
             plan = tuner.begin_run(
                 self._tuning_signature(program), self._base_knobs()
             )
-        tbuf = (
-            self.tracer.tuning()
-            if self.tracer is not None and plan is not None
-            else None
+        # The tuning lane exists only for runs that consult a plan.
+        tbuf = self._lane("tuning") if plan is not None else NULL_BUFFER
+        tbuf.instant(
+            "tuning_start",
+            "tuning",
+            mode="tuner" if tuner is not None else "scripted",
         )
-        if tbuf is not None:
-            tbuf.instant(
-                "tuning_start",
-                "tuning",
-                mode="tuner" if tuner is not None else "scripted",
-            )
         # A supervised retry may leave half-delivered broadcasts from an
         # aborted superstep behind; every run starts with clean mailboxes.
         self.channel.clear_all()
@@ -798,21 +772,20 @@ class MPE:
             init_values = incremental_plan.start_values.astype(
                 np.float64, copy=True
             )
-            if self.tracer is not None:
-                stats = incremental_plan.stats
-                self.tracer.delta().instant(
-                    "incremental_plan",
-                    "delta",
-                    program=program.name,
-                    num_mutations=stats["num_mutations"],
-                    dirty_vertices=stats["dirty_vertices"],
-                    reset_vertices=stats["reset_vertices"],
-                    forced_tiles=stats["forced_tiles"],
-                )
-                self.tracer.metrics.gauge(
-                    "repro_delta_dirty_vertices",
-                    "dirty vertices seeding the incremental frontier",
-                ).labels().set(stats["dirty_vertices"])
+            stats = incremental_plan.stats
+            self._lane("delta").instant(
+                "incremental_plan",
+                "delta",
+                program=program.name,
+                num_mutations=stats["num_mutations"],
+                dirty_vertices=stats["dirty_vertices"],
+                reset_vertices=stats["reset_vertices"],
+                forced_tiles=stats["forced_tiles"],
+            )
+            self._metrics.gauge(
+                "repro_delta_dirty_vertices",
+                "dirty vertices seeding the incremental frontier",
+            ).labels().set(stats["dirty_vertices"])
 
         start_superstep = 0
         resumed_updated: np.ndarray | None = None
@@ -857,44 +830,35 @@ class MPE:
         cleanup: list = []
         executor = None
         try:
-            # Semi-external-memory mode: one run-scoped BackingStore
-            # under the cluster tempdir holds every replica's files.
-            # Appended to cleanup *before* the stores, so LIFO teardown
-            # drops the stores' map views first, files last.
-            use_mmap = cfg.vertex_store == "mmap"
-            backing = None
-            if use_mmap:
-                backing = BackingStore(root=self.cluster.root)
-                cleanup.append(backing.release)
-            deg_shared = None
-            if (
-                use_process
-                and not use_mmap
-                and cfg.replication_policy == "aa"
-                and degrees is not None
-            ):
-                # AA replicas share one read-only degree segment — a
-                # host-side dedup; each store still *accounts* a full
-                # per-replica copy (§IV-A).
-                from repro.runtime.shm import SharedArray
+            # Where the replica arrays live, picked once per run: the
+            # heap (no allocator), shared-memory segments for the
+            # process executor's forked workers, or — semi-external-
+            # memory mode — file-backed maps under the cluster tempdir
+            # (MAP_SHARED, so they serve every executor, process
+            # included).  Appended to cleanup *before* the stores, so
+            # LIFO teardown drops the stores' views first, memory last.
+            allocator = None
+            if cfg.vertex_store == "mmap":
+                allocator = BackingStore(root=self.cluster.root)
+            elif use_process:
+                from repro.runtime.shm import SharedAllocator
 
-                deg_shared = SharedArray.from_array(degrees.astype(np.int32))
-                cleanup.append(deg_shared.release)
+                allocator = SharedAllocator()
+            if allocator is not None:
+                cleanup.append(allocator.release)
+            # Shared-memory AA replicas view one read-only degree
+            # segment — a host-side dedup; each store still *accounts* a
+            # full per-replica copy (§IV-A).
+            share_degrees = use_process and cfg.vertex_store != "mmap"
+            degree_donor = None
             for server in servers:
                 if cfg.replication_policy == "aa":
                     # All-in-All: full dense arrays on every server.
-                    # mmap maps are MAP_SHARED and fork-shareable, so
-                    # they serve every executor, process included.
-                    if use_mmap:
-                        store = MmapVertexStore(init_values, degrees, backing)
-                        cleanup.append(store.release)
-                    elif use_process:
-                        store = SharedVertexStore(
-                            init_values, degrees, degrees_shared=deg_shared
-                        )
-                        cleanup.append(store.release)
-                    else:
-                        store = AllInAllStore(init_values, degrees)
+                    store = AllInAllStore(
+                        init_values, degrees, allocator, degree_donor
+                    )
+                    if share_degrees:
+                        degree_donor = store
                 else:
                     # On-Demand: only this server's tile sources ∪ targets.
                     pieces = self._server_sources[server.server_id] + [
@@ -905,16 +869,8 @@ class MPE:
                         if pieces
                         else np.zeros(0, dtype=np.int64)
                     )
-                    if use_mmap:
-                        store = MmapOnDemandStore(
-                            init_values, degrees, local, backing
-                        )
-                        cleanup.append(store.release)
-                    elif use_process:
-                        store = SharedOnDemandStore(init_values, degrees, local)
-                        cleanup.append(store.release)
-                    else:
-                        store = OnDemandStore(init_values, degrees, local)
+                    store = OnDemandStore(init_values, degrees, local, allocator)
+                cleanup.append(store.release)
                 server.state["store"] = store
                 vertex_bytes, message_bytes = store.memory_bytes()
                 server.counters.set_memory("vertex", vertex_bytes)
@@ -954,8 +910,7 @@ class MPE:
 
             for superstep in range(start_superstep, cfg.max_supersteps):
                 t0 = time.perf_counter()
-                if ebuf is not None:
-                    ebuf.begin("superstep", "superstep", superstep=superstep)
+                ebuf.begin("superstep", "superstep", superstep=superstep)
                 if self.injector is not None:
                     self.injector.begin_superstep(superstep)
                 before = {
@@ -985,8 +940,7 @@ class MPE:
                 # to serial.  Cross-server effects (broadcast delivery)
                 # are staged in the results and flushed below in
                 # server-id order, exactly like the serial schedule.
-                if ebuf is not None:
-                    ebuf.begin("compute", "phase")
+                ebuf.begin("compute", "phase")
                 # Selective scheduling: resolve the exact bitmap prune
                 # once per superstep, in the parent, so every executor
                 # (and the parent-side fault replay) applies the same
@@ -1041,17 +995,12 @@ class MPE:
                         ),
                         servers,
                     )
-                if ebuf is not None:
-                    ebuf.end()  # compute
-                    ebuf.begin("broadcast", "phase")
+                ebuf.end()  # compute
+                ebuf.begin("broadcast", "phase")
                 for server, step in zip(servers, steps):
                     tiles_processed += step.tiles_processed
                     tiles_skipped += step.tiles_skipped
-                    self.sort_fallbacks += step.sort_fallbacks
-                    if (
-                        self._obs_prefetch is not None
-                        and step.prefetch_total > 0
-                    ):
+                    if step.prefetch_total > 0:
                         self._obs_prefetch.labels(
                             server=server.server_id
                         ).set(step.prefetch_ready / step.prefetch_total)
@@ -1059,12 +1008,10 @@ class MPE:
                     if step.payload is not None:
                         message_modes.append(step.payload[0])
                         self.channel.broadcast(server.server_id, step.payload)
-                if self._obs_skipped is not None:
-                    self._obs_skipped.inc(tiles_skipped)
-                    self._obs_scheduled.inc(tiles_processed)
-                if ebuf is not None:
-                    ebuf.end()  # broadcast
-                    ebuf.begin("sync", "phase")
+                self._obs_skipped.inc(tiles_skipped)
+                self._obs_scheduled.inc(tiles_processed)
+                ebuf.end()  # broadcast
+                ebuf.begin("sync", "phase")
 
                 # ---- BSP barrier: detect lost broadcasts ---------------
                 # Every server expects N-1 envelopes; a dropped delivery
@@ -1073,58 +1020,27 @@ class MPE:
                 # supervisor can retry or restore deterministically.
                 if self.injector is not None:
                     self.injector.barrier_check()
-                if ebuf is not None:
-                    ebuf.end()  # sync
-                    ebuf.begin("apply", "phase")
+                ebuf.end()  # sync
+                ebuf.begin("apply", "phase")
 
                 # ---- BSP barrier: apply all updates everywhere ---------
                 # Also per-server-independent (own store, own mailbox,
                 # own counters).  The parent drains each mailbox and, in
-                # process mode, ships the (src, payload) inbox to the
-                # worker owning the server, which writes straight into
-                # the shared value arrays and returns its counter delta.
+                # process mode, stages the inboxes in a shared segment
+                # for the worker owning each server, which writes
+                # straight into the shared value arrays and returns its
+                # counter delta.
                 if use_process:
-                    inboxes = [
-                        [
-                            (env.src, env.payload)
-                            for env in self.channel.receive_all(s.server_id)
-                        ]
-                        for s in servers
-                    ]
-                    # Fast path: stage each distinct broadcast payload
-                    # once in a shared segment and ship (src, off, len)
-                    # handles, instead of pickling the same bytes to
-                    # every receiving worker.  Released once the phase
-                    # returns — workers never hold it across supersteps.
-                    arena = None
-                    if self._comm_fastpath and any(inboxes):
-                        arena, dispatch = self._stage_shared_inboxes(
-                            superstep, inboxes
-                        )
-                    else:
-                        dispatch = [
-                            ("bytes", superstep, inbox) for inbox in inboxes
-                        ]
-                    try:
-                        apply_results = executor.run_phase("apply", dispatch)
-                    finally:
-                        if arena is not None:
-                            arena.release()
-                    for server, (
-                        delta,
-                        tr_events,
-                        dc_hits,
-                        dc_misses,
-                        sc_fb,
-                    ) in zip(servers, apply_results):
+                    apply_results = self._process_apply_phase(
+                        executor, servers, superstep
+                    )
+                    for server, (delta, tr_events, dc_hits, dc_misses) in zip(
+                        servers, apply_results
+                    ):
                         server.counters.add_volumes(delta)
                         self.payload_decode_hits += dc_hits
                         self.payload_decode_misses += dc_misses
-                        self.scatter_fallbacks += sc_fb
-                        if tr_events and self.tracer is not None:
-                            self.tracer.server(server.server_id).extend(
-                                tr_events
-                            )
+                        server.trace.extend(tr_events)
                 else:
                     # One decode-once cache generation per superstep:
                     # retries re-decode (payload content may differ) and
@@ -1143,9 +1059,8 @@ class MPE:
                         ),
                         servers,
                     )
-                if ebuf is not None:
-                    ebuf.end()  # apply
-                    ebuf.begin("account", "phase")
+                ebuf.end()  # apply
+                ebuf.begin("account", "phase")
                 updated_count = sum(ids.size for ids, _ in all_updates)
                 # Per-server update sets are sorted and disjoint (each
                 # server owns disjoint target ranges): a k-way merge
@@ -1187,11 +1102,9 @@ class MPE:
                         wall_s=time.perf_counter() - t0,
                     )
                 )
-                if self._obs_wall is not None:
-                    self._obs_wall.observe(reports[-1].wall_s)
-                if self._obs_decode_hits is not None:
-                    self._obs_decode_hits.set(self.payload_decode_hits)
-                    self._obs_decode_misses.set(self.payload_decode_misses)
+                self._obs_wall.observe(reports[-1].wall_s)
+                self._obs_decode_hits.set(self.payload_decode_hits)
+                self._obs_decode_misses.set(self.payload_decode_misses)
                 if tuner is not None:
                     self._observe_tuning(
                         tuner,
@@ -1206,29 +1119,24 @@ class MPE:
                         sched_bytes,
                         tbuf,
                     )
-                if ebuf is not None:
-                    ebuf.end()  # account
+                ebuf.end()  # account
                 if (
                     cfg.checkpoint_every is not None
                     and updated_count > 0
                     and (superstep + 1) % cfg.checkpoint_every == 0
                 ):
-                    if ebuf is not None:
-                        ebuf.begin("checkpoint", "io", superstep=superstep)
-                    write_checkpoint(
-                        self.cluster.dfs,
-                        self.manifest.name,
-                        program.name,
-                        superstep,
-                        self._collect_values(cfg, servers, init_values),
-                        prev_updated,
-                    )
-                    if ebuf is not None:
-                        ebuf.end()
-                if ebuf is not None:
-                    if updated_count == 0:
-                        ebuf.instant("converged", "run", superstep=superstep)
-                    ebuf.end()  # superstep
+                    with ebuf.span("checkpoint", "io", superstep=superstep):
+                        write_checkpoint(
+                            self.cluster.dfs,
+                            self.manifest.name,
+                            program.name,
+                            superstep,
+                            self._collect_values(cfg, servers, init_values),
+                            prev_updated,
+                        )
+                if updated_count == 0:
+                    ebuf.instant("converged", "run", superstep=superstep)
+                ebuf.end()  # superstep
                 if updated_count == 0:
                     converged = True
                     break
@@ -1250,10 +1158,9 @@ class MPE:
                 executor.close()
             for fn in reversed(cleanup):
                 fn()
-            if ebuf is not None:
-                # Close the run span — and, when a fault aborted a
-                # superstep mid-phase, every span still open above it.
-                ebuf.close_to(0)
+            # Close the run span — and, when a fault aborted a
+            # superstep mid-phase, every span still open above it.
+            ebuf.close_to(0)
 
         decoded_hits = sum(
             s.decoded_cache.stats.hits
@@ -1270,13 +1177,10 @@ class MPE:
             supersteps=reports,
             converged=converged,
             executor=runtime_name,
-            sort_fallbacks=self.sort_fallbacks,
             decoded_cache_hits=decoded_hits,
             decoded_cache_misses=decoded_misses,
-            comm_fastpath=self._comm_fastpath,
             payload_decode_hits=self.payload_decode_hits,
             payload_decode_misses=self.payload_decode_misses,
-            scatter_fallbacks=self.scatter_fallbacks,
             prefetch_depth=self._prefetch_depth,
             selective=self._selective,
             vertex_store=cfg.vertex_store,
@@ -1516,8 +1420,8 @@ class MPE:
             "modeled_compact_s": modeled_compact_s,
             "modeled_merge_s": modeled_merge_s,
         }
-        if self.tracer is not None and result.affected:
-            dbuf = self.tracer.delta()
+        if result.affected:
+            dbuf = self._lane("delta")
             dbuf.instant(
                 "mutate",
                 "delta",
@@ -1540,7 +1444,7 @@ class MPE:
                     generation=m["generation"],
                     nbytes=m["nbytes"],
                 )
-            self.tracer.metrics.gauge(
+            self._metrics.gauge(
                 "repro_delta_overlay_bytes",
                 "pending overlay bytes across all tiles",
             ).labels().set(report["overlay_bytes"])
@@ -1592,57 +1496,6 @@ class MPE:
         if depth < 0:
             raise ValueError("REPRO_PREFETCH must be >= 0")
         return depth, cfg.io_threads
-
-    def _resolve_selective(self) -> bool:
-        """Resolve this run's selective-scheduling flag.
-
-        ``REPRO_SELECTIVE`` (CI's forcing flag, mirroring
-        ``REPRO_PREFETCH``/``REPRO_EXECUTOR``) overrides the config.
-        """
-        raw = os.environ.get("REPRO_SELECTIVE", "").strip().lower()
-        if not raw:
-            return self.config.selective_scheduling
-        if raw in ("1", "true", "on", "yes"):
-            return True
-        if raw in ("0", "false", "off", "no"):
-            return False
-        raise ValueError(
-            f"REPRO_SELECTIVE must be a boolean flag, got {raw!r}"
-        )
-
-    def _resolve_tune(self) -> bool:
-        """Resolve this run's autotuning flag.
-
-        ``REPRO_TUNE`` (CI's forcing flag, mirroring
-        ``REPRO_SELECTIVE``/``REPRO_EXECUTOR``) overrides the config.
-        """
-        raw = os.environ.get("REPRO_TUNE", "").strip().lower()
-        if not raw:
-            return self.config.tune
-        if raw in ("1", "true", "on", "yes"):
-            return True
-        if raw in ("0", "false", "off", "no"):
-            return False
-        raise ValueError(f"REPRO_TUNE must be a boolean flag, got {raw!r}")
-
-    def _resolve_comm_fastpath(self) -> bool:
-        """Resolve this run's communication-fast-path flag.
-
-        ``REPRO_COMM_FASTPATH`` (mirroring ``REPRO_TUNE`` /
-        ``REPRO_SELECTIVE``) overrides the config.  Both settings are
-        bitwise identical in results and metering; off exists only for
-        the A/B comparison in ``benchmarks/bench_comm.py``.
-        """
-        raw = os.environ.get("REPRO_COMM_FASTPATH", "").strip().lower()
-        if not raw:
-            return self.config.comm_fastpath
-        if raw in ("1", "true", "on", "yes"):
-            return True
-        if raw in ("0", "false", "off", "no"):
-            return False
-        raise ValueError(
-            f"REPRO_COMM_FASTPATH must be a boolean flag, got {raw!r}"
-        )
 
     # ------------------------------------------------------------------
     # Autotuning (repro.tuning)
@@ -1720,7 +1573,7 @@ class MPE:
                     server.switch_cache_mode(knobs.cache_mode)
         if knobs.use_bloom:
             self._ensure_blooms()
-        if tbuf is not None and switched:
+        if switched:
             tbuf.instant(
                 "knob_switch",
                 "tuning",
@@ -1856,7 +1709,7 @@ class MPE:
                 hit_ratio=report.cache_hit_ratio,
             )
         )
-        if tbuf is not None and tuner.fit_superstep == superstep:
+        if tuner.fit_superstep == superstep:
             tbuf.instant(
                 "fit",
                 "tuning",
@@ -2034,7 +1887,7 @@ class MPE:
         self.cluster.dfs.fault_injector = None
         self._worker_last = {}
         self._worker_hash_memo = None
-        # Fresh communication-fast-path state: the decode cache must not
+        # Fresh decode-once state: the decode cache must not
         # alias the parent's dict (each worker decodes independently),
         # and any inherited arena attachment belongs to the parent.
         self._decode_cache = {}
@@ -2108,7 +1961,6 @@ class MPE:
                 payload=step.payload,
                 tiles_processed=step.tiles_processed,
                 tiles_skipped=step.tiles_skipped,
-                sort_fallbacks=step.sort_fallbacks,
                 delta=snap.delta(server),
                 mem_cache=c.mem_cache,
                 mem_scratch=c.mem_scratch,
@@ -2153,55 +2005,35 @@ class MPE:
                     if decoded is not None
                     else None
                 ),
-                trace=(
-                    tuple(server.trace.drain())
-                    if server.trace is not None
-                    else None
-                ),
-                prefetch_trace=(
-                    tuple(server.prefetch_trace.drain())
-                    if server.prefetch_trace is not None
-                    else None
-                ),
+                trace=tuple(server.trace.drain()),
+                prefetch_trace=tuple(server.prefetch_trace.drain()),
                 prefetch_ready=step.prefetch_ready,
                 prefetch_total=step.prefetch_total,
             )
         if tag == "apply":
-            kind, superstep = payload[0], payload[1]
+            superstep, seg_name, handles = payload
             if superstep != self._worker_decode_superstep:
                 # New superstep → new decode-cache generation (and new
                 # shared-inbox arena, attached lazily below).
                 self._worker_decode_superstep = superstep
                 self._decode_cache.clear()
                 self._worker_payload_memo.clear()
-            if kind == "arena":
-                seg_name, handles = payload[2], payload[3]
-                inbox = [
-                    (src, self._worker_payload_bytes(seg_name, off, ln))
-                    for src, off, ln in handles
-                ]
-            else:
-                inbox = payload[2]
+            inbox = [
+                (src, self._worker_payload_bytes(seg_name, off, ln))
+                for src, off, ln in handles
+            ]
             hits0 = self.payload_decode_hits
             misses0 = self.payload_decode_misses
-            fb0 = self.scatter_fallbacks
             own = self._worker_last.pop(
                 server_id,
                 (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)),
             )
             self._apply_server_step(server, own, inbox)
-            delta = snap.delta(server)
-            tr_events = (
-                tuple(server.trace.drain())
-                if server.trace is not None
-                else None
-            )
             return (
-                delta,
-                tr_events,
+                snap.delta(server),
+                tuple(server.trace.drain()),
                 self.payload_decode_hits - hits0,
                 self.payload_decode_misses - misses0,
-                self.scatter_fallbacks - fb0,
             )
         raise ValueError(f"unknown phase {tag!r}")
 
@@ -2228,18 +2060,29 @@ class MPE:
             memo[(off, ln)] = data
         return data
 
-    def _stage_shared_inboxes(self, superstep: int, inboxes):
-        """Stage this superstep's broadcast payloads in one shared segment.
+    def _process_apply_phase(self, executor, servers, superstep: int):
+        """Parent-side apply dispatch for the process executor.
 
-        Payloads are deduplicated by object identity — a broadcast
-        delivers the *same* bytes object to every other server's
-        mailbox, while byte-equal payloads from different senders stay
-        distinct spans.  Returns the arena (parent releases it after the
-        apply phase) and the per-server dispatch payloads carrying
-        ``(src, offset, length)`` handles.
+        Drains every mailbox and stages the superstep's broadcast
+        payloads once in one shared segment, shipping each worker
+        ``(src, offset, length)`` handles instead of pickling the same
+        bytes to every receiver.  Payloads are deduplicated by object
+        identity — a broadcast delivers the *same* bytes object to every
+        other server's mailbox, while byte-equal payloads from different
+        senders stay distinct spans.  A superstep that delivered nothing
+        (a single server) allocates no segment; the segment is released
+        as soon as the phase returns, so workers never hold it across
+        supersteps.
         """
         from repro.runtime.shm import SharedArray
 
+        inboxes = [
+            [
+                (env.src, env.payload)
+                for env in self.channel.receive_all(s.server_id)
+            ]
+            for s in servers
+        ]
         spans: dict[int, tuple[int, int]] = {}
         blobs: list[bytes] = []
         total = 0
@@ -2249,21 +2092,27 @@ class MPE:
                     spans[id(data)] = (total, len(data))
                     blobs.append(data)
                     total += len(data)
-        arena = SharedArray((max(1, total),), np.uint8)
-        view = arena.array
-        for data in blobs:
-            off, n = spans[id(data)]
-            view[off : off + n] = np.frombuffer(data, dtype=np.uint8)
+        arena = None
+        if blobs:
+            arena = SharedArray((max(1, total),), np.uint8)
+            for data in blobs:
+                off, n = spans[id(data)]
+                # No local alias of arena.array: release() below cannot
+                # close the segment while one is alive.
+                arena.array[off : off + n] = np.frombuffer(data, dtype=np.uint8)
         dispatch = [
             (
-                "arena",
                 superstep,
-                arena.name,
+                arena.name if arena is not None else None,
                 [(src, *spans[id(data)]) for src, data in inbox],
             )
             for inbox in inboxes
         ]
-        return arena, dispatch
+        try:
+            return executor.run_phase("apply", dispatch)
+        finally:
+            if arena is not None:
+                arena.release()
 
     def _process_compute_phase(
         self,
@@ -2414,13 +2263,12 @@ class MPE:
             step.cache_keys,
             step.decoded_keys,
         )
-        if step.trace and self.tracer is not None:
-            # Parent mirror of the worker's single-writer buffer; merged
-            # here in server-id order, so the per-buffer sequence is the
-            # one a serial run would have recorded.
-            self.tracer.server(server.server_id).extend(step.trace)
-        if step.prefetch_trace and self.tracer is not None:
-            self.tracer.prefetch(server.server_id).extend(step.prefetch_trace)
+        # Parent mirrors of the worker's buffers (the same objects the
+        # tracer holds); merged here in server-id order, so the
+        # per-buffer sequence is the one a serial run would have
+        # recorded.
+        server.trace.extend(step.trace)
+        server.prefetch_trace.extend(step.prefetch_trace)
 
     def _resync_parent_caches(self) -> None:
         """Rebuild parent-side cache *contents* from the workers' final
@@ -2477,220 +2325,171 @@ class MPE:
         :meth:`_compute_skip_sets`; ``None`` when the prune is off.
         """
         trace = server.trace
-        if trace is None:
-            return self._compute_server_sweep(
-                program, server, superstep, prev_hashed, skips
+        # span() unwinds with close_to: an injected fault aborting the
+        # sweep mid-tile must not leave spans open for the next attempt.
+        with trace.span("compute", "phase", superstep=superstep):
+            cfg = self.config
+            knobs = self._knobs
+            if self.injector is not None:
+                self.injector.on_compute(server)
+            store = server.state["store"]
+            changed_ids_parts: list[np.ndarray] = []
+            changed_vals_parts: list[np.ndarray] = []
+            tile_edge_counts: list[int] = []
+            tiles_processed = 0
+            tiles_skipped = 0
+            # Explicit schedule: all skips are resolved *before* anything is
+            # enqueued, so a skipped tile costs the pipeline zero I/O.  The
+            # exact bitmap prune runs first; a tile it kills is never probed
+            # against the bloom filter (no double accounting) — the bloom
+            # check only sees bitmap survivors.
+            schedule: list[tuple[int, str, int]] = []
+            forced = (
+                self._forced_tiles
+                if superstep == self._forced_superstep
+                else frozenset()
             )
-        d0 = trace.depth
-        trace.begin("compute", "phase", superstep=superstep)
-        try:
-            return self._compute_server_sweep(
-                program, server, superstep, prev_hashed, skips
-            )
-        finally:
-            # close_to, not end: an injected fault aborting the sweep
-            # mid-tile must not leave spans open for the next attempt.
-            trace.close_to(d0)
-
-    def _compute_server_sweep(
-        self,
-        program: VertexProgram,
-        server,
-        superstep: int,
-        prev_hashed: "HashedKeys | None",
-        skips: "frozenset[int] | None" = None,
-    ) -> "_ServerStep":
-        """:meth:`_compute_server_step` body (split so the traced path
-        can wrap it in an exception-safe span)."""
-        cfg = self.config
-        knobs = self._knobs
-        trace = server.trace
-        if self.injector is not None:
-            self.injector.on_compute(server)
-        store = server.state["store"]
-        changed_ids_parts: list[np.ndarray] = []
-        changed_vals_parts: list[np.ndarray] = []
-        tile_edge_counts: list[int] = []
-        tiles_processed = 0
-        tiles_skipped = 0
-        sort_fallbacks = 0
-        # Explicit schedule: all skips are resolved *before* anything is
-        # enqueued, so a skipped tile costs the pipeline zero I/O.  The
-        # exact bitmap prune runs first; a tile it kills is never probed
-        # against the bloom filter (no double accounting) — the bloom
-        # check only sees bitmap survivors.
-        schedule: list[tuple[int, str, int]] = []
-        forced = (
-            self._forced_tiles
-            if superstep == self._forced_superstep
-            else frozenset()
-        )
-        for tile_id, blob_name, nbytes in self._assignments[server.server_id]:
-            if tile_id not in forced:
-                if skips is not None and tile_id in skips:
-                    tiles_skipped += 1
-                    server.counters.tiles_skipped += 1
-                    if trace is not None:
+            for tile_id, blob_name, nbytes in self._assignments[server.server_id]:
+                if tile_id not in forced:
+                    if skips is not None and tile_id in skips:
+                        tiles_skipped += 1
+                        server.counters.tiles_skipped += 1
                         trace.instant(
-                            "tile_skip",
-                            "schedule",
-                            tile=tile_id,
-                            reason="bitmap",
+                            "tile_skip", "schedule", tile=tile_id, reason="bitmap"
                         )
-                    continue
-                if prev_hashed is not None and not self._blooms[
-                    tile_id
-                ].might_intersect(prev_hashed):
-                    tiles_skipped += 1
-                    server.counters.tiles_skipped += 1
-                    if trace is not None:
+                        continue
+                    if prev_hashed is not None and not self._blooms[
+                        tile_id
+                    ].might_intersect(prev_hashed):
+                        tiles_skipped += 1
+                        server.counters.tiles_skipped += 1
                         trace.instant(
-                            "tile_skip",
-                            "schedule",
-                            tile=tile_id,
-                            reason="bloom",
+                            "tile_skip", "schedule", tile=tile_id, reason="bloom"
                         )
-                    continue
-            schedule.append((tile_id, blob_name, nbytes))
+                        continue
+                schedule.append((tile_id, blob_name, nbytes))
 
-        def run_tile(
-            tile_id: int, blob_name: str, nbytes: int, prefetched=None
-        ) -> None:
-            nonlocal tiles_processed
-            if trace is not None:
-                trace.begin("tile", "compute", tile=tile_id)
-            tile = self._load_decoded_tile(server, blob_name, prefetched)
-            if self._delta is not None:
-                # Overlay composition work: charged per *scheduled*
-                # overlaid tile, whether or not the decoded cache
-                # served the composed object — like the edge-cache
-                # metering, the simulated cost is schedule-driven and
-                # therefore executor-invariant.
-                overlay = self._delta.overlays.get(tile_id)
-                if overlay is not None and not overlay.is_empty:
-                    server.counters.delta_bytes += overlay.nbytes()
-                    server.counters.delta_edges += overlay.num_ops
-            server.counters.add_memory("scratch", nbytes)
-            if trace is not None:
-                trace.begin("gather-apply", "compute", tile=tile_id)
-            ids, vals = _process_tile(program, tile, store)
-            if trace is not None:
-                trace.end()  # gather-apply
-            server.counters.add_memory("scratch", -nbytes)
-            tile_edge_counts.append(tile.num_edges)
-            tiles_processed += 1
-            if trace is not None:
-                trace.end()  # tile
-            if ids.size:
-                changed_ids_parts.append(ids)
-                changed_vals_parts.append(vals)
+            def run_tile(
+                tile_id: int, blob_name: str, nbytes: int, prefetched=None
+            ) -> None:
+                nonlocal tiles_processed
+                with trace.span("tile", "compute", tile=tile_id):
+                    tile = self._load_decoded_tile(server, blob_name, prefetched)
+                    if self._delta is not None:
+                        # Overlay composition work: charged per *scheduled*
+                        # overlaid tile, whether or not the decoded cache
+                        # served the composed object — like the edge-cache
+                        # metering, the simulated cost is schedule-driven
+                        # and therefore executor-invariant.
+                        overlay = self._delta.overlays.get(tile_id)
+                        if overlay is not None and not overlay.is_empty:
+                            server.counters.delta_bytes += overlay.nbytes()
+                            server.counters.delta_edges += overlay.num_ops
+                    server.counters.add_memory("scratch", nbytes)
+                    with trace.span("gather-apply", "compute", tile=tile_id):
+                        ids, vals = _process_tile(program, tile, store)
+                    server.counters.add_memory("scratch", -nbytes)
+                    tile_edge_counts.append(tile.num_edges)
+                    tiles_processed += 1
+                if ids.size:
+                    changed_ids_parts.append(ids)
+                    changed_vals_parts.append(vals)
 
-        prefetch_ready = 0
-        prefetch_total = 0
-        if knobs.prefetch_depth > 0 and schedule:
-            from repro.runtime.prefetch import TilePrefetcher
+            prefetch_ready = 0
+            prefetch_total = 0
+            if knobs.prefetch_depth > 0 and schedule:
+                from repro.runtime.prefetch import TilePrefetcher
 
-            # Background threads speculate ahead (read-only, unmetered);
-            # run_tile commits each dequeue through the same metered
-            # path as the sequential loop below, in the same order —
-            # the fault injector keeps firing inside the metered load,
-            # i.e. in deterministic serial sweep order.
-            prefetcher = TilePrefetcher(
-                server,
-                schedule,
-                self._tile_parser,
-                depth=knobs.prefetch_depth,
-                io_threads=knobs.io_threads,
-                name_of=lambda item: item[1],
-                io_trace=server.prefetch_trace,
-                wait_trace=trace,
-            )
-            try:
-                for item, hint, _ready in prefetcher:
-                    run_tile(*item, prefetched=hint)
-            finally:
-                prefetcher.close()
-            prefetch_ready = prefetcher.served_ready
-            prefetch_total = prefetcher.dequeues
-        else:
-            for item in schedule:
-                run_tile(*item)
+                # Background threads speculate ahead (read-only, unmetered);
+                # run_tile commits each dequeue through the same metered
+                # path as the sequential loop below, in the same order —
+                # the fault injector keeps firing inside the metered load,
+                # i.e. in deterministic serial sweep order.
+                prefetcher = TilePrefetcher(
+                    server,
+                    schedule,
+                    self._tile_parser,
+                    depth=knobs.prefetch_depth,
+                    io_threads=knobs.io_threads,
+                    name_of=lambda item: item[1],
+                    io_trace=server.prefetch_trace,
+                    wait_trace=trace,
+                )
+                try:
+                    for item, hint, _ready in prefetcher:
+                        run_tile(*item, prefetched=hint)
+                finally:
+                    prefetcher.close()
+                prefetch_ready = prefetcher.served_ready
+                prefetch_total = prefetcher.dequeues
+            else:
+                for item in schedule:
+                    run_tile(*item)
 
-        # Charge compute as the LPT makespan of this server's
-        # indivisible tiles over its T workers (§III-C.3's
-        # OpenMP parallelism, honestly accounting stragglers).
-        edges_charged = int(
-            round(
-                effective_parallel_volume(
-                    tile_edge_counts,
-                    self.cluster.spec.workers_per_server,
+            # Charge compute as the LPT makespan of this server's
+            # indivisible tiles over its T workers (§III-C.3's
+            # OpenMP parallelism, honestly accounting stragglers).
+            edges_charged = int(
+                round(
+                    effective_parallel_volume(
+                        tile_edge_counts,
+                        self.cluster.spec.workers_per_server,
+                    )
                 )
             )
-        )
-        server.counters.edges_processed += edges_charged
-        if self.injector is not None:
-            self.injector.after_compute(server, edges_charged)
+            server.counters.edges_processed += edges_charged
+            if self.injector is not None:
+                self.injector.after_compute(server, edges_charged)
 
-        if changed_ids_parts:
-            ids = np.concatenate(changed_ids_parts)
-            vals = np.concatenate(changed_vals_parts)
-            # Per-tile parts cover ascending disjoint target ranges (in
-            # both assignment modes a server's tile list is ascending),
-            # so the concatenation is already sorted — the seed's
-            # per-superstep argsort was pure overhead.  The boundary
-            # check is O(#tiles); the argsort fallback is kept for the
-            # should-never-happen case and surfaced via sort_fallbacks.
-            if not _parts_ascending(changed_ids_parts):
-                sort_fallbacks += 1
-                order = np.argsort(ids)
-                ids, vals = ids[order], vals[order]
-        else:
-            ids = np.zeros(0, dtype=np.int64)
-            vals = np.zeros(0, dtype=np.float64)
+            # Per-tile parts cover ascending disjoint target ranges and a
+            # server's tile list is ascending (_check_static_layout), so
+            # the concatenation is already sorted.
+            if changed_ids_parts:
+                ids = np.concatenate(changed_ids_parts)
+                vals = np.concatenate(changed_vals_parts)
+            else:
+                ids = np.zeros(0, dtype=np.int64)
+                vals = np.zeros(0, dtype=np.float64)
 
-        # Stage this server's updated-value broadcast: dense form
-        # covers only the targets its tiles own (receivers share the
-        # static target index), sparse form ships local (index, value)
-        # pairs.
-        payload = None
-        if len(self.cluster.servers) > 1:
-            if trace is not None:
-                trace.begin("encode", "comm", updated=int(ids.size))
-            own_targets = self._server_target_ids[server.server_id]
-            # gather_values fancy-indexes into a fresh array — safe to
-            # scatter into directly (the seed's extra .copy() doubled
-            # the allocation for nothing).
-            staged = store.gather_values(own_targets)
-            local_ids = np.searchsorted(own_targets, ids)
-            staged[local_ids] = vals
-            forced = {
-                "dense": DENSE,
-                "sparse": SPARSE,
-                "hybrid": None,
-            }[knobs.comm_mode]
-            payload = encode_update(
-                staged,
-                local_ids,
-                codec_name=knobs.message_codec,
-                mode=forced,
-                threshold=cfg.sparsity_threshold,
+            # Stage this server's updated-value broadcast: dense form
+            # covers only the targets its tiles own (receivers share the
+            # static target index), sparse form ships local (index, value)
+            # pairs.
+            payload = None
+            if len(self.cluster.servers) > 1:
+                with trace.span("encode", "comm", updated=int(ids.size)):
+                    own_targets = self._server_target_ids[server.server_id]
+                    # gather_values fancy-indexes into a fresh array — safe to
+                    # scatter into directly (the seed's extra .copy() doubled
+                    # the allocation for nothing).
+                    staged = store.gather_values(own_targets)
+                    local_ids = np.searchsorted(own_targets, ids)
+                    staged[local_ids] = vals
+                    forced = {
+                        "dense": DENSE,
+                        "sparse": SPARSE,
+                        "hybrid": None,
+                    }[knobs.comm_mode]
+                    payload = encode_update(
+                        staged,
+                        local_ids,
+                        codec_name=knobs.message_codec,
+                        mode=forced,
+                        threshold=cfg.sparsity_threshold,
+                    )
+                    if knobs.message_codec != "raw":
+                        server.counters.add_compressed(
+                            knobs.message_codec, len(payload)
+                        )
+            return _ServerStep(
+                ids=ids,
+                vals=vals,
+                payload=payload,
+                tiles_processed=tiles_processed,
+                tiles_skipped=tiles_skipped,
+                prefetch_ready=prefetch_ready,
+                prefetch_total=prefetch_total,
             )
-            if knobs.message_codec != "raw":
-                server.counters.add_compressed(
-                    knobs.message_codec, len(payload)
-                )
-            if trace is not None:
-                trace.end()  # encode
-        return _ServerStep(
-            ids=ids,
-            vals=vals,
-            payload=payload,
-            tiles_processed=tiles_processed,
-            tiles_skipped=tiles_skipped,
-            sort_fallbacks=sort_fallbacks,
-            prefetch_ready=prefetch_ready,
-            prefetch_total=prefetch_total,
-        )
 
     # The one decode callback every metered tile load shares — the
     # sequential sweep, the pipeline's speculation, and its dequeue
@@ -2714,66 +2513,29 @@ class MPE:
         ``inbox`` is the drained mailbox as ``(sender id, payload
         bytes)`` pairs — a picklable shape, so the process executor
         ships the same argument the thread executor passes in-memory.
-        """
-        trace = server.trace
-        if trace is None:
-            return self._apply_server_body(server, own_update, inbox)
-        d0 = trace.depth
-        trace.begin("apply", "phase", inbox=len(inbox))
-        try:
-            return self._apply_server_body(server, own_update, inbox)
-        finally:
-            trace.close_to(d0)
 
-    def _apply_server_body(
-        self,
-        server,
-        own_update: tuple[np.ndarray, np.ndarray],
-        inbox: list[tuple[int, bytes]],
-    ) -> None:
-        """:meth:`_apply_server_step` body (traced-path split)."""
-        # The superstep's effective knobs: all senders encoded with the
-        # same per-superstep codec (parent-resolved; in process mode the
-        # compute handler pinned this worker's copy for this superstep).
-        codec = self._knobs.message_codec
-        store = server.state["store"]
-        own_ids, own_vals = own_update
-        if not self._comm_fastpath:
-            # Cold path (A/B reference): every envelope decodes.  Each
-            # decode counts as a miss so hits+misses is the decode-call
-            # total in both modes.
-            store.write(own_ids, own_vals)
+        Each distinct payload is decoded once per superstep
+        (:meth:`_decode_payload`) while every receiver still charges its
+        own decompress bytes — the modeled cost is per-receiver NIC
+        work, §IV-C — and everything lands in one batched scatter:
+        sender target sets are disjoint (:meth:`_check_static_layout`),
+        so the write order cannot matter.
+        """
+        with server.trace.span("apply", "phase", inbox=len(inbox)):
+            # The superstep's effective knobs: all senders encoded with
+            # the same per-superstep codec (parent-resolved; in process
+            # mode the compute handler pinned this worker's copy).
+            codec = self._knobs.message_codec
+            id_parts, val_parts = [own_update[0]], [own_update[1]]
             for src, payload_bytes in inbox:
-                payload = decode_update(payload_bytes)
-                with self._decode_lock:
-                    self.payload_decode_misses += 1
-                sender_targets = self._server_target_ids[src]
-                store.write(sender_targets[payload.ids], payload.values)
+                payload = self._decode_payload(server, src, payload_bytes)
+                id_parts.append(self._server_target_ids[src][payload.ids])
+                val_parts.append(payload.values)
                 if codec != "raw":
                     server.counters.add_decompressed(codec, len(payload_bytes))
-            return
-        # Fast path: decode each distinct payload once per superstep,
-        # charge every receiver's decompress bytes regardless (the
-        # modeled cost is per-receiver, §IV-C), and land everything in
-        # one batched scatter — sender target sets are disjoint, so the
-        # write order cannot matter.
-        id_parts = [own_ids]
-        val_parts = [own_vals]
-        for src, payload_bytes in inbox:
-            payload = self._decode_payload(server, src, payload_bytes)
-            sender_targets = self._server_target_ids[src]
-            id_parts.append(sender_targets[payload.ids])
-            val_parts.append(payload.values)
-            if codec != "raw":
-                server.counters.add_decompressed(codec, len(payload_bytes))
-        if not self._targets_disjoint:
-            self.scatter_fallbacks += 1
-            for ids, vals in zip(id_parts, val_parts):
-                store.write(ids, vals)
-        elif len(id_parts) == 1:
-            store.write(own_ids, own_vals)
-        else:
-            store.write(np.concatenate(id_parts), np.concatenate(val_parts))
+            server.state["store"].write(
+                np.concatenate(id_parts), np.concatenate(val_parts)
+            )
 
     def _decode_payload(self, server, src: int, payload_bytes: bytes):
         """Decode-once lookup for one received broadcast payload.
@@ -2789,25 +2551,18 @@ class MPE:
         payload first (under the process executor that depends on how
         servers map to workers).
         """
-        trace = server.trace
         with self._decode_lock:
             payload = self._decode_cache.get(payload_bytes)
             hit = payload is not None
-            if trace is not None:
-                d0 = trace.depth
-                trace.begin(
-                    "payload_decode",
-                    "comm",
-                    src=src,
-                    nbytes=len(payload_bytes),
-                    cache="hit" if hit else "miss",
-                )
-            try:
+            with server.trace.span(
+                "payload_decode",
+                "comm",
+                src=src,
+                nbytes=len(payload_bytes),
+                cache="hit" if hit else "miss",
+            ):
                 if not hit:
                     payload = decode_update(payload_bytes)
-            finally:
-                if trace is not None:
-                    trace.close_to(d0)
             if hit:
                 self.payload_decode_hits += 1
             else:
@@ -2840,7 +2595,6 @@ class _ServerStep:
     payload: bytes | None
     tiles_processed: int
     tiles_skipped: int
-    sort_fallbacks: int
     # Pipeline occupancy: dequeues served without stalling / total
     # dequeues (both 0 when the pipeline is off).  Host-side telemetry
     # only — never part of the bitwise-compared results.
@@ -2866,7 +2620,6 @@ class _ProcessStep:
     payload: bytes | None
     tiles_processed: int
     tiles_skipped: int
-    sort_fallbacks: int
     delta: "Counters"
     mem_cache: int
     mem_scratch: int
@@ -2880,22 +2633,27 @@ class _ProcessStep:
     cache_sizes: tuple | None
     compress_skipped: int
     decoded_keys: tuple | None
-    # Drained trace events from the worker's per-server buffer (None
+    # Drained trace events from the worker's per-server buffer (empty
     # when tracing is off); extended onto the parent's mirror buffer.
-    trace: tuple | None = None
+    trace: tuple = ()
     # Same for the worker's prefetch-pipeline buffer.
-    prefetch_trace: tuple | None = None
+    prefetch_trace: tuple = ()
     prefetch_ready: int = 0
     prefetch_total: int = 0
 
 
-def _parts_ascending(parts: list[np.ndarray]) -> bool:
-    """Whether consecutive (internally sorted) id parts are strictly
-    ascending and disjoint — i.e. their concatenation is sorted."""
-    for prev, part in zip(parts, parts[1:]):
-        if part[0] <= prev[-1]:
-            return False
-    return True
+def _env_flag(name: str, default: bool) -> bool:
+    """A boolean ``REPRO_*`` forcing flag (CI's lever, mirroring
+    ``REPRO_EXECUTOR``/``REPRO_PREFETCH``): unset or empty defers to
+    ``default``, the config's value."""
+    raw = os.environ.get(name, "").strip().lower()
+    if not raw:
+        return default
+    if raw in ("1", "true", "on", "yes"):
+        return True
+    if raw in ("0", "false", "off", "no"):
+        return False
+    raise ValueError(f"{name} must be a boolean flag, got {raw!r}")
 
 
 def _snapshot(server) -> CounterSnapshot:

@@ -13,22 +13,36 @@ so both replication policies are real, runnable implementations:
 
 Both stores expose identical semantics; the GAB engine is policy-blind.
 
-The ``Shared*`` subclasses place the same arrays in
-``multiprocessing.shared_memory`` segments (via
-:class:`repro.runtime.shm.SharedArray`) so the process executor's forked
-workers read and write vertex state zero-copy.  The ``Mmap*`` subclasses
-(GraphMP's semi-external-memory mode, ``MPEConfig.vertex_store="mmap"``)
-instead back the arrays with files from a
-:class:`~repro.storage.backing.BackingStore`, so the N×|V| replicas stop
-being the memory ceiling — the OS pages them on demand.  In both cases
-indexing semantics are inherited unchanged, which is what makes
+*Where* a store's arrays live is not the store's business: each takes an
+optional allocator — anything with ``create(source, tag) -> ndarray``
+and ``release()`` — and copies its value/degree arrays into whatever
+that hands back.  No allocator is the heap;
+:class:`repro.runtime.shm.SharedAllocator` is
+``multiprocessing.shared_memory`` (the process executor's forked workers
+read and write vertex state zero-copy);
+:class:`~repro.storage.backing.BackingStore` is file-backed memmaps
+(GraphMP's semi-external-memory mode, ``MPEConfig.vertex_store="mmap"``:
+the N×|V| replicas stop being the memory ceiling, the OS pages them on
+demand).  Both are ``MAP_SHARED`` and fork-shareable.  The indexing code
+is the same object code in all three, which is what makes
 process-parallel and mmap-backed results bitwise identical to serial:
-the bytes live elsewhere, the arithmetic is the same.
+the bytes live elsewhere, the arithmetic is the same.  The allocator's
+owner releases it once, after every store built on it has dropped its
+views (:meth:`release` — ``SharedMemory.close()`` refuses while an
+ndarray still references the buffer).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _place(allocator, source: np.ndarray, tag: str, dtype=None) -> np.ndarray:
+    """A private copy of ``source`` (as ``dtype``) in ``allocator``'s
+    memory — on the heap when there is none."""
+    if allocator is None:
+        return np.array(source, dtype=dtype)
+    return allocator.create(np.asarray(source, dtype=dtype), tag)
 
 
 class AllInAllStore:
@@ -40,11 +54,20 @@ class AllInAllStore:
         self,
         init_values: np.ndarray,
         out_degrees: np.ndarray | None,
+        allocator=None,
+        degrees_from: "AllInAllStore | None" = None,
     ) -> None:
-        self._values = init_values.copy()
-        self._out_degrees = (
-            out_degrees.astype(np.int32) if out_degrees is not None else None
-        )
+        """``degrees_from`` is another replica whose (read-only) degree
+        array this one views instead of allocating its own — host-side
+        dedup only: ``memory_bytes`` still reports a full logical
+        replica, so the modeled §IV-A accounting is unchanged."""
+        self._values = _place(allocator, init_values, "values")
+        if degrees_from is not None:
+            self._out_degrees = degrees_from._out_degrees
+        elif out_degrees is not None:
+            self._out_degrees = _place(allocator, out_degrees, "degrees", np.int32)
+        else:
+            self._out_degrees = None
 
     def gather_values(self, vertex_ids: np.ndarray) -> np.ndarray:
         """Per-edge source-value gather."""
@@ -77,6 +100,11 @@ class AllInAllStore:
         """Vertex states resident on this server."""
         return int(self._values.size)
 
+    def release(self) -> None:
+        """Drop the array views (their memory belongs to the allocator)."""
+        self._values = None
+        self._out_degrees = None
+
 
 class OnDemandStore:
     """Subset store with id indexing (§IV-A's OD policy).
@@ -95,11 +123,15 @@ class OnDemandStore:
         init_values: np.ndarray,
         out_degrees: np.ndarray | None,
         local_ids: np.ndarray,
+        allocator=None,
     ) -> None:
+        # ``_local_ids`` stays a private heap array under every
+        # allocator: it is read-only after construction and forked
+        # workers inherit it copy-on-write for free.
         self._local_ids = np.unique(np.asarray(local_ids, dtype=np.int64))
-        self._values = init_values[self._local_ids].copy()
+        self._values = _place(allocator, init_values[self._local_ids], "values")
         self._out_degrees = (
-            out_degrees[self._local_ids].astype(np.int32)
+            _place(allocator, out_degrees[self._local_ids], "degrees", np.int32)
             if out_degrees is not None
             else None
         )
@@ -157,120 +189,6 @@ class OnDemandStore:
     def num_stored(self) -> int:
         return int(self._local_ids.size)
 
-
-class SharedVertexStore(AllInAllStore):
-    """AA store whose value/degree arrays live in shared memory.
-
-    Built in the parent before the worker pool forks; the worker owning
-    this server applies barrier writes directly into the segment, so the
-    parent's post-run collection (and checkpointing) sees them without
-    any result shipping.  ``degrees_shared`` lets all AA replicas of the
-    (read-only) degree array view one segment instead of N copies —
-    host-side dedup only, the modeled §IV-A memory accounting is
-    unchanged because ``memory_bytes`` reports the logical replica.
-    """
-
-    def __init__(
-        self,
-        init_values: np.ndarray,
-        out_degrees: np.ndarray | None,
-        degrees_shared=None,
-    ) -> None:
-        from repro.runtime.shm import SharedArray
-
-        super().__init__(init_values, out_degrees)
-        self._owned = [SharedArray.from_array(self._values)]
-        self._values = self._owned[0].array
-        if degrees_shared is not None:
-            self._out_degrees = degrees_shared.array
-        elif self._out_degrees is not None:
-            self._owned.append(SharedArray.from_array(self._out_degrees))
-            self._out_degrees = self._owned[-1].array
-
-    def release(self) -> None:
-        """Drop views and unlink owned segments (parent only; borrowed
-        degree segments are released by their creator)."""
-        self._values = None
-        self._out_degrees = None
-        for sh in self._owned:
-            sh.release()
-        self._owned = []
-
-
-class MmapVertexStore(AllInAllStore):
-    """AA store whose value/degree arrays are file-backed memmaps.
-
-    Built in the parent from a :class:`~repro.storage.backing.BackingStore`;
-    the maps are ``MAP_SHARED``, so they behave exactly like the shared
-    memory segments under the process executor (forked workers write
-    barrier updates straight into the file pages) while costing near
-    zero resident memory when idle.  ``memory_bytes`` still reports the
-    logical replica — the §IV-A accounting models the paper's testbed,
-    not the host's paging behaviour.
-    """
-
-    def __init__(
-        self,
-        init_values: np.ndarray,
-        out_degrees: np.ndarray | None,
-        backing,
-    ) -> None:
-        super().__init__(init_values, out_degrees)
-        self._values = backing.create(self._values, "values")
-        if self._out_degrees is not None:
-            self._out_degrees = backing.create(self._out_degrees, "degrees")
-
-    def release(self) -> None:
-        """Drop map views (the owning BackingStore deletes the files)."""
-        self._values = None
-        self._out_degrees = None
-
-
-class MmapOnDemandStore(OnDemandStore):
-    """OD store whose value/degree subsets are file-backed memmaps."""
-
-    def __init__(
-        self,
-        init_values: np.ndarray,
-        out_degrees: np.ndarray | None,
-        local_ids: np.ndarray,
-        backing,
-    ) -> None:
-        super().__init__(init_values, out_degrees, local_ids)
-        self._values = backing.create(self._values, "values")
-        if self._out_degrees is not None:
-            self._out_degrees = backing.create(self._out_degrees, "degrees")
-
     def release(self) -> None:
         self._values = None
         self._out_degrees = None
-
-
-class SharedOnDemandStore(OnDemandStore):
-    """OD store whose value/degree subsets live in shared memory.
-
-    ``_local_ids`` stays a private array — it is read-only after
-    construction and forked workers inherit it copy-on-write for free.
-    """
-
-    def __init__(
-        self,
-        init_values: np.ndarray,
-        out_degrees: np.ndarray | None,
-        local_ids: np.ndarray,
-    ) -> None:
-        from repro.runtime.shm import SharedArray
-
-        super().__init__(init_values, out_degrees, local_ids)
-        self._owned = [SharedArray.from_array(self._values)]
-        self._values = self._owned[0].array
-        if self._out_degrees is not None:
-            self._owned.append(SharedArray.from_array(self._out_degrees))
-            self._out_degrees = self._owned[-1].array
-
-    def release(self) -> None:
-        self._values = None
-        self._out_degrees = None
-        for sh in self._owned:
-            sh.release()
-        self._owned = []

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.obs.trace import NULL_BUFFER
 from repro.storage.disk import LocalDisk
 from repro.utils.sizes import MB
 
@@ -92,11 +93,12 @@ class DistributedFileSystem:
         # Installed by repro.faults.FaultInjector.attach(); None in
         # normal runs.  May inject transient read errors.
         self.fault_injector = None
-        # Engine TraceBuffer (repro.obs.trace) when tracing is on;
-        # records dfs-read/dfs-write spans.  DFS calls happen on the
-        # parent/engine side only (setup, checkpoints, recovery), so the
-        # single-writer buffer contract holds.
-        self.trace = None
+        # Engine TraceBuffer (repro.obs.trace) when tracing is on, the
+        # null buffer otherwise; records dfs-read/dfs-write spans.  DFS
+        # calls happen on the parent/engine side only (setup,
+        # checkpoints, recovery), so the single-writer buffer contract
+        # holds.
+        self.trace = NULL_BUFFER
         # A persisted namenode image from a previous process (see
         # save_namespace) is picked up automatically.
         if (self._root / _NAMESPACE_FILE).exists():
@@ -132,39 +134,31 @@ class DistributedFileSystem:
     # ------------------------------------------------------------------
     def write(self, path: str, data: bytes) -> DfsFileInfo:
         """Create or replace a file (whole-file semantics, like HDFS)."""
-        if self.trace is None:
-            return self._write(path, data)
-        self.trace.begin("dfs-write", "io", path=path, nbytes=len(data))
-        try:
-            return self._write(path, data)
-        finally:
-            self.trace.end()
-
-    def _write(self, path: str, data: bytes) -> DfsFileInfo:
-        if self.exists(path):
-            self.delete(path)
-        info = DfsFileInfo(path=path, size=len(data), block_size=self.block_size)
-        n_nodes = len(self.datanodes)
-        offsets = range(0, max(len(data), 1), self.block_size)
-        live_nodes = [i for i in range(n_nodes) if i not in self._dead]
-        if not live_nodes:
-            raise IOError("no live datanodes to write to")
-        replication = min(self.replication, len(live_nodes))
-        for block_index, offset in enumerate(offsets):
-            chunk = data[offset : offset + self.block_size]
-            replicas = []
-            for r in range(replication):
-                node = live_nodes[(self._next_start + r) % len(live_nodes)]
-                blob = f"blk-{self._next_block_id}-r{r}"
-                self.datanodes[node].write(blob, chunk)
-                replicas.append(
-                    BlockLocation(block_index=block_index, datanode=node, blob_name=blob)
-                )
-            self._next_block_id += 1
-            self._next_start = (self._next_start + 1) % len(live_nodes)
-            info.blocks.append(replicas)
-        self._files[path] = info
-        return info
+        with self.trace.span("dfs-write", "io", path=path, nbytes=len(data)):
+            if self.exists(path):
+                self.delete(path)
+            info = DfsFileInfo(path=path, size=len(data), block_size=self.block_size)
+            n_nodes = len(self.datanodes)
+            offsets = range(0, max(len(data), 1), self.block_size)
+            live_nodes = [i for i in range(n_nodes) if i not in self._dead]
+            if not live_nodes:
+                raise IOError("no live datanodes to write to")
+            replication = min(self.replication, len(live_nodes))
+            for block_index, offset in enumerate(offsets):
+                chunk = data[offset : offset + self.block_size]
+                replicas = []
+                for r in range(replication):
+                    node = live_nodes[(self._next_start + r) % len(live_nodes)]
+                    blob = f"blk-{self._next_block_id}-r{r}"
+                    self.datanodes[node].write(blob, chunk)
+                    replicas.append(
+                        BlockLocation(block_index=block_index, datanode=node, blob_name=blob)
+                    )
+                self._next_block_id += 1
+                self._next_start = (self._next_start + 1) % len(live_nodes)
+                info.blocks.append(replicas)
+            self._files[path] = info
+            return info
 
     def read(self, path: str, prefer_datanode: int | None = None) -> bytes:
         """Read a whole file back.
@@ -179,40 +173,32 @@ class DistributedFileSystem:
         or raises :class:`repro.faults.errors.DfsReadFault` for fatal
         events.
         """
-        if self.trace is None:
-            return self._read(path, prefer_datanode)
-        self.trace.begin("dfs-read", "io", path=path)
-        try:
-            return self._read(path, prefer_datanode)
-        finally:
-            self.trace.end()
-
-    def _read(self, path: str, prefer_datanode: int | None = None) -> bytes:
-        info = self._info(path)
-        extra_attempts = 0
-        if self.fault_injector is not None:
-            extra_attempts = self.fault_injector.on_dfs_read(path)
-        parts: list[bytes] = []
-        for replicas in info.blocks:
-            live = [loc for loc in replicas if loc.datanode not in self._dead]
-            if not live:
-                raise IOError(
-                    f"block {replicas[0].block_index} of {path} has no "
-                    f"live replica (dead datanodes: {sorted(self._dead)})"
-                )
-            chosen = live[0]
-            if prefer_datanode is not None:
-                for loc in live:
-                    if loc.datanode == prefer_datanode:
-                        chosen = loc
-                        break
-            for _ in range(extra_attempts):
-                # Wasted attempt: the replica is read and discarded,
-                # metering the retry traffic on the datanode's disk.
-                self.datanodes[chosen.datanode].read(chosen.blob_name)
-            extra_attempts = 0  # transients hit the first block only
-            parts.append(self.datanodes[chosen.datanode].read(chosen.blob_name))
-        return b"".join(parts)
+        with self.trace.span("dfs-read", "io", path=path):
+            info = self._info(path)
+            extra_attempts = 0
+            if self.fault_injector is not None:
+                extra_attempts = self.fault_injector.on_dfs_read(path)
+            parts: list[bytes] = []
+            for replicas in info.blocks:
+                live = [loc for loc in replicas if loc.datanode not in self._dead]
+                if not live:
+                    raise IOError(
+                        f"block {replicas[0].block_index} of {path} has no "
+                        f"live replica (dead datanodes: {sorted(self._dead)})"
+                    )
+                chosen = live[0]
+                if prefer_datanode is not None:
+                    for loc in live:
+                        if loc.datanode == prefer_datanode:
+                            chosen = loc
+                            break
+                for _ in range(extra_attempts):
+                    # Wasted attempt: the replica is read and discarded,
+                    # metering the retry traffic on the datanode's disk.
+                    self.datanodes[chosen.datanode].read(chosen.blob_name)
+                extra_attempts = 0  # transients hit the first block only
+                parts.append(self.datanodes[chosen.datanode].read(chosen.blob_name))
+            return b"".join(parts)
 
     def delete(self, path: str) -> None:
         """Remove a file and all block replicas."""

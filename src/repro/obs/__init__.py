@@ -10,9 +10,9 @@ trace-event JSON / Prometheus text / per-superstep JSONL
 Enable it from the facade (``GraphH(..., trace=True)`` or
 ``trace_out="run.trace.json"``) or the CLI (``repro trace``,
 ``--trace-out`` on any algorithm subcommand).  When disabled — the
-default — every instrumentation site is a single ``is not None`` guard
-and the engine's values, counters, and modeled costs are bitwise
-unchanged.
+default — every instrumentation site records into the no-op
+``NULL_BUFFER`` and the engine's values, counters, and modeled costs
+are bitwise unchanged.
 """
 
 from repro.obs.export import (

@@ -28,6 +28,7 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
+    "NULL_METRICS",
     "bridge_cluster",
     "DEFAULT_BYTE_BUCKETS",
     "DEFAULT_SECONDS_BUCKETS",
@@ -198,6 +199,27 @@ class MetricsRegistry:
                 else:
                     lines.append(f"{fam.name}{labels} {_fmt_float(child.value)}")
         return "\n".join(lines) + "\n"
+
+
+class _NullMetrics:
+    """A registry, a family and an instrument in one, recording nothing
+    — what instrumented code holds while no tracer is attached (the
+    metrics twin of :data:`repro.obs.trace.NULL_BUFFER`)."""
+
+    __slots__ = ()
+
+    def counter(self, *args, **kwargs) -> "_NullMetrics":
+        return self
+
+    gauge = histogram = labels = counter
+
+    def inc(self, amount: float = 1.0) -> None:
+        pass
+
+    set = observe = inc
+
+
+NULL_METRICS = _NullMetrics()
 
 
 def _fmt_labels(names, values) -> str:

@@ -35,10 +35,13 @@ chaos.)
 Cost contract
 -------------
 Recording appends one tuple to a deque — no I/O, no locks.  When
-tracing is disabled there is no tracer object at all: every
-instrumentation site guards on ``x is not None``, so the disabled path
-costs one attribute load + identity check and leaves values, counters,
-and modeled costs bitwise untouched.
+tracing is disabled there is no tracer object at all and every buffer
+slot (``Server.trace``, ``EdgeCache.trace``, the engine's run buffer,
+...) holds :data:`NULL_BUFFER`, which has the :class:`TraceBuffer`
+recording surface and drops everything.  Instrumented code is therefore
+written once, with no traced/untraced fork; the disabled path costs a
+no-op method call per site and leaves values, counters, and modeled
+costs bitwise untouched.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 
-__all__ = ["TraceBuffer", "Tracer", "SpanNode", "span_forest"]
+__all__ = ["NULL_BUFFER", "TraceBuffer", "Tracer", "SpanNode", "span_forest"]
 
 # Event kinds (tuple slot 0).
 BEGIN = "B"
@@ -203,6 +206,53 @@ class TraceBuffer:
             f"TraceBuffer(tid={self.tid}, label={self.label!r}, "
             f"events={len(self._events)}, dropped={self.dropped})"
         )
+
+
+class _NullBuffer:
+    """The recording surface of :class:`TraceBuffer`, recording nothing.
+
+    What every buffer slot holds while tracing is off.  ``span()``
+    returns the buffer itself, which is its own (re-entrant, stateless)
+    context manager, so ``with buf.span(...)`` costs two no-op calls.
+    """
+
+    __slots__ = ()
+    depth = 0
+
+    def begin(self, name: str, cat: str = "phase", **args) -> None:
+        pass
+
+    instant = begin
+
+    def complete(self, name, cat, t0, t1, **args) -> None:
+        pass
+
+    def end(self) -> None:
+        pass
+
+    def close_to(self, depth: int) -> None:
+        pass
+
+    def extend(self, events) -> None:
+        pass
+
+    def drain(self) -> tuple:
+        return ()
+
+    def span(self, name: str, cat: str = "phase", **args) -> "_NullBuffer":
+        return self
+
+    def __enter__(self) -> "_NullBuffer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def __repr__(self) -> str:
+        return "NULL_BUFFER"
+
+
+NULL_BUFFER = _NullBuffer()
 
 
 class Tracer:

@@ -50,6 +50,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.obs.trace import NULL_BUFFER
+
 __all__ = [
     "PrefetchedLoad",
     "TilePrefetcher",
@@ -130,7 +132,7 @@ def _peek(disk, name: str) -> bytes | None:
 def speculate_load(server, name: str, parser: Callable[[bytes], Any]):
     """Speculatively perform tile ``name``'s I/O work, mutating nothing.
 
-    Mirrors the four shapes of ``Server._load_tile``:
+    Mirrors the four shapes of ``Server.load_tile``:
 
     1. decoded-cache hit + edge-cache resident → the metered path does
        no codec/parse work, so there is nothing to stage;
@@ -198,8 +200,8 @@ class TilePrefetcher:
         depth: int,
         io_threads: int = 1,
         name_of: Callable[[Any], str] = lambda item: item,
-        io_trace=None,
-        wait_trace=None,
+        io_trace=NULL_BUFFER,
+        wait_trace=NULL_BUFFER,
     ) -> None:
         if depth < 1:
             raise ValueError("prefetch depth must be >= 1")
@@ -232,11 +234,9 @@ class TilePrefetcher:
         except Exception:
             return None
         finally:
-            if self._io_trace is not None:
-                self._io_trace.complete(
-                    "tile_prefetch", "prefetch", t0, time.perf_counter(),
-                    blob=name,
-                )
+            self._io_trace.complete(
+                "tile_prefetch", "prefetch", t0, time.perf_counter(), blob=name
+            )
 
     def __iter__(self) -> Iterator[tuple[Any, Any, bool]]:
         pending: list[tuple[Any, Any]] = []  # (item, future), schedule order
@@ -249,16 +249,9 @@ class TilePrefetcher:
                 pending.append((item, fut))
             item, fut = pending.pop(0)
             ready = fut.done()
-            if self._wait_trace is not None:
-                self._wait_trace.begin(
-                    "prefetch_wait", "prefetch",
-                    blob=self._name_of(item), ready=ready,
-                )
-                try:
-                    hint = fut.result()
-                finally:
-                    self._wait_trace.end()
-            else:
+            with self._wait_trace.span(
+                "prefetch_wait", "prefetch", blob=self._name_of(item), ready=ready
+            ):
                 hint = fut.result()
             self.dequeues += 1
             if ready:

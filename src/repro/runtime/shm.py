@@ -26,6 +26,7 @@ import numpy as np
 from repro.storage.disk import LocalDisk
 
 __all__ = [
+    "SharedAllocator",
     "SharedArray",
     "SharedBlobArena",
     "ArenaDisk",
@@ -117,6 +118,28 @@ class SharedArray:
     def __repr__(self) -> str:
         state = "released" if self.name not in _LIVE else "live"
         return f"SharedArray({self.name}, {state})"
+
+
+class SharedAllocator:
+    """Array allocator over shared-memory segments, shaped like
+    :class:`repro.storage.backing.BackingStore` (``create`` / ``release``)
+    so the vertex stores take either.  One per process-executor run,
+    created before the pool forks; ``release`` (parent only, after the
+    stores dropped their views) unlinks every segment it handed out.
+    """
+
+    def __init__(self) -> None:
+        self._owned: list[SharedArray] = []
+
+    def create(self, source: np.ndarray, tag: str = "arr") -> np.ndarray:
+        """A shared segment holding a copy of ``source`` (``tag`` is
+        the BackingStore file tag; segments are anonymous)."""
+        self._owned.append(SharedArray.from_array(source))
+        return self._owned[-1].array
+
+    def release(self) -> None:
+        while self._owned:
+            self._owned.pop().release()
 
 
 def attach_segment(name: str):

@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from repro.obs.trace import NULL_BUFFER
 from repro.storage.codecs import CACHE_MODES, Codec, get_codec
 from repro.storage.disk import LocalDisk
 
@@ -169,7 +170,7 @@ class EdgeCache:
         # Owning server's TraceBuffer when tracing is on (see
         # repro.obs.trace); records eviction/rejection instants only —
         # stats and metering are untouched either way.
-        self.trace = None
+        self.trace = NULL_BUFFER
 
     @property
     def codec(self) -> Codec:
@@ -349,8 +350,7 @@ class EdgeCache:
             if blob is None:
                 self.compress_skipped += 1
             self.stats.rejected += 1
-            if self.trace is not None:
-                self.trace.instant("cache-reject", "cache", key=key)
+            self.trace.instant("cache-reject", "cache", key=key)
             return False
         if key in self._entries:
             self._used -= len(self._entries.pop(key))
@@ -358,8 +358,7 @@ class EdgeCache:
             victim, evicted = self._entries.popitem(last=False)
             self._used -= len(evicted)
             self.stats.evictions += 1
-            if self.trace is not None:
-                self.trace.instant("cache-evict", "cache", key=victim)
+            self.trace.instant("cache-evict", "cache", key=victim)
         self._entries[key] = blob
         self._used += len(blob)
         self.stats.insertions += 1
@@ -423,8 +422,7 @@ class EdgeCache:
             stored_len, blob = self._measure(key, data)
             if self._used + stored_len > self.capacity_bytes:
                 self.stats.evictions += 1
-                if self.trace is not None:
-                    self.trace.instant("cache-evict", "cache", key=key)
+                self.trace.instant("cache-evict", "cache", key=key)
                 continue
             if blob is None:
                 blob = self._recompress(key, data, stored_len)
@@ -542,7 +540,7 @@ class DecodedTileCache:
             raise ValueError("max_entries must be >= 1 or None")
         self._entries: OrderedDict[str, tuple[object, int]] = OrderedDict()
         # Owning server's TraceBuffer when tracing is on; instants only.
-        self.trace = None
+        self.trace = NULL_BUFFER
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -575,8 +573,7 @@ class DecodedTileCache:
             while len(self._entries) > self.max_entries:
                 victim, _ = self._entries.popitem(last=False)
                 self.stats.evictions += 1
-                if self.trace is not None:
-                    self.trace.instant("decoded-evict", "cache", key=victim)
+                self.trace.instant("decoded-evict", "cache", key=victim)
 
     def invalidate(self, key: str) -> None:
         """Drop one entry (blob rewritten → decoded views are stale)."""

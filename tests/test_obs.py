@@ -15,7 +15,10 @@ JSONL, run reports) round-trip, and ``CounterSnapshot`` — the struct
 worker deltas ride home in — merges correctly at its edges.
 """
 
+import dataclasses
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -43,8 +46,8 @@ from repro.obs.report import (
     load_run_report,
     save_run_report,
 )
-from repro.obs.trace import TraceBuffer, Tracer
-from repro.runtime import process_runtime_available
+from repro.obs.trace import NULL_BUFFER, TraceBuffer, Tracer
+from repro.runtime import ProcessExecutor, process_runtime_available
 
 NUM_SERVERS = 4
 
@@ -58,8 +61,9 @@ def skewed():
     return chung_lu_graph(150, 1200, seed=71, name="obs-g")
 
 
-def _run(graph, executor, tracer=None, max_supersteps=6, **cfg_kw):
-    """One PageRank run; returns (result, modeled_s, agg_counters)."""
+def _run(graph, executor, tracer=None, max_supersteps=6, probe=None, **cfg_kw):
+    """One PageRank run; returns (result, modeled_s, agg_counters).
+    ``probe(cluster, result)`` runs before the cluster is torn down."""
     cluster = Cluster(ClusterSpec(num_servers=NUM_SERVERS))
     try:
         spe = SPE(cluster.dfs)
@@ -69,11 +73,16 @@ def _run(graph, executor, tracer=None, max_supersteps=6, **cfg_kw):
             cluster,
             manifest,
             MPEConfig(
-                executor=executor, max_supersteps=max_supersteps, **cfg_kw
+                executor=executor,
+                num_workers=2,
+                max_supersteps=max_supersteps,
+                **cfg_kw,
             ),
             tracer=tracer,
         )
         result = mpe.run(PageRank())
+        if probe is not None:
+            probe(cluster, result)
         modeled = CostModel(cluster.spec).superstep_time(
             [s.counters for s in cluster.servers]
         ).total_s
@@ -170,20 +179,6 @@ class TestTraceDeterminism:
         assert {"compute", "tile", "load", "gather-apply"} <= server
         assert tracer.instant_counts().get("converged", 0) == 1
 
-    def test_tracing_off_is_bitwise_noop(self, skewed):
-        """values / counters / modeled costs identical traced vs not."""
-        plain = _run(skewed, "serial")
-        traced = _run(skewed, "serial", tracer=Tracer())
-        assert np.array_equal(plain[0].values, traced[0].values)
-        assert plain[1] == traced[1]  # modeled seconds, exact
-        for field in ("net_sent", "net_recv", "disk_read", "disk_write",
-                      "edges_processed", "messages_processed"):
-            assert getattr(plain[2], field) == getattr(traced[2], field)
-        for a, b in zip(plain[0].supersteps, traced[0].supersteps):
-            assert a.updated_vertices == b.updated_vertices
-            assert a.net_bytes == b.net_bytes
-            assert a.tiles_skipped == b.tiles_skipped
-
     def test_fault_instants_recorded(self, skewed):
         """Injected faults surface as instants; the *span* tree (faults
         excluded — the documented determinism exception) still matches
@@ -214,6 +209,148 @@ class TestTraceDeterminism:
         assert report.restarts == 1
         counts = tracer.instant_counts()
         assert counts.get("fault-crash", 0) >= 1
+
+
+def _story(cluster, result):
+    """Everything a traced run must leave bitwise alone."""
+    return {
+        "values": result.values.tobytes(),
+        "counters": [s.counters.snapshot() for s in cluster.servers],
+        "cache": [dataclasses.asdict(s.cache.stats) for s in cluster.servers],
+        "modeled": [s.modeled for s in result.supersteps],
+    }
+
+
+def _tree_digest(tracer) -> str:
+    """sha256 over the span trees (names, cats, nesting, instants) plus
+    every ``payload_decode`` span's ``cache=`` argument, in order."""
+    trees = tracer.span_trees()
+    decode_args = {
+        buf.label: [
+            args["cache"]
+            for kind, name, _cat, _ts, args in buf.events()
+            if kind == "B" and name == "payload_decode"
+        ]
+        for buf in tracer.buffers()
+    }
+    shape = [
+        (label, [node.as_tuple() for node in trees[label]], decode_args[label])
+        for label in sorted(trees)
+    ]
+    return hashlib.sha256(repr(shape).encode()).hexdigest()
+
+
+class TestNullBuffer:
+    """Tracing off is the same code recording into ``NULL_BUFFER``."""
+
+    def test_surface_matches_trace_buffer(self):
+        for name in ("begin", "end", "instant", "complete", "span",
+                     "close_to", "extend", "drain"):
+            assert callable(getattr(TraceBuffer, name))
+            assert callable(getattr(NULL_BUFFER, name))
+        NULL_BUFFER.begin("a", "b", x=1)
+        NULL_BUFFER.instant("a", "b", x=1)
+        NULL_BUFFER.complete("a", "b", 0.0, 1.0, x=1)
+        NULL_BUFFER.extend([("B", "a", "b", 0.0, None)])
+        NULL_BUFFER.end()
+        NULL_BUFFER.close_to(0)
+        assert NULL_BUFFER.depth == 0
+        assert NULL_BUFFER.drain() == ()
+        with pytest.raises(ValueError):
+            with NULL_BUFFER.span("body", "phase", x=1):
+                with NULL_BUFFER.span("inner"):
+                    raise ValueError("boom")
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_untraced_run_records_and_ships_nothing(
+        self, skewed, executor, monkeypatch
+    ):
+        shipped = []
+        run_phase = ProcessExecutor.run_phase
+
+        def spying_run_phase(self, tag, payloads):
+            results = run_phase(self, tag, payloads)
+            shipped.extend((tag, r) for r in results)
+            return results
+
+        monkeypatch.setattr(ProcessExecutor, "run_phase", spying_run_phase)
+
+        effective = []
+
+        def probe(cluster, result):
+            # REPRO_EXECUTOR (CI's forcing flag) may override the config.
+            effective.append(result.executor)
+            assert cluster.dfs.trace is NULL_BUFFER
+            for server in cluster.servers:
+                assert server.trace is NULL_BUFFER
+                assert server.prefetch_trace is NULL_BUFFER
+                assert server.cache.trace is NULL_BUFFER
+                assert server.decoded_cache.trace is NULL_BUFFER
+
+        _run(skewed, executor, probe=probe, prefetch_depth=1)
+        assert bool(shipped) == (effective == ["process"])
+        for tag, result in shipped:
+            if tag == "compute":
+                assert result.trace == () and result.prefetch_trace == ()
+            else:
+                assert result[1] == ()
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_tracing_is_bitwise_invisible(self, skewed, executor):
+        """values / Counters / CacheStats / modeled costs identical
+        traced vs not, under every executor."""
+        stories = []
+        for tracer in (None, Tracer()):
+            _run(
+                skewed,
+                executor,
+                tracer=tracer,
+                probe=lambda cluster, result: stories.append(
+                    _story(cluster, result)
+                ),
+            )
+        assert stories[0] == stories[1]
+
+    def test_untraced_run_after_traced_run_is_clean(self, skewed):
+        """Wiring happens per run: dropping the tracer from a cluster
+        that was traced puts the null buffer back on every hook."""
+        cluster = Cluster(ClusterSpec(num_servers=2))
+        try:
+            manifest = SPE(cluster.dfs).preprocess(
+                skewed, max(1, skewed.num_edges // 6), name=skewed.name
+            )
+            tracer = Tracer()
+            MPE(cluster, manifest, MPEConfig(max_supersteps=2), tracer=tracer).run(
+                PageRank()
+            )
+            recorded = tracer.total_events
+            assert recorded > 0
+            MPE(cluster, manifest, MPEConfig(max_supersteps=2)).run(PageRank())
+            assert tracer.total_events == recorded
+            assert all(s.trace is NULL_BUFFER for s in cluster.servers)
+            assert cluster.dfs.trace is NULL_BUFFER
+        finally:
+            cluster.close()
+
+    @pytest.mark.skipif(
+        any(os.environ.get(v, "").strip()
+            for v in ("REPRO_EXECUTOR", "REPRO_PREFETCH", "REPRO_TUNE")),
+        reason="a forcing flag changes which spans a run emits",
+    )
+    def test_serial_span_tree_is_the_recorded_one(self, skewed):
+        """The traced tree of this module's reference run, pinned as a
+        digest recorded at commit 1215c28 (before the traced/untraced
+        paths were folded).  With test_span_trees_identical_across_
+        executors this pins all three executors.  An intended change to
+        span names, categories or nesting re-records it."""
+        tracer = Tracer()
+        _run(skewed, "serial", tracer=tracer)
+        assert _tree_digest(tracer) == SERIAL_TREE_DIGEST
+
+
+SERIAL_TREE_DIGEST = (
+    "b562212c80a0d1cb8dadd46d9b66764e9d898025b0a661ede2f21f66741ec476"
+)
 
 
 class TestPrefetchObservability:
@@ -317,6 +454,25 @@ class TestExporters:
         assert validate_chrome_trace_file(path) == []
         with open(path) as fh:
             assert json.load(fh)["traceEvents"]
+
+    @pytest.mark.skipif(
+        not process_runtime_available(),
+        reason="platform lacks fork + POSIX shared memory",
+    )
+    def test_process_trace_carries_both_decode_outcomes(self, skewed):
+        """Shared-inbox delivery + per-worker decode caches: the
+        exported trace shows payload_decode spans that hit and that
+        missed (the outcome is an argument of one span kind)."""
+        tracer = Tracer()
+        _run(skewed, "process", tracer=tracer)
+        doc = to_chrome_trace(tracer)
+        assert validate_chrome_trace(doc) == []
+        outcomes = {
+            e["args"]["cache"]
+            for e in doc["traceEvents"]
+            if e.get("name") == "payload_decode" and "args" in e
+        }
+        assert outcomes == {"hit", "miss"}
 
     def test_chrome_trace_flags_unbalanced(self):
         tracer = Tracer()

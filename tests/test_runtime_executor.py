@@ -314,7 +314,7 @@ class TestResumeUnderParallel:
 
 class TestRuntimeTelemetry:
     """RunResult exposes the PR-1 host-runtime knobs (executor mode,
-    sort fallbacks, decoded-cache hits/misses) in trace output."""
+    decoded-cache hits/misses) in trace output."""
 
     def test_runtime_block_and_save_trace(self, skewed, tmp_path):
         import json
@@ -327,7 +327,6 @@ class TestRuntimeTelemetry:
         )
         rt = result.runtime()
         assert rt["executor"] == _expected_executor("parallel")
-        assert rt["sort_fallbacks"] == 0
         # First superstep decodes every blob (misses); later supersteps
         # hit the decoded cache.
         assert rt["decoded_cache_misses"] > 0
@@ -714,172 +713,209 @@ class TestTilePrefetcherPrimitives:
             assert hints[1] is not None and hints[1].raw is None
 
 
-class TestSortSkip:
-    """MPE.run must never need the argsort fallback: per-tile changed-id
-    parts arrive in ascending disjoint target ranges in both assignment
-    modes (the redundant-argsort satellite)."""
+def _engine(graph, **cfg):
+    """A set-up 3-server engine (caller closes ``.cluster``)."""
+    cluster = Cluster(ClusterSpec(num_servers=3))
+    manifest = SPE(cluster.dfs).preprocess(
+        graph, max(1, graph.num_edges // 9), name=graph.name
+    )
+    mpe = MPE(cluster, manifest, MPEConfig(**cfg))
+    mpe.setup()
+    return mpe
 
+
+class TestStaticLayout:
+    """The superstep neither sorts a server's concatenated update parts
+    nor falls back to per-sender writes: the two placement facts that
+    make both unnecessary are checked once, at setup."""
+
+    @pytest.mark.parametrize("policy", ["aa", "od"])
     @pytest.mark.parametrize("assignment", ["round_robin", "balanced"])
-    def test_no_sort_fallbacks(self, skewed, assignment):
-        from repro.cluster import Cluster, ClusterSpec
-        from repro.core import MPE, SPE
-
-        cluster = Cluster(ClusterSpec(num_servers=3))
-        spe = SPE(cluster.dfs)
-        manifest = spe.preprocess(
-            skewed, max(1, skewed.num_edges // 9), name=skewed.name
+    def test_both_assignments_pass(self, skewed, assignment, policy):
+        mpe = _engine(
+            skewed,
+            tile_assignment=assignment,
+            replication_policy=policy,
+            max_supersteps=10,
         )
-        mpe = MPE(
-            cluster,
-            manifest,
-            MPEConfig(tile_assignment=assignment, max_supersteps=10),
-        )
-        result = mpe.run(PageRank())
-        assert mpe.sort_fallbacks == 0
+        try:
+            mpe._check_static_layout()
+            result = mpe.run(PageRank())
+        finally:
+            mpe.cluster.close()
         assert len(result.supersteps) > 1
-        cluster.close()
+
+    def test_descending_tile_ids_raise(self, skewed):
+        mpe = _engine(skewed)
+        try:
+            assert len(mpe._assignments[0]) > 1
+            mpe._assignments[0].reverse()
+            with pytest.raises(RuntimeError, match="strictly ascending"):
+                mpe._check_static_layout()
+        finally:
+            mpe.cluster.close()
+
+    def test_overlapping_targets_raise(self, skewed):
+        mpe = _engine(skewed)
+        try:
+            mpe._server_target_ids[1] = mpe._server_target_ids[0]
+            with pytest.raises(RuntimeError, match="overlap"):
+                mpe._check_static_layout()
+        finally:
+            mpe.cluster.close()
 
 
-class TestCommFastpath:
-    """Decode-once broadcast fan-out (comm_fastpath).
+def _oracle_apply(mpe, store, counters, own_update, inbox):
+    """The per-sender reference for one server's barrier work: decode
+    every envelope, one ``store.write`` per sender in inbox order."""
+    from repro.comm import decode_update
 
-    The knob must be bitwise invisible: on/off runs agree on values AND
-    every counter/modeled metric, across executors, comm modes, codecs,
-    env forcing, and fault schedules — while the decode-call telemetry
-    shows the O(N·(N−1)) → O(N) drop in actual decode work.
-    """
+    codec = mpe._knobs.message_codec
+    store.write(*own_update)
+    for src, payload_bytes in inbox:
+        payload = decode_update(payload_bytes)
+        store.write(mpe._server_target_ids[src][payload.ids], payload.values)
+        if codec != "raw":
+            counters.add_decompressed(codec, len(payload_bytes))
 
-    @pytest.mark.parametrize(
-        "executor",
-        ["serial", "parallel", pytest.param("process", marks=needs_process)],
+
+def _store_content(store):
+    values = (
+        store.full_values() if store.policy == "aa" else store.local_values()
     )
-    @pytest.mark.parametrize(
-        "comm,codec",
-        [("dense", "raw"), ("sparse", "zlib1"), ("hybrid", "snappylike")],
-        ids=["dense-raw", "sparse-zlib1", "hybrid-snappylike"],
-    )
-    def test_on_off_identity_sweep(self, skewed, executor, comm, codec):
-        def cfg(fastpath):
-            return MPEConfig(
-                executor=executor,
-                comm_mode=comm,
-                message_codec=codec,
-                comm_fastpath=fastpath,
-            )
+    return values.tobytes()
 
-        off = _run(skewed, PageRank(), cfg(False), max_supersteps=8)
-        on = _run(skewed, PageRank(), cfg(True), max_supersteps=8)
-        _assert_identical(off, on)
-        assert on[0].comm_fastpath is True
-        assert off[0].comm_fastpath is False
-        # Off is a true cold path: the decode-once machinery never runs.
-        assert off[0].payload_decode_hits == 0
+
+class TestDecodeOnceApply:
+    """How a broadcast is applied: each payload decoded once per
+    superstep and shared across receivers, every receiver still charged
+    its own decompress bytes, one batched scatter per receiver."""
+
+    @pytest.fixture(autouse=True)
+    def _configured_executor(self, monkeypatch):
+        """Each test here pins its executor (exact decode counts and
+        the in-process differential are serial facts; each forked
+        worker has its own decode cache), so CI's forcing flag must not
+        override it."""
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+
+    @pytest.mark.parametrize("codec", ["raw", "snappylike", "zlib1"])
+    @pytest.mark.parametrize("policy", ["aa", "od"])
+    def test_matches_per_sender_oracle(self, skewed, policy, codec):
+        """Differential: on every (own_update, inbox) of real 3-server
+        supersteps, the engine leaves the store and the receiver's
+        Counters exactly where the per-sender oracle does."""
+        import copy
+
+        mpe = _engine(
+            skewed,
+            replication_policy=policy,
+            message_codec=codec,
+            max_supersteps=4,
+        )
+        engine_apply = mpe._apply_server_step
+        checked = []
+
+        def differential(server, own_update, inbox):
+            store = copy.deepcopy(server.state["store"])
+            counters = copy.deepcopy(server.counters)
+            _oracle_apply(mpe, store, counters, own_update, inbox)
+            engine_apply(server, own_update, inbox)
+            assert _store_content(server.state["store"]) == _store_content(store)
+            assert server.counters.snapshot() == counters.snapshot()
+            checked.append(len(inbox))
+
+        mpe._apply_server_step = differential
+        try:
+            result = mpe.run(PageRank())
+        finally:
+            mpe.cluster.close()
+        # Every receiver of every superstep, each with a full inbox.
+        assert checked == [2] * (3 * result.num_supersteps)
 
     def test_decode_counts_exact(self, skewed):
-        """Serial executor, N=3 servers: the fast path decodes each of
-        the S·N broadcast payloads exactly once; the cold path decodes
-        each at all N−1 receivers."""
+        """Serial executor, N=3 servers: each of the S·N broadcast
+        payloads is decoded exactly once; its other N−2 receivers hit."""
         n = 3
-        on, _ = _run(
-            skewed,
-            PageRank(),
-            MPEConfig(executor="serial", comm_fastpath=True),
-            max_supersteps=8,
+        result, _ = _run(
+            skewed, PageRank(), MPEConfig(executor="serial"), max_supersteps=8
         )
-        off, _ = _run(
-            skewed,
-            PageRank(),
-            MPEConfig(executor="serial", comm_fastpath=False),
-            max_supersteps=8,
-        )
-        steps = on.num_supersteps
-        assert steps == off.num_supersteps
-        assert on.payload_decode_misses == steps * n
-        assert on.payload_decode_hits == steps * n * (n - 2)
-        assert off.payload_decode_misses == steps * n * (n - 1)
-        assert off.payload_decode_hits == 0
-        # Same total decode *attempts* either way — only where the work
-        # lands differs.
-        assert (
-            on.payload_decode_hits + on.payload_decode_misses
-            == off.payload_decode_misses
-        )
-        assert on.scatter_fallbacks == 0 == off.scatter_fallbacks
-        runtime = on.runtime()
-        assert runtime["comm_fastpath"] is True
+        steps = result.num_supersteps
+        assert result.payload_decode_misses == steps * n
+        assert result.payload_decode_hits == steps * n * (n - 2)
+        runtime = result.runtime()
         assert runtime["payload_decode_misses"] == steps * n
-        assert runtime["payload_decode_hits"] == on.payload_decode_hits
-        assert runtime["scatter_fallbacks"] == 0
+        assert runtime["payload_decode_hits"] == result.payload_decode_hits
 
-    def test_env_override_wins(self, skewed, monkeypatch):
-        baseline = _run(
+    def test_decode_counts_are_per_run(self, skewed):
+        """Host telemetry is zeroed at the top of run(): the second job
+        on a warm engine reports its own counts, not the running sum."""
+        mpe = _engine(skewed, max_supersteps=6)
+        try:
+            first = mpe.run(PageRank())
+            second = mpe.run(PageRank())
+        finally:
+            mpe.cluster.close()
+        assert first.payload_decode_misses > 0 and first.payload_decode_hits > 0
+        assert (second.payload_decode_hits, second.payload_decode_misses) == (
+            first.payload_decode_hits,
+            first.payload_decode_misses,
+        )
+
+    @needs_process
+    def test_single_server_stages_no_segment(self, skewed, monkeypatch):
+        """N=1 under the process executor: every inbox is empty, so the
+        apply phase allocates no shared-inbox segment."""
+        from repro.runtime import shm
+
+        created = []
+        init = shm.SharedArray.__init__
+
+        def counting_init(self, shape, dtype):
+            init(self, shape, dtype)
+            created.append(np.dtype(dtype))
+
+        monkeypatch.setattr(shm.SharedArray, "__init__", counting_init)
+        result, cluster = run_graphh(
             skewed,
             PageRank(),
-            MPEConfig(comm_fastpath=False),
-            max_supersteps=6,
+            1,
+            config=MPEConfig(executor="process", num_workers=2),
+            max_supersteps=4,
         )
-        monkeypatch.setenv("REPRO_COMM_FASTPATH", "0")
-        result, telemetry = _run(
-            skewed,
-            PageRank(),
-            MPEConfig(comm_fastpath=True),
-            max_supersteps=6,
-        )
-        assert result.comm_fastpath is False
-        assert result.payload_decode_hits == 0
-        _assert_identical(baseline, (result, telemetry))
-
-    def test_env_override_rejects_junk(self, skewed, monkeypatch):
-        monkeypatch.setenv("REPRO_COMM_FASTPATH", "sometimes")
-        with pytest.raises(ValueError, match="REPRO_COMM_FASTPATH"):
-            _run(skewed, PageRank(), MPEConfig(), max_supersteps=2)
+        cluster.close()
+        assert result.num_supersteps == 4
+        # Inbox segments are the only uint8 SharedArrays a run creates
+        # besides the tile-blob arena (one per run).
+        assert created.count(np.dtype(np.uint8)) == 1
 
     @staticmethod
-    def _supervised(graph, schedule, fastpath):
-        from repro.cluster import Cluster, ClusterSpec
-        from repro.core import MPE, SPE
+    def _supervised(graph, schedule):
         from repro.faults import Supervisor
 
-        cluster = Cluster(ClusterSpec(num_servers=3))
-        spe = SPE(cluster.dfs)
-        manifest = spe.preprocess(
-            graph, max(1, graph.num_edges // 9), name=graph.name
-        )
-        mpe = MPE(
-            cluster,
-            manifest,
-            MPEConfig(
-                checkpoint_every=2,
-                max_supersteps=20,
-                comm_fastpath=fastpath,
-            ),
-        )
-        sup = Supervisor(mpe, schedule=schedule)
-        result, report = sup.run(PageRank())
-        values = result.values.copy()
-        cluster.close()
-        return values, report
+        mpe = _engine(graph, checkpoint_every=2, max_supersteps=20)
+        try:
+            result, report = Supervisor(mpe, schedule=schedule).run(PageRank())
+            return result.values.copy(), report
+        finally:
+            mpe.cluster.close()
 
     def test_lost_broadcast_not_masked_by_cache(self, skewed):
-        """A dropped broadcast envelope must still be *lost* under the
-        fast path — the decode cache shares decoded payloads, never
-        delivery — so the supervisor detects the divergence, restarts,
-        and the retry is byte-identical to the clean run."""
+        """A dropped broadcast envelope must still be *lost* — the
+        decode cache shares decoded payloads, never delivery — so the
+        supervisor detects the divergence, restarts, and the retry is
+        byte-identical to the clean run."""
         from repro.faults import MSG_DROP, FaultEvent, FaultSchedule
 
         clean, _ = _run(
-            skewed,
-            PageRank(),
-            MPEConfig(executor="serial", comm_fastpath=False),
-            max_supersteps=20,
+            skewed, PageRank(), MPEConfig(executor="serial"), max_supersteps=20
         )
         schedule = FaultSchedule(
             [FaultEvent(MSG_DROP, superstep=2, server=0)]
         )
-        for fastpath in (False, True):
-            values, report = self._supervised(skewed, schedule, fastpath)
-            assert report.restarts == 1, f"fastpath={fastpath}"
-            assert np.array_equal(values, clean.values), f"fastpath={fastpath}"
+        values, report = self._supervised(skewed, schedule)
+        assert report.restarts == 1
+        assert np.array_equal(values, clean.values)
 
 
 def _spilling_engine(graph, executor: str, depth: int):

@@ -1,4 +1,5 @@
-"""Tests for the AA / OD vertex stores and the OD engine path."""
+"""Tests for the AA / OD vertex stores (over every allocator) and the
+OD engine path."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, MPEConfig, SPE
 from repro.core.vertexstore import AllInAllStore, OnDemandStore
 from repro.graph import chung_lu_graph, grid_graph
+from repro.runtime import outstanding_segments, process_runtime_available
+from repro.runtime.shm import SharedAllocator
+from repro.storage.backing import BackingStore
 
 
 class TestAllInAllStore:
@@ -69,6 +73,68 @@ class TestOnDemandStore:
     def test_duplicate_local_ids_deduped(self):
         store = OnDemandStore(np.arange(5.0), None, np.array([1, 1, 3]))
         assert store.num_stored() == 2
+
+
+def _allocator(kind, tmp_path):
+    if kind == "shm":
+        if not process_runtime_available():
+            pytest.skip("platform lacks POSIX shared memory")
+        return SharedAllocator()
+    return BackingStore(root=str(tmp_path)) if kind == "mmap" else None
+
+
+class TestStoresOverAllocators:
+    """Two stores × three allocators: where the arrays live changes
+    neither a store's answers nor its Eq. 2/3 accounting."""
+
+    @pytest.mark.parametrize("policy", ["aa", "od"])
+    @pytest.mark.parametrize("kind", ["heap", "shm", "mmap"])
+    def test_same_semantics_and_accounting(self, kind, policy, tmp_path):
+        init = np.arange(12.0)
+        degrees = np.arange(12, dtype=np.int64) * 3
+        local = np.array([1, 2, 3, 4, 7, 9])
+
+        def build(allocator):
+            if policy == "aa":
+                return AllInAllStore(init, degrees, allocator)
+            return OnDemandStore(init, degrees, local, allocator)
+
+        reference = build(None)
+        allocator = _allocator(kind, tmp_path)
+        store = build(allocator)
+        ids = np.array([2, 9, 4])
+        for s in (reference, store):
+            s.write(np.array([3, 7, 11]), np.array([-3.0, -7.0, -11.0]))
+        assert store.gather_values(ids).tolist() == [2.0, 9.0, 4.0]
+        assert store.gather_out_degrees(ids).tolist() == [6, 27, 12]
+        assert store.gather_out_degrees(ids).dtype == np.int32
+        assert store.read_range(2, 5).tolist() == [2.0, -3.0, 4.0]
+        assert np.array_equal(
+            store.gather_values(local), reference.gather_values(local)
+        )
+        assert store.memory_bytes() == reference.memory_bytes()
+        assert store.memory_bytes() == (
+            (12 * (8 + 4), 12 * 8) if policy == "aa" else (6 * (8 + 4 + 4), 6 * 8)
+        )
+        assert store.num_stored() == reference.num_stored()
+        # The caller's arrays were copied, never adopted.
+        assert init[3] == 3.0
+        # Views first, memory second (SharedMemory.close() refuses
+        # while an ndarray still references the buffer).
+        store.release()
+        if allocator is not None:
+            allocator.release()
+            allocator.release()  # idempotent
+        assert outstanding_segments() == []
+
+    def test_aa_replicas_share_one_degree_array(self):
+        degrees = np.arange(5, dtype=np.int64)
+        first = AllInAllStore(np.zeros(5), degrees)
+        second = AllInAllStore(np.zeros(5), degrees, degrees_from=first)
+        assert second.gather_out_degrees(np.array([4])).tolist() == [4]
+        assert np.shares_memory(first._out_degrees, second._out_degrees)
+        # Host-side dedup only: each replica accounts a full copy (§IV-A).
+        assert second.memory_bytes() == first.memory_bytes()
 
 
 def run_with_policy(graph, program, policy, num_servers=3):
