@@ -29,7 +29,8 @@ import numpy as np
 
 from repro.apps.base import VertexProgram
 from repro.cluster.cluster import Cluster
-from repro.core.mpe import RunResult, SuperstepReport, _delta, _snapshot
+from repro.cluster.counters import CounterSnapshot
+from repro.core.mpe import RunResult, SuperstepReport
 from repro.graph.graph import Graph
 from repro.metrics.cost import CostModel
 from repro.partition.streaming import StreamingPartition, build_streaming_partitions
@@ -109,7 +110,7 @@ class ChaosEngine:
 
         for superstep in range(max_supersteps):
             t0 = time.perf_counter()
-            before = {s.server_id: _snapshot(s) for s in servers}
+            before = {s.server_id: CounterSnapshot.capture(s) for s in servers}
 
             # --- scatter: stream partitions, emit per-edge messages ----
             outboxes: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {
@@ -190,7 +191,7 @@ class ChaosEngine:
             else:
                 sending = changed
 
-            step_deltas = [_delta(s, before[s.server_id]) for s in servers]
+            step_deltas = [before[s.server_id].delta(s) for s in servers]
             net = sum(
                 (s.counters.net_sent - before[s.server_id].net_sent)
                 for s in servers

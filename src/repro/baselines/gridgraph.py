@@ -32,7 +32,8 @@ import numpy as np
 
 from repro.apps.base import VertexProgram
 from repro.cluster.cluster import Cluster
-from repro.core.mpe import RunResult, SuperstepReport, _delta, _snapshot
+from repro.cluster.counters import CounterSnapshot
+from repro.core.mpe import RunResult, SuperstepReport
 from repro.graph.graph import Graph
 from repro.metrics.cost import CostModel
 from repro.metrics.schedule import effective_parallel_volume
@@ -120,7 +121,7 @@ class GridGraphEngine:
 
         for superstep in range(max_supersteps):
             t0 = time.perf_counter()
-            before = {server.server_id: _snapshot(server)}
+            before = {server.server_id: CounterSnapshot.capture(server)}
             blocks_streamed = 0
             blocks_skipped = 0
             block_edge_counts: list[int] = []
@@ -182,7 +183,7 @@ class GridGraphEngine:
                 [sending[bounds[i] : bounds[i + 1]].any() for i in range(p)]
             )
 
-            step_deltas = [_delta(server, before[server.server_id])]
+            step_deltas = [before[server.server_id].delta(server)]
             reports.append(
                 SuperstepReport(
                     superstep=superstep,

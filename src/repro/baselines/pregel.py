@@ -35,8 +35,9 @@ import numpy as np
 
 from repro.apps.base import VertexProgram
 from repro.cluster.cluster import Cluster
+from repro.cluster.counters import CounterSnapshot
 from repro.comm.channel import Channel
-from repro.core.mpe import RunResult, SuperstepReport, _delta, _snapshot
+from repro.core.mpe import RunResult, SuperstepReport
 from repro.graph.graph import Graph
 from repro.metrics.cost import CostModel
 from repro.partition.edge_cut import hash_edge_cut
@@ -112,7 +113,7 @@ class PregelEngine:
 
         for superstep in range(max_supersteps):
             t0 = time.perf_counter()
-            before = {s.server_id: _snapshot(s) for s in servers}
+            before = {s.server_id: CounterSnapshot.capture(s) for s in servers}
             # Incoming accumulators for this superstep (per whole graph;
             # conceptually sharded by owner — receipt is metered below).
             accum = np.full(graph.num_vertices, program.identity)
@@ -204,7 +205,7 @@ class PregelEngine:
             else:
                 sending = changed
 
-            step_deltas = [_delta(s, before[s.server_id]) for s in servers]
+            step_deltas = [before[s.server_id].delta(s) for s in servers]
             modeled = cost_model.superstep_time(step_deltas)
             if self.framework_overhead_s:
                 modeled = replace(

@@ -30,6 +30,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from repro.runtime.active import ActiveBitmap, TileSourceSummary
 from repro.storage.backing import BackingStore
 from repro.storage.cache import cache_plan
 from repro.tuning import KnobSettings, Tuner, TuningSample
-from repro.utils.bloom import ALL_KEYS, BloomFilter, HashedKeys, hash_keys
+from repro.utils.bloom import ALL_KEYS, BloomFilter, hash_keys
 from repro.utils.segments import merge_sorted_unique, segment_reduce
 
 
@@ -77,11 +78,9 @@ class MPEConfig:
     use_bloom_filters: bool = True
     bloom_false_positive_rate: float = 0.01
     # GraphMP-style selective scheduling: prune tiles from the schedule
-    # with an *exact* active-vertex bitmap before the (approximate)
-    # bloom probe ever runs.  Strictly more skips than bloom alone
-    # (differing only on bloom false positives), and a pruned tile is
-    # never double-probed.  The REPRO_SELECTIVE environment variable
-    # overrides this at run time.
+    # with an *exact* active-vertex bitmap instead of the (approximate)
+    # bloom probe.  Strictly more skips than bloom alone (differing
+    # only on bloom false positives); see MPE._resolve_schedule.
     selective_scheduling: bool = True
     replication_policy: str = "aa"  # "aa" (paper default, §IV-A) | "od"
     # Stage-two tile placement: "round_robin" (paper §III-C.1) or
@@ -146,8 +145,7 @@ class MPEConfig:
     # first supersteps, fit the cost-model constants, then re-evaluate
     # codec / comm / bloom / cache / prefetch at every superstep
     # boundary.  Off (the default) is bitwise identical to an engine
-    # without the tuner.  The REPRO_TUNE environment variable overrides
-    # this at run time (CI's forcing flag).
+    # without the tuner.
     tune: bool = False
 
     def __post_init__(self) -> None:
@@ -218,8 +216,8 @@ class RunResult:
     # Effective tile-prefetch pipeline depth this run executed with
     # (0 = pipeline off; REPRO_PREFETCH overrides already applied).
     prefetch_depth: int = 0
-    # Whether bitmap selective scheduling was active (REPRO_SELECTIVE
-    # override already applied) and which vertex-store backing ran.
+    # Whether bitmap selective scheduling was active and which
+    # vertex-store backing ran.
     selective: bool = False
     vertex_store: str = "mem"
     # Autotuner summary (fitted constants, residuals, decision trace)
@@ -347,25 +345,20 @@ class MPE:
         # the resolved values.
         self._prefetch_depth = self.config.prefetch_depth
         self._io_threads = self.config.io_threads
-        # Effective selective-scheduling flag; re-resolved at the top of
-        # run() (REPRO_SELECTIVE override) before setup builds summaries.
-        self._selective = self.config.selective_scheduling
-        # Effective autotuning flag (REPRO_TUNE override applied at the
-        # top of run()), the tuner carrying fitted constants across runs
-        # (a warm service engine reuses them job to job), an externally
+        # The tuner carrying fitted constants across runs (a warm
+        # service engine reuses them job to job), an externally
         # installed scripted TuningPlan (tests/ablations — consulted
         # even with tuning off; never written by the tuner), and the
         # knobs currently in force.  ``_knobs`` is always concrete: an
         # untuned run holds the config's values for the whole run, so
         # every knob read below is tune-agnostic.
-        self._tune = self.config.tune
         self.tuner: Tuner | None = None
         self.tuning_plan = None
         self._knobs = self._base_knobs()
         # Per-tile exact source summaries (tile_id -> TileSourceSummary)
-        # backing the bitmap prune; built at setup when selective
-        # scheduling is on, lazily backfilled if the env override turns
-        # it on after setup already ran.
+        # backing the bitmap prune; built at setup for every tile (a
+        # warm engine's next job may switch selective scheduling on)
+        # and refreshed by apply_mutations.
         self._summaries: dict[int, TileSourceSummary] = {}
         # --- evolving-graph state (repro.delta) ------------------------
         # The delta store (pending per-tile overlays + degree deltas)
@@ -386,9 +379,8 @@ class MPE:
         # Tiles force-scheduled (exempt from bitmap + bloom pruning) at
         # exactly one superstep of the current run — the incremental
         # seed superstep, where deletion/reset targets must re-gather
-        # even though no "updated" vertex sources them.  Frozen before
-        # the process pool forks, so every executor and the fault
-        # replay see identical schedules.
+        # even though no "updated" vertex sources them.  Read by
+        # _resolve_schedule only.
         self._forced_tiles: frozenset = frozenset()
         self._forced_superstep: int = -1
         self.spe = SPE(cluster.dfs)
@@ -404,16 +396,13 @@ class MPE:
         # normal runs.
         self.injector = None
         # --- process-runtime state (see repro.runtime.process) --------
-        # Parent side: shared scratch for the previous update set, the
-        # program of the active run, and the workers' last-reported
-        # cache content fingerprints.  Worker side (set post-fork by
-        # _process_child_init): each owned server's staged own-update
-        # and the per-superstep hashed-key memo.
-        self._hash_scratch = None
+        # Parent side: the program of the active run and the workers'
+        # last-reported cache content fingerprints.  Worker side (set
+        # post-fork by _process_child_init): each owned server's staged
+        # own-update.
         self._run_program: VertexProgram | None = None
         self._worker_content: dict[int, tuple] = {}
         self._worker_last: dict[int, tuple] = {}
-        self._worker_hash_memo: tuple | None = None
         # --- decode-once broadcast fan-out -----------------------------
         # Per-superstep content-keyed decode cache: payload bytes →
         # immutable UpdatePayload.  The first receiver decodes, every
@@ -461,7 +450,7 @@ class MPE:
         # its buffers must exist before the process pool forks.
         prefetch_on = (
             self._prefetch_depth > 0
-            or self._tune
+            or self.config.tune
             or self.tuning_plan is not None
         )
         for server in self.cluster.servers:
@@ -562,24 +551,16 @@ class MPE:
             server.store_blob(name, blob)
             self._assignments[server_id].append((tile_id, name, len(blob)))
             per_server_bytes[server_id] += len(blob)
-            if (
-                self.config.use_bloom_filters
-                # A tuned run may switch filtering on mid-run; build the
-                # filters now, while the decoded tile is already in hand
-                # (and before the process pool would fork).
-                or self._tune
-                or self._selective
-                or self.config.replication_policy == "od"
-            ):
-                tile = self._tile_parser(blob)
-                if self.config.use_bloom_filters or self._tune:
-                    self._blooms[tile_id] = tile.build_bloom_filter(
-                        self.config.bloom_false_positive_rate
-                    )
-                if self._selective:
-                    self._summaries[tile_id] = TileSourceSummary.from_tile(tile)
-                if self.config.replication_policy == "od":
-                    self._server_sources[server_id].append(tile.source_vertices)
+            tile = self._tile_parser(blob)
+            # A tuned run may switch filtering on mid-run; build the
+            # filters now, while the decoded tile is already in hand.
+            if self.config.use_bloom_filters or self.config.tune:
+                self._blooms[tile_id] = tile.build_bloom_filter(
+                    self.config.bloom_false_positive_rate
+                )
+            self._summaries[tile_id] = TileSourceSummary.from_tile(tile)
+            if self.config.replication_policy == "od":
+                self._server_sources[server_id].append(tile.source_vertices)
         self._tile_nbytes_total = sum(per_server_bytes)
         # Targets owned per server: the concatenation of its tiles'
         # (ascending) target ranges.  Known statically on every server,
@@ -666,10 +647,6 @@ class MPE:
         # effective depth, and the process pool's forked workers inherit
         # these fields by value.
         self._prefetch_depth, self._io_threads = self._resolve_prefetch()
-        self._selective = _env_flag(
-            "REPRO_SELECTIVE", self.config.selective_scheduling
-        )
-        self._tune = _env_flag("REPRO_TUNE", self.config.tune)
         # Host telemetry is per run: a warm engine's second job reports
         # its own decode counts, not the running total.
         self.payload_decode_hits = 0
@@ -682,10 +659,6 @@ class MPE:
         ebuf.close_to(0)
         ebuf.begin("run", "run", program=program.name)
         self.setup()
-        # setup() may have run before REPRO_SELECTIVE flipped selective
-        # on (it is idempotent); backfill the source summaries from the
-        # already-fetched blobs, unmetered (host-side schedule state).
-        self._ensure_summaries()
         # --- autotuning (repro.tuning) --------------------------------
         # An externally scripted plan wins (tests/ablations force known
         # switches); otherwise a tuned run builds/continues the tuner's
@@ -694,7 +667,7 @@ class MPE:
         # consumes the identical decision trace.
         tuner: Tuner | None = None
         plan = self.tuning_plan
-        if plan is None and self._tune:
+        if plan is None and self.config.tune:
             if self.tuner is None:
                 self.tuner = Tuner()
             tuner = self.tuner
@@ -823,10 +796,10 @@ class MPE:
         degrees = out_degrees if program.uses_out_degree else None
         runtime_name, num_workers = self._resolve_runtime()
         use_process = runtime_name == "process"
-        # Run-scoped shared-memory state (stores, scratch, bloom bits,
-        # blob arena) is torn down LIFO in the finally below — on every
-        # path, including injected faults and KeyboardInterrupt, so no
-        # SharedMemory segment outlives the run.
+        # Run-scoped shared-memory state (stores, blob arena) is torn
+        # down LIFO in the finally below — on every path, including
+        # injected faults and KeyboardInterrupt, so no SharedMemory
+        # segment outlives the run.
         cleanup: list = []
         executor = None
         try:
@@ -897,7 +870,7 @@ class MPE:
                 # Fork point: every shared structure above must exist
                 # first, so workers inherit it by address, not by pickle.
                 executor = self._start_process_pool(
-                    program, num_vertices, num_workers, cleanup
+                    program, num_workers, cleanup
                 )
             elif runtime_name == "parallel":
                 executor = make_executor(
@@ -941,57 +914,23 @@ class MPE:
                 # are staged in the results and flushed below in
                 # server-id order, exactly like the serial schedule.
                 ebuf.begin("compute", "phase")
-                # Selective scheduling: resolve the exact bitmap prune
-                # once per superstep, in the parent, so every executor
-                # (and the parent-side fault replay) applies the same
-                # skip decisions in the same order.
-                skip_sets = self._compute_skip_sets(
+                # The superstep's tile schedule, resolved once: every
+                # executor's sweep, the tuner's working set and the
+                # parent-side fault replay all read this record.
+                schedule = self._resolve_schedule(
                     superstep, prev_updated, num_vertices
-                )
-                # Live working set for the tuner's cache decision: the
-                # bytes each server's sweep will actually serve this
-                # superstep, reproduced parent-side from the same skip
-                # logic the sweep applies (executor-independent).
-                sched_bytes = (
-                    self._scheduled_bytes(
-                        superstep, prev_updated, num_vertices, skip_sets
-                    )
-                    if tuner is not None
-                    else None
                 )
                 if use_process:
                     steps = self._process_compute_phase(
-                        executor,
-                        servers,
-                        superstep,
-                        prev_updated,
-                        num_vertices,
-                        skip_sets,
+                        executor, servers, superstep, schedule
                     )
                 else:
-                    # Hash the updated set once per superstep: bloom probe
-                    # hashes are filter-independent, so every tile check on
-                    # every server shares this read-only batch instead of
-                    # re-mixing the whole set per tile.  When *every* vertex
-                    # updated (PageRank's dense phase), ALL_KEYS lets the
-                    # filter answer from its insert count alone — provably
-                    # the same decision, zero hashing.
-                    prev_hashed = None
-                    if self._knobs.use_bloom and prev_updated is not None:
-                        prev_hashed = (
-                            ALL_KEYS
-                            if prev_updated.size == num_vertices
-                            else hash_keys(prev_updated)
-                        )
                     steps = executor.map(
                         lambda server: self._compute_server_step(
                             program,
                             server,
                             superstep,
-                            prev_hashed,
-                            skip_sets[server.server_id]
-                            if skip_sets is not None
-                            else None,
+                            schedule[server.server_id],
                         ),
                         servers,
                     )
@@ -1116,7 +1055,7 @@ class MPE:
                         cost_model,
                         num_vertices,
                         servers,
-                        sched_bytes,
+                        schedule,
                         tbuf,
                     )
                 ebuf.end()  # account
@@ -1182,7 +1121,7 @@ class MPE:
             payload_decode_hits=self.payload_decode_hits,
             payload_decode_misses=self.payload_decode_misses,
             prefetch_depth=self._prefetch_depth,
-            selective=self._selective,
+            selective=cfg.selective_scheduling,
             vertex_store=cfg.vertex_store,
             tuning=(
                 tuner.report()
@@ -1348,10 +1287,7 @@ class MPE:
             # Refresh parent-side schedule state from the composed tile
             # so the next run's pruning sees the mutated source sets
             # (an inserted edge's source must be probe-visible).
-            if tile_id in self._summaries or self._selective:
-                self._summaries[tile_id] = TileSourceSummary.from_tile(
-                    composed
-                )
+            self._summaries[tile_id] = TileSourceSummary.from_tile(composed)
             if tile_id in self._blooms:
                 self._blooms[tile_id] = composed.build_bloom_filter(
                     self.config.bloom_false_positive_rate
@@ -1522,7 +1458,6 @@ class MPE:
             self.manifest.name,
             program.name,
             self.config,
-            self._selective,
             self._prefetch_depth,
             self._io_threads,
         )
@@ -1593,10 +1528,7 @@ class MPE:
 
         Covers filtering switched on mid-run when setup had no reason
         to build filters (scripted plans on a ``tune=off`` engine).
-        Runs parent-side and, in process mode, once per worker —
-        ``build_bloom_filter`` is a pure function of the tile and the
-        configured false-positive rate, so every copy answers probes
-        identically.
+        Parent-side only, like the schedule that probes them.
         """
         if len(self._blooms) >= self.manifest.num_tiles:
             return
@@ -1607,43 +1539,6 @@ class MPE:
                     self._blooms[tile_id] = tile.build_bloom_filter(
                         self.config.bloom_false_positive_rate
                     )
-
-    def _scheduled_bytes(
-        self, superstep, prev_updated, num_vertices, skip_sets
-    ) -> list[int]:
-        """Per-server bytes the sweeps will serve this superstep —
-        the surviving tiles' blob sizes after the same bitmap + bloom
-        pruning the sweeps apply.  Pure parent-side arithmetic over
-        static assignments and this superstep's frozen skip decisions,
-        so it is identical across executors."""
-        knobs = self._knobs
-        prev_hashed = None
-        if knobs.use_bloom and prev_updated is not None:
-            prev_hashed = (
-                ALL_KEYS
-                if prev_updated.size == num_vertices
-                else hash_keys(prev_updated)
-            )
-        forced = (
-            self._forced_tiles
-            if superstep == self._forced_superstep
-            else frozenset()
-        )
-        out = []
-        for server_id, tiles in enumerate(self._assignments):
-            skips = skip_sets[server_id] if skip_sets is not None else None
-            total = 0
-            for tile_id, _name, nbytes in tiles:
-                if tile_id not in forced:
-                    if skips is not None and tile_id in skips:
-                        continue
-                    if prev_hashed is not None and not self._blooms[
-                        tile_id
-                    ].might_intersect(prev_hashed):
-                        continue
-                total += nbytes
-            out.append(total)
-        return out
 
     def _observe_tuning(
         self,
@@ -1656,7 +1551,7 @@ class MPE:
         cost_model,
         num_vertices,
         servers,
-        sched_bytes,
+        schedule,
         tbuf,
     ) -> None:
         """Feed one finished superstep to the tuner.
@@ -1697,8 +1592,10 @@ class MPE:
                 num_vertices=num_vertices,
                 tiles_processed=report.tiles_processed,
                 tiles_skipped=report.tiles_skipped,
-                scheduled_bytes=(
-                    sched_bytes[straggler] if sched_bytes is not None else 0
+                # Live working set for the cache decision: the blob
+                # bytes the straggler's sweep was scheduled to serve.
+                scheduled_bytes=sum(
+                    nbytes for _tid, _name, nbytes in schedule[straggler].run
                 ),
                 miss_bytes=int(d.disk_read_random),
                 cache_mode=cache.mode if cache is not None else 1,
@@ -1718,113 +1615,95 @@ class MPE:
             )
 
     # ------------------------------------------------------------------
-    # Selective scheduling (repro.runtime.active; GraphMP port)
+    # The superstep's tile schedule (§III-C.4 bloom skip; GraphMP's
+    # selective scheduling via repro.runtime.active)
     # ------------------------------------------------------------------
-    def _ensure_summaries(self) -> None:
-        """Build any missing per-tile source summaries from the fetched
-        blobs (host plumbing: ``disk.peek`` is unmetered).
-
-        Normally a no-op — :meth:`setup` builds them while it already
-        holds each decoded tile — this covers selective scheduling
-        switched on via ``REPRO_SELECTIVE`` after setup ran.
-        """
-        if not self._selective:
-            return
-        for server in self.cluster.servers:
-            for tile_id, name, _nbytes in self._assignments[server.server_id]:
-                if tile_id not in self._summaries:
-                    tile = self._tile_parser(server.disk.peek(name))
-                    self._summaries[tile_id] = TileSourceSummary.from_tile(tile)
-
-    def _compute_skip_sets(
+    def _resolve_schedule(
         self, superstep: int, prev_updated, num_vertices: int
-    ) -> "list[frozenset[int]] | None":
-        """Per-server sets of tile ids the active bitmap proves dead
-        this superstep, or ``None`` when the prune cannot fire
-        (selective off, no previous update set — scratch superstep 0,
-        resume-with-no-set — or a dense frontier where nothing can be
-        skipped).  An incremental run *does* carry an update set at
-        superstep 0 (the mutation batch's dirty ids seeded via
-        :class:`~repro.runtime.active.ActiveBitmap`), which is exactly
-        what makes its seed superstep prune; its forced tiles are
-        exempt from the verdict.
+    ) -> "list[_ServerSchedule]":
+        """Decide, once per superstep and parent-side, which tiles each
+        server sweeps and which it skips — the only place the pruning
+        rule is written down.  Tile by tile, in assignment order:
 
-        Resolved once, parent-side: every executor's sweep (and the
-        fault replay in :meth:`_resolve_compute_faults`) consumes the
-        same frozen decisions, which is what keeps skip schedules —
-        and hence fault coordinates — executor-independent.
+        1. A forced tile (the incremental seed superstep's
+           deletion/reset targets) runs.
+        2. Else, when the exact verdict exists — selective scheduling
+           on, a previous update set (an incremental run seeds its
+           dirty ids as superstep 0's), and not every vertex updated —
+           the tile is skipped as ``"bitmap"`` iff its source summary
+           misses the active bitmap.  A survivor runs *unprobed*: it
+           has an updated source, and its filter was built from the
+           same ``source_vertices`` with no false negatives, so the
+           filter could only agree.
+        3. Else, when filtering is on and there is an update set
+           (selective off, or the dense supersteps where only empty
+           tiles can be dropped), the bloom filter decides: skipped as
+           ``"bloom"`` iff it proves no updated source.  The update set
+           is hashed once for all filters; when *every* vertex updated,
+           ``ALL_KEYS`` answers from the insert count alone.
+        4. Else the tile runs (scratch superstep 0, resume with no
+           set, both prunes off).
+
+        The result is plain data, so the sweeps of every executor, the
+        tuner's working set and the fault replay's first-load
+        coordinate are decision-identical by construction.
         """
-        if not self._selective or prev_updated is None:
-            return None
-        bitmap = ActiveBitmap.seed_from_ids(prev_updated, num_vertices)
-        if bitmap.dense:
-            # Every vertex updated: no tile has an all-inactive source
-            # set (mirrors the bloom ALL_KEYS fast path — empty tiles
-            # are left to the bloom probe, same as with selective off).
-            return None
         forced = (
             self._forced_tiles
             if superstep == self._forced_superstep
             else frozenset()
         )
-        skip_sets = []
-        for server_id in range(len(self._assignments)):
-            skips = frozenset(
-                tile_id
-                for tile_id, _name, _nbytes in self._assignments[server_id]
-                if tile_id not in forced
-                and not self._summaries[tile_id].intersects(bitmap)
-            )
-            skip_sets.append(skips)
-        return skip_sets
+        bitmap = hashed = None
+        if prev_updated is not None:
+            if self.config.selective_scheduling:
+                bitmap = ActiveBitmap.seed_from_ids(prev_updated, num_vertices)
+                if bitmap.dense:
+                    bitmap = None
+            if bitmap is None and self._knobs.use_bloom:
+                hashed = (
+                    ALL_KEYS
+                    if prev_updated.size == num_vertices
+                    else hash_keys(prev_updated)
+                )
+        schedule = []
+        for tiles in self._assignments:
+            run, skipped = [], []
+            for tile in tiles:
+                tile_id = tile[0]
+                if tile_id in forced:
+                    run.append(tile)
+                elif bitmap is not None:
+                    if self._summaries[tile_id].intersects(bitmap):
+                        run.append(tile)
+                    else:
+                        skipped.append((tile_id, "bitmap"))
+                elif hashed is None or self._blooms[tile_id].might_intersect(
+                    hashed
+                ):
+                    run.append(tile)
+                else:
+                    skipped.append((tile_id, "bloom"))
+            schedule.append(_ServerSchedule(tuple(run), tuple(skipped)))
+        return schedule
 
-    def _start_process_pool(
-        self, program, num_vertices: int, num_workers: int, cleanup: list
-    ):
+    def _start_process_pool(self, program, num_workers: int, cleanup: list):
         """Stage shared-memory state and fork the worker pool.
 
         Everything big becomes shared *before* the fork — the vertex
-        stores already are (built as ``Shared*`` variants), and here the
-        updated-id scratch, every bloom filter's bit array, and all tile
-        blobs (one read-only arena fronting each server's disk with
-        unchanged metering) join them.  Per-superstep dispatch then
-        ships only ``(superstep, spec)`` handles down and compact
-        :class:`_ProcessStep` results back.  Teardown actions are pushed
-        onto ``cleanup`` (run LIFO by ``run``'s finally).
+        stores already are (built as ``Shared*`` variants), and here
+        all tile blobs (one read-only arena fronting each server's disk
+        with unchanged metering) join them.  Per-superstep dispatch
+        then ships only the server's resolved schedule and the knobs
+        down and compact :class:`_ProcessStep` results back.  Teardown
+        actions are pushed onto ``cleanup`` (run LIFO by ``run``'s
+        finally).
         """
         from repro.runtime.process import ProcessExecutor
-        from repro.runtime.shm import ArenaDisk, SharedArray, SharedBlobArena
+        from repro.runtime.shm import ArenaDisk, SharedBlobArena
 
         servers = self.cluster.servers
         self._run_program = program
         self._worker_content = {}
-
-        # Shared id scratch: the parent stages the previous update set,
-        # each worker hashes it locally (filter-independent hashing, so
-        # the redundancy is safe and runs in parallel).
-        scratch = SharedArray((max(1, num_vertices),), np.int64)
-        self._hash_scratch = scratch
-
-        def _drop_scratch() -> None:
-            self._hash_scratch = None
-            scratch.release()
-
-        cleanup.append(_drop_scratch)
-
-        # Bloom bit arrays move into shared segments for the run (and
-        # back out at teardown — later runs may be thread/serial).
-        relocated = []
-        for bloom in self._blooms.values():
-            sh = SharedArray.from_array(bloom.export_bits())
-            bloom.adopt_bits(sh.array)
-            relocated.append((bloom, sh))
-
-        def _restore_blooms() -> None:
-            for bloom, sh in relocated:
-                bloom.adopt_bits(np.array(sh.array, dtype=np.uint64))
-                sh.release()
-
-        cleanup.append(_restore_blooms)
 
         # Tile blobs: one shared read-only arena; every server's disk is
         # fronted by an arena view with byte-identical metering, so
@@ -1886,7 +1765,6 @@ class MPE:
         self.channel.fault_injector = None
         self.cluster.dfs.fault_injector = None
         self._worker_last = {}
-        self._worker_hash_memo = None
         # Fresh decode-once state: the decode cache must not
         # alias the parent's dict (each worker decodes independently),
         # and any inherited arena attachment belongs to the parent.
@@ -1901,31 +1779,12 @@ class MPE:
             # those pre-fork events back as duplicates.
             self.tracer.clear_events()
 
-    def _worker_hashed_keys(self, superstep: int, spec):
-        """Worker-side reconstruction of the hashed update set.
-
-        ``spec`` is the compute handle: ``None`` (no filtering),
-        ``"all"`` (every vertex updated → :data:`ALL_KEYS`), or the
-        count of ids staged in the shared scratch.  Hashed once per
-        worker per superstep (memoised), not once per owned server.
-        """
-        if spec is None:
-            return None
-        if spec == "all":
-            return ALL_KEYS
-        memo = self._worker_hash_memo
-        if memo is not None and memo[0] == superstep:
-            return memo[1]
-        hashed = hash_keys(self._hash_scratch.array[:spec])
-        self._worker_hash_memo = (superstep, hashed)
-        return hashed
-
     def _process_phase_handler(self, tag: str, server_id: int, payload):
         """Worker-side phase dispatch (runs in the forked pool)."""
         server = self.cluster.servers[server_id]
         snap = CounterSnapshot.capture(server)
         if tag == "compute":
-            superstep, spec, skips, knob_tuple = payload
+            superstep, sched, knob_tuple = payload
             # Taken before the knobs apply: a cache-mode switch learns
             # sizes too, and the parent wants everything new.
             sizes0 = (
@@ -1942,11 +1801,8 @@ class MPE:
             self._knobs = KnobSettings.from_tuple(knob_tuple)
             if self._knobs.cache_mode is not None:
                 server.switch_cache_mode(self._knobs.cache_mode)
-            if self._knobs.use_bloom:
-                self._ensure_blooms()
-            prev_hashed = self._worker_hashed_keys(superstep, spec)
             step = self._compute_server_step(
-                self._run_program, server, superstep, prev_hashed, skips
+                self._run_program, server, superstep, sched
             )
             # Own updates stay worker-side for the apply phase; the
             # parent gets its own copy in the result for broadcast
@@ -1956,11 +1812,7 @@ class MPE:
             cache = server.cache
             decoded = server.decoded_cache
             return _ProcessStep(
-                ids=step.ids,
-                vals=step.vals,
-                payload=step.payload,
-                tiles_processed=step.tiles_processed,
-                tiles_skipped=step.tiles_skipped,
+                step=step,
                 delta=snap.delta(server),
                 mem_cache=c.mem_cache,
                 mem_scratch=c.mem_scratch,
@@ -2007,8 +1859,6 @@ class MPE:
                 ),
                 trace=tuple(server.trace.drain()),
                 prefetch_trace=tuple(server.prefetch_trace.drain()),
-                prefetch_ready=step.prefetch_ready,
-                prefetch_total=step.prefetch_total,
             )
         if tag == "apply":
             superstep, seg_name, handles = payload
@@ -2115,65 +1965,40 @@ class MPE:
                 arena.release()
 
     def _process_compute_phase(
-        self,
-        executor,
-        servers,
-        superstep: int,
-        prev_updated,
-        num_vertices: int,
-        skip_sets: "list[frozenset[int]] | None" = None,
-    ) -> "list[_ProcessStep]":
-        """Parent-side compute dispatch for the process executor."""
-        spec = None
-        if self._knobs.use_bloom and prev_updated is not None:
-            if prev_updated.size == num_vertices:
-                spec = "all"
-            else:
-                n = int(prev_updated.size)
-                self._hash_scratch.array[:n] = prev_updated
-                spec = n
+        self, executor, servers, superstep: int, schedule
+    ) -> "list[_ServerStep]":
+        """Parent-side compute dispatch for the process executor: ship
+        each server its resolved schedule, fold the workers' mirrors
+        back, and hand ``run`` the same records every executor returns.
+        """
         if self.injector is not None:
-            if spec == "all":
-                prev_hashed = ALL_KEYS
-            elif spec is not None:
-                prev_hashed = hash_keys(prev_updated)
-            else:
-                prev_hashed = None
-            self._resolve_compute_faults(
-                servers, superstep, prev_hashed, skip_sets
-            )
-        steps = executor.run_phase(
+            self._resolve_compute_faults(servers, superstep, schedule)
+        results = executor.run_phase(
             "compute",
             [
-                (
-                    superstep,
-                    spec,
-                    skip_sets[s.server_id] if skip_sets is not None else None,
-                    self._knobs.as_tuple(),
-                )
+                (superstep, schedule[s.server_id], self._knobs.as_tuple())
                 for s in servers
             ],
         )
-        for server, step in zip(servers, steps):
-            self._merge_worker_step(server, step)
+        for server, result in zip(servers, results):
+            self._merge_worker_step(server, result)
         if self.injector is not None:
             # Straggler charges: serial fires these at the end of each
             # server's sweep; the volumes come back in the deltas.
-            for server, step in zip(servers, steps):
+            for server, result in zip(servers, results):
                 self.injector.after_compute(
-                    server, step.delta.edges_processed
+                    server, result.delta.edges_processed
                 )
-        return steps
+        return [result.step for result in results]
 
-    def _resolve_compute_faults(
-        self, servers, superstep, prev_hashed, skip_sets=None
-    ) -> None:
+    def _resolve_compute_faults(self, servers, superstep, schedule) -> None:
         """Fire compute-phase fault decisions in the parent, in serial
         sweep order, before dispatching to workers.
 
         Crash and disk-error points are replayed against the same
         (superstep, server, first-loaded-blob) coordinates the serial
-        sweep would present; a crash therefore aborts the superstep
+        sweep would present — the first load is the head of the
+        server's run list; a crash therefore aborts the superstep
         before any worker computes, with vertex state untouched — the
         same post-abort state as every other executor ("fail before
         mutate").
@@ -2192,37 +2017,9 @@ class MPE:
                 e.matches(superstep, server.server_id) for e in disk_events
             ):
                 continue
-            blob_name = self._first_loaded_blob(
-                server.server_id,
-                superstep,
-                prev_hashed,
-                skip_sets[server.server_id] if skip_sets is not None else None,
-            )
-            if blob_name is not None:
-                injector.on_tile_load(server, blob_name)
-
-    def _first_loaded_blob(
-        self, server_id: int, superstep: int, prev_hashed, skips=None
-    ) -> str | None:
-        """The first tile blob this server's sweep would actually load
-        (bitmap then bloom skips applied, in sweep order) — the
-        parent-side stand-in for the worker's first ``on_tile_load``
-        coordinate."""
-        forced = (
-            self._forced_tiles
-            if superstep == self._forced_superstep
-            else frozenset()
-        )
-        for tile_id, blob_name, _nbytes in self._assignments[server_id]:
-            if tile_id not in forced:
-                if skips is not None and tile_id in skips:
-                    continue
-                if prev_hashed is not None and not self._blooms[
-                    tile_id
-                ].might_intersect(prev_hashed):
-                    continue
-            return blob_name
-        return None
+            run = schedule[server.server_id].run
+            if run:
+                injector.on_tile_load(server, run[0][1])
 
     def _merge_worker_step(self, server, step: "_ProcessStep") -> None:
         """Fold a worker's compute result into the parent's mirrors:
@@ -2307,8 +2104,7 @@ class MPE:
         program: VertexProgram,
         server,
         superstep: int,
-        prev_hashed: "HashedKeys | None",
-        skips: "frozenset[int] | None" = None,
+        sched: "_ServerSchedule",
     ) -> "_ServerStep":
         """One server's tile sweep: gather/apply + staged broadcast.
 
@@ -2317,12 +2113,10 @@ class MPE:
         The encoded broadcast payload is returned (not delivered) — the
         caller flushes all payloads after the join, in server-id order.
 
-        ``prev_hashed`` carries the previous superstep's updated-vertex
-        set pre-hashed for bloom probing — or ``ALL_KEYS`` when every
-        vertex updated, or ``None`` when filters are off / there is no
-        previous superstep.  ``skips`` is the bitmap prune's verdict for
-        this server (tile ids proven dead), resolved parent-side by
-        :meth:`_compute_skip_sets`; ``None`` when the prune is off.
+        ``sched`` is this server's entry of :meth:`_resolve_schedule`:
+        the sweep accounts the skipped tiles and streams the run list,
+        deciding nothing itself — a skipped tile costs the pipeline
+        zero I/O.
         """
         trace = server.trace
         # span() unwinds with close_to: an injected fault aborting the
@@ -2337,37 +2131,11 @@ class MPE:
             changed_vals_parts: list[np.ndarray] = []
             tile_edge_counts: list[int] = []
             tiles_processed = 0
-            tiles_skipped = 0
-            # Explicit schedule: all skips are resolved *before* anything is
-            # enqueued, so a skipped tile costs the pipeline zero I/O.  The
-            # exact bitmap prune runs first; a tile it kills is never probed
-            # against the bloom filter (no double accounting) — the bloom
-            # check only sees bitmap survivors.
-            schedule: list[tuple[int, str, int]] = []
-            forced = (
-                self._forced_tiles
-                if superstep == self._forced_superstep
-                else frozenset()
-            )
-            for tile_id, blob_name, nbytes in self._assignments[server.server_id]:
-                if tile_id not in forced:
-                    if skips is not None and tile_id in skips:
-                        tiles_skipped += 1
-                        server.counters.tiles_skipped += 1
-                        trace.instant(
-                            "tile_skip", "schedule", tile=tile_id, reason="bitmap"
-                        )
-                        continue
-                    if prev_hashed is not None and not self._blooms[
-                        tile_id
-                    ].might_intersect(prev_hashed):
-                        tiles_skipped += 1
-                        server.counters.tiles_skipped += 1
-                        trace.instant(
-                            "tile_skip", "schedule", tile=tile_id, reason="bloom"
-                        )
-                        continue
-                schedule.append((tile_id, blob_name, nbytes))
+            server.counters.tiles_skipped += len(sched.skipped)
+            for tile_id, reason in sched.skipped:
+                trace.instant(
+                    "tile_skip", "schedule", tile=tile_id, reason=reason
+                )
 
             def run_tile(
                 tile_id: int, blob_name: str, nbytes: int, prefetched=None
@@ -2397,7 +2165,7 @@ class MPE:
 
             prefetch_ready = 0
             prefetch_total = 0
-            if knobs.prefetch_depth > 0 and schedule:
+            if knobs.prefetch_depth > 0 and sched.run:
                 from repro.runtime.prefetch import TilePrefetcher
 
                 # Background threads speculate ahead (read-only, unmetered);
@@ -2407,7 +2175,7 @@ class MPE:
                 # i.e. in deterministic serial sweep order.
                 prefetcher = TilePrefetcher(
                     server,
-                    schedule,
+                    sched.run,
                     self._tile_parser,
                     depth=knobs.prefetch_depth,
                     io_threads=knobs.io_threads,
@@ -2423,7 +2191,7 @@ class MPE:
                 prefetch_ready = prefetcher.served_ready
                 prefetch_total = prefetcher.dequeues
             else:
-                for item in schedule:
+                for item in sched.run:
                     run_tile(*item)
 
             # Charge compute as the LPT makespan of this server's
@@ -2486,7 +2254,7 @@ class MPE:
                 vals=vals,
                 payload=payload,
                 tiles_processed=tiles_processed,
-                tiles_skipped=tiles_skipped,
+                tiles_skipped=len(sched.skipped),
                 prefetch_ready=prefetch_ready,
                 prefetch_total=prefetch_total,
             )
@@ -2586,6 +2354,18 @@ class MPE:
                 final[targets] = server.state["store"].gather_values(targets)
         return final
 
+
+class _ServerSchedule(NamedTuple):
+    """One server's resolved tile schedule for one superstep, both
+    halves in assignment order (see :meth:`MPE._resolve_schedule`).
+    Plain picklable data: it is what the process executor ships."""
+
+    # Tiles to sweep: the server's (tile_id, blob_name, nbytes) entries.
+    run: tuple
+    # Tiles pruned: (tile_id, "bitmap" | "bloom").
+    skipped: tuple
+
+
 @dataclass
 class _ServerStep:
     """One server's staged compute-phase output (pre-barrier)."""
@@ -2606,7 +2386,7 @@ class _ServerStep:
 class _ProcessStep:
     """A worker's compute-phase result, shaped for cheap pickling.
 
-    Carries the :class:`_ServerStep` fields plus everything the parent
+    Carries the sweep's :class:`_ServerStep` plus everything the parent
     needs to keep its counter and cache mirrors exact: a volumes-only
     :class:`~repro.cluster.counters.Counters` delta, the
     worker-authoritative memory gauges, absolute cache stat tuples, and
@@ -2615,12 +2395,8 @@ class _ProcessStep:
     shared memory.
     """
 
-    ids: np.ndarray
-    vals: np.ndarray
-    payload: bytes | None
-    tiles_processed: int
-    tiles_skipped: int
-    delta: "Counters"
+    step: _ServerStep
+    delta: Counters
     mem_cache: int
     mem_scratch: int
     mem_peak: int
@@ -2638,37 +2414,6 @@ class _ProcessStep:
     trace: tuple = ()
     # Same for the worker's prefetch-pipeline buffer.
     prefetch_trace: tuple = ()
-    prefetch_ready: int = 0
-    prefetch_total: int = 0
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    """A boolean ``REPRO_*`` forcing flag (CI's lever, mirroring
-    ``REPRO_EXECUTOR``/``REPRO_PREFETCH``): unset or empty defers to
-    ``default``, the config's value."""
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    if raw in ("1", "true", "on", "yes"):
-        return True
-    if raw in ("0", "false", "off", "no"):
-        return False
-    raise ValueError(f"{name} must be a boolean flag, got {raw!r}")
-
-
-def _snapshot(server) -> CounterSnapshot:
-    """Freeze the counter fields that accumulate inside one superstep.
-
-    Kept as a function (now returning :class:`CounterSnapshot`) because
-    the baseline engines import it; new code should use
-    ``CounterSnapshot.capture`` directly.
-    """
-    return CounterSnapshot.capture(server)
-
-
-def _delta(server, snap: CounterSnapshot) -> Counters:
-    """Counters object holding only this superstep's volumes."""
-    return snap.delta(server)
 
 
 def _process_tile(

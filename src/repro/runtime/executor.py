@@ -11,8 +11,8 @@ GIL, so threads genuinely overlap.
 The contract that keeps this safe and bit-reproducible:
 
 * the mapped function touches only *its own* server's state (counters,
-  cache, disk, vertex store) plus read-only shared structures (tile
-  assignments, bloom filters, the previous update set);
+  cache, disk, vertex store) plus read-only shared structures (its
+  resolved tile schedule, the static target index);
 * anything cross-server (``Channel`` broadcasts, mailbox drains,
   convergence accounting) is staged in the returned value and applied
   *after* the join, in server-id order — identical to serial order;

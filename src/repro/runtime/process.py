@@ -2,15 +2,15 @@
 
 The thread executor (:class:`repro.runtime.executor.ParallelExecutor`)
 only overlaps the numpy regions that release the GIL; the pure-Python
-stretches of a per-server step (tile bookkeeping, bloom probes, payload
-encode, counter updates) still serialise.  This pool runs each simulated
+stretches of a per-server step (tile bookkeeping, payload encode,
+counter updates) still serialise.  This pool runs each simulated
 server's sweep in a real OS process instead, the same shared-memory
 multi-core shape GraphMP argues for on one machine.
 
 Design constraints that keep results bitwise identical to serial:
 
 * Workers are **forked after the engine's superstep state is built**, so
-  they inherit tile assignments, bloom filters, vertex stores (in shared
+  they inherit tile assignments, vertex stores (in shared
   memory — see :mod:`repro.runtime.shm`) and the phase handler itself by
   address-space copy: nothing structural is pickled.
 * Server *i* is pinned to worker ``i % num_workers`` ("sticky" routing),

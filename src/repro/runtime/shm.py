@@ -1,7 +1,7 @@
 """Shared-memory substrate for the process executor.
 
 The process runtime keeps every large array — vertex values, degree
-arrays, tile blobs, bloom bit arrays — in POSIX shared memory
+arrays, tile blobs — in POSIX shared memory
 (:mod:`multiprocessing.shared_memory`) created *before* the worker pool
 forks.  Workers inherit the mappings and operate on them zero-copy;
 per-superstep dispatch ships only small handles and compact results,

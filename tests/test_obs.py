@@ -334,7 +334,7 @@ class TestNullBuffer:
 
     @pytest.mark.skipif(
         any(os.environ.get(v, "").strip()
-            for v in ("REPRO_EXECUTOR", "REPRO_PREFETCH", "REPRO_TUNE")),
+            for v in ("REPRO_EXECUTOR", "REPRO_PREFETCH")),
         reason="a forcing flag changes which spans a run emits",
     )
     def test_serial_span_tree_is_the_recorded_one(self, skewed):
@@ -357,6 +357,12 @@ class TestPrefetchObservability:
     """The tile prefetch pipeline's trace artifacts: per-server prefetch
     buffers of ``tile_prefetch`` complete-events, ``prefetch_wait``
     spans on the compute thread, and the occupancy gauge."""
+
+    @pytest.fixture(autouse=True)
+    def _configured_depth(self, monkeypatch):
+        """Each test here pins its prefetch depth (on, or off), so CI's
+        forcing flag must not override it."""
+        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
 
     def test_prefetch_buffers_and_spans(self, skewed):
         tracer = Tracer()

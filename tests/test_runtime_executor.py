@@ -495,6 +495,93 @@ class TestProcessBitwiseIdentity:
             for p in multiprocessing.active_children()
         )
 
+    @pytest.fixture
+    def stray_segments(self, monkeypatch):
+        """Per phase dispatch, the live shared segments that are neither
+        a vertex-store array, nor the tile-blob arena, nor that apply
+        phase's inbox — the schedule travels as plain data, so a process
+        run owns nothing else."""
+        from repro.runtime import shm
+
+        owned = set()
+        samples = []
+
+        def claiming(fn):
+            def wrapper(*args, **kwargs):
+                before = set(outstanding_segments())
+                out = fn(*args, **kwargs)
+                owned.update(set(outstanding_segments()) - before)
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(
+            shm.SharedAllocator, "create", claiming(shm.SharedAllocator.create)
+        )
+        monkeypatch.setattr(
+            shm.SharedBlobArena,
+            "__init__",
+            claiming(shm.SharedBlobArena.__init__),
+        )
+        run_phase = ProcessExecutor.run_phase
+
+        def sampling(self, tag, payloads):
+            inbox = {p[1] for p in payloads} if tag == "apply" else set()
+            samples.append(
+                (tag, set(outstanding_segments()) - owned - inbox)
+            )
+            return run_phase(self, tag, payloads)
+
+        monkeypatch.setattr(ProcessExecutor, "run_phase", sampling)
+        return samples
+
+    def test_only_stores_arena_and_inbox_are_shared(
+        self, skewed, stray_segments
+    ):
+        _run(
+            skewed,
+            SSSP(source=1),
+            MPEConfig(
+                executor="process",
+                num_workers=2,
+                selective_scheduling=False,
+            ),
+            max_supersteps=8,
+        )
+        assert {tag for tag, _ in stray_segments} == {"compute", "apply"}
+        assert all(not strays for _tag, strays in stray_segments)
+        assert outstanding_segments() == []
+
+    def test_nothing_shared_survives_a_crash(self, skewed, stray_segments):
+        from repro.faults import CRASH, FaultEvent, FaultSchedule, Supervisor
+
+        cluster = Cluster(ClusterSpec(num_servers=3))
+        try:
+            manifest = SPE(cluster.dfs).preprocess(
+                skewed, max(1, skewed.num_edges // 9), name=skewed.name
+            )
+            mpe = MPE(
+                cluster,
+                manifest,
+                MPEConfig(
+                    executor="process",
+                    num_workers=2,
+                    checkpoint_every=2,
+                    max_supersteps=8,
+                ),
+            )
+            schedule = FaultSchedule(
+                [FaultEvent(CRASH, superstep=3, server=1)]
+            )
+            _result, report = Supervisor(mpe, schedule=schedule).run(
+                SSSP(source=1)
+            )
+            assert report.restarts == 1
+        finally:
+            cluster.close()
+        assert all(not strays for _tag, strays in stray_segments)
+        assert outstanding_segments() == []
+
 
 class TestExecutorResolution:
     """REPRO_EXECUTOR forcing and the no-fork fallback path."""
@@ -616,7 +703,9 @@ class TestPrefetchBitwiseIdentity:
             ),
         )
 
-    def test_result_reports_depth_and_occupancy(self, skewed):
+    def test_result_reports_depth_and_occupancy(self, skewed, monkeypatch):
+        # Pins its depth: CI's forcing flag must not override it.
+        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
         result, _ = _run(
             skewed, PageRank(), MPEConfig(prefetch_depth=2), max_supersteps=6
         )

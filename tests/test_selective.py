@@ -10,15 +10,18 @@ The GraphMP-port invariants:
   approximate prune makes the same decisions as the exact one — with
   the default rate the bitmap legitimately skips *more* tiles, which is
   the point of the feature, but then skip counters differ by design.)
-* **No double accounting** — a tile the bitmap prunes is never probed
-  against its bloom filter; the bloom check only sees bitmap survivors.
-* **Fault-schedule stability** — skip decisions are frozen parent-side
+* **One schedule** — ``MPE._resolve_schedule`` reproduces the old
+  three-copy pruning rule tile for tile (differential test, oracle in
+  this file), and no tile is probed more than once per superstep: with
+  the bitmap on no filter is probed with hashed keys at all.
+* **Fault-schedule stability** — the schedule is resolved parent-side
   before dispatch, so chaos schedules replay identically whether the
   prune is on or off.
 * **SEM durability** — mmap-backed replica arrays survive
   checkpoint/resume and fork-sharing into the process executor.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -28,10 +31,11 @@ from repro.analysis.experiments import run_graphh
 from repro.apps import SSSP, PageRank
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, MPEConfig, SPE
-from repro.graph import chung_lu_graph
+from repro.graph import Graph, chung_lu_graph
 from repro.runtime import process_runtime_available
 from repro.runtime.active import ActiveBitmap, TileSourceSummary
 from repro.storage.backing import BackingStore
+from repro.utils.bloom import ALL_KEYS, BloomFilter, HashedKeys, hash_keys
 
 needs_process = pytest.mark.skipif(
     not process_runtime_available(),
@@ -63,6 +67,16 @@ def _run(graph, cfg, program=None, **kw):
     }
     cluster.close()
     return result, telemetry
+
+
+def _engine(graph, tile_edges, **cfg):
+    """A set-up 3-server engine over ``graph``; the caller closes the
+    cluster."""
+    cluster = Cluster(ClusterSpec(num_servers=3))
+    manifest = SPE(cluster.dfs).preprocess(graph, tile_edges, name=graph.name)
+    mpe = MPE(cluster, manifest, MPEConfig(**cfg))
+    mpe.setup()
+    return mpe, cluster
 
 
 def _assert_identical(a, b):
@@ -130,40 +144,293 @@ class TestBitwiseIdentity:
 
 
 # ----------------------------------------------------------------------
-# No double accounting: bitmap-pruned tiles never reach the bloom probe
+# One schedule: _resolve_schedule against the rule it replaced
+# ----------------------------------------------------------------------
+def _old_rule(mpe, superstep, prev_updated, num_vertices):
+    """The pruning rule as the sweep, the tuner and the fault replay
+    each used to spell it — kept here, and only here, as the oracle.
+
+    Bitmap verdicts first (one skip set per server, or none when
+    selective is off / there is no update set / every vertex updated),
+    then tile by tile: forced → run; in the skip set → ``"bitmap"``;
+    hashed update set and the filter misses → ``"bloom"``; else run.
+    Every bitmap survivor *is* probed against its filter.
+    """
+    forced = (
+        mpe._forced_tiles
+        if superstep == mpe._forced_superstep
+        else frozenset()
+    )
+    skip_sets = None
+    if mpe.config.selective_scheduling and prev_updated is not None:
+        bitmap = ActiveBitmap.seed_from_ids(prev_updated, num_vertices)
+        if not bitmap.dense:
+            skip_sets = [
+                frozenset(
+                    tile_id
+                    for tile_id, _name, _nbytes in tiles
+                    if tile_id not in forced
+                    and not mpe._summaries[tile_id].intersects(bitmap)
+                )
+                for tiles in mpe._assignments
+            ]
+    prev_hashed = None
+    if mpe._knobs.use_bloom and prev_updated is not None:
+        prev_hashed = (
+            ALL_KEYS
+            if prev_updated.size == num_vertices
+            else hash_keys(prev_updated)
+        )
+    out = []
+    for server_id, tiles in enumerate(mpe._assignments):
+        skips = skip_sets[server_id] if skip_sets is not None else None
+        run, skipped = [], []
+        for tile in tiles:
+            tile_id = tile[0]
+            if tile_id not in forced:
+                if skips is not None and tile_id in skips:
+                    skipped.append((tile_id, "bitmap"))
+                    continue
+                if prev_hashed is not None and not mpe._blooms[
+                    tile_id
+                ].might_intersect(prev_hashed):
+                    skipped.append((tile_id, "bloom"))
+                    continue
+            run.append(tile)
+        out.append((tuple(run), tuple(skipped)))
+    return out
+
+
+def _frontiers(n):
+    rng = np.random.default_rng(5)
+    everyone = np.arange(n, dtype=np.int64)
+    return {
+        "none": None,
+        "empty": np.zeros(0, dtype=np.int64),
+        "sparse": np.sort(rng.choice(n, size=5, replace=False)).astype(np.int64),
+        "all-but-one": np.delete(everyone, n // 2),
+        "dense": everyone,
+    }
+
+
+@pytest.fixture(scope="module")
+def tail_heavy():
+    """In-edges only into the first 40 vertices: with one-edge tiles the
+    trailing 20 vertices form a tile with no edges at all."""
+    rng = np.random.default_rng(3)
+    edges = np.stack(
+        [rng.integers(0, 60, size=300), rng.integers(0, 40, size=300)], axis=1
+    )
+    return Graph.from_edges(edges, num_vertices=60, name="tail-heavy-g")
+
+
+class TestScheduleDifferential:
+    """At the default 1 % filter rate, not EXACT_BLOOM: false positives
+    are where a re-ordered rule would show."""
+
+    def _compare(self, mpe, seen):
+        n = mpe.manifest.num_vertices
+        for label, frontier in _frontiers(n).items():
+            for superstep in (0, 1):
+                got = mpe._resolve_schedule(superstep, frontier, n)
+                want = _old_rule(mpe, superstep, frontier, n)
+                assert [(s.run, s.skipped) for s in got] == want, (
+                    label,
+                    superstep,
+                )
+                for sched in got:
+                    seen.update(reason for _tile, reason in sched.skipped)
+
+    @pytest.mark.parametrize("use_bloom", [True, False])
+    @pytest.mark.parametrize("selective", [True, False])
+    def test_matches_the_old_rule(self, skewed, tail_heavy, selective, use_bloom):
+        seen = set()
+        for graph, tile_edges in (
+            (skewed, max(1, skewed.num_edges // 24)),
+            (tail_heavy, 1),
+        ):
+            mpe, cluster = _engine(
+                graph,
+                tile_edges,
+                selective_scheduling=selective,
+                use_bloom_filters=use_bloom,
+            )
+            try:
+                self._compare(mpe, seen)
+                # A forced set at the seed superstep only: superstep 1
+                # above must ignore it.
+                mpe._forced_tiles = frozenset(
+                    range(0, mpe.manifest.num_tiles, 3)
+                )
+                mpe._forced_superstep = 0
+                self._compare(mpe, seen)
+                forced_run = {
+                    tile[0]
+                    for sched in mpe._resolve_schedule(
+                        0, np.zeros(0, dtype=np.int64), mpe.manifest.num_vertices
+                    )
+                    for tile in sched.run
+                }
+                if selective or use_bloom:
+                    assert forced_run == set(mpe._forced_tiles)
+            finally:
+                cluster.close()
+        expected = set()
+        if selective:
+            expected.add("bitmap")
+        if use_bloom:
+            expected.add("bloom")  # at least the empty tile, when dense
+        assert seen == expected
+
+    def test_empty_tile_is_dropped_by_its_filter_when_dense(self, tail_heavy):
+        mpe, cluster = _engine(tail_heavy, 1)
+        try:
+            n = mpe.manifest.num_vertices
+            empty = [
+                tile_id
+                for tile_id, summary in mpe._summaries.items()
+                if summary.sources.size == 0
+            ]
+            assert empty
+            dense = mpe._resolve_schedule(1, np.arange(n, dtype=np.int64), n)
+            assert sorted(
+                entry for sched in dense for entry in sched.skipped
+            ) == [(tile_id, "bloom") for tile_id in sorted(empty)]
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("selective", [True, False])
+    def test_inserted_source_is_visible_after_mutation(self, skewed, selective):
+        mpe, cluster = _engine(
+            skewed,
+            max(1, skewed.num_edges // 24),
+            selective_scheduling=selective,
+            mutations=True,
+        )
+        try:
+            n = mpe.manifest.num_vertices
+            tile_id = 0
+            dst = int(mpe.manifest.splitter[tile_id])
+            src = next(
+                v
+                for v in range(n)
+                if v not in set(mpe._summaries[tile_id].sources.tolist())
+            )
+            frontier = np.array([src], dtype=np.int64)
+
+            def runs_tile():
+                schedule = mpe._resolve_schedule(1, frontier, n)
+                return any(
+                    tile[0] == tile_id for sched in schedule for tile in sched.run
+                )
+
+            before = runs_tile()  # only a false positive could say yes
+            mpe.apply_mutations([{"op": "insert", "src": src, "dst": dst}])
+            assert runs_tile()
+            assert not (selective and before)
+            seen = set()
+            self._compare(mpe, seen)
+        finally:
+            cluster.close()
+
+
+# ----------------------------------------------------------------------
+# No tile is probed twice — and under the bitmap, not with keys at all
 # ----------------------------------------------------------------------
 class TestNoDoubleProbe:
-    def _count_probes(self, graph, selective, monkeypatch):
-        from repro.utils.bloom import BloomFilter
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        """Every ``might_intersect`` call as (superstep, filter, keys)
+        and every ``hash_keys`` call, attributed to the superstep whose
+        schedule was being resolved when it happened."""
+        import repro.core.mpe as mpe_mod
 
-        calls = {"n": 0}
-        original = BloomFilter.might_intersect
+        log = {"superstep": None, "probes": [], "hashes": []}
+        original_probe = BloomFilter.might_intersect
+        original_resolve = MPE._resolve_schedule
 
-        def counting(self, *args, **kwargs):
-            calls["n"] += 1
-            return original(self, *args, **kwargs)
+        def probing(self, keys):
+            log["probes"].append((log["superstep"], id(self), keys))
+            return original_probe(self, keys)
 
-        monkeypatch.setattr(BloomFilter, "might_intersect", counting)
-        run = _run(
-            graph,
-            MPEConfig(
-                selective_scheduling=selective,
-                bloom_false_positive_rate=EXACT_BLOOM,
-            ),
+        def hashing(keys):
+            log["hashes"].append(log["superstep"])
+            return hash_keys(keys)
+
+        def resolving(self, superstep, prev_updated, num_vertices):
+            log["superstep"] = superstep
+            return original_resolve(self, superstep, prev_updated, num_vertices)
+
+        monkeypatch.setattr(BloomFilter, "might_intersect", probing)
+        monkeypatch.setattr(mpe_mod, "hash_keys", hashing)
+        monkeypatch.setattr(MPE, "_resolve_schedule", resolving)
+        return log
+
+    def test_bitmap_run_never_probes_with_keys(self, skewed, probes):
+        _result, telemetry = _run(skewed, MPEConfig(), max_supersteps=14)
+        assert sum(telemetry["skipped"]) > 0
+        assert probes["hashes"] == []
+        assert not any(
+            isinstance(keys, (HashedKeys, np.ndarray))
+            for _superstep, _filter, keys in probes["probes"]
+        )
+
+    def _assert_once_per_tile(self, probes, num_tiles):
+        per_superstep = {}
+        for superstep, filter_id, _keys in probes["probes"]:
+            per_superstep.setdefault(superstep, []).append(filter_id)
+        assert per_superstep
+        for superstep, filters in per_superstep.items():
+            assert len(filters) == num_tiles, superstep
+            assert len(set(filters)) == num_tiles, superstep
+        return per_superstep
+
+    def test_bloom_run_probes_each_tile_once_per_superstep(self, skewed, probes):
+        """One probe per tile per superstep with an update set — not one
+        per consumer: the tuner's working set and the sweep share it."""
+        result, telemetry = _run(
+            skewed,
+            MPEConfig(selective_scheduling=False, tune=True),
             max_supersteps=14,
         )
-        return calls["n"], run
+        num_tiles = telemetry["processed"][0]
+        per_superstep = self._assert_once_per_tile(probes, num_tiles)
+        # Superstep 0 has no update set; the tuner may switch filtering
+        # off later, but never probe a superstep twice.
+        assert 0 not in per_superstep
+        assert 1 in per_superstep
+        # Sparse supersteps hash the update set exactly once each.
+        assert len(probes["hashes"]) == len(set(probes["hashes"]))
+        assert set(probes["hashes"]) <= set(per_superstep)
 
-    def test_pruned_tile_is_never_probed(self, skewed, monkeypatch):
-        probes_off, run_off = self._count_probes(skewed, False, monkeypatch)
-        probes_on, run_on = self._count_probes(skewed, True, monkeypatch)
-        skipped = sum(run_on[1]["skipped"])
-        assert skipped > 0
-        assert sum(run_off[1]["skipped"]) == skipped
-        # With an exact bloom the bitmap prunes exactly the tiles the
-        # bloom would have skipped — and those tiles must not have been
-        # probed at all, so the probe count drops by the skip count.
-        assert probes_off - probes_on == skipped
+    @needs_process
+    def test_fault_replay_shares_the_probe(self, skewed, probes):
+        from repro.faults import DISK_ERROR, FaultEvent, FaultSchedule, Supervisor
+
+        mpe, cluster = _engine(
+            skewed,
+            max(1, skewed.num_edges // 9),
+            selective_scheduling=False,
+            executor="process",
+            num_workers=2,
+            max_supersteps=14,
+        )
+        try:
+            schedule = FaultSchedule(
+                [FaultEvent(DISK_ERROR, superstep=6, server=0, retries=2)]
+            )
+            result, report = Supervisor(mpe, schedule=schedule).run(
+                SSSP(source=1)
+            )
+            assert report.faults_injected == 1 and report.restarts == 0
+            per_superstep = self._assert_once_per_tile(
+                probes, mpe.manifest.num_tiles
+            )
+            assert sorted(per_superstep) == list(
+                range(1, result.num_supersteps)
+            )
+        finally:
+            cluster.close()
 
 
 # ----------------------------------------------------------------------
@@ -292,28 +559,33 @@ class TestMmapStore:
 
 
 # ----------------------------------------------------------------------
-# Knobs: env override and facade/CLI plumbing
+# Knobs: facade plumbing and per-run config on a warm engine
 # ----------------------------------------------------------------------
 class TestSelectiveKnobs:
-    def test_env_override_forces_off(self, skewed, monkeypatch):
-        monkeypatch.setenv("REPRO_SELECTIVE", "0")
-        result, _ = _run(skewed, MPEConfig(selective_scheduling=True))
-        assert result.runtime()["selective"] is False
-
-    def test_env_override_forces_on(self, skewed, monkeypatch):
-        """Flipping selective on via env after a selective-off setup
-        must still work: summaries are backfilled on demand."""
-        monkeypatch.setenv("REPRO_SELECTIVE", "1")
-        result, telemetry = _run(
-            skewed, MPEConfig(selective_scheduling=False, use_bloom_filters=False)
+    def test_config_flip_on_a_warm_engine(self, skewed):
+        """A warm engine set up with both prunes off (the service's
+        per-job ``selective`` override) prunes as soon as the config
+        says so: summaries exist from setup, whatever it was built with."""
+        mpe, cluster = _engine(
+            skewed,
+            max(1, skewed.num_edges // 9),
+            selective_scheduling=False,
+            use_bloom_filters=False,
+            max_supersteps=14,
         )
-        assert result.runtime()["selective"] is True
-        assert sum(telemetry["skipped"]) > 0
-
-    def test_env_override_rejects_garbage(self, skewed, monkeypatch):
-        monkeypatch.setenv("REPRO_SELECTIVE", "maybe")
-        with pytest.raises(ValueError, match="REPRO_SELECTIVE"):
-            _run(skewed, MPEConfig())
+        try:
+            off = mpe.run(SSSP(source=1))
+            assert off.runtime()["selective"] is False
+            assert sum(s.tiles_skipped for s in off.supersteps) == 0
+            mpe.config = dataclasses.replace(
+                mpe.config, selective_scheduling=True
+            )
+            on = mpe.run(SSSP(source=1))
+            assert on.runtime()["selective"] is True
+            assert sum(s.tiles_skipped for s in on.supersteps) > 0
+            assert np.array_equal(off.values, on.values)
+        finally:
+            cluster.close()
 
     def test_facade_kwargs(self, skewed):
         from repro.core import GraphH

@@ -234,7 +234,7 @@ class TestKnobPlumbing:
 
 
 # ----------------------------------------------------------------------
-# tune=off is inert; REPRO_TUNE forces either way
+# tune=off is inert
 # ----------------------------------------------------------------------
 class TestTuneOff:
     @pytest.fixture(scope="class")
@@ -245,26 +245,6 @@ class TestTuneOff:
         result, story = _run(graph, MPEConfig(tune=False))
         assert result.tuning is None
         assert story == baseline[1]
-
-    def test_env_can_force_off(self, graph, baseline, monkeypatch):
-        monkeypatch.setenv("REPRO_TUNE", "0")
-        result, story = _run(graph, MPEConfig(tune=True))
-        assert result.tuning is None
-        assert story == baseline[1]
-
-    def test_env_can_force_on(self, graph, baseline, monkeypatch):
-        monkeypatch.setenv("REPRO_TUNE", "1")
-        result, _story = _run(graph, MPEConfig(tune=False))
-        assert result.tuning is not None
-        assert np.array_equal(
-            result.values,
-            np.frombuffer(baseline[1]["values"], dtype=result.values.dtype),
-        )
-
-    def test_env_rejects_garbage(self, graph, monkeypatch):
-        monkeypatch.setenv("REPRO_TUNE", "maybe")
-        with pytest.raises(ValueError, match="REPRO_TUNE"):
-            _run(graph, MPEConfig())
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +277,51 @@ class TestTunedDeterminism:
             graph, MPEConfig(tune=True, executor=executor)
         )
         assert story == tuned_serial[1]
+
+    def test_working_set_is_what_the_straggler_loaded(
+        self, graph, monkeypatch
+    ):
+        """The tuner's working set is read off the resolved schedule;
+        it must equal the blob bytes the straggler's sweep really pulled
+        through ``Server.load_tile`` that superstep — skips included."""
+        from repro.cluster.server import Server
+        from repro.metrics.cost import CostModel
+
+        # The load counter below lives in this process.
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        loaded = [[0] * N_SERVERS]
+        stragglers = []
+        original_load = Server.load_tile
+        original_index = CostModel.straggler_index
+
+        def load_tile(self, name, *args, **kwargs):
+            loaded[-1][self.server_id] += len(self.disk.peek(name))
+            return original_load(self, name, *args, **kwargs)
+
+        def straggler_index(self, per_server):
+            # Called once per tuned superstep, after its sweeps.
+            stragglers.append(original_index(self, per_server))
+            loaded.append([0] * N_SERVERS)
+            return stragglers[-1]
+
+        monkeypatch.setattr(Server, "load_tile", load_tile)
+        monkeypatch.setattr(CostModel, "straggler_index", straggler_index)
+        mpe, cluster = _build(
+            graph, MPEConfig(tune=True, executor="serial", max_supersteps=40)
+        )
+        try:
+            result = mpe.run(SSSP(source=1))
+            samples = [
+                mpe.tuner.samples[k] for k in sorted(mpe.tuner.samples)
+            ]
+        finally:
+            cluster.close()
+        assert len(samples) == len(stragglers) == result.num_supersteps
+        assert sum(s.tiles_skipped for s in samples) > 0
+        for sample, straggler, per_server in zip(samples, stragglers, loaded):
+            assert sample.scheduled_bytes == per_server[straggler], (
+                sample.superstep
+            )
 
 
 # ----------------------------------------------------------------------
