@@ -2,12 +2,57 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from repro.cluster.counters import Counters
+from repro.cluster.counters import Counters, CounterSnapshot
 from repro.obs.trace import NULL_BUFFER
-from repro.storage.cache import DecodedTileCache, EdgeCache
+from repro.storage.cache import (
+    CacheStats,
+    DecodedCacheStats,
+    DecodedTileCache,
+    EdgeCache,
+)
 from repro.storage.disk import LocalDisk
+
+
+@dataclass
+class ServerMirror:
+    """What a forked worker reports about the server it owns, so the
+    parent's copy of that server tells the same metered story
+    (:meth:`Server.export_mirror` builds it after every phase,
+    :meth:`Server.absorb_mirror` folds it in).
+
+    ``volumes`` is a *delta*: the parent's counters have a second
+    writer — the channel and the fault injector charge them parent-side
+    — so the worker's volumes can only be added.  Everything else has
+    one writer, the owning worker, and travels as an absolute: memory
+    gauges and peak, both caches' stats objects, the edge cache's mode,
+    and the caches' content keys in recency order (contents are a pure
+    function of the key list: blobs are immutable and compression is
+    deterministic, so the parent rebuilds them when the workers are
+    gone — :meth:`Server.restore_mirrored_content`).  No tile data and
+    no store arrays: those live in shared memory.
+    """
+
+    volumes: Counters
+    mem_cache: int
+    mem_scratch: int
+    mem_peak: int
+    cache_mode: int | None
+    cache_stats: CacheStats | None
+    cache_keys: tuple | None
+    # Every blob size the edge cache remembers (the pool is forked per
+    # run: unshipped, each run would re-learn — re-compress — them) and
+    # its compress_skipped count (host telemetry).
+    cache_sizes: dict | None
+    compress_skipped: int
+    decoded_stats: DecodedCacheStats | None
+    decoded_keys: tuple | None
+    # Events drained from the worker's copies of the two trace buffers
+    # (empty when tracing is off).
+    trace: tuple
+    prefetch_trace: tuple
 
 
 class Server:
@@ -38,6 +83,85 @@ class Server:
         # append each).  Installed alongside ``trace`` when tracing is
         # on and prefetch is enabled.
         self.prefetch_trace: Any = NULL_BUFFER
+        # Content keys of the last absorbed mirror, until restored.
+        self._mirrored_keys: tuple | None = None
+
+    def export_mirror(self, since: CounterSnapshot) -> ServerMirror:
+        """This server's state as the parent must see it: volumes
+        accumulated since ``since``, everything else as it stands, trace
+        buffers drained."""
+        c = self.counters
+        cache = self.cache
+        decoded = self.decoded_cache
+        return ServerMirror(
+            volumes=since.delta(self),
+            mem_cache=c.mem_cache,
+            mem_scratch=c.mem_scratch,
+            mem_peak=c.mem_peak,
+            cache_mode=cache.mode if cache is not None else None,
+            cache_stats=replace(cache.stats) if cache is not None else None,
+            cache_keys=(
+                tuple(cache.content_keys()) if cache is not None else None
+            ),
+            cache_sizes=(
+                cache.remembered_sizes() if cache is not None else None
+            ),
+            compress_skipped=cache.compress_skipped if cache is not None else 0,
+            decoded_stats=(
+                replace(decoded.stats) if decoded is not None else None
+            ),
+            decoded_keys=(
+                tuple(decoded.content_keys()) if decoded is not None else None
+            ),
+            trace=tuple(self.trace.drain()),
+            prefetch_trace=tuple(self.prefetch_trace.drain()),
+        )
+
+    def absorb_mirror(self, mirror: ServerMirror) -> None:
+        """Fold a worker's report into this (parent-side) copy.  Cache
+        *contents* are only noted — :meth:`restore_mirrored_content`
+        rebuilds them from the last absorbed key lists."""
+        c = self.counters
+        c.add_volumes(mirror.volumes)
+        c.mem_cache = mirror.mem_cache
+        c.mem_scratch = mirror.mem_scratch
+        c.mem_peak = max(c.mem_peak, mirror.mem_peak)
+        if self.cache is not None:
+            if self.cache.mode != mirror.cache_mode:
+                # Resident entries are the previous mode's encoding; they
+                # are rebuilt from the key list, never read.
+                self.cache.clear()
+                self.cache.mode = mirror.cache_mode
+            self.cache.stats = mirror.cache_stats
+            self.cache.merge_sizes(mirror.cache_sizes)
+            self.cache.compress_skipped = mirror.compress_skipped
+        if self.decoded_cache is not None:
+            self.decoded_cache.stats = mirror.decoded_stats
+        self._mirrored_keys = (mirror.cache_keys, mirror.decoded_keys)
+        self.trace.extend(mirror.trace)
+        self.prefetch_trace.extend(mirror.prefetch_trace)
+
+    def restore_mirrored_content(self, parser: Callable[[bytes], Any]) -> None:
+        """Rebuild both caches' contents from the key lists of the last
+        absorbed mirror (no-op when none was absorbed since the last
+        restore).  Stored bytes and recency order come out exactly as a
+        single-process run would have left them, so a later run — a
+        supervised retry, the next program on this cluster — meters the
+        same under every executor."""
+        if self._mirrored_keys is None:
+            return
+        cache_keys, decoded_keys = self._mirrored_keys
+        self._mirrored_keys = None
+        if self.cache is not None:
+            self.cache.rebuild_content(
+                (name, self.disk.peek(name)) for name in cache_keys
+            )
+        if self.decoded_cache is not None:
+            items = []
+            for name in decoded_keys:
+                data = self.disk.peek(name)
+                items.append((name, parser(data), len(data)))
+            self.decoded_cache.rebuild_content(items)
 
     def attach_cache(self, capacity_bytes: int, mode: int) -> EdgeCache:
         """Install an edge cache (replaces any existing one)."""

@@ -28,7 +28,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from repro.apps.base import VertexProgram
 from repro.cluster.cluster import Cluster
-from repro.cluster.counters import CounterSnapshot, Counters
+from repro.cluster.counters import CounterSnapshot
 from repro.comm import Channel, decode_update, encode_update
 from repro.comm.messages import DENSE, SPARSE, SPARSITY_THRESHOLD
 from repro.core.spe import SPE, TileManifest
@@ -53,12 +52,15 @@ from repro.partition.tiles import (
     assign_tiles_balanced,
     assign_tiles_round_robin,
 )
-from repro.runtime import (
-    default_num_workers,
-    make_executor,
-    process_runtime_available,
-)
+from repro.runtime import make_executor, process_runtime_available
 from repro.runtime.active import ActiveBitmap, TileSourceSummary
+from repro.runtime.shm import (
+    ArenaDisk,
+    InboxResolver,
+    SharedAllocator,
+    SharedBlobArena,
+    StagedInboxes,
+)
 from repro.storage.backing import BackingStore
 from repro.storage.cache import cache_plan
 from repro.tuning import KnobSettings, Tuner, TuningSample
@@ -101,8 +103,7 @@ class MPEConfig:
     # Thread count for the parallel executor (None → one per core).
     num_threads: int | None = None
     # Worker-process count for the process executor (None → one per
-    # core); also used as the thread count if the platform lacks
-    # fork/shared-memory and the run degrades to the thread executor.
+    # core).
     num_workers: int | None = None
     # Keep decoded Tile objects live between supersteps instead of
     # re-running Tile.from_bytes per blob per superstep.  Metering is
@@ -205,7 +206,10 @@ class RunResult:
     supersteps: list[SuperstepReport]
     converged: bool
     # --- host-runtime telemetry (PR-1 knobs) --------------------------
+    # The executor that ran, and — only when the platform could not run
+    # the one asked for — the one that was requested.
     executor: str = "serial"
+    executor_requested: str | None = None
     decoded_cache_hits: int = 0
     decoded_cache_misses: int = 0
     # Decode-once broadcast telemetry, counted from zero every run:
@@ -234,8 +238,14 @@ class RunResult:
 
     def runtime(self) -> dict:
         """Host-runtime telemetry (JSON-serialisable)."""
+        fallback = (
+            {"executor_requested": self.executor_requested}
+            if self.executor_requested is not None
+            else {}
+        )
         return {
             "executor": self.executor,
+            **fallback,
             "decoded_cache_hits": self.decoded_cache_hits,
             "decoded_cache_misses": self.decoded_cache_misses,
             "payload_decode_hits": self.payload_decode_hits,
@@ -395,14 +405,17 @@ class MPE:
         # Installed by repro.faults.FaultInjector.attach(); None in
         # normal runs.
         self.injector = None
-        # --- process-runtime state (see repro.runtime.process) --------
-        # Parent side: the program of the active run and the workers'
-        # last-reported cache content fingerprints.  Worker side (set
-        # post-fork by _process_child_init): each owned server's staged
-        # own-update.
+        # --- phase-handler state (see _phase_handler) ------------------
+        # The program of the active run; each server's own (ids, vals)
+        # update, left by its compute phase for its apply phase;
+        # whether this process is a forked worker (set post-fork by
+        # _process_child_init), in which case handler results carry a
+        # ServerMirror for the parent; and the apply phase's inbox
+        # resolver (its shared-segment attachment, in a worker).
         self._run_program: VertexProgram | None = None
-        self._worker_content: dict[int, tuple] = {}
-        self._worker_last: dict[int, tuple] = {}
+        self._own_updates: dict[int, tuple] = {}
+        self._forked = False
+        self._inboxes = InboxResolver()
         # --- decode-once broadcast fan-out -----------------------------
         # Per-superstep content-keyed decode cache: payload bytes →
         # immutable UpdatePayload.  The first receiver decodes, every
@@ -413,11 +426,6 @@ class MPE:
         self._decode_lock = threading.Lock()
         self.payload_decode_hits = 0
         self.payload_decode_misses = 0
-        # Worker side: the shared-inbox arena attachment for the
-        # current superstep's apply phase, set post-fork.
-        self._worker_arena: tuple[str, object] | None = None
-        self._worker_payload_memo: dict[tuple[int, int], bytes] = {}
-        self._worker_decode_superstep = -1
 
     # ------------------------------------------------------------------
     # Observability wiring (repro.obs)
@@ -637,11 +645,7 @@ class MPE:
         ``resume=True`` restarts from the newest DFS checkpoint for this
         (dataset, program) pair, if one exists.
         """
-        from repro.core.checkpoint import (
-            checkpoint_path,
-            latest_checkpoint,
-            write_checkpoint,
-        )
+        from repro.core.checkpoint import write_checkpoint
 
         # Resolve the pipeline knobs first: tracer wiring keys off the
         # effective depth, and the process pool's forked workers inherit
@@ -659,6 +663,216 @@ class MPE:
         ebuf.close_to(0)
         ebuf.begin("run", "run", program=program.name)
         self.setup()
+        prep = self._begin_run(program, graph_for_init, resume)
+        tuner, plan, tbuf = prep.tuner, prep.plan, prep.tbuf
+        cfg = self.config
+        servers = self.cluster.servers
+        runtime_name, width, requested = self._resolve_runtime(ebuf)
+        # Run-scoped shared-memory state (stores, blob arena) is torn
+        # down LIFO in the finally below — on every path, including
+        # injected faults and KeyboardInterrupt, so no SharedMemory
+        # segment outlives the run.
+        cleanup: list = []
+        executor = None
+        try:
+            # The one place the transport is chosen.  Built unstarted:
+            # starting a forking executor is the fork point, and every
+            # shared structure must exist first so workers inherit it by
+            # address, not by pickle.
+            executor = make_executor(runtime_name, width)
+            self._build_stores(
+                prep.init_values, prep.degrees, executor.forks, cleanup
+            )
+            prev_updated = prep.prev_updated
+            reports: list[SuperstepReport] = []
+            converged = False
+            self._run_program = program
+            if executor.forks:
+                self._start_process_pool(executor, cleanup)
+            else:
+                executor.start(self._phase_handler, len(servers))
+
+            for superstep in range(prep.start_superstep, cfg.max_supersteps):
+                t0 = time.perf_counter()
+                ebuf.begin("superstep", "superstep", superstep=superstep)
+                if self.injector is not None:
+                    self.injector.begin_superstep(superstep)
+                before = {
+                    s.server_id: CounterSnapshot.capture(s) for s in servers
+                }
+                # Consult the plan *after* the snapshots: the compute
+                # handler puts a cache-mode switch into force on its
+                # server's counters, and that charge must land inside
+                # this superstep's deltas.
+                if plan is not None:
+                    self._apply_knobs(
+                        self._superstep_knobs(superstep, tuner, plan),
+                        superstep,
+                        tbuf,
+                    )
+                # ---- compute: each server streams its tiles ------------
+                # Fanned out by the executor; each handler call touches
+                # only its own server's state (+ read-only shared
+                # structures), so parallel execution is race-free and
+                # bitwise identical to serial.  Cross-server effects
+                # (broadcast delivery) are staged in the results and
+                # flushed below in server-id order, exactly like the
+                # serial schedule.
+                ebuf.begin("compute", "phase")
+                # The superstep's tile schedule, resolved once: every
+                # executor's sweep, the tuner's working set and the
+                # parent-side fault replay all read this record.
+                schedule = self._resolve_schedule(
+                    superstep, prev_updated, prep.num_vertices
+                )
+                steps = self._dispatch(
+                    executor,
+                    "compute",
+                    [(superstep, sched, self._knobs) for sched in schedule],
+                )
+                ebuf.end()  # compute
+                ebuf.begin("broadcast", "phase")
+                for server, step in zip(servers, steps):
+                    if step.prefetch_total > 0:
+                        self._obs_prefetch.labels(
+                            server=server.server_id
+                        ).set(step.prefetch_ready / step.prefetch_total)
+                    if step.payload is not None:
+                        self.channel.broadcast(server.server_id, step.payload)
+                self._obs_skipped.inc(sum(st.tiles_skipped for st in steps))
+                self._obs_scheduled.inc(sum(st.tiles_processed for st in steps))
+                ebuf.end()  # broadcast
+                ebuf.begin("sync", "phase")
+
+                # ---- BSP barrier: detect lost broadcasts ---------------
+                # Every server expects N-1 envelopes; a dropped delivery
+                # fails the superstep *here*, before any store write, so
+                # vertex state is still the previous barrier's and the
+                # supervisor can retry or restore deterministically.
+                if self.injector is not None:
+                    self.injector.barrier_check()
+                ebuf.end()  # sync
+                ebuf.begin("apply", "phase")
+
+                # ---- BSP barrier: apply all updates everywhere ---------
+                # Also per-server-independent (own store, own mailbox,
+                # own counters).  The parent drains each mailbox; every
+                # handler applies its inbox plus the own update its
+                # compute phase left behind, straight into its (possibly
+                # shared) value arrays.
+                for hits, misses in self._dispatch(
+                    executor,
+                    "apply",
+                    [
+                        [
+                            (env.src, env.payload)
+                            for env in self.channel.receive_all(s.server_id)
+                        ]
+                        for s in servers
+                    ],
+                ):
+                    self.payload_decode_hits += hits
+                    self.payload_decode_misses += misses
+                ebuf.end()  # apply
+                ebuf.begin("account", "phase")
+                # Per-server update sets are sorted and disjoint (each
+                # server owns disjoint target ranges): a k-way merge
+                # replaces the seed's np.unique-over-concatenation.
+                prev_updated = merge_sorted_unique([st.ids for st in steps])
+                reports.append(
+                    self._account_superstep(
+                        prep, superstep, t0, before, schedule, steps
+                    )
+                )
+                updated_count = reports[-1].updated_vertices
+                ebuf.end()  # account
+                if (
+                    cfg.checkpoint_every is not None
+                    and updated_count > 0
+                    and (superstep + 1) % cfg.checkpoint_every == 0
+                ):
+                    with ebuf.span("checkpoint", "io", superstep=superstep):
+                        write_checkpoint(
+                            self.cluster.dfs,
+                            self.manifest.name,
+                            program.name,
+                            superstep,
+                            self._collect_values(cfg, servers, prep.init_values),
+                            prev_updated,
+                        )
+                if updated_count == 0:
+                    ebuf.instant("converged", "run", superstep=superstep)
+                ebuf.end()  # superstep
+                if updated_count == 0:
+                    converged = True
+                    break
+
+            # Collect results while run-scoped shared stores are still
+            # mapped; the finally unlinks their segments.
+            values = self._collect_values(cfg, servers, prep.init_values)
+            # Remember the fixed point incremental restarts repair from.
+            # Converged runs only: a max_supersteps cutoff is not a
+            # fixed point and repairing from it would freeze un-settled
+            # vertices behind the selective prune.
+            if self._delta is not None and converged:
+                self._fixed_points[program.name] = (
+                    values.copy(),
+                    self._delta.watermark,
+                )
+        finally:
+            if executor is not None:
+                executor.close()
+            for fn in reversed(cleanup):
+                fn()
+            self._run_program = None
+            # Close the run span — and, when a fault aborted a
+            # superstep mid-phase, every span still open above it.
+            ebuf.close_to(0)
+
+        decoded = [
+            s.decoded_cache.stats for s in servers if s.decoded_cache is not None
+        ]
+        incremental_plan = prep.incremental_plan
+        return RunResult(
+            values=values,
+            supersteps=reports,
+            converged=converged,
+            executor=runtime_name,
+            executor_requested=requested,
+            decoded_cache_hits=sum(st.hits for st in decoded),
+            decoded_cache_misses=sum(st.misses for st in decoded),
+            payload_decode_hits=self.payload_decode_hits,
+            payload_decode_misses=self.payload_decode_misses,
+            prefetch_depth=self._prefetch_depth,
+            selective=cfg.selective_scheduling,
+            vertex_store=cfg.vertex_store,
+            tuning=(
+                tuner.report()
+                if tuner is not None
+                else {"plan": plan.to_dict()} if plan is not None else None
+            ),
+            delta=(
+                {
+                    "incremental": incremental_plan is not None,
+                    **(
+                        incremental_plan.stats
+                        if incremental_plan is not None
+                        else {}
+                    ),
+                    **self._delta.summary(),
+                }
+                if self._delta is not None
+                else None
+            ),
+        )
+
+    def _begin_run(self, program, graph_for_init, resume: bool) -> "_RunPrep":
+        """Everything a run decides before its first superstep: which
+        plan it consults, the graph metadata and initial values, the
+        incremental restart, checkpoint resume, and the forced tiles of
+        the seed superstep."""
+        from repro.core.checkpoint import checkpoint_path, latest_checkpoint
+
         # --- autotuning (repro.tuning) --------------------------------
         # An externally scripted plan wins (tests/ablations force known
         # switches); otherwise a tuned run builds/continues the tuner's
@@ -761,7 +975,12 @@ class MPE:
             ).labels().set(stats["dirty_vertices"])
 
         start_superstep = 0
-        resumed_updated: np.ndarray | None = None
+        # Vertices "updated" in the previous superstep — drives bloom
+        # skipping.  Superstep 0 processes everything (initial load); a
+        # resumed run continues with the checkpointed update set; an
+        # incremental run seeds the mutation batch's dirty set so the
+        # seed superstep prunes down to dirty-sourced + forced tiles.
+        prev_updated: np.ndarray | None = None
         if resume:
             snapshot = latest_checkpoint(
                 self.cluster.dfs, self.manifest.name, program.name
@@ -771,7 +990,7 @@ class MPE:
                     raise ValueError("checkpoint does not match this dataset")
                 init_values = snapshot.values.copy()
                 start_superstep = snapshot.superstep + 1
-                resumed_updated = snapshot.prev_updated
+                prev_updated = snapshot.prev_updated
                 # Restoring is DFS traffic: under AA every replica pulls
                 # the snapshot down (recovery I/O, not algorithm I/O).
                 ckpt_bytes = self.cluster.dfs.size(
@@ -788,360 +1007,117 @@ class MPE:
         if incremental_plan is not None and start_superstep == 0:
             self._forced_tiles = incremental_plan.forced_tiles
             self._forced_superstep = 0
+            prev_updated = incremental_plan.dirty_ids
         else:
             self._forced_tiles = frozenset()
             self._forced_superstep = -1
+        return _RunPrep(
+            tuner=tuner,
+            plan=plan,
+            tbuf=tbuf,
+            num_vertices=num_vertices,
+            degrees=out_degrees if program.uses_out_degree else None,
+            init_values=init_values,
+            incremental_plan=incremental_plan,
+            start_superstep=start_superstep,
+            prev_updated=prev_updated,
+            cost_model=CostModel(self.cluster.spec),
+        )
 
-        servers = self.cluster.servers
-        degrees = out_degrees if program.uses_out_degree else None
-        runtime_name, num_workers = self._resolve_runtime()
-        use_process = runtime_name == "process"
-        # Run-scoped shared-memory state (stores, blob arena) is torn
-        # down LIFO in the finally below — on every path, including
-        # injected faults and KeyboardInterrupt, so no SharedMemory
-        # segment outlives the run.
-        cleanup: list = []
-        executor = None
-        try:
-            # Where the replica arrays live, picked once per run: the
-            # heap (no allocator), shared-memory segments for the
-            # process executor's forked workers, or — semi-external-
-            # memory mode — file-backed maps under the cluster tempdir
-            # (MAP_SHARED, so they serve every executor, process
-            # included).  Appended to cleanup *before* the stores, so
-            # LIFO teardown drops the stores' views first, memory last.
-            allocator = None
-            if cfg.vertex_store == "mmap":
-                allocator = BackingStore(root=self.cluster.root)
-            elif use_process:
-                from repro.runtime.shm import SharedAllocator
+    def _build_stores(self, init_values, degrees, shared: bool, cleanup: list) -> None:
+        """Give every server its vertex store for this run.
 
-                allocator = SharedAllocator()
-            if allocator is not None:
-                cleanup.append(allocator.release)
-            # Shared-memory AA replicas view one read-only degree
-            # segment — a host-side dedup; each store still *accounts* a
-            # full per-replica copy (§IV-A).
-            share_degrees = use_process and cfg.vertex_store != "mmap"
-            degree_donor = None
-            for server in servers:
-                if cfg.replication_policy == "aa":
-                    # All-in-All: full dense arrays on every server.
-                    store = AllInAllStore(
-                        init_values, degrees, allocator, degree_donor
-                    )
-                    if share_degrees:
-                        degree_donor = store
-                else:
-                    # On-Demand: only this server's tile sources ∪ targets.
-                    pieces = self._server_sources[server.server_id] + [
-                        self._server_target_ids[server.server_id]
-                    ]
-                    local = (
-                        np.unique(np.concatenate(pieces))
-                        if pieces
-                        else np.zeros(0, dtype=np.int64)
-                    )
-                    store = OnDemandStore(init_values, degrees, local, allocator)
-                cleanup.append(store.release)
-                server.state["store"] = store
-                vertex_bytes, message_bytes = store.memory_bytes()
-                server.counters.set_memory("vertex", vertex_bytes)
-                # Incoming-update buffer (the message array of §III-C.1).
-                server.counters.set_memory("messages", message_bytes)
-
-            # Vertices "updated" in the previous superstep — drives bloom
-            # skipping.  Superstep 0 processes everything (initial load); a
-            # resumed run continues with the checkpointed update set; an
-            # incremental run seeds the mutation batch's dirty set so the
-            # seed superstep prunes down to dirty-sourced + forced tiles.
-            prev_updated: np.ndarray | None = resumed_updated
-            if (
-                prev_updated is None
-                and incremental_plan is not None
-                and start_superstep == 0
-            ):
-                prev_updated = incremental_plan.dirty_ids
-            reports: list[SuperstepReport] = []
-            cost_model = CostModel(self.cluster.spec)
-            converged = False
-
-            if use_process:
-                # Fork point: every shared structure above must exist
-                # first, so workers inherit it by address, not by pickle.
-                executor = self._start_process_pool(
-                    program, num_workers, cleanup
+        Where the replica arrays live is picked once per run: the heap
+        (no allocator), shared-memory segments when handlers run in
+        forked workers (``shared``), or — semi-external-memory mode —
+        file-backed maps under the cluster tempdir (MAP_SHARED, so they
+        serve every executor, process included).  The allocator goes on
+        ``cleanup`` *before* the stores, so LIFO teardown drops the
+        stores' views first, memory last.
+        """
+        cfg = self.config
+        allocator = None
+        if cfg.vertex_store == "mmap":
+            allocator = BackingStore(root=self.cluster.root)
+        elif shared:
+            allocator = SharedAllocator()
+        if allocator is not None:
+            cleanup.append(allocator.release)
+        # Shared-memory AA replicas view one read-only degree
+        # segment — a host-side dedup; each store still *accounts* a
+        # full per-replica copy (§IV-A).
+        share_degrees = shared and cfg.vertex_store != "mmap"
+        degree_donor = None
+        for server in self.cluster.servers:
+            if cfg.replication_policy == "aa":
+                # All-in-All: full dense arrays on every server.
+                store = AllInAllStore(
+                    init_values, degrees, allocator, degree_donor
                 )
-            elif runtime_name == "parallel":
-                executor = make_executor(
-                    "parallel", cfg.num_threads or cfg.num_workers
-                )
+                if share_degrees:
+                    degree_donor = store
             else:
-                # Forced serial (e.g. REPRO_EXECUTOR): thread knobs
-                # configured for another executor don't apply here.
-                executor = make_executor("serial")
-
-            for superstep in range(start_superstep, cfg.max_supersteps):
-                t0 = time.perf_counter()
-                ebuf.begin("superstep", "superstep", superstep=superstep)
-                if self.injector is not None:
-                    self.injector.begin_superstep(superstep)
-                before = {
-                    s.server_id: CounterSnapshot.capture(s) for s in servers
-                }
-                # Consult the plan *after* the snapshots: a serial/thread
-                # cache-mode switch is charged on the parent's counters
-                # and must land inside this superstep's deltas, exactly
-                # where a worker-side switch lands in process mode.
-                if plan is not None:
-                    self._apply_knobs(
-                        self._superstep_knobs(superstep, tuner, plan),
-                        servers,
-                        use_process,
-                        superstep,
-                        tbuf,
-                    )
-                tiles_processed = 0
-                tiles_skipped = 0
-                message_modes: list[int] = []
-                all_updates: list[tuple[np.ndarray, np.ndarray]] = []
-
-                # ---- compute: each server streams its tiles ------------
-                # Fanned out by the executor; each call touches only its
-                # own server's state (+ read-only shared structures), so
-                # parallel execution is race-free and bitwise identical
-                # to serial.  Cross-server effects (broadcast delivery)
-                # are staged in the results and flushed below in
-                # server-id order, exactly like the serial schedule.
-                ebuf.begin("compute", "phase")
-                # The superstep's tile schedule, resolved once: every
-                # executor's sweep, the tuner's working set and the
-                # parent-side fault replay all read this record.
-                schedule = self._resolve_schedule(
-                    superstep, prev_updated, num_vertices
-                )
-                if use_process:
-                    steps = self._process_compute_phase(
-                        executor, servers, superstep, schedule
-                    )
-                else:
-                    steps = executor.map(
-                        lambda server: self._compute_server_step(
-                            program,
-                            server,
-                            superstep,
-                            schedule[server.server_id],
-                        ),
-                        servers,
-                    )
-                ebuf.end()  # compute
-                ebuf.begin("broadcast", "phase")
-                for server, step in zip(servers, steps):
-                    tiles_processed += step.tiles_processed
-                    tiles_skipped += step.tiles_skipped
-                    if step.prefetch_total > 0:
-                        self._obs_prefetch.labels(
-                            server=server.server_id
-                        ).set(step.prefetch_ready / step.prefetch_total)
-                    all_updates.append((step.ids, step.vals))
-                    if step.payload is not None:
-                        message_modes.append(step.payload[0])
-                        self.channel.broadcast(server.server_id, step.payload)
-                self._obs_skipped.inc(tiles_skipped)
-                self._obs_scheduled.inc(tiles_processed)
-                ebuf.end()  # broadcast
-                ebuf.begin("sync", "phase")
-
-                # ---- BSP barrier: detect lost broadcasts ---------------
-                # Every server expects N-1 envelopes; a dropped delivery
-                # fails the superstep *here*, before any store write, so
-                # vertex state is still the previous barrier's and the
-                # supervisor can retry or restore deterministically.
-                if self.injector is not None:
-                    self.injector.barrier_check()
-                ebuf.end()  # sync
-                ebuf.begin("apply", "phase")
-
-                # ---- BSP barrier: apply all updates everywhere ---------
-                # Also per-server-independent (own store, own mailbox,
-                # own counters).  The parent drains each mailbox and, in
-                # process mode, stages the inboxes in a shared segment
-                # for the worker owning each server, which writes
-                # straight into the shared value arrays and returns its
-                # counter delta.
-                if use_process:
-                    apply_results = self._process_apply_phase(
-                        executor, servers, superstep
-                    )
-                    for server, (delta, tr_events, dc_hits, dc_misses) in zip(
-                        servers, apply_results
-                    ):
-                        server.counters.add_volumes(delta)
-                        self.payload_decode_hits += dc_hits
-                        self.payload_decode_misses += dc_misses
-                        server.trace.extend(tr_events)
-                else:
-                    # One decode-once cache generation per superstep:
-                    # retries re-decode (payload content may differ) and
-                    # the cache never outlives the broadcast it serves.
-                    self._decode_cache.clear()
-                    executor.map(
-                        lambda server: self._apply_server_step(
-                            server,
-                            all_updates[server.server_id],
-                            [
-                                (env.src, env.payload)
-                                for env in self.channel.receive_all(
-                                    server.server_id
-                                )
-                            ],
-                        ),
-                        servers,
-                    )
-                ebuf.end()  # apply
-                ebuf.begin("account", "phase")
-                updated_count = sum(ids.size for ids, _ in all_updates)
-                # Per-server update sets are sorted and disjoint (each
-                # server owns disjoint target ranges): a k-way merge
-                # replaces the seed's np.unique-over-concatenation.
-                prev_updated = merge_sorted_unique(
-                    [ids for ids, _ in all_updates]
-                )
-
-                # ---- per-superstep accounting --------------------------
-                step_deltas = [
-                    before[server.server_id].delta(server)
-                    for server in servers
+                # On-Demand: only this server's tile sources ∪ targets.
+                pieces = self._server_sources[server.server_id] + [
+                    self._server_target_ids[server.server_id]
                 ]
-                step_cost = cost_model.superstep_time(step_deltas)
-                # Per-superstep hit ratio: delta hits over delta lookups.
-                hits = []
-                for server in servers:
-                    if server.cache is None:
-                        continue
-                    snap = before[server.server_id]
-                    dl = server.cache.stats.lookups - snap.cache_lookups
-                    dh = server.cache.stats.hits - snap.cache_hits
-                    if dl:
-                        hits.append(dh / dl)
-                reports.append(
-                    SuperstepReport(
-                        superstep=superstep,
-                        updated_vertices=updated_count,
-                        tiles_processed=tiles_processed,
-                        tiles_skipped=tiles_skipped,
-                        net_bytes=sum(d.net_sent for d in step_deltas),
-                        disk_read_bytes=sum(
-                            d.disk_read + d.disk_read_random
-                            for d in step_deltas
-                        ),
-                        cache_hit_ratio=float(np.mean(hits)) if hits else 0.0,
-                        message_modes=message_modes,
-                        modeled=step_cost,
-                        wall_s=time.perf_counter() - t0,
-                    )
+                local = (
+                    np.unique(np.concatenate(pieces))
+                    if pieces
+                    else np.zeros(0, dtype=np.int64)
                 )
-                self._obs_wall.observe(reports[-1].wall_s)
-                self._obs_decode_hits.set(self.payload_decode_hits)
-                self._obs_decode_misses.set(self.payload_decode_misses)
-                if tuner is not None:
-                    self._observe_tuning(
-                        tuner,
-                        superstep,
-                        step_deltas,
-                        before,
-                        step_cost,
-                        reports[-1],
-                        cost_model,
-                        num_vertices,
-                        servers,
-                        schedule,
-                        tbuf,
-                    )
-                ebuf.end()  # account
-                if (
-                    cfg.checkpoint_every is not None
-                    and updated_count > 0
-                    and (superstep + 1) % cfg.checkpoint_every == 0
-                ):
-                    with ebuf.span("checkpoint", "io", superstep=superstep):
-                        write_checkpoint(
-                            self.cluster.dfs,
-                            self.manifest.name,
-                            program.name,
-                            superstep,
-                            self._collect_values(cfg, servers, init_values),
-                            prev_updated,
-                        )
-                if updated_count == 0:
-                    ebuf.instant("converged", "run", superstep=superstep)
-                ebuf.end()  # superstep
-                if updated_count == 0:
-                    converged = True
-                    break
+                store = OnDemandStore(init_values, degrees, local, allocator)
+            cleanup.append(store.release)
+            server.state["store"] = store
+            vertex_bytes, message_bytes = store.memory_bytes()
+            server.counters.set_memory("vertex", vertex_bytes)
+            # Incoming-update buffer (the message array of §III-C.1).
+            server.counters.set_memory("messages", message_bytes)
 
-            # Collect results while run-scoped shared stores are still
-            # mapped; the finally unlinks their segments.
-            values = self._collect_values(cfg, servers, init_values)
-            # Remember the fixed point incremental restarts repair from.
-            # Converged runs only: a max_supersteps cutoff is not a
-            # fixed point and repairing from it would freeze un-settled
-            # vertices behind the selective prune.
-            if self._delta is not None and converged:
-                self._fixed_points[program.name] = (
-                    values.copy(),
-                    self._delta.watermark,
-                )
-        finally:
-            if executor is not None:
-                executor.close()
-            for fn in reversed(cleanup):
-                fn()
-            # Close the run span — and, when a fault aborted a
-            # superstep mid-phase, every span still open above it.
-            ebuf.close_to(0)
-
-        decoded_hits = sum(
-            s.decoded_cache.stats.hits
-            for s in servers
-            if s.decoded_cache is not None
-        )
-        decoded_misses = sum(
-            s.decoded_cache.stats.misses
-            for s in servers
-            if s.decoded_cache is not None
-        )
-        return RunResult(
-            values=values,
-            supersteps=reports,
-            converged=converged,
-            executor=runtime_name,
-            decoded_cache_hits=decoded_hits,
-            decoded_cache_misses=decoded_misses,
-            payload_decode_hits=self.payload_decode_hits,
-            payload_decode_misses=self.payload_decode_misses,
-            prefetch_depth=self._prefetch_depth,
-            selective=cfg.selective_scheduling,
-            vertex_store=cfg.vertex_store,
-            tuning=(
-                tuner.report()
-                if tuner is not None
-                else {"plan": plan.to_dict()} if plan is not None else None
+    def _account_superstep(
+        self, prep, superstep: int, t0: float, before, schedule, steps
+    ) -> SuperstepReport:
+        """One finished superstep's accounting: per-server deltas →
+        modeled cost → report → (tuned runs) the tuner's observation."""
+        servers = self.cluster.servers
+        step_deltas = [
+            before[server.server_id].delta(server) for server in servers
+        ]
+        step_cost = prep.cost_model.superstep_time(step_deltas)
+        # Per-superstep hit ratio: delta hits over delta lookups.
+        hits = []
+        for server in servers:
+            if server.cache is None:
+                continue
+            snap = before[server.server_id]
+            dl = server.cache.stats.lookups - snap.cache_lookups
+            dh = server.cache.stats.hits - snap.cache_hits
+            if dl:
+                hits.append(dh / dl)
+        report = SuperstepReport(
+            superstep=superstep,
+            updated_vertices=sum(st.ids.size for st in steps),
+            tiles_processed=sum(st.tiles_processed for st in steps),
+            tiles_skipped=sum(st.tiles_skipped for st in steps),
+            net_bytes=sum(d.net_sent for d in step_deltas),
+            disk_read_bytes=sum(
+                d.disk_read + d.disk_read_random for d in step_deltas
             ),
-            delta=(
-                {
-                    "incremental": incremental_plan is not None,
-                    **(
-                        incremental_plan.stats
-                        if incremental_plan is not None
-                        else {}
-                    ),
-                    **self._delta.summary(),
-                }
-                if self._delta is not None
-                else None
-            ),
+            cache_hit_ratio=float(np.mean(hits)) if hits else 0.0,
+            message_modes=[
+                st.payload[0] for st in steps if st.payload is not None
+            ],
+            modeled=step_cost,
+            wall_s=time.perf_counter() - t0,
         )
+        self._obs_wall.observe(report.wall_s)
+        self._obs_decode_hits.set(self.payload_decode_hits)
+        self._obs_decode_misses.set(self.payload_decode_misses)
+        if prep.tuner is not None:
+            self._observe_tuning(
+                prep, superstep, step_deltas, before, step_cost, report, schedule
+            )
+        return report
 
     def respawn_server(self, server_id: int) -> int:
         """Rebuild a crashed server's local tile store from DFS.
@@ -1389,12 +1365,15 @@ class MPE:
     # ------------------------------------------------------------------
     # Process runtime (repro.runtime.process + repro.runtime.shm)
     # ------------------------------------------------------------------
-    def _resolve_runtime(self) -> tuple[str, int]:
-        """Resolve this run's executor and process worker count.
+    def _resolve_runtime(self, ebuf) -> tuple[str, int | None, str | None]:
+        """Resolve this run's executor: ``(name, width, requested)``.
 
-        ``REPRO_EXECUTOR`` (CI's forcing flag) overrides the config; a
-        ``process`` request degrades to the thread executor — with a
-        warning — when the platform lacks fork or POSIX shared memory.
+        ``REPRO_EXECUTOR`` (CI's forcing flag) overrides the config.  A
+        ``process`` request on a platform without fork or POSIX shared
+        memory runs ``serial`` instead — a counted, reported event (an
+        ``executor_fallback`` instant on the engine lane, the
+        ``repro_executor_fallbacks`` counter), and ``requested`` names
+        what was asked for; it is ``None`` whenever that is what runs.
         """
         cfg = self.config
         name = os.environ.get("REPRO_EXECUTOR", "").strip() or cfg.executor
@@ -1402,16 +1381,20 @@ class MPE:
             raise ValueError(
                 f"unknown executor {name!r} (from REPRO_EXECUTOR or config)"
             )
-        num_workers = cfg.num_workers or default_num_workers()
+        requested = None
         if name == "process" and not process_runtime_available():
-            warnings.warn(
-                "process executor unavailable on this platform (needs fork "
-                "+ POSIX shared memory); falling back to the thread executor",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            name = "parallel"
-        return name, num_workers
+            requested, name = name, "serial"
+            ebuf.instant("executor_fallback", "run", requested=requested, ran=name)
+            self._metrics.counter(
+                "repro_executor_fallbacks",
+                "runs that could not use the requested executor",
+            ).labels().inc()
+        width = {
+            "serial": None,
+            "parallel": cfg.num_threads,
+            "process": cfg.num_workers,
+        }[name]
+        return name, width, requested
 
     def _resolve_prefetch(self) -> tuple[int, int]:
         """Resolve this run's prefetch depth and I/O thread count.
@@ -1482,30 +1465,19 @@ class MPE:
             )
         return knobs
 
-    def _apply_knobs(
-        self, knobs: KnobSettings, servers, use_process: bool, superstep, tbuf
-    ) -> None:
-        """Put ``knobs`` into force for this superstep.
-
-        Cache-mode switches are executor-split: serial/thread runs
-        switch the parent's (authoritative) caches with metering; in
-        process mode the workers own the live contents and meter their
-        own switch inside the compute handler, so the parent only
-        re-aligns its mirror's *mode* silently (stats are mirrored back
-        absolutely every superstep, and the end-of-run content resync
-        must recompress with the worker's final codec).
-        """
-        switched = knobs != self._knobs
-        if knobs.cache_mode is not None:
-            for server in servers:
-                if server.cache is None:
-                    continue
-                if server.cache.mode != knobs.cache_mode:
-                    switched = True
-                if use_process:
-                    server.cache.switch_mode(knobs.cache_mode)
-                else:
-                    server.switch_cache_mode(knobs.cache_mode)
+    def _apply_knobs(self, knobs: KnobSettings, superstep, tbuf) -> None:
+        """Put ``knobs`` into force for this superstep, parent-side:
+        the schedule's filters exist, the switch is on the tuning lane,
+        and the compute dispatch ships ``self._knobs``.  What a knob
+        changes *on a server* — the metered cache-mode switch — is the
+        compute handler's work, on that server's counters."""
+        switched = knobs != self._knobs or (
+            knobs.cache_mode is not None
+            and any(
+                s.cache is not None and s.cache.mode != knobs.cache_mode
+                for s in self.cluster.servers
+            )
+        )
         if knobs.use_bloom:
             self._ensure_blooms()
         if switched:
@@ -1541,18 +1513,7 @@ class MPE:
                     )
 
     def _observe_tuning(
-        self,
-        tuner,
-        superstep,
-        step_deltas,
-        before,
-        step_cost,
-        report,
-        cost_model,
-        num_vertices,
-        servers,
-        schedule,
-        tbuf,
+        self, prep, superstep, step_deltas, before, step_cost, report, schedule
     ) -> None:
         """Feed one finished superstep to the tuner.
 
@@ -1561,8 +1522,9 @@ class MPE:
         seconds minus injected fault delay, so faults perturb neither
         the fit nor the decision trace.
         """
+        tuner = prep.tuner
         knobs = self._knobs
-        straggler = cost_model.straggler_index(step_deltas)
+        straggler = prep.cost_model.straggler_index(step_deltas)
         observed = (
             report.wall_s
             if tuner.config.time_source == "wall"
@@ -1573,7 +1535,7 @@ class MPE:
         # volume minus the edge cache's share when cache and message
         # path share a codec.
         d = step_deltas[straggler]
-        sserver = servers[straggler]
+        sserver = self.cluster.servers[straggler]
         mc = knobs.message_codec
         msg_bytes = d.decompressed.get(mc, 0) + d.compressed.get(mc, 0)
         cache = sserver.cache
@@ -1589,7 +1551,7 @@ class MPE:
                 cost=cost,
                 msg_codec_bytes=max(0, int(msg_bytes)),
                 updated=report.updated_vertices,
-                num_vertices=num_vertices,
+                num_vertices=prep.num_vertices,
                 tiles_processed=report.tiles_processed,
                 tiles_skipped=report.tiles_skipped,
                 # Live working set for the cache decision: the blob
@@ -1607,7 +1569,7 @@ class MPE:
             )
         )
         if tuner.fit_superstep == superstep:
-            tbuf.instant(
+            prep.tbuf.instant(
                 "fit",
                 "tuning",
                 superstep=superstep,
@@ -1686,24 +1648,19 @@ class MPE:
             schedule.append(_ServerSchedule(tuple(run), tuple(skipped)))
         return schedule
 
-    def _start_process_pool(self, program, num_workers: int, cleanup: list):
+    def _start_process_pool(self, executor, cleanup: list) -> None:
         """Stage shared-memory state and fork the worker pool.
 
         Everything big becomes shared *before* the fork — the vertex
-        stores already are (built as ``Shared*`` variants), and here
-        all tile blobs (one read-only arena fronting each server's disk
-        with unchanged metering) join them.  Per-superstep dispatch
-        then ships only the server's resolved schedule and the knobs
-        down and compact :class:`_ProcessStep` results back.  Teardown
+        stores already are (:meth:`_build_stores`), and here all tile
+        blobs (one read-only arena fronting each server's disk with
+        unchanged metering) join them.  Per-phase dispatch then ships
+        only plain data down and the handler's result plus a
+        :class:`~repro.cluster.server.ServerMirror` back.  Teardown
         actions are pushed onto ``cleanup`` (run LIFO by ``run``'s
         finally).
         """
-        from repro.runtime.process import ProcessExecutor
-        from repro.runtime.shm import ArenaDisk, SharedBlobArena
-
         servers = self.cluster.servers
-        self._run_program = program
-        self._worker_content = {}
 
         # Tile blobs: one shared read-only arena; every server's disk is
         # fronted by an arena view with byte-identical metering, so
@@ -1739,17 +1696,14 @@ class MPE:
             cleanup.append(_restore_disks)
 
         # Cache contents live in the workers while the pool runs; the
-        # parent's mirrors are resynchronised at teardown (runs first —
-        # LIFO — while key lists are fresh).
+        # parent's copies are rebuilt at teardown (runs first — LIFO —
+        # while the arena still fronts the disks).
         cleanup.append(self._resync_parent_caches)
-
-        pool = ProcessExecutor(num_workers)
-        pool.start(
-            self._process_phase_handler,
+        executor.start(
+            self._phase_handler,
             len(servers),
             child_init=self._process_child_init,
         )
-        return pool
 
     def _process_child_init(self) -> None:
         """Runs once in each forked worker: detach parent-only machinery.
@@ -1764,236 +1718,18 @@ class MPE:
             server.fault_injector = None
         self.channel.fault_injector = None
         self.cluster.dfs.fault_injector = None
-        self._worker_last = {}
-        # Fresh decode-once state: the decode cache must not
-        # alias the parent's dict (each worker decodes independently),
-        # and any inherited arena attachment belongs to the parent.
-        self._decode_cache = {}
-        self._decode_lock = threading.Lock()
-        self._worker_arena = None
-        self._worker_payload_memo = {}
-        self._worker_decode_superstep = -1
+        # From here on the phase handler reports each server's state
+        # back to the parent as a ServerMirror.
+        self._forked = True
         if self.tracer is not None:
             # The fork copied whatever the parent had already recorded;
             # without this clear the first per-phase drain would ship
             # those pre-fork events back as duplicates.
             self.tracer.clear_events()
 
-    def _process_phase_handler(self, tag: str, server_id: int, payload):
-        """Worker-side phase dispatch (runs in the forked pool)."""
-        server = self.cluster.servers[server_id]
-        snap = CounterSnapshot.capture(server)
-        if tag == "compute":
-            superstep, sched, knob_tuple = payload
-            # Taken before the knobs apply: a cache-mode switch learns
-            # sizes too, and the parent wants everything new.
-            sizes0 = (
-                server.cache.remembered_sizes()
-                if server.cache is not None
-                else None
-            )
-            # The parent's per-superstep knob decision, applied *after*
-            # the snapshot so a cache-mode switch's metering lands in
-            # this superstep's delta — same instant as serial.  The
-            # switch itself is idempotent per server (sticky workers see
-            # the same directive again next superstep, a no-op), and the
-            # knobs stay in force for this worker's apply phase.
-            self._knobs = KnobSettings.from_tuple(knob_tuple)
-            if self._knobs.cache_mode is not None:
-                server.switch_cache_mode(self._knobs.cache_mode)
-            step = self._compute_server_step(
-                self._run_program, server, superstep, sched
-            )
-            # Own updates stay worker-side for the apply phase; the
-            # parent gets its own copy in the result for broadcast
-            # bookkeeping and convergence accounting.
-            self._worker_last[server_id] = (step.ids, step.vals)
-            c = server.counters
-            cache = server.cache
-            decoded = server.decoded_cache
-            return _ProcessStep(
-                step=step,
-                delta=snap.delta(server),
-                mem_cache=c.mem_cache,
-                mem_scratch=c.mem_scratch,
-                mem_peak=c.mem_peak,
-                cache_stats=(
-                    (
-                        cache.stats.hits,
-                        cache.stats.misses,
-                        cache.stats.evictions,
-                        cache.stats.insertions,
-                        cache.stats.rejected,
-                        cache.stats.bytes_decompressed,
-                        cache.stats.bytes_compressed_in,
-                    )
-                    if cache is not None
-                    else None
-                ),
-                decoded_stats=(
-                    (
-                        decoded.stats.hits,
-                        decoded.stats.misses,
-                        decoded.stats.evictions,
-                        decoded.stats.insertions,
-                        decoded.stats.invalidations,
-                    )
-                    if decoded is not None
-                    else None
-                ),
-                cache_keys=(
-                    tuple(cache.content_keys()) if cache is not None else None
-                ),
-                cache_sizes=(
-                    tuple(cache.remembered_sizes().items() - sizes0.items())
-                    if cache is not None
-                    else None
-                ),
-                compress_skipped=(
-                    cache.compress_skipped if cache is not None else 0
-                ),
-                decoded_keys=(
-                    tuple(decoded.content_keys())
-                    if decoded is not None
-                    else None
-                ),
-                trace=tuple(server.trace.drain()),
-                prefetch_trace=tuple(server.prefetch_trace.drain()),
-            )
-        if tag == "apply":
-            superstep, seg_name, handles = payload
-            if superstep != self._worker_decode_superstep:
-                # New superstep → new decode-cache generation (and new
-                # shared-inbox arena, attached lazily below).
-                self._worker_decode_superstep = superstep
-                self._decode_cache.clear()
-                self._worker_payload_memo.clear()
-            inbox = [
-                (src, self._worker_payload_bytes(seg_name, off, ln))
-                for src, off, ln in handles
-            ]
-            hits0 = self.payload_decode_hits
-            misses0 = self.payload_decode_misses
-            own = self._worker_last.pop(
-                server_id,
-                (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)),
-            )
-            self._apply_server_step(server, own, inbox)
-            return (
-                snap.delta(server),
-                tuple(server.trace.drain()),
-                self.payload_decode_hits - hits0,
-                self.payload_decode_misses - misses0,
-            )
-        raise ValueError(f"unknown phase {tag!r}")
-
-    def _worker_payload_bytes(self, seg_name: str, off: int, ln: int) -> bytes:
-        """Materialise one staged payload from the shared-inbox arena.
-
-        The worker attaches to the superstep's segment by name the first
-        time it needs it (per-superstep segments are created after the
-        pool forked, so they cannot be inherited), then serves repeated
-        handles for the same span from a per-superstep memo so each
-        distinct payload's bytes are built once per worker.
-        """
-        from repro.runtime.shm import attach_segment
-
-        attached = self._worker_arena
-        if attached is None or attached[0] != seg_name:
-            if attached is not None:
-                attached[1].close()
-            self._worker_arena = attached = (seg_name, attach_segment(seg_name))
-        memo = self._worker_payload_memo
-        data = memo.get((off, ln))
-        if data is None:
-            data = bytes(attached[1].buf[off : off + ln])
-            memo[(off, ln)] = data
-        return data
-
-    def _process_apply_phase(self, executor, servers, superstep: int):
-        """Parent-side apply dispatch for the process executor.
-
-        Drains every mailbox and stages the superstep's broadcast
-        payloads once in one shared segment, shipping each worker
-        ``(src, offset, length)`` handles instead of pickling the same
-        bytes to every receiver.  Payloads are deduplicated by object
-        identity — a broadcast delivers the *same* bytes object to every
-        other server's mailbox, while byte-equal payloads from different
-        senders stay distinct spans.  A superstep that delivered nothing
-        (a single server) allocates no segment; the segment is released
-        as soon as the phase returns, so workers never hold it across
-        supersteps.
-        """
-        from repro.runtime.shm import SharedArray
-
-        inboxes = [
-            [
-                (env.src, env.payload)
-                for env in self.channel.receive_all(s.server_id)
-            ]
-            for s in servers
-        ]
-        spans: dict[int, tuple[int, int]] = {}
-        blobs: list[bytes] = []
-        total = 0
-        for inbox in inboxes:
-            for _src, data in inbox:
-                if id(data) not in spans:
-                    spans[id(data)] = (total, len(data))
-                    blobs.append(data)
-                    total += len(data)
-        arena = None
-        if blobs:
-            arena = SharedArray((max(1, total),), np.uint8)
-            for data in blobs:
-                off, n = spans[id(data)]
-                # No local alias of arena.array: release() below cannot
-                # close the segment while one is alive.
-                arena.array[off : off + n] = np.frombuffer(data, dtype=np.uint8)
-        dispatch = [
-            (
-                superstep,
-                arena.name if arena is not None else None,
-                [(src, *spans[id(data)]) for src, data in inbox],
-            )
-            for inbox in inboxes
-        ]
-        try:
-            return executor.run_phase("apply", dispatch)
-        finally:
-            if arena is not None:
-                arena.release()
-
-    def _process_compute_phase(
-        self, executor, servers, superstep: int, schedule
-    ) -> "list[_ServerStep]":
-        """Parent-side compute dispatch for the process executor: ship
-        each server its resolved schedule, fold the workers' mirrors
-        back, and hand ``run`` the same records every executor returns.
-        """
-        if self.injector is not None:
-            self._resolve_compute_faults(servers, superstep, schedule)
-        results = executor.run_phase(
-            "compute",
-            [
-                (superstep, schedule[s.server_id], self._knobs.as_tuple())
-                for s in servers
-            ],
-        )
-        for server, result in zip(servers, results):
-            self._merge_worker_step(server, result)
-        if self.injector is not None:
-            # Straggler charges: serial fires these at the end of each
-            # server's sweep; the volumes come back in the deltas.
-            for server, result in zip(servers, results):
-                self.injector.after_compute(
-                    server, result.delta.edges_processed
-                )
-        return [result.step for result in results]
-
-    def _resolve_compute_faults(self, servers, superstep, schedule) -> None:
+    def _resolve_compute_faults(self, payloads) -> None:
         """Fire compute-phase fault decisions in the parent, in serial
-        sweep order, before dispatching to workers.
+        sweep order, before dispatching ``payloads`` to forked workers.
 
         Crash and disk-error points are replayed against the same
         (superstep, server, first-loaded-blob) coordinates the serial
@@ -2009,95 +1745,111 @@ class MPE:
         disk_events = [
             e for e in injector.schedule.events if e.kind == DISK_ERROR
         ]
-        for server in servers:
+        for server, (superstep, sched, _knobs) in zip(
+            self.cluster.servers, payloads
+        ):
             injector.on_compute(server)
-            if not disk_events:
-                continue
-            if not any(
+            if sched.run and any(
                 e.matches(superstep, server.server_id) for e in disk_events
             ):
-                continue
-            run = schedule[server.server_id].run
-            if run:
-                injector.on_tile_load(server, run[0][1])
-
-    def _merge_worker_step(self, server, step: "_ProcessStep") -> None:
-        """Fold a worker's compute result into the parent's mirrors:
-        additive volumes via the shipped delta; worker-authoritative
-        gauges, peaks, and cache stats as absolutes."""
-        c = server.counters
-        c.add_volumes(step.delta)
-        c.mem_cache = step.mem_cache
-        c.mem_scratch = step.mem_scratch
-        if step.mem_peak > c.mem_peak:
-            c.mem_peak = step.mem_peak
-        if step.cache_stats is not None and server.cache is not None:
-            st = server.cache.stats
-            (
-                st.hits,
-                st.misses,
-                st.evictions,
-                st.insertions,
-                st.rejected,
-                st.bytes_decompressed,
-                st.bytes_compressed_in,
-            ) = step.cache_stats
-            # Sizes the worker's cache learned this superstep: the pool
-            # is forked per run, so without this every process-executor
-            # run would re-learn (re-compress) them.
-            server.cache.merge_sizes(step.cache_sizes)
-            server.cache.compress_skipped = step.compress_skipped
-        if step.decoded_stats is not None and server.decoded_cache is not None:
-            st = server.decoded_cache.stats
-            (
-                st.hits,
-                st.misses,
-                st.evictions,
-                st.insertions,
-                st.invalidations,
-            ) = step.decoded_stats
-        self._worker_content[server.server_id] = (
-            step.cache_keys,
-            step.decoded_keys,
-        )
-        # Parent mirrors of the worker's buffers (the same objects the
-        # tracer holds); merged here in server-id order, so the
-        # per-buffer sequence is the one a serial run would have
-        # recorded.
-        server.trace.extend(step.trace)
-        server.prefetch_trace.extend(step.prefetch_trace)
+                injector.on_tile_load(server, sched.run[0][1])
 
     def _resync_parent_caches(self) -> None:
-        """Rebuild parent-side cache *contents* from the workers' final
-        key lists as the pool winds down.
-
-        Stats and gauges were mirrored every superstep; contents are
-        reconstructed from the immutable blobs (deterministic
-        compression ⇒ identical bytes and recency order), so a later
-        run — a supervised retry, or the next program on this cluster —
-        starts from exactly the cache state a single-process run would
-        have.  Keeps cross-run metering executor-independent.
-        """
+        """Rebuild parent-side cache *contents* as the pool winds down:
+        workers die with the run, and a later run — a supervised retry,
+        or the next program on this cluster — must start from exactly
+        the cache state a single-process run would have left (stats and
+        gauges were absorbed every phase).  Keeps cross-run metering
+        executor-independent."""
         for server in self.cluster.servers:
-            content = self._worker_content.get(server.server_id)
-            if content is None:
-                continue
-            cache_keys, decoded_keys = content
-            if server.cache is not None and cache_keys is not None:
-                server.cache.rebuild_content(
-                    (name, server.disk.peek(name)) for name in cache_keys
-                )
-            if server.decoded_cache is not None and decoded_keys is not None:
-                items = []
-                for name in decoded_keys:
-                    data = server.disk.peek(name)
-                    items.append((name, self._tile_parser(data), len(data)))
-                server.decoded_cache.rebuild_content(items)
-        self._worker_content = {}
-        self._run_program = None
+            server.restore_mirrored_content(self._tile_parser)
 
     # ------------------------------------------------------------------
-    # Per-server superstep work (executor-mapped; see repro.runtime)
+    # One superstep phase, under every executor
+    # ------------------------------------------------------------------
+    def _dispatch(self, executor, tag: str, payloads: list) -> list:
+        """Run one phase of :meth:`_phase_handler` for every server and
+        return the handler results in server-id order.
+
+        The only place the engine talks to its transport.  Around a
+        forking executor it also does the parent-side work a forked
+        handler cannot: fault decisions are fired before a compute
+        dispatch (the injector never forks), an apply dispatch's inboxes
+        travel by shared segment, and each result's
+        :class:`~repro.cluster.server.ServerMirror` is absorbed — in
+        server-id order, so per-buffer trace sequences are the ones a
+        serial run records.  In-process handlers return no mirror: the
+        server they ran on *is* the parent's.
+        """
+        staged = None
+        if tag == "apply":
+            staged = StagedInboxes(payloads, shared=executor.forks)
+            payloads = staged.handles
+        elif executor.forks and self.injector is not None:
+            self._resolve_compute_faults(payloads)
+        try:
+            returned = executor.run_phase(tag, payloads)
+        finally:
+            if staged is not None:
+                staged.release()
+        results = []
+        for server, (result, mirror) in zip(self.cluster.servers, returned):
+            if mirror is not None:
+                server.absorb_mirror(mirror)
+                if tag == "compute" and self.injector is not None:
+                    # Straggler charges: an in-process sweep fires these
+                    # at its end; here the volumes came back in the
+                    # mirror.
+                    self.injector.after_compute(
+                        server, mirror.volumes.edges_processed
+                    )
+            results.append(result)
+        return results
+
+    def _phase_handler(self, tag: str, server_id: int, payload):
+        """One server's share of one phase — the same call under every
+        executor, in the parent or in the forked worker owning the
+        server.  Returns ``(result, mirror)``: the phase's staged output
+        and, from a forked worker only, the server's
+        :class:`~repro.cluster.server.ServerMirror`.
+
+        ``compute`` takes ``(superstep, sched, knobs)``: it puts the
+        superstep's knobs into force for this server — a cache-mode
+        switch is metered here, after the superstep's counter snapshot,
+        so its charge lands in this superstep's delta — sweeps the
+        schedule, and keeps the server's own update for its apply.
+        ``apply`` takes the server's staged inbox.
+        """
+        server = self.cluster.servers[server_id]
+        since = CounterSnapshot.capture(server) if self._forked else None
+        if tag == "compute":
+            superstep, sched, knobs = payload
+            # One decode-once generation per superstep attempt: nothing
+            # decodes during compute, so every handler opening the
+            # superstep empties the cache — retries re-decode (payload
+            # content may differ) and the cache never outlives the
+            # broadcast it serves.
+            self._decode_cache.clear()
+            self._knobs = knobs
+            if knobs.cache_mode is not None:
+                server.switch_cache_mode(knobs.cache_mode)
+            result = self._compute_server_step(
+                self._run_program, server, superstep, sched
+            )
+            self._own_updates[server_id] = (result.ids, result.vals)
+        elif tag == "apply":
+            result = self._apply_server_step(
+                server,
+                self._own_updates.pop(server_id),
+                self._inboxes.resolve(payload),
+            )
+        else:
+            raise ValueError(f"unknown phase {tag!r}")
+        mirror = server.export_mirror(since) if since is not None else None
+        return result, mirror
+
+    # ------------------------------------------------------------------
+    # Per-server superstep work (called by _phase_handler)
     # ------------------------------------------------------------------
     def _compute_server_step(
         self,
@@ -2275,12 +2027,12 @@ class MPE:
         server,
         own_update: tuple[np.ndarray, np.ndarray],
         inbox: list[tuple[int, bytes]],
-    ) -> None:
+    ) -> tuple[int, int]:
         """One server's barrier work: apply own + received updates.
 
         ``inbox`` is the drained mailbox as ``(sender id, payload
-        bytes)`` pairs — a picklable shape, so the process executor
-        ships the same argument the thread executor passes in-memory.
+        bytes)`` pairs.  Returns the decode-once ``(hits, misses)`` this
+        receiver saw (host telemetry the parent totals after the join).
 
         Each distinct payload is decoded once per superstep
         (:meth:`_decode_payload`) while every receiver still charges its
@@ -2291,12 +2043,14 @@ class MPE:
         """
         with server.trace.span("apply", "phase", inbox=len(inbox)):
             # The superstep's effective knobs: all senders encoded with
-            # the same per-superstep codec (parent-resolved; in process
-            # mode the compute handler pinned this worker's copy).
+            # the same per-superstep codec (parent-resolved; the compute
+            # handler put them into force wherever this runs).
             codec = self._knobs.message_codec
             id_parts, val_parts = [own_update[0]], [own_update[1]]
+            hits = 0
             for src, payload_bytes in inbox:
-                payload = self._decode_payload(server, src, payload_bytes)
+                payload, hit = self._decode_payload(server, src, payload_bytes)
+                hits += hit
                 id_parts.append(self._server_target_ids[src][payload.ids])
                 val_parts.append(payload.values)
                 if codec != "raw":
@@ -2304,6 +2058,7 @@ class MPE:
             server.state["store"].write(
                 np.concatenate(id_parts), np.concatenate(val_parts)
             )
+        return hits, len(inbox) - hits
 
     def _decode_payload(self, server, src: int, payload_bytes: bytes):
         """Decode-once lookup for one received broadcast payload.
@@ -2317,7 +2072,7 @@ class MPE:
         — ``cache="miss"`` covers the decode, ``cache="hit"`` is empty —
         so span trees do not encode which server happened to decode a
         payload first (under the process executor that depends on how
-        servers map to workers).
+        servers map to workers).  Returns ``(payload, hit)``.
         """
         with self._decode_lock:
             payload = self._decode_cache.get(payload_bytes)
@@ -2331,12 +2086,9 @@ class MPE:
             ):
                 if not hit:
                     payload = decode_update(payload_bytes)
-            if hit:
-                self.payload_decode_hits += 1
-            else:
+            if not hit:
                 self._decode_cache[payload_bytes] = payload
-                self.payload_decode_misses += 1
-        return payload
+        return payload, hit
 
     def _collect_values(self, cfg, servers, init_values) -> np.ndarray:
         """Globally consistent value array after a barrier.
@@ -2358,7 +2110,7 @@ class MPE:
 class _ServerSchedule(NamedTuple):
     """One server's resolved tile schedule for one superstep, both
     halves in assignment order (see :meth:`MPE._resolve_schedule`).
-    Plain picklable data: it is what the process executor ships."""
+    Plain picklable data: it is what a compute dispatch ships."""
 
     # Tiles to sweep: the server's (tile_id, blob_name, nbytes) entries.
     run: tuple
@@ -2382,38 +2134,25 @@ class _ServerStep:
     prefetch_total: int = 0
 
 
-@dataclass
-class _ProcessStep:
-    """A worker's compute-phase result, shaped for cheap pickling.
+class _RunPrep(NamedTuple):
+    """What :meth:`MPE._begin_run` decided before the first superstep."""
 
-    Carries the sweep's :class:`_ServerStep` plus everything the parent
-    needs to keep its counter and cache mirrors exact: a volumes-only
-    :class:`~repro.cluster.counters.Counters` delta, the
-    worker-authoritative memory gauges, absolute cache stat tuples, and
-    the caches' content-key lists (recency order) for end-of-run
-    resynchronisation.  No tile data, no store arrays — those stay in
-    shared memory.
-    """
-
-    step: _ServerStep
-    delta: Counters
-    mem_cache: int
-    mem_scratch: int
-    mem_peak: int
-    cache_stats: tuple | None
-    decoded_stats: tuple | None
-    cache_keys: tuple | None
-    # Blob sizes the worker's edge cache learned this superstep, as
-    # ``((name, mode), (raw length, stored length))`` pairs, and its
-    # absolute compress_skipped count (host telemetry).
-    cache_sizes: tuple | None
-    compress_skipped: int
-    decoded_keys: tuple | None
-    # Drained trace events from the worker's per-server buffer (empty
-    # when tracing is off); extended onto the parent's mirror buffer.
-    trace: tuple = ()
-    # Same for the worker's prefetch-pipeline buffer.
-    prefetch_trace: tuple = ()
+    # The plan consulted at superstep boundaries (None: fixed knobs),
+    # the tuner recording it (None: scripted or no plan) and the tuning
+    # lane's buffer.
+    tuner: Tuner | None
+    plan: object
+    tbuf: object
+    num_vertices: int
+    # Out-degrees when the program reads them.
+    degrees: np.ndarray | None
+    init_values: np.ndarray
+    incremental_plan: object
+    # First superstep to execute and the update set feeding its
+    # schedule (checkpoint resume / incremental dirty set; else None).
+    start_superstep: int
+    prev_updated: np.ndarray | None
+    cost_model: CostModel
 
 
 def _process_tile(

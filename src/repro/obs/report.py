@@ -271,7 +271,10 @@ def format_run_report(report: dict, max_rows: int = 40) -> str:
         f"tiles skipped={tiles_skipped}/{tiles_skipped + tiles_processed} "
         f"wall={totals.get('wall_s', 0.0):.3f}s"
     )
-    runtime = report.get("runtime", {})
+    runtime = dict(report.get("runtime", {}))
+    requested = runtime.pop("executor_requested", None)
+    if requested is not None:  # the platform fallback, spelled out
+        runtime["executor"] = f"{runtime.get('executor')} (requested {requested})"
     if runtime:
         lines.append(
             "runtime: "

@@ -1,36 +1,41 @@
-"""Superstep executors: how per-server work is fanned out on the host.
+"""Superstep executors: transports for one per-server phase handler.
 
-The simulated cluster is N logical servers; the paper's MPE runs each
-physical server's tile loop on its own machine with OpenMP workers
-underneath.  Our single-host reproduction executes those N per-server
-loops either sequentially (:class:`SerialExecutor`, the seed behaviour)
-or on real OS threads (:class:`ParallelExecutor`): the hot kernels are
-numpy gathers / ``reduceat`` reductions / codec passes that release the
-GIL, so threads genuinely overlap.
+The simulated cluster is N logical servers; the paper's MPE runs the
+same Algorithm 5 loop on every physical server and MPI only moves bytes
+between them.  The reproduction keeps that shape on one host: the
+engine owns a single phase handler, ``handler(tag, server_id, payload)``
+(:meth:`repro.core.mpe.MPE._phase_handler`), and an executor is only
+the *transport* that gets each server's payload to a call of it and the
+result back — :meth:`Executor.start` binds the handler once per run,
+:meth:`Executor.run_phase` runs one phase for every server and returns
+the results **in server-id order**, :meth:`Executor.close` releases the
+workers.  :class:`SerialExecutor` calls the handler in a loop (the
+reference order), :class:`ParallelExecutor` on real OS threads (the hot
+kernels are numpy gathers / ``reduceat`` reductions / codec passes that
+release the GIL, so threads genuinely overlap), and
+:class:`repro.runtime.process.ProcessExecutor` in forked workers.
 
 The contract that keeps this safe and bit-reproducible:
 
-* the mapped function touches only *its own* server's state (counters,
+* a handler call touches only *its own* server's state (counters,
   cache, disk, vertex store) plus read-only shared structures (its
   resolved tile schedule, the static target index);
 * anything cross-server (``Channel`` broadcasts, mailbox drains,
   convergence accounting) is staged in the returned value and applied
-  *after* the join, in server-id order — identical to serial order;
-* ``map`` returns results in input order, so aggregation downstream is
-  order-deterministic regardless of thread scheduling.
+  *after* the join, in server-id order — identical to serial order.
 
 Because per-server floating point work is unchanged and aggregation
 order is fixed, results are bitwise identical to serial execution —
 ``tests/test_runtime_executor.py`` pins this for PageRank / SSSP / WCC,
 values and counters both.  Modeled time comes from metered volumes, so
-it is independent of how many host threads happen to run the loop.
+it is independent of how the host happens to run the loop.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor as _PoolImpl
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 __all__ = [
     "Executor",
@@ -40,6 +45,8 @@ __all__ = [
     "default_num_threads",
 ]
 
+Handler = Callable[[str, int, Any], Any]
+
 
 def default_num_threads() -> int:
     """Worker-thread default: one per core, capped (diminishing returns
@@ -48,20 +55,47 @@ def default_num_threads() -> int:
 
 
 class Executor:
-    """Maps a function over per-server work items, preserving order."""
+    """Runs one phase of the bound handler for every server."""
 
     name = "abstract"
+    # Whether handler calls run in forked children.  Parent-only
+    # machinery (fault injector, mailboxes) never fires there, results
+    # carry a mirror of the server's state, and per-superstep bytes
+    # travel by shared segment instead of by reference.
+    forks = False
 
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        """Apply ``fn`` to every item; results in input order.
+    def __init__(self) -> None:
+        self._handler: Handler | None = None
+        self._num_items = 0
 
-        Exceptions raised by ``fn`` propagate to the caller (for the
-        parallel executor: the first one in input order).
-        """
+    def start(
+        self,
+        handler: Handler,
+        num_items: int,
+        child_init: Callable[[], None] | None = None,
+    ) -> None:
+        """Bind ``handler`` for ``num_items`` servers (once per run)."""
+        if self._handler is not None:
+            raise RuntimeError("executor already started")
+        self._handler = handler
+        self._num_items = num_items
+
+    def run_phase(self, tag: str, payloads: list[Any]) -> list[Any]:
+        """``handler(tag, i, payloads[i])`` for every server ``i``;
+        results in server-id order."""
         raise NotImplementedError
+
+    def _bound(self, payloads: list[Any]) -> Handler:
+        """The started handler, after checking the dispatch's shape."""
+        if self._handler is None:
+            raise RuntimeError("executor not started")
+        if len(payloads) != self._num_items:
+            raise ValueError("payload count does not match server count")
+        return self._handler
 
     def close(self) -> None:
         """Release any worker resources (idempotent)."""
+        self._handler = None
 
     def __enter__(self) -> "Executor":
         return self
@@ -78,20 +112,22 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        return [fn(item) for item in items]
+    def run_phase(self, tag: str, payloads: list[Any]) -> list[Any]:
+        handler = self._bound(payloads)
+        return [handler(tag, sid, p) for sid, p in enumerate(payloads)]
 
 
 class ParallelExecutor(Executor):
     """Thread-pool executor over a persistent pool.
 
     One pool lives for the executor's lifetime (one ``MPE.run``), so
-    per-superstep overhead is a submit+join, not thread creation.
+    per-phase overhead is a submit+join, not thread creation.
     """
 
     name = "parallel"
 
     def __init__(self, num_threads: int | None = None) -> None:
+        super().__init__()
         if num_threads is not None and num_threads < 1:
             raise ValueError("num_threads must be >= 1")
         self.num_threads = num_threads or default_num_threads()
@@ -99,15 +135,18 @@ class ParallelExecutor(Executor):
             max_workers=self.num_threads, thread_name_prefix="repro-superstep"
         )
 
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        if self._pool is None:
-            raise RuntimeError("executor is closed")
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        futures = [self._pool.submit(fn, item) for item in items]
+    def run_phase(self, tag: str, payloads: list[Any]) -> list[Any]:
+        handler = self._bound(payloads)
+        if len(payloads) <= 1:
+            return [handler(tag, sid, p) for sid, p in enumerate(payloads)]
+        futures = [
+            self._pool.submit(handler, tag, sid, p)
+            for sid, p in enumerate(payloads)
+        ]
         return [f.result() for f in futures]
 
     def close(self) -> None:
+        super().close()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -117,33 +156,19 @@ class ParallelExecutor(Executor):
         return f"ParallelExecutor({state})"
 
 
-_EXECUTORS = {
-    "serial": SerialExecutor,
-    "parallel": ParallelExecutor,
-}
-
-
-def make_executor(name: str, num_threads: int | None = None) -> Executor:
-    """Build an executor by registry name
-    (``"serial"`` / ``"parallel"`` / ``"process"``).
-
-    For ``"process"`` the ``num_threads`` argument is the worker-process
-    count; the pool is returned unstarted (the engine forks it once its
-    shared state is built — see :class:`repro.runtime.process.ProcessExecutor`).
-    """
+def make_executor(name: str, width: int | None = None) -> Executor:
+    """Build an unstarted executor by registry name (``"serial"`` /
+    ``"parallel"`` / ``"process"``).  ``width`` is the transport's
+    worker count — threads or processes; the serial one has none."""
+    if name == "serial":
+        return SerialExecutor()
+    if name == "parallel":
+        return ParallelExecutor(width)
     if name == "process":
         from repro.runtime.process import ProcessExecutor
 
-        return ProcessExecutor(num_threads)
-    try:
-        cls = _EXECUTORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor {name!r}; expected one of "
-            f"{sorted([*_EXECUTORS, 'process'])}"
-        ) from None
-    if cls is ParallelExecutor:
-        return ParallelExecutor(num_threads)
-    if num_threads not in (None, 1):
-        raise ValueError("num_threads only applies to the parallel executor")
-    return cls()
+        return ProcessExecutor(width)
+    raise ValueError(
+        f"unknown executor {name!r}; expected one of "
+        "['parallel', 'process', 'serial']"
+    )

@@ -1,11 +1,14 @@
-"""Fork-based process pool for GIL-free per-server superstep fan-out.
+"""The forked-process transport: GIL-free per-server phase fan-out.
 
 The thread executor (:class:`repro.runtime.executor.ParallelExecutor`)
 only overlaps the numpy regions that release the GIL; the pure-Python
 stretches of a per-server step (tile bookkeeping, payload encode,
 counter updates) still serialise.  This pool runs each simulated
-server's sweep in a real OS process instead, the same shared-memory
-multi-core shape GraphMP argues for on one machine.
+server's handler calls in a real OS process instead, the same
+shared-memory multi-core shape GraphMP argues for on one machine.  It
+speaks the protocol every executor speaks (``start`` / ``run_phase`` /
+``close``, see :mod:`repro.runtime.executor`) and runs the same phase
+handler; only where the call executes differs.
 
 Design constraints that keep results bitwise identical to serial:
 
@@ -22,9 +25,8 @@ Design constraints that keep results bitwise identical to serial:
 * All nondeterministic decisions (fault injection, channel traffic) are
   resolved in the parent; workers never see the injector.
 
-The pool implements the :class:`~repro.runtime.executor.Executor`
-close/contextmanager contract so ``MPE.run``'s ``finally`` tears it down
-on every path, including injected faults and KeyboardInterrupt.
+``MPE.run``'s ``finally`` closes the pool on every path, including
+injected faults and KeyboardInterrupt.
 """
 
 from __future__ import annotations
@@ -73,14 +75,14 @@ def _worker_main(conn, handler: Callable[[str, int, Any], Any], child_init, owne
 class ProcessExecutor(Executor):
     """Persistent forked worker pool with sticky server→worker routing.
 
-    Unlike the thread executors this one is phase-oriented: the engine
-    calls :meth:`start` once its shared state is ready (that is the fork
-    point), then :meth:`run_phase` per compute/apply phase.  ``map`` is
-    deliberately unsupported — an arbitrary closure cannot cross the
-    process boundary after the fork.
+    The engine calls :meth:`start` once its shared state is ready (that
+    is the fork point — the handler crosses the process boundary by
+    inheritance, never by pickle), then :meth:`run_phase` per
+    compute/apply phase.
     """
 
     name = "process"
+    forks = True
 
     def __init__(self, num_workers: int | None = None) -> None:
         if num_workers is not None and num_workers < 1:
@@ -88,7 +90,7 @@ class ProcessExecutor(Executor):
         if not process_runtime_available():
             raise RuntimeError(
                 "process executor needs fork + POSIX shared memory; "
-                "use executor='parallel' on this platform"
+                "use executor='serial' on this platform"
             )
         self.num_workers = num_workers or default_num_workers()
         self._ctx = multiprocessing.get_context("fork")
@@ -137,18 +139,22 @@ class ProcessExecutor(Executor):
         per_worker: dict[int, list[tuple[int, Any]]] = {}
         for sid, payload in enumerate(payloads):
             per_worker.setdefault(self._routing[sid], []).append((sid, payload))
-        for slot, items in per_worker.items():
-            self._conns[slot].send((tag, items))
         results: list[Any] = [None] * len(payloads)
         failure: str | None = None
-        for slot in per_worker:
-            try:
-                status, out = self._conns[slot].recv()
-            except (EOFError, OSError):
-                self.close()
-                raise RuntimeError(
-                    f"superstep worker {slot} died during phase {tag!r}"
-                ) from None
+        try:
+            for slot, items in per_worker.items():
+                self._conns[slot].send((tag, items))
+            replies = []
+            for slot in per_worker:
+                replies.append(self._conns[slot].recv())
+        except (EOFError, OSError):
+            # A dead worker fails the send (closed pipe) or the receive
+            # (EOF); either way the pool is finished.
+            self.close()
+            raise RuntimeError(
+                f"superstep worker {slot} died during phase {tag!r}"
+            ) from None
+        for status, out in replies:
             if status == "ok":
                 for sid, result in out:
                     results[sid] = result
@@ -157,12 +163,6 @@ class ProcessExecutor(Executor):
         if failure is not None:
             raise RuntimeError(f"superstep phase {tag!r} failed: {failure}")
         return results
-
-    def map(self, fn: Callable[[Any], Any], items) -> list[Any]:
-        raise RuntimeError(
-            "ProcessExecutor does not support map(); the engine "
-            "dispatches phases via run_phase() after start()"
-        )
 
     def close(self) -> None:
         """Shut the pool down (idempotent; safe mid-phase)."""

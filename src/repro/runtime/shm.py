@@ -30,6 +30,8 @@ __all__ = [
     "SharedArray",
     "SharedBlobArena",
     "ArenaDisk",
+    "InboxResolver",
+    "StagedInboxes",
     "attach_segment",
     "outstanding_segments",
     "process_runtime_available",
@@ -63,7 +65,7 @@ def process_runtime_available() -> bool:
     Requires the ``fork`` start method (workers inherit engine state and
     closures without pickling) and POSIX shared memory.  On platforms
     without either (e.g. Windows, some sandboxes) the engine falls back
-    to the thread executor.
+    to the serial executor and records the fallback.
     """
     if sys.platform == "win32":
         return False
@@ -145,14 +147,14 @@ class SharedAllocator:
 def attach_segment(name: str):
     """Attach to an existing segment by name (worker side).
 
-    Per-superstep segments — the communication fast path's shared
-    inboxes — are created in the parent *after* the pool forked, so
-    workers cannot inherit the mapping and must attach by name instead.
-    The attachment is deliberately kept out of the ``_LIVE`` registry
-    and out of the resource tracker: the parent owns the segment's
-    lifetime (it registered at create and unregisters at unlink), so a
-    worker-side registration would double-unregister and spew tracker
-    KeyErrors.  Callers only ``close()`` the returned handle.
+    Per-superstep segments — the shared inboxes — are created in the
+    parent *after* the pool forked, so workers cannot inherit the
+    mapping and must attach by name instead.  The attachment is
+    deliberately kept out of the ``_LIVE`` registry and out of the
+    resource tracker: the parent owns the segment's lifetime (it
+    registered at create and unregisters at unlink), so a worker-side
+    registration would double-unregister and spew tracker KeyErrors.
+    Callers only ``close()`` the returned handle.
     """
     from multiprocessing import resource_tracker, shared_memory
 
@@ -170,6 +172,91 @@ def attach_segment(name: str):
         return shared_memory.SharedMemory(name=name, create=False)
     finally:
         resource_tracker.register = orig
+
+
+class StagedInboxes:
+    """One superstep's drained mailboxes, staged for the apply dispatch.
+
+    ``inboxes[i]`` is server ``i``'s mailbox as ``(sender id, payload
+    bytes)`` pairs; ``handles[i]`` is the opaque per-server payload the
+    engine ships and the handler turns back into those pairs with
+    :meth:`InboxResolver.resolve`.  With ``shared=False`` (in-process
+    transports) a handle carries the pairs themselves.  With
+    ``shared=True`` every distinct payload is copied once into one
+    shared segment and a handle carries ``(sender, offset, length)``
+    spans instead of pickling the same bytes to every receiver.
+    Payloads are deduplicated by object identity — a broadcast delivers
+    the *same* bytes object to every other server's mailbox, while
+    byte-equal payloads from different senders stay distinct spans.  A
+    superstep that delivered nothing (a single server) allocates no
+    segment.  :meth:`release` (idempotent) unlinks the segment as soon
+    as the phase returns, so workers never hold it across supersteps.
+    """
+
+    def __init__(self, inboxes: list[list[tuple[int, bytes]]], shared: bool) -> None:
+        self._arena: SharedArray | None = None
+        self.handles: list = [(None, inbox) for inbox in inboxes]
+        distinct = (
+            {id(data): data for inbox in inboxes for _src, data in inbox}
+            if shared
+            else {}
+        )
+        if not distinct:
+            return
+        spans: dict[int, tuple[int, int]] = {}
+        total = 0
+        for key, data in distinct.items():
+            spans[key] = (total, len(data))
+            total += len(data)
+        self._arena = SharedArray((total,), np.uint8)
+        for key, data in distinct.items():
+            off, n = spans[key]
+            # No local alias of the array: release() cannot close the
+            # segment while one is alive.
+            self._arena.array[off : off + n] = np.frombuffer(data, dtype=np.uint8)
+        self.handles = [
+            (self._arena.name, [(src, *spans[id(data)]) for src, data in inbox])
+            for inbox in inboxes
+        ]
+
+    def release(self) -> None:
+        if self._arena is not None:
+            self._arena.release()
+            self._arena = None
+
+
+class InboxResolver:
+    """Turns :class:`StagedInboxes` handles back into ``(sender id,
+    payload bytes)`` pairs, on whichever side of a fork the handler
+    runs.
+
+    Shared handles attach to the superstep's segment by name the first
+    time this resolver sees it (dropping the previous superstep's
+    attachment — segment names are never reused), then serve repeated
+    spans from a per-segment memo so each distinct payload's bytes are
+    built once per worker: equal spans come back as the *same* object.
+    """
+
+    def __init__(self) -> None:
+        # (segment name, attachment, {(offset, length): bytes}).
+        self._attached: tuple[str, object, dict] | None = None
+
+    def resolve(self, handle) -> list[tuple[int, bytes]]:
+        segment, entries = handle
+        if segment is None:
+            return entries
+        if self._attached is None or self._attached[0] != segment:
+            if self._attached is not None:
+                self._attached[1].close()
+            self._attached = (segment, attach_segment(segment), {})
+        _name, shm, memo = self._attached
+        inbox = []
+        for src, off, ln in entries:
+            data = memo.get((off, ln))
+            if data is None:
+                data = memo[(off, ln)] = bytes(shm.buf[off : off + ln])
+            inbox.append((src, data))
+        return inbox
 
 
 class SharedBlobArena:

@@ -250,8 +250,8 @@ class EdgeCache:
 
     def remembered_sizes(self) -> dict[tuple[str, int], tuple[int, int]]:
         """Copy of every remembered size, ``(name, mode) -> (raw length,
-        stored length)`` — what a process-executor worker ships back so
-        the parent's cache does not re-learn them next run."""
+        stored length)`` — what a forked worker's cache ships back so
+        the parent's copy does not re-learn them next run."""
         return dict(self._sizes)
 
     def merge_sizes(self, sizes) -> None:

@@ -52,7 +52,7 @@ class KnobSettings:
         return replace(self, **changes)
 
     def as_tuple(self) -> tuple:
-        """Compact picklable form shipped to process-pool workers."""
+        """Plain-tuple form (decision fingerprints compare these)."""
         return (
             self.message_codec,
             self.comm_mode,

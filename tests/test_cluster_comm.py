@@ -1,11 +1,17 @@
 """Tests for the cluster simulation and communication layer."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, Counters, PAPER_TESTBED
+from repro.cluster.counters import CounterSnapshot
+from repro.cluster.server import ServerMirror
+from repro.obs.trace import TraceBuffer
 from repro.comm import (
     DENSE,
     SPARSE,
@@ -141,6 +147,91 @@ class TestCluster:
             cluster.servers[1].counters.add_memory("vertex", 300)
             assert cluster.aggregate_counters().mem_vertex == 400
             assert cluster.max_server_memory_peak() == 300
+
+
+def _mirrored_state(server):
+    """The fields a ServerMirror exists to keep equal parent-side."""
+    return {
+        "counters": server.counters.snapshot(),
+        "cache_stats": dataclasses.astuple(server.cache.stats),
+        "cache_mode": server.cache.mode,
+        "cache_keys": server.cache.content_keys(),
+        "stored": [
+            len(server.cache.peek_stored(k)) for k in server.cache.content_keys()
+        ],
+        "sizes": sorted(server.cache.remembered_sizes().items()),
+        "compress_skipped": server.cache.compress_skipped,
+        "decoded_stats": dataclasses.astuple(server.decoded_cache.stats),
+        "decoded_keys": server.decoded_cache.content_keys(),
+    }
+
+
+class TestServerMirror:
+    """export_mirror → absorb_mirror without a fork: a deep copy of a
+    server plays the worker, the original plays the parent."""
+
+    def test_roundtrip_reproduces_every_field(self):
+        rng = np.random.default_rng(5)
+        blobs = {
+            f"t{i}": rng.integers(0, 6, 1500 + 100 * i, dtype=np.uint8).tobytes()
+            for i in range(4)
+        }
+
+        def parser(data):
+            return data[:8]
+
+        with Cluster(ClusterSpec(num_servers=1)) as cluster:
+            server = cluster.servers[0]
+            server.trace = TraceBuffer(1, "server-0")
+            server.prefetch_trace = TraceBuffer(2, "server-0-prefetch")
+            # Mode 3 holds two of the four blobs; mode 2 packs worse.
+            server.attach_cache(capacity_bytes=1400, mode=3)
+            server.attach_decoded_cache(max_entries=3)
+            for name, data in blobs.items():
+                server.store_blob(name, data)
+            server.load_tile("t0", parser)  # the parent knew this much
+
+            worker = copy.deepcopy(server)
+            since = CounterSnapshot.capture(worker)
+            idle = copy.deepcopy(server).export_mirror(since)
+            for _ in range(3):  # hits, misses, rejected (and skipped) puts
+                for name in blobs:
+                    worker.load_tile(name, parser)
+            worker.switch_cache_mode(2)
+            for name in blobs:
+                worker.load_tile(name, parser)
+            assert not worker.cache.put("t3", blobs["t3"])
+            worker.counters.add_memory("scratch", 7)
+            worker.prefetch_trace.complete("tile_prefetch", "prefetch", 0.0, 1.0)
+            assert worker.cache.stats.rejected > 0
+            assert worker.cache.compress_skipped > 0
+
+            mirror = worker.export_mirror(since)
+            # Every field carries something the idle server did not
+            # have, so none can be skipped by absorb unnoticed.
+            for f in dataclasses.fields(ServerMirror):
+                assert getattr(mirror, f.name) != getattr(idle, f.name), f.name
+            before_events = len(server.trace)
+            server.absorb_mirror(mirror)
+            server.restore_mirrored_content(parser)
+
+            assert _mirrored_state(server) == _mirrored_state(worker)
+            assert server.trace.events()[before_events:] == list(mirror.trace)
+            assert server.prefetch_trace.events() == list(mirror.prefetch_trace)
+            assert len(worker.trace) == 0  # drained, not copied
+            # The parent would now report exactly what the worker does.
+            again, reference = (
+                server.export_mirror(since),
+                worker.export_mirror(since),
+            )
+            for f in dataclasses.fields(ServerMirror):
+                if f.name not in ("trace", "prefetch_trace"):
+                    assert getattr(again, f.name) == getattr(
+                        reference, f.name
+                    ), f.name
+            # Restoring again with no new mirror absorbed changes nothing.
+            server.restore_mirrored_content(parser)
+            assert _mirrored_state(server) == _mirrored_state(worker)
 
 
 class TestChannel:

@@ -289,11 +289,8 @@ class TestNullBuffer:
 
         _run(skewed, executor, probe=probe, prefetch_depth=1)
         assert bool(shipped) == (effective == ["process"])
-        for tag, result in shipped:
-            if tag == "compute":
-                assert result.trace == () and result.prefetch_trace == ()
-            else:
-                assert result[1] == ()
+        for _tag, (_result, mirror) in shipped:
+            assert mirror.trace == () and mirror.prefetch_trace == ()
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_tracing_is_bitwise_invisible(self, skewed, executor):
@@ -580,6 +577,12 @@ class TestRunReport:
         assert "load" in table and "gather-apply" in table
         assert "broadcast" in table and "sync" in table
         assert "cache: mode=" in table and "compress_skipped=0" in table
+        # The runtime line spells out a platform fallback, and only that.
+        assert "(requested" not in table
+        report["runtime"]["executor_requested"] = "process"
+        fallback = format_run_report(report)
+        assert f"executor={result.executor} (requested process)" in fallback
+        assert "executor_requested=" not in fallback
 
 
 class _FakeServer:

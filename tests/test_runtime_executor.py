@@ -9,8 +9,10 @@ all three reference apps, plus the executor primitives themselves.
 import dataclasses
 import multiprocessing
 import os
+import signal
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -45,65 +47,137 @@ def _expected_executor(configured: str) -> str:
     return os.environ.get("REPRO_EXECUTOR", "").strip() or configured
 
 
+def _double(tag, server_id, payload):
+    """Trivial phase handler for the primitive tests (fork-inherited)."""
+    if payload == "boom":
+        raise RuntimeError("tile exploded")
+    return (tag, server_id, payload * 2)
+
+
+def _started(executor, handler, num_items):
+    executor.start(handler, num_items)
+    return executor
+
+
+_TRANSPORTS = [
+    pytest.param(lambda: SerialExecutor(), id="serial"),
+    pytest.param(lambda: ParallelExecutor(num_threads=4), id="parallel"),
+    pytest.param(
+        lambda: ProcessExecutor(num_workers=2),
+        id="process",
+        marks=pytest.mark.skipif(
+            not process_runtime_available(),
+            reason="platform lacks fork + POSIX shared memory",
+        ),
+    ),
+]
+
+
 class TestExecutorPrimitives:
+    """The one dispatch protocol — start / run_phase / close — under
+    all three transports."""
+
+    @pytest.mark.parametrize("make", _TRANSPORTS)
+    def test_run_phase_contract(self, make):
+        """Results in server-id order, the first exception in input
+        order, a persistent handler binding, an idempotent final close."""
+        with _started(make(), _double, 5) as ex:
+            assert ex.run_phase("compute", [3, 1, 2, 5, 4]) == [
+                ("compute", 0, 6),
+                ("compute", 1, 2),
+                ("compute", 2, 4),
+                ("compute", 3, 10),
+                ("compute", 4, 8),
+            ]
+            with pytest.raises(RuntimeError, match="tile exploded"):
+                ex.run_phase("compute", [1, "boom", 3, "boom", 5])
+            # The binding outlives a failed phase.
+            assert ex.run_phase("apply", [0] * 5) == [
+                ("apply", i, 0) for i in range(5)
+            ]
+            with pytest.raises(ValueError, match="payload count"):
+                ex.run_phase("compute", [1])
+            with pytest.raises(RuntimeError, match="already started"):
+                ex.start(_double, 5)
+        ex.close()
+        with pytest.raises(RuntimeError, match="not started"):
+            ex.run_phase("compute", [1] * 5)
+
     def test_serial_preserves_order(self):
-        ex = SerialExecutor()
-        assert ex.map(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]
+        seen = []
+
+        def record(tag, server_id, payload):
+            seen.append(server_id)
+            return payload
+
+        ex = _started(SerialExecutor(), record, 3)
+        assert ex.run_phase("compute", ["a", "b", "c"]) == ["a", "b", "c"]
+        assert seen == [0, 1, 2]
 
     def test_parallel_preserves_order(self):
         # Reverse-staggered sleeps: later items finish first unless the
         # executor re-orders results back to input order.
-        def slow_identity(x):
-            time.sleep(0.002 * (5 - x))
-            return x
+        def slow_identity(tag, server_id, payload):
+            time.sleep(0.002 * (5 - server_id))
+            return payload
 
-        with ParallelExecutor(num_threads=4) as ex:
-            assert ex.map(slow_identity, list(range(5))) == [0, 1, 2, 3, 4]
+        with _started(ParallelExecutor(num_threads=4), slow_identity, 5) as ex:
+            assert ex.run_phase("compute", list(range(5))) == [0, 1, 2, 3, 4]
 
     def test_parallel_actually_uses_threads(self):
         seen = set()
 
-        def record(_):
+        def record(tag, server_id, payload):
             seen.add(threading.get_ident())
             time.sleep(0.01)
 
-        with ParallelExecutor(num_threads=4) as ex:
-            ex.map(record, range(4))
+        with _started(ParallelExecutor(num_threads=4), record, 4) as ex:
+            ex.run_phase("compute", [None] * 4)
         assert len(seen) > 1
 
     def test_exceptions_propagate(self):
-        def boom(x):
-            if x == 2:
-                raise RuntimeError("tile exploded")
-            return x
+        def boom(tag, server_id, payload):
+            if payload == 2:
+                raise RuntimeError(f"tile exploded on {server_id}")
+            return payload
 
-        with pytest.raises(RuntimeError, match="tile exploded"):
-            SerialExecutor().map(boom, [1, 2, 3])
-        with ParallelExecutor(num_threads=2) as ex:
-            with pytest.raises(RuntimeError, match="tile exploded"):
-                ex.map(boom, [1, 2, 3])
+        # The first failure in input order, not the first to happen.
+        with pytest.raises(RuntimeError, match="exploded on 1"):
+            _started(SerialExecutor(), boom, 3).run_phase("compute", [1, 2, 2])
+        with _started(ParallelExecutor(num_threads=2), boom, 3) as ex:
+            with pytest.raises(RuntimeError, match="exploded on 1"):
+                ex.run_phase("compute", [1, 2, 2])
 
     def test_single_item_shortcut(self):
-        with ParallelExecutor(num_threads=2) as ex:
-            assert ex.map(lambda x: x + 1, [41]) == [42]
-            assert ex.map(lambda x: x, []) == []
+        caller = threading.get_ident()
+
+        def where(tag, server_id, payload):
+            return threading.get_ident()
+
+        with _started(ParallelExecutor(num_threads=2), where, 1) as ex:
+            assert ex.run_phase("compute", [41]) == [caller]
+        with _started(ParallelExecutor(num_threads=2), where, 0) as ex:
+            assert ex.run_phase("compute", []) == []
 
     def test_close_is_idempotent_and_final(self):
-        ex = ParallelExecutor(num_threads=2)
+        ex = _started(ParallelExecutor(num_threads=2), _double, 2)
         ex.close()
         ex.close()
         with pytest.raises(RuntimeError):
-            ex.map(lambda x: x, [1, 2])
+            ex.run_phase("compute", [1, 2])
 
     def test_make_executor(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
+        assert isinstance(make_executor("serial", 8), SerialExecutor)
         par = make_executor("parallel", 3)
         assert isinstance(par, ParallelExecutor) and par.num_threads == 3
         par.close()
+        assert [make_executor(n).forks for n in ("serial", "parallel")] == [
+            False,
+            False,
+        ]
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("gpu")
-        with pytest.raises(ValueError, match="only applies"):
-            make_executor("serial", 8)
         with pytest.raises(ValueError):
             ParallelExecutor(num_threads=0)
 
@@ -351,39 +425,32 @@ class TestRuntimeTelemetry:
         assert result.runtime()["executor"] == _expected_executor("serial")
 
 
-def _phase_handler(tag, server_id, payload):
-    """Trivial phase handler for the primitive tests (fork-inherited)."""
-    if payload == "boom":
-        raise RuntimeError("tile exploded")
-    return (tag, server_id, payload * 2)
-
-
 @needs_process
 class TestProcessExecutorPrimitives:
+    """What only the forked transport has: sticky routing over real
+    processes, survival of a handler exception, reaped children."""
+
     def test_run_phase_routes_and_orders(self):
+        def where(tag, server_id, payload):
+            return os.getpid()
+
         ex = ProcessExecutor(num_workers=2)
-        assert not ex.started
-        ex.start(_phase_handler, 5)
+        assert not ex.started and ex.forks
+        ex.start(where, 5)
         assert ex.started
         try:
-            out = ex.run_phase("compute", [1, 2, 3, 4, 5])
-            assert out == [
-                ("compute", 0, 2),
-                ("compute", 1, 4),
-                ("compute", 2, 6),
-                ("compute", 3, 8),
-                ("compute", 4, 10),
-            ]
-            # The pool is persistent: a second phase reuses the workers.
-            assert ex.run_phase("apply", [0, 0, 0, 0, 0]) == [
-                ("apply", i, 0) for i in range(5)
-            ]
+            pids = ex.run_phase("compute", [None] * 5)
+            # Server i is pinned to worker i % 2, never the parent...
+            assert os.getpid() not in pids
+            assert pids[0] == pids[2] == pids[4] != pids[1] == pids[3]
+            # ...for the pool's lifetime: a second phase reuses them.
+            assert ex.run_phase("apply", [None] * 5) == pids
         finally:
             ex.close()
 
     def test_worker_exception_propagates_and_pool_survives(self):
         ex = ProcessExecutor(num_workers=2)
-        ex.start(_phase_handler, 3)
+        ex.start(_double, 3)
         try:
             with pytest.raises(RuntimeError, match="tile exploded"):
                 ex.run_phase("compute", [1, "boom", 3])
@@ -398,7 +465,7 @@ class TestProcessExecutorPrimitives:
 
     def test_close_is_idempotent_and_reaps_children(self):
         ex = ProcessExecutor(num_workers=2)
-        ex.start(_phase_handler, 2)
+        ex.start(_double, 2)
         ex.close()
         ex.close()
         assert not ex.started
@@ -409,10 +476,7 @@ class TestProcessExecutorPrimitives:
         with pytest.raises(RuntimeError, match="not started"):
             ex.run_phase("compute", [])
 
-    def test_map_unsupported_and_validation(self):
-        ex = ProcessExecutor(num_workers=1)
-        with pytest.raises(RuntimeError, match="run_phase"):
-            ex.map(lambda x: x, [1])
+    def test_validation(self):
         with pytest.raises(ValueError):
             ProcessExecutor(num_workers=0)
         assert default_num_workers() >= 1
@@ -421,7 +485,7 @@ class TestProcessExecutorPrimitives:
 
     def test_payload_count_must_match(self):
         ex = ProcessExecutor(num_workers=1)
-        ex.start(_phase_handler, 2)
+        ex.start(_double, 2)
         try:
             with pytest.raises(ValueError, match="payload count"):
                 ex.run_phase("compute", [1])
@@ -526,7 +590,7 @@ class TestProcessBitwiseIdentity:
         run_phase = ProcessExecutor.run_phase
 
         def sampling(self, tag, payloads):
-            inbox = {p[1] for p in payloads} if tag == "apply" else set()
+            inbox = {p[0] for p in payloads} if tag == "apply" else set()
             samples.append(
                 (tag, set(outstanding_segments()) - owned - inbox)
             )
@@ -536,8 +600,11 @@ class TestProcessBitwiseIdentity:
         return samples
 
     def test_only_stores_arena_and_inbox_are_shared(
-        self, skewed, stray_segments
+        self, skewed, stray_segments, monkeypatch
     ):
+        # Asserts on the process transport: CI's forcing flag must not
+        # swap it for another.
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         _run(
             skewed,
             SSSP(source=1),
@@ -583,6 +650,204 @@ class TestProcessBitwiseIdentity:
         assert outstanding_segments() == []
 
 
+@needs_process
+class TestStagedInboxes:
+    """The shared-inbox wire format, both halves (runtime/shm.py)."""
+
+    def test_stage_resolve_roundtrip(self):
+        from repro.runtime.shm import InboxResolver, StagedInboxes
+
+        a, b = b"alpha" * 40, b"beta" * 30
+        b_twin = bytes(bytearray(b))  # equal bytes, another sender's object
+        inboxes = [[(1, b), (2, b_twin)], [(0, a), (2, b_twin)], [(0, a), (1, b)]]
+        # In-process transports: the pairs themselves, no segment.
+        local = StagedInboxes(inboxes, shared=False)
+        assert outstanding_segments() == []
+        assert [InboxResolver().resolve(h) for h in local.handles] == inboxes
+        assert InboxResolver().resolve(local.handles[0]) is inboxes[0]
+        local.release()
+
+        staged = StagedInboxes(inboxes, shared=True)
+        try:
+            (segment,) = outstanding_segments()
+            assert all(h[0] == segment for h in staged.handles)
+            # Deduplicated by identity, not by value: three spans.
+            spans = {e[1:] for _seg, entries in staged.handles for e in entries}
+            assert sorted(ln for _off, ln in spans) == sorted(map(len, (a, b, b)))
+            resolver = InboxResolver()
+            resolved = [resolver.resolve(h) for h in staged.handles]
+            assert resolved == inboxes
+            # One materialisation per span per resolver.
+            assert resolved[1][0][1] is resolved[2][0][1]
+        finally:
+            staged.release()
+            staged.release()
+        assert outstanding_segments() == []
+        # Nothing delivered (N=1): nothing staged.
+        empty = StagedInboxes([[]], shared=True)
+        assert outstanding_segments() == [] and empty.handles == [(None, [])]
+
+
+def _server_state(cluster, result):
+    """Everything a run leaves behind that the next run's metering can
+    see — what a forked worker's ServerMirror must reproduce parent-side."""
+    return {
+        "values": result.values.tobytes(),
+        "supersteps": [
+            (s.modeled.total_s, s.net_bytes, s.disk_read_bytes, s.cache_hit_ratio)
+            for s in result.supersteps
+        ],
+        "servers": [
+            {
+                "counters": s.counters.snapshot(),
+                "cache_stats": dataclasses.astuple(s.cache.stats),
+                "cache_mode": s.cache.mode,
+                "cache_keys": s.cache.content_keys(),
+                "stored": [
+                    len(s.cache.peek_stored(k)) for k in s.cache.content_keys()
+                ],
+                "sizes": sorted(s.cache.remembered_sizes().items()),
+                "decoded_stats": dataclasses.astuple(s.decoded_cache.stats),
+                "decoded_keys": s.decoded_cache.content_keys(),
+            }
+            for s in cluster.servers
+        ],
+    }
+
+
+def _two_runs(graph, executor, width, spilling):
+    """PageRank under a scripted plan (cache mode 1→3→2, message codec
+    switched mid-run), then SSSP with no plan, on one engine; the server
+    state after each."""
+    from repro.tuning import KnobSettings
+    from repro.tuning.plan import TuningPlan
+
+    n = 3
+    cluster = Cluster(ClusterSpec(num_servers=n))
+    try:
+        spe = SPE(cluster.dfs)
+        manifest = spe.preprocess(
+            graph, max(1, graph.num_edges // (12 * n)), name=graph.name
+        )
+        capacity = int(0.3 * spe.total_tile_bytes(manifest) / n)
+        cfg = MPEConfig(
+            executor=executor,
+            num_workers=width,
+            num_threads=width,
+            cache_mode=1,
+            cache_capacity_bytes=capacity if spilling else None,
+            max_supersteps=8,
+        )
+        mpe = MPE(cluster, manifest, cfg)
+        mpe.tuning_plan = TuningPlan.scripted(
+            {
+                2: KnobSettings(cache_mode=3),
+                4: KnobSettings(cache_mode=2, message_codec="zlib1"),
+            }
+        )
+        first = _server_state(cluster, mpe.run(PageRank()))
+        mpe.tuning_plan = None
+        second = _server_state(cluster, mpe.run(SSSP(source=1)))
+        return first, second
+    finally:
+        cluster.close()
+
+
+class TestServerStateIdentity:
+    """After each of two consecutive runs on one engine, every server —
+    counters, both caches' stats, mode, contents in recency order,
+    stored lengths, remembered sizes — is exactly the serial engine's,
+    whichever transport ran the handler and at whatever width."""
+
+    @pytest.fixture(autouse=True)
+    def _configured_executor(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+
+    @pytest.fixture(scope="class")
+    def serial_reference(self, skewed):
+        return {
+            spilling: _two_runs(skewed, "serial", None, spilling)
+            for spilling in (True, False)
+        }
+
+    @pytest.mark.parametrize("spilling", [True, False], ids=["spilling", "resident"])
+    @pytest.mark.parametrize(
+        "executor,width",
+        [
+            ("parallel", 2),
+            pytest.param("process", 1, marks=needs_process),
+            pytest.param("process", 2, marks=needs_process),
+            pytest.param("process", 4, marks=needs_process),
+        ],
+    )
+    def test_matches_serial_after_each_run(
+        self, skewed, serial_reference, executor, width, spilling
+    ):
+        reference = serial_reference[spilling]
+        # The scenario exercises what it claims to.
+        modes = {s["cache_mode"] for s in reference[0]["servers"]}
+        assert modes == {2}
+        if spilling:
+            assert all(s["cache_stats"][4] > 0 for s in reference[1]["servers"])
+        first, second = _two_runs(skewed, executor, width, spilling)
+        assert first == reference[0]
+        assert second == reference[1]
+
+
+@needs_process
+class TestWorkerDeath:
+    """A pool process that really dies (the injected-crash tests never
+    leave the parent): the run fails fast and names the worker, nothing
+    shared leaks, and the engine's next runs are unaffected."""
+
+    def test_sigkill_between_phases(self, skewed, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        mpe = _engine(
+            skewed, executor="process", num_workers=2, max_supersteps=6
+        )
+
+        def story():
+            result = mpe.run(PageRank())
+            return result.values.tobytes(), [
+                (s.modeled, s.net_bytes, s.disk_read_bytes, s.cache_hit_ratio)
+                for s in result.supersteps
+            ]
+
+        try:
+            story()  # warm the caches: later runs all start alike
+            reference = story()
+            run_phase = ProcessExecutor.run_phase
+            phases = []
+
+            def killing(pool, tag, payloads):
+                phases.append(tag)
+                if len(phases) == 4:  # superstep 1, between compute and apply
+                    victim = pool._procs[1]
+                    os.kill(victim.pid, signal.SIGKILL)
+                    victim.join()
+                return run_phase(pool, tag, payloads)
+
+            monkeypatch.setattr(ProcessExecutor, "run_phase", killing)
+            t0 = time.perf_counter()
+            with pytest.raises(
+                RuntimeError, match="worker 1 died during phase 'apply'"
+            ):
+                mpe.run(PageRank())
+            # Well under ProcessExecutor.close()'s 5 s join timeout.
+            assert time.perf_counter() - t0 < 2.5
+            monkeypatch.setattr(ProcessExecutor, "run_phase", run_phase)
+            assert outstanding_segments() == []
+            assert not any(
+                p.name.startswith("repro-superstep")
+                for p in multiprocessing.active_children()
+            )
+            assert story() == reference
+            mpe.config = dataclasses.replace(mpe.config, executor="serial")
+            assert story() == reference
+        finally:
+            mpe.cluster.close()
+
+
 class TestExecutorResolution:
     """REPRO_EXECUTOR forcing and the no-fork fallback path."""
 
@@ -604,17 +869,39 @@ class TestExecutorResolution:
     def test_process_falls_back_without_fork(self, skewed, monkeypatch):
         import repro.core.mpe as mpe_mod
 
+        from repro.obs.trace import Tracer
+
+        # Pins its executor: CI's forcing flag must not override it.
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         monkeypatch.setattr(
             mpe_mod, "process_runtime_available", lambda: False
         )
-        with pytest.warns(RuntimeWarning, match="falling back"):
+        tracer = Tracer()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # counted, not warned
             result, _ = _run(
                 skewed,
                 PageRank(),
-                MPEConfig(executor="process"),
+                MPEConfig(executor="process", num_workers=2),
                 max_supersteps=4,
+                tracer=tracer,
             )
-        assert result.executor == "parallel"
+        assert (result.executor, result.executor_requested) == (
+            "serial",
+            "process",
+        )
+        assert result.runtime()["executor_requested"] == "process"
+        fallbacks = [
+            args
+            for kind, name, _cat, _ts, args in tracer.engine().events()
+            if kind == "I" and name == "executor_fallback"
+        ]
+        assert fallbacks == [{"requested": "process", "ran": "serial"}]
+        assert "repro_executor_fallbacks 1" in tracer.metrics.to_text()
+        # The executor that was asked for ran: nothing to report.
+        plain, _ = _run(skewed, PageRank(), MPEConfig(), max_supersteps=2)
+        assert plain.executor_requested is None
+        assert "executor_requested" not in plain.runtime()
 
     def test_num_workers_validation(self):
         with pytest.raises(ValueError):
@@ -909,10 +1196,11 @@ class TestDecodeOnceApply:
             store = copy.deepcopy(server.state["store"])
             counters = copy.deepcopy(server.counters)
             _oracle_apply(mpe, store, counters, own_update, inbox)
-            engine_apply(server, own_update, inbox)
+            decoded = engine_apply(server, own_update, inbox)
             assert _store_content(server.state["store"]) == _store_content(store)
             assert server.counters.snapshot() == counters.snapshot()
             checked.append(len(inbox))
+            return decoded
 
         mpe._apply_server_step = differential
         try:
