@@ -46,7 +46,7 @@ class ClusterBuild:
     the warm cluster instead of rebuilding it.
 
     ``mpe(name)`` returns one cached engine per dataset: its setup
-    (tile placement, bloom filters, source summaries, caches) runs once
+    (tile placement, source summaries, caches) runs once
     and stays warm.  ``mpe(name, fresh=True)`` preserves the historical
     facade behaviour of a brand-new engine per ``load_graph`` call.
     """

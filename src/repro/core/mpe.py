@@ -64,8 +64,12 @@ from repro.runtime.shm import (
 from repro.storage.backing import BackingStore
 from repro.storage.cache import cache_plan
 from repro.tuning import KnobSettings, Tuner, TuningSample
-from repro.utils.bloom import ALL_KEYS, BloomFilter, hash_keys
-from repro.utils.segments import merge_sorted_unique, segment_reduce
+from repro.utils.bloom import BloomFilter, hash_keys
+from repro.utils.segments import (
+    merge_sorted_unique,
+    segment_reduce,
+    sorted_unique,
+)
 
 
 @dataclass(frozen=True)
@@ -224,6 +228,10 @@ class RunResult:
     # vertex-store backing ran.
     selective: bool = False
     vertex_store: str = "mem"
+    # The engine's one bloom-filter build ({superstep, tiles, bytes};
+    # filters persist across warm runs) — None when no schedule has
+    # probed a filter yet, which is every default-config run.
+    filters_built: dict | None = None
     # Autotuner summary (fitted constants, residuals, decision trace)
     # when the run was tuned or consumed a scripted plan; None otherwise.
     tuning: dict | None = None
@@ -395,9 +403,13 @@ class MPE:
         self._forced_superstep: int = -1
         self.spe = SPE(cluster.dfs)
         self._tiles_fetched = False
-        # Per-server: list of (tile_id, blob_name, nbytes); bloom filters.
+        # Per-server: list of (tile_id, blob_name, nbytes); the tiles'
+        # bloom filters, empty until _ensure_blooms builds them all.
         self._assignments: list[list[tuple[int, str, int]]] = []
         self._blooms: dict[int, BloomFilter] = {}
+        # The one filter build's record (superstep, tiles, bytes); None
+        # while no schedule has routed a decision through a filter.
+        self.filters_built: dict | None = None
         self._tile_nbytes_total = 0
         # Per-server sorted global ids of the targets its tiles own —
         # the shared static index behind range-dense broadcasts.
@@ -514,7 +526,7 @@ class MPE:
         return ebuf
 
     # ------------------------------------------------------------------
-    # Setup: fetch tiles, build blooms, size caches
+    # Setup: fetch tiles, summarise their sources, size caches
     # ------------------------------------------------------------------
     def setup(self) -> None:
         """Stage-two assignment + local fetch (idempotent)."""
@@ -560,12 +572,6 @@ class MPE:
             self._assignments[server_id].append((tile_id, name, len(blob)))
             per_server_bytes[server_id] += len(blob)
             tile = self._tile_parser(blob)
-            # A tuned run may switch filtering on mid-run; build the
-            # filters now, while the decoded tile is already in hand.
-            if self.config.use_bloom_filters or self.config.tune:
-                self._blooms[tile_id] = tile.build_bloom_filter(
-                    self.config.bloom_false_positive_rate
-                )
             self._summaries[tile_id] = TileSourceSummary.from_tile(tile)
             if self.config.replication_policy == "od":
                 self._server_sources[server_id].append(tile.source_vertices)
@@ -622,7 +628,7 @@ class MPE:
                     "concatenate sorted"
                 )
         all_targets = np.concatenate(self._server_target_ids)
-        if np.unique(all_targets).size != all_targets.size:
+        if sorted_unique(all_targets).size != all_targets.size:
             raise RuntimeError(
                 "servers' target ids overlap: the batched apply scatter "
                 "needs every vertex owned by exactly one server"
@@ -776,8 +782,8 @@ class MPE:
                 ebuf.end()  # apply
                 ebuf.begin("account", "phase")
                 # Per-server update sets are sorted and disjoint (each
-                # server owns disjoint target ranges): a k-way merge
-                # replaces the seed's np.unique-over-concatenation.
+                # server owns disjoint target ranges), so the next
+                # superstep's frontier is sorted-unique by construction.
                 prev_updated = merge_sorted_unique([st.ids for st in steps])
                 reports.append(
                     self._account_superstep(
@@ -846,6 +852,7 @@ class MPE:
             prefetch_depth=self._prefetch_depth,
             selective=cfg.selective_scheduling,
             vertex_store=cfg.vertex_store,
+            filters_built=self.filters_built,
             tuning=(
                 tuner.report()
                 if tuner is not None
@@ -1057,14 +1064,11 @@ class MPE:
                 if share_degrees:
                     degree_donor = store
             else:
-                # On-Demand: only this server's tile sources ∪ targets.
-                pieces = self._server_sources[server.server_id] + [
-                    self._server_target_ids[server.server_id]
-                ]
-                local = (
-                    np.unique(np.concatenate(pieces))
-                    if pieces
-                    else np.zeros(0, dtype=np.int64)
+                # On-Demand: only this server's tile sources ∪ targets
+                # (the store takes the union of what it is handed).
+                local = np.concatenate(
+                    self._server_sources[server.server_id]
+                    + [self._server_target_ids[server.server_id]]
                 )
                 store = OnDemandStore(init_values, degrees, local, allocator)
             cleanup.append(store.release)
@@ -1467,10 +1471,10 @@ class MPE:
 
     def _apply_knobs(self, knobs: KnobSettings, superstep, tbuf) -> None:
         """Put ``knobs`` into force for this superstep, parent-side:
-        the schedule's filters exist, the switch is on the tuning lane,
-        and the compute dispatch ships ``self._knobs``.  What a knob
-        changes *on a server* — the metered cache-mode switch — is the
-        compute handler's work, on that server's counters."""
+        the switch is on the tuning lane and the compute dispatch ships
+        ``self._knobs``.  What a knob changes *on a server* — the
+        metered cache-mode switch — is the compute handler's work, on
+        that server's counters."""
         switched = knobs != self._knobs or (
             knobs.cache_mode is not None
             and any(
@@ -1478,8 +1482,6 @@ class MPE:
                 for s in self.cluster.servers
             )
         )
-        if knobs.use_bloom:
-            self._ensure_blooms()
         if switched:
             tbuf.instant(
                 "knob_switch",
@@ -1494,23 +1496,38 @@ class MPE:
             )
         self._knobs = knobs
 
-    def _ensure_blooms(self) -> None:
-        """Backfill missing bloom filters from the fetched blobs (host
-        plumbing: ``disk.peek`` is unmetered).
+    def _ensure_blooms(self, superstep: int | None = None) -> None:
+        """Build every tile's bloom filter from the fetched blobs, once
+        (host plumbing: ``disk.peek`` is unmetered) — the one build
+        site.
 
-        Covers filtering switched on mid-run when setup had no reason
-        to build filters (scripted plans on a ``tune=off`` engine).
-        Parent-side only, like the schedule that probes them.
+        :meth:`_resolve_schedule` calls this right before the first
+        real probe, so an engine whose schedule never routes a decision
+        through a filter (selective scheduling on, the default) never
+        pays for one; :meth:`apply_mutations` refreshes only filters
+        that exist.  Parent-side only, like the schedule that probes
+        them; the build is a counted, traced event.
         """
-        if len(self._blooms) >= self.manifest.num_tiles:
+        if self.filters_built is not None:
             return
         for server in self.cluster.servers:
             for tile_id, name, _nbytes in self._assignments[server.server_id]:
-                if tile_id not in self._blooms:
-                    tile = self._tile_parser(server.disk.peek(name))
-                    self._blooms[tile_id] = tile.build_bloom_filter(
-                        self.config.bloom_false_positive_rate
-                    )
+                tile = self._tile_parser(server.disk.peek(name))
+                self._blooms[tile_id] = tile.build_bloom_filter(
+                    self.config.bloom_false_positive_rate
+                )
+        self.filters_built = {
+            "superstep": superstep,
+            "tiles": len(self._blooms),
+            "bytes": sum(bf.nbytes for bf in self._blooms.values()),
+        }
+        self._lane("engine").instant(
+            "filters_built", "schedule", **self.filters_built
+        )
+        self._metrics.counter(
+            "repro_filters_built",
+            "tile bloom filters built, lazily, before the first probe",
+        ).labels().inc(len(self._blooms))
 
     def _observe_tuning(
         self, prep, superstep, step_deltas, before, step_cost, report, schedule
@@ -1600,9 +1617,14 @@ class MPE:
         3. Else, when filtering is on and there is an update set
            (selective off, or the dense supersteps where only empty
            tiles can be dropped), the bloom filter decides: skipped as
-           ``"bloom"`` iff it proves no updated source.  The update set
-           is hashed once for all filters; when *every* vertex updated,
-           ``ALL_KEYS`` answers from the insert count alone.
+           ``"bloom"`` iff it proves no updated source.  When *every*
+           vertex updated, a filter — no false negatives — says "might
+           intersect" exactly when something was inserted, i.e. when
+           the tile's source summary is non-empty, so the summary
+           answers and no filter is needed.  Otherwise the filters are
+           built if this is the first real probe
+           (:meth:`_ensure_blooms`) and the update set is hashed once
+           for all of them.
         4. Else the tile runs (scratch superstep 0, resume with no
            set, both prunes off).
 
@@ -1615,18 +1637,25 @@ class MPE:
             if superstep == self._forced_superstep
             else frozenset()
         )
-        bitmap = hashed = None
+        bitmap = might_intersect = None
         if prev_updated is not None:
             if self.config.selective_scheduling:
                 bitmap = ActiveBitmap.seed_from_ids(prev_updated, num_vertices)
                 if bitmap.dense:
                     bitmap = None
             if bitmap is None and self._knobs.use_bloom:
-                hashed = (
-                    ALL_KEYS
-                    if prev_updated.size == num_vertices
-                    else hash_keys(prev_updated)
-                )
+                if prev_updated.size == num_vertices:
+
+                    def might_intersect(tile_id):
+                        return self._summaries[tile_id].sources.size > 0
+
+                else:
+                    self._ensure_blooms(superstep)
+                    hashed = hash_keys(prev_updated)
+
+                    def might_intersect(tile_id):
+                        return self._blooms[tile_id].might_intersect(hashed)
+
         schedule = []
         for tiles in self._assignments:
             run, skipped = [], []
@@ -1639,9 +1668,7 @@ class MPE:
                         run.append(tile)
                     else:
                         skipped.append((tile_id, "bitmap"))
-                elif hashed is None or self._blooms[tile_id].might_intersect(
-                    hashed
-                ):
+                elif might_intersect is None or might_intersect(tile_id):
                     run.append(tile)
                 else:
                     skipped.append((tile_id, "bloom"))

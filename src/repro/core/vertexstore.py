@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.segments import sorted_unique
+
 
 def _place(allocator, source: np.ndarray, tag: str, dtype=None) -> np.ndarray:
     """A private copy of ``source`` (as ``dtype``) in ``allocator``'s
@@ -128,7 +130,7 @@ class OnDemandStore:
         # ``_local_ids`` stays a private heap array under every
         # allocator: it is read-only after construction and forked
         # workers inherit it copy-on-write for free.
-        self._local_ids = np.unique(np.asarray(local_ids, dtype=np.int64))
+        self._local_ids = sorted_unique(np.asarray(local_ids, dtype=np.int64))
         self._values = _place(allocator, init_values[self._local_ids], "values")
         self._out_degrees = (
             _place(allocator, out_degrees[self._local_ids], "degrees", np.int32)

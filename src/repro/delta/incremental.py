@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.delta.mutlog import OP_DELETE, OP_INSERT
+from repro.utils.segments import sorted_unique
 
 __all__ = ["IncrementalPlan", "build_plan", "forward_reach"]
 
@@ -75,7 +76,7 @@ def forward_reach(
     reached = np.zeros(num_vertices, dtype=bool)
     seeds = np.asarray(seeds, dtype=np.int64)
     reached[seeds] = True
-    frontier = np.unique(seeds)
+    frontier = sorted_unique(seeds)
     levels = 0
     while frontier.size:
         levels += 1
@@ -88,7 +89,7 @@ def forward_reach(
             if not mask.any():
                 continue
             targets = np.repeat(tile.target_ids, np.diff(tile.row_int64))
-            hit = np.unique(targets[mask])
+            hit = sorted_unique(targets[mask])
             fresh = hit[~reached[hit]]
             if fresh.size:
                 reached[fresh] = True

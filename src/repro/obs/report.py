@@ -75,6 +75,7 @@ def build_run_report(
             "wall_s": round(sum(s.wall_s for s in result.supersteps), 6),
         },
         "supersteps": result.trace(),
+        "filters_built": getattr(result, "filters_built", None),
     }
     delta = getattr(result, "delta", None)
     if delta is not None:
@@ -270,6 +271,13 @@ def format_run_report(report: dict, max_rows: int = 40) -> str:
         f"disk={totals.get('disk_read_bytes', 0)}B "
         f"tiles skipped={tiles_skipped}/{tiles_skipped + tiles_processed} "
         f"wall={totals.get('wall_s', 0.0):.3f}s"
+    )
+    built = report.get("filters_built")
+    lines.append(
+        f"filters: built at superstep {built['superstep']} "
+        f"({built['tiles']} tiles, {built['bytes'] / 1024:.1f} KB)"
+        if built
+        else "filters: never built"
     )
     runtime = dict(report.get("runtime", {}))
     requested = runtime.pop("executor_requested", None)

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.utils.bloom import BloomFilter
+from repro.utils.segments import sorted_unique
 
 _MAGIC = b"GHTL"
 _HEADER = struct.Struct("<4sIqqqqB")  # magic, tile_id, lo, hi, n_edges, n_vertices, weighted
@@ -69,7 +70,7 @@ class Tile:
     @cached_property
     def source_vertices(self) -> np.ndarray:
         """Sorted unique source ids appearing in this tile."""
-        return np.unique(self.col).astype(np.int64)
+        return sorted_unique(self.col).astype(np.int64)
 
     @cached_property
     def row_int64(self) -> np.ndarray:

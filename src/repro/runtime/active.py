@@ -22,8 +22,7 @@ Two pieces:
   it was built from (for O(log n) range rejection).
 * :class:`TileSourceSummary` — a tile's source-vertex footprint: the
   ``[src_lo, src_hi]`` range plus the exact sorted source array.  Built
-  once at setup from decoded tiles; ~8 B/distinct-source resident, the
-  same order as the bloom filters it rides next to.
+  once at setup from decoded tiles; ~8 B/distinct-source resident.
 
 The membership test is two-stage: a searchsorted range rejection on the
 sorted updated array (cheap, catches the common case where a tile's
@@ -36,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.bitset import Bitset
+from repro.utils.segments import sorted_unique
 
 __all__ = ["ActiveBitmap", "TileSourceSummary"]
 
@@ -45,8 +45,7 @@ class ActiveBitmap:
 
     ``dense`` is True when *every* vertex updated — the common first few
     supersteps of PageRank-style programs — in which case no tile can be
-    skipped and callers should bypass per-tile probes entirely (mirrors
-    the ``ALL_KEYS`` fast path on the bloom side).
+    skipped and callers should bypass per-tile probes entirely.
     """
 
     __slots__ = ("num_vertices", "updated", "dense", "_bits")
@@ -68,9 +67,14 @@ class ActiveBitmap:
         The public seeding path for dirty-set consumers (``repro.delta``
         seeds a mutation batch's dirty vertices as "updated last
         superstep").  Ids are validated, deduplicated, and sorted, so
-        the bitmap is identical however the caller ordered them.
+        the bitmap is identical however the caller ordered them.  The
+        engine's own per-superstep frontier arrives sorted-unique
+        already, so the order is *checked* in O(n) and re-established
+        only when the check fails.
         """
-        ids = np.unique(np.asarray(vertex_ids, dtype=np.int64))
+        ids = np.asarray(vertex_ids, dtype=np.int64).ravel()
+        if ids.size > 1 and not bool((ids[1:] > ids[:-1]).all()):
+            ids = sorted_unique(ids)
         if ids.size and (ids[0] < 0 or ids[-1] >= int(num_vertices)):
             raise ValueError(
                 f"vertex ids must lie in [0, {num_vertices}); "
@@ -79,13 +83,17 @@ class ActiveBitmap:
         return cls(ids, num_vertices)
 
     def union(self, other: "ActiveBitmap") -> "ActiveBitmap":
-        """A new bitmap active wherever either input is."""
+        """A new bitmap active wherever either input is (both
+        ``updated`` arrays are sorted-unique by construction, so the
+        union is a stable sort of two runs)."""
         if self.num_vertices != other.num_vertices:
             raise ValueError(
                 f"bitmap sizes differ: {self.num_vertices} vs "
                 f"{other.num_vertices}"
             )
-        merged = np.union1d(self.updated, other.updated)
+        merged = sorted_unique(
+            np.concatenate((self.updated, other.updated)), kind="stable"
+        )
         return ActiveBitmap(merged, self.num_vertices)
 
     @property

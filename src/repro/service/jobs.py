@@ -135,7 +135,7 @@ class JobSpec:
 
     Only *run-scoped* engine knobs are exposed: everything here can be
     swapped on a warm engine between jobs without invalidating its
-    setup state (tile placement, bloom filters, caches).  Setup-scoped
+    setup state (tile placement, source summaries, caches).  Setup-scoped
     knobs — replication policy, bloom on/off, cache capacity/mode, tile
     assignment — are fixed when the graph is registered; a job that
     needs different ones needs a different registration.

@@ -129,9 +129,18 @@ class SnappyLikeCodec(Codec):
 
     @staticmethod
     def _pack_plane(plane: np.ndarray) -> bytes:
+        literal = bytes([0]) + plane.size.to_bytes(8, "little") + plane.tobytes()
         if plane.size == 0:
-            return bytes([0]) + (0).to_bytes(8, "little")
-        boundaries = np.flatnonzero(np.diff(plane)) + 1
+            return literal
+        # Choose before encoding: an RLE block is at least 17 + 2*runs
+        # bytes (>= 1 varint byte + 1 value byte per run) against the
+        # literal's 9 + size, so a plane with too many runs — every
+        # mantissa plane of a float payload — is never varint-encoded
+        # just to be discarded.  Same bytes out for every input.
+        change = plane[1:] != plane[:-1]
+        if 17 + 2 * (int(np.count_nonzero(change)) + 1) >= len(literal):
+            return literal
+        boundaries = np.flatnonzero(change) + 1
         starts = np.concatenate(([0], boundaries))
         ends = np.concatenate((boundaries, [plane.size]))
         lengths = (ends - starts).astype(np.uint64)
@@ -143,7 +152,6 @@ class SnappyLikeCodec(Codec):
             + length_block
             + plane[starts].tobytes()
         )
-        literal = bytes([0]) + plane.size.to_bytes(8, "little") + plane.tobytes()
         return rle if len(rle) < len(literal) else literal
 
     def _pack(self, data: bytes, stride: int) -> bytes:

@@ -7,13 +7,12 @@ deterministic RNG construction, and human-readable size formatting.
 """
 
 from repro.utils.bitset import Bitset
-from repro.utils.bloom import ALL_KEYS, BloomFilter, HashedKeys, hash_keys
+from repro.utils.bloom import BloomFilter, HashedKeys, hash_keys
 from repro.utils.rng import make_rng
 from repro.utils.sizes import GB, KB, MB, human_bytes, parse_size
 from repro.utils.varint import decode_uvarints, encode_uvarints
 
 __all__ = [
-    "ALL_KEYS",
     "Bitset",
     "BloomFilter",
     "HashedKeys",

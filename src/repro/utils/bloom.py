@@ -56,26 +56,6 @@ def hash_keys(keys: np.ndarray) -> HashedKeys:
     return HashedKeys(keys)
 
 
-class _UniversalKeys:
-    """Sentinel key batch: a superset of every key ever inserted.
-
-    Passing :data:`ALL_KEYS` to :meth:`BloomFilter.might_intersect`
-    asserts the probe set contains (at least) all inserted keys.  The
-    filter then answers from its insert count alone: no false negatives
-    means any inserted key must report present, so the result is True
-    exactly when something was inserted — identical to probing the full
-    batch, with zero hashing.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "ALL_KEYS"
-
-
-ALL_KEYS = _UniversalKeys()
-
-
 def _splitmix64(values: np.ndarray, seed: int) -> np.ndarray:
     """Vectorised splitmix64 finaliser over ``uint64`` values."""
     with np.errstate(over="ignore"):
@@ -178,9 +158,7 @@ class BloomFilter:
         hit = (words >> (pos & 63).astype(np.uint64) & np.uint64(1)).astype(bool)
         return hit.all(axis=1)
 
-    def might_intersect(
-        self, keys: "np.ndarray | HashedKeys | _UniversalKeys"
-    ) -> bool:
+    def might_intersect(self, keys: "np.ndarray | HashedKeys") -> bool:
         """True if any key *may* be in the filter.
 
         This is the tile-skipping predicate: ``keys`` is the set of
@@ -188,16 +166,12 @@ class BloomFilter:
         tile's source vertices.  ``False`` guarantees the tile has no
         updated source and can safely be skipped.
 
-        Accepts raw keys, a :class:`HashedKeys` batch hashed once via
-        :func:`hash_keys`, or the :data:`ALL_KEYS` sentinel (caller
-        guarantees the batch covers every inserted key).  The probe runs
-        in blocks and exits on the first possible member, which changes
-        nothing about the result (``any`` over blocks equals ``any``
-        over the whole set) but makes the common dense-update case
-        O(block) per filter.
+        Accepts raw keys or a :class:`HashedKeys` batch hashed once via
+        :func:`hash_keys`.  The probe runs in blocks and exits on the
+        first possible member, which changes nothing about the result
+        (``any`` over blocks equals ``any`` over the whole set) but
+        makes the common dense-update case O(block) per filter.
         """
-        if keys is ALL_KEYS:
-            return self._num_items > 0
         hashed = keys if isinstance(keys, HashedKeys) else HashedKeys(keys)
         if hashed.size == 0 or self._num_items == 0:
             return False

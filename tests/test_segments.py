@@ -11,6 +11,7 @@ from repro.utils.segments import (
     merge_sorted_unique,
     segment_lengths,
     segment_reduce,
+    sorted_unique,
 )
 
 
@@ -104,9 +105,40 @@ class TestHelpers:
         assert expand_indptr(np.array([0])).size == 0
 
 
+class TestSortedUnique:
+    """``sorted_unique`` is ``np.unique`` without numpy >= 2.3's slow
+    path: same values, same dtype, same ravel of n-d input."""
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7], [3, 3, 3, 3], [0, 1, 2, 5, 9], [[4, 1], [1, 0]]],
+        ids=["empty", "singleton", "all-equal", "already-sorted", "2-d"],
+    )
+    def test_edge_cases(self, values, dtype):
+        arr = np.array(values, dtype=dtype)
+        out = sorted_unique(arr)
+        expected = np.unique(arr)
+        assert out.dtype == expected.dtype == dtype
+        assert out.tolist() == expected.tolist()
+
+    @settings(max_examples=80)
+    @given(
+        st.lists(st.integers(0, 2**32 - 1), max_size=200),
+        st.sampled_from([np.uint32, np.int64]),
+        st.sampled_from([None, "stable"]),
+    )
+    def test_matches_np_unique(self, values, dtype, kind):
+        arr = np.array(values, dtype=dtype)
+        out = sorted_unique(arr, kind=kind)
+        expected = np.unique(arr)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+
+
 class TestSortedMerge:
-    """The k-way merge replacing np.unique over concatenation in the
-    BSP barrier (per-server update sets are sorted and disjoint)."""
+    """The barrier's union of the per-server update sets (sorted and
+    disjoint): a stable sort of the concatenation."""
 
     def test_is_sorted(self):
         assert is_sorted(np.array([], dtype=np.int64))
@@ -148,4 +180,7 @@ class TestSortedMerge:
             if any(a.size for a in arrays)
             else np.zeros(0, dtype=np.int64)
         )
-        assert merge_sorted_unique(arrays).tolist() == expected.tolist()
+        out = merge_sorted_unique(arrays)
+        assert out.dtype == np.int64
+        assert out.tolist() == expected.tolist()
+        assert not any(np.shares_memory(out, a) for a in arrays)

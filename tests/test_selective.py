@@ -26,6 +26,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.experiments import run_graphh
 from repro.apps import SSSP, PageRank
@@ -35,7 +37,7 @@ from repro.graph import Graph, chung_lu_graph
 from repro.runtime import process_runtime_available
 from repro.runtime.active import ActiveBitmap, TileSourceSummary
 from repro.storage.backing import BackingStore
-from repro.utils.bloom import ALL_KEYS, BloomFilter, HashedKeys, hash_keys
+from repro.utils.bloom import BloomFilter, HashedKeys, hash_keys
 
 needs_process = pytest.mark.skipif(
     not process_runtime_available(),
@@ -69,12 +71,12 @@ def _run(graph, cfg, program=None, **kw):
     return result, telemetry
 
 
-def _engine(graph, tile_edges, **cfg):
-    """A set-up 3-server engine over ``graph``; the caller closes the
-    cluster."""
-    cluster = Cluster(ClusterSpec(num_servers=3))
+def _engine(graph, tile_edges, tracer=None, num_servers=3, **cfg):
+    """A set-up engine over ``graph`` (3 servers unless told otherwise);
+    the caller closes the cluster."""
+    cluster = Cluster(ClusterSpec(num_servers=num_servers))
     manifest = SPE(cluster.dfs).preprocess(graph, tile_edges, name=graph.name)
-    mpe = MPE(cluster, manifest, MPEConfig(**cfg))
+    mpe = MPE(cluster, manifest, MPEConfig(**cfg), tracer=tracer)
     mpe.setup()
     return mpe, cluster
 
@@ -155,7 +157,22 @@ def _old_rule(mpe, superstep, prev_updated, num_vertices):
     then tile by tile: forced → run; in the skip set → ``"bitmap"``;
     hashed update set and the filter misses → ``"bloom"``; else run.
     Every bitmap survivor *is* probed against its filter.
+
+    The oracle builds its own filter per tile from the engine's current
+    source summary (refreshed by ``apply_mutations``), so it does not
+    depend on when — or whether — the engine chose to build one; "every
+    vertex updated" is the filter's insert count, as the old
+    all-keys sentinel answered it.
     """
+
+    def tile_filter(tile_id):
+        sources = mpe._summaries[tile_id].sources
+        bf = BloomFilter(
+            max(1, sources.size), mpe.config.bloom_false_positive_rate
+        )
+        bf.add_many(sources)
+        return bf
+
     forced = (
         mpe._forced_tiles
         if superstep == mpe._forced_superstep
@@ -175,12 +192,9 @@ def _old_rule(mpe, superstep, prev_updated, num_vertices):
                 for tiles in mpe._assignments
             ]
     prev_hashed = None
-    if mpe._knobs.use_bloom and prev_updated is not None:
-        prev_hashed = (
-            ALL_KEYS
-            if prev_updated.size == num_vertices
-            else hash_keys(prev_updated)
-        )
+    probing = mpe._knobs.use_bloom and prev_updated is not None
+    if probing and prev_updated.size != num_vertices:
+        prev_hashed = hash_keys(prev_updated)
     out = []
     for server_id, tiles in enumerate(mpe._assignments):
         skips = skip_sets[server_id] if skip_sets is not None else None
@@ -191,9 +205,11 @@ def _old_rule(mpe, superstep, prev_updated, num_vertices):
                 if skips is not None and tile_id in skips:
                     skipped.append((tile_id, "bitmap"))
                     continue
-                if prev_hashed is not None and not mpe._blooms[
-                    tile_id
-                ].might_intersect(prev_hashed):
+                if probing and not (
+                    tile_filter(tile_id).might_intersect(prev_hashed)
+                    if prev_hashed is not None
+                    else tile_filter(tile_id).approx_items > 0
+                ):
                     skipped.append((tile_id, "bloom"))
                     continue
             run.append(tile)
@@ -434,6 +450,198 @@ class TestNoDoubleProbe:
 
 
 # ----------------------------------------------------------------------
+# Filters are built when a decision routes through one — and only then
+# ----------------------------------------------------------------------
+def _filter_run(graph, program, prebuilt, plan=None, **cfg):
+    """One traced 3-server run; ``prebuilt`` calls ``_ensure_blooms()``
+    before it (the eager engine the lazy one must be identical to).
+    Returns what the comparison reads plus the engine's build record."""
+    from repro.obs import Tracer
+    from repro.obs.trace import INSTANT
+
+    tracer = Tracer()
+    mpe, cluster = _engine(
+        graph,
+        max(1, graph.num_edges // 24),
+        tracer=tracer,
+        max_supersteps=14,
+        **cfg,
+    )
+    try:
+        if prebuilt:
+            mpe._ensure_blooms()
+        if plan is not None:
+            mpe.tuning_plan = plan(mpe)
+        result = mpe.run(program)
+        story = {
+            "values": result.values.tobytes(),
+            "steps": [
+                (
+                    s.tiles_processed,
+                    s.tiles_skipped,
+                    s.modeled.total_s,
+                    s.net_bytes,
+                    s.disk_read_bytes,
+                )
+                for s in result.supersteps
+            ],
+            "skips": {
+                buf.label: [
+                    (args["tile"], args["reason"])
+                    for kind, name, _cat, _ts, args in buf.events()
+                    if kind == INSTANT and name == "tile_skip"
+                ]
+                for buf in tracer.buffers()
+            },
+        }
+        return story, result, mpe, tracer
+    finally:
+        cluster.close()
+
+
+def _first_probed_superstep(result, num_vertices, start=1):
+    """The first superstep >= ``start`` whose update set (the previous
+    superstep's) is neither absent nor all-vertices; None if none."""
+    for report in result.supersteps[start - 1 : -1]:
+        if 0 < report.updated_vertices != num_vertices:
+            return report.superstep + 1
+    return None
+
+
+_PROGRAMS = pytest.mark.parametrize(
+    "make", [lambda: SSSP(source=1), PageRank], ids=["sssp", "pr"]
+)
+_SERIAL_AND_PROCESS = pytest.mark.parametrize(
+    "executor",
+    [
+        dict(executor="serial"),
+        pytest.param(
+            dict(executor="process", num_workers=2), marks=needs_process
+        ),
+    ],
+    ids=["serial", "process2"],
+)
+
+
+class TestLazyFilters:
+    def test_default_config_never_builds(self, skewed):
+        mpe, cluster = _engine(
+            skewed, max(1, skewed.num_edges // 24), mutations=True
+        )
+        try:
+            assert mpe.run(PageRank()).filters_built is None
+            mpe.apply_mutations([{"op": "insert", "src": 3, "dst": 7}])
+            result = mpe.run(SSSP(source=1))
+            assert sum(s.tiles_skipped for s in result.supersteps) > 0
+            assert mpe._blooms == {} and result.filters_built is None
+        finally:
+            cluster.close()
+
+    @_SERIAL_AND_PROCESS
+    @_PROGRAMS
+    def test_selective_off_builds_at_the_first_real_probe(
+        self, skewed, make, executor
+    ):
+        cfg = dict(selective_scheduling=False, **executor)
+        lazy, result, mpe, tracer = _filter_run(skewed, make(), False, **cfg)
+        eager, _result, _mpe, _tracer = _filter_run(skewed, make(), True, **cfg)
+        assert lazy == eager
+        k = _first_probed_superstep(result, mpe.manifest.num_vertices)
+        built = tracer.instant_counts().get("filters_built", 0)
+        if k is None:  # every update set was all-vertices: nothing to probe
+            assert mpe._blooms == {} and built == 0
+            assert result.filters_built is None
+        else:
+            num_tiles = mpe.manifest.num_tiles
+            assert len(mpe._blooms) == num_tiles and built == 1
+            assert result.filters_built == {
+                "superstep": k,
+                "tiles": num_tiles,
+                "bytes": sum(bf.nbytes for bf in mpe._blooms.values()),
+            }
+            assert (
+                f"repro_filters_built {num_tiles}" in tracer.metrics.to_text()
+            )
+        if isinstance(make(), SSSP):
+            assert k == 1 and sum(s[1] for s in lazy["steps"]) > 0
+
+    @_SERIAL_AND_PROCESS
+    def test_scripted_switch_builds_at_the_switch(self, skewed, executor):
+        from repro.tuning import TuningPlan
+
+        def plan(mpe):
+            base = mpe._base_knobs()
+            return TuningPlan.scripted(
+                {3: base.replace(use_bloom=True)}, base=base
+            )
+
+        cfg = dict(
+            selective_scheduling=False, use_bloom_filters=False, **executor
+        )
+        lazy, result, mpe, _t = _filter_run(
+            skewed, SSSP(source=1), False, plan, **cfg
+        )
+        eager, _r, _m, _t = _filter_run(
+            skewed, SSSP(source=1), True, plan, **cfg
+        )
+        assert lazy == eager
+        assert [s[1] for s in lazy["steps"][:3]] == [0, 0, 0]
+        assert sum(s[1] for s in lazy["steps"][3:]) > 0
+        assert result.filters_built["superstep"] == _first_probed_superstep(
+            result, mpe.manifest.num_vertices, start=3
+        ) == 3
+
+    def test_report_says_when(self, skewed):
+        from repro.obs.report import build_run_report, format_run_report
+
+        _s, off, _m, _t = _filter_run(
+            skewed, SSSP(source=1), False, selective_scheduling=False
+        )
+        _s, on, _m, _t = _filter_run(skewed, SSSP(source=1), False)
+        built = off.filters_built
+        assert (
+            f"filters: built at superstep 1 ({built['tiles']} tiles, "
+            f"{built['bytes'] / 1024:.1f} KB)"
+            in format_run_report(build_run_report(off))
+        )
+        assert "filters: never built" in format_run_report(build_run_report(on))
+
+
+class TestWarmLoopNeverResorts:
+    """A warm run's superstep loop establishes no sorted set it was
+    handed: ``np.unique`` (15-35x slower than sort + mask on numpy >=
+    2.3) is not called at all."""
+
+    @pytest.mark.parametrize("policy", ["aa", "od"])
+    @_PROGRAMS
+    def test_second_run_without_np_unique(
+        self, skewed, monkeypatch, make, policy
+    ):
+        mpe, cluster = _engine(
+            skewed,
+            max(1, skewed.num_edges // 24),
+            num_servers=4,
+            executor="serial",
+            replication_policy=policy,
+            max_supersteps=14,
+        )
+        try:
+            first = mpe.run(make())
+
+            def no_unique(*_args, **_kw):
+                raise AssertionError("np.unique on the warm superstep path")
+
+            monkeypatch.setattr(np, "unique", no_unique)
+            second = mpe.run(make())
+        finally:
+            cluster.close()
+        assert np.array_equal(first.values, second.values)
+        assert [s.modeled for s in first.supersteps[1:]] == [
+            s.modeled for s in second.supersteps[1:]
+        ]
+
+
+# ----------------------------------------------------------------------
 # Chaos determinism: faults at skipped-tile supersteps
 # ----------------------------------------------------------------------
 class TestChaosWithSkips:
@@ -655,6 +863,56 @@ class TestActivePrimitives:
             ActiveBitmap.seed_from_ids([3, 64], 64)
         with pytest.raises(ValueError):
             ActiveBitmap.seed_from_ids([-1], 64)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(0, 63), max_size=150), st.randoms())
+    def test_seed_from_ids_is_order_and_duplicate_blind(self, ids, rnd):
+        """The checked fast path (sorted-unique in) and the re-sorting
+        fallback (anything else) build the same bitmap."""
+        canonical = ActiveBitmap.seed_from_ids(sorted(set(ids)), 64)
+        shuffled = ids + ids[: len(ids) // 2]
+        rnd.shuffle(shuffled)
+        bm = ActiveBitmap.seed_from_ids(shuffled, 64)
+        assert np.array_equal(bm.updated, canonical.updated)
+        assert bm.updated.dtype == np.int64
+        assert bm.dense == canonical.dense == (len(set(ids)) == 64)
+        probe = np.arange(0, 64, 3, dtype=np.int64)
+        assert bm.any_of(probe) == canonical.any_of(probe)
+        for lo, hi in ((0, 63), (5, 9), (40, 40)):
+            assert bm.any_in_range(lo, hi) == canonical.any_in_range(lo, hi)
+
+    def test_seed_from_ids_checks_instead_of_sorting(self, monkeypatch):
+        """A sorted-unique frontier — what the superstep loop hands in —
+        reaches the constructor without a sort."""
+        import repro.runtime.active as active_mod
+
+        def no_sort(*_args, **_kw):
+            raise AssertionError("sorted-unique input was re-sorted")
+
+        monkeypatch.setattr(active_mod, "sorted_unique", no_sort)
+        ids = np.array([2, 9, 40], dtype=np.int64)
+        assert np.array_equal(ActiveBitmap.seed_from_ids(ids, 64).updated, ids)
+        assert ActiveBitmap.seed_from_ids(np.arange(64), 64).dense
+        assert ActiveBitmap.seed_from_ids([], 64).count == 0
+        with pytest.raises(AssertionError):
+            ActiveBitmap.seed_from_ids([9, 2], 64)
+        with pytest.raises(AssertionError):
+            ActiveBitmap.seed_from_ids([2, 2], 64)
+
+    @pytest.mark.parametrize("bad", [[-1, 3, 7], [3, 7, 64]])
+    def test_seed_from_ids_rejects_alike_on_both_branches(self, bad):
+        with pytest.raises(ValueError) as in_order:
+            ActiveBitmap.seed_from_ids(bad, 64)
+        with pytest.raises(ValueError) as out_of_order:
+            ActiveBitmap.seed_from_ids(bad[::-1] + bad, 64)
+        assert str(in_order.value) == str(out_of_order.value)
+        assert f"[{min(bad)}, {max(bad)}]" in str(in_order.value)
+
+    def test_seed_from_ids_flattens_2d(self):
+        bm = ActiveBitmap.seed_from_ids(np.array([[9, 2], [2, 40]]), 64)
+        assert np.array_equal(bm.updated, np.array([2, 9, 40], dtype=np.int64))
+        in_order = ActiveBitmap.seed_from_ids(np.array([[2, 9], [40, 41]]), 64)
+        assert in_order.updated.ndim == 1 and in_order.count == 4
 
     def test_union(self):
         a = ActiveBitmap.seed_from_ids([1, 5], 32)

@@ -16,7 +16,8 @@ from repro.storage import (
     select_cache_mode,
 )
 from repro.storage.cache import SIZE_AUDIT_PERIOD, CacheStats
-from repro.storage.codecs import CACHE_MODES
+from repro.storage.codecs import CACHE_MODES, SnappyLikeCodec
+from repro.utils.varint import encode_uvarints
 
 
 class TestCodecs:
@@ -105,6 +106,93 @@ class TestCodecs:
         for name in CODECS:
             codec = get_codec(name)
             assert codec.decompress(codec.compress(data)) == data
+
+
+def _encode_then_choose(plane: np.ndarray) -> bytes:
+    """``SnappyLikeCodec._pack_plane`` as it was before the literal-or-
+    RLE choice moved ahead of the run encoding — the byte-format
+    reference: the choice may be made earlier, never differently."""
+    if plane.size == 0:
+        return bytes([0]) + (0).to_bytes(8, "little")
+    boundaries = np.flatnonzero(np.diff(plane)) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [plane.size]))
+    lengths = (ends - starts).astype(np.uint64)
+    length_block = encode_uvarints(lengths)
+    rle = (
+        bytes([1])
+        + lengths.size.to_bytes(8, "little")
+        + len(length_block).to_bytes(8, "little")
+        + length_block
+        + plane[starts].tobytes()
+    )
+    literal = bytes([0]) + plane.size.to_bytes(8, "little") + plane.tobytes()
+    return rle if len(rle) < len(literal) else literal
+
+
+class _EncodeThenChooseCodec(SnappyLikeCodec):
+    _pack_plane = staticmethod(_encode_then_choose)
+
+
+def _dense_payload(n: int, seed: int) -> bytes:
+    """A dense broadcast's shape: packed bitvector, then float64 ranks
+    (incompressible mantissa planes, near-constant exponent planes)."""
+    rng = np.random.default_rng(seed)
+    bits = np.packbits(rng.random(n) < 0.9)
+    ranks = (rng.random(n) / n).astype(np.float64)
+    return bits.tobytes() + ranks.tobytes()
+
+
+_BLOBS = st.one_of(
+    st.binary(max_size=600),
+    st.builds(lambda b, n: bytes([b]) * n, st.integers(0, 255), st.integers(1, 3000)),
+    st.lists(
+        st.tuples(st.integers(0, 255), st.integers(1, 400)), max_size=30
+    ).map(lambda runs: b"".join(bytes([v]) * n for v, n in runs)),
+    st.builds(_dense_payload, st.integers(1, 700), st.integers(0, 10)),
+    st.builds(
+        lambda n, seed: np.random.default_rng(seed)
+        .integers(0, 256, n, dtype=np.uint8)
+        .tobytes(),
+        st.integers(1, 2001),
+        st.integers(0, 10),
+    ),
+)
+
+
+class TestSnappyLikeChoosesBeforeEncoding:
+    @settings(max_examples=150)
+    @given(_BLOBS)
+    def test_stream_is_byte_identical_to_the_reference(self, data):
+        codec = SnappyLikeCodec()
+        out = codec.compress(data)
+        assert out == _EncodeThenChooseCodec().compress(data)
+        assert codec.decompress(out) == data
+
+    @pytest.mark.parametrize("slack", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("runs", [1, 2, 17, 300])
+    def test_planes_on_the_decision_boundary(self, runs, slack):
+        """``17 + 2*runs`` against ``9 + size``: planes sized exactly on
+        the bound and one or two bytes either side of it, with every
+        run short (1-byte varints, where the bound is tight) and with
+        one long run (where it is not)."""
+        size = 8 + 2 * runs + slack
+        values = (np.arange(runs) % 2).astype(np.uint8)
+        # Every run short: the remainder is spread so each length is a
+        # 1-byte varint and the RLE block is exactly 17 + 2*runs.
+        spread = np.full(runs, size // runs, dtype=np.int64)
+        spread[: size % runs] += 1
+        # One long run instead (a 2-byte varint at runs=300).
+        lumped = np.ones(runs, dtype=np.int64)
+        lumped[-1] = size - (runs - 1)
+        for lengths in (spread, lumped):
+            plane = np.repeat(values, lengths)
+            assert plane.size == size
+            assert SnappyLikeCodec._pack_plane(plane) == _encode_then_choose(
+                plane
+            )
+        tight = SnappyLikeCodec._pack_plane(np.repeat(values, spread))
+        assert tight[0] == (1 if slack > 0 else 0)
 
 
 class TestLocalDisk:

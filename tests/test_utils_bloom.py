@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils import ALL_KEYS, BloomFilter, hash_keys
+from repro.utils import BloomFilter, hash_keys
 
 
 class TestBloomBasics:
@@ -102,16 +102,6 @@ class TestHashedKeys:
         bf = BloomFilter(10)
         bf.add(1)
         assert not bf.might_intersect(hash_keys(np.array([], dtype=np.int64)))
-
-    def test_all_keys_sentinel(self):
-        empty = BloomFilter(10)
-        assert not empty.might_intersect(ALL_KEYS)
-        bf = BloomFilter(10)
-        bf.add(3)
-        # A superset of every inserted key must intersect: the filter
-        # answers from its insert count, same as probing everything.
-        assert bf.might_intersect(ALL_KEYS)
-        assert bf.might_intersect(np.array([3]))
 
 
 @settings(max_examples=50)
