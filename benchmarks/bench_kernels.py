@@ -30,7 +30,9 @@ def test_kernel_gather_apply_pagerank(benchmark, web_tile):
     g, tile = web_tile
     program = PageRank()
     store = AllInAllStore(program.init_values(g), g.out_degrees)
-    ids, vals = benchmark(_process_tile, program, tile, store)
+    # The slot is per superstep, not per tile: built outside the timing.
+    slot = store.message_slot(program)
+    ids, vals = benchmark(_process_tile, program, tile, store, slot)
     assert ids.size <= g.num_vertices
 
 
@@ -39,7 +41,7 @@ def test_kernel_gather_apply_sssp(benchmark):
     tile = build_tiles(g, avg_tile_edges=g.num_edges).tiles[0]
     program = SSSP(source=0)
     store = AllInAllStore(program.init_values(g), None)
-    benchmark(_process_tile, program, tile, store)
+    benchmark(_process_tile, program, tile, store, None)  # weighted: per edge
 
 
 def test_kernel_segment_reduce_add(benchmark):

@@ -5,7 +5,10 @@ A program is defined by four vectorised pieces:
 * ``init_values(graph)`` — the value array at superstep 0;
 * ``edge_message(src_values, out_degrees, weights)`` — one contribution
   per edge, computed from each edge's *source* value (the Gather side of
-  GAB, the ``send_message`` side of Pregel, the Scatter of Chaos);
+  GAB, the ``send_message`` side of Pregel, the Scatter of Chaos).  It
+  is **elementwise in the source**: output element ``i`` is a function
+  of input elements ``i`` alone, never of the array's length, order or
+  any other element;
 * ``reduce_op`` — ``"add"`` or ``"min"``, the associative combiner;
 * ``apply(accum, old_values)`` — new value per vertex.
 
@@ -16,6 +19,17 @@ broadcast filtering, Pregel's active set, and convergence detection.
 
 Everything operates on whole numpy arrays; no per-vertex Python calls
 occur inside any engine's superstep loop.
+
+Elementwise in the source is what lets an engine choose *where* to
+evaluate ``edge_message``: a program that does not read edge weights
+(``uses_edge_weight = False``) sends the same message down every
+out-edge of a vertex, so GraphH's MPE evaluates it once per resident
+vertex per superstep — into the message slot §IV-A's Eq. 2 charges —
+and gathers the result per edge, instead of gathering values and
+degrees per edge and evaluating there.  The same elementwise operation
+on the same operands gives the same bits in either order;
+:func:`check_elementwise_in_source` rejects a program for which it
+would not.
 """
 
 from __future__ import annotations
@@ -57,11 +71,18 @@ class VertexProgram:
         out_degrees: np.ndarray | None,
         weights: np.ndarray | None,
     ) -> np.ndarray:
-        """Per-edge contribution from gathered source values.
+        """Contribution per element of ``src_values``.
 
-        ``src_values`` is already gathered per edge (``values[col]``);
-        ``out_degrees`` likewise per edge when ``uses_out_degree``;
-        ``weights`` per edge when ``uses_edge_weight``.
+        Must be **elementwise in the source**: ``out[i]`` depends on
+        ``src_values[i]``, ``out_degrees[i]`` and ``weights[i]`` only —
+        no reductions over the array, no dependence on its length or
+        order — and the inputs are never written (the result may be
+        ``src_values`` itself).  Engines rely on it: the arrays are
+        gathered per edge (``values[col]``) when ``uses_edge_weight``,
+        and otherwise may be a server's whole resident vertex set, one
+        element per *vertex*, with ``weights=None``.  ``out_degrees`` is
+        aligned with ``src_values`` when ``uses_out_degree``, else
+        ``None``.
         """
         raise NotImplementedError
 
@@ -100,3 +121,36 @@ class VertexProgram:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(reduce={self.reduce_op!r})"
+
+
+#: Vertices :func:`check_elementwise_in_source` probes.
+_PROBE = 64
+
+
+def check_elementwise_in_source(
+    program: VertexProgram,
+    values: np.ndarray,
+    out_degrees: np.ndarray | None,
+) -> None:
+    """Raise ``ValueError`` unless ``program.edge_message`` (weights
+    ``None``) is elementwise in the source on a small prefix of
+    ``values``: the message of the first half must not change, bit for
+    bit, when the second half is cut off."""
+
+    def message(n: int) -> np.ndarray:
+        degrees = None if out_degrees is None else out_degrees[:n]
+        return np.asarray(program.edge_message(values[:n], degrees, None))
+
+    n = min(values.size, _PROBE)
+    half = n // 2
+    whole, part = message(n), message(half)
+    if (
+        whole.shape != (n,)
+        or part.shape != (half,)
+        or whole[:half].tobytes() != part.tobytes()
+    ):
+        raise ValueError(
+            f"{type(program).__name__}.edge_message is not elementwise in "
+            "the source: a vertex's message changed with the other vertices "
+            "in the array (see repro.apps.base)"
+        )

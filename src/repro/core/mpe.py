@@ -20,7 +20,10 @@ Execution model
 The per-tile inner kernel is pure numpy (gather by ``uint32`` index,
 :func:`repro.utils.segments.segment_reduce`, vectorised apply), so the
 Python interpreter only appears at tile granularity — the same place the
-paper's OpenMP worker boundary sits.
+paper's OpenMP worker boundary sits.  What it gathers is the replica's
+message slot: a program that reads no edge weight has its
+``edge_message`` evaluated once per resident vertex at the top of each
+server's sweep, not once per edge in every tile.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.apps.base import VertexProgram
+from repro.apps.base import VertexProgram, check_elementwise_in_source
 from repro.cluster.cluster import Cluster
 from repro.cluster.counters import CounterSnapshot
 from repro.comm import Channel, decode_update, encode_update
@@ -928,6 +931,10 @@ class MPE:
         init_values = program.init_values(init_graph).astype(np.float64, copy=True)
         if init_values.size != num_vertices:
             raise ValueError("program init_values size mismatch with manifest")
+        degrees = out_degrees if program.uses_out_degree else None
+        if not program.uses_edge_weight:
+            # The sweep evaluates edge_message per vertex, not per edge.
+            check_elementwise_in_source(program, init_values, degrees)
 
         # --- incremental restart (repro.delta) ------------------------
         # Derived deterministically from (previous fixed point, pending
@@ -1023,7 +1030,7 @@ class MPE:
             plan=plan,
             tbuf=tbuf,
             num_vertices=num_vertices,
-            degrees=out_degrees if program.uses_out_degree else None,
+            degrees=degrees,
             init_values=init_values,
             incremental_plan=incremental_plan,
             start_superstep=start_superstep,
@@ -1906,6 +1913,15 @@ class MPE:
             if self.injector is not None:
                 self.injector.on_compute(server)
             store = server.state["store"]
+            # §IV-A's message slot: a program that reads no edge weight
+            # sends one message per source vertex, so it is computed once
+            # over the resident vertices and gathered per edge; weighted
+            # programs evaluate per edge.  Values only change at the
+            # barrier, so the slot holds for the whole sweep, and a
+            # retried sweep rebuilds it.
+            slot = None
+            if sched.run and not program.uses_edge_weight:
+                slot = store.message_slot(program)
             changed_ids_parts: list[np.ndarray] = []
             changed_vals_parts: list[np.ndarray] = []
             tile_edge_counts: list[int] = []
@@ -1934,7 +1950,7 @@ class MPE:
                             server.counters.delta_edges += overlay.num_ops
                     server.counters.add_memory("scratch", nbytes)
                     with trace.span("gather-apply", "compute", tile=tile_id):
-                        ids, vals = _process_tile(program, tile, store)
+                        ids, vals = _process_tile(program, tile, store, slot)
                     server.counters.add_memory("scratch", -nbytes)
                     tile_edge_counts.append(tile.num_edges)
                     tiles_processed += 1
@@ -2186,24 +2202,30 @@ def _process_tile(
     program: VertexProgram,
     tile: Tile,
     store,
+    slot: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised Gather + Apply over one tile's target range.
 
     ``store`` is either replica policy's vertex store (see
-    :mod:`repro.core.vertexstore`).  Returns (changed global ids, their
-    new values).
+    :mod:`repro.core.vertexstore`); ``slot`` is its ``message_slot`` for
+    this superstep, or ``None`` for a program whose message reads the
+    edge weight and is therefore evaluated per edge.  Returns (changed
+    global ids, their new values).
     """
     col = tile.col_int64
-    src_values = store.gather_values(col)
-    out_deg = store.gather_out_degrees(col) if program.uses_out_degree else None
-    weights = tile.edge_values() if program.uses_edge_weight else None
-    contributions = program.edge_message(src_values, out_deg, weights)
-    accum = segment_reduce(contributions, tile.row_int64, program.reduce_op)
+    if slot is not None:
+        contributions = store.gather_values(col, slot)
+    else:
+        out_deg = store.gather_out_degrees(col) if program.uses_out_degree else None
+        contributions = program.edge_message(
+            store.gather_values(col), out_deg, tile.edge_values()
+        )
+    accum = segment_reduce(contributions, tile.segment_plan, program.reduce_op)
     old = store.read_range(tile.target_lo, tile.target_hi)
     new = program.apply(accum, old, tile.target_ids)
     changed = program.value_changed(new, old)
     local_ids = np.flatnonzero(changed)
-    return (local_ids + tile.target_lo).astype(np.int64), new[local_ids]
+    return (local_ids + tile.target_lo).astype(np.int64, copy=False), new[local_ids]
 
 
 class _ManifestGraphView:

@@ -13,6 +13,18 @@ so both replication policies are real, runnable implementations:
 
 Both stores expose identical semantics; the GAB engine is policy-blind.
 
+The *message slot* Eq. 2 charges is real: :meth:`message_slot` runs a
+program's ``edge_message`` once over the resident vertices — one message
+per source vertex per superstep, in the store's own index space — and
+the per-edge gather reads it through the store's usual id translation
+(``gather_values(ids, slot)``).  ``edge_message`` is elementwise in the
+source (:mod:`repro.apps.base`), so message-then-gather and
+gather-then-message produce the same bits.  The slot never goes
+through an allocator: it is a fresh heap array local to whichever
+process runs the compute phase (or, for a program whose message *is*
+the value, a view of the replica), rebuilt every superstep, read-only,
+and dropped before the barrier writes the values it was derived from.
+
 *Where* a store's arrays live is not the store's business: each takes an
 optional allocator — anything with ``create(source, tag) -> ndarray``
 and ``release()`` — and copies its value/degree arrays into whatever
@@ -37,6 +49,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.segments import sorted_unique
+
+
+def _message_slot(program, values, out_degrees) -> np.ndarray:
+    """``program``'s message for every resident vertex, read-only —
+    programs whose message *is* the value (Katz, WCC) return ``values``
+    itself, and nothing may write the replica through that alias."""
+    slot = np.asarray(program.edge_message(values, out_degrees, None)).view()
+    slot.flags.writeable = False
+    return slot
 
 
 def _place(allocator, source: np.ndarray, tag: str, dtype=None) -> np.ndarray:
@@ -71,9 +92,16 @@ class AllInAllStore:
         else:
             self._out_degrees = None
 
-    def gather_values(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """Per-edge source-value gather."""
-        return self._values[vertex_ids]
+    def message_slot(self, program) -> np.ndarray:
+        """This superstep's message per resident vertex (Eq. 2's slot)."""
+        return _message_slot(program, self._values, self._out_degrees)
+
+    def gather_values(
+        self, vertex_ids: np.ndarray, plane: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per-edge source gather — of the values, or of ``plane``, an
+        array in this store's index space (:meth:`message_slot`)."""
+        return (self._values if plane is None else plane)[vertex_ids]
 
     def gather_out_degrees(self, vertex_ids: np.ndarray) -> np.ndarray:
         """Per-edge source out-degree gather."""
@@ -147,8 +175,14 @@ class OnDemandStore:
             raise KeyError("vertex not resident under the OD policy")
         return slots
 
-    def gather_values(self, vertex_ids: np.ndarray) -> np.ndarray:
-        return self._values[self._index(vertex_ids)]
+    def message_slot(self, program) -> np.ndarray:
+        return _message_slot(program, self._values, self._out_degrees)
+
+    def gather_values(
+        self, vertex_ids: np.ndarray, plane: np.ndarray | None = None
+    ) -> np.ndarray:
+        plane = self._values if plane is None else plane
+        return plane[self._index(vertex_ids)]
 
     def gather_out_degrees(self, vertex_ids: np.ndarray) -> np.ndarray:
         return self._out_degrees[self._index(vertex_ids)]

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.utils.bloom import BloomFilter
-from repro.utils.segments import sorted_unique
+from repro.utils.segments import SegmentPlan, sorted_unique
 
 _MAGIC = b"GHTL"
 _HEADER = struct.Struct("<4sIqqqqB")  # magic, tile_id, lo, hi, n_edges, n_vertices, weighted
@@ -42,8 +42,8 @@ class Tile:
 
     Deserialised tiles hold *read-only zero-copy views* over the source
     blob (:meth:`from_bytes` uses ``np.frombuffer``); directly built
-    tiles hold their own arrays.  Either way the hot-path index arrays
-    (:attr:`row_int64`, :attr:`col_int64`, :attr:`target_ids`) are
+    tiles hold their own arrays.  Either way the hot-path shadows
+    (:attr:`segment_plan`, :attr:`col_int64`, :attr:`target_ids`) are
     materialised lazily and cached on the instance, so a tile that
     stays live across supersteps (the decoded-tile cache) pays for them
     exactly once.
@@ -77,6 +77,14 @@ class Tile:
         """``row`` as int64 (no copy when already int64) — the dtype the
         segment-reduce kernel consumes without per-call conversion."""
         return np.asarray(self.row, dtype=np.int64)
+
+    @cached_property
+    def segment_plan(self) -> SegmentPlan:
+        """``row`` checked (monotone, starts at 0) and reduced to its
+        non-empty mask and ``reduceat`` starts, once per decoded tile —
+        what the per-superstep :func:`~repro.utils.segments.segment_reduce`
+        consumes instead of re-deriving both from a static row pointer."""
+        return SegmentPlan(self.row_int64)
 
     @cached_property
     def col_int64(self) -> np.ndarray:

@@ -14,6 +14,8 @@ from collections.abc import Iterator
 import numpy as np
 
 _WORD_BITS = 64
+# Indices :meth:`Bitset.any_of` probes before the rest.
+_PROBE_BLOCK = 256
 
 
 class Bitset:
@@ -102,8 +104,20 @@ class Bitset:
         return bits[: self._size].astype(bool)
 
     def any_of(self, indices: np.ndarray) -> bool:
-        """Return True if *any* bit listed in ``indices`` is set."""
-        return bool(self.test_many(indices).any())
+        """Return True if *any* bit listed in ``indices`` is set.
+
+        Short-circuits like the builtin ``any``: a first block is
+        checked and probed, the rest only if that block misses — the
+        engine asks this of a tile's tens of thousands of sources
+        against a frontier that, when it hits at all, almost always hits
+        within the first few.  An out-of-range index raises
+        ``IndexError`` unless an earlier block already answered.
+        """
+        idx = np.asarray(indices, dtype=np.int64).ravel()
+        return bool(
+            self.test_many(idx[:_PROBE_BLOCK]).any()
+            or self.test_many(idx[_PROBE_BLOCK:]).any()
+        )
 
     def union_update(self, other: "Bitset") -> None:
         """In-place union with another bitset of identical capacity."""

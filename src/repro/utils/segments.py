@@ -32,9 +32,35 @@ IDENTITY = {
 }
 
 
+class SegmentPlan:
+    """Everything :func:`segment_reduce` derives from a row pointer
+    alone: the validity check, the non-empty-row mask and the
+    ``reduceat`` start offsets.
+
+    A row pointer that is reduced over repeatedly (a decoded tile's,
+    once per superstep) builds its plan once —
+    :attr:`repro.partition.tiles.Tile.segment_plan` — and the per-call
+    work drops to a length check, one ``reduceat`` and one masked store.
+    """
+
+    __slots__ = ("n_rows", "n_values", "nonempty", "starts")
+
+    def __init__(self, indptr: np.ndarray) -> None:
+        indptr = np.asarray(indptr, dtype=np.int64)
+        if indptr.size == 0:
+            raise ValueError("indptr must have at least one element")
+        lengths = np.diff(indptr)
+        if indptr[0] != 0 or (lengths < 0).any():
+            raise ValueError("indptr must be non-decreasing and start at 0")
+        self.n_rows = int(lengths.size)
+        self.n_values = int(indptr[-1])
+        self.nonempty = lengths > 0
+        self.starts = indptr[:-1][self.nonempty]
+
+
 def segment_reduce(
     values: np.ndarray,
-    indptr: np.ndarray,
+    indptr: "np.ndarray | SegmentPlan",
     op: str = "add",
     identity: float | None = None,
 ) -> np.ndarray:
@@ -46,7 +72,7 @@ def segment_reduce(
         Per-edge contributions, length ``indptr[-1]``.
     indptr:
         CSR row pointer of length ``n_rows + 1`` (non-decreasing,
-        starting at 0).
+        starting at 0), or the :class:`SegmentPlan` built from one.
     op:
         ``"add"``, ``"min"``, or ``"max"``.
     identity:
@@ -60,26 +86,17 @@ def segment_reduce(
         raise ValueError(f"unknown op {op!r}; expected one of {sorted(_OPS)}") from None
     if identity is None:
         identity = IDENTITY[op]
-    indptr = np.asarray(indptr, dtype=np.int64)
+    plan = indptr if isinstance(indptr, SegmentPlan) else SegmentPlan(indptr)
     values = np.asarray(values)
-    n_rows = indptr.size - 1
-    if n_rows < 0:
-        raise ValueError("indptr must have at least one element")
-    if indptr[0] != 0 or (indptr.size > 1 and np.any(np.diff(indptr) < 0)):
-        raise ValueError("indptr must be non-decreasing and start at 0")
-    if values.size != indptr[-1]:
+    if values.size != plan.n_values:
         raise ValueError(
-            f"values length {values.size} != indptr[-1] {int(indptr[-1])}"
+            f"values length {values.size} != indptr[-1] {plan.n_values}"
         )
-    out = np.full(n_rows, identity, dtype=np.float64)
-    if n_rows == 0 or values.size == 0:
-        return out
-    lengths = np.diff(indptr)
-    nonempty = lengths > 0
-    if not nonempty.any():
-        return out
-    starts = indptr[:-1][nonempty]
-    out[nonempty] = ufunc.reduceat(values.astype(np.float64, copy=False), starts)
+    out = np.full(plan.n_rows, identity, dtype=np.float64)
+    if plan.starts.size:
+        out[plan.nonempty] = ufunc.reduceat(
+            values.astype(np.float64, copy=False), plan.starts
+        )
     return out
 
 

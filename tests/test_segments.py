@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.segments import (
+    SegmentPlan,
     expand_indptr,
     is_sorted,
     merge_sorted_unique,
@@ -86,12 +87,36 @@ class TestSegmentReduce:
         indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         result = segment_reduce(vals, indptr, op)
+        # A prebuilt plan is the same reduction, bit for bit.
+        planned = segment_reduce(vals, SegmentPlan(indptr), op)
+        assert planned.tobytes() == result.tobytes()
         py_op = {"add": sum, "min": min, "max": max}[op]
         identity = {"add": 0.0, "min": np.inf, "max": -np.inf}[op]
         for i, ln in enumerate(lengths):
             seg = vals[indptr[i] : indptr[i + 1]].tolist()
             expected = py_op(seg) if seg else identity
             assert result[i] == pytest.approx(expected)
+
+
+class TestSegmentPlan:
+    def test_plan_holds_what_the_row_pointer_decides(self):
+        plan = SegmentPlan(np.array([0, 0, 2, 2, 5], dtype=np.uint32))
+        assert (plan.n_rows, plan.n_values) == (4, 5)
+        assert plan.nonempty.tolist() == [False, True, False, True]
+        assert plan.starts.tolist() == [0, 2]
+        assert plan.starts.dtype == np.int64
+
+    def test_plan_validates_once_at_build(self):
+        for bad in ([], [1, 2], [0, 2, 1]):
+            with pytest.raises(ValueError):
+                SegmentPlan(np.array(bad, dtype=np.int64))
+
+    def test_reduce_checks_values_against_the_plan(self):
+        plan = SegmentPlan(np.array([0, 1, 3]))
+        with pytest.raises(ValueError, match="values length 2"):
+            segment_reduce(np.zeros(2), plan, "add")
+        empty = SegmentPlan(np.array([0, 0, 0]))
+        assert segment_reduce(np.zeros(0), empty, "min").tolist() == [np.inf, np.inf]
 
 
 class TestHelpers:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils import Bitset
+from repro.utils import bitset as bitset_module
 
 
 class TestBitsetBasics:
@@ -162,3 +163,45 @@ def test_set_many_equals_individual_sets(indices):
     for i in indices:
         single.set(i)
     assert bulk == single
+
+
+# ----------------------------------------------------------------------
+# any_of probes a first block, then the rest: same answer as one shot
+# ----------------------------------------------------------------------
+_BLOCK = bitset_module._PROBE_BLOCK
+
+
+@given(
+    n=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
+    hit=st.sampled_from(["none", "first", "last", "boundary", "random"]),
+    data=st.data(),
+)
+def test_any_of_matches_one_shot_probe(n, hit, data):
+    size = 4 * _BLOCK
+    indices = np.array(
+        data.draw(st.lists(st.integers(0, size - 2), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    bs = Bitset(size)
+    if hit == "random":
+        extra = data.draw(st.lists(st.integers(0, size - 1), max_size=8))
+        bs.set_many(np.array(extra, dtype=np.int64))
+    else:
+        # One set bit no drawn index names: a miss unless planted.
+        bs.set(size - 1)
+        if n and hit != "none":
+            at = {"first": 0, "last": n - 1, "boundary": min(_BLOCK, n - 1)}[hit]
+            indices[at] = size - 1
+    assert bs.any_of(indices) == bool(bs.test_many(indices).any())
+
+
+def test_any_of_range_check_short_circuits_like_any():
+    bs = Bitset(4 * _BLOCK)
+    bs.set(5)
+    miss = np.arange(100, 100 + _BLOCK)
+    with pytest.raises(IndexError):
+        bs.any_of(np.concatenate(([-1], miss)))  # in the first block
+    with pytest.raises(IndexError):
+        bs.any_of(np.concatenate((miss, [bs.size])))  # first block misses
+    # A hit in the first block answers before the rest is looked at.
+    assert bs.any_of(np.concatenate(([5], miss, [bs.size])))
