@@ -26,6 +26,7 @@ from repro.apps import (
     PersonalizedPageRank,
 )
 from repro.core import GraphH, MPEConfig
+from repro.core.knobs import knob_rows, overlay
 from repro.graph import (
     Graph,
     chung_lu_graph,
@@ -38,6 +39,7 @@ from repro.graph import (
     save_edge_list_csv,
     watts_strogatz_graph,
 )
+from repro.service.jobs import ALGORITHMS, build_program
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -52,13 +54,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--top", type=int, default=10, help="print the top-K vertices"
     )
     parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="K",
-        help="snapshot values into DFS every K supersteps",
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help="resume from the newest DFS checkpoint (use with --state-dir)",
@@ -69,58 +64,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="persistent cluster root: keeps tiles + checkpoints across "
         "invocations so --resume can pick up where a run stopped",
     )
-    parser.add_argument(
-        "--executor",
-        choices=("serial", "parallel", "process"),
-        default="serial",
-        help="host executor: serial sweep, GIL threads, or the "
-        "shared-memory process pool",
-    )
-    parser.add_argument(
-        "--num-workers",
-        type=int,
-        default=None,
-        metavar="K",
-        help="process-pool width for --executor process "
-        "(default: one per core, capped)",
-    )
-    parser.add_argument(
-        "--prefetch-depth",
-        type=int,
-        default=0,
-        metavar="D",
-        help="tile prefetch pipeline depth (0 = off): overlap the next "
-        "tile's disk read + decompress + decode with compute",
-    )
-    parser.add_argument(
-        "--io-threads",
-        type=int,
-        default=1,
-        metavar="T",
-        help="background I/O threads per server feeding the pipeline",
-    )
-    parser.add_argument(
-        "--selective",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="selective scheduling: skip tiles whose source vertices "
-        "are all inactive (exact active-vertex bitmap; GraphMP)",
-    )
-    parser.add_argument(
-        "--vertex-store",
-        choices=("mem", "mmap"),
-        default="mem",
-        help="vertex replica backing: in-RAM arrays or file-backed "
-        "memmaps (semi-external memory — scales past RAM)",
-    )
-    parser.add_argument(
-        "--tune",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="online autotuner: fit the cost model to the first "
-        "supersteps, then switch codec/comm/cache/prefetch knobs "
-        "mid-run at superstep boundaries (repro.tuning)",
-    )
+    add_knob_arguments(parser)
     parser.add_argument(
         "--trace-out",
         default=None,
@@ -128,6 +72,60 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="record an execution trace (repro.obs) and write it here "
         "as Chrome trace-event JSON (Perfetto / chrome://tracing)",
     )
+
+
+def add_knob_arguments(parser, *, unset: bool = False, **defaults) -> None:
+    """One flag per run-scoped :class:`MPEConfig` row — spelling, type,
+    choices, default and help all read off the row.
+
+    ``defaults`` overrides a row's default for this command (``chaos``
+    checkpoints every 2 supersteps); ``unset=True`` (``repro submit``)
+    leaves every default ``None`` — "the registration's value stands" —
+    and also offers the rows only a long-lived engine can honour.
+    """
+    for row in knob_rows(MPEConfig):
+        if row.flag is None or (row.warm_only and not unset):
+            continue
+        options = {
+            "default": None if unset else defaults.get(row.name, row.default),
+            "help": row.help,
+        }
+        if row.type is bool:
+            options["action"] = argparse.BooleanOptionalAction
+        elif row.choices is not None:
+            options.update(type=row.type, choices=row.choices)
+        else:
+            options.update(type=row.type, metavar="N")
+        parser.add_argument(row.flag, **options)
+
+
+def knobs_from_args(args) -> dict:
+    """The knob flags a parsed command line set, keyed as spelt."""
+    return {
+        row.key: getattr(args, row.key)
+        for row in knob_rows(MPEConfig)
+        if row.flag is not None and getattr(args, row.key, None) is not None
+    }
+
+
+def config_from_args(args) -> MPEConfig:
+    """The :class:`MPEConfig` a parsed command line means (a value the
+    row refuses is a usage error, not a traceback)."""
+    try:
+        return overlay(MPEConfig(), **knobs_from_args(args))
+    except ValueError as exc:
+        raise SystemExit(f"repro: error: {exc}") from None
+
+
+def _program(args, graph: Graph):
+    """The named algorithm's program and the graph it runs on — the
+    undirected expansion when the algorithm needs one
+    (``service.jobs.ALGORITHMS`` is the one name → program table)."""
+    _factory, needs_sym = ALGORITHMS[args.algorithm]
+    program = build_program(
+        args.algorithm, {"damping": args.damping, "source": args.source}
+    )
+    return program, graph.to_undirected_edges() if needs_sym else graph
 
 
 def _load(path: str) -> Graph:
@@ -188,19 +186,9 @@ def cmd_stats(args) -> int:
 
 
 def _run(graph: Graph, program, args):
-    config = MPEConfig(
-        checkpoint_every=args.checkpoint_every,
-        executor=args.executor,
-        num_workers=args.num_workers,
-        prefetch_depth=args.prefetch_depth,
-        io_threads=args.io_threads,
-        selective_scheduling=args.selective,
-        vertex_store=args.vertex_store,
-        tune=args.tune,
-    )
     with GraphH(
         num_servers=args.servers,
-        config=config,
+        config=config_from_args(args),
         root=args.state_dir,
         trace_out=args.trace_out,
     ) as gh:
@@ -285,19 +273,9 @@ def cmd_ppr(args) -> int:
 
 def cmd_wcc(args) -> int:
     graph = _load(args.path)
-    config = MPEConfig(
-        checkpoint_every=args.checkpoint_every,
-        executor=args.executor,
-        num_workers=args.num_workers,
-        prefetch_depth=args.prefetch_depth,
-        io_threads=args.io_threads,
-        selective_scheduling=args.selective,
-        vertex_store=args.vertex_store,
-        tune=args.tune,
-    )
     with GraphH(
         num_servers=args.servers,
-        config=config,
+        config=config_from_args(args),
         root=args.state_dir,
         trace_out=args.trace_out,
     ) as gh:
@@ -335,7 +313,6 @@ def cmd_chaos(args) -> int:
     ``--verify`` re-runs fault-free and asserts bitwise-identical
     values (exit code 1 on mismatch).
     """
-    from repro.apps import WCC
     from repro.cluster import Cluster, ClusterSpec
     from repro.core import MPE, SPE
     from repro.faults import (
@@ -350,14 +327,8 @@ def cmd_chaos(args) -> int:
         Supervisor,
     )
 
-    graph = _load(args.path)
-    if args.algorithm == "pagerank":
-        program = PageRank(damping=args.damping)
-    elif args.algorithm == "sssp":
-        program = SSSP(source=args.source)
-    else:
-        graph = graph.to_undirected_edges()
-        program = WCC()
+    program, graph = _program(args, _load(args.path))
+    config = config_from_args(args)
 
     events = []
     if args.crash_at is not None:
@@ -401,20 +372,7 @@ def cmd_chaos(args) -> int:
             1, graph.num_edges // (48 * args.servers)
         )
         manifest = spe.preprocess(graph, tile_edges, name=graph.name)
-        return MPE(
-            cluster,
-            manifest,
-            MPEConfig(
-                checkpoint_every=args.checkpoint_every,
-                executor=args.executor,
-                max_supersteps=args.max_supersteps,
-                prefetch_depth=args.prefetch_depth,
-                io_threads=args.io_threads,
-                selective_scheduling=args.selective,
-                vertex_store=args.vertex_store,
-                tune=args.tune,
-            ),
-        )
+        return MPE(cluster, manifest, config)
 
     with Cluster(ClusterSpec(num_servers=args.servers)) as cluster:
         supervisor = Supervisor(
@@ -487,31 +445,10 @@ def cmd_trace(args) -> int:
         save_run_report,
     )
 
-    graph = _load(args.path)
-    if args.algorithm == "pagerank":
-        program = PageRank(damping=args.damping)
-    elif args.algorithm == "sssp":
-        program = SSSP(source=args.source)
-    elif args.algorithm == "bfs":
-        program = BFS(source=args.source)
-    else:
-        from repro.apps import WCC
-
-        graph = graph.to_undirected_edges()
-        program = WCC()
-
-    config = MPEConfig(
-        executor=args.executor,
-        num_workers=args.num_workers,
-        prefetch_depth=args.prefetch_depth,
-        io_threads=args.io_threads,
-        selective_scheduling=args.selective,
-        vertex_store=args.vertex_store,
-        tune=args.tune,
-    )
+    program, graph = _program(args, _load(args.path))
     with GraphH(
         num_servers=args.servers,
-        config=config,
+        config=config_from_args(args),
         trace=True,
         trace_out=args.out,
     ) as gh:
@@ -565,29 +502,8 @@ def cmd_tune(args) -> int:
         save_run_report,
     )
 
-    graph = _load(args.path)
-    if args.algorithm == "pagerank":
-        program = PageRank(damping=args.damping)
-    elif args.algorithm == "sssp":
-        program = SSSP(source=args.source)
-    elif args.algorithm == "bfs":
-        program = BFS(source=args.source)
-    else:
-        from repro.apps import WCC
-
-        graph = graph.to_undirected_edges()
-        program = WCC()
-
-    config = MPEConfig(
-        executor=args.executor,
-        num_workers=args.num_workers,
-        prefetch_depth=args.prefetch_depth,
-        io_threads=args.io_threads,
-        selective_scheduling=args.selective,
-        vertex_store=args.vertex_store,
-        tune=True,
-    )
-    with GraphH(num_servers=args.servers, config=config) as gh:
+    program, graph = _program(args, _load(args.path))
+    with GraphH(num_servers=args.servers, config=config_from_args(args)) as gh:
         gh.load_graph(graph, avg_tile_edges=args.tile_edges)
         result = gh.run(program)
         report = build_run_report(
@@ -710,21 +626,7 @@ def _submit_spec(args) -> dict:
         "priority": args.priority,
         "tenant": args.tenant,
     }
-    for knob in (
-        "executor",
-        "num_workers",
-        "prefetch_depth",
-        "io_threads",
-        "selective",
-        "vertex_store",
-        "tune",
-        "incremental",
-        "max_supersteps",
-    ):
-        value = getattr(args, knob)
-        if value is not None:
-            spec[knob] = value
-    return spec
+    return {**spec, **knobs_from_args(args)}
 
 
 def cmd_submit(args) -> int:
@@ -909,24 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--tile-edges", type=int, default=None)
     t.add_argument("--damping", type=float, default=0.85)
     t.add_argument("--source", type=int, default=0)
-    t.add_argument(
-        "--executor",
-        choices=("serial", "parallel", "process"),
-        default="serial",
-    )
-    t.add_argument("--num-workers", type=int, default=None, metavar="K")
-    t.add_argument("--prefetch-depth", type=int, default=0, metavar="D",
-                   help="tile prefetch pipeline depth (0 = off)")
-    t.add_argument("--io-threads", type=int, default=1, metavar="T",
-                   help="background I/O threads per server")
-    t.add_argument("--selective", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="bitmap selective scheduling (GraphMP)")
-    t.add_argument("--vertex-store", choices=("mem", "mmap"), default="mem",
-                   help="vertex replica backing: RAM or file-backed memmaps")
-    t.add_argument("--tune", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="online autotuner (adds a tuning lane + report section)")
+    add_knob_arguments(t)
     t.add_argument(
         "--out", default=None, metavar="JSON",
         help="Chrome trace-event JSON (validated after writing)",
@@ -950,19 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--tile-edges", type=int, default=None)
     n.add_argument("--damping", type=float, default=0.85)
     n.add_argument("--source", type=int, default=0)
-    n.add_argument(
-        "--executor",
-        choices=("serial", "parallel", "process"),
-        default="serial",
-    )
-    n.add_argument("--num-workers", type=int, default=None, metavar="K")
-    n.add_argument("--prefetch-depth", type=int, default=0, metavar="D",
-                   help="starting pipeline depth (the tuner may change it)")
-    n.add_argument("--io-threads", type=int, default=1, metavar="T")
-    n.add_argument("--selective", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="bitmap selective scheduling (GraphMP)")
-    n.add_argument("--vertex-store", choices=("mem", "mmap"), default="mem")
+    add_knob_arguments(n, tune=True)
     n.add_argument("--report-out", default=None, metavar="JSON",
                    help="run report JSON (read back by `repro report`)")
     n.set_defaults(func=cmd_tune)
@@ -990,29 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--tile-edges", type=int, default=None)
     c.add_argument("--damping", type=float, default=0.85)
     c.add_argument("--source", type=int, default=0, help="sssp source vertex")
-    c.add_argument("--max-supersteps", type=int, default=200)
-    c.add_argument(
-        "--checkpoint-every", type=int, default=2, metavar="K",
-        help="checkpoint interval (bounds re-executed work after a fault)",
-    )
-    c.add_argument(
-        "--executor",
-        choices=("serial", "parallel", "process"),
-        default="serial",
-    )
-    c.add_argument("--prefetch-depth", type=int, default=0, metavar="D",
-                   help="tile prefetch pipeline depth (0 = off)")
-    c.add_argument("--io-threads", type=int, default=1, metavar="T",
-                   help="background I/O threads per server")
-    c.add_argument("--selective", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="bitmap selective scheduling (GraphMP)")
-    c.add_argument("--vertex-store", choices=("mem", "mmap"), default="mem",
-                   help="vertex replica backing: RAM or file-backed memmaps")
-    c.add_argument("--tune", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="online autotuner (decision trace replays across "
-                   "fault-recovery retries)")
+    add_knob_arguments(c, checkpoint_every=2)
     c.add_argument("--crash-at", type=int, default=None, metavar="STEP",
                    help="crash a server at this superstep")
     c.add_argument("--crash-server", type=int, default=0)
@@ -1073,11 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--host", default="127.0.0.1")
     u.add_argument("--port", type=int, default=7077)
     u.add_argument("--graph", required=True, help="registered graph name")
-    u.add_argument(
-        "--algorithm",
-        choices=("pagerank", "sssp", "bfs", "wcc", "katz", "ppr", "degree"),
-        default="pagerank",
-    )
+    u.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="pagerank")
     u.add_argument("--source", type=int, default=None,
                    help="source vertex (sssp/bfs)")
     u.add_argument("--damping", type=float, default=None)
@@ -1086,24 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--priority", choices=("high", "normal", "low"),
                    default="normal")
     u.add_argument("--tenant", default="default")
-    u.add_argument("--executor", choices=("serial", "parallel", "process"),
-                   default=None)
-    u.add_argument("--num-workers", type=int, default=None, metavar="K")
-    u.add_argument("--prefetch-depth", type=int, default=None, metavar="D")
-    u.add_argument("--io-threads", type=int, default=None, metavar="T")
-    u.add_argument("--selective", action=argparse.BooleanOptionalAction,
-                   default=None)
-    u.add_argument("--vertex-store", choices=("mem", "mmap"), default=None)
-    u.add_argument("--tune", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="online autotuner (fitted constants persist on "
-                   "the warm engine across jobs)")
-    u.add_argument("--incremental", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="restart from the graph's previous fixed point, "
-                   "repairing only mutation-disturbed vertices "
-                   "(needs a prior completed run of the same algorithm)")
-    u.add_argument("--max-supersteps", type=int, default=None)
+    add_knob_arguments(u, unset=True)
     u.add_argument("--wait", action="store_true",
                    help="block until the job finishes; exit 1 unless done")
     u.add_argument("--timeout", type=float, default=300.0)

@@ -22,13 +22,12 @@ many vertex-centric programs."
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.apps.base import VertexProgram
 from repro.cluster.cluster import Cluster
 from repro.cluster.spec import ClusterSpec
+from repro.core.knobs import overlay
 from repro.core.mpe import MPE, MPEConfig, RunResult
 from repro.core.spe import SPE, TileManifest
 from repro.graph.graph import Graph
@@ -106,6 +105,9 @@ class ClusterBuild:
         Cached per dataset by default (warm setup state survives);
         ``fresh=True`` always builds a new engine — the one-shot facade
         path, behaviourally identical to the pre-extraction ``GraphH``.
+        A ``config`` handed to a cached engine is swapped in for its
+        next runs; once the engine is set up only run-scoped knobs may
+        differ (``ValueError`` otherwise — see :attr:`MPE.config`).
         """
         manifest = self.manifest(name)
         if fresh:
@@ -151,43 +153,17 @@ class GraphH:
     spec:
         Full hardware spec; overrides ``num_servers`` when given.
     config:
-        Engine tunables (cache, codec, comm mode, bloom filters).
+        Engine tunables (:class:`MPEConfig`; README's knob reference
+        table lists every row).
     root:
         Directory for cluster state; a private temp dir by default.
-    executor:
-        Shortcut for the host executor (``"serial"`` / ``"parallel"`` /
-        ``"process"``); overlays ``config`` when given.
-    num_workers:
-        Process-pool width for ``executor="process"``; overlays
-        ``config`` when given.
-    prefetch_depth:
-        Tile prefetch pipeline depth (0 = off); overlays ``config``
-        when given.  See :mod:`repro.runtime.prefetch`.
-    io_threads:
-        Background I/O threads per server feeding the pipeline;
-        overlays ``config`` when given.
-    selective:
-        GraphMP-style selective scheduling (exact active-vertex bitmap
-        tile pruning); overlays ``config.selective_scheduling`` when
-        given.  See :mod:`repro.runtime.active`.
-    vertex_store:
-        ``"mem"`` or ``"mmap"`` (semi-external-memory replica arrays);
-        overlays ``config`` when given.
-    tune:
-        Online autotuner (:mod:`repro.tuning`): fit the cost model from
-        the first supersteps, then switch codec / comm / bloom / cache /
-        prefetch knobs at superstep boundaries.  Overlays
-        ``config.tune`` when given.
-    mutations:
-        Evolving-graph support (:mod:`repro.delta`): attach a mutation
-        log + delta-overlay store to the engine so :meth:`mutate` can
-        apply edge inserts/deletes without re-running the SPE.  Overlays
-        ``config.mutations`` when given.
-    incremental:
-        Restart vertex programs from the previous fixed point, repairing
-        only vertices the latest mutation batch disturbed (requires
-        ``mutations=True``).  Overlays ``config.incremental`` when
-        given.
+    **knobs:
+        Any :class:`MPEConfig` knob by field name or alias
+        (``executor="process"``, ``selective=False``,
+        ``mutations=True`` …), laid over ``config`` by
+        :func:`repro.core.knobs.overlay`: ``None`` leaves the config's
+        value, an unknown name is a ``TypeError``, a bad value the
+        row's ``ValueError``.
     trace:
         ``True`` enables the observability subsystem (:mod:`repro.obs`):
         every run records spans/instants into :attr:`tracer` and bridges
@@ -213,18 +189,10 @@ class GraphH:
         spec: ClusterSpec | None = None,
         config: MPEConfig | None = None,
         root: str | None = None,
-        executor: str | None = None,
-        num_workers: int | None = None,
-        prefetch_depth: int | None = None,
-        io_threads: int | None = None,
-        selective: bool | None = None,
-        vertex_store: str | None = None,
-        tune: bool | None = None,
-        mutations: bool | None = None,
-        incremental: bool | None = None,
         trace=False,
         trace_out: str | None = None,
         build: ClusterBuild | None = None,
+        **knobs,
     ) -> None:
         self._owns_build = build is None
         self._build = build or ClusterBuild(
@@ -232,28 +200,7 @@ class GraphH:
         )
         self.spec = self._build.spec
         self.cluster = self._build.cluster
-        self.config = config or MPEConfig()
-        overrides = {}
-        if executor is not None:
-            overrides["executor"] = executor
-        if num_workers is not None:
-            overrides["num_workers"] = num_workers
-        if prefetch_depth is not None:
-            overrides["prefetch_depth"] = prefetch_depth
-        if io_threads is not None:
-            overrides["io_threads"] = io_threads
-        if selective is not None:
-            overrides["selective_scheduling"] = selective
-        if vertex_store is not None:
-            overrides["vertex_store"] = vertex_store
-        if tune is not None:
-            overrides["tune"] = tune
-        if mutations is not None:
-            overrides["mutations"] = mutations
-        if incremental is not None:
-            overrides["incremental"] = incremental
-        if overrides:
-            self.config = dataclasses.replace(self.config, **overrides)
+        self.config = overlay(config or MPEConfig(), **knobs)
         self.tracer = None
         self.trace_out = trace_out
         if trace or trace_out is not None:

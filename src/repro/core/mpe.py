@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +40,8 @@ from repro.apps.base import VertexProgram, check_elementwise_in_source
 from repro.cluster.cluster import Cluster
 from repro.cluster.counters import CounterSnapshot
 from repro.comm import Channel, decode_update, encode_update
-from repro.comm.messages import DENSE, SPARSE, SPARSITY_THRESHOLD
+from repro.comm.messages import DENSE, SPARSE
+from repro.core.knobs import knob, knob_row, knob_rows
 from repro.core.spe import SPE, TileManifest
 from repro.core.vertexstore import AllInAllStore, OnDemandStore
 from repro.delta.deltatiles import DeltaStore
@@ -66,6 +67,7 @@ from repro.runtime.shm import (
 )
 from repro.storage.backing import BackingStore
 from repro.storage.cache import cache_plan
+from repro.storage.codecs import CODECS
 from repro.tuning import KnobSettings, Tuner, TuningSample
 from repro.utils.bloom import BloomFilter, hash_keys
 from repro.utils.segments import (
@@ -77,114 +79,149 @@ from repro.utils.segments import (
 
 @dataclass(frozen=True)
 class MPEConfig:
-    """Tunables for one MPE instance (defaults = the paper's)."""
+    """Tunables for one MPE instance (defaults = the paper's).
 
-    cache_capacity_bytes: int | None = None  # None → unlimited (all idle RAM)
-    cache_mode: int | None = None  # None → auto-select (§IV-B)
-    message_codec: str = "snappylike"  # Figure 8d's winner
-    comm_mode: str = "hybrid"  # "hybrid" | "dense" | "sparse"
-    sparsity_threshold: float = SPARSITY_THRESHOLD
-    use_bloom_filters: bool = True
-    bloom_false_positive_rate: float = 0.01
-    # GraphMP-style selective scheduling: prune tiles from the schedule
-    # with an *exact* active-vertex bitmap instead of the (approximate)
-    # bloom probe.  Strictly more skips than bloom alone (differing
-    # only on bloom false positives); see MPE._resolve_schedule.
-    selective_scheduling: bool = True
-    replication_policy: str = "aa"  # "aa" (paper default, §IV-A) | "od"
-    # Stage-two tile placement: "round_robin" (paper §III-C.1) or
-    # "balanced" (LPT over tile sizes — better stragglers on skew).
-    tile_assignment: str = "round_robin"
-    max_supersteps: int = 200
-    # Snapshot values+update-set into DFS every k supersteps; None
-    # disables.  See repro.core.checkpoint.
-    checkpoint_every: int | None = None
-    # --- host-runtime knobs (repro.runtime) ---------------------------
-    # How the per-server superstep loop executes on the host: "serial"
-    # (reference order), "parallel" (one OS thread per simulated
-    # server), or "process" (forked worker pool over shared-memory
-    # vertex state — GIL-free).  All three are bitwise-identical in
-    # results and metering.  The REPRO_EXECUTOR environment variable
-    # (CI's forcing flag) overrides this at run time.
-    executor: str = "serial"
-    # Thread count for the parallel executor (None → one per core).
-    num_threads: int | None = None
-    # Worker-process count for the process executor (None → one per
-    # core).
-    num_workers: int | None = None
-    # Keep decoded Tile objects live between supersteps instead of
-    # re-running Tile.from_bytes per blob per superstep.  Metering is
-    # byte-identical either way (Server.load_tile), so this defaults on.
-    decoded_cache: bool = True
-    # LRU bound on live decoded tiles per server (None → all of them).
-    decoded_cache_entries: int | None = None
-    # Tile prefetch pipeline (repro.runtime.prefetch): how many tiles
-    # ahead background I/O threads speculate while compute gathers the
-    # current one.  0 (default) disables the pipeline entirely; results
-    # and metering are bitwise identical at every depth.  The
-    # REPRO_PREFETCH environment variable overrides the depth at run
-    # time (CI's forcing flag).
-    prefetch_depth: int = 0
-    # Background I/O threads per server feeding the pipeline.
-    io_threads: int = 1
-    # Where the per-server vertex replica arrays live: "mem" (dense
-    # in-RAM arrays, the default) or "mmap" (GraphMP's semi-external-
-    # memory mode — file-backed memmaps from repro.storage.backing, so
-    # the N×|V| replicas stop being the memory ceiling).  mmap segments
-    # are MAP_SHARED and therefore fork-shareable: the process executor
-    # works unchanged, as do checkpoint/restore.  Results and metering
-    # are bitwise identical in both modes.
-    vertex_store: str = "mem"
-    # --- evolving graphs (repro.delta) --------------------------------
-    # Accept mutation batches (:meth:`MPE.apply_mutations`) and overlay
-    # the pending edits on the immutable base tiles at load time.  None
-    # (the default) keeps the engine frozen-graph and is a bitwise
-    # no-op: no delta store exists, the tile parser is the plain
+    Each field declaration is the knob's one row (:mod:`repro.core.knobs`):
+    the validation below, :func:`~repro.core.knobs.overlay`, the CLI's
+    flags, ``JobSpec``'s knob set, service admission, the warm-engine
+    rule (:attr:`MPE.config`) and README's reference table all read it.
+    """
+
+    # --- set-up scope: fixed when the engine is built -----------------
+    cache_capacity_bytes: int | None = knob(
+        None, scope="setup",
+        help="edge-cache budget per server, in bytes (None = unlimited: "
+        "all idle RAM)",
+    )
+    cache_mode: int | None = knob(
+        None, scope="setup", tunable=True,
+        help="edge-cache mode 1-4 (None = auto-select from the capacity "
+        "constraint, §IV-B)",
+    )
+    message_codec: str = knob(
+        "snappylike", scope="setup", choices=tuple(CODECS), tunable=True,
+        help="broadcast payload codec (default: Figure 8d's winner)",
+    )
+    comm_mode: str = knob(
+        "hybrid", scope="setup", choices=("hybrid", "dense", "sparse"),
+        tunable=True,
+        help="broadcast representation; hybrid picks dense or sparse per "
+        "message at §IV-C's 0.8 sparsity ratio",
+    )
+    use_bloom_filters: bool = knob(
+        True, scope="setup", tunable=True,
+        help="bloom-filter tile skipping, wherever the exact bitmap of "
+        "selective scheduling does not decide",
+    )
+    bloom_false_positive_rate: float = knob(
+        0.01, scope="setup",
+        help="target false-positive rate of the per-tile filters",
+    )
+    replication_policy: str = knob(
+        "aa", scope="setup", choices=("aa", "od"),
+        help="vertex replication: All-in-All (§IV-A) or On-Demand",
+    )
+    tile_assignment: str = knob(
+        "round_robin", scope="setup", choices=("round_robin", "balanced"),
+        help="stage-two tile placement: round-robin (§III-C.1) or LPT over "
+        "tile sizes (better stragglers on skew)",
+    )
+    # Metering is byte-identical either way (Server.load_tile).
+    decoded_cache: bool = knob(
+        True, scope="setup",
+        help="keep decoded tiles live between supersteps instead of "
+        "re-parsing each blob every superstep",
+    )
+    decoded_cache_entries: int | None = knob(
+        None, scope="setup", min=1,
+        help="LRU bound on live decoded tiles per server (None = all)",
+    )
+    # None keeps the engine frozen-graph and is a bitwise no-op: no
+    # delta store exists, the tile parser is the plain
     # ``Tile.from_bytes``, and no delta counters ever move.
-    mutations: bool | None = None
-    # Restart a program from its previous fixed point with a dirty set
-    # derived from the pending mutation batch, instead of from scratch.
+    mutations: bool | None = knob(
+        None, scope="setup",
+        help="evolving graphs (repro.delta): accept mutation batches and "
+        "overlay them on the immutable base tiles at load time",
+    )
+
+    # --- run scope: a per-run choice (flag, JobSpec key, warm swap) ---
+    # Strictly more skips than bloom alone (differing only on bloom
+    # false positives); see MPE._resolve_schedule.
+    selective_scheduling: bool = knob(
+        True, scope="run", alias="selective",
+        help="selective scheduling: skip tiles whose source vertices are "
+        "all inactive (exact active-vertex bitmap; GraphMP)",
+    )
+    max_supersteps: int = knob(
+        200, scope="run", min=1, help="superstep cap per run"
+    )
+    checkpoint_every: int | None = knob(
+        None, scope="run", min=1,
+        help="snapshot values into DFS every N supersteps (bounds "
+        "re-executed work after a fault)",
+    )
+    # All three are bitwise-identical in results and metering.  The
+    # REPRO_EXECUTOR environment variable (CI's forcing flag) overrides
+    # this at run time.
+    executor: str = knob(
+        "serial", scope="run", choices=("serial", "parallel", "process"),
+        help="host executor: serial sweep, GIL threads, or the "
+        "shared-memory process pool",
+    )
+    num_threads: int | None = knob(
+        None, scope="run", min=1,
+        help="thread-pool width for --executor parallel (default: one "
+        "per core)",
+    )
+    num_workers: int | None = knob(
+        None, scope="run", min=1,
+        help="process-pool width for --executor process (default: one "
+        "per core, capped)",
+    )
+    # Results and metering are bitwise identical at every depth.  The
+    # REPRO_PREFETCH environment variable (CI's forcing flag) overrides
+    # the depth at run time.
+    prefetch_depth: int = knob(
+        0, scope="run", min=0, tunable=True,
+        help="tile prefetch pipeline depth (0 = off): overlap the next "
+        "tile's disk read + decompress + decode with compute",
+    )
+    io_threads: int = knob(
+        1, scope="run", min=1, tunable=True,
+        help="background I/O threads per server feeding the pipeline",
+    )
+    # "mmap" is GraphMP's semi-external-memory mode (file-backed memmaps
+    # from repro.storage.backing): the N×|V| replicas stop being the
+    # memory ceiling.  The segments are MAP_SHARED, so the process
+    # executor and checkpoint/restore work unchanged; results and
+    # metering are bitwise identical in both modes.
+    vertex_store: str = knob(
+        "mem", scope="run", choices=("mem", "mmap"),
+        help="vertex replica backing: in-RAM arrays or file-backed "
+        "memmaps (semi-external memory — scales past RAM)",
+    )
     # Requires mutations=True and a prior completed run of the same
-    # program on this engine (ValueError otherwise).  SSSP/WCC repair
-    # is bitwise-equal to from-scratch on the mutated graph; PageRank
+    # program on this engine (ValueError otherwise).  SSSP/WCC repair is
+    # bitwise-equal to from-scratch on the mutated graph; PageRank
     # agrees to its convergence tolerance (DESIGN.md §5i).
-    incremental: bool = False
-    # Online autotuner (repro.tuning): record per-phase volumes over the
-    # first supersteps, fit the cost-model constants, then re-evaluate
-    # codec / comm / bloom / cache / prefetch at every superstep
-    # boundary.  Off (the default) is bitwise identical to an engine
-    # without the tuner.
-    tune: bool = False
+    incremental: bool = knob(
+        False, scope="run", warm_only=True,
+        help="restart from the graph's previous fixed point, repairing "
+        "only mutation-disturbed vertices (needs a prior completed run "
+        "of the same algorithm)",
+    )
+    # Off is bitwise identical to an engine without the tuner.
+    tune: bool = knob(
+        False, scope="run",
+        help="online autotuner: fit the cost model to the first "
+        "supersteps, then switch codec/comm/cache/prefetch knobs mid-run "
+        "at superstep boundaries (repro.tuning)",
+    )
 
     def __post_init__(self) -> None:
-        if self.comm_mode not in ("hybrid", "dense", "sparse"):
-            raise ValueError("comm_mode must be hybrid, dense, or sparse")
-        if self.replication_policy not in ("aa", "od"):
-            raise ValueError('replication_policy must be "aa" or "od"')
-        if self.tile_assignment not in ("round_robin", "balanced"):
-            raise ValueError(
-                'tile_assignment must be "round_robin" or "balanced"'
-            )
-        if self.max_supersteps < 1:
-            raise ValueError("max_supersteps must be >= 1")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1 or None")
-        if self.executor not in ("serial", "parallel", "process"):
-            raise ValueError(
-                'executor must be "serial", "parallel", or "process"'
-            )
-        if self.num_threads is not None and self.num_threads < 1:
-            raise ValueError("num_threads must be >= 1 or None")
-        if self.num_workers is not None and self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1 or None")
-        if self.decoded_cache_entries is not None and self.decoded_cache_entries < 1:
-            raise ValueError("decoded_cache_entries must be >= 1 or None")
-        if self.prefetch_depth < 0:
-            raise ValueError("prefetch_depth must be >= 0")
-        if self.io_threads < 1:
-            raise ValueError("io_threads must be >= 1")
-        if self.vertex_store not in ("mem", "mmap"):
-            raise ValueError('vertex_store must be "mem" or "mmap"')
+        for row in knob_rows(type(self)):
+            row.check(getattr(self, row.name))
         if self.incremental and not self.mutations:
             raise ValueError("incremental=True requires mutations=True")
 
@@ -354,7 +391,7 @@ class MPE:
     ) -> None:
         self.cluster = cluster
         self.manifest = manifest
-        self.config = config or MPEConfig()
+        self._config = config or MPEConfig()
         self.channel = Channel(cluster.servers)
         # Optional repro.obs.trace.Tracer.  With None (the default) no
         # buffers exist: _wire_tracer hands every instrumentation site
@@ -531,6 +568,33 @@ class MPE:
     # ------------------------------------------------------------------
     # Setup: fetch tiles, summarise their sources, size caches
     # ------------------------------------------------------------------
+    @property
+    def config(self) -> MPEConfig:
+        return self._config
+
+    @config.setter
+    def config(self, config: MPEConfig) -> None:
+        """Swap the config between runs.  Once :meth:`setup` has run
+        only run-scoped rows may differ: a set-up-scoped change is
+        refused, naming the row, instead of being silently ignored."""
+        if self._tiles_fetched:
+            for row in knob_rows(MPEConfig):
+                if row.scope != "setup" or getattr(config, row.name) == getattr(
+                    self._config, row.name
+                ):
+                    continue
+                # ``mutations`` binds when it first turns on — the top
+                # of setup(), idempotent — not at the tile fetch.
+                if row.name == "mutations" and self._delta is None:
+                    continue
+                raise ValueError(
+                    f"{row.name} is set-up-scoped: this engine was set up "
+                    f"with {getattr(self._config, row.name)!r} and cannot "
+                    f"switch to {getattr(config, row.name)!r}; build a "
+                    "fresh engine"
+                )
+        self._config = config
+
     def setup(self) -> None:
         """Stage-two assignment + local fetch (idempotent)."""
         if self.config.mutations and self._delta is None:
@@ -1388,7 +1452,7 @@ class MPE:
         """
         cfg = self.config
         name = os.environ.get("REPRO_EXECUTOR", "").strip() or cfg.executor
-        if name not in ("serial", "parallel", "process"):
+        if name not in knob_row(MPEConfig, "executor").choices:
             raise ValueError(
                 f"unknown executor {name!r} (from REPRO_EXECUTOR or config)"
             )
@@ -1466,11 +1530,12 @@ class MPE:
         if tuner is not None:
             knobs = tuner.knobs_for(superstep)
         else:
-            knobs = plan.knobs_for(superstep) or self._knobs.replace(
-                cache_mode=None
+            knobs = plan.knobs_for(superstep) or replace(
+                self._knobs, cache_mode=None
             )
         if os.environ.get("REPRO_PREFETCH", "").strip():
-            knobs = knobs.replace(
+            knobs = replace(
+                knobs,
                 prefetch_depth=self._prefetch_depth,
                 io_threads=self._io_threads,
             )
@@ -1491,15 +1556,7 @@ class MPE:
         )
         if switched:
             tbuf.instant(
-                "knob_switch",
-                "tuning",
-                superstep=superstep,
-                message_codec=knobs.message_codec,
-                comm_mode=knobs.comm_mode,
-                use_bloom=knobs.use_bloom,
-                prefetch_depth=knobs.prefetch_depth,
-                io_threads=knobs.io_threads,
-                cache_mode=knobs.cache_mode,
+                "knob_switch", "tuning", superstep=superstep, **asdict(knobs)
             )
         self._knobs = knobs
 
@@ -2038,7 +2095,6 @@ class MPE:
                         local_ids,
                         codec_name=knobs.message_codec,
                         mode=forced,
-                        threshold=cfg.sparsity_threshold,
                     )
                     if knobs.message_codec != "raw":
                         server.counters.add_compressed(

@@ -89,7 +89,9 @@ def _dispatch(client: ServiceClient, request: dict) -> dict:
     if op == "ping":
         return {"ok": True, "graphs": client.engine.graphs()}
     if op == "submit":
-        record = client.submit(JobSpec.from_dict(request.get("spec", {})))
+        # Every key is kept (unlike JobSpec.from_dict): admission names
+        # and rejects a knob it does not know.
+        record = client.submit(JobSpec(**request.get("spec", {})))
         return {
             "ok": record["status"] != "rejected",
             "job_id": record["job_id"],

@@ -451,12 +451,13 @@ class Engine:
                 f"algorithm {spec.algorithm!r} needs an undirected dataset; "
                 f"register the graph with symmetrize=True"
             )
-        if spec.executor is not None and spec.executor not in (
-            "serial",
-            "parallel",
-            "process",
-        ):
-            return f"unknown executor {spec.executor!r}"
+        # Input from outside the program: checked against the knob rows
+        # here, never coerced, so a bad job is refused at the door
+        # instead of holding a worker slot until it fails in the run.
+        try:
+            spec.overlay(ctx.base_config)
+        except (ValueError, TypeError) as exc:
+            return f"bad knob: {exc}"
         try:
             spec.build_program()
         except (ValueError, TypeError) as exc:
@@ -579,22 +580,15 @@ class Engine:
 
     def _run_on_ctx(self, ctx: GraphContext, record: JobRecord) -> JobResult:
         """Execute one job on a warm graph context (caller holds locks)."""
-        import dataclasses
-
         spec = record.spec
         mpe = ctx.mpe
         program = spec.build_program()
-        overrides = spec.config_overrides()
         saved_config = mpe.config
-        mpe.config = (
-            dataclasses.replace(ctx.base_config, **overrides)
-            if overrides
-            else ctx.base_config
-        )
+        mpe.config = spec.overlay(ctx.base_config)
         try:
             # Stale snapshots from an earlier job with the same
             # (dataset, program) must not leak into this job's retries.
-            if spec.checkpoint_every is not None or spec.fault_events:
+            if mpe.config.checkpoint_every is not None or spec.fault_events:
                 clear_checkpoints(
                     ctx.cluster.dfs, mpe.manifest.name, program.name
                 )

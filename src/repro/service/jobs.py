@@ -24,12 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.knobs import knob_rows, overlay
+from repro.core.mpe import MPEConfig
+
 __all__ = [
     "JobStatus",
     "JobSpec",
     "JobResult",
     "JobRecord",
     "PRIORITIES",
+    "RUN_KNOBS",
     "ALGORITHMS",
     "build_program",
 ]
@@ -129,91 +133,99 @@ def build_program(algorithm: str, params: dict | None = None):
     return factory(params or {})
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One job request.
+# The run-scoped MPEConfig rows, by field name and alias: exactly the
+# knobs a job may carry.
+RUN_KNOBS = frozenset(
+    key
+    for row in knob_rows(MPEConfig)
+    if row.scope == "run"
+    for key in (row.name, row.key)
+)
 
-    Only *run-scoped* engine knobs are exposed: everything here can be
-    swapped on a warm engine between jobs without invalidating its
-    setup state (tile placement, source summaries, caches).  Setup-scoped
-    knobs — replication policy, bloom on/off, cache capacity/mode, tile
-    assignment — are fixed when the graph is registered; a job that
-    needs different ones needs a different registration.
+
+@dataclass(frozen=True, init=False)
+class JobSpec:
+    """One job request: the job's own fields plus ``**knobs``.
+
+    Only *run-scoped* engine knobs may ride along (``RUN_KNOBS`` — the
+    ``scope="run"`` rows of :class:`MPEConfig`, named by field or
+    alias): each can be swapped on a warm engine between jobs without
+    invalidating its setup state (tile placement, source summaries,
+    caches).  Setup-scoped knobs — replication policy, bloom on/off,
+    cache capacity/mode, tile assignment — are fixed when the graph is
+    registered; a job that needs different ones needs a different
+    registration.  The constructor keeps whatever keys it is given;
+    admission (``Engine.submit``) checks them against the rows and
+    rejects a job whose knob is unknown, setup-scoped or out of range.
+
+    On the wire and in the persisted queue a spec is one flat dict
+    (:meth:`to_dict`): job fields and set knobs side by side.
     """
 
     graph: str
-    algorithm: str = "pagerank"
-    params: dict = field(default_factory=dict)
-    priority: str = "normal"
-    tenant: str = "default"
-    # Run-scoped engine knobs; None → the registration's base config.
-    executor: str | None = None
-    num_threads: int | None = None
-    num_workers: int | None = None
-    prefetch_depth: int | None = None
-    io_threads: int | None = None
-    selective: bool | None = None
-    vertex_store: str | None = None
-    # Online autotuner (repro.tuning).  Run-scoped: the fitted constants
-    # live on the warm engine, so a later tuned job against the same
-    # registration skips the exploration window.
-    tune: bool | None = None
-    # Incremental computation (repro.delta): restart from this graph's
-    # previous fixed point for the same algorithm, repairing only the
-    # vertices disturbed by mutations applied since.  Run-scoped: the
-    # fixed-point memory lives on the warm engine.  Requires a prior
-    # completed run of the same algorithm on this registration.
-    incremental: bool | None = None
-    max_supersteps: int | None = None
-    checkpoint_every: int | None = None
+    algorithm: str
+    params: dict
+    priority: str
+    tenant: str
     # Fault-injection schedule (list of FaultEvent dicts) + retry budget:
     # when present the engine runs the job under a Supervisor.
-    fault_events: tuple = ()
-    max_restarts: int = 2
+    fault_events: tuple
+    max_restarts: int
+    # The knobs this job sets (unset → the registration's base config).
+    knobs: dict
 
-    def __post_init__(self) -> None:
-        if self.priority not in PRIORITIES:
+    def __init__(
+        self,
+        graph: str,
+        algorithm: str = "pagerank",
+        params: dict | None = None,
+        priority: str = "normal",
+        tenant: str = "default",
+        fault_events=(),
+        max_restarts: int = 2,
+        **knobs,
+    ) -> None:
+        if priority not in PRIORITIES:
             raise ValueError(
-                f"priority must be one of {PRIORITIES}, got {self.priority!r}"
+                f"priority must be one of {PRIORITIES}, got {priority!r}"
             )
+        # Frozen: fill the instance dict directly.
+        self.__dict__.update(
+            graph=graph,
+            algorithm=algorithm,
+            params=dict(params or {}),
+            priority=priority,
+            tenant=tenant,
+            fault_events=tuple(dict(e) for e in fault_events),
+            max_restarts=max_restarts,
+            knobs={k: v for k, v in knobs.items() if v is not None},
+        )
 
     def build_program(self):
         return build_program(self.algorithm, self.params)
 
-    def config_overrides(self) -> dict:
-        """The non-None run-scoped knobs, keyed by MPEConfig field."""
-        overrides = {}
-        for spec_field, cfg_field in (
-            ("executor", "executor"),
-            ("num_threads", "num_threads"),
-            ("num_workers", "num_workers"),
-            ("prefetch_depth", "prefetch_depth"),
-            ("io_threads", "io_threads"),
-            ("selective", "selective_scheduling"),
-            ("vertex_store", "vertex_store"),
-            ("tune", "tune"),
-            ("incremental", "incremental"),
-            ("max_supersteps", "max_supersteps"),
-            ("checkpoint_every", "checkpoint_every"),
-        ):
-            value = getattr(self, spec_field)
-            if value is not None:
-                overrides[cfg_field] = value
-        return overrides
+    def overlay(self, base: MPEConfig) -> MPEConfig:
+        """``base`` under this job's knobs (``TypeError`` / ``ValueError``
+        naming the knob that is unknown, setup-scoped or out of range)."""
+        return overlay(base, scope="run", **self.knobs)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["fault_events"] = [dict(e) for e in self.fault_events]
+        d.update(d.pop("knobs"))
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in d.items() if k in known}
-        kwargs["fault_events"] = tuple(
-            dict(e) for e in kwargs.get("fault_events", ())
-        )
-        return cls(**kwargs)
+        """A spec back from a persisted queue / job index.
+
+        Keys that are neither a job field nor a run-scoped knob are
+        ignored: a newer daemon's file must not brick an older one.
+        (A *submitted* spec is built with ``JobSpec(**spec)``, which
+        keeps every key so admission can reject the stray one.)
+        """
+        known = RUN_KNOBS | {f.name for f in dataclasses.fields(cls)} - {"knobs"}
+        return cls(**{k: v for k, v in d.items() if k in known})
 
 
 @dataclass

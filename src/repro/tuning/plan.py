@@ -25,7 +25,7 @@ Plans come in two flavours:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass
 
 __all__ = ["KnobSettings", "TuningDecision", "TuningPlan"]
 
@@ -48,34 +48,6 @@ class KnobSettings:
     io_threads: int = 1
     cache_mode: int | None = None
 
-    def replace(self, **changes) -> "KnobSettings":
-        return replace(self, **changes)
-
-    def as_tuple(self) -> tuple:
-        """Plain-tuple form (decision fingerprints compare these)."""
-        return (
-            self.message_codec,
-            self.comm_mode,
-            self.use_bloom,
-            self.prefetch_depth,
-            self.io_threads,
-            self.cache_mode,
-        )
-
-    @classmethod
-    def from_tuple(cls, t: tuple) -> "KnobSettings":
-        return cls(*t)
-
-    def to_dict(self) -> dict:
-        return {
-            "message_codec": self.message_codec,
-            "comm_mode": self.comm_mode,
-            "use_bloom": self.use_bloom,
-            "prefetch_depth": self.prefetch_depth,
-            "io_threads": self.io_threads,
-            "cache_mode": self.cache_mode,
-        }
-
 
 @dataclass(frozen=True)
 class TuningDecision:
@@ -93,7 +65,7 @@ class TuningDecision:
             "superstep": self.superstep,
             "phase": self.phase,
             "reason": self.reason,
-            "knobs": self.knobs.to_dict(),
+            "knobs": asdict(self.knobs),
         }
         if self.predicted_s is not None:
             out["predicted_s"] = round(self.predicted_s, 9)
@@ -166,7 +138,7 @@ class TuningPlan:
         """Deterministic decision fingerprint — what the cross-executor
         identity tests compare."""
         return [
-            (d.superstep, d.phase, d.knobs.as_tuple())
+            (d.superstep, d.phase, astuple(d.knobs))
             for d in self.decisions
         ]
 
@@ -182,7 +154,7 @@ class TuningPlan:
 
     def to_dict(self) -> dict:
         return {
-            "base": self.base.to_dict(),
+            "base": asdict(self.base),
             "sticky": self.sticky,
             "decisions": [d.to_dict() for d in self.decisions],
             "switch_supersteps": self.switches(),

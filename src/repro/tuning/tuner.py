@@ -27,7 +27,7 @@ exercised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.metrics.cost import CostSample, FittedConstants, fit_cost_constants
 from repro.storage.cache import cache_plan
@@ -170,7 +170,7 @@ class Tuner:
             codec = self._rotation[superstep - 1]
             decision = TuningDecision(
                 superstep,
-                current.replace(message_codec=codec, cache_mode=None),
+                replace(current, message_codec=codec, cache_mode=None),
                 "explore",
                 reason=f"rate codec {codec}",
             )
@@ -283,7 +283,7 @@ class Tuner:
         cfg = self.config
         threshold = cfg.min_gain * max(last.observed_s, 1e-12)
         reasons: list[str] = []
-        knobs = current.replace(cache_mode=None)
+        knobs = replace(current, cache_mode=None)
         predicted = None
 
         # Message codec: best measured broadcast unit cost.  At the fit
@@ -302,21 +302,21 @@ class Tuner:
                 best != current.message_codec
                 and scores[best] <= scores[current.message_codec] - margin
             ):
-                knobs = knobs.replace(message_codec=best)
+                knobs = replace(knobs, message_codec=best)
                 reasons.append(f"codec->{best}")
 
         # Comm mode: hybrid's per-message size-optimal choice weakly
         # dominates either forced mode (it can pick both), so a forced
         # configuration is released once the model is trusted.
         if current.comm_mode != "hybrid":
-            knobs = knobs.replace(comm_mode="hybrid")
+            knobs = replace(knobs, comm_mode="hybrid")
             reasons.append("comm->hybrid")
 
         # Bloom filters: a probe is only charged for tiles it *skips*
         # (each skip replacing a load), so filters weakly dominate
         # whenever the frontier is sparse enough for skips to exist.
         if not current.use_bloom and last.updated < last.num_vertices:
-            knobs = knobs.replace(use_bloom=True)
+            knobs = replace(knobs, use_bloom=True)
             reasons.append("bloom->on")
 
         # Cache mode: §IV-B's capacity rule re-evaluated against the
@@ -344,7 +344,7 @@ class Tuner:
                     gain > threshold
                     and gain * cfg.switch_horizon > switch_cost
                 ):
-                    knobs = knobs.replace(cache_mode=target)
+                    knobs = replace(knobs, cache_mode=target)
                     reasons.append(f"cache->mode{target}")
 
         # Prefetch pipeline: on when the fitted model says I/O can hide
@@ -370,8 +370,8 @@ class Tuner:
             current.prefetch_depth,
             current.io_threads,
         ):
-            knobs = knobs.replace(
-                prefetch_depth=depth, io_threads=io_threads
+            knobs = replace(
+                knobs, prefetch_depth=depth, io_threads=io_threads
             )
             reasons.append(f"prefetch->{depth}x{io_threads}")
 

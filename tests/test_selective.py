@@ -572,7 +572,7 @@ class TestLazyFilters:
         def plan(mpe):
             base = mpe._base_knobs()
             return TuningPlan.scripted(
-                {3: base.replace(use_bloom=True)}, base=base
+                {3: dataclasses.replace(base, use_bloom=True)}, base=base
             )
 
         cfg = dict(

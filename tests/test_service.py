@@ -68,7 +68,7 @@ def _cold_story(graph, spec: JobSpec):
     """The reference metered story: a cold one-shot facade run."""
     gh = GraphH(num_servers=N_SERVERS, config=MPEConfig())
     try:
-        gh.config = dataclasses.replace(gh.config, **spec.config_overrides())
+        gh.config = spec.overlay(gh.config)
         gh.load_graph(graph, name=graph.name)
         mpe = gh.mpe
         mpe.setup()

@@ -203,8 +203,11 @@ class TestKnobPlumbing:
             io_threads=2,
             cache_mode=3,
         )
-        assert KnobSettings.from_tuple(knobs.as_tuple()) == knobs
-        assert knobs.to_dict()["cache_mode"] == 3
+        # KnobSettings serialises through ``dataclasses`` alone; the
+        # tuple is what TuningPlan.trace() fingerprints.
+        assert dataclasses.astuple(knobs) == ("zlib1", "dense", False, 2, 2, 3)
+        assert KnobSettings(*dataclasses.astuple(knobs)) == knobs
+        assert dataclasses.asdict(knobs)["cache_mode"] == 3
 
     def test_scripted_plan_is_sticky(self):
         plan = TuningPlan.scripted(
