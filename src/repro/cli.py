@@ -454,13 +454,16 @@ def cmd_trace(args) -> int:
     ) as gh:
         gh.load_graph(graph, avg_tile_edges=args.tile_edges)
         result = gh.run(program)
+        extra = {"setup": gh.setup_profile}
+        if result.tuning:
+            extra["tuning"] = result.tuning
         report = build_run_report(
             result,
             gh.cluster,
             dataset=gh.manifest.name,
             program=program.name,
             num_servers=args.servers,
-            extra={"tuning": result.tuning} if result.tuning else None,
+            extra=extra,
         )
         if args.metrics_out:
             write_prometheus(gh.tracer.metrics, args.metrics_out)

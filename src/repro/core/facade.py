@@ -209,6 +209,9 @@ class GraphH:
             self.tracer = trace if isinstance(trace, Tracer) else Tracer()
         self.spe = self._build.spe
         self._manifest: TileManifest | None = None
+        # SPE.last_profile of the pass that built the active dataset;
+        # None when its tiles came from an earlier process (reuse=True).
+        self.setup_profile: dict | None = None
         self._mpe: MPE | None = None
         self._graph: Graph | None = None
 
@@ -235,6 +238,10 @@ class GraphH:
         name = name or graph.name
         self._manifest = self._build.load(
             graph, avg_tile_edges=avg_tile_edges, name=name, reuse=reuse
+        )
+        profile = self.spe.last_profile
+        self.setup_profile = (
+            profile if profile is not None and profile["dataset"] == name else None
         )
         self._graph = graph
         # An owned (one-shot) build keeps the historical fresh-engine-

@@ -17,6 +17,17 @@ with ``map_partitions`` + ``bincount`` (the mapPartitions idiom any real
 Spark job at this scale would use); job 3's shuffle moves per-tile edge
 chunks, not Python tuples.
 
+Job 3 is one stable sort of the target id in the mixed radix (tile,
+offset in tile), split at the shuffle: tiles are target ranges, so the
+map side reads each target's tile off a vertex → tile table and sorts
+its chunk on that digit; the reduce side sorts each tile on the other.
+Either digit is a radix sort while it fits 16 bits
+(:func:`repro.partition.tiles.stable_argsort`), and a stable sort's
+permutation is unique, so the tiles do not depend on which sort ran.
+Tiles are built, written and dropped one at a time in id order — the
+DFS turns write order into blob names and datanode placement, so the
+order is part of the output.
+
 Output layout in DFS (all binary, no pickle)::
 
     {name}/meta        — counts + splitter (little-endian int64s)
@@ -32,14 +43,20 @@ to run many vertex-centric programs."
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from time import perf_counter
 
 import numpy as np
 
 from repro.dfs import DistributedFileSystem
 from repro.graph.graph import Graph
 from repro.mapreduce import MiniCluster
-from repro.partition.tiles import Tile, build_splitter
+from repro.partition.tiles import (
+    Tile,
+    build_splitter,
+    stable_argsort,
+    vertex_tile_table,
+)
 
 _META = struct.Struct("<qqqqB")  # num_vertices, num_edges, num_tiles, avg_tile_edges, weighted
 
@@ -116,6 +133,10 @@ class SPE:
     ) -> None:
         self.dfs = dfs
         self.mapreduce = MiniCluster(num_partitions=mapreduce_partitions)
+        # Where the latest preprocess() spent its wall time (None before
+        # the first): dataset name, seconds per stage of Algorithm 4,
+        # tile count and that call's shuffle meters.
+        self.last_profile: dict | None = None
 
     # ------------------------------------------------------------------
     def preprocess(
@@ -130,6 +151,8 @@ class SPE:
             raise ValueError("avg_tile_edges must be >= 1")
         if self.dfs.exists(f"{name}/meta"):
             raise FileExistsError(f"dataset {name!r} already pre-processed")
+        t_start = perf_counter()
+        shuffled_before = asdict(self.mapreduce.shuffle_stats)
 
         # Edge dataset: partitions of (src, dst, weight) numpy chunks.
         chunks = []
@@ -163,49 +186,70 @@ class SPE:
         (_, (out_degrees, in_degrees)), = degree_ds.collect() or [
             ("deg", (np.zeros(num_vertices, np.int64), np.zeros(num_vertices, np.int64)))
         ]
+        t_degrees = perf_counter()
 
         # --- driver: splitter scan (Algorithm 4 lines 3-8) -------------
         splitter = build_splitter(in_degrees, avg_tile_edges)
         num_tiles = splitter.size - 1
+        # Broadcast variable of job 3: get_tile_id(target, splitter) as a
+        # lookup, narrow enough for a radix sort while P fits 16 bits.
+        tile_of = vertex_tile_table(splitter)
+        t_splitter = perf_counter()
 
         # --- job 3: key edges by tile id, group, convert to CSR --------
+        # Map side of the sort (module docstring): each chunk ordered by
+        # tile id once, its pieces emitted as slices of the permuted chunk.
         def key_by_tile(part):
             keyed = []
             for src, dst, w in part:
                 if src.size == 0:
                     continue
-                tile_ids = np.searchsorted(splitter, dst, side="right") - 1
-                order = np.argsort(tile_ids, kind="stable")
-                sorted_ids = tile_ids[order]
-                bounds = np.flatnonzero(np.diff(sorted_ids)) + 1
-                starts = np.concatenate(([0], bounds))
-                ends = np.concatenate((bounds, [sorted_ids.size]))
-                for a, b in zip(starts.tolist(), ends.tolist()):
-                    sel = order[a:b]
+                tile_ids = tile_of[dst]
+                order = stable_argsort(tile_ids, num_tiles)
+                src, dst = src[order], dst[order]
+                if w is not None:
+                    w = w[order]
+                counts = np.bincount(tile_ids, minlength=num_tiles)
+                present = np.flatnonzero(counts)
+                a = 0
+                for tile_id, b in zip(
+                    present.tolist(), np.cumsum(counts[present]).tolist()
+                ):
                     keyed.append(
                         (
-                            int(sorted_ids[a]),
-                            (src[sel], dst[sel], w[sel] if w is not None else None),
+                            tile_id,
+                            (src[a:b], dst[a:b], w[a:b] if w is not None else None),
                         )
                     )
+                    a = b
             return keyed
 
-        grouped = edges.map_partitions(key_by_tile).group_by_key()
+        pieces_by_tile = dict(
+            edges.map_partitions(key_by_tile).group_by_key().collect()
+        )
+        t_shuffle = perf_counter()
 
+        # A target range that got no edges is still a tile (all-empty).
+        no_edges = [
+            (
+                np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.float64) if graph.is_weighted else None,
+            )
+        ]
+
+        # Reduce side: a tile's pieces arrive in chunk order and are
+        # ordered by the target's offset in the tile.
         def to_tile(tile_id: int, pieces) -> Tile:
             lo, hi = int(splitter[tile_id]), int(splitter[tile_id + 1])
             src = np.concatenate([p[0] for p in pieces])
-            dst = np.concatenate([p[1] for p in pieces])
-            w = (
-                np.concatenate([p[2] for p in pieces])
-                if pieces[0][2] is not None
-                else None
-            )
-            order = np.argsort(dst, kind="stable")
-            dst_sorted = dst[order]
-            counts = np.bincount(dst_sorted - lo, minlength=hi - lo)
+            offsets = np.concatenate([p[1] for p in pieces]) - lo
+            order = stable_argsort(offsets, hi - lo)
             row = np.zeros(hi - lo + 1, dtype=np.int64)
-            np.cumsum(counts, out=row[1:])
+            np.cumsum(np.bincount(offsets, minlength=hi - lo), out=row[1:])
+            val = None
+            if graph.is_weighted:
+                val = np.concatenate([p[2] for p in pieces])[order]
             return Tile(
                 tile_id=tile_id,
                 target_lo=lo,
@@ -213,27 +257,12 @@ class SPE:
                 num_graph_vertices=num_vertices,
                 row=row,
                 col=src[order].astype(np.uint32),
-                val=w[order].astype(np.float64) if w is not None else None,
+                val=val,
             )
 
-        tiles_by_id: dict[int, Tile] = {}
-        for tile_id, pieces in grouped.collect():
-            tiles_by_id[tile_id] = to_tile(tile_id, pieces)
-        # Tiles whose target range got no edges still exist (all-empty).
-        for tile_id in range(num_tiles):
-            if tile_id not in tiles_by_id:
-                lo, hi = int(splitter[tile_id]), int(splitter[tile_id + 1])
-                tiles_by_id[tile_id] = Tile(
-                    tile_id=tile_id,
-                    target_lo=lo,
-                    target_hi=hi,
-                    num_graph_vertices=num_vertices,
-                    row=np.zeros(hi - lo + 1, dtype=np.int64),
-                    col=np.zeros(0, dtype=np.uint32),
-                    val=np.zeros(0, dtype=np.float64) if graph.is_weighted else None,
-                )
-
         # --- persist ----------------------------------------------------
+        # Write order is part of the output: the DFS turns it into blob
+        # names and datanode placement, which MPE.setup's locality reads.
         manifest = TileManifest(
             name=name,
             num_vertices=num_vertices,
@@ -246,10 +275,22 @@ class SPE:
         self.dfs.write(manifest.meta_path, manifest.to_bytes())
         self.dfs.write(manifest.indegree_path, in_degrees.tobytes())
         self.dfs.write(manifest.outdegree_path, out_degrees.tobytes())
+        # Tiles in id order, one in memory at a time.
         for tile_id in range(num_tiles):
-            self.dfs.write(
-                manifest.tile_path(tile_id), tiles_by_id[tile_id].to_bytes()
-            )
+            tile = to_tile(tile_id, pieces_by_tile.pop(tile_id, no_edges))
+            self.dfs.write(manifest.tile_path(tile_id), tile.to_bytes())
+        t_persist = perf_counter()
+
+        shuffled = asdict(self.mapreduce.shuffle_stats)
+        self.last_profile = {
+            "dataset": name,
+            "degree_jobs_s": t_degrees - t_start,
+            "splitter_s": t_splitter - t_degrees,
+            "tile_map_shuffle_s": t_shuffle - t_splitter,
+            "tile_reduce_persist_s": t_persist - t_shuffle,
+            "num_tiles": num_tiles,
+            **{meter: shuffled[meter] - shuffled_before[meter] for meter in shuffled},
+        }
         return manifest
 
     # ------------------------------------------------------------------

@@ -39,16 +39,21 @@ class ShuffleStats:
 
 
 def _approx_nbytes(obj: Any) -> int:
-    """Cheap per-record size estimate for shuffle metering."""
-    if isinstance(obj, (bytes, bytearray)):
-        return len(obj)
+    """Cheap per-record size estimate for shuffle metering.
+
+    Arrays are tested first and a tuple's arrays are read in place: the
+    records of SPE's shuffles are (key, tuple of numpy chunks).
+    """
     if isinstance(obj, np.ndarray):
         return obj.nbytes
     if isinstance(obj, tuple):
-        return sum(_approx_nbytes(x) for x in obj)
+        total = 0
+        for x in obj:
+            total += x.nbytes if isinstance(x, np.ndarray) else _approx_nbytes(x)
+        return total
     if isinstance(obj, (int, float, np.integer, np.floating)):
         return 8
-    if isinstance(obj, str):
+    if isinstance(obj, (bytes, bytearray, str)):
         return len(obj)
     return 32
 

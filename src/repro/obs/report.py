@@ -217,9 +217,19 @@ def format_run_report(report: dict, max_rows: int = 40) -> str:
         f"{report.get('dataset') or '?'} "
         f"(N={report.get('num_servers')}, "
         f"executor={report.get('runtime', {}).get('executor', '?')})",
-        header,
-        "-" * len(header),
     ]
+    setup = report.get("setup")
+    if setup:
+        lines.append(
+            "set-up (SPE, wall): "
+            f"degree jobs {setup['degree_jobs_s']:.3f}s + "
+            f"splitter {setup['splitter_s']:.3f}s + "
+            f"tile map+shuffle {setup['tile_map_shuffle_s']:.3f}s + "
+            f"tile reduce+persist {setup['tile_reduce_persist_s']:.3f}s; "
+            f"{setup['num_tiles']} tiles, {setup['shuffles']} shuffles of "
+            f"{setup['records_moved']} records, {setup['approx_bytes_moved']}B"
+        )
+    lines += [header, "-" * len(header)]
 
     def fmt_row(row: dict) -> str:
         modeled = row.get("modeled_s") or {}

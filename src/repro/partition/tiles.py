@@ -34,6 +34,7 @@ from repro.utils.segments import SegmentPlan, sorted_unique
 
 _MAGIC = b"GHTL"
 _HEADER = struct.Struct("<4sIqqqqB")  # magic, tile_id, lo, hi, n_edges, n_vertices, weighted
+_RADIX_BOUND = 1 << 16  # distinct values a uint16 key can hold
 
 
 @dataclass
@@ -242,14 +243,39 @@ def build_splitter(
     boundaries = [0]
     consumed = 0
     while boundaries[-1] < num_vertices:
-        start = boundaries[-1]
-        # First vertex index where this tile's running size reaches S.
-        remaining = cumulative[start:] - consumed
-        hit = np.searchsorted(remaining, avg_tile_edges)
-        end = min(start + int(hit) + 1, num_vertices)
+        # First vertex index where this tile's running size reaches S:
+        # everything before the tile's start is <= consumed < consumed + S,
+        # so the whole array can be searched without slicing it.
+        hit = np.searchsorted(cumulative, consumed + avg_tile_edges)
+        end = min(int(hit) + 1, num_vertices)
         boundaries.append(end)
         consumed = int(cumulative[end - 1])
     return np.array(boundaries, dtype=np.int64)
+
+
+def vertex_tile_table(splitter: np.ndarray) -> np.ndarray:
+    """``table[v]`` = id of the tile whose target range holds ``v``.
+
+    Tiles are target *ranges*, so ``get_tile_id(target, splitter)`` is a
+    lookup, not a search.  ``uint16`` while the ids fit, which is what
+    lets :func:`stable_argsort` sort them by radix.
+    """
+    num_tiles = splitter.size - 1
+    dtype = np.uint16 if num_tiles <= _RADIX_BOUND else np.int64
+    return np.repeat(np.arange(num_tiles, dtype=dtype), np.diff(splitter))
+
+
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    numpy's stable sort is a radix sort on integers of at most 16 bits
+    and a comparison sort above, so keys that fit are narrowed first.  A
+    stable sort's permutation is unique: both branches return the same
+    array, the narrow one several times sooner.
+    """
+    if bound <= _RADIX_BOUND:
+        keys = keys.astype(np.uint16, copy=False)
+    return np.argsort(keys, kind="stable")
 
 
 def build_tiles(graph: Graph, avg_tile_edges: int) -> TilePartition:

@@ -205,7 +205,12 @@ class TestCheckpointAndChaosCli:
         assert open(out["tl.jsonl"]).read().count("\n") >= 2
         doc = json.loads(open(out["report.json"]).read())
         assert doc["program"] == "pagerank"
+        # Where the cold start went: the SPE's profile rides along.
+        assert "set-up (SPE, wall): degree jobs" in stdout
+        assert doc["setup"]["dataset"] == doc["dataset"]
+        assert doc["setup"]["num_tiles"] > 0 and doc["setup"]["shuffles"] == 2
 
         capsys.readouterr()
         assert main(["report", out["report.json"]]) == 0
-        assert "broadcast" in capsys.readouterr().out
+        replayed = capsys.readouterr().out
+        assert "broadcast" in replayed and "set-up (SPE, wall)" in replayed

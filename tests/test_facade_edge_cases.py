@@ -21,6 +21,23 @@ class TestFacadeEdgeCases:
         assert np.array_equal(first, second)
         assert files_after_first == files_after_second
 
+    def test_setup_profile_kept_beside_the_manifest(self, tmp_path):
+        g = Graph.from_edges([(0, 1), (2, 3)], num_vertices=4, name="prof")
+        with GraphH(num_servers=2, root=str(tmp_path)) as gh:
+            assert gh.setup_profile is None
+            gh.load_graph(g, avg_tile_edges=2)
+            profile = gh.setup_profile
+            assert profile["dataset"] == "prof"
+            assert profile["num_tiles"] == gh.manifest.num_tiles
+            gh.wcc()  # pre-processes prof-sym on the same SPE
+            assert gh.spe.last_profile["dataset"] == "prof-sym"
+            assert gh.setup_profile is profile
+            gh.cluster.dfs.save_namespace()
+        # A later process finds the tiles in the DFS: no SPE pass ran.
+        with GraphH(num_servers=2, root=str(tmp_path)) as gh:
+            gh.load_graph(g, reuse=True)
+            assert gh.setup_profile is None
+
     def test_mpe_property_accessors(self):
         g = chung_lu_graph(50, 300, seed=180, name="acc")
         with GraphH(num_servers=1) as gh:

@@ -16,6 +16,7 @@ from repro.partition import (
     hash_edge_cut,
     hybrid_vertex_cut,
 )
+from repro.partition.tiles import stable_argsort, vertex_tile_table
 
 
 def fig4_graph() -> Graph:
@@ -61,6 +62,72 @@ class TestSplitter:
     def test_invalid_tile_size(self):
         with pytest.raises(ValueError):
             build_splitter(np.ones(3, np.int64), 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        zero_prefix=st.integers(0, 6),
+        # Mostly zeros and small degrees, now and then one vertex
+        # heavier than any S drawn below short of the last.
+        body=st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 7, 90]), max_size=40),
+        zero_suffix=st.integers(0, 6),
+        # S = 1, a typical S, and S > |E|.
+        tile_size=st.one_of(st.just(1), st.integers(1, 60), st.just(10_000)),
+    )
+    def test_matches_scalar_algorithm(self, zero_prefix, body, zero_suffix, tile_size):
+        degrees = [0] * zero_prefix + body + [0] * zero_suffix
+        vectorised = build_splitter(np.array(degrees, dtype=np.int64), tile_size)
+        assert vectorised.tolist() == scalar_splitter(degrees, tile_size)
+
+
+def scalar_splitter(in_degrees: list, avg_tile_edges: int) -> list:
+    """Algorithm 4 lines 3–8, one vertex at a time."""
+    splitter, size = [0], 0
+    for vertex, degree in enumerate(in_degrees):
+        size += degree
+        if size >= avg_tile_edges:
+            splitter.append(vertex + 1)
+            size = 0
+    if splitter[-1] != len(in_degrees):
+        splitter.append(len(in_degrees))
+    return splitter
+
+
+class TestSortHelpers:
+    """The SPE's tile job: both sides of the 16-bit threshold."""
+
+    @pytest.mark.parametrize("bound", [1, 7, 1 << 16, (1 << 16) + 1, 1 << 20])
+    def test_stable_argsort_is_the_stable_argsort(self, bound):
+        rng = np.random.default_rng(bound)
+        # Heavy duplication: seven values, the extremes among them.
+        values = np.concatenate(([0, bound - 1], rng.integers(0, bound, 5)))
+        keys = rng.choice(values, size=5000).astype(np.int64)
+        order = stable_argsort(keys, bound)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+
+    def test_stable_argsort_takes_narrow_keys_as_they_are(self):
+        keys = np.array([3, 0, 3, 65_535, 0], dtype=np.uint16)
+        assert stable_argsort(keys, 1 << 16).tolist() == [1, 4, 0, 2, 3]
+        assert stable_argsort(keys[:0], 1).size == 0
+
+    @pytest.mark.parametrize(
+        "num_tiles, dtype",
+        [(1, np.uint16), (5, np.uint16), (1 << 16, np.uint16), ((1 << 16) + 1, np.int64)],
+    )
+    def test_vertex_tile_table(self, num_tiles, dtype):
+        widths = np.ones(num_tiles, dtype=np.int64)
+        widths[::3] = 4
+        splitter = np.concatenate(([0], np.cumsum(widths)))
+        table = vertex_tile_table(splitter)
+        assert table.dtype == dtype
+        # Algorithm 4's get_tile_id, by search.
+        vertices = np.arange(splitter[-1])
+        assert np.array_equal(
+            table, np.searchsorted(splitter, vertices, side="right") - 1
+        )
+
+    def test_vertex_tile_table_of_no_vertices(self):
+        assert vertex_tile_table(np.array([0], dtype=np.int64)).size == 0
 
 
 class TestTiles:
