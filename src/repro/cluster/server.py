@@ -42,9 +42,11 @@ class ServerMirror:
     cache_mode: int | None
     cache_stats: CacheStats | None
     cache_keys: tuple | None
-    # Every blob size the edge cache remembers (the pool is forked per
-    # run: unshipped, each run would re-learn — re-compress — them) and
-    # its compress_skipped count (host telemetry).
+    # Every blob size the edge cache remembers, (name, mode) -> (raw
+    # length, crc32, stored length) (the pool is forked per run:
+    # unshipped, each run would re-learn — re-compress — them) and its
+    # compress_skipped count (host telemetry: rejects decided from a
+    # verified remembered size).
     cache_sizes: dict | None
     compress_skipped: int
     decoded_stats: DecodedCacheStats | None

@@ -69,8 +69,15 @@ class TileOverlay:
         return not self.inserts and not self.deletes
 
     def nbytes(self) -> int:
-        """Serialised overlay size (what the delta blob costs on disk)."""
-        return len(self.to_bytes())
+        """Serialised overlay size (what the delta blob costs on disk):
+        ``len(self.to_bytes())`` in closed form — the engine asks per
+        scheduled overlaid tile, so nothing is serialised to answer."""
+        weighted = any(w is not None for _, _, w in self.inserts)
+        return (
+            _HEADER.size
+            + len(self.inserts) * (16 if weighted else 8)
+            + 8 * sum(self.deletes.values())
+        )
 
     def apply(self, mut: Mutation) -> None:
         """Fold one mutation in, honouring intra-overlay ordering."""

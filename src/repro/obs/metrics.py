@@ -294,7 +294,8 @@ def bridge_cluster(registry: MetricsRegistry, cluster, channel=None) -> MetricsR
     # Host telemetry, not contract: a warm engine skips more.
     cache_skipped = registry.gauge(
         "repro_cache_compress_skipped",
-        "edge-cache inserts rejected from a remembered size, codec not run",
+        "edge-cache rejects decided from a remembered, crc32-verified size "
+        "(codec not run); equals the rejected events once sizes are learned",
         ("server",),
     )
 

@@ -90,8 +90,8 @@ def build_run_report(
                 "mode": s.cache.mode,
                 "used_bytes": s.cache.used_bytes,
                 "capacity_bytes": s.cache.capacity_bytes,
-                # Host telemetry (not contract): inserts rejected from a
-                # remembered size without running the codec.
+                # Host telemetry (not contract): rejects decided from a
+                # remembered, fingerprint-verified size — no codec run.
                 "compress_skipped": s.cache.compress_skipped,
             }
             for s in cluster.servers
@@ -315,7 +315,8 @@ def format_run_report(report: dict, max_rows: int = 40) -> str:
 
 def _format_cache(cache: dict) -> str:
     """Render the edge-cache line: cluster-wide §IV-B event totals, then
-    the host-telemetry count of inserts decided without the codec."""
+    the host-telemetry share of the rejects that were decided from a
+    verified remembered size, i.e. without the codec."""
     def total(key: str) -> int:
         return sum(row.get(key, 0) for row in cache.values())
 
@@ -326,7 +327,8 @@ def _format_cache(cache: dict) -> str:
         f"insertions={total('insertions')} rejected={total('rejected')} "
         f"evictions={total('evictions')} "
         f"used={total('used_bytes')}/{total('capacity_bytes')}B "
-        f"(host telemetry: compress_skipped={total('compress_skipped')})"
+        f"(host telemetry: compress_skipped={total('compress_skipped')}"
+        f"/{total('rejected')})"
     )
 
 

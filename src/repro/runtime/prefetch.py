@@ -142,6 +142,12 @@ def speculate_load(server, name: str, parser: Callable[[bytes], Any]):
     3. decoded-cache miss + edge-cache hit → stage the decompression
        and the parse;
     4. both miss (cache-cold) → stage raw bytes, compression, and parse.
+
+    "Already knows" is ``EdgeCache.would_reject``: the remembered size
+    read by name and length only.  The blob's fingerprint is not checked
+    here — a background thread must not raise — but by the committed
+    ``EdgeCache.put`` at dequeue, which verifies every remembered size
+    it decides from.
     """
     out = PrefetchedLoad(name)
     cache = server.cache

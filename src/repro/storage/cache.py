@@ -20,12 +20,13 @@ ratios and the cost model's decompression charges come from real counts.
 Admission is decided *before* the codec runs.  A real worker never
 compresses a tile it is about to drop, and the only thing ``put`` needs
 from the codec to reject is the compressed length — a pure function of
-(blob bytes, cache mode).  The cache remembers that length the first
-time it compresses a blob and decides every later insert of the same
-blob from the remembered number, so the codec runs only for blobs that
-will be stored — and for one reject in :data:`SIZE_AUDIT_PERIOD`, which
-is compressed anyway and must reproduce the remembered length (a stale
-size would change metered admission decisions silently; the audit makes
+(blob bytes, cache mode).  The cache remembers that length, with the
+blob's ``zlib.crc32``, the first time it compresses a blob, and decides
+every later insert of the same blob from the remembered number, so the
+codec runs only for blobs that will be stored.  "The same blob" is
+checked, not assumed: before a remembered length may decide anything
+the blob in hand must reproduce the remembered fingerprint (a stale
+size would change metered admission decisions silently; the check makes
 it an error).  Same decision from the same number: stats, contents,
 recency, and trace instants are bitwise what an always-compress cache
 produces.
@@ -33,19 +34,13 @@ produces.
 
 from __future__ import annotations
 
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.obs.trace import NULL_BUFFER
 from repro.storage.codecs import CACHE_MODES, Codec, get_codec
 from repro.storage.disk import LocalDisk
-
-# One in this many rejects decided from a remembered size still runs the
-# codec and checks the size against it (EdgeCache.put).  The ordinal is
-# CacheStats.rejected, so every executor audits the same puts and every
-# run from a reset audits the same ones.  Deliberately dense for the
-# shortcut's first release — DESIGN.md §5a says what else sets it.
-SIZE_AUDIT_PERIOD = 3
 
 
 @dataclass
@@ -70,6 +65,13 @@ class CacheStats:
         """Fraction of lookups served from memory (0.0 when idle — an
         idle cache has served nothing, not everything)."""
         return self.hits / self.lookups if self.lookups else 0.0
+
+
+def _stale(key: str, evidence: str) -> RuntimeError:
+    return RuntimeError(
+        f"remembered size of blob {key!r} is stale ({evidence}): it was "
+        "rewritten without EdgeCache.invalidate / Server.store_blob"
+    )
 
 
 def select_cache_mode(total_tile_bytes: int, capacity_bytes: int) -> int:
@@ -144,8 +146,10 @@ class EdgeCache:
     contents: they survive :meth:`clear`, :meth:`reset_stats` and mode
     switches (keyed per mode), and are dropped only by
     :meth:`invalidate` (the blob was rewritten) or with the cache
-    object.  ``compress_skipped`` counts the puts rejected without
-    running the codec — host telemetry, deliberately outside
+    object.  ``compress_skipped`` counts the puts rejected from a
+    remembered, fingerprint-verified size, i.e. without running the
+    codec; once every blob's size is known it advances in step with
+    ``CacheStats.rejected``.  Host telemetry, deliberately outside
     :class:`CacheStats` (a warm engine legitimately skips more than a
     cold one while its metered story stays identical).
     """
@@ -164,8 +168,9 @@ class EdgeCache:
             raise ValueError('eviction must be "none" or "lru"')
         self._entries: OrderedDict[str, bytes] = OrderedDict()
         self._used = 0
-        # (blob name, mode) -> (uncompressed length, stored length).
-        self._sizes: dict[tuple[str, int], tuple[int, int]] = {}
+        # (blob name, mode) -> (uncompressed length, crc32 of the
+        # uncompressed blob, stored length).
+        self._sizes: dict[tuple[str, int], tuple[int, int, int]] = {}
         self.compress_skipped = 0
         # Owning server's TraceBuffer when tracing is on (see
         # repro.obs.trace); records eviction/rejection instants only —
@@ -239,34 +244,47 @@ class EdgeCache:
         self.stats.bytes_decompressed += int(uncompressed_len)
         return True
 
-    def _remembered(self, key: str, raw_len: int) -> int | None:
-        """Stored length of blob ``key`` under the current mode, if it
-        has been compressed here before; ``None`` otherwise (or when the
-        remembered blob had a different uncompressed length)."""
+    def _remembered(self, key: str, data: bytes) -> int | None:
+        """Stored length of blob ``key`` under the current mode, if
+        ``data`` has been compressed here before; ``None`` when the name
+        is new or was last seen at another uncompressed length (it is
+        then measured afresh).  Same name and length but another
+        fingerprint is a rewrite nobody announced: ``RuntimeError``."""
         known = self._sizes.get((key, self.mode))
-        if known is None or known[0] != raw_len:
+        if known is None or known[0] != len(data):
             return None
-        return known[1]
+        if zlib.crc32(data) != known[1]:
+            raise _stale(key, "its content fingerprint differs")
+        return known[2]
 
-    def remembered_sizes(self) -> dict[tuple[str, int], tuple[int, int]]:
+    def _learn(self, key: str, data: bytes, blob: bytes) -> None:
+        """Remember that ``data`` is stored as ``blob`` under this mode."""
+        self._sizes[(key, self.mode)] = (len(data), zlib.crc32(data), len(blob))
+
+    def remembered_sizes(self) -> dict[tuple[str, int], tuple[int, int, int]]:
         """Copy of every remembered size, ``(name, mode) -> (raw length,
-        stored length)`` — what a forked worker's cache ships back so
-        the parent's copy does not re-learn them next run."""
+        crc32, stored length)`` — what a forked worker's cache ships
+        back so the parent's copy does not re-learn them next run."""
         return dict(self._sizes)
 
     def merge_sizes(self, sizes) -> None:
         """Adopt sizes learned by another copy of this cache (a forked
-        worker's): ``((name, mode), (raw length, stored length))``
-        pairs or a mapping of them."""
+        worker's): ``((name, mode), (raw length, crc32, stored
+        length))`` pairs or a mapping of them."""
         self._sizes.update(sizes)
 
     def would_reject(self, key: str, raw_len: int) -> bool:
         """Whether a :meth:`put` of blob ``key`` right now is *known* to
         be rejected; ``False`` whenever the size has not been learned
-        yet.  Read-only — safe for the prefetch pipeline's background
-        speculation."""
-        stored_len = self._remembered(key, raw_len)
-        return stored_len is not None and not self._fits(key, stored_len)
+        yet.  Read-only and length-only — safe for the prefetch
+        pipeline's background speculation, which must not raise; the
+        committed :meth:`put` verifies the fingerprint."""
+        known = self._sizes.get((key, self.mode))
+        return (
+            known is not None
+            and known[0] == raw_len
+            and not self._fits(key, known[2])
+        )
 
     def _fits(self, key: str, stored_len: int) -> bool:
         """The §IV-B admission rule on a stored length alone."""
@@ -296,14 +314,15 @@ class EdgeCache:
         """``(stored length, compressed blob or None)`` for ``data``.
 
         The codec runs only the first time a blob is seen under the
-        current mode; afterwards the remembered length is returned with
+        current mode; afterwards the remembered length is returned —
+        once ``data`` has reproduced the remembered fingerprint — with
         no blob, and the caller compresses only if it goes on to store.
         """
-        stored_len = self._remembered(key, len(data))
+        stored_len = self._remembered(key, data)
         if stored_len is not None:
             return stored_len, None
         blob = self._compress(data, prefetched)
-        self._sizes[(key, self.mode)] = (len(data), len(blob))
+        self._learn(key, data, blob)
         return len(blob), blob
 
     def _recompress(
@@ -313,10 +332,8 @@ class EdgeCache:
         the two have to agree."""
         blob = self._compress(data, prefetched)
         if len(blob) != stored_len:
-            raise RuntimeError(
-                f"remembered size of blob {key!r} is stale ({stored_len} B "
-                f"remembered, {len(blob)} B now): it was rewritten without "
-                "EdgeCache.invalidate / Server.store_blob"
+            raise _stale(
+                key, f"{stored_len} B remembered, {len(blob)} B now"
             )
         return blob
 
@@ -332,26 +349,24 @@ class EdgeCache:
 
         The decision is taken on the blob's stored length before the
         codec runs (see :meth:`_measure`); a rejected blob whose length
-        is remembered is not compressed, except on every
-        :data:`SIZE_AUDIT_PERIOD`-th reject.  Whenever the codec does
-        run on a blob with a remembered length (stored, or audited) the
-        two must agree; a mismatch raises ``RuntimeError``.
+        is remembered is not compressed.  A remembered length decides
+        only after ``data`` matched the fingerprint remembered with it,
+        and when the codec then runs (the blob is stored) its output
+        must have that length; either mismatch raises ``RuntimeError``.
         ``prefetched`` may carry a speculatively pre-compressed copy of
         ``data``; it is reused only when compressed from this exact
         object.
         """
         self.stats.bytes_compressed_in += len(data)
         stored_len, blob = self._measure(key, data, prefetched)
-        fits = self._fits(key, stored_len)
-        if blob is None and (fits or self.stats.rejected % SIZE_AUDIT_PERIOD == 0):
-            # About to be stored, or an audited reject.
-            blob = self._recompress(key, data, stored_len, prefetched)
-        if not fits:
+        if not self._fits(key, stored_len):
             if blob is None:
                 self.compress_skipped += 1
             self.stats.rejected += 1
             self.trace.instant("cache-reject", "cache", key=key)
             return False
+        if blob is None:
+            blob = self._recompress(key, data, stored_len, prefetched)
         if key in self._entries:
             self._used -= len(self._entries.pop(key))
         while self._used + len(blob) > self.capacity_bytes:
@@ -453,14 +468,14 @@ class EdgeCache:
         self._used = 0
         for key, data in items:
             blob = self.codec.compress(data)
-            self._sizes[(key, self.mode)] = (len(data), len(blob))
+            self._learn(key, data, blob)
             self._entries[key] = blob
             self._used += len(blob)
 
     def invalidate(self, key: str) -> None:
         """Forget blob ``key`` entirely — its entry, the bytes it held,
-        and its remembered sizes under every mode.  For a blob rewritten
-        under the same name; no stat is touched."""
+        and its remembered sizes and fingerprints under every mode.  For
+        a blob rewritten under the same name; no stat is touched."""
         blob = self._entries.pop(key, None)
         if blob is not None:
             self._used -= len(blob)

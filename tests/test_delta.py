@@ -28,17 +28,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import SSSP, PageRank, WCC
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, MPEConfig, SPE
 from repro.delta import (
     DeltaStore,
+    Mutation,
     MutationLog,
     TileOverlay,
     mirrored,
     random_mutations,
 )
+from repro.delta.mutlog import OP_DELETE, OP_INSERT
 from repro.faults import CRASH, DISK_ERROR, FaultEvent, FaultSchedule, Supervisor
 from repro.graph import chung_lu_graph
 from repro.runtime import process_runtime_available
@@ -452,6 +456,28 @@ class TestCompaction:
         assert back.tile_id == overlay.tile_id
         assert back.num_ops == overlay.num_ops
         assert back.to_bytes() == overlay.to_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),  # insert / delete
+                st.integers(0, 5),
+                st.integers(0, 5),
+                st.one_of(st.none(), st.floats(0.5, 4.0)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_nbytes_is_the_serialised_length(self, ops):
+        """``nbytes`` is a closed form (the sweep asks per scheduled
+        overlaid tile); it has to stay the blob's length — inserts,
+        cancelled inserts, repeated base deletes, weighted or not."""
+        overlay = TileOverlay(tile_id=7)
+        for i, (insert, src, dst, weight) in enumerate(ops):
+            op = OP_INSERT if insert else OP_DELETE
+            overlay.apply(Mutation(i, op, src, dst, weight if insert else None))
+        assert overlay.nbytes() == len(overlay.to_bytes())
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,6 @@ from repro.runtime import (
     process_runtime_available,
 )
 from repro.service import reset_simulation
-from repro.storage.cache import SIZE_AUDIT_PERIOD
 
 needs_process = pytest.mark.skipif(
     not process_runtime_available(),
@@ -1349,17 +1348,20 @@ class TestSpillingRememberedSizes:
         cluster, mpe = _spilling_engine(skewed, "serial", 0)
         try:
             first, skipped_first = _cold_run(cluster, mpe)
+            learned = sum(len(s.cache.remembered_sizes()) for s in cluster.servers)
             second, skipped_both = _cold_run(cluster, mpe)
         finally:
             cluster.close()
-        assert sum(c["rejected"] for c in first["cache"]) > 0
+        rejected = sum(c["rejected"] for c in first["cache"])
+        stored = sum(c["insertions"] for c in first["cache"])
         assert second == first
-        # The second run re-learns nothing: every reject but the audited
-        # ones (ordinals 0, P, 2P, ... per cache) skips the codec.
-        assert skipped_both - skipped_first == sum(
-            c["rejected"] - len(range(0, c["rejected"], SIZE_AUDIT_PERIOD))
-            for c in first["cache"]
-        )
+        # A size is learned at a blob's first insert.  Admit-until-full
+        # stores a blob then or never, so the first run's rejects skip
+        # the codec except the one per never-stored blob that learned
+        # its size; the second run re-learns nothing.
+        assert 0 < learned - stored < rejected
+        assert skipped_first == rejected - (learned - stored)
+        assert skipped_both - skipped_first == rejected
         return first, skipped_first, skipped_both
 
     @pytest.mark.parametrize("depth", [0, 2])
@@ -1381,5 +1383,40 @@ class TestSpillingRememberedSizes:
         assert second == reference
         # Host telemetry, equal here because every executor learns the
         # same sizes at the same puts — under process only if the sizes
-        # learned in the first run's forked workers reached the parent.
+        # (and the fingerprints that let them decide) learned in the
+        # first run's forked workers reached the parent.
         assert (after_first, after_second) == (skipped_first, skipped_both)
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize(
+        "executor",
+        ["serial", "parallel", pytest.param("process", marks=needs_process)],
+    )
+    def test_tile_rewritten_behind_the_cache_fails_the_next_run(
+        self, skewed, executor, depth
+    ):
+        """A remembered size is checked against the blob in hand before
+        it decides: a rejected tile rewritten on disk without
+        ``Server.store_blob`` (same length, still a valid tile) stops
+        the next run at that tile's first insert, whatever runs the
+        sweep — prefetch speculation included, which itself stays
+        silent."""
+        cluster, mpe = _spilling_engine(skewed, executor, depth)
+        try:
+            _cold_run(cluster, mpe)
+            server = cluster.servers[0]
+            name = next(
+                blob
+                for _, blob, _ in mpe._assignments[0]
+                if blob not in server.cache
+            )
+            data = bytearray(server.disk.peek(name))
+            # The last bytes are edge weights: exchange two that differ.
+            i = next(k for k in range(2, 64) if data[-k] != data[-1])
+            data[-1], data[-i] = data[-i], data[-1]
+            server.disk.write(name, bytes(data))
+            reset_simulation(cluster, mpe.channel)
+            with pytest.raises(RuntimeError, match="stale"):
+                mpe.run(SSSP(source=1))
+        finally:
+            cluster.close()

@@ -15,7 +15,7 @@ from repro.storage import (
     get_codec,
     select_cache_mode,
 )
-from repro.storage.cache import SIZE_AUDIT_PERIOD, CacheStats
+from repro.storage.cache import CacheStats
 from repro.storage.codecs import CACHE_MODES, SnappyLikeCodec
 from repro.utils.varint import encode_uvarints
 
@@ -443,31 +443,31 @@ class TestEdgeCache:
         a, b = _noise(100, seed=1), _noise(100, seed=2)
         assert cache.put("a", a) and not cache.put("b", b)
         assert len(calls) == 2 and cache.compress_skipped == 0
-        assert not cache.put("b", b)  # reject #1: from the remembered size
+        assert not cache.put("b", b)  # from the remembered size
         assert len(calls) == 2 and cache.compress_skipped == 1
         cache.clear()
         cache.reset_stats()
         assert cache.put("b", b)  # stored, so compressed
         assert len(calls) == 3
-        assert not cache.put("a", a)  # reject #0 of the new count: audited
-        assert len(calls) == 4 and cache.compress_skipped == 1
-        assert not cache.put("a", a)  # reject #1: skipped
-        assert len(calls) == 4 and cache.compress_skipped == 2
+        assert not cache.put("a", a) and not cache.put("a", a)
+        assert len(calls) == 3 and cache.compress_skipped == 3
         # A new mode knows nothing yet: b is re-encoded, a measured once.
         cache.switch_mode(3)
-        assert not cache.put("a", a)  # reject #2, measured
-        assert len(calls) == 6
-        cache.reset_stats()
-        assert not cache.put("a", a) and not cache.put("a", a)  # #0 audited, #1 not
-        assert len(calls) == 7
+        assert not cache.put("a", a) and not cache.put("a", a)
+        assert len(calls) == 5 and cache.compress_skipped == 4
+        # Back under mode 4 both sizes are still known: b is re-encoded
+        # because it is stored, a is turned away unmeasured.
+        cache.switch_mode(4)
+        assert not cache.put("a", a)
+        assert len(calls) == 6 and cache.compress_skipped == 5
 
-    def test_second_sweep_over_full_cache_compresses_only_audits(
+    def test_second_sweep_over_full_cache_makes_no_codec_call(
         self, tmp_path, monkeypatch
     ):
         """The win, pinned by count: the first sweep over a full
         admit-until-full cache compresses each blob once; a later sweep
-        runs the codec only for the audited rejects (one in
-        ``SIZE_AUDIT_PERIOD``, by reject ordinal)."""
+        never runs the codec — every reject is decided from a
+        remembered size."""
         disk = LocalDisk(tmp_path)
         blobs = {f"t{i}": _noise(200, seed=i) for i in range(8)}
         for name, data in blobs.items():
@@ -478,31 +478,75 @@ class TestEdgeCache:
             assert cache.load(name, disk) == data
         assert len(calls) == len(blobs)
         assert cache.stats.rejected == 6 and cache.compress_skipped == 0
+        cache.reset_stats()
         del calls[:]
         for name, data in blobs.items():
             assert cache.load(name, disk) == data
-        audits = sum(ordinal % SIZE_AUDIT_PERIOD == 0 for ordinal in range(6, 12))
-        assert 0 < audits < 6 and len(calls) == audits
-        assert cache.stats.rejected == 12 and cache.compress_skipped == 6 - audits
-        assert cache.stats.bytes_compressed_in == (8 + 6) * 200
+        assert calls == []
+        assert cache.stats.rejected == cache.compress_skipped == 6
+        assert cache.stats.bytes_compressed_in == 6 * 200
 
-    def test_audit_catches_a_rewrite_that_skipped_invalidate(self):
-        """A blob rewritten under its name without ``invalidate`` (same
-        length, different compressibility) is caught the next time the
-        codec runs on it — loudly, not as a silent admission change."""
+    def test_fingerprint_catches_a_rewrite_that_skipped_invalidate(self):
+        """A blob rewritten under its name without ``invalidate`` is
+        caught the first time its remembered size is consulted, on
+        either side of the decision — loudly, not as a silent admission
+        change."""
         zeros, noise = b"\x00" * 64, _noise(64, seed=5)
-        # Store path: the remembered size says it fits, the codec disagrees.
+        # Store path: the remembered size says it fits.
         cache = EdgeCache(capacity_bytes=40, mode=4)
         assert cache.put("t", zeros)
         cache.clear()
         with pytest.raises(RuntimeError, match="stale"):
             cache.put("t", noise)
-        # Reject path: caught by the audited reject.
-        cache = EdgeCache(capacity_bytes=40, mode=4)
-        assert not cache.put("t", noise)
-        cache.reset_stats()
+        # Reject path: the first reject after the rewrite, whichever
+        # reject of the run that is.
+        for rejects_before in (1, 2, 3):
+            cache = EdgeCache(capacity_bytes=40, mode=4)
+            for _ in range(rejects_before):
+                assert not cache.put("t", noise)
+            with pytest.raises(RuntimeError, match="stale"):
+                cache.put("t", _noise(40, seed=6) + b"\x00" * 24)  # still too big
+            assert cache.stats.rejected == rejects_before
+            # The background probe reads the length only and never raises.
+            assert cache.would_reject("t", 64)
+
+    @pytest.mark.parametrize("capacity", [40, 100])  # rejected / stored
+    def test_fingerprint_catches_a_rewrite_of_identical_stored_length(
+        self, capacity
+    ):
+        """Two bytes of an incompressible blob exchanged under mode 1:
+        raw length and stored length both unchanged, so no comparison of
+        lengths — the store-side one, or re-compressing a reject — can
+        tell.  The fingerprint does."""
+        noise = bytearray(_noise(64, seed=5))
+        assert noise[3] != noise[40]
+        rewrite = bytearray(noise)
+        rewrite[3], rewrite[40] = noise[40], noise[3]
+        noise, rewrite = bytes(noise), bytes(rewrite)
+        raw = get_codec(CACHE_MODES[0])
+        assert len(raw.compress(noise)) == len(raw.compress(rewrite)) == 64
+        cache = EdgeCache(capacity_bytes=capacity, mode=1)
+        assert cache.put("t", noise) == (capacity >= 64)
+        cache.clear()
         with pytest.raises(RuntimeError, match="stale"):
-            cache.put("t", _noise(40, seed=6) + b"\x00" * 24)  # still too big
+            cache.put("t", rewrite)
+        cache.invalidate("t")
+        assert cache.put("t", rewrite) == (capacity >= 64)
+
+    def test_stored_length_is_still_checked_on_the_store_path(self):
+        """A record whose fingerprint matches but whose stored length
+        does not (it can only arrive through ``merge_sizes``) fails when
+        the codec runs to store the blob."""
+        zeros = b"\x00" * 64
+        donor = EdgeCache(capacity_bytes=100, mode=4)
+        assert donor.put("t", zeros)
+        ((key, (raw_len, crc, stored_len)),) = donor.remembered_sizes().items()
+        cache = EdgeCache(capacity_bytes=100, mode=4)
+        cache.merge_sizes({key: (raw_len, crc, stored_len + 1)})
+        with pytest.raises(RuntimeError, match="stale"):
+            cache.put("t", zeros)
+        cache.merge_sizes(donor.remembered_sizes())
+        assert cache.put("t", zeros)
 
 
 def _noise(n: int, seed: int) -> bytes:
@@ -691,3 +735,58 @@ class TestAdmissionBeforeCompression:
             )
             assert cache.used_bytes == oracle.used_bytes <= 700
             assert cache.mode == oracle.mode
+
+
+@pytest.mark.slow
+def test_warm_spill_run_makes_no_tile_codec_call(monkeypatch):
+    """The semi-external regime at the ledger's ``sssp-spill-n4`` shape
+    (10⁶-edge weighted R-MAT, N=4, edge cache at 24 % of a server's
+    tiles): once a run has learned every tile's stored size, the next
+    finds the admitted tiles resident and turns the rest away
+    unmeasured — the zlib cache codec does not run, and the only codec
+    calls left are the broadcasts' snappy-like encodes."""
+    from collections import Counter
+
+    from repro.apps import SSSP
+    from repro.core import MPEConfig
+    from repro.core.facade import ClusterBuild
+    from repro.graph import rmat_graph_streamed
+
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    monkeypatch.delenv("REPRO_PREFETCH", raising=False)
+    calls = _count_compress_calls(monkeypatch)
+    n = 4
+    graph = rmat_graph_streamed(scale=16, edge_factor=16, weighted=True, seed=5)
+    assert graph.num_edges >= 1_000_000
+    build = ClusterBuild(num_servers=n)
+    try:
+        manifest = build.load(graph)
+        per_server = build.spe.total_tile_bytes(manifest) / n
+        mpe = build.mpe(
+            graph.name,
+            config=MPEConfig(
+                executor="serial", cache_capacity_bytes=int(0.24 * per_server)
+            ),
+        )
+        mpe.setup()
+        program = SSSP(source=int(np.argmax(graph.out_degrees)))
+        first = mpe.run(program)
+        caches = [s.cache for s in build.cluster.servers]
+        assert {c.mode for c in caches} <= {3, 4}
+        rejected = sum(c.stats.rejected for c in caches)
+        skipped = sum(c.compress_skipped for c in caches)
+        assert rejected > 0 and any(name.startswith("zlib") for name, _ in calls)
+        del calls[:]
+        second = mpe.run(program)
+        assert np.array_equal(second.values, first.values)
+        # A warm run stores nothing new and learns nothing new.
+        assert Counter(name for name, _ in calls) == {
+            "snappylike": n * len(second.supersteps)
+        }
+        assert (
+            sum(c.compress_skipped for c in caches) - skipped
+            == sum(c.stats.rejected for c in caches) - rejected
+            > 0
+        )
+    finally:
+        build.close()
