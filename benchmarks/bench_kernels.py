@@ -11,10 +11,11 @@ import pytest
 
 from repro.apps import PageRank, SSSP
 from repro.comm import decode_update, encode_update
-from repro.core.mpe import _process_tile
+from repro.core.mpe import _sweep_run
 from repro.core.vertexstore import AllInAllStore
 from repro.graph import chung_lu_graph, grid_graph
 from repro.partition import build_tiles
+from repro.partition.tiles import TileRun
 from repro.storage import get_codec
 from repro.utils.segments import segment_reduce
 
@@ -32,7 +33,7 @@ def test_kernel_gather_apply_pagerank(benchmark, web_tile):
     store = AllInAllStore(program.init_values(g), g.out_degrees)
     # The slot is per superstep, not per tile: built outside the timing.
     slot = store.message_slot(program)
-    ids, vals = benchmark(_process_tile, program, tile, store, slot)
+    ids, vals = benchmark(_sweep_run, program, TileRun.of_tile(tile), store, slot)
     assert ids.size <= g.num_vertices
 
 
@@ -41,7 +42,8 @@ def test_kernel_gather_apply_sssp(benchmark):
     tile = build_tiles(g, avg_tile_edges=g.num_edges).tiles[0]
     program = SSSP(source=0)
     store = AllInAllStore(program.init_values(g), None)
-    benchmark(_process_tile, program, tile, store, None)  # weighted: per edge
+    # weighted: evaluated per edge
+    benchmark(_sweep_run, program, TileRun.of_tile(tile), store, None)
 
 
 def test_kernel_segment_reduce_add(benchmark):

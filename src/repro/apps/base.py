@@ -10,7 +10,10 @@ A program is defined by four vectorised pieces:
   of input elements ``i`` alone, never of the array's length, order or
   any other element;
 * ``reduce_op`` — ``"add"`` or ``"min"``, the associative combiner;
-* ``apply(accum, old_values)`` — new value per vertex.
+* ``apply(accum, old_values)`` — new value per vertex, **elementwise in
+  the target**: output element ``i`` is a function of ``accum[i]``,
+  ``old_values[i]`` and ``vertex_ids[i]`` alone (``value_changed``
+  likewise).
 
 Engines agree on semantics: a vertex whose gather received *no*
 contributions keeps ``apply(identity, old)``; a vertex is *updated* in a
@@ -30,6 +33,12 @@ degrees per edge and evaluating there.  The same elementwise operation
 on the same operands gives the same bits in either order;
 :func:`check_elementwise_in_source` rejects a program for which it
 would not.
+
+Elementwise in the target is the same freedom on the Apply side: which
+targets share one ``apply`` call is the engine's choice — a tile's, a
+run of tiles', a server's — and must not show in the values;
+:func:`check_elementwise_in_target` rejects a program (one that
+normalises over the array it is handed, say) for which it would.
 """
 
 from __future__ import annotations
@@ -99,6 +108,11 @@ class VertexProgram:
         vertices the slice covers; ``None`` means the arrays span the
         whole vertex space in id order.  Programs that are position-
         independent simply ignore it.
+
+        Must be **elementwise in the target**: ``out[i]`` depends on
+        ``accum[i]``, ``old_values[i]`` and ``vertex_ids[i]`` only.  The
+        arrays cover whatever targets the engine sweeps at once — never
+        assume a tile.
         """
         raise NotImplementedError
 
@@ -123,8 +137,19 @@ class VertexProgram:
         return f"{type(self).__name__}(reduce={self.reduce_op!r})"
 
 
-#: Vertices :func:`check_elementwise_in_source` probes.
+#: Vertices :func:`check_elementwise_in_source` and
+#: :func:`check_elementwise_in_target` probe.
 _PROBE = 64
+
+
+def _cut_shows(whole: np.ndarray, part: np.ndarray) -> bool:
+    """Whether ``part`` — the probe re-run on a prefix of its input —
+    is anything but, bit for bit, that prefix of ``whole``."""
+    return (
+        whole.ndim != 1
+        or part.ndim != 1
+        or whole[: part.size].tobytes() != part.tobytes()
+    )
 
 
 def check_elementwise_in_source(
@@ -144,13 +169,34 @@ def check_elementwise_in_source(
     n = min(values.size, _PROBE)
     half = n // 2
     whole, part = message(n), message(half)
-    if (
-        whole.shape != (n,)
-        or part.shape != (half,)
-        or whole[:half].tobytes() != part.tobytes()
-    ):
+    if whole.size != n or part.size != half or _cut_shows(whole, part):
         raise ValueError(
             f"{type(program).__name__}.edge_message is not elementwise in "
             "the source: a vertex's message changed with the other vertices "
             "in the array (see repro.apps.base)"
         )
+
+
+def check_elementwise_in_target(program: VertexProgram, values: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``program.apply`` and
+    ``program.value_changed`` are elementwise in the target on a small
+    prefix of the vertex space: the first half's new values and change
+    mask must not change, bit for bit, when the second half is cut off.
+    The probe's accumulators differ from vertex to vertex, so a
+    normalisation over the array shows."""
+    n = min(values.size, _PROBE)
+    half = n // 2
+    ids = np.arange(n, dtype=np.int64)
+    accum = np.arange(1, n + 1, dtype=np.float64)
+
+    def sweep(k: int) -> tuple[np.ndarray, np.ndarray]:
+        new = np.asarray(program.apply(accum[:k], values[:k], ids[:k]))
+        return new, np.asarray(program.value_changed(new, values[:k]))
+
+    for whole, part in zip(sweep(n), sweep(half)):
+        if whole.size != n or part.size != half or _cut_shows(whole, part):
+            raise ValueError(
+                f"{type(program).__name__}.apply / value_changed is not "
+                "elementwise in the target: a vertex's new value changed "
+                "with the other vertices in the array (see repro.apps.base)"
+            )

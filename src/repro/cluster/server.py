@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.cluster.counters import Counters, CounterSnapshot
 from repro.obs.trace import NULL_BUFFER
+from repro.partition.tiles import TileRun
 from repro.storage.cache import (
     CacheStats,
     DecodedCacheStats,
@@ -194,10 +195,12 @@ class Server:
         return raw_bytes
 
     def attach_decoded_cache(
-        self, max_entries: int | None = None
+        self, max_entries: int | None = None, slab: Any | None = None
     ) -> DecodedTileCache:
-        """Install a decoded-tile cache (replaces any existing one)."""
-        self.decoded_cache = DecodedTileCache(max_entries=max_entries)
+        """Install a decoded-tile cache (replaces any existing one);
+        ``slab`` is the empty :class:`~repro.partition.tiles.TileSlab`
+        an unbounded cache lays its tiles into."""
+        self.decoded_cache = DecodedTileCache(max_entries=max_entries, slab=slab)
         self.decoded_cache.trace = self.trace
         return self.decoded_cache
 
@@ -282,6 +285,45 @@ class Server:
             obj = self._parse(data, parser, prefetched)
             dcache.put(name, obj, len(data))
             return obj
+
+    def tile_runs(
+        self, loaded: Iterable[tuple[str, Any]], join: bool = True
+    ) -> Iterator[TileRun]:
+        """Group a sweep's tiles — ``(blob name, tile)`` as
+        :meth:`load_tile` returned them, in sweep order, pulled lazily so
+        that each load happens where the sweep is — into the runs to
+        compute, in the same order.
+
+        A tile this server holds in memory — its blob in the edge cache
+        (§IV-B) and its decoded form in the decoded cache's slab — joins
+        the tiles before it when they are consecutive in the assignment;
+        the run is computed when something breaks it.  Any other tile is
+        streaming through (the spill regime, a bounded or disabled
+        decoded cache): it is a run of its own, computed before the next
+        tile is pulled, so it is never held.  ``join=False`` keeps every
+        tile on its own (the slab holds no edge values: a sweep that
+        reads them goes tile by tile).
+        """
+        slab = self.decoded_cache.slab if self.decoded_cache is not None else None
+        limit = (slab.max_run if join else 1) if slab is not None else None
+        first = last = None  # the open run: slab slots first..last
+        for name, tile in loaded:
+            pos = slab.slot(name, tile) if slab is not None else None
+            held = pos is not None and self.cache is not None and name in self.cache
+            if first is not None:
+                if held and pos == last + 1 and pos - first != limit:
+                    last = pos
+                    continue
+                yield slab.run(first, last)
+                first = None
+            if held:
+                first = last = pos
+            elif pos is not None:
+                yield slab.run(pos, pos)
+            else:
+                yield TileRun.of_tile(tile)
+        if first is not None:
+            yield slab.run(first, last)
 
     @staticmethod
     def _parse(

@@ -17,13 +17,18 @@ Execution model
 * The edge cache (§IV-B) sits between tile loads and the local disk;
   its mode is auto-selected from the capacity constraint unless forced.
 
-The per-tile inner kernel is pure numpy (gather by ``uint32`` index,
-:func:`repro.utils.segments.segment_reduce`, vectorised apply), so the
-Python interpreter only appears at tile granularity — the same place the
-paper's OpenMP worker boundary sits.  What it gathers is the replica's
-message slot: a program that reads no edge weight has its
-``edge_message`` evaluated once per resident vertex at the top of each
-server's sweep, not once per edge in every tile.
+The tile is the unit of I/O, caching, skipping and metering; the unit of
+*compute* is a run — a stretch of a server's scheduled tiles that are
+consecutive in its assignment and live in its decoded-tile cache
+(:class:`repro.partition.tiles.TileSlab`).  Every scheduled tile still
+takes the one metered load, in sweep order; one pure-numpy kernel
+(:func:`_sweep_run`: gather by index,
+:func:`repro.utils.segments.segment_reduce`, vectorised apply) then
+covers the whole run, so the Python interpreter appears once per run,
+not once per tile.  What it gathers is the replica's message slot: a
+program that reads no edge weight has its ``edge_message`` evaluated
+once per resident vertex at the top of each server's sweep, not once
+per edge in every tile.
 """
 
 from __future__ import annotations
@@ -36,7 +41,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.apps.base import VertexProgram, check_elementwise_in_source
+from repro.apps.base import (
+    VertexProgram,
+    check_elementwise_in_source,
+    check_elementwise_in_target,
+)
 from repro.cluster.cluster import Cluster
 from repro.cluster.counters import CounterSnapshot
 from repro.comm import Channel, decode_update, encode_update
@@ -53,11 +62,13 @@ from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, NULL_METRICS
 from repro.obs.trace import NULL_BUFFER
 from repro.partition.tiles import (
     Tile,
+    TileRun,
+    TileSlab,
     assign_tiles_balanced,
     assign_tiles_round_robin,
 )
 from repro.runtime import make_executor, process_runtime_available
-from repro.runtime.active import ActiveBitmap, TileSourceSummary
+from repro.runtime.active import ActiveBitmap, SourceHeads, TileSourceSummary
 from repro.runtime.shm import (
     ArenaDisk,
     InboxResolver,
@@ -416,8 +427,10 @@ class MPE:
         # Per-tile exact source summaries (tile_id -> TileSourceSummary)
         # backing the bitmap prune; built at setup for every tile (a
         # warm engine's next job may switch selective scheduling on)
-        # and refreshed by apply_mutations.
+        # and refreshed by apply_mutations — as is their batched front,
+        # the [P, 64] matrix of every tile's first sources.
         self._summaries: dict[int, TileSourceSummary] = {}
+        self._heads: SourceHeads | None = None
         # --- evolving-graph state (repro.delta) ------------------------
         # The delta store (pending per-tile overlays + degree deltas)
         # and the engine-owned mutation log — both created at setup when
@@ -613,6 +626,7 @@ class MPE:
         self._assignments = [[] for _ in range(n)]
         self._server_sources: list[list[np.ndarray]] = [[] for _ in range(n)]
         per_server_bytes = [0] * n
+        shapes: list[list[tuple]] = [[] for _ in range(n)]
         # Stage-two placement: the paper's round-robin, or LPT over the
         # serialised tile sizes (known to the namenode without reads).
         if self.config.tile_assignment == "balanced":
@@ -640,8 +654,10 @@ class MPE:
             per_server_bytes[server_id] += len(blob)
             tile = self._tile_parser(blob)
             self._summaries[tile_id] = TileSourceSummary.from_tile(tile)
+            shapes[server_id].append(TileSlab.shape_of(tile))
             if self.config.replication_policy == "od":
                 self._server_sources[server_id].append(tile.source_vertices)
+        self._heads = SourceHeads(self._summaries)
         self._tile_nbytes_total = sum(per_server_bytes)
         # Targets owned per server: the concatenation of its tiles'
         # (ascending) target ranges.  Known statically on every server,
@@ -669,9 +685,16 @@ class MPE:
             )
             server.attach_cache(capacity_bytes=capacity, mode=mode)
             if self.config.decoded_cache:
-                server.attach_decoded_cache(
-                    max_entries=self.config.decoded_cache_entries
-                )
+                # Unbounded, the decoded tiles' shadows live in one slab
+                # (resident runs are swept as one); a bounded cache keeps
+                # them per tile, so that its bound holds.
+                entries = self.config.decoded_cache_entries
+                slab = None
+                if entries is None:
+                    names = [name for _t, name, _n in self._assignments[server_id]]
+                    targets = self._server_target_ids[server_id]
+                    slab = TileSlab(names, shapes[server_id], targets)
+                server.attach_decoded_cache(max_entries=entries, slab=slab)
         self._tiles_fetched = True
 
     def _check_static_layout(self) -> None:
@@ -999,6 +1022,8 @@ class MPE:
         if not program.uses_edge_weight:
             # The sweep evaluates edge_message per vertex, not per edge.
             check_elementwise_in_source(program, init_values, degrees)
+        # ... and apply / value_changed per run of tiles, not per tile.
+        check_elementwise_in_target(program, init_values)
 
         # --- incremental restart (repro.delta) ------------------------
         # Derived deterministically from (previous fixed point, pending
@@ -1222,8 +1247,10 @@ class MPE:
                 mode=server.cache.mode,
             )
         if server.decoded_cache is not None:
+            slab = server.decoded_cache.slab
             server.attach_decoded_cache(
-                max_entries=server.decoded_cache.max_entries
+                max_entries=server.decoded_cache.max_entries,
+                slab=slab.relaid({}) if slab is not None else None,
             )
         return refetched
 
@@ -1332,13 +1359,18 @@ class MPE:
 
         spec = self.cluster.spec
         compact_bytes = 0
+        # Per server: assignment index -> (blob name, composed tile) of
+        # every tile whose shape may have changed — its slab's new slots.
+        reshaped: dict[int, dict[int, tuple[str, Tile]]] = {}
         for tile_id in result.affected:
-            server, _idx, name = self._tile_location(tile_id)
+            server, idx, name = self._tile_location(tile_id)
             composed = result.composed[tile_id]
+            reshaped.setdefault(server.server_id, {})[idx] = (name, composed)
             # Refresh parent-side schedule state from the composed tile
             # so the next run's pruning sees the mutated source sets
             # (an inserted edge's source must be probe-visible).
             self._summaries[tile_id] = TileSourceSummary.from_tile(composed)
+            self._heads.refresh(self._summaries[tile_id])
             if tile_id in self._blooms:
                 self._blooms[tile_id] = composed.build_bloom_filter(
                     self.config.bloom_false_positive_rate
@@ -1375,6 +1407,7 @@ class MPE:
                 new_name,
                 len(blob),
             )
+            reshaped[server.server_id][idx] = (new_name, composed)
             merged_bytes += len(blob)
             merges.append(
                 {
@@ -1389,6 +1422,10 @@ class MPE:
                 for per_server in self._assignments
                 for _tid, _name, nbytes in per_server
             )
+        for server_id, changes in reshaped.items():
+            dcache = self.cluster.servers[server_id].decoded_cache
+            if dcache is not None and dcache.slab is not None:
+                dcache.slab = dcache.slab.relaid(changes)
 
         modeled_compact_s = (
             compact_bytes / spec.disk_write_bps
@@ -1674,7 +1711,10 @@ class MPE:
            on, a previous update set (an incremental run seeds its
            dirty ids as superstep 0's), and not every vertex updated —
            the tile is skipped as ``"bitmap"`` iff its source summary
-           misses the active bitmap.  A survivor runs *unprobed*: it
+           misses the active bitmap.  One batched probe of every
+           tile's first sources (:class:`~repro.runtime.active.SourceHeads`)
+           answers for most tiles; the summary's own test is taken only
+           where that cannot tell.  A survivor runs *unprobed*: it
            has an updated source, and its filter was built from the
            same ``source_vertices`` with no false negatives, so the
            filter could only agree.
@@ -1701,12 +1741,14 @@ class MPE:
             if superstep == self._forced_superstep
             else frozenset()
         )
-        bitmap = might_intersect = None
+        bitmap = heads = might_intersect = None
         if prev_updated is not None:
             if self.config.selective_scheduling:
                 bitmap = ActiveBitmap.seed_from_ids(prev_updated, num_vertices)
                 if bitmap.dense:
                     bitmap = None
+                else:
+                    heads = self._heads.probe(bitmap)
             if bitmap is None and self._knobs.use_bloom:
                 if prev_updated.size == num_vertices:
 
@@ -1728,7 +1770,10 @@ class MPE:
                 if tile_id in forced:
                     run.append(tile)
                 elif bitmap is not None:
-                    if self._summaries[tile_id].intersects(bitmap):
+                    verdict = heads[tile_id]
+                    if verdict is None:
+                        verdict = self._summaries[tile_id].intersects(bitmap)
+                    if verdict:
                         run.append(tile)
                     else:
                         skipped.append((tile_id, "bitmap"))
@@ -1928,6 +1973,11 @@ class MPE:
                 self._run_program, server, superstep, sched
             )
             self._own_updates[server_id] = (result.ids, result.vals)
+            if self._forked:
+                # The values stay here, for this server's apply; the
+                # parent reads ids, payload and counts, so they are not
+                # pickled back with every superstep.
+                result = replace(result, vals=np.zeros(0, dtype=np.float64))
         elif tag == "apply":
             result = self._apply_server_step(
                 server,
@@ -1965,7 +2015,6 @@ class MPE:
         # span() unwinds with close_to: an injected fault aborting the
         # sweep mid-tile must not leave spans open for the next attempt.
         with trace.span("compute", "phase", superstep=superstep):
-            cfg = self.config
             knobs = self._knobs
             if self.injector is not None:
                 self.injector.on_compute(server)
@@ -1982,47 +2031,46 @@ class MPE:
             changed_ids_parts: list[np.ndarray] = []
             changed_vals_parts: list[np.ndarray] = []
             tile_edge_counts: list[int] = []
-            tiles_processed = 0
             server.counters.tiles_skipped += len(sched.skipped)
             for tile_id, reason in sched.skipped:
                 trace.instant(
                     "tile_skip", "schedule", tile=tile_id, reason=reason
                 )
 
-            def run_tile(
-                tile_id: int, blob_name: str, nbytes: int, prefetched=None
-            ) -> None:
-                nonlocal tiles_processed
-                with trace.span("tile", "compute", tile=tile_id):
-                    tile = self._load_decoded_tile(server, blob_name, prefetched)
-                    if self._delta is not None:
-                        # Overlay composition work: charged per *scheduled*
-                        # overlaid tile, whether or not the decoded cache
-                        # served the composed object — like the edge-cache
-                        # metering, the simulated cost is schedule-driven
-                        # and therefore executor-invariant.
-                        overlay = self._delta.overlays.get(tile_id)
-                        if overlay is not None and not overlay.is_empty:
-                            server.counters.delta_bytes += overlay.nbytes()
-                            server.counters.delta_edges += overlay.num_ops
-                    server.counters.add_memory("scratch", nbytes)
-                    with trace.span("gather-apply", "compute", tile=tile_id):
-                        ids, vals = _process_tile(program, tile, store, slot)
-                    server.counters.add_memory("scratch", -nbytes)
-                    tile_edge_counts.append(tile.num_edges)
-                    tiles_processed += 1
-                if ids.size:
-                    changed_ids_parts.append(ids)
-                    changed_vals_parts.append(vals)
+            def metered(scheduled):
+                """The metering pass: every scheduled tile, in sweep
+                order, through the one metered load — what a tile costs
+                is charged here, tile by tile, whatever run it is then
+                computed in.  Yields ``(blob name, tile)``."""
+                for (tile_id, blob_name, nbytes), prefetched in scheduled:
+                    with trace.span("tile", "compute", tile=tile_id):
+                        tile = self._load_decoded_tile(server, blob_name, prefetched)
+                        if self._delta is not None:
+                            # Overlay composition work: charged per *scheduled*
+                            # overlaid tile, whether or not the decoded cache
+                            # served the composed object — like the edge-cache
+                            # metering, the simulated cost is schedule-driven
+                            # and therefore executor-invariant.
+                            overlay = self._delta.overlays.get(tile_id)
+                            if overlay is not None and not overlay.is_empty:
+                                server.counters.delta_bytes += overlay.nbytes()
+                                server.counters.delta_edges += overlay.num_ops
+                        # One tile's worth of scratch at a time (§III-B's
+                        # streaming): the peak is the largest tile's.
+                        with trace.span("gather-apply", "compute", tile=tile_id):
+                            server.counters.add_memory("scratch", nbytes)
+                            server.counters.add_memory("scratch", -nbytes)
+                        tile_edge_counts.append(tile.num_edges)
+                    yield blob_name, tile
 
-            prefetch_ready = 0
-            prefetch_total = 0
+            prefetcher = None
+            scheduled = ((item, None) for item in sched.run)
             if knobs.prefetch_depth > 0 and sched.run:
                 from repro.runtime.prefetch import TilePrefetcher
 
                 # Background threads speculate ahead (read-only, unmetered);
-                # run_tile commits each dequeue through the same metered
-                # path as the sequential loop below, in the same order —
+                # the metering pass commits each dequeue through the same
+                # metered path as the sequential sweep, in the same order —
                 # the fault injector keeps firing inside the metered load,
                 # i.e. in deterministic serial sweep order.
                 prefetcher = TilePrefetcher(
@@ -2035,16 +2083,23 @@ class MPE:
                     io_trace=server.prefetch_trace,
                     wait_trace=trace,
                 )
-                try:
-                    for item, hint, _ready in prefetcher:
-                        run_tile(*item, prefetched=hint)
-                finally:
+                scheduled = ((item, hint) for item, hint, _ready in prefetcher)
+            try:
+                # Edge values live in the tiles, not in the slab: a program
+                # that reads them sweeps tile by tile.
+                for run in server.tile_runs(
+                    metered(scheduled), join=not program.uses_edge_weight
+                ):
+                    ids, vals = _sweep_run(program, run, store, slot)
+                    if ids.size:
+                        changed_ids_parts.append(ids)
+                        changed_vals_parts.append(vals)
+            finally:
+                if prefetcher is not None:
                     prefetcher.close()
-                prefetch_ready = prefetcher.served_ready
-                prefetch_total = prefetcher.dequeues
-            else:
-                for item in sched.run:
-                    run_tile(*item)
+            tiles_processed = len(tile_edge_counts)
+            prefetch_ready = prefetcher.served_ready if prefetcher else 0
+            prefetch_total = prefetcher.dequeues if prefetcher else 0
 
             # Charge compute as the LPT makespan of this server's
             # indivisible tiles over its T workers (§III-C.3's
@@ -2254,34 +2309,33 @@ class _RunPrep(NamedTuple):
     cost_model: CostModel
 
 
-def _process_tile(
+def _sweep_run(
     program: VertexProgram,
-    tile: Tile,
+    run: TileRun,
     store,
     slot: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised Gather + Apply over one tile's target range.
+    """Vectorised Gather + Apply over one run of tiles' targets.
 
     ``store`` is either replica policy's vertex store (see
     :mod:`repro.core.vertexstore`); ``slot`` is its ``message_slot`` for
     this superstep, or ``None`` for a program whose message reads the
     edge weight and is therefore evaluated per edge.  Returns (changed
-    global ids, their new values).
+    global ids, their new values), ascending as the run's targets are.
     """
-    col = tile.col_int64
+    col = run.col
     if slot is not None:
         contributions = store.gather_values(col, slot)
     else:
         out_deg = store.gather_out_degrees(col) if program.uses_out_degree else None
         contributions = program.edge_message(
-            store.gather_values(col), out_deg, tile.edge_values()
+            store.gather_values(col), out_deg, run.edge_values()
         )
-    accum = segment_reduce(contributions, tile.segment_plan, program.reduce_op)
-    old = store.read_range(tile.target_lo, tile.target_hi)
-    new = program.apply(accum, old, tile.target_ids)
-    changed = program.value_changed(new, old)
-    local_ids = np.flatnonzero(changed)
-    return (local_ids + tile.target_lo).astype(np.int64, copy=False), new[local_ids]
+    accum = segment_reduce(contributions, run.plan, program.reduce_op)
+    old = store.gather_values(run.target_ids)
+    new = program.apply(accum, old, run.target_ids)
+    changed = np.flatnonzero(program.value_changed(new, old))
+    return run.target_ids[changed], new[changed]
 
 
 class _ManifestGraphView:

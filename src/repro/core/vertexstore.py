@@ -107,10 +107,6 @@ class AllInAllStore:
         """Per-edge source out-degree gather."""
         return self._out_degrees[vertex_ids]
 
-    def read_range(self, lo: int, hi: int) -> np.ndarray:
-        """Current values of a consecutive target range."""
-        return self._values[lo:hi]
-
     def write(self, vertex_ids: np.ndarray, values: np.ndarray) -> None:
         """Apply updates (ids the server may or may not care about)."""
         self._values[vertex_ids] = values
@@ -186,9 +182,6 @@ class OnDemandStore:
 
     def gather_out_degrees(self, vertex_ids: np.ndarray) -> np.ndarray:
         return self._out_degrees[self._index(vertex_ids)]
-
-    def read_range(self, lo: int, hi: int) -> np.ndarray:
-        return self.gather_values(np.arange(lo, hi, dtype=np.int64))
 
     def write(self, vertex_ids: np.ndarray, values: np.ndarray) -> None:
         vertex_ids = np.asarray(vertex_ids, dtype=np.int64)

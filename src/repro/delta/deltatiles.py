@@ -50,19 +50,41 @@ class TileOverlay:
     ``(src, dst)`` pairs counting base instances to remove.  A delete
     first cancels the newest matching overlay insert (the edge never
     reached the base), only then charges the base.
+
+    Overlays do not change between compactions, and the sweep charges
+    every scheduled overlaid tile its overlay's size and edit count each
+    superstep: :meth:`seal` (``DeltaStore.compact``, once it is done
+    with an overlay) computes the pair once, and :meth:`nbytes` /
+    :attr:`num_ops` answer from it until the next :meth:`apply`.
     """
 
-    __slots__ = ("tile_id", "inserts", "deletes")
+    __slots__ = ("tile_id", "inserts", "deletes", "_sealed")
 
     def __init__(self, tile_id: int) -> None:
         self.tile_id = int(tile_id)
         self.inserts: list[tuple[int, int, float | None]] = []
         self.deletes: dict[tuple[int, int], int] = {}
+        self._sealed: tuple[int, int] | None = None
+
+    def _walk(self) -> tuple[int, int]:
+        """``(nbytes(), num_ops)`` from the inserts and deletes."""
+        weighted = any(w is not None for _, _, w in self.inserts)
+        deleted = sum(self.deletes.values())
+        return (
+            _HEADER.size
+            + len(self.inserts) * (16 if weighted else 8)
+            + 8 * deleted,
+            len(self.inserts) + deleted,
+        )
+
+    def seal(self) -> None:
+        """Remember ``(nbytes(), num_ops)`` as of now."""
+        self._sealed = self._walk()
 
     @property
     def num_ops(self) -> int:
         """Pending edge edits (inserted instances + base deletions)."""
-        return len(self.inserts) + sum(self.deletes.values())
+        return (self._sealed or self._walk())[1]
 
     @property
     def is_empty(self) -> bool:
@@ -72,15 +94,11 @@ class TileOverlay:
         """Serialised overlay size (what the delta blob costs on disk):
         ``len(self.to_bytes())`` in closed form — the engine asks per
         scheduled overlaid tile, so nothing is serialised to answer."""
-        weighted = any(w is not None for _, _, w in self.inserts)
-        return (
-            _HEADER.size
-            + len(self.inserts) * (16 if weighted else 8)
-            + 8 * sum(self.deletes.values())
-        )
+        return (self._sealed or self._walk())[0]
 
     def apply(self, mut: Mutation) -> None:
         """Fold one mutation in, honouring intra-overlay ordering."""
+        self._sealed = None
         pair = (mut.src, mut.dst)
         if mut.op == OP_INSERT:
             self.inserts.append((mut.src, mut.dst, mut.weight))
@@ -368,6 +386,7 @@ class DeltaStore:
             if trial.is_empty:
                 self.overlays.pop(tile_id, None)
             else:
+                trial.seal()
                 self.overlays[tile_id] = trial
         for mut in pending:
             self.history.append(mut)

@@ -233,10 +233,11 @@ class MutationLog:
         return log
 
     def save(self, path: str) -> None:
-        """Atomically persist the log as JSON."""
+        """Atomically persist the log as JSON (one unindented ``dumps``:
+        the C encoder — the log is rewritten whole on every batch)."""
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
+            fh.write(json.dumps(self.to_json(), sort_keys=True))
             fh.write("\n")
         os.replace(tmp, path)
 

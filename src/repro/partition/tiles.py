@@ -25,6 +25,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,10 @@ class Tile:
     tiles hold their own arrays.  Either way the hot-path shadows
     (:attr:`segment_plan`, :attr:`col_int64`, :attr:`target_ids`) are
     materialised lazily and cached on the instance, so a tile that
-    stays live across supersteps (the decoded-tile cache) pays for them
-    exactly once.
+    stays live across supersteps (a bounded decoded-tile cache) pays
+    for them exactly once.  A tile held by an unbounded decoded cache
+    never materialises them: its shadows are slices of the server's
+    :class:`TileSlab`, and ``col_int64`` is set to its slice there.
     """
 
     tile_id: int
@@ -199,6 +202,154 @@ class Tile:
         return (
             f"Tile(id={self.tile_id}, targets=[{self.target_lo}, "
             f"{self.target_hi}), edges={self.num_edges})"
+        )
+
+
+class TileRun(NamedTuple):
+    """A stretch of one server's tiles presented as one tile — what a
+    single gather–reduce–apply consumes (the engine's unit of compute).
+
+    Targets of different tiles are disjoint and edges are grouped by
+    target, so joining tiles end to end joins their segment plans: row
+    ``i`` of the run is ``target_ids[i]``, reduced over its own edges
+    only, exactly as inside its tile.
+    """
+
+    col: np.ndarray  # int64 source id per edge
+    plan: SegmentPlan  # edges -> target rows
+    target_ids: np.ndarray  # int64 global id per target row
+    tiles: tuple  # the tiles covered, in sweep order
+
+    @classmethod
+    def of_tile(cls, tile: Tile) -> "TileRun":
+        """One tile on its own (lazily materialised) shadows — a tile no
+        :class:`TileSlab` holds: decoded cache off or bounded."""
+        return cls(tile.col_int64, tile.segment_plan, tile.target_ids, (tile,))
+
+    def edge_values(self) -> np.ndarray:
+        """Edge value per element of ``col`` — of a one-tile run: tiles
+        hold their values as views of the blob, and joining them would
+        be a second copy (per superstep, or kept — and then one more
+        thing to go stale between a weighted and an unweighted run)."""
+        (tile,) = self.tiles
+        return tile.edge_values()
+
+
+class TileSlab:
+    """One server's decoded tiles' ``int64`` shadows, laid end to end in
+    assignment order, so that any stretch of consecutive tiles is a
+    :class:`TileRun` of plain slices — no per-run concatenation.
+
+    Three sibling arrays share one layout, fixed from the tiles' shapes
+    (targets, edges, non-empty targets): the widened ``col``, the
+    ``reduceat`` starts (offset to the slab's start) and the non-empty
+    mask; the fourth, the target ids, is the server's static target
+    index.  A tile's slots are filled the first time a sweep sees it
+    (:meth:`slot` — its ``col_int64`` *is* the slab slice from then on,
+    not a second array), so the slab replaces the per-tile shadows byte
+    for byte, and only in the process that sweeps: nothing is allocated
+    before the first tile arrives, and a forked worker fills (its
+    copy-on-write copy of) whatever the parent had not.  A tile decoded
+    again — its blob was rewritten — is a new object and refills its
+    slot.
+
+    The layout is only as good as the shapes: a tile whose edge count
+    changes (a mutation overlay, a merge) needs a new slab
+    (:meth:`relaid`), and a tile that does not fit its slot is refused.
+
+    ``max_run`` caps the tiles per run; tests force 1 to get the
+    tile-at-a-time sweep out of the same code.
+    """
+
+    def __init__(
+        self,
+        names: Iterable[str],
+        shapes,
+        target_ids: np.ndarray,
+        max_run: int | None = None,
+    ) -> None:
+        self.names = tuple(names)
+        self.shapes = np.asarray(shapes, dtype=np.int64).reshape(len(self.names), 3)
+        self.target_ids = target_ids
+        self.max_run = max_run
+        self._index = {name: pos for pos, name in enumerate(self.names)}
+        offsets = np.zeros((len(self.names) + 1, 3), dtype=np.int64)
+        np.cumsum(self.shapes, axis=0, out=offsets[1:])
+        self._row_off, self._edge_off, self._seg_off = offsets.T.tolist()
+        if self._row_off[-1] != target_ids.size:
+            raise ValueError("tile shapes do not cover the server's targets")
+        self._col = self._starts = self._nonempty = None
+        # Each filled slot as a run of one, built when it is filled (a
+        # sweep that does not join tiles takes these, tile by tile).
+        self._single: list[TileRun | None] = [None] * len(self.names)
+
+    @staticmethod
+    def shape_of(tile: Tile) -> tuple[int, int, int]:
+        """(targets, edges, non-empty targets) — a tile's slot sizes."""
+        return (
+            tile.num_targets,
+            tile.num_edges,
+            int(np.count_nonzero(tile.row[1:] != tile.row[:-1])),
+        )
+
+    def relaid(self, changes: dict[int, tuple[str, Tile]]) -> TileSlab:
+        """An empty slab over this one's tiles with the slots in
+        ``changes`` (position -> (blob name, tile)) renamed and resized."""
+        names, shapes = list(self.names), self.shapes.copy()
+        for pos, (name, tile) in changes.items():
+            names[pos], shapes[pos] = name, self.shape_of(tile)
+        return TileSlab(names, shapes, self.target_ids, self.max_run)
+
+    def slot(self, name: str, tile: Tile) -> int:
+        """The position of blob ``name``'s slots, filled from ``tile``
+        if they do not hold it yet.  The row pointer is checked at the
+        fill, once per decoded tile (:class:`SegmentPlan`)."""
+        pos = self._index.get(name)
+        held = self._single[pos] if pos is not None else None
+        if held is not None and held.tiles[0] is tile:
+            return pos
+        plan = SegmentPlan(tile.row)
+        shape = (plan.n_rows, plan.n_values, plan.starts.size)
+        if (
+            pos is None
+            or shape != tuple(self.shapes[pos])
+            or tile.num_edges != plan.n_values
+        ):
+            raise RuntimeError(
+                f"decoded tile {name!r} does not fit the slab layout: it "
+                "was rewritten (or renamed) without a re-layout"
+            )
+        if self._col is None:
+            self._col = np.empty(self._edge_off[-1], dtype=np.int64)
+            self._starts = np.empty(self._seg_off[-1], dtype=np.int64)
+            self._nonempty = np.empty(self._row_off[-1], dtype=bool)
+        a, r, s = self._edge_off[pos], self._row_off[pos], self._seg_off[pos]
+        col = self._col[a : a + tile.num_edges]
+        np.copyto(col, tile.col)
+        tile.col_int64 = col  # fills the cached property's slot
+        np.add(plan.starts, a, out=self._starts[s : s + plan.starts.size])
+        self._nonempty[r : r + plan.n_rows] = plan.nonempty
+        plan.nonempty = self._nonempty[r : r + plan.n_rows]
+        self._single[pos] = TileRun(
+            col, plan, self.target_ids[r : r + plan.n_rows], (tile,)
+        )
+        return pos
+
+    def run(self, first: int, last: int) -> TileRun:
+        """Filled slots ``first..last`` as one run."""
+        if first == last:
+            return self._single[first]
+        a, b = self._edge_off[first], self._edge_off[last + 1]
+        r0, r1 = self._row_off[first], self._row_off[last + 1]
+        starts = self._starts[self._seg_off[first] : self._seg_off[last + 1]]
+        plan = SegmentPlan.from_parts(
+            b - a, self._nonempty[r0:r1], starts - a if a else starts
+        )
+        return TileRun(
+            self._col[a:b],
+            plan,
+            self.target_ids[r0:r1],
+            tuple(run.tiles[0] for run in self._single[first : last + 1]),
         )
 
 

@@ -28,6 +28,13 @@ The membership test is two-stage: a searchsorted range rejection on the
 sorted updated array (cheap, catches the common case where a tile's
 source range lies wholly outside the frontier), then an exact bitset
 probe over the tile's sources.
+
+:class:`SourceHeads` puts one batched probe in front of it: the first
+64 sources of every tile, tested against the frontier in a single
+``Bitset.test_many`` per superstep.  A hit anywhere in a tile's row
+schedules it, a tile with at most 64 sources is decided either way, and
+only what is left takes the per-tile test above — same predicate, same
+verdicts, one call instead of ``P`` on a frontier that is nearly dense.
 """
 
 from __future__ import annotations
@@ -37,7 +44,10 @@ import numpy as np
 from repro.utils.bitset import Bitset
 from repro.utils.segments import sorted_unique
 
-__all__ = ["ActiveBitmap", "TileSourceSummary"]
+__all__ = ["ActiveBitmap", "SourceHeads", "TileSourceSummary"]
+
+#: Sources per tile :class:`SourceHeads` probes in its one batched call.
+HEAD_WIDTH = 64
 
 
 class ActiveBitmap:
@@ -115,6 +125,48 @@ class ActiveBitmap:
         if self._bits is None:
             return False
         return self._bits.any_of(vertex_ids)
+
+
+class SourceHeads:
+    """Every tile's first :data:`HEAD_WIDTH` sources as one ``[P,
+    HEAD_WIDTH]`` matrix, row = tile id — the batched front of
+    :meth:`TileSourceSummary.intersects`.
+
+    A short row is padded with its own first source (a pad can only
+    repeat a verdict the row already had); an empty tile's row is masked
+    out by its size.
+    """
+
+    __slots__ = ("_heads", "_sizes")
+
+    def __init__(self, summaries: dict[int, TileSourceSummary]) -> None:
+        self._heads = np.zeros((len(summaries), HEAD_WIDTH), dtype=np.int64)
+        self._sizes = np.zeros(len(summaries), dtype=np.int64)
+        for summary in summaries.values():
+            self.refresh(summary)
+
+    def refresh(self, summary: TileSourceSummary) -> None:
+        """(Re)write one tile's row from its summary."""
+        sources = summary.sources[:HEAD_WIDTH]
+        row = self._heads[summary.tile_id]
+        row[: sources.size] = sources
+        row[sources.size :] = sources[0] if sources.size else 0
+        self._sizes[summary.tile_id] = summary.sources.size
+
+    def probe(self, bitmap: ActiveBitmap) -> list:
+        """Per tile id: ``True`` / ``False`` where that is what
+        ``summary.intersects(bitmap)`` returns, ``None`` where only it
+        can tell (more than :data:`HEAD_WIDTH` sources, none of the
+        first :data:`HEAD_WIDTH` active)."""
+        if bitmap.dense:
+            return (self._sizes > 0).tolist()
+        if bitmap._bits is None:  # empty frontier: nothing intersects
+            return [False] * self._sizes.size
+        hit = bitmap._bits.test_many(self._heads.ravel())
+        hit = hit.reshape(self._heads.shape).any(axis=1) & (self._sizes > 0)
+        verdict = hit.astype(object)
+        verdict[~hit & (self._sizes > HEAD_WIDTH)] = None
+        return verdict.tolist()
 
 
 class TileSourceSummary:

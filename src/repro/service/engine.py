@@ -48,6 +48,7 @@ import json
 import os
 import threading
 import time
+from collections import deque
 
 import numpy as np
 
@@ -71,6 +72,10 @@ from repro.service.scheduler import AdmissionError, JobQueue
 __all__ = ["Engine", "GraphContext", "reset_simulation"]
 
 QUEUE_SCHEMA = "repro-service-queue/v1"
+# Finished results whose value arrays stay in memory once the state dir
+# holds them; Engine.load_result reads an older one back.  Without the
+# bound a long-lived daemon's memory is every result it ever computed.
+RESULTS_IN_MEMORY = 16
 
 
 def reset_simulation(cluster, channel=None, cache_policy: str = "cold") -> None:
@@ -216,6 +221,7 @@ class Engine:
         self._graphs: dict[str, GraphContext] = {}
         self._records: dict[str, JobRecord] = {}
         self._order: list[str] = []  # job ids in submission order
+        self._persisted: deque[JobResult] = deque()  # values still in memory
         self._seq = 0
         self._lock = threading.Lock()  # records / registry / seq
         self._done = threading.Condition(self._lock)
@@ -694,12 +700,20 @@ class Engine:
         with open(base + ".bin", "wb") as fh:
             fh.write(blob)
         _atomic_json(base + ".json", result.to_dict(include_values=False))
+        with self._lock:
+            self._persisted.append(result)
+            if len(self._persisted) > RESULTS_IN_MEMORY:
+                self._persisted.popleft().values = None
 
     def load_result(self, job_id: str) -> JobResult | None:
         """A job's result — from memory, else from the state dir."""
         with self._lock:
             record = self._records.get(job_id)
-        if record is not None and record.result is not None:
+        if (
+            record is not None
+            and record.result is not None
+            and record.result.values is not None
+        ):
             return record.result
         if not self.state_dir:
             return None
@@ -811,8 +825,10 @@ _NULL_LOCK = _NullLock()
 
 
 def _atomic_json(path: str, payload: dict) -> None:
+    # One ``dumps`` call, no ``indent``: indenting forces the
+    # pure-Python encoder, and these files are rewritten every job.
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
     os.replace(tmp, path)

@@ -539,6 +539,10 @@ class DecodedTileCache:
     are a numpy-host artifact with no counterpart in the paper's
     ``uint32``-indexed C++ kernels and are deliberately excluded from
     the modeled RAM; ``max_entries`` bounds their host-side footprint.
+    An unbounded cache carries the server's ``slab``
+    (:class:`repro.partition.tiles.TileSlab`), where those shadows live
+    laid end to end — what lets the engine sweep a stretch of resident
+    tiles as one; a bounded cache has none, so that its bound holds.
 
     Metering safety: this cache never replaces the §IV-B lookup — the
     server still drives the edge cache / disk metering for every access
@@ -549,10 +553,13 @@ class DecodedTileCache:
 
     max_entries: int | None = None
     stats: DecodedCacheStats = field(default_factory=DecodedCacheStats)
+    slab: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_entries is not None and self.max_entries < 1:
             raise ValueError("max_entries must be >= 1 or None")
+        if self.max_entries is not None and self.slab is not None:
+            raise ValueError("a slab holds every tile: max_entries must be None")
         self._entries: OrderedDict[str, tuple[object, int]] = OrderedDict()
         # Owning server's TraceBuffer when tracing is on; instants only.
         self.trace = NULL_BUFFER

@@ -57,6 +57,21 @@ class SegmentPlan:
         self.nonempty = lengths > 0
         self.starts = indptr[:-1][self.nonempty]
 
+    @classmethod
+    def from_parts(
+        cls, n_values: int, nonempty: np.ndarray, starts: np.ndarray
+    ) -> "SegmentPlan":
+        """A plan over parts that were checked when they were derived —
+        a stretch of plans laid end to end
+        (:class:`repro.partition.tiles.TileSlab`), with ``starts``
+        already offset into the joined values."""
+        plan = cls.__new__(cls)
+        plan.n_rows = int(nonempty.size)
+        plan.n_values = int(n_values)
+        plan.nonempty = nonempty
+        plan.starts = starts
+        return plan
+
 
 def segment_reduce(
     values: np.ndarray,

@@ -478,6 +478,50 @@ class TestCompaction:
             op = OP_INSERT if insert else OP_DELETE
             overlay.apply(Mutation(i, op, src, dst, weight if insert else None))
         assert overlay.nbytes() == len(overlay.to_bytes())
+        # Sealed, the pair is read, not recomputed — and still right;
+        # the next edit unseals.
+        ops_before = overlay.num_ops
+        overlay.seal()
+        assert (overlay.nbytes(), overlay.num_ops) == (
+            len(overlay.to_bytes()), ops_before
+        )
+        overlay.apply(Mutation(len(ops), OP_INSERT, 1, 2, None))
+        assert overlay.num_ops == ops_before + 1
+        assert overlay.nbytes() == len(overlay.to_bytes())
+
+    def test_compaction_seals_what_the_sweep_charges(self, skewed):
+        """The sweep charges ``delta_bytes`` / ``delta_edges`` per
+        scheduled overlaid tile from the sealed pair; it is the pair a
+        walk over the overlay gives."""
+        mpe, cluster = _engine(
+            skewed,
+            MPEConfig(  # every tile scheduled every superstep
+                mutations=True, selective_scheduling=False,
+                use_bloom_filters=False, max_supersteps=4,
+            ),
+        )
+        try:
+            mpe.apply_mutations(random_mutations(skewed, 30, 20, seed=9))
+            mpe.apply_mutations(random_mutations(skewed, 10, 0, seed=10))
+            overlays = list(mpe._delta.overlays.values())
+            assert overlays
+            for overlay in overlays:
+                assert overlay._sealed == (
+                    len(overlay.to_bytes()),
+                    len(overlay.inserts) + sum(overlay.deletes.values()),
+                )
+            result = mpe.run(PageRank(tolerance=0.0))
+            steps = result.num_supersteps
+            assert all(s.tiles_skipped == 0 for s in result.supersteps)
+            counters = [s.counters for s in cluster.servers]
+            assert sum(c.delta_bytes for c in counters) == steps * sum(
+                len(o.to_bytes()) for o in overlays
+            )
+            assert sum(c.delta_edges for c in counters) == steps * sum(
+                len(o.inserts) + sum(o.deletes.values()) for o in overlays
+            )
+        finally:
+            cluster.close()
 
 
 # ----------------------------------------------------------------------

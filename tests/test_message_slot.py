@@ -27,10 +27,11 @@ from repro.apps import (
 from repro.apps.base import check_elementwise_in_source
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, MPEConfig, SPE
-from repro.core.mpe import _process_tile
+from repro.core.mpe import _sweep_run
 from repro.core.vertexstore import AllInAllStore, OnDemandStore
 from repro.graph import chung_lu_graph
 from repro.partition import build_tiles
+from repro.partition.tiles import TileRun
 from repro.runtime import process_runtime_available
 from repro.runtime.shm import SharedAllocator
 
@@ -207,7 +208,7 @@ class TestSlot:
         with pytest.raises(ValueError):
             slot[0] = -1.0
         assert store._values.flags.writeable  # the replica itself still is
-        ids, _ = _process_tile(program, tile, store, slot)
+        ids, _ = _sweep_run(program, TileRun.of_tile(tile), store, slot)
         assert ids.size  # the sweep changed something, but applied nothing
         assert store._values.tobytes() == values.tobytes()
 
@@ -250,13 +251,18 @@ class TestCallCounts:
             "gather_out_degrees",
             lambda self, ids: degree_gathers.append(ids.size),
         )
-        plan_cls = tiles_module.SegmentPlan
 
-        def counted_plan(indptr):
-            plans.append(1)
-            return plan_cls(indptr)
+        class CountedPlan(tiles_module.SegmentPlan):
+            """Counts plans derived from a row pointer (a run's plan is
+            sliced from those, not derived)."""
 
-        monkeypatch.setattr(tiles_module, "SegmentPlan", counted_plan)
+            __slots__ = ()
+
+            def __init__(self, indptr):
+                plans.append(1)
+                super().__init__(indptr)
+
+        monkeypatch.setattr(tiles_module, "SegmentPlan", CountedPlan)
 
         num_servers = 3
         mpe, cluster = _engine(

@@ -377,6 +377,100 @@ class TestPersistence:
         finally:
             reloaded.shutdown()
 
+    def test_old_results_leave_memory_and_come_back_from_the_state_dir(
+        self, graph, tmp_path, monkeypatch
+    ):
+        import repro.service.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "RESULTS_IN_MEMORY", 2)
+        eng = Engine(
+            num_servers=2, state_dir=str(tmp_path / "state"), share_tiles=False
+        )
+        try:
+            eng.register_graph(graph, name="tiny")
+            records = [
+                _run_one(eng, JobSpec(graph="tiny", max_supersteps=steps))
+                for steps in (2, 3, 4)
+            ]
+            values = [
+                _cold_story(graph, r.spec)["values"] for r in records
+            ]
+            assert records[0].result.values is None  # only the newest two
+            assert all(r.result.values is not None for r in records[1:])
+            assert records[0].result.num_supersteps == 2  # the story stays
+            for record, expected in zip(records, values):
+                loaded = eng.load_result(record.job_id)
+                assert loaded.values.tobytes() == expected
+                assert loaded.counters == record.result.counters
+        finally:
+            eng.shutdown()
+        # Without a state dir there is nowhere to read one back from.
+        eng = Engine(num_servers=2, share_tiles=False)
+        try:
+            eng.register_graph(graph, name="tiny")
+            records = [
+                _run_one(eng, JobSpec(graph="tiny", max_supersteps=2))
+                for _ in range(3)
+            ]
+            assert all(r.result.values is not None for r in records)
+        finally:
+            eng.shutdown()
+
+    def test_restart_reads_a_state_dir_written_indented(self, graph, tmp_path):
+        """State files were ``json.dump(..., indent=1)`` before they
+        were one ``dumps``: a daemon restarted over an old state dir
+        must restore its queue, job index, results and mutation log."""
+        state = str(tmp_path / "state")
+        eng = Engine(
+            num_servers=2, state_dir=state, share_tiles=False,
+            config=MPEConfig(mutations=True),
+        )
+        eng.register_graph(graph, name="evo")
+        ops = [
+            {"op": "insert", "src": 1, "dst": 7, "weight": 0.5},
+            {"op": "insert", "src": 7, "dst": 2, "weight": 0.25},
+        ]
+        eng.mutate("evo", ops)
+        done = _run_one(
+            eng, JobSpec(graph="evo", algorithm="sssp", params={"source": 1})
+        )
+        queued = eng.submit(JobSpec(graph="evo", max_supersteps=3))
+        eng.shutdown()
+        rewritten = 0
+        for folder, _dirs, files in os.walk(state):
+            for name in files:
+                if not name.endswith(".json"):
+                    continue
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+                assert "\n " not in text  # the compact form is one line
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(json.loads(text), fh, indent=1, sort_keys=True)
+                    fh.write("\n")
+                rewritten += 1
+        assert rewritten >= 4  # jobs, queue, mutlog, one result
+        restarted = Engine(
+            num_servers=2, state_dir=state, share_tiles=False,
+            config=MPEConfig(mutations=True),
+        )
+        try:
+            assert restarted.get(done.job_id).status == JobStatus.DONE
+            assert restarted.queue.depth() == 1
+            loaded = restarted.load_result(done.job_id)
+            assert loaded.values.tobytes() == done.result.values.tobytes()
+            restarted.register_graph(graph, name="evo")  # replays the log
+            assert restarted.run_next().job_id == queued.job_id
+            assert restarted.get(queued.job_id).status == JobStatus.DONE
+            again = _run_one(
+                restarted,
+                JobSpec(graph="evo", algorithm="sssp", params={"source": 1}),
+            )
+            # The replayed mutations are in: same values as before the bounce.
+            assert again.result.values.tobytes() == done.result.values.tobytes()
+        finally:
+            restarted.shutdown()
+
     def test_restart_restores_queued_jobs_in_order(self, graph, tmp_path):
         state = str(tmp_path / "state")
         eng = Engine(num_servers=2, state_dir=state, share_tiles=False)

@@ -165,6 +165,32 @@ def test_set_many_equals_individual_sets(indices):
     assert bulk == single
 
 
+@given(
+    size=st.sampled_from([1, 63, 64, 65, 1000]),
+    before=st.lists(st.integers(0, 999), max_size=40),
+    indices=st.lists(st.integers(0, 999), max_size=300),
+)
+def test_set_many_packs_the_words_a_scatter_or_builds(size, before, indices):
+    """The packed-mask fill against the unbuffered scatter-OR it
+    replaced: identical words — duplicates, any order, bits already
+    set, a last word only partly inside the capacity."""
+    before = np.array([i for i in before if i < size], dtype=np.int64)
+    idx = np.array([i for i in indices if i < size], dtype=np.int64)
+    bs = Bitset(size)
+    bs.set_many(before)
+    bs.set_many(idx)
+    words = np.zeros_like(bs._words)
+    both = np.concatenate([before, idx])
+    np.bitwise_or.at(
+        words, both >> 6, np.uint64(1) << (both & 63).astype(np.uint64)
+    )
+    assert bs._words.dtype == np.uint64
+    assert bs._words.tobytes() == words.tobytes()
+    with pytest.raises(IndexError):
+        bs.set_many(np.array([0, size]))
+    assert bs._words.tobytes() == words.tobytes()  # refused before any write
+
+
 # ----------------------------------------------------------------------
 # any_of probes a first block, then the rest: same answer as one shot
 # ----------------------------------------------------------------------

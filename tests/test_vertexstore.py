@@ -19,7 +19,7 @@ class TestAllInAllStore:
         store = AllInAllStore(np.arange(10.0), np.arange(10))
         assert store.gather_values(np.array([3, 7])).tolist() == [3.0, 7.0]
         assert store.gather_out_degrees(np.array([2])).tolist() == [2]
-        assert store.read_range(4, 6).tolist() == [4.0, 5.0]
+        assert store.gather_values(np.arange(4, 6)).tolist() == [4.0, 5.0]
 
     def test_write(self):
         store = AllInAllStore(np.zeros(5), None)
@@ -108,7 +108,7 @@ class TestStoresOverAllocators:
         assert store.gather_values(ids).tolist() == [2.0, 9.0, 4.0]
         assert store.gather_out_degrees(ids).tolist() == [6, 27, 12]
         assert store.gather_out_degrees(ids).dtype == np.int32
-        assert store.read_range(2, 5).tolist() == [2.0, -3.0, 4.0]
+        assert store.gather_values(np.arange(2, 5)).tolist() == [2.0, -3.0, 4.0]
         assert np.array_equal(
             store.gather_values(local), reference.gather_values(local)
         )
