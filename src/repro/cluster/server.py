@@ -194,14 +194,11 @@ class Server:
         self.counters.set_memory("cache", cache.used_bytes)
         return raw_bytes
 
-    def attach_decoded_cache(
-        self, max_entries: int | None = None, slab: Any | None = None
-    ) -> DecodedTileCache:
+    def attach_decoded_cache(self, slab: Any | None = None) -> DecodedTileCache:
         """Install a decoded-tile cache (replaces any existing one);
         ``slab`` is the empty :class:`~repro.partition.tiles.TileSlab`
-        an unbounded cache lays its tiles into."""
-        self.decoded_cache = DecodedTileCache(max_entries=max_entries, slab=slab)
-        self.decoded_cache.trace = self.trace
+        it lays its tiles into."""
+        self.decoded_cache = DecodedTileCache(slab=slab)
         return self.decoded_cache
 
     def load_blob(self, name: str, prefetched: Any | None = None) -> bytes:
@@ -298,9 +295,9 @@ class Server:
         (§IV-B) and its decoded form in the decoded cache's slab — joins
         the tiles before it when they are consecutive in the assignment;
         the run is computed when something breaks it.  Any other tile is
-        streaming through (the spill regime, a bounded or disabled
-        decoded cache): it is a run of its own, computed before the next
-        tile is pulled, so it is never held.  ``join=False`` keeps every
+        streaming through (the spill regime, a disabled decoded cache):
+        it is a run of its own, computed before the next tile is pulled,
+        so it is never held.  ``join=False`` keeps every
         tile on its own (the slab holds no edge values: a sweep that
         reads them goes tile by tile).
         """

@@ -72,9 +72,15 @@ def unpack_snapshot(blob: bytes) -> Checkpoint:
     )
 
 
+def _prefix(dataset: str, program: str | None = None) -> str:
+    """What every snapshot path of a dataset — or of one of its
+    programs — starts with: the one place the layout is written."""
+    return f"{dataset}/ckpt-" + ("" if program is None else f"{program}-")
+
+
 def checkpoint_path(dataset: str, program: str, superstep: int) -> str:
     """DFS path for a snapshot."""
-    return f"{dataset}/ckpt-{program}-{superstep:08d}"
+    return f"{_prefix(dataset, program)}{superstep:08d}"
 
 
 def write_checkpoint(
@@ -101,19 +107,77 @@ def latest_checkpoint(
     dfs: DistributedFileSystem, dataset: str, program: str
 ) -> Checkpoint | None:
     """Newest snapshot for a (dataset, program) pair, if any."""
-    prefix = f"{dataset}/ckpt-{program}-"
-    paths = dfs.list_files(prefix)
+    paths = dfs.list_files(_prefix(dataset, program))
     if not paths:
         return None
     return load_checkpoint(dfs, paths[-1])
 
 
 def clear_checkpoints(
-    dfs: DistributedFileSystem, dataset: str, program: str
+    dfs: DistributedFileSystem, dataset: str, program: str | None = None
 ) -> int:
-    """Delete all snapshots for a (dataset, program) pair."""
-    prefix = f"{dataset}/ckpt-{program}-"
-    paths = dfs.list_files(prefix)
+    """Delete all snapshots for a (dataset, program) pair — with
+    ``program=None``, every program's snapshots of the dataset."""
+    paths = dfs.list_files(_prefix(dataset, program))
     for path in paths:
         dfs.delete(path)
     return len(paths)
+
+
+class Checkpointer:
+    """One run's checkpoint participant (DESIGN.md §5o): restores the
+    newest snapshot at run start when the run resumes, writes one after
+    every ``checkpoint_every``-th superstep's barrier.  Built per run,
+    and only for a run that does either."""
+
+    def __init__(self, mpe, resume: bool) -> None:
+        self.mpe = mpe
+        self.resume = resume
+
+    def begin_run(self, prep, graph) -> None:
+        if not self.resume:
+            return
+        mpe = self.mpe
+        dfs, dataset = mpe.cluster.dfs, mpe.manifest.name
+        snapshot = latest_checkpoint(dfs, dataset, prep.program.name)
+        if snapshot is None:
+            return
+        if snapshot.values.size != mpe.manifest.num_vertices:
+            raise ValueError("checkpoint does not match this dataset")
+        # A resumed run is past superstep 0, so an incremental run's
+        # seed tiles (repro.delta ran first) never fire.
+        prep.init_values = snapshot.values.copy()
+        prep.start_superstep = snapshot.superstep + 1
+        prep.prev_updated = snapshot.prev_updated
+        # Restoring is DFS traffic: under AA every replica pulls the
+        # snapshot down (recovery I/O, not algorithm I/O).
+        nbytes = dfs.size(
+            checkpoint_path(dataset, prep.program.name, snapshot.superstep)
+        )
+        for server in mpe.cluster.servers:
+            server.counters.recovery_read += nbytes
+
+    def begin_superstep(self, prep, superstep: int) -> None:
+        pass
+
+    def end_superstep(self, prep, done) -> None:
+        mpe, superstep = self.mpe, done.report.superstep
+        every = mpe.config.checkpoint_every
+        if (
+            every is None
+            or done.report.updated_vertices == 0
+            or (superstep + 1) % every
+        ):
+            return
+        with mpe._lane("engine").span("checkpoint", "io", superstep=superstep):
+            write_checkpoint(
+                mpe.cluster.dfs,
+                mpe.manifest.name,
+                prep.program.name,
+                superstep,
+                mpe.collect_values(prep.init_values),
+                done.updated,
+            )
+
+    def end_run(self, prep, result) -> None:
+        pass

@@ -36,7 +36,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -50,13 +51,12 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.counters import CounterSnapshot
 from repro.comm import Channel, decode_update, encode_update
 from repro.comm.messages import DENSE, SPARSE
+from repro.core.checkpoint import Checkpointer
 from repro.core.knobs import knob, knob_row, knob_rows
+from repro.core.result import RunResult, SuperstepReport
 from repro.core.spe import SPE, TileManifest
 from repro.core.vertexstore import AllInAllStore, OnDemandStore
-from repro.delta.deltatiles import DeltaStore
-from repro.delta.incremental import build_plan
-from repro.delta.mutlog import MutationLog
-from repro.metrics.cost import CostModel, CostSample, SuperstepCost
+from repro.metrics.cost import CostModel
 from repro.metrics.schedule import effective_parallel_volume
 from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, NULL_METRICS
 from repro.obs.trace import NULL_BUFFER
@@ -73,13 +73,14 @@ from repro.runtime.shm import (
     ArenaDisk,
     InboxResolver,
     SharedAllocator,
-    SharedBlobArena,
     StagedInboxes,
+    front_disks,
 )
 from repro.storage.backing import BackingStore
 from repro.storage.cache import cache_plan
 from repro.storage.codecs import CODECS
-from repro.tuning import KnobSettings, Tuner, TuningSample
+from repro.tuning.plan import KnobSettings
+from repro.tuning.tuner import TunedRun
 from repro.utils.bloom import BloomFilter, hash_keys
 from repro.utils.segments import (
     merge_sorted_unique,
@@ -142,10 +143,6 @@ class MPEConfig:
         True, scope="setup",
         help="keep decoded tiles live between supersteps instead of "
         "re-parsing each blob every superstep",
-    )
-    decoded_cache_entries: int | None = knob(
-        None, scope="setup", min=1,
-        help="LRU bound on live decoded tiles per server (None = all)",
     )
     # None keeps the engine frozen-graph and is a bitwise no-op: no
     # delta store exists, the tile parser is the plain
@@ -237,159 +234,6 @@ class MPEConfig:
             raise ValueError("incremental=True requires mutations=True")
 
 
-@dataclass
-class SuperstepReport:
-    """Per-superstep measurements."""
-
-    superstep: int
-    updated_vertices: int
-    tiles_processed: int
-    tiles_skipped: int
-    net_bytes: int
-    disk_read_bytes: int
-    cache_hit_ratio: float
-    message_modes: list[int] = field(default_factory=list)
-    modeled: SuperstepCost | None = None
-    wall_s: float = 0.0
-
-
-@dataclass
-class RunResult:
-    """Outcome of one vertex program execution."""
-
-    values: np.ndarray
-    supersteps: list[SuperstepReport]
-    converged: bool
-    # --- host-runtime telemetry (PR-1 knobs) --------------------------
-    # The executor that ran, and — only when the platform could not run
-    # the one asked for — the one that was requested.
-    executor: str = "serial"
-    executor_requested: str | None = None
-    decoded_cache_hits: int = 0
-    decoded_cache_misses: int = 0
-    # Decode-once broadcast telemetry, counted from zero every run:
-    # envelopes served from the per-superstep decode cache vs actually
-    # decoded (hits + misses = envelopes received).
-    payload_decode_hits: int = 0
-    payload_decode_misses: int = 0
-    # Effective tile-prefetch pipeline depth this run executed with
-    # (0 = pipeline off; REPRO_PREFETCH overrides already applied).
-    prefetch_depth: int = 0
-    # Whether bitmap selective scheduling was active and which
-    # vertex-store backing ran.
-    selective: bool = False
-    vertex_store: str = "mem"
-    # The engine's one bloom-filter build ({superstep, tiles, bytes};
-    # filters persist across warm runs) — None when no schedule has
-    # probed a filter yet, which is every default-config run.
-    filters_built: dict | None = None
-    # Autotuner summary (fitted constants, residuals, decision trace)
-    # when the run was tuned or consumed a scripted plan; None otherwise.
-    tuning: dict | None = None
-    # Evolving-graph summary (repro.delta): the delta store's state plus
-    # — on incremental runs — the plan stats (dirty/reset/forced sizes).
-    # None when the mutation subsystem is off.
-    delta: dict | None = None
-
-    @property
-    def num_supersteps(self) -> int:
-        return len(self.supersteps)
-
-    def runtime(self) -> dict:
-        """Host-runtime telemetry (JSON-serialisable)."""
-        fallback = (
-            {"executor_requested": self.executor_requested}
-            if self.executor_requested is not None
-            else {}
-        )
-        return {
-            "executor": self.executor,
-            **fallback,
-            "decoded_cache_hits": self.decoded_cache_hits,
-            "decoded_cache_misses": self.decoded_cache_misses,
-            "payload_decode_hits": self.payload_decode_hits,
-            "payload_decode_misses": self.payload_decode_misses,
-            "prefetch_depth": self.prefetch_depth,
-            "selective": self.selective,
-            "vertex_store": self.vertex_store,
-        }
-
-    def trace(self) -> list[dict]:
-        """Per-superstep telemetry as plain dicts (JSON-serialisable)."""
-        out = []
-        for s in self.supersteps:
-            row = {
-                "superstep": s.superstep,
-                "updated_vertices": s.updated_vertices,
-                "tiles_processed": s.tiles_processed,
-                "tiles_skipped": s.tiles_skipped,
-                "net_bytes": s.net_bytes,
-                "disk_read_bytes": s.disk_read_bytes,
-                "cache_hit_ratio": round(s.cache_hit_ratio, 4),
-                "message_modes": list(s.message_modes),
-                "wall_s": round(s.wall_s, 6),
-            }
-            if s.modeled is not None:
-                row["modeled_s"] = {
-                    "disk": s.modeled.disk_s,
-                    "network": s.modeled.network_s,
-                    "decompress": s.modeled.decompress_s,
-                    "compute": s.modeled.compute_s,
-                    "sync": s.modeled.sync_s,
-                    "fault": s.modeled.fault_s,
-                    "probe": s.modeled.probe_s,
-                    "delta": s.modeled.delta_s,
-                    "total": s.modeled.total_s,
-                    "overlap": s.modeled.overlap_s,
-                }
-            out.append(row)
-        return out
-
-    def save_trace(self, path: str) -> None:
-        """Write the telemetry trace as JSON (per-superstep rows plus
-        the host-runtime summary from :meth:`runtime`)."""
-        import json
-
-        out = {
-            "converged": self.converged,
-            "runtime": self.runtime(),
-            "supersteps": self.trace(),
-        }
-        if self.tuning is not None:
-            out["tuning"] = self.tuning
-        if self.delta is not None:
-            out["delta"] = self.delta
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(out, fh, indent=1)
-
-    def total_net_bytes(self) -> int:
-        return sum(s.net_bytes for s in self.supersteps)
-
-    def total_disk_read(self) -> int:
-        return sum(s.disk_read_bytes for s in self.supersteps)
-
-    def avg_superstep_modeled_s(self, skip_first: bool = True) -> float:
-        """The paper's metric: mean modeled time, first superstep excluded."""
-        steps = self.supersteps[1:] if skip_first and len(self.supersteps) > 1 else self.supersteps
-        vals = [s.modeled.total_s for s in steps if s.modeled]
-        if not vals:  # zero supersteps, or none carried modeled costs
-            return 0.0
-        return float(np.mean(vals))
-
-    def avg_superstep_overlap_s(self, skip_first: bool = True) -> float:
-        """Overlap-aware sibling of :meth:`avg_superstep_modeled_s`:
-        mean modeled time under the max(io, compute) pipelining rule."""
-        steps = self.supersteps[1:] if skip_first and len(self.supersteps) > 1 else self.supersteps
-        vals = [
-            s.modeled.overlap_s
-            for s in steps
-            if s.modeled is not None and s.modeled.overlap_s is not None
-        ]
-        if not vals:
-            return 0.0
-        return float(np.mean(vals))
-
-
 class MPE:
     """GAB executor over a simulated cluster."""
 
@@ -404,26 +248,25 @@ class MPE:
         self.manifest = manifest
         self._config = config or MPEConfig()
         self.channel = Channel(cluster.servers)
+        self.cost_model = CostModel(cluster.spec)
         # Optional repro.obs.trace.Tracer.  With None (the default) no
         # buffers exist: _wire_tracer hands every instrumentation site
         # the null buffer / null instrument instead.
         self.tracer = tracer
-        # Effective prefetch knobs for the current run; re-resolved at
+        # Effective prefetch depth for the current run; re-resolved at
         # the top of run() (REPRO_PREFETCH override) *before* tracer
-        # wiring and before the process pool forks, so workers inherit
-        # the resolved values.
+        # wiring.
         self._prefetch_depth = self.config.prefetch_depth
-        self._io_threads = self.config.io_threads
         # The tuner carrying fitted constants across runs (a warm
-        # service engine reuses them job to job), an externally
-        # installed scripted TuningPlan (tests/ablations — consulted
-        # even with tuning off; never written by the tuner), and the
-        # knobs currently in force.  ``_knobs`` is always concrete: an
-        # untuned run holds the config's values for the whole run, so
-        # every knob read below is tune-agnostic.
-        self.tuner: Tuner | None = None
+        # service engine reuses them job to job; repro.tuning builds it
+        # at the first tuned run), an externally installed scripted
+        # TuningPlan (tests/ablations — consulted even with tuning off),
+        # and the knobs currently in force.  ``_knobs`` is always
+        # concrete: an untuned run holds the config's values for the
+        # whole run, so every knob read below is tune-agnostic.
+        self.tuner = None
         self.tuning_plan = None
-        self._knobs = self._base_knobs()
+        self._knobs = KnobSettings.of(self.config)
         # Per-tile exact source summaries (tile_id -> TileSourceSummary)
         # backing the bitmap prune; built at setup for every tile (a
         # warm engine's next job may switch selective scheduling on)
@@ -431,39 +274,27 @@ class MPE:
         # the [P, 64] matrix of every tile's first sources.
         self._summaries: dict[int, TileSourceSummary] = {}
         self._heads: SourceHeads | None = None
-        # --- evolving-graph state (repro.delta) ------------------------
-        # The delta store (pending per-tile overlays + degree deltas)
-        # and the engine-owned mutation log — both created at setup when
-        # config.mutations is on, None otherwise.  ``_tile_parser`` is
-        # the decode callback every metered tile load funnels through:
-        # the plain Tile.from_bytes on frozen graphs, swapped for a
-        # compose-overlay-on-parse closure when the mutation subsystem
-        # is on (same object everywhere in one engine, so prefetch
-        # speculation identity checks keep holding; forked workers
-        # inherit the closure and the live overlay dict by address).
-        self._delta: DeltaStore | None = None
-        self.mutation_log: MutationLog | None = None
-        # program name -> (converged values, delta-store watermark at
-        # run end): what an incremental run restarts from.
-        self._fixed_points: dict[str, tuple[np.ndarray, int]] = {}
+        # The evolving graph (repro.delta: overlays, mutation log, fixed
+        # points) — built at setup when config.mutations is on, None
+        # otherwise.  ``_tile_parser`` is the decode callback every
+        # metered tile load funnels through: the plain Tile.from_bytes
+        # on frozen graphs, the evolving graph's compose-overlay-on-parse
+        # when there is one (same object everywhere in one engine, so
+        # prefetch speculation identity checks keep holding).
+        self.delta = None
         self._tile_parser = self._TILE_PARSER
-        # Tiles force-scheduled (exempt from bitmap + bloom pruning) at
-        # exactly one superstep of the current run — the incremental
-        # seed superstep, where deletion/reset targets must re-gather
-        # even though no "updated" vertex sources them.  Read by
-        # _resolve_schedule only.
-        self._forced_tiles: frozenset = frozenset()
-        self._forced_superstep: int = -1
         self.spe = SPE(cluster.dfs)
         self._tiles_fetched = False
-        # Per-server: list of (tile_id, blob_name, nbytes); the tiles'
-        # bloom filters, empty until _ensure_blooms builds them all.
+        # Per-server: list of (tile_id, blob_name, nbytes), and where in
+        # it each tile is (tile id -> (server id, index); a merge only
+        # renames, so this never changes after setup); the tiles' bloom
+        # filters, empty until _ensure_blooms builds them all.
         self._assignments: list[list[tuple[int, str, int]]] = []
+        self._tile_home: dict[int, tuple[int, int]] = {}
         self._blooms: dict[int, BloomFilter] = {}
         # The one filter build's record (superstep, tiles, bytes); None
         # while no schedule has routed a decision through a filter.
         self.filters_built: dict | None = None
-        self._tile_nbytes_total = 0
         # Per-server sorted global ids of the targets its tiles own —
         # the shared static index behind range-dense broadcasts.
         self._server_target_ids: list[np.ndarray] = []
@@ -471,13 +302,15 @@ class MPE:
         # normal runs.
         self.injector = None
         # --- phase-handler state (see _phase_handler) ------------------
-        # The program of the active run; each server's own (ids, vals)
-        # update, left by its compute phase for its apply phase;
+        # The run in progress (its program and per-run tables: set
+        # before the pool forks, so handlers read it in any process);
+        # each server's own (ids, vals) update, left by its compute
+        # phase for its apply phase;
         # whether this process is a forked worker (set post-fork by
         # _process_child_init), in which case handler results carry a
         # ServerMirror for the parent; and the apply phase's inbox
         # resolver (its shared-segment attachment, in a worker).
-        self._run_program: VertexProgram | None = None
+        self._run: _RunPrep | None = None
         self._own_updates: dict[int, tuple] = {}
         self._forked = False
         self._inboxes = InboxResolver()
@@ -538,8 +371,6 @@ class MPE:
             )
             if server.cache is not None:
                 server.cache.trace = buf
-            if server.decoded_cache is not None:
-                server.decoded_cache.trace = buf
         ebuf = self.cluster.dfs.trace = self._lane("engine")
         metrics = self._metrics
         self.channel.obs_bytes = metrics.histogram(
@@ -598,7 +429,7 @@ class MPE:
                     continue
                 # ``mutations`` binds when it first turns on — the top
                 # of setup(), idempotent — not at the tile fetch.
-                if row.name == "mutations" and self._delta is None:
+                if row.name == "mutations" and self.delta is None:
                     continue
                 raise ValueError(
                     f"{row.name} is set-up-scoped: this engine was set up "
@@ -610,16 +441,14 @@ class MPE:
 
     def setup(self) -> None:
         """Stage-two assignment + local fetch (idempotent)."""
-        if self.config.mutations and self._delta is None:
-            # Evolving-graph plumbing exists from the first setup on:
-            # the overlay store starts empty (composition is a no-op
-            # until a batch lands) and the engine owns the append-only
-            # mutation log batches are appended to.
-            self._delta = DeltaStore(self.manifest)
-            self.mutation_log = MutationLog(
-                num_vertices=self.manifest.num_vertices
-            )
-            self._tile_parser = self._make_delta_parser()
+        if self.config.mutations and self.delta is None:
+            # Evolving-graph plumbing exists from the first setup on.
+            # Imported here: repro.delta reaches back into repro.core
+            # (checkpoints), and a frozen-graph engine never needs it.
+            from repro.delta.attach import EvolvingGraph
+
+            self.delta = EvolvingGraph(self)
+            self._tile_parser = self.delta.parse
         if self._tiles_fetched:
             return
         n = self.cluster.num_servers
@@ -650,6 +479,7 @@ class MPE:
             )
             name = f"tile-{tile_id}"
             server.store_blob(name, blob)
+            self._tile_home[tile_id] = (server_id, len(self._assignments[server_id]))
             self._assignments[server_id].append((tile_id, name, len(blob)))
             per_server_bytes[server_id] += len(blob)
             tile = self._tile_parser(blob)
@@ -658,7 +488,6 @@ class MPE:
             if self.config.replication_policy == "od":
                 self._server_sources[server_id].append(tile.source_vertices)
         self._heads = SourceHeads(self._summaries)
-        self._tile_nbytes_total = sum(per_server_bytes)
         # Targets owned per server: the concatenation of its tiles'
         # (ascending) target ranges.  Known statically on every server,
         # so broadcasts address vertices by *local* index (§IV-C's dense
@@ -685,16 +514,13 @@ class MPE:
             )
             server.attach_cache(capacity_bytes=capacity, mode=mode)
             if self.config.decoded_cache:
-                # Unbounded, the decoded tiles' shadows live in one slab
-                # (resident runs are swept as one); a bounded cache keeps
-                # them per tile, so that its bound holds.
-                entries = self.config.decoded_cache_entries
-                slab = None
-                if entries is None:
-                    names = [name for _t, name, _n in self._assignments[server_id]]
-                    targets = self._server_target_ids[server_id]
-                    slab = TileSlab(names, shapes[server_id], targets)
-                server.attach_decoded_cache(max_entries=entries, slab=slab)
+                # The decoded tiles' shadows live in one slab (resident
+                # runs are swept as one).
+                names = [name for _t, name, _n in self._assignments[server_id]]
+                targets = self._server_target_ids[server_id]
+                server.attach_decoded_cache(
+                    TileSlab(names, shapes[server_id], targets)
+                )
         self._tiles_fetched = True
 
     def _check_static_layout(self) -> None:
@@ -741,29 +567,16 @@ class MPE:
         ``resume=True`` restarts from the newest DFS checkpoint for this
         (dataset, program) pair, if one exists.
         """
-        from repro.core.checkpoint import write_checkpoint
-
-        # Resolve the pipeline knobs first: tracer wiring keys off the
-        # effective depth, and the process pool's forked workers inherit
-        # these fields by value.
-        self._prefetch_depth, self._io_threads = self._resolve_prefetch()
+        # Resolve the pipeline depth first: tracer wiring keys off it.
+        self._prefetch_depth = self._resolve_prefetch()
         # Host telemetry is per run: a warm engine's second job reports
         # its own decode counts, not the running total.
         self.payload_decode_hits = 0
         self.payload_decode_misses = 0
-        self._knobs = self._base_knobs()
         ebuf = self._wire_tracer()
-        # A previous attempt that aborted mid-superstep (supervised
-        # recovery) may have left engine spans open; close them so
-        # this attempt's run span is a sibling, not a child.
-        ebuf.close_to(0)
         ebuf.begin("run", "run", program=program.name)
-        self.setup()
-        prep = self._begin_run(program, graph_for_init, resume)
-        tuner, plan, tbuf = prep.tuner, prep.plan, prep.tbuf
         cfg = self.config
         servers = self.cluster.servers
-        runtime_name, width, requested = self._resolve_runtime(ebuf)
         # Run-scoped shared-memory state (stores, blob arena) is torn
         # down LIFO in the finally below — on every path, including
         # injected faults and KeyboardInterrupt, so no SharedMemory
@@ -771,6 +584,10 @@ class MPE:
         cleanup: list = []
         executor = None
         try:
+            self.setup()
+            attached = self._participants(resume)
+            prep = self._run = self._begin_run(program, graph_for_init, attached)
+            runtime_name, width, requested = self._resolve_runtime(ebuf)
             # The one place the transport is chosen.  Built unstarted:
             # starting a forking executor is the fork point, and every
             # shared structure must exist first so workers inherit it by
@@ -782,7 +599,6 @@ class MPE:
             prev_updated = prep.prev_updated
             reports: list[SuperstepReport] = []
             converged = False
-            self._run_program = program
             if executor.forks:
                 self._start_process_pool(executor, cleanup)
             else:
@@ -793,19 +609,13 @@ class MPE:
                 ebuf.begin("superstep", "superstep", superstep=superstep)
                 if self.injector is not None:
                     self.injector.begin_superstep(superstep)
+                # ---- resolve knobs: a participant may switch them ------
+                for part in attached:
+                    part.begin_superstep(prep, superstep)
+                self._knobs = prep.knobs
                 before = {
                     s.server_id: CounterSnapshot.capture(s) for s in servers
                 }
-                # Consult the plan *after* the snapshots: the compute
-                # handler puts a cache-mode switch into force on its
-                # server's counters, and that charge must land inside
-                # this superstep's deltas.
-                if plan is not None:
-                    self._apply_knobs(
-                        self._superstep_knobs(superstep, tuner, plan),
-                        superstep,
-                        tbuf,
-                    )
                 # ---- compute: each server streams its tiles ------------
                 # Fanned out by the executor; each handler call touches
                 # only its own server's state (+ read-only shared
@@ -819,7 +629,10 @@ class MPE:
                 # executor's sweep, the tuner's working set and the
                 # parent-side fault replay all read this record.
                 schedule = self._resolve_schedule(
-                    superstep, prev_updated, prep.num_vertices
+                    superstep,
+                    prev_updated,
+                    self.manifest.num_vertices,
+                    prep.seed_tiles if superstep == 0 else frozenset(),
                 )
                 steps = self._dispatch(
                     executor,
@@ -829,10 +642,6 @@ class MPE:
                 ebuf.end()  # compute
                 ebuf.begin("broadcast", "phase")
                 for server, step in zip(servers, steps):
-                    if step.prefetch_total > 0:
-                        self._obs_prefetch.labels(
-                            server=server.server_id
-                        ).set(step.prefetch_ready / step.prefetch_total)
                     if step.payload is not None:
                         self.channel.broadcast(server.server_id, step.payload)
                 self._obs_skipped.inc(sum(st.tiles_skipped for st in steps))
@@ -871,56 +680,34 @@ class MPE:
                     self.payload_decode_misses += misses
                 ebuf.end()  # apply
                 ebuf.begin("account", "phase")
-                # Per-server update sets are sorted and disjoint (each
-                # server owns disjoint target ranges), so the next
-                # superstep's frontier is sorted-unique by construction.
-                prev_updated = merge_sorted_unique([st.ids for st in steps])
-                reports.append(
-                    self._account_superstep(
-                        prep, superstep, t0, before, schedule, steps
-                    )
+                done = self._account_superstep(
+                    prep, superstep, t0, before, schedule, steps
                 )
-                updated_count = reports[-1].updated_vertices
+                reports.append(done.report)
+                prev_updated = done.updated
                 ebuf.end()  # account
-                if (
-                    cfg.checkpoint_every is not None
-                    and updated_count > 0
-                    and (superstep + 1) % cfg.checkpoint_every == 0
-                ):
-                    with ebuf.span("checkpoint", "io", superstep=superstep):
-                        write_checkpoint(
-                            self.cluster.dfs,
-                            self.manifest.name,
-                            program.name,
-                            superstep,
-                            self._collect_values(cfg, servers, prep.init_values),
-                            prev_updated,
-                        )
-                if updated_count == 0:
+                # Unwound in reverse, like the spans around them.
+                for part in reversed(attached):
+                    part.end_superstep(prep, done)
+                converged = done.report.updated_vertices == 0
+                if converged:
                     ebuf.instant("converged", "run", superstep=superstep)
                 ebuf.end()  # superstep
-                if updated_count == 0:
-                    converged = True
+                if converged:
                     break
 
             # Collect results while run-scoped shared stores are still
             # mapped; the finally unlinks their segments.
-            values = self._collect_values(cfg, servers, prep.init_values)
-            # Remember the fixed point incremental restarts repair from.
-            # Converged runs only: a max_supersteps cutoff is not a
-            # fixed point and repairing from it would freeze un-settled
-            # vertices behind the selective prune.
-            if self._delta is not None and converged:
-                self._fixed_points[program.name] = (
-                    values.copy(),
-                    self._delta.watermark,
-                )
+            values = self.collect_values(prep.init_values)
         finally:
             if executor is not None:
                 executor.close()
             for fn in reversed(cleanup):
                 fn()
-            self._run_program = None
+            self._run = None
+            # An aborted superstep may leave half-delivered broadcasts
+            # behind; every run ends with clean mailboxes.
+            self.channel.clear_all()
             # Close the run span — and, when a fault aborted a
             # superstep mid-phase, every span still open above it.
             ebuf.close_to(0)
@@ -928,8 +715,7 @@ class MPE:
         decoded = [
             s.decoded_cache.stats for s in servers if s.decoded_cache is not None
         ]
-        incremental_plan = prep.incremental_plan
-        return RunResult(
+        result = RunResult(
             values=values,
             supersteps=reports,
             converged=converged,
@@ -943,189 +729,63 @@ class MPE:
             selective=cfg.selective_scheduling,
             vertex_store=cfg.vertex_store,
             filters_built=self.filters_built,
-            tuning=(
-                tuner.report()
-                if tuner is not None
-                else {"plan": plan.to_dict()} if plan is not None else None
-            ),
-            delta=(
-                {
-                    "incremental": incremental_plan is not None,
-                    **(
-                        incremental_plan.stats
-                        if incremental_plan is not None
-                        else {}
-                    ),
-                    **self._delta.summary(),
-                }
-                if self._delta is not None
-                else None
-            ),
         )
+        for part in reversed(attached):
+            part.end_run(prep, result)
+        return result
 
-    def _begin_run(self, program, graph_for_init, resume: bool) -> "_RunPrep":
-        """Everything a run decides before its first superstep: which
-        plan it consults, the graph metadata and initial values, the
-        incremental restart, checkpoint resume, and the forced tiles of
-        the seed superstep."""
-        from repro.core.checkpoint import checkpoint_path, latest_checkpoint
-
-        # --- autotuning (repro.tuning) --------------------------------
-        # An externally scripted plan wins (tests/ablations force known
-        # switches); otherwise a tuned run builds/continues the tuner's
-        # recorded plan.  Both are consulted only at superstep
-        # boundaries, parent-side, so every executor and fault replay
-        # consumes the identical decision trace.
-        tuner: Tuner | None = None
-        plan = self.tuning_plan
-        if plan is None and self.config.tune:
-            if self.tuner is None:
-                self.tuner = Tuner()
-            tuner = self.tuner
-            plan = tuner.begin_run(
-                self._tuning_signature(program), self._base_knobs()
-            )
-        # The tuning lane exists only for runs that consult a plan.
-        tbuf = self._lane("tuning") if plan is not None else NULL_BUFFER
-        tbuf.instant(
-            "tuning_start",
-            "tuning",
-            mode="tuner" if tuner is not None else "scripted",
-        )
-        # A supervised retry may leave half-delivered broadcasts from an
-        # aborted superstep behind; every run starts with clean mailboxes.
-        self.channel.clear_all()
+    def _participants(self, resume: bool) -> tuple:
+        """The subsystems taking part in this run (DESIGN.md §5o) —
+        none on a default-config run — in the order their ``begin_run``
+        edits the :class:`_RunPrep`: the evolving graph (it corrects the
+        graph metadata and seeds an incremental run), checkpoint resume
+        (it overrides that seed: a resumed run is past the incremental
+        seed superstep), the tuner (it signs and plans the run the other
+        two left)."""
         cfg = self.config
-        num_vertices = self.manifest.num_vertices
-        in_degrees, out_degrees = self.spe.load_degrees(self.manifest)
-        num_edges_now = self.manifest.num_edges
-        if self._delta is not None:
-            # Applied mutations shift degrees and |E|; every program
-            # must see the mutated graph's metadata (PageRank divides
-            # contributions by out-degree), for scratch runs over
-            # overlaid tiles exactly as for incremental ones.
-            in_degrees = (in_degrees + self._delta.in_deg_delta).astype(
-                in_degrees.dtype
-            )
-            out_degrees = (out_degrees + self._delta.out_deg_delta).astype(
-                out_degrees.dtype
-            )
-            num_edges_now += self._delta.edge_delta
+        parts = []
+        if self.delta is not None:
+            parts.append(self.delta)
+        if resume or cfg.checkpoint_every is not None:
+            parts.append(Checkpointer(self, resume))
+        if cfg.tune or self.tuning_plan is not None:
+            parts.append(TunedRun(self))
+        return tuple(parts)
 
-        init_graph = graph_for_init or _ManifestGraphView(
-            num_vertices, num_edges_now, in_degrees, out_degrees
+    def _begin_run(self, program, graph_for_init, attached) -> "_RunPrep":
+        """What a run starts from: the graph metadata out of DFS, what
+        the participants make of it, then the initial values."""
+        # Graph-shaped metadata for ``init_values`` (no edge access).
+        in_degrees, out_degrees = self.spe.load_degrees(self.manifest)
+        graph = SimpleNamespace(
+            num_vertices=self.manifest.num_vertices,
+            num_edges=self.manifest.num_edges,
+            in_degrees=in_degrees,
+            out_degrees=out_degrees,
         )
-        init_values = program.init_values(init_graph).astype(np.float64, copy=True)
-        if init_values.size != num_vertices:
+        prep = _RunPrep(
+            program=program,
+            knobs=KnobSettings.of(
+                self.config, prefetch_depth=self._prefetch_depth
+            ),
+        )
+        for part in attached:
+            part.begin_run(prep, graph)
+        scratch = program.init_values(graph_for_init or graph).astype(
+            np.float64, copy=True
+        )
+        if scratch.size != graph.num_vertices:
             raise ValueError("program init_values size mismatch with manifest")
-        degrees = out_degrees if program.uses_out_degree else None
+        if program.uses_out_degree:
+            prep.degrees = graph.out_degrees
         if not program.uses_edge_weight:
             # The sweep evaluates edge_message per vertex, not per edge.
-            check_elementwise_in_source(program, init_values, degrees)
+            check_elementwise_in_source(program, scratch, prep.degrees)
         # ... and apply / value_changed per run of tiles, not per tile.
-        check_elementwise_in_target(program, init_values)
-
-        # --- incremental restart (repro.delta) ------------------------
-        # Derived deterministically from (previous fixed point, pending
-        # mutations): a supervised fault retry recomputes the identical
-        # plan because the fixed-point memory only advances at
-        # successful run end.
-        incremental_plan = None
-        if cfg.incremental:
-            if self._delta is None:  # config validation makes this dead
-                raise ValueError("incremental=True requires mutations=True")
-            fixed = self._fixed_points.get(program.name)
-            if fixed is None:
-                raise ValueError(
-                    f"incremental run of {program.name!r} needs a previous "
-                    "completed run of the same program on this engine"
-                )
-            prev_fp, fp_watermark = fixed
-            composed_memo: dict[int, Tile] = {}
-
-            def _load_composed(tile_id: int) -> Tile:
-                if tile_id not in composed_memo:
-                    composed_memo[tile_id] = self._composed_tile(tile_id)
-                return composed_memo[tile_id]
-
-            incremental_plan = build_plan(
-                program,
-                prev_fp,
-                self._delta.since(fp_watermark),
-                init_values=init_values,
-                num_vertices=num_vertices,
-                num_tiles=self.manifest.num_tiles,
-                tile_of=self._delta.tile_of,
-                load_tile=_load_composed,
-            )
-            del composed_memo
-            init_values = incremental_plan.start_values.astype(
-                np.float64, copy=True
-            )
-            stats = incremental_plan.stats
-            self._lane("delta").instant(
-                "incremental_plan",
-                "delta",
-                program=program.name,
-                num_mutations=stats["num_mutations"],
-                dirty_vertices=stats["dirty_vertices"],
-                reset_vertices=stats["reset_vertices"],
-                forced_tiles=stats["forced_tiles"],
-            )
-            self._metrics.gauge(
-                "repro_delta_dirty_vertices",
-                "dirty vertices seeding the incremental frontier",
-            ).labels().set(stats["dirty_vertices"])
-
-        start_superstep = 0
-        # Vertices "updated" in the previous superstep — drives bloom
-        # skipping.  Superstep 0 processes everything (initial load); a
-        # resumed run continues with the checkpointed update set; an
-        # incremental run seeds the mutation batch's dirty set so the
-        # seed superstep prunes down to dirty-sourced + forced tiles.
-        prev_updated: np.ndarray | None = None
-        if resume:
-            snapshot = latest_checkpoint(
-                self.cluster.dfs, self.manifest.name, program.name
-            )
-            if snapshot is not None:
-                if snapshot.values.size != num_vertices:
-                    raise ValueError("checkpoint does not match this dataset")
-                init_values = snapshot.values.copy()
-                start_superstep = snapshot.superstep + 1
-                prev_updated = snapshot.prev_updated
-                # Restoring is DFS traffic: under AA every replica pulls
-                # the snapshot down (recovery I/O, not algorithm I/O).
-                ckpt_bytes = self.cluster.dfs.size(
-                    checkpoint_path(
-                        self.manifest.name, program.name, snapshot.superstep
-                    )
-                )
-                for server in self.cluster.servers:
-                    server.counters.recovery_read += ckpt_bytes
-
-        # Forced tiles fire at the incremental seed superstep only; a
-        # checkpointed resume (start_superstep > 0) is past the seed, so
-        # nothing is forced.  Set before any executor forks.
-        if incremental_plan is not None and start_superstep == 0:
-            self._forced_tiles = incremental_plan.forced_tiles
-            self._forced_superstep = 0
-            prev_updated = incremental_plan.dirty_ids
-        else:
-            self._forced_tiles = frozenset()
-            self._forced_superstep = -1
-        return _RunPrep(
-            tuner=tuner,
-            plan=plan,
-            tbuf=tbuf,
-            num_vertices=num_vertices,
-            degrees=degrees,
-            init_values=init_values,
-            incremental_plan=incremental_plan,
-            start_superstep=start_superstep,
-            prev_updated=prev_updated,
-            cost_model=CostModel(self.cluster.spec),
-        )
+        check_elementwise_in_target(program, scratch)
+        if prep.init_values is None:
+            prep.init_values = scratch
+        return prep
 
     def _build_stores(self, init_values, degrees, shared: bool, cleanup: list) -> None:
         """Give every server its vertex store for this run.
@@ -1176,14 +836,18 @@ class MPE:
 
     def _account_superstep(
         self, prep, superstep: int, t0: float, before, schedule, steps
-    ) -> SuperstepReport:
+    ) -> "_SuperstepDone":
         """One finished superstep's accounting: per-server deltas →
-        modeled cost → report → (tuned runs) the tuner's observation."""
+        modeled cost → report, and the next frontier."""
         servers = self.cluster.servers
+        # Per-server update sets are sorted and disjoint (each server
+        # owns disjoint target ranges), so the next superstep's frontier
+        # is sorted-unique by construction.
+        updated = merge_sorted_unique([st.ids for st in steps])
         step_deltas = [
             before[server.server_id].delta(server) for server in servers
         ]
-        step_cost = prep.cost_model.superstep_time(step_deltas)
+        step_cost = self.cost_model.superstep_time(step_deltas)
         # Per-superstep hit ratio: delta hits over delta lookups.
         hits = []
         for server in servers:
@@ -1211,13 +875,14 @@ class MPE:
             wall_s=time.perf_counter() - t0,
         )
         self._obs_wall.observe(report.wall_s)
+        for server, step in zip(servers, steps):
+            if step.prefetch_total > 0:
+                self._obs_prefetch.labels(server=server.server_id).set(
+                    step.prefetch_ready / step.prefetch_total
+                )
         self._obs_decode_hits.set(self.payload_decode_hits)
         self._obs_decode_misses.set(self.payload_decode_misses)
-        if prep.tuner is not None:
-            self._observe_tuning(
-                prep, superstep, step_deltas, before, step_cost, report, schedule
-            )
-        return report
+        return _SuperstepDone(report, step_deltas, before, schedule, updated)
 
     def respawn_server(self, server_id: int) -> int:
         """Rebuild a crashed server's local tile store from DFS.
@@ -1247,232 +912,65 @@ class MPE:
                 mode=server.cache.mode,
             )
         if server.decoded_cache is not None:
-            slab = server.decoded_cache.slab
-            server.attach_decoded_cache(
-                max_entries=server.decoded_cache.max_entries,
-                slab=slab.relaid({}) if slab is not None else None,
-            )
+            server.attach_decoded_cache(server.decoded_cache.slab.relaid({}))
         return refetched
 
     # ------------------------------------------------------------------
     # Evolving graphs (repro.delta)
     # ------------------------------------------------------------------
-    def _make_delta_parser(self):
-        """The overlay-composing tile parser.
+    @property
+    def mutation_log(self):
+        """The evolving graph's append-only mutation log (None on a
+        frozen-graph engine)."""
+        return self.delta.log if self.delta is not None else None
 
-        Keyed by the *parsed* tile's id — no blob-name plumbing — so
-        every decode site (sweep, prefetch speculation, cache resync,
-        summary/bloom backfill) composes identically.  The closure
-        holds the live DeltaStore: forked workers inherit the overlay
-        dict by address, and tiles without a pending overlay parse at
-        exactly the base cost.
-        """
-        delta = self._delta
-        base_parser = Tile.from_bytes
+    def tile_home(self, tile_id: int):
+        """(server, index in its assignment, current blob name) of a tile."""
+        server_id, index = self._tile_home[tile_id]
+        name = self._assignments[server_id][index][1]
+        return self.cluster.servers[server_id], index, name
 
-        def parse(data: bytes) -> Tile:
-            tile = base_parser(data)
-            overlay = delta.overlays.get(tile.tile_id)
-            if overlay is None or overlay.is_empty:
-                return tile
-            return overlay.compose(tile)
-
-        return parse
-
-    def _tile_location(self, tile_id: int):
-        """(server, index-in-assignment, blob_name) for a tile."""
-        for server in self.cluster.servers:
-            for idx, (tid, name, _nbytes) in enumerate(
-                self._assignments[server.server_id]
-            ):
-                if tid == tile_id:
-                    return server, idx, name
-        raise KeyError(f"tile {tile_id} not assigned")
-
-    def _base_tile(self, tile_id: int) -> Tile:
-        """Decode a tile's current *base* blob (no overlay), unmetered."""
-        server, _idx, name = self._tile_location(tile_id)
-        return Tile.from_bytes(server.disk.peek(name))
-
-    def _composed_tile(self, tile_id: int) -> Tile:
-        """Decode a tile with its pending overlay applied, unmetered
-        (host-side planning, like skip-set computation)."""
-        server, _idx, name = self._tile_location(tile_id)
-        return self._tile_parser(server.disk.peek(name))
-
-    def apply_mutations(self, ops=None, *, log: MutationLog | None = None) -> dict:
-        """Append a mutation batch and compact it into per-tile overlays.
-
-        ``ops`` is an iterable of mutation dicts (``{"op", "src",
-        "dst", "weight"?}``) appended to the engine's own log;
-        alternatively ``log=`` adopts a complete external
-        :class:`~repro.delta.mutlog.MutationLog` (the service's restart
-        replay path).  Compaction is atomic — a batch that fails
-        validation (e.g. deleting a non-existent edge) raises and
-        leaves every overlay, degree delta, and the watermark
-        untouched — and idempotent: rows at or below the store's
-        watermark are skipped, so replaying a persisted log after
-        restart re-applies only what is missing.
-
-        Tiles whose pending overlay grows past ``merge_ratio`` × base
-        edges are *merged*: the composed tile is rewritten as a new
-        versioned blob (locally and in DFS, so crash respawns refetch
-        the merged bytes) and the overlay is emptied.
-
-        Must be called between runs (the overlay dict is frozen during
-        a run: forked workers share it by address).  Returns a report
-        dict with applied counts, overlay state, merges, and modeled
-        compact/merge seconds.
-        """
+    def apply_mutations(self, ops=None, *, log=None) -> dict:
+        """Append a mutation batch (``ops``: mutation dicts; or ``log=``:
+        a complete external log to adopt) and compact it into per-tile
+        overlays, between runs; returns the batch report.  See
+        :meth:`repro.delta.attach.EvolvingGraph.apply`."""
         if not self.config.mutations:
             raise ValueError(
                 "mutations are disabled; construct the engine with "
                 "MPEConfig(mutations=True)"
             )
         self.setup()
-        if log is not None:
-            if ops:
-                raise ValueError("pass ops= or log=, not both")
-            if log.last_id < self._delta.watermark:
-                raise ValueError(
-                    f"adopted log ends at id {log.last_id} but "
-                    f"{self._delta.watermark} mutations are already applied"
-                )
-            self.mutation_log = log
-        elif ops:
-            self.mutation_log.extend(ops)
-        pending = self.mutation_log.since(self._delta.watermark)
-        num_inserts = sum(1 for m in pending if m.op == "insert")
-        num_deletes = len(pending) - num_inserts
+        return self.delta.apply(ops, log)
 
-        result = self._delta.compact(pending, self._base_tile)
-
-        if pending:
-            # Every checkpoint written so far snapshots the *pre-batch*
-            # graph; resuming any program from one after this point
-            # would converge against stale values (observably wrong for
-            # min-programs).  Mutations invalidate them all.
-            for path in list(
-                self.cluster.dfs.list_files(f"{self.manifest.name}/ckpt-")
-            ):
-                self.cluster.dfs.delete(path)
-
-        spec = self.cluster.spec
-        compact_bytes = 0
+    def retile(self, composed: dict, renamed: dict) -> None:
+        """Follow a mutation batch: ``composed`` maps every tile whose
+        content changed to the tile it now decodes to, ``renamed`` those
+        whose blob was rewritten to its ``(local name, size)``."""
         # Per server: assignment index -> (blob name, composed tile) of
         # every tile whose shape may have changed — its slab's new slots.
         reshaped: dict[int, dict[int, tuple[str, Tile]]] = {}
-        for tile_id in result.affected:
-            server, idx, name = self._tile_location(tile_id)
-            composed = result.composed[tile_id]
-            reshaped.setdefault(server.server_id, {})[idx] = (name, composed)
+        for tile_id, tile in composed.items():
+            server, idx, name = self.tile_home(tile_id)
             # Refresh parent-side schedule state from the composed tile
             # so the next run's pruning sees the mutated source sets
             # (an inserted edge's source must be probe-visible).
-            self._summaries[tile_id] = TileSourceSummary.from_tile(composed)
+            self._summaries[tile_id] = TileSourceSummary.from_tile(tile)
             self._heads.refresh(self._summaries[tile_id])
             if tile_id in self._blooms:
-                self._blooms[tile_id] = composed.build_bloom_filter(
+                self._blooms[tile_id] = tile.build_bloom_filter(
                     self.config.bloom_false_positive_rate
                 )
             if server.decoded_cache is not None:
                 server.decoded_cache.invalidate(name)
-            overlay = self._delta.overlays.get(tile_id)
-            if overlay is not None and not overlay.is_empty:
-                # Persisting the delta blob next to its base tile is
-                # the batch's durable write.
-                nb = overlay.nbytes()
-                server.counters.disk_write += nb
-                compact_bytes += nb
-
-        merged_bytes = 0
-        merges: list[dict] = []
-        for tile_id in result.merged:
-            server, idx, old_name = self._tile_location(tile_id)
-            composed = result.composed[tile_id]
-            generation = self._delta.finish_merge(tile_id)
-            blob = composed.to_bytes()
-            new_name = f"tile-{tile_id}-v{generation}"
-            # DFS is the system of record: a crash respawn refetches
-            # manifest.tile_path(tile_id), which must now hold the
-            # merged bytes.  The local blob gets a *versioned* name so
-            # stale cached/arena entries under the old name can never
-            # serve the pre-merge tile.
-            self.cluster.dfs.write(self.manifest.tile_path(tile_id), blob)
-            server.store_blob(new_name, blob)
-            if server.decoded_cache is not None:
-                server.decoded_cache.invalidate(old_name)
-            self._assignments[server.server_id][idx] = (
-                tile_id,
-                new_name,
-                len(blob),
-            )
-            reshaped[server.server_id][idx] = (new_name, composed)
-            merged_bytes += len(blob)
-            merges.append(
-                {
-                    "tile": tile_id,
-                    "generation": generation,
-                    "nbytes": len(blob),
-                }
-            )
-        if result.merged:
-            self._tile_nbytes_total = sum(
-                nbytes
-                for per_server in self._assignments
-                for _tid, _name, nbytes in per_server
-            )
+            if tile_id in renamed:
+                name, nbytes = renamed[tile_id]
+                self._assignments[server.server_id][idx] = (tile_id, name, nbytes)
+            reshaped.setdefault(server.server_id, {})[idx] = (name, tile)
         for server_id, changes in reshaped.items():
             dcache = self.cluster.servers[server_id].decoded_cache
-            if dcache is not None and dcache.slab is not None:
+            if dcache is not None:
                 dcache.slab = dcache.slab.relaid(changes)
-
-        modeled_compact_s = (
-            compact_bytes / spec.disk_write_bps
-            + result.overlay_edges * spec.delta_edge_apply_s
-        )
-        modeled_merge_s = merged_bytes / spec.disk_write_bps
-        report = {
-            "applied": len(pending),
-            "inserts": num_inserts,
-            "deletes": num_deletes,
-            "affected_tiles": len(result.affected),
-            "merged": merges,
-            "overlay_bytes": self._delta.total_overlay_bytes(),
-            "overlay_edges": self._delta.total_overlay_edges,
-            "watermark": self._delta.watermark,
-            "modeled_compact_s": modeled_compact_s,
-            "modeled_merge_s": modeled_merge_s,
-        }
-        if result.affected:
-            dbuf = self._lane("delta")
-            dbuf.instant(
-                "mutate",
-                "delta",
-                applied=len(pending),
-                inserts=num_inserts,
-                deletes=num_deletes,
-            )
-            dbuf.instant(
-                "compact",
-                "delta",
-                tiles=len(result.affected),
-                overlay_bytes=result.overlay_bytes,
-                overlay_edges=result.overlay_edges,
-            )
-            for m in merges:
-                dbuf.instant(
-                    "merge",
-                    "delta",
-                    tile=m["tile"],
-                    generation=m["generation"],
-                    nbytes=m["nbytes"],
-                )
-            self._metrics.gauge(
-                "repro_delta_overlay_bytes",
-                "pending overlay bytes across all tiles",
-            ).labels().set(report["overlay_bytes"])
-        return report
 
     # ------------------------------------------------------------------
     # Process runtime (repro.runtime.process + repro.runtime.shm)
@@ -1508,16 +1006,12 @@ class MPE:
         }[name]
         return name, width, requested
 
-    def _resolve_prefetch(self) -> tuple[int, int]:
-        """Resolve this run's prefetch depth and I/O thread count.
-
-        ``REPRO_PREFETCH`` (CI's forcing flag) overrides the configured
-        depth; the I/O thread count always comes from the config.
-        """
-        cfg = self.config
+    def _resolve_prefetch(self) -> int:
+        """This run's prefetch depth: ``REPRO_PREFETCH`` (CI's forcing
+        flag) overrides the configured one."""
         raw = os.environ.get("REPRO_PREFETCH", "").strip()
         if not raw:
-            return cfg.prefetch_depth, cfg.io_threads
+            return self.config.prefetch_depth
         try:
             depth = int(raw)
         except ValueError:
@@ -1526,76 +1020,7 @@ class MPE:
             ) from None
         if depth < 0:
             raise ValueError("REPRO_PREFETCH must be >= 0")
-        return depth, cfg.io_threads
-
-    # ------------------------------------------------------------------
-    # Autotuning (repro.tuning)
-    # ------------------------------------------------------------------
-    def _base_knobs(self) -> KnobSettings:
-        """The configured knob values as one concrete settings object —
-        what every superstep of an untuned run executes, and the
-        tuner's starting point."""
-        cfg = self.config
-        return KnobSettings(
-            message_codec=cfg.message_codec,
-            comm_mode=cfg.comm_mode,
-            use_bloom=cfg.use_bloom_filters,
-            prefetch_depth=self._prefetch_depth,
-            io_threads=self._io_threads,
-            cache_mode=None,
-        )
-
-    def _tuning_signature(self, program) -> tuple:
-        """What makes two runs "the same run" to the tuner: identical
-        signature → the recorded plan replays (fault retry, identical
-        resubmission); different → new plan, constants kept."""
-        return (
-            self.manifest.name,
-            program.name,
-            self.config,
-            self._prefetch_depth,
-            self._io_threads,
-        )
-
-    def _superstep_knobs(self, superstep, tuner, plan) -> KnobSettings:
-        """Resolve the knobs governing ``superstep`` (parent-side, the
-        single decision point).  The tuner records as it decides;
-        scripted plans answer from their sticky map.  A forced
-        ``REPRO_PREFETCH`` depth pins the pipeline knobs — CI forces a
-        depth precisely to exercise it, so decisions must not un-force
-        it."""
-        if tuner is not None:
-            knobs = tuner.knobs_for(superstep)
-        else:
-            knobs = plan.knobs_for(superstep) or replace(
-                self._knobs, cache_mode=None
-            )
-        if os.environ.get("REPRO_PREFETCH", "").strip():
-            knobs = replace(
-                knobs,
-                prefetch_depth=self._prefetch_depth,
-                io_threads=self._io_threads,
-            )
-        return knobs
-
-    def _apply_knobs(self, knobs: KnobSettings, superstep, tbuf) -> None:
-        """Put ``knobs`` into force for this superstep, parent-side:
-        the switch is on the tuning lane and the compute dispatch ships
-        ``self._knobs``.  What a knob changes *on a server* — the
-        metered cache-mode switch — is the compute handler's work, on
-        that server's counters."""
-        switched = knobs != self._knobs or (
-            knobs.cache_mode is not None
-            and any(
-                s.cache is not None and s.cache.mode != knobs.cache_mode
-                for s in self.cluster.servers
-            )
-        )
-        if switched:
-            tbuf.instant(
-                "knob_switch", "tuning", superstep=superstep, **asdict(knobs)
-            )
-        self._knobs = knobs
+        return depth
 
     def _ensure_blooms(self, superstep: int | None = None) -> None:
         """Build every tile's bloom filter from the fetched blobs, once
@@ -1630,83 +1055,24 @@ class MPE:
             "tile bloom filters built, lazily, before the first probe",
         ).labels().inc(len(self._blooms))
 
-    def _observe_tuning(
-        self, prep, superstep, step_deltas, before, step_cost, report, schedule
-    ) -> None:
-        """Feed one finished superstep to the tuner.
-
-        The fit row follows the cost model's straggler attribution;
-        the default (deterministic) observation is the modeled superstep
-        seconds minus injected fault delay, so faults perturb neither
-        the fit nor the decision trace.
-        """
-        tuner = prep.tuner
-        knobs = self._knobs
-        straggler = prep.cost_model.straggler_index(step_deltas)
-        observed = (
-            report.wall_s
-            if tuner.config.time_source == "wall"
-            else step_cost.total_s - step_cost.fault_s
-        )
-        cost = CostSample.from_deltas(step_deltas, observed, straggler)
-        # Message-path codec bytes on the straggler: its total codec
-        # volume minus the edge cache's share when cache and message
-        # path share a codec.
-        d = step_deltas[straggler]
-        sserver = self.cluster.servers[straggler]
-        mc = knobs.message_codec
-        msg_bytes = d.decompressed.get(mc, 0) + d.compressed.get(mc, 0)
-        cache = sserver.cache
-        if cache is not None and cache.mode != 1 and cache.codec.name == mc:
-            snap = before[sserver.server_id]
-            msg_bytes -= (
-                cache.stats.bytes_decompressed - snap.cache_bytes_decompressed
-            )
-        tuner.observe(
-            TuningSample(
-                superstep=superstep,
-                knobs=knobs,
-                cost=cost,
-                msg_codec_bytes=max(0, int(msg_bytes)),
-                updated=report.updated_vertices,
-                num_vertices=prep.num_vertices,
-                tiles_processed=report.tiles_processed,
-                tiles_skipped=report.tiles_skipped,
-                # Live working set for the cache decision: the blob
-                # bytes the straggler's sweep was scheduled to serve.
-                scheduled_bytes=sum(
-                    nbytes for _tid, _name, nbytes in schedule[straggler].run
-                ),
-                miss_bytes=int(d.disk_read_random),
-                cache_mode=cache.mode if cache is not None else 1,
-                cache_capacity=(
-                    cache.capacity_bytes if cache is not None else 0
-                ),
-                cache_used=int(sserver.counters.mem_cache),
-                hit_ratio=report.cache_hit_ratio,
-            )
-        )
-        if tuner.fit_superstep == superstep:
-            prep.tbuf.instant(
-                "fit",
-                "tuning",
-                superstep=superstep,
-                num_samples=len(tuner.samples),
-            )
-
     # ------------------------------------------------------------------
     # The superstep's tile schedule (§III-C.4 bloom skip; GraphMP's
     # selective scheduling via repro.runtime.active)
     # ------------------------------------------------------------------
     def _resolve_schedule(
-        self, superstep: int, prev_updated, num_vertices: int
+        self,
+        superstep: int,
+        prev_updated,
+        num_vertices: int,
+        forced: frozenset = frozenset(),
     ) -> "list[_ServerSchedule]":
         """Decide, once per superstep and parent-side, which tiles each
         server sweeps and which it skips — the only place the pruning
         rule is written down.  Tile by tile, in assignment order:
 
-        1. A forced tile (the incremental seed superstep's
-           deletion/reset targets) runs.
+        1. A ``forced`` tile (the incremental seed superstep's
+           deletion/reset targets, which must re-gather even though no
+           updated vertex sources them) runs.
         2. Else, when the exact verdict exists — selective scheduling
            on, a previous update set (an incremental run seeds its
            dirty ids as superstep 0's), and not every vertex updated —
@@ -1736,11 +1102,6 @@ class MPE:
         tuner's working set and the fault replay's first-load
         coordinate are decision-identical by construction.
         """
-        forced = (
-            self._forced_tiles
-            if superstep == self._forced_superstep
-            else frozenset()
-        )
         bitmap = heads = might_intersect = None
         if prev_updated is not None:
             if self.config.selective_scheduling:
@@ -1806,30 +1167,8 @@ class MPE:
         # is inherited as-is: no per-run blob copy, and the segments —
         # owned by the engine, not this run — survive the teardown.
         if not all(isinstance(s.disk, ArenaDisk) for s in servers):
-
-            def _blob_items():
-                for server in servers:
-                    for _tid, name, _nbytes in self._assignments[
-                        server.server_id
-                    ]:
-                        if server.disk.exists(name):
-                            yield name, server.disk.peek(name)
-
-            arena = SharedBlobArena(_blob_items())
-            swapped = []
-            for server in servers:
-                swapped.append((server, server.disk))
-                server.disk = ArenaDisk(server.disk, arena)
-
-            def _restore_disks() -> None:
-                for server, original in swapped:
-                    disk = server.disk
-                    if isinstance(disk, ArenaDisk):
-                        disk.restore()
-                    server.disk = original
-                arena.release()
-
-            cleanup.append(_restore_disks)
+            _arena, restore_disks = front_disks(servers, self._assignments)
+            cleanup.append(restore_disks)
 
         # Cache contents live in the workers while the pool runs; the
         # parent's copies are rebuilt at teardown (runs first — LIFO —
@@ -1863,33 +1202,6 @@ class MPE:
             # those pre-fork events back as duplicates.
             self.tracer.clear_events()
 
-    def _resolve_compute_faults(self, payloads) -> None:
-        """Fire compute-phase fault decisions in the parent, in serial
-        sweep order, before dispatching ``payloads`` to forked workers.
-
-        Crash and disk-error points are replayed against the same
-        (superstep, server, first-loaded-blob) coordinates the serial
-        sweep would present — the first load is the head of the
-        server's run list; a crash therefore aborts the superstep
-        before any worker computes, with vertex state untouched — the
-        same post-abort state as every other executor ("fail before
-        mutate").
-        """
-        from repro.faults.schedule import DISK_ERROR
-
-        injector = self.injector
-        disk_events = [
-            e for e in injector.schedule.events if e.kind == DISK_ERROR
-        ]
-        for server, (superstep, sched, _knobs) in zip(
-            self.cluster.servers, payloads
-        ):
-            injector.on_compute(server)
-            if sched.run and any(
-                e.matches(superstep, server.server_id) for e in disk_events
-            ):
-                injector.on_tile_load(server, sched.run[0][1])
-
     def _resync_parent_caches(self) -> None:
         """Rebuild parent-side cache *contents* as the pool winds down:
         workers die with the run, and a later run — a supervised retry,
@@ -1922,7 +1234,11 @@ class MPE:
             staged = StagedInboxes(payloads, shared=executor.forks)
             payloads = staged.handles
         elif executor.forks and self.injector is not None:
-            self._resolve_compute_faults(payloads)
+            # The injector never forks: its compute-phase decisions are
+            # fired here, in serial sweep order.
+            self.injector.replay_compute(
+                self.cluster.servers, [sched for _s, sched, _k in payloads]
+            )
         try:
             returned = executor.run_phase(tag, payloads)
         finally:
@@ -1970,7 +1286,7 @@ class MPE:
             if knobs.cache_mode is not None:
                 server.switch_cache_mode(knobs.cache_mode)
             result = self._compute_server_step(
-                self._run_program, server, superstep, sched
+                self._run.program, server, superstep, sched
             )
             self._own_updates[server_id] = (result.ids, result.vals)
             if self._forked:
@@ -2031,6 +1347,9 @@ class MPE:
             changed_ids_parts: list[np.ndarray] = []
             changed_vals_parts: list[np.ndarray] = []
             tile_edge_counts: list[int] = []
+            # Pending overlays' (bytes, edits) by tile id; empty unless
+            # mutations are.
+            overlay_charges = self._run.overlay_charges
             server.counters.tiles_skipped += len(sched.skipped)
             for tile_id, reason in sched.skipped:
                 trace.instant(
@@ -2044,17 +1363,21 @@ class MPE:
                 computed in.  Yields ``(blob name, tile)``."""
                 for (tile_id, blob_name, nbytes), prefetched in scheduled:
                     with trace.span("tile", "compute", tile=tile_id):
-                        tile = self._load_decoded_tile(server, blob_name, prefetched)
-                        if self._delta is not None:
+                        # The single metered tile-load path: cache/disk
+                        # accounting, fault injection and decode all funnel
+                        # through here with the shared parser.
+                        tile = server.load_tile(
+                            blob_name, self._tile_parser, prefetched
+                        )
+                        if overlay_charges and tile_id in overlay_charges:
                             # Overlay composition work: charged per *scheduled*
                             # overlaid tile, whether or not the decoded cache
                             # served the composed object — like the edge-cache
                             # metering, the simulated cost is schedule-driven
                             # and therefore executor-invariant.
-                            overlay = self._delta.overlays.get(tile_id)
-                            if overlay is not None and not overlay.is_empty:
-                                server.counters.delta_bytes += overlay.nbytes()
-                                server.counters.delta_edges += overlay.num_ops
+                            overlay_bytes, edits = overlay_charges[tile_id]
+                            server.counters.delta_bytes += overlay_bytes
+                            server.counters.delta_edges += edits
                         # One tile's worth of scratch at a time (§III-B's
                         # streaming): the peak is the largest tile's.
                         with trace.span("gather-apply", "compute", tile=tile_id):
@@ -2170,12 +1493,6 @@ class MPE:
     # commit all parse through this.
     _TILE_PARSER = staticmethod(Tile.from_bytes)
 
-    def _load_decoded_tile(self, server, blob_name: str, prefetched=None):
-        """The single metered tile-load path (satellite of the prefetch
-        PR): cache/disk accounting, fault injection, and decode all
-        funnel through ``Server.load_tile`` with the shared parser."""
-        return server.load_tile(blob_name, self._tile_parser, prefetched)
-
     def _apply_server_step(
         self,
         server,
@@ -2244,14 +1561,15 @@ class MPE:
                 self._decode_cache[payload_bytes] = payload
         return payload, hit
 
-    def _collect_values(self, cfg, servers, init_values) -> np.ndarray:
+    def collect_values(self, init_values) -> np.ndarray:
         """Globally consistent value array after a barrier.
 
         Under AA any server holds everything; under OD each target
         vertex lives on exactly the server whose tiles own it, so the
-        owned ranges are stitched together.
+        owned ranges are stitched together over ``init_values``.
         """
-        if cfg.replication_policy == "aa":
+        servers = self.cluster.servers
+        if self.config.replication_policy == "aa":
             return servers[0].state["store"].full_values().copy()
         final = init_values.copy()
         for server in servers:
@@ -2288,25 +1606,45 @@ class _ServerStep:
     prefetch_total: int = 0
 
 
-class _RunPrep(NamedTuple):
-    """What :meth:`MPE._begin_run` decided before the first superstep."""
+class _SuperstepDone(NamedTuple):
+    """A finished superstep, as :meth:`MPE._account_superstep` leaves it
+    for the run loop and the participants' ``end_superstep``."""
 
-    # The plan consulted at superstep boundaries (None: fixed knobs),
-    # the tuner recording it (None: scripted or no plan) and the tuning
-    # lane's buffer.
-    tuner: Tuner | None
-    plan: object
-    tbuf: object
-    num_vertices: int
+    report: SuperstepReport
+    # Per-server counter deltas over the superstep, and the snapshots
+    # (server id -> CounterSnapshot) they were taken against.
+    deltas: list
+    before: dict
+    schedule: "list[_ServerSchedule]"
+    # Sorted unique ids updated this superstep: the next frontier.
+    updated: np.ndarray
+
+
+@dataclass
+class _RunPrep:
+    """What a run starts from and its superstep loop reads: built by
+    :meth:`MPE._begin_run`, edited by each participant's ``begin_run``
+    in turn (and its ``knobs`` by ``begin_superstep``).  Plain data, set
+    before the process pool forks, so a forked handler reads the same
+    record."""
+
+    program: VertexProgram
+    # The knobs in force: the configured ones unless switched.
+    knobs: KnobSettings
     # Out-degrees when the program reads them.
-    degrees: np.ndarray | None
-    init_values: np.ndarray
-    incremental_plan: object
-    # First superstep to execute and the update set feeding its
+    degrees: np.ndarray | None = None
+    # Where the run starts (None: the program's initial values) ...
+    init_values: np.ndarray | None = None
+    # ... the first superstep to execute and the update set feeding its
     # schedule (checkpoint resume / incremental dirty set; else None).
-    start_superstep: int
-    prev_updated: np.ndarray | None
-    cost_model: CostModel
+    start_superstep: int = 0
+    prev_updated: np.ndarray | None = None
+    # Tiles exempt from pruning at superstep 0 (an incremental run's
+    # deletion/reset targets).
+    seed_tiles: frozenset = frozenset()
+    # tile id -> (overlay bytes, overlay edits): what sweeping a tile
+    # with a pending mutation overlay is charged.
+    overlay_charges: dict = field(default_factory=dict)
 
 
 def _sweep_run(
@@ -2336,13 +1674,3 @@ def _sweep_run(
     new = program.apply(accum, old, run.target_ids)
     changed = np.flatnonzero(program.value_changed(new, old))
     return run.target_ids[changed], new[changed]
-
-
-class _ManifestGraphView:
-    """Graph-shaped metadata view for ``init_values`` (no edge access)."""
-
-    def __init__(self, num_vertices, num_edges, in_degrees, out_degrees) -> None:
-        self.num_vertices = num_vertices
-        self.num_edges = num_edges
-        self.in_degrees = in_degrees
-        self.out_degrees = out_degrees

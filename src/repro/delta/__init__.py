@@ -7,6 +7,7 @@ from repro.delta.deltatiles import (
     TileOverlay,
 )
 from repro.delta.incremental import IncrementalPlan, build_plan, forward_reach
+from repro.delta.attach import EvolvingGraph
 from repro.delta.mutlog import (
     MUTLOG_SCHEMA,
     Mutation,
@@ -28,4 +29,5 @@ __all__ = [
     "IncrementalPlan",
     "build_plan",
     "forward_reach",
+    "EvolvingGraph",
 ]

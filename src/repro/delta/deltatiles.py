@@ -309,7 +309,6 @@ class DeltaStore:
     def __init__(self, manifest, merge_ratio: float = DEFAULT_MERGE_RATIO) -> None:
         if not 0.0 < merge_ratio:
             raise ValueError("merge_ratio must be positive")
-        self.manifest = manifest
         self.merge_ratio = float(merge_ratio)
         self.splitter = np.asarray(manifest.splitter, dtype=np.int64)
         self.num_vertices = int(manifest.num_vertices)
@@ -326,11 +325,6 @@ class DeltaStore:
     def tile_of(self, dst: int) -> int:
         """The tile owning target vertex ``dst``."""
         return int(np.searchsorted(self.splitter, dst, side="right") - 1)
-
-    def overlay_edges(self, tile_id: int) -> int:
-        """Pending edit count for a tile (0 when no overlay)."""
-        overlay = self.overlays.get(tile_id)
-        return 0 if overlay is None else overlay.num_ops
 
     @property
     def total_overlay_edges(self) -> int:

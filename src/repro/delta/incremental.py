@@ -55,7 +55,6 @@ class IncrementalPlan:
     dirty_ids: np.ndarray  # sorted unique int64 — seeds the ActiveBitmap
     forced_tiles: frozenset  # tile ids force-run at the seed superstep
     start_values: np.ndarray  # float64[|V|]
-    watermark: int  # newest mut_id this plan accounts for
     stats: dict = field(default_factory=dict)
 
 
@@ -149,7 +148,6 @@ def build_plan(
         reset_count = int(reset.size)
 
     dirty_ids = np.array(sorted(dirty), dtype=np.int64)
-    watermark = muts[-1].mut_id if muts else 0
     stats = {
         "num_mutations": len(muts),
         "num_inserts": num_inserts,
@@ -164,6 +162,5 @@ def build_plan(
         dirty_ids=dirty_ids,
         forced_tiles=frozenset(forced),
         start_values=start,
-        watermark=watermark,
         stats=stats,
     )

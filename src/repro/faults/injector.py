@@ -9,7 +9,8 @@ One :class:`FaultInjector` is attached to one :class:`repro.core.mpe.MPE`
   each server's superstep sweep, :meth:`after_compute` (straggler
   slowdown charges) at its end, and :meth:`barrier_check` (lost
   broadcast detection) at the BSP barrier, *before* any update is
-  applied;
+  applied; around a forking executor the sweep's two points are fired
+  from the parent instead (:meth:`replay_compute`);
 * ``comm/channel.py`` — :meth:`on_deliver` (broadcast message drops) on
   every delivery;
 * ``dfs/filesystem.py`` — :meth:`on_dfs_read` (transient DFS block-read
@@ -128,25 +129,16 @@ class FaultInjector:
         # events go to the server's single-writer buffer (we are on its
         # sweep thread, or on the parent resolving pre-dispatch); ANY-
         # scoped events (DFS transients) go to the engine buffer.
-        tracer = getattr(self._mpe, "tracer", None) if self._mpe is not None else None
-        if tracer is not None:
-            buf = (
-                tracer.server(server)
-                if isinstance(server, int) and server >= 0
-                else tracer.engine()
-            )
-            buf.instant(
+        if self._mpe is not None:
+            on_server = isinstance(server, int) and server >= 0
+            lane = ("server", server) if on_server else ("engine",)
+            self._mpe._lane(*lane).instant(
                 f"fault-{event.kind}",
                 "fault",
                 superstep=self.superstep,
                 event=event.describe(),
                 detail=detail or None,
             )
-
-    @property
-    def faults_fired(self) -> int:
-        """Events that have fired so far."""
-        return len(self.log)
 
     # ------------------------------------------------------------------
     # Injection points
@@ -155,6 +147,29 @@ class FaultInjector:
         """Called by the engine at the top of every superstep."""
         self.superstep = superstep
         self._drops = []
+
+    def replay_compute(self, servers, schedule) -> None:
+        """Fire the compute phase's fault decisions in the parent, in
+        serial sweep order, before ``schedule`` (one entry per server)
+        is dispatched to forked workers — the injector never forks, so
+        its one-shot fired-set stays authoritative across pool
+        lifetimes.
+
+        Crash and disk-error points are replayed against the same
+        (superstep, server, first-loaded-blob) coordinates the serial
+        sweep would present — the first load is the head of the
+        server's run list; a crash therefore aborts the superstep
+        before any worker computes, with vertex state untouched — the
+        same post-abort state as every other executor ("fail before
+        mutate").
+        """
+        disk_events = self.schedule.of_kind(DISK_ERROR)
+        for server, sched in zip(servers, schedule):
+            self.on_compute(server)
+            if sched.run and any(
+                e.matches(self.superstep, server.server_id) for e in disk_events
+            ):
+                self.on_tile_load(server, sched.run[0][1])
 
     def on_compute(self, server) -> None:
         """Start of one server's tile sweep: crash point."""

@@ -189,9 +189,6 @@ class Supervisor:
                     )
                     - edges_before
                 )
-                # Drop any half-delivered broadcasts from the failed
-                # superstep; the retry re-broadcasts everything.
-                self.mpe.channel.clear_all()
                 action = "restore"
                 if isinstance(fault, ServerCrashFault) and policy.respawn:
                     self.mpe.respawn_server(fault.server)

@@ -246,7 +246,7 @@ def _fmt_float(value: float) -> str:
 # Bridging the engine's authoritative counters into a registry
 # ----------------------------------------------------------------------
 _CACHE_EVENTS = ("hits", "misses", "evictions", "insertions", "rejected")
-_DECODED_EVENTS = ("hits", "misses", "evictions", "insertions", "invalidations")
+_DECODED_EVENTS = ("hits", "misses", "insertions", "invalidations")
 
 
 def bridge_cluster(registry: MetricsRegistry, cluster, channel=None) -> MetricsRegistry:

@@ -33,6 +33,7 @@ __all__ = [
     "InboxResolver",
     "StagedInboxes",
     "attach_segment",
+    "front_disks",
     "outstanding_segments",
     "process_runtime_available",
     "segment_prefix",
@@ -345,3 +346,29 @@ class ArenaDisk(LocalDisk):
         self._inner.read_ops = self.read_ops
         self._inner.write_ops = self.write_ops
         return self._inner
+
+
+def front_disks(servers, assignments):
+    """Front every server's disk with one shared read-only arena of its
+    tile blobs (``assignments[i]``: server ``i``'s ``(tile id, blob
+    name, nbytes)`` entries), metering unchanged.  Returns the arena and
+    the undo: disks restored with their meters handed back, arena
+    released."""
+    arena = SharedBlobArena(
+        (name, server.disk.peek(name))
+        for server, tiles in zip(servers, assignments)
+        for _tile_id, name, _nbytes in tiles
+        if server.disk.exists(name)
+    )
+    fronted = [(server, server.disk) for server in servers]
+    for server, disk in fronted:
+        server.disk = ArenaDisk(disk, arena)
+
+    def restore() -> None:
+        for server, original in fronted:
+            if isinstance(server.disk, ArenaDisk):
+                server.disk.restore()
+            server.disk = original
+        arena.release()
+
+    return arena, restore

@@ -109,7 +109,7 @@ class GraphContext:
         self.base_config = base_config
         self.lock = threading.Lock()
         self.arena = None
-        self._swapped_disks: list = []
+        self._unfront = None
         self.jobs_run = 0
 
     @property
@@ -125,37 +125,18 @@ class GraphContext:
         executor.  Returns False when the platform lacks POSIX shm.
         """
         from repro.runtime import process_runtime_available
-        from repro.runtime.shm import ArenaDisk, SharedBlobArena
+        from repro.runtime.shm import front_disks
 
-        if not process_runtime_available() or self.arena is not None:
-            return self.arena is not None
-
-        servers = self.cluster.servers
-        assignments = self.mpe._assignments
-
-        def _blob_items():
-            for server in servers:
-                for _tid, blob_name, _nbytes in assignments[server.server_id]:
-                    if server.disk.exists(blob_name):
-                        yield blob_name, server.disk.peek(blob_name)
-
-        self.arena = SharedBlobArena(_blob_items())
-        for server in servers:
-            self._swapped_disks.append((server, server.disk))
-            server.disk = ArenaDisk(server.disk, self.arena)
-        return True
+        if process_runtime_available() and self.arena is None:
+            self.arena, self._unfront = front_disks(
+                self.cluster.servers, self.mpe._assignments
+            )
+        return self.arena is not None
 
     def release(self) -> None:
         """Restore disks, release the arena, tear the cluster down."""
-        from repro.runtime.shm import ArenaDisk
-
-        for server, original in self._swapped_disks:
-            if isinstance(server.disk, ArenaDisk):
-                server.disk.restore()
-            server.disk = original
-        self._swapped_disks.clear()
         if self.arena is not None:
-            self.arena.release()
+            self._unfront()
             self.arena = None
         self.build.close()
 

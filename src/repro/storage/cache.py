@@ -505,7 +505,6 @@ class DecodedCacheStats:
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     insertions: int = 0
     invalidations: int = 0
 
@@ -522,7 +521,7 @@ class DecodedCacheStats:
 
 @dataclass
 class DecodedTileCache:
-    """Per-server LRU of *live decoded objects* (parsed ``Tile``\\ s).
+    """Per-server map of *live decoded objects* (parsed ``Tile``\\ s).
 
     The edge cache (§IV-B) holds serialised blobs; the seed engine
     re-ran ``Tile.from_bytes`` on every blob every superstep — work the
@@ -538,11 +537,10 @@ class DecodedTileCache:
     lazily-materialised ``int64`` index shadows (`Tile.col_int64` etc.)
     are a numpy-host artifact with no counterpart in the paper's
     ``uint32``-indexed C++ kernels and are deliberately excluded from
-    the modeled RAM; ``max_entries`` bounds their host-side footprint.
-    An unbounded cache carries the server's ``slab``
+    the modeled RAM.  The engine's cache carries the server's ``slab``
     (:class:`repro.partition.tiles.TileSlab`), where those shadows live
-    laid end to end — what lets the engine sweep a stretch of resident
-    tiles as one; a bounded cache has none, so that its bound holds.
+    laid end to end — what lets it sweep a stretch of resident tiles as
+    one.
 
     Metering safety: this cache never replaces the §IV-B lookup — the
     server still drives the edge cache / disk metering for every access
@@ -551,18 +549,11 @@ class DecodedTileCache:
     decoded cache on or off.
     """
 
-    max_entries: int | None = None
     stats: DecodedCacheStats = field(default_factory=DecodedCacheStats)
     slab: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.max_entries is not None and self.max_entries < 1:
-            raise ValueError("max_entries must be >= 1 or None")
-        if self.max_entries is not None and self.slab is not None:
-            raise ValueError("a slab holds every tile: max_entries must be None")
         self._entries: OrderedDict[str, tuple[object, int]] = OrderedDict()
-        # Owning server's TraceBuffer when tracing is on; instants only.
-        self.trace = NULL_BUFFER
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -586,16 +577,11 @@ class DecodedTileCache:
         return self._entries.get(key)
 
     def put(self, key: str, obj: object, uncompressed_len: int) -> None:
-        """Insert a decoded object, evicting LRU entries past capacity."""
+        """Insert a decoded object (most recent)."""
         if key in self._entries:
             self._entries.pop(key)
         self._entries[key] = (obj, int(uncompressed_len))
         self.stats.insertions += 1
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                victim, _ = self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                self.trace.instant("decoded-evict", "cache", key=victim)
 
     def invalidate(self, key: str) -> None:
         """Drop one entry (blob rewritten → decoded views are stale)."""
@@ -625,8 +611,7 @@ class DecodedTileCache:
         self.stats = DecodedCacheStats()
 
     def __repr__(self) -> str:
-        cap = "∞" if self.max_entries is None else str(self.max_entries)
         return (
-            f"DecodedTileCache(entries={len(self._entries)}/{cap}, "
+            f"DecodedTileCache(entries={len(self._entries)}, "
             f"hit_ratio={self.stats.hit_ratio:.2f})"
         )

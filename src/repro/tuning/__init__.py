@@ -1,7 +1,7 @@
 """repro.tuning: online autotuner — measure, fit, switch knobs mid-run."""
 
 from repro.tuning.plan import KnobSettings, TuningDecision, TuningPlan
-from repro.tuning.tuner import Tuner, TuningConfig, TuningSample
+from repro.tuning.tuner import TunedRun, Tuner, TuningConfig, TuningSample
 
 __all__ = [
     "KnobSettings",
@@ -10,4 +10,5 @@ __all__ = [
     "Tuner",
     "TuningConfig",
     "TuningSample",
+    "TunedRun",
 ]

@@ -25,9 +25,13 @@ Plans come in two flavours:
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 __all__ = ["KnobSettings", "TuningDecision", "TuningPlan"]
+
+
+# A settings field carries its knob row's name, except here.
+FIELD_OF_ROW = {"use_bloom_filters": "use_bloom"}
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,21 @@ class KnobSettings:
     prefetch_depth: int = 0
     io_threads: int = 1
     cache_mode: int | None = None
+
+    @classmethod
+    def of(cls, config, **resolved) -> "KnobSettings":
+        """``config``'s ``tunable`` knob rows (:mod:`repro.core.knobs` —
+        the rows *are* these fields) as one concrete settings object:
+        what every superstep of an untuned run executes, and the tuner's
+        starting point.  ``resolved`` overrides a configured value with
+        the run's effective one (a forced prefetch depth); ``cache_mode``
+        starts ``None``: set-up already attached the configured cache."""
+        values = {
+            FIELD_OF_ROW.get(f.name, f.name): getattr(config, f.name)
+            for f in fields(config)
+            if f.metadata["knob"].tunable
+        }
+        return cls(**{**values, "cache_mode": None, **resolved})
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,15 @@ exercised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import os
+from dataclasses import asdict, dataclass, replace
 
 from repro.metrics.cost import CostSample, FittedConstants, fit_cost_constants
 from repro.storage.cache import cache_plan
 from repro.storage.codecs import CACHE_MODES, get_codec
 from repro.tuning.plan import KnobSettings, TuningDecision, TuningPlan
 
-__all__ = ["TuningConfig", "TuningSample", "Tuner"]
+__all__ = ["TuningConfig", "TuningSample", "Tuner", "TunedRun"]
 
 
 @dataclass(frozen=True)
@@ -401,3 +402,150 @@ class Tuner:
         if self.plan is not None:
             out["plan"] = self.plan.to_dict()
         return out
+
+
+class TunedRun:
+    """The run participant (DESIGN.md §5o) of a run with ``tune=True``
+    or an installed scripted plan: resolves each superstep's
+    :class:`KnobSettings` parent-side — the single decision point, so
+    every executor and fault replay consumes the identical trace — and
+    feeds each finished superstep to the tuner."""
+
+    def __init__(self, mpe) -> None:
+        self.mpe = mpe
+        self.tuner: Tuner | None = None
+        self.plan = None
+        self.tbuf = None
+        self._pinned: dict = {}
+
+    def begin_run(self, prep, graph) -> None:
+        mpe = self.mpe
+        base = prep.knobs
+        # An externally scripted plan wins (tests/ablations force known
+        # switches; never written by the tuner); otherwise the engine's
+        # tuner — kept across runs, so a warm engine reuses its fitted
+        # constants — starts or continues its recorded plan.
+        self.plan = mpe.tuning_plan
+        if self.plan is None:
+            if mpe.tuner is None:
+                mpe.tuner = Tuner()
+            self.tuner = mpe.tuner
+            # Identical signature -> the recorded plan replays (fault
+            # retry, identical resubmission); different -> new plan,
+            # constants kept.  ``base`` adds the forced prefetch depth.
+            signature = (mpe.manifest.name, prep.program.name, mpe.config, base)
+            self.plan = self.tuner.begin_run(signature, base)
+        # A forced REPRO_PREFETCH depth pins the pipeline knobs — CI
+        # forces a depth precisely to exercise it, so decisions must not
+        # un-force it.
+        self._pinned = {}
+        if os.environ.get("REPRO_PREFETCH", "").strip():
+            self._pinned = {
+                "prefetch_depth": base.prefetch_depth,
+                "io_threads": base.io_threads,
+            }
+        self.tbuf = mpe._lane("tuning")
+        self.tbuf.instant(
+            "tuning_start",
+            "tuning",
+            mode="tuner" if self.tuner is not None else "scripted",
+        )
+
+    def begin_superstep(self, prep, superstep: int) -> None:
+        """Put ``superstep``'s knobs into force: the switch is on the
+        tuning lane and the compute dispatch ships ``prep.knobs``.  What
+        a knob changes *on a server* — the metered cache-mode switch —
+        is the compute handler's work, on that server's counters."""
+        if self.tuner is not None:
+            knobs = self.tuner.knobs_for(superstep)
+        else:
+            knobs = self.plan.knobs_for(superstep) or replace(
+                prep.knobs, cache_mode=None
+            )
+        if self._pinned:
+            knobs = replace(knobs, **self._pinned)
+        switched = knobs != prep.knobs or (
+            knobs.cache_mode is not None
+            and any(
+                s.cache is not None and s.cache.mode != knobs.cache_mode
+                for s in self.mpe.cluster.servers
+            )
+        )
+        if switched:
+            self.tbuf.instant(
+                "knob_switch", "tuning", superstep=superstep, **asdict(knobs)
+            )
+        prep.knobs = knobs
+
+    def end_superstep(self, prep, done) -> None:
+        """Feed one finished superstep to the tuner.
+
+        The fit row follows the cost model's straggler attribution;
+        the default (deterministic) observation is the modeled superstep
+        seconds minus injected fault delay, so faults perturb neither
+        the fit nor the decision trace.
+        """
+        tuner = self.tuner
+        if tuner is None:
+            return
+        report, knobs = done.report, prep.knobs
+        straggler = self.mpe.cost_model.straggler_index(done.deltas)
+        observed = (
+            report.wall_s
+            if tuner.config.time_source == "wall"
+            else report.modeled.total_s - report.modeled.fault_s
+        )
+        cost = CostSample.from_deltas(done.deltas, observed, straggler)
+        # Message-path codec bytes on the straggler: its total codec
+        # volume minus the edge cache's share when cache and message
+        # path share a codec.
+        d = done.deltas[straggler]
+        sserver = self.mpe.cluster.servers[straggler]
+        mc = knobs.message_codec
+        msg_bytes = d.decompressed.get(mc, 0) + d.compressed.get(mc, 0)
+        cache = sserver.cache
+        if cache is not None and cache.mode != 1 and cache.codec.name == mc:
+            snap = done.before[sserver.server_id]
+            msg_bytes -= (
+                cache.stats.bytes_decompressed - snap.cache_bytes_decompressed
+            )
+        tuner.observe(
+            TuningSample(
+                superstep=report.superstep,
+                knobs=knobs,
+                cost=cost,
+                msg_codec_bytes=max(0, int(msg_bytes)),
+                updated=report.updated_vertices,
+                num_vertices=self.mpe.manifest.num_vertices,
+                tiles_processed=report.tiles_processed,
+                tiles_skipped=report.tiles_skipped,
+                # Live working set for the cache decision: the blob
+                # bytes the straggler's sweep was scheduled to serve.
+                scheduled_bytes=sum(
+                    nbytes for _tid, _name, nbytes in done.schedule[straggler].run
+                ),
+                miss_bytes=int(d.disk_read_random),
+                cache_mode=cache.mode if cache is not None else 1,
+                cache_capacity=(
+                    cache.capacity_bytes if cache is not None else 0
+                ),
+                cache_used=int(sserver.counters.mem_cache),
+                hit_ratio=report.cache_hit_ratio,
+            )
+        )
+        if tuner.fit_superstep == report.superstep:
+            self.tbuf.instant(
+                "fit",
+                "tuning",
+                superstep=report.superstep,
+                num_samples=len(tuner.samples),
+            )
+
+    def end_run(self, prep, result) -> None:
+        """Fill ``RunResult.tuning``: the tuner's summary (fitted
+        constants, residuals, decision trace), or the scripted plan."""
+        result.tuning = (
+            self.tuner.report()
+            if self.tuner is not None
+            else {"plan": self.plan.to_dict()}
+        )

@@ -186,7 +186,7 @@ class TestServerMirror:
             server.prefetch_trace = TraceBuffer(2, "server-0-prefetch")
             # Mode 3 holds two of the four blobs; mode 2 packs worse.
             server.attach_cache(capacity_bytes=1400, mode=3)
-            server.attach_decoded_cache(max_entries=3)
+            server.attach_decoded_cache()
             for name, data in blobs.items():
                 server.store_blob(name, data)
             server.load_tile("t0", parser)  # the parent knew this much

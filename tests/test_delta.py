@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 from repro.apps import SSSP, PageRank, WCC
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, MPEConfig, SPE
+from repro.core.checkpoint import latest_checkpoint, write_checkpoint
 from repro.delta import (
     DeltaStore,
     Mutation,
@@ -45,7 +46,9 @@ from repro.delta import (
 from repro.delta.mutlog import OP_DELETE, OP_INSERT
 from repro.faults import CRASH, DISK_ERROR, FaultEvent, FaultSchedule, Supervisor
 from repro.graph import chung_lu_graph
+from repro.obs import Tracer
 from repro.runtime import process_runtime_available
+from repro.runtime.shm import outstanding_segments
 
 needs_process = pytest.mark.skipif(
     not process_runtime_available(),
@@ -247,10 +250,52 @@ class TestNoOpIdentity:
 # ----------------------------------------------------------------------
 # Fault determinism: incremental repair under a crash schedule
 # ----------------------------------------------------------------------
+class _Boom(RuntimeError):
+    pass
+
+
+class _FailingParticipant:
+    """A run participant (DESIGN.md §5o) that raises at one call point.
+    Appended to the engine's own, so it begins last and ends first."""
+
+    def __init__(self, point, superstep=1):
+        self.point, self.superstep = point, superstep
+
+    def begin_run(self, prep, graph):
+        if self.point == "begin_run":
+            raise _Boom(self.point)
+
+    def begin_superstep(self, prep, superstep):
+        pass
+
+    def end_superstep(self, prep, done):
+        if self.point == "end_superstep" and done.report.superstep == self.superstep:
+            raise _Boom(self.point)
+
+    def end_run(self, prep, result):
+        pass
+
+
+def _run_story(mpe, result):
+    """One run as a fresh engine must repeat it, bitwise (cumulative
+    counters excluded: a failed attempt's work stays on them)."""
+    return {
+        "values": result.values.tobytes(),
+        "steps": [
+            (s.superstep, s.updated_vertices, s.tiles_processed, s.tiles_skipped,
+             s.net_bytes, s.disk_read_bytes, s.modeled)
+            for s in result.supersteps
+        ],
+        "tuning": result.tuning,
+        "delta": result.delta,
+        "plan": mpe.tuner.plan.trace(),
+    }
+
+
 class TestFaultDeterminism:
-    def _supervised_incremental(self, graph, ops, schedule_events):
+    def _supervised_incremental(self, graph, ops, schedule_events, tune=False):
         cfg = MPEConfig(
-            mutations=True, checkpoint_every=2, max_supersteps=60
+            mutations=True, checkpoint_every=2, max_supersteps=60, tune=tune
         )
         mpe, cluster = _engine(graph, cfg)
         try:
@@ -267,6 +312,8 @@ class TestFaultDeterminism:
                 supervisor.injector.detach()
             values = result.values.copy()
             story = _story(mpe, result)
+            if tune:
+                story["plan"] = mpe.tuner.plan.trace()
             return values, report.to_dict(), story
         finally:
             cluster.close()
@@ -293,6 +340,112 @@ class TestFaultDeterminism:
         b = self._supervised_incremental(skewed, batch, events)
         assert np.array_equal(a[0], b[0])
         assert a[1] == b[1]
+
+    def test_supervised_retry_replays_plan_and_seed_tiles(
+        self, skewed, batch, monkeypatch
+    ):
+        """A crash before the first checkpoint restarts the incremental,
+        tuned run from superstep 0: the retry forces the same tiles over
+        the same dirty set and replays the recorded knob decisions."""
+        seeds = []
+        resolve = MPE._resolve_schedule
+
+        def recording(self, superstep, prev_updated, num_vertices, forced=frozenset()):
+            if superstep == 0 and prev_updated is not None:
+                seeds.append((forced, prev_updated.tobytes()))
+            return resolve(self, superstep, prev_updated, num_vertices, forced)
+
+        monkeypatch.setattr(MPE, "_resolve_schedule", recording)
+        crash = [dict(kind=CRASH, superstep=1, server=0)]
+        faulted = self._supervised_incremental(skewed, batch, crash, tune=True)
+        clean = self._supervised_incremental(skewed, batch, [], tune=True)
+        assert faulted[1]["restarts"] == 1
+        assert faulted[1]["records"][0]["resume_superstep"] == 0
+        # Two attempts of the faulted run, one of the clean one.
+        assert len(seeds) == 3 and seeds[0] == seeds[1] == seeds[2]
+        assert seeds[0][0]  # deletions force tiles
+        assert np.array_equal(faulted[0], clean[0])
+        assert faulted[2]["plan"] == clean[2]["plan"]
+
+    @pytest.mark.parametrize(
+        "executor", ["serial", pytest.param("process", marks=needs_process)]
+    )
+    @pytest.mark.parametrize(
+        "failure", ["begin_run", "end_superstep", "checkpoint_write"]
+    )
+    def test_failed_run_leaves_nothing_behind(
+        self, skewed, batch, executor, failure, monkeypatch
+    ):
+        """A participant raising at run start or after a superstep, and
+        a checkpoint write the DFS refuses, abort an incremental, tuned,
+        checkpointed run.  Nothing is left open or advanced, and the
+        next run on that engine is a fresh engine's, bitwise."""
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        cfg = MPEConfig(
+            mutations=True, tune=True, checkpoint_every=2, max_supersteps=60,
+            executor=executor, num_workers=2,
+        )
+
+        def prepared():
+            mpe, cluster = _engine(skewed, cfg)
+            mpe.tracer = Tracer()
+            mpe.setup()
+            # No merges: every blob stays in the edge cache, so a failed
+            # attempt's loads cannot change what the next run reads.
+            mpe.delta.store.merge_ratio = 1e9
+            assert mpe.run(SSSP(source=1)).converged
+            mpe.apply_mutations(batch)
+            mpe.config = dataclasses.replace(cfg, incremental=True)
+            return mpe, cluster
+
+        fresh, fresh_cluster = prepared()
+        mpe, cluster = prepared()
+        try:
+            expected = _run_story(fresh, fresh.run(SSSP(source=1)))
+            assert len(expected["steps"]) > 2 and expected["delta"]["forced_tiles"]
+
+            fixed_point = mpe.delta.fixed_points["sssp"]
+            if failure == "checkpoint_write":
+                write = cluster.dfs.write
+
+                def refusing(path, data):
+                    if "/ckpt-" in path:
+                        raise IOError("injected: no live datanodes to write to")
+                    return write(path, data)
+
+                monkeypatch.setattr(cluster.dfs, "write", refusing)
+                raised = IOError
+            else:
+                participants = MPE._participants
+                monkeypatch.setattr(
+                    MPE,
+                    "_participants",
+                    lambda self, resume: participants(self, resume)
+                    + (_FailingParticipant(failure),),
+                )
+                raised = _Boom
+            with pytest.raises(raised):
+                mpe.run(SSSP(source=1))
+
+            assert outstanding_segments() == []
+            assert all(buf.depth == 0 for buf in mpe.tracer.buffers())
+            assert all(
+                mpe.channel.pending(s.server_id) == 0 for s in cluster.servers
+            )
+            assert mpe._run is None
+            assert mpe.delta.fixed_points["sssp"] is fixed_point
+            assert latest_checkpoint(cluster.dfs, skewed.name, "sssp") is None
+            # The aborted attempt decided at most the supersteps it
+            # began — a prefix of what the whole run records.
+            decided = mpe.tuner.plan.trace()
+            assert decided == expected["plan"][: len(decided)]
+            assert len(decided) == {"begin_run": 0}.get(failure, 2)
+
+            monkeypatch.undo()
+            assert _run_story(mpe, mpe.run(SSSP(source=1))) == expected
+        finally:
+            fresh_cluster.close()
+            cluster.close()
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +523,7 @@ class TestCompaction:
         try:
             mpe.setup()
             mpe.apply_mutations([{"op": "insert", "src": 0, "dst": 1}])
-            before = mpe._delta.summary()
+            before = mpe.delta.store.summary()
             # deleting an edge that does not exist fails validation
             with pytest.raises(ValueError):
                 mpe.apply_mutations([
@@ -378,7 +531,7 @@ class TestCompaction:
                     {"op": "delete", "src": 0, "dst": 0},
                 ])
             # watermark and overlays unchanged: nothing partially landed
-            after = mpe._delta.summary()
+            after = mpe.delta.store.summary()
             assert after["watermark"] == before["watermark"]
             assert after["overlay_edges"] == before["overlay_edges"]
         finally:
@@ -389,11 +542,11 @@ class TestCompaction:
         try:
             mpe.apply_mutations(batch)
             log = mpe.mutation_log
-            watermark = mpe._delta.watermark
+            watermark = mpe.delta.store.watermark
             # re-adopting the same full log applies nothing new
             report = mpe.apply_mutations(log=log)
             assert report["applied"] == 0
-            assert mpe._delta.watermark == watermark
+            assert mpe.delta.store.watermark == watermark
         finally:
             cluster.close()
 
@@ -418,15 +571,15 @@ class TestCompaction:
         try:
             overlay_mpe.setup()
             # large ratio: overlays never merge
-            overlay_mpe._delta.merge_ratio = 1e9
+            overlay_mpe.delta.store.merge_ratio = 1e9
             overlay_mpe.apply_mutations(batch)
-            assert overlay_mpe._delta.merges == 0
+            assert overlay_mpe.delta.store.merges == 0
 
             merged_mpe.setup()
-            merged_mpe._delta.merge_ratio = 1e-9  # every overlay merges
+            merged_mpe.delta.store.merge_ratio = 1e-9  # every overlay merges
             report = merged_mpe.apply_mutations(batch)
             assert len(report["merged"]) > 0
-            assert merged_mpe._delta.summary()["overlay_edges"] == 0
+            assert merged_mpe.delta.store.summary()["overlay_edges"] == 0
 
             a = overlay_mpe.run(SSSP(source=1))
             b = merged_mpe.run(SSSP(source=1))
@@ -443,6 +596,46 @@ class TestCompaction:
         finally:
             overlay_cluster.close()
             merged_cluster.close()
+
+    def test_merged_tile_is_found_under_its_versioned_name(self, skewed, batch):
+        """A merge only renames: the tile keeps its server and slot, the
+        lookup answers the versioned blob, and a respawn refetches the
+        merged bytes under it."""
+        mpe, cluster = _engine(skewed, MPEConfig(mutations=True))
+        try:
+            mpe.setup()
+            tiles = range(mpe.manifest.num_tiles)
+            before = {t: mpe.tile_home(t) for t in tiles}
+            assert [name for _s, _i, name in before.values()] == [
+                f"tile-{t}" for t in tiles
+            ]
+            mpe.delta.store.merge_ratio = 1e-9  # every overlay merges
+            merged = {m["tile"]: m for m in mpe.apply_mutations(batch)["merged"]}
+            assert merged and len(merged) < len(tiles)
+            for t in tiles:
+                server, index, name = mpe.tile_home(t)
+                assert (server, index) == before[t][:2]
+                if t not in merged:
+                    assert name == before[t][2]
+                    continue
+                m = merged[t]
+                assert name == f"tile-{t}-v{m['generation']}"
+                assert mpe._assignments[server.server_id][index] == (
+                    t, name, m["nbytes"]
+                )
+                blob = server.disk.peek(name)
+                assert blob == cluster.dfs.read(mpe.manifest.tile_path(t))
+                assert mpe.delta.base_tile(t).num_edges == (
+                    mpe.delta.parse(blob).num_edges
+                )  # the overlay is folded in
+                server.disk.delete(name)
+                refetched = mpe.respawn_server(server.server_id)
+                assert server.disk.peek(name) == blob
+                assert refetched == sum(
+                    n for _t, _n, n in mpe._assignments[server.server_id]
+                )
+        finally:
+            cluster.close()
 
     def test_overlay_blob_round_trip(self):
         log = MutationLog()
@@ -503,7 +696,7 @@ class TestCompaction:
         try:
             mpe.apply_mutations(random_mutations(skewed, 30, 20, seed=9))
             mpe.apply_mutations(random_mutations(skewed, 10, 0, seed=10))
-            overlays = list(mpe._delta.overlays.values())
+            overlays = list(mpe.delta.store.overlays.values())
             assert overlays
             for overlay in overlays:
                 assert overlay._sealed == (
@@ -528,6 +721,30 @@ class TestCompaction:
 # Checkpoint durability: incremental state survives restore
 # ----------------------------------------------------------------------
 class TestCheckpointDurability:
+    def test_batch_drops_this_datasets_snapshots_only(self, skewed, batch):
+        """Snapshots predate the batch they would resume over: every
+        program's go — another dataset's stay, and an empty batch drops
+        nothing."""
+        cfg = MPEConfig(mutations=True, checkpoint_every=1, max_supersteps=3)
+        mpe, cluster = _engine(skewed, cfg)
+        try:
+            dfs = cluster.dfs
+            mpe.run(SSSP(source=1))
+            mpe.run(PageRank())
+            values = np.zeros(skewed.num_vertices)
+            other = write_checkpoint(
+                dfs, skewed.name + "-2", "sssp", 0, values, values[:0]
+            )
+            mine = dfs.list_files(f"{skewed.name}/ckpt-")
+            assert {p.split("-")[-2] for p in mine} == {"sssp", "pagerank"}
+            assert mpe.apply_mutations([])["applied"] == 0
+            assert dfs.list_files(f"{skewed.name}/ckpt-") == mine
+            assert mpe.apply_mutations(batch)["applied"] == len(batch)
+            assert dfs.list_files(f"{skewed.name}/ckpt-") == []
+            assert dfs.exists(other)
+        finally:
+            cluster.close()
+
     def test_overlaid_run_resumes_from_checkpoint(self, skewed, batch):
         """Kill a scratch-on-overlay run mid-flight; resume completes
         over the same overlays and matches an uninterrupted run."""

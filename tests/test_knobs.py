@@ -21,7 +21,7 @@ import pytest
 from repro.apps import PageRank
 from repro.cli import build_parser, config_from_args, main
 from repro.core import ClusterBuild, GraphH, MPEConfig
-from repro.core.knobs import knob_rows, overlay
+from repro.core.knobs import knob_row, knob_rows, overlay
 from repro.graph import chung_lu_graph
 from repro.service import (
     Engine,
@@ -66,14 +66,29 @@ def bad_value(row):
 # ----------------------------------------------------------------------
 def test_field_and_scope_counts():
     assert [f.name for f in dataclasses.fields(MPEConfig)] == [r.name for r in ROWS]
-    assert len(ROWS) == 22
+    assert len(ROWS) == 21
     assert sum(row.scope == "run" for row in ROWS) == 11
     assert not hasattr(MPEConfig(), "sparsity_threshold")
 
 
 def test_tunable_rows_are_the_tuners_settings():
-    tunable = {row.name.removesuffix("_filters") for row in ROWS if row.tunable}
-    assert tunable == {f.name for f in dataclasses.fields(KnobSettings)}
+    """A row marked tunable without a ``KnobSettings`` field — or a
+    field no tunable row fills — fails here, and the engine's base
+    knobs are the rows' configured values (``cache_mode`` excepted:
+    set-up attached that cache, so a run starts with "leave it")."""
+    from repro.tuning.plan import FIELD_OF_ROW
+
+    field_of = {
+        row.name: FIELD_OF_ROW.get(row.name, row.name) for row in ROWS if row.tunable
+    }
+    assert sorted(field_of.values()) == sorted(
+        f.name for f in dataclasses.fields(KnobSettings)
+    )
+    config = MPEConfig(**{name: other_value(knob_row(MPEConfig, name)) for name in field_of})
+    knobs = KnobSettings.of(config, io_threads=5)
+    for name, field in field_of.items():
+        expected = {"cache_mode": None, "io_threads": 5}.get(field, getattr(config, name))
+        assert getattr(knobs, field) == expected, name
 
 
 @pytest.mark.parametrize("row", ROWS, **ids)

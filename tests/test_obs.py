@@ -285,7 +285,6 @@ class TestNullBuffer:
                 assert server.trace is NULL_BUFFER
                 assert server.prefetch_trace is NULL_BUFFER
                 assert server.cache.trace is NULL_BUFFER
-                assert server.decoded_cache.trace is NULL_BUFFER
 
         _run(skewed, executor, probe=probe, prefetch_depth=1)
         assert bool(shipped) == (effective == ["process"])

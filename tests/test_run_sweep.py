@@ -379,8 +379,8 @@ class TestRunsOfOneIdentity:
         three runs, each computed as one, none across a gap."""
 
         def gapped(resolve):
-            def resolved(superstep, prev_updated, num_vertices):
-                schedule = resolve(superstep, prev_updated, num_vertices)
+            def resolved(superstep, *args):
+                schedule = resolve(superstep, *args)
                 if superstep == 0:
                     return schedule
                 run = list(schedule[0].run)
@@ -445,10 +445,7 @@ class TestRunsOfOneIdentity:
         assert max(expected) > 1
         assert lengths == expected * warm.num_supersteps
 
-    @pytest.mark.parametrize(
-        "cfg", [dict(decoded_cache_entries=3), dict(decoded_cache=False)],
-        ids=["bounded", "disabled"],
-    )
+    @pytest.mark.parametrize("cfg", [dict(decoded_cache=False)], ids=["disabled"])
     def test_no_slab_without_an_unbounded_decoded_cache(self, graph, cfg, monkeypatch):
         make = PROGRAMS["pagerank"][0]
         lengths = _run_lengths(monkeypatch)
@@ -491,9 +488,9 @@ class TestRunsOfOneIdentity:
                 hook = cluster.servers[1].fault_injector = FourthLoad()
                 resolve = mpe._resolve_schedule
 
-                def resolved(superstep, prev_updated, num_vertices):
+                def resolved(superstep, *args):
                     hook.superstep, hook.loads = superstep, 0
-                    return resolve(superstep, prev_updated, num_vertices)
+                    return resolve(superstep, *args)
 
                 mpe._resolve_schedule = resolved
                 tracer.clear_events()
@@ -538,7 +535,7 @@ class TestRunsOfOneIdentity:
                 slabs = [s.decoded_cache.slab for s in cluster.servers]
                 report = mpe.apply_mutations(batch[:30])
                 overlaid = _story(mpe, mpe.run(make()))
-                mpe._delta.merge_ratio = 1e-9  # every overlay merges
+                mpe.delta.store.merge_ratio = 1e-9  # every overlay merges
                 merged = mpe.apply_mutations(batch[30:])
                 assert merged["merged"]
                 for server in cluster.servers:

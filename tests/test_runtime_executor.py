@@ -188,8 +188,6 @@ class TestExecutorPrimitives:
             MPEConfig(executor="fiber")
         with pytest.raises(ValueError):
             MPEConfig(num_threads=0)
-        with pytest.raises(ValueError):
-            MPEConfig(decoded_cache_entries=0)
 
 
 @pytest.fixture(scope="module")
@@ -302,18 +300,6 @@ class TestDecodedCacheMeteringInvariance:
             max_supersteps=8,
         )
         _assert_identical(on, off)
-
-    def test_decoded_cache_capped_entries(self, skewed):
-        capped = _run(
-            skewed,
-            PageRank(),
-            MPEConfig(decoded_cache=True, decoded_cache_entries=2),
-            max_supersteps=8,
-        )
-        off = _run(
-            skewed, PageRank(), MPEConfig(decoded_cache=False), max_supersteps=8
-        )
-        _assert_identical(capped, off)
 
 
 class TestResumeUnderParallel:

@@ -148,7 +148,7 @@ class TestBitwiseIdentity:
 # ----------------------------------------------------------------------
 # One schedule: _resolve_schedule against the rule it replaced
 # ----------------------------------------------------------------------
-def _old_rule(mpe, superstep, prev_updated, num_vertices):
+def _old_rule(mpe, superstep, prev_updated, num_vertices, forced=frozenset()):
     """The pruning rule as the sweep, the tuner and the fault replay
     each used to spell it — kept here, and only here, as the oracle.
 
@@ -173,11 +173,6 @@ def _old_rule(mpe, superstep, prev_updated, num_vertices):
         bf.add_many(sources)
         return bf
 
-    forced = (
-        mpe._forced_tiles
-        if superstep == mpe._forced_superstep
-        else frozenset()
-    )
     skip_sets = None
     if mpe.config.selective_scheduling and prev_updated is not None:
         bitmap = ActiveBitmap.seed_from_ids(prev_updated, num_vertices)
@@ -244,12 +239,15 @@ class TestScheduleDifferential:
     """At the default 1 % filter rate, not EXACT_BLOOM: false positives
     are where a re-ordered rule would show."""
 
-    def _compare(self, mpe, seen):
+    def _compare(self, mpe, seen, seed_tiles=frozenset()):
+        """``seed_tiles`` are forced the way ``MPE.run`` forces a run's:
+        at superstep 0 only."""
         n = mpe.manifest.num_vertices
         for label, frontier in _frontiers(n).items():
             for superstep in (0, 1):
-                got = mpe._resolve_schedule(superstep, frontier, n)
-                want = _old_rule(mpe, superstep, frontier, n)
+                forced = seed_tiles if superstep == 0 else frozenset()
+                got = mpe._resolve_schedule(superstep, frontier, n, forced)
+                want = _old_rule(mpe, superstep, frontier, n, forced)
                 assert [(s.run, s.skipped) for s in got] == want, (
                     label,
                     superstep,
@@ -273,22 +271,20 @@ class TestScheduleDifferential:
             )
             try:
                 self._compare(mpe, seen)
-                # A forced set at the seed superstep only: superstep 1
-                # above must ignore it.
-                mpe._forced_tiles = frozenset(
-                    range(0, mpe.manifest.num_tiles, 3)
-                )
-                mpe._forced_superstep = 0
-                self._compare(mpe, seen)
+                seed_tiles = frozenset(range(0, mpe.manifest.num_tiles, 3))
+                self._compare(mpe, seen, seed_tiles)
                 forced_run = {
                     tile[0]
                     for sched in mpe._resolve_schedule(
-                        0, np.zeros(0, dtype=np.int64), mpe.manifest.num_vertices
+                        0,
+                        np.zeros(0, dtype=np.int64),
+                        mpe.manifest.num_vertices,
+                        seed_tiles,
                     )
                     for tile in sched.run
                 }
                 if selective or use_bloom:
-                    assert forced_run == set(mpe._forced_tiles)
+                    assert forced_run == set(seed_tiles)
             finally:
                 cluster.close()
         expected = set()
@@ -373,9 +369,9 @@ class TestNoDoubleProbe:
             log["hashes"].append(log["superstep"])
             return hash_keys(keys)
 
-        def resolving(self, superstep, prev_updated, num_vertices):
+        def resolving(self, superstep, *args):
             log["superstep"] = superstep
-            return original_resolve(self, superstep, prev_updated, num_vertices)
+            return original_resolve(self, superstep, *args)
 
         monkeypatch.setattr(BloomFilter, "might_intersect", probing)
         monkeypatch.setattr(mpe_mod, "hash_keys", hashing)
@@ -567,10 +563,10 @@ class TestLazyFilters:
 
     @_SERIAL_AND_PROCESS
     def test_scripted_switch_builds_at_the_switch(self, skewed, executor):
-        from repro.tuning import TuningPlan
+        from repro.tuning import KnobSettings, TuningPlan
 
         def plan(mpe):
-            base = mpe._base_knobs()
+            base = KnobSettings.of(mpe.config)
             return TuningPlan.scripted(
                 {3: dataclasses.replace(base, use_bloom=True)}, base=base
             )

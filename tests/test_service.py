@@ -627,7 +627,7 @@ class TestEvolvingGraphs:
                 ctx = eng._graphs["evo-arena"]
             assert ctx.arena is not None
             # force merges so versioned blobs exist next to the arena
-            ctx.mpe._delta.merge_ratio = 1e-9
+            ctx.mpe.delta.store.merge_ratio = 1e-9
             eng.mutate("evo-arena", self._mutations(graph))
             rec = eng.submit(JobSpec(graph="evo-arena", algorithm="sssp",
                                      params={"source": 1}))
