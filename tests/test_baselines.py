@@ -1,18 +1,31 @@
 """Baseline engines: correctness vs reference + Table III behaviours."""
 
+import dataclasses
+import hashlib
+import numbers
+
 import numpy as np
 import pytest
 
-from repro.apps import BFS, SSSP, WCC, PageRank, reference_solution
+from repro.apps import (
+    BFS,
+    SSSP,
+    WCC,
+    PageRank,
+    PersonalizedPageRank,
+    reference_solution,
+)
 from repro.baselines import (
     ChaosEngine,
     GASEngine,
     GraphDEngine,
+    GridGraphEngine,
     PregelEngine,
     SYSTEM_PRESETS,
     make_engine,
 )
 from repro.cluster import Cluster, ClusterSpec
+from repro.cluster.counters import Counters
 from repro.graph import chung_lu_graph, grid_graph
 
 
@@ -152,3 +165,168 @@ class TestTable3Behaviours:
         with Cluster(ClusterSpec(num_servers=1)) as cluster:
             with pytest.raises(ValueError):
                 ChaosEngine(cluster, partitions_per_server=0)
+
+
+# ---------------------------------------------------------------------------
+# Golden digests: every preset (and GridGraph) must keep its answers and its
+# metering bit for bit — values, each SuperstepReport field but ``wall_s``,
+# each SuperstepCost field, and each server's Counters with the peak of
+# every memory category.
+# ---------------------------------------------------------------------------
+
+_GOLDEN_PROGRAMS = {
+    "pagerank": PageRank,
+    "sssp": lambda: SSSP(source=0),
+    "wcc": WCC,
+    "bfs": lambda: BFS(source=0),
+    "ppr": lambda: PersonalizedPageRank(seeds=[0, 7, 19]),
+}
+
+_GOLDEN_CASES = [
+    (system, program, n)
+    for system in [*SYSTEM_PRESETS, "gridgraph"]
+    for program in _GOLDEN_PROGRAMS
+    for n in ((1,) if system == "gridgraph" else (1, 3))
+]
+
+#: sha256 prefixes recorded before the baselines shared one superstep loop.
+GOLDEN_DIGESTS = {
+    "pregel+-pagerank-n1": "70a333416f86cfda",
+    "pregel+-pagerank-n3": "156135999499fce9",
+    "pregel+-sssp-n1": "52da4057923edf86",
+    "pregel+-sssp-n3": "82e78aa016d37b5a",
+    "pregel+-wcc-n1": "0481844baadd3c00",
+    "pregel+-wcc-n3": "961e26c8057c508e",
+    "pregel+-bfs-n1": "fdad2cc8a0550c40",
+    "pregel+-bfs-n3": "93060a5c6fe6696e",
+    "pregel+-ppr-n1": "87fdf39db42209af",
+    "pregel+-ppr-n3": "858289e6fd2975ed",
+    "giraph-pagerank-n1": "0e980f4bacfcbb23",
+    "giraph-pagerank-n3": "0ad43496cc406d82",
+    "giraph-sssp-n1": "7fcf38486129d0bf",
+    "giraph-sssp-n3": "7230fdd643ec2531",
+    "giraph-wcc-n1": "fa8adb26198df590",
+    "giraph-wcc-n3": "b627a7b41ecd119c",
+    "giraph-bfs-n1": "63be36097a5717e1",
+    "giraph-bfs-n3": "f4cee89864b6f3ff",
+    "giraph-ppr-n1": "f477c2e7dac27606",
+    "giraph-ppr-n3": "60552fe053d9da17",
+    "powergraph-pagerank-n1": "0aaedc49c0c2380d",
+    "powergraph-pagerank-n3": "a7c522d8d4ec44ca",
+    "powergraph-sssp-n1": "24a06644349bb7e8",
+    "powergraph-sssp-n3": "9a7eb2b4d0033a34",
+    "powergraph-wcc-n1": "511c4d7be747c0a4",
+    "powergraph-wcc-n3": "13e96fba9aaf0375",
+    "powergraph-bfs-n1": "2c37f23433255d0e",
+    "powergraph-bfs-n3": "d3ace76e9e190bf9",
+    "powergraph-ppr-n1": "23265bb978892380",
+    "powergraph-ppr-n3": "4ed6d186132da31a",
+    "powerlyra-pagerank-n1": "0aaedc49c0c2380d",
+    "powerlyra-pagerank-n3": "00a3b3ded2a52d85",
+    "powerlyra-sssp-n1": "24a06644349bb7e8",
+    "powerlyra-sssp-n3": "0832793af79d28a9",
+    "powerlyra-wcc-n1": "511c4d7be747c0a4",
+    "powerlyra-wcc-n3": "931078fb99de6545",
+    "powerlyra-bfs-n1": "2c37f23433255d0e",
+    "powerlyra-bfs-n3": "a84597377f5f3f45",
+    "powerlyra-ppr-n1": "23265bb978892380",
+    "powerlyra-ppr-n3": "e49eda3fb045d940",
+    "graphx-pagerank-n1": "89aff7c94c0bab16",
+    "graphx-pagerank-n3": "b14b49d9a657153a",
+    "graphx-sssp-n1": "ac4c31162ca44330",
+    "graphx-sssp-n3": "5ce876c069e2bf9d",
+    "graphx-wcc-n1": "c3abe8511028fb54",
+    "graphx-wcc-n3": "4cf3d5ca8ff9d3aa",
+    "graphx-bfs-n1": "3b7cfd9018fe45c9",
+    "graphx-bfs-n3": "30ea353060221d53",
+    "graphx-ppr-n1": "68a79c64e9c2cd3d",
+    "graphx-ppr-n3": "8e56b8505918e317",
+    "graphd-pagerank-n1": "97a3e382d4ed6d19",
+    "graphd-pagerank-n3": "81bc6114bfdd9ce7",
+    "graphd-sssp-n1": "b0de6c38cf10cbaa",
+    "graphd-sssp-n3": "4ee0658ec86262e4",
+    "graphd-wcc-n1": "afda7ed10973ae67",
+    "graphd-wcc-n3": "112104fe187ec13a",
+    "graphd-bfs-n1": "cf84e993bae57487",
+    "graphd-bfs-n3": "7cec415a317c64f5",
+    "graphd-ppr-n1": "b5bd91be152eaf04",
+    "graphd-ppr-n3": "2a3cc7a1e52dcb08",
+    "chaos-pagerank-n1": "9a44a07eef94d05c",
+    "chaos-pagerank-n3": "ac18d1b561035517",
+    "chaos-sssp-n1": "e02f5739dbd6b901",
+    "chaos-sssp-n3": "5ca0b26b7e804633",
+    "chaos-wcc-n1": "10db330d95cca228",
+    "chaos-wcc-n3": "4d9a36542b392d4d",
+    "chaos-bfs-n1": "7806b98ff0fbb0f4",
+    "chaos-bfs-n3": "1f9646553edef6f0",
+    "chaos-ppr-n1": "2b06f9824d96dbfe",
+    "chaos-ppr-n3": "77f8fca4e99573fd",
+    "gridgraph-pagerank-n1": "a0335be3a1299416",
+    "gridgraph-sssp-n1": "908fd4aa89df220c",
+    "gridgraph-wcc-n1": "fc79443309c6f225",
+    "gridgraph-bfs-n1": "794fe539e6435b8c",
+    "gridgraph-ppr-n1": "191116ebda41e84e",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_graph():
+    return chung_lu_graph(150, 1200, seed=26, weighted=True)
+
+
+@pytest.fixture
+def memory_peaks(monkeypatch):
+    """Per Counters object, the largest value each memory category took."""
+    peaks: dict[int, dict[str, int]] = {}
+    set_memory = Counters.set_memory
+
+    def recording(self, category, nbytes):
+        set_memory(self, category, nbytes)
+        mine = peaks.setdefault(id(self), {})
+        mine[category] = max(mine.get(category, 0), int(nbytes))
+
+    monkeypatch.setattr(Counters, "set_memory", recording)
+    return peaks
+
+
+def _canon(x):
+    """A type-blind exact spelling: ints as ints, floats as hex."""
+    if isinstance(x, dict):
+        return sorted((k, _canon(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return [_canon(v) for v in x]
+    if isinstance(x, (bool, np.bool_, str)) or x is None:
+        return x
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    return float(x).hex()
+
+
+def run_digest(result, servers, peaks) -> str:
+    h = hashlib.sha256(np.ascontiguousarray(result.values).tobytes())
+    parts = [result.converged]
+    for step in result.supersteps:
+        for f in dataclasses.fields(step):
+            if f.name not in ("wall_s", "modeled"):
+                parts.append((f.name, getattr(step, f.name)))
+        parts.append(dataclasses.asdict(step.modeled))
+    for server in servers:
+        parts.append(dataclasses.asdict(server.counters))
+        parts.append(peaks.get(id(server.counters), {}))
+    h.update(repr(_canon(parts)).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "system,program,n", _GOLDEN_CASES, ids=[f"{s}-{p}-n{n}" for s, p, n in _GOLDEN_CASES]
+)
+def test_golden_digest(system, program, n, golden_graph, memory_peaks):
+    graph = golden_graph.to_undirected_edges() if program == "wcc" else golden_graph
+    with Cluster(ClusterSpec(num_servers=n)) as cluster:
+        if system == "gridgraph":
+            engine = GridGraphEngine(cluster)
+        else:
+            engine = make_engine(system, cluster)
+        result = engine.run(_GOLDEN_PROGRAMS[program](), graph)
+        digest = run_digest(result, cluster.servers, memory_peaks)
+    assert digest == GOLDEN_DIGESTS.get(f"{system}-{program}-n{n}")
