@@ -3,7 +3,10 @@
 Executable reimplementations sharing the simulated cluster, counters,
 and vertex-program contract with GraphH, so every Figure 1/9/10
 comparison runs all systems on identical inputs and validates identical
-answers:
+answers.  Every engine runs the one superstep loop of
+:class:`repro.baselines.bsp.BSPEngine` — senders, apply, change
+detection, cost and report are written once — and supplies only its
+partitioning, staging, Table III memory accounting and gather:
 
 * :class:`PregelEngine` — the Pregel model (Algorithm 1): hash edge-cut,
   in-memory out-adjacency, sender-side message combining.  Presets

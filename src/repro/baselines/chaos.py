@@ -23,22 +23,18 @@ reference executor.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.apps.base import VertexProgram
+from repro.baselines.bsp import BSPEngine, Gathered, edge_messages, reduce_into
 from repro.cluster.cluster import Cluster
-from repro.cluster.counters import CounterSnapshot
-from repro.core.mpe import RunResult, SuperstepReport
 from repro.graph.graph import Graph
-from repro.metrics.cost import CostModel
 from repro.partition.streaming import StreamingPartition, build_streaming_partitions
 
 _VERTEX_STATE_BYTES = 12
 
 
-class ChaosEngine:
+class ChaosEngine(BSPEngine):
     """Edge-centric out-of-core executor."""
 
     name = "chaos"
@@ -66,17 +62,10 @@ class ChaosEngine:
         return data
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        program: VertexProgram,
-        graph: Graph,
-        max_supersteps: int = 200,
-    ) -> RunResult:
-        cluster = self.cluster
-        servers = cluster.servers
-        n = cluster.num_servers
-        num_partitions = n * self.partitions_per_server
-        partitions = build_streaming_partitions(graph, num_partitions)
+    def _prepare(self, program: VertexProgram, graph: Graph):
+        servers = self.cluster.servers
+        n = self.cluster.num_servers
+        partitions = build_streaming_partitions(graph, n * self.partitions_per_server)
         num_partitions = len(partitions)
         out_degrees = graph.out_degrees
 
@@ -91,7 +80,6 @@ class ChaosEngine:
                 home_server=p.partition_id % n,
             )
 
-        values = program.init_values(graph).astype(np.float64, copy=True)
         # Resident memory: each server works on one partition's vertices
         # at a time; Table III charges N|V|/P states.
         per_partition_vertices = max(p.num_vertices for p in partitions)
@@ -101,17 +89,7 @@ class ChaosEngine:
                 int(n * per_partition_vertices * _VERTEX_STATE_BYTES),
             )
 
-        sending = program.initially_active(graph).copy()
-        if program.reduce_op == "add":
-            sending = np.ones(graph.num_vertices, dtype=bool)
-        reports: list[SuperstepReport] = []
-        cost_model = CostModel(cluster.spec)
-        converged = False
-
-        for superstep in range(max_supersteps):
-            t0 = time.perf_counter()
-            before = {s.server_id: CounterSnapshot.capture(s) for s in servers}
-
+        def gather(values: np.ndarray, sending: np.ndarray) -> Gathered:
             # --- scatter: stream partitions, emit per-edge messages ----
             outboxes: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {
                 pid: [] for pid in range(num_partitions)
@@ -125,11 +103,8 @@ class ChaosEngine:
                 dst = part.dst[live]
                 if src.size == 0:
                     continue
-                w = part.edge_values()[live]
-                contrib = program.edge_message(
-                    values[src],
-                    out_degrees[src] if program.uses_out_degree else None,
-                    w if program.uses_edge_weight else None,
+                contrib = edge_messages(
+                    program, values, out_degrees, src, part.edge_values()[live]
                 )
                 servers[home].counters.edges_processed += src.size
                 # Edge-centric scatter writes one message per edge.
@@ -148,7 +123,7 @@ class ChaosEngine:
                 blob = targets.astype(np.int64).tobytes() + payloads.tobytes()
                 self._dfs_write(f"chaos/msg-{pid}", blob, home_server=pid % n)
 
-            # --- gather + apply: stream logs, reduce, update -----------
+            # --- gather: stream the logs back, reduce ------------------
             accum = np.full(graph.num_vertices, program.identity)
             got_message = np.zeros(graph.num_vertices, dtype=bool)
             for pid, chunks in outboxes.items():
@@ -159,57 +134,18 @@ class ChaosEngine:
                 count = len(blob) // 16
                 targets = np.frombuffer(blob, dtype=np.int64, count=count)
                 payloads = np.frombuffer(blob, dtype=np.float64, offset=count * 8)
-                if program.reduce_op == "add":
-                    accum += np.bincount(
-                        targets, weights=payloads, minlength=graph.num_vertices
-                    )
-                else:
-                    ufunc = {"min": np.minimum, "max": np.maximum}[
-                        program.reduce_op
-                    ]
-                    ufunc.at(accum, targets, payloads)
-                got_message[targets] = True
+                # A vertex's messages all sit in its own partition's log.
+                reduce_into(accum, got_message, targets, payloads, program.reduce_op)
                 # Gather scans every logged message sequentially.
                 servers[home].counters.messages_processed += targets.size
                 self.cluster.dfs.delete(f"chaos/msg-{pid}")
+            return Gathered(accum, got_message, tiles_streamed=num_partitions)
 
-            new_values = program.apply(accum, values)
-            if program.reduce_op != "add":
-                new_values = np.where(got_message, new_values, values)
-            changed = program.value_changed(new_values, values)
-            values = np.where(changed, new_values, values)
-            updated = int(changed.sum())
-            # Apply scans also re-write vertex states to shared storage.
+        def write_back(changed: np.ndarray) -> None:
+            """Apply scans also re-write vertex states to shared storage."""
             for pid in range(num_partitions):
-                self.cluster.servers[pid % n].counters.disk_write += (
+                servers[pid % n].counters.disk_write += (
                     partitions[pid].num_vertices * 8
                 )
-            if program.reduce_op == "add":
-                sending = np.ones(graph.num_vertices, dtype=bool)
-                if updated == 0:
-                    sending[:] = False
-            else:
-                sending = changed
 
-            step_deltas = [before[s.server_id].delta(s) for s in servers]
-            net = sum(
-                (s.counters.net_sent - before[s.server_id].net_sent)
-                for s in servers
-            )
-            reports.append(
-                SuperstepReport(
-                    superstep=superstep,
-                    updated_vertices=updated,
-                    tiles_processed=num_partitions,
-                    tiles_skipped=0,
-                    net_bytes=net,
-                    disk_read_bytes=sum(d.disk_read for d in step_deltas),
-                    cache_hit_ratio=0.0,
-                    modeled=cost_model.superstep_time(step_deltas),
-                    wall_s=time.perf_counter() - t0,
-                )
-            )
-            if updated == 0:
-                converged = True
-                break
-        return RunResult(values=values, supersteps=reports, converged=converged)
+        return gather, write_back

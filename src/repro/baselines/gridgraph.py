@@ -26,20 +26,16 @@ has idle RAM.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.apps.base import VertexProgram
+from repro.baselines.bsp import BSPEngine, Gathered, edge_messages, reduce_into
 from repro.cluster.cluster import Cluster
-from repro.cluster.counters import CounterSnapshot
-from repro.core.mpe import RunResult, SuperstepReport
 from repro.graph.graph import Graph
-from repro.metrics.cost import CostModel
 from repro.metrics.schedule import effective_parallel_volume
 
 
-class GridGraphEngine:
+class GridGraphEngine(BSPEngine):
     """Single-node edge-grid streaming executor."""
 
     name = "gridgraph"
@@ -89,80 +85,43 @@ class GridGraphEngine:
         return src, dst, w
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        program: VertexProgram,
-        graph: Graph,
-        max_supersteps: int = 200,
-    ) -> RunResult:
+    def _prepare(self, program: VertexProgram, graph: Graph):
         server = self.cluster.servers[0]
         bounds, blocks = self._stage_grid(graph)
         p = self.grid_side
-        values = program.init_values(graph).astype(np.float64, copy=True)
         out_degrees = graph.out_degrees
-        ufuncs = {"add": np.add, "min": np.minimum, "max": np.maximum}
-        ufunc = ufuncs[program.reduce_op]
 
         # Two vertex chunks + accumulators resident (the sliding window).
         chunk_vertices = int(np.diff(bounds).max(initial=0))
         server.counters.set_memory("vertex", 2 * chunk_vertices * 12)
         server.counters.set_memory("messages", chunk_vertices * 8)
 
-        sending = program.initially_active(graph).copy()
-        if program.reduce_op == "add":
-            sending = np.ones(graph.num_vertices, dtype=bool)
-        # Per-chunk "any source changed" flags for selective scheduling.
-        chunk_live = np.array(
-            [sending[bounds[i] : bounds[i + 1]].any() for i in range(p)]
-        )
-        reports: list[SuperstepReport] = []
-        cost_model = CostModel(self.cluster.spec)
-        converged = False
-
-        for superstep in range(max_supersteps):
-            t0 = time.perf_counter()
-            before = {server.server_id: CounterSnapshot.capture(server)}
-            blocks_streamed = 0
-            blocks_skipped = 0
+        def gather(values: np.ndarray, sending: np.ndarray) -> Gathered:
+            # Per-chunk "any source changed" flags for selective scheduling.
+            chunk_live = [sending[bounds[i] : bounds[i + 1]].any() for i in range(p)]
+            accum = np.full(graph.num_vertices, program.identity)
+            got = np.zeros(graph.num_vertices, dtype=bool)
+            streamed = skipped = 0
             block_edge_counts: list[int] = []
-            new_values = values.copy()
-            any_gather = np.zeros(graph.num_vertices, dtype=bool)
-
+            # Column-major: destination chunk j's accumulators stay hot
+            # while blocks (0..P-1, j) stream through, each edge reduced
+            # straight into them in stream order.
             for j in range(p):
-                lo, hi = int(bounds[j]), int(bounds[j + 1])
-                accum = np.full(hi - lo, program.identity)
-                got = np.zeros(hi - lo, dtype=bool)
                 for i in range(p):
                     if (i, j) not in blocks:
                         continue
                     if not chunk_live[i]:
-                        blocks_skipped += 1
+                        skipped += 1
                         continue
-                    src, dst, w = self._read_block(
-                        server.load_blob(f"grid-{i}-{j}")
-                    )
+                    src, dst, w = self._read_block(server.load_blob(f"grid-{i}-{j}"))
                     live = sending[src]
                     src, dst, w = src[live], dst[live], w[live]
-                    blocks_streamed += 1
+                    streamed += 1
                     if src.size == 0:
                         continue
-                    contrib = program.edge_message(
-                        values[src],
-                        out_degrees[src] if program.uses_out_degree else None,
-                        w if program.uses_edge_weight else None,
-                    )
+                    contrib = edge_messages(program, values, out_degrees, src, w)
                     block_edge_counts.append(int(src.size))
-                    ufunc.at(accum, dst - lo, contrib)
-                    got[dst - lo] = True
-                old = values[lo:hi]
-                applied = program.apply(
-                    accum, old, np.arange(lo, hi, dtype=np.int64)
-                )
-                if program.reduce_op != "add":
-                    applied = np.where(got, applied, old)
-                new_values[lo:hi] = applied
-                any_gather[lo:hi] = got
-
+                    reduce_into(accum, got, dst, contrib, program.reduce_op)
             server.counters.edges_processed += int(
                 round(
                     effective_parallel_volume(
@@ -170,35 +129,6 @@ class GridGraphEngine:
                     )
                 )
             )
-            changed = program.value_changed(new_values, values)
-            values = np.where(changed, new_values, values)
-            updated = int(changed.sum())
-            if program.reduce_op == "add":
-                sending = np.ones(graph.num_vertices, dtype=bool)
-                if updated == 0:
-                    sending[:] = False
-            else:
-                sending = changed
-            chunk_live = np.array(
-                [sending[bounds[i] : bounds[i + 1]].any() for i in range(p)]
-            )
+            return Gathered(accum, got, streamed, skipped)
 
-            step_deltas = [before[server.server_id].delta(server)]
-            reports.append(
-                SuperstepReport(
-                    superstep=superstep,
-                    updated_vertices=updated,
-                    tiles_processed=blocks_streamed,
-                    tiles_skipped=blocks_skipped,
-                    net_bytes=0,
-                    disk_read_bytes=step_deltas[0].disk_read
-                    + step_deltas[0].disk_read_random,
-                    cache_hit_ratio=0.0,
-                    modeled=cost_model.superstep_time(step_deltas),
-                    wall_s=time.perf_counter() - t0,
-                )
-            )
-            if updated == 0:
-                converged = True
-                break
-        return RunResult(values=values, supersteps=reports, converged=converged)
+        return gather, None

@@ -28,27 +28,21 @@ shows 2.8× Pregel+'s memory and ~3× its time on the same dataflow).
 
 from __future__ import annotations
 
-import time
-from dataclasses import replace
-
 import numpy as np
 
 from repro.apps.base import VertexProgram
+from repro.baselines.bsp import BSPEngine, Gathered, combine, edge_messages, reduce_into
 from repro.cluster.cluster import Cluster
-from repro.cluster.counters import CounterSnapshot
 from repro.comm.channel import Channel
-from repro.core.mpe import RunResult, SuperstepReport
 from repro.graph.graph import Graph
-from repro.metrics.cost import CostModel
 from repro.partition.edge_cut import hash_edge_cut
-from repro.utils.segments import IDENTITY
 
 #: Wire cost of one combined message: 4 B target id + 8 B value.
 MESSAGE_BYTES = 12
 _VERTEX_STATE_BYTES = 12  # value (8) + out-degree (4)
 
 
-class PregelEngine:
+class PregelEngine(BSPEngine):
     """In-memory Pregel (the Pregel+ configuration by default)."""
 
     name = "pregel+"
@@ -65,26 +59,16 @@ class PregelEngine:
         self.channel = Channel(cluster.servers)
         self.memory_overhead = float(memory_overhead)
         self.compute_overhead = float(compute_overhead)
-        # Fixed per-superstep scheduling/serialisation cost of running
-        # the model through a general-purpose framework (Hadoop job
-        # setup for Giraph); charged like the sync constant — it does
-        # not scale with data volume.
         self.framework_overhead_s = float(framework_overhead_s)
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        program: VertexProgram,
-        graph: Graph,
-        max_supersteps: int = 200,
-    ) -> RunResult:
-        cluster = self.cluster
-        servers = cluster.servers
-        n = cluster.num_servers
+    def _prepare(self, program: VertexProgram, graph: Graph):
+        servers = self.cluster.servers
+        n = self.cluster.num_servers
         part = hash_edge_cut(graph, n)
-        values = program.init_values(graph).astype(np.float64, copy=True)
         owner = part.vertex_owner
         out_degrees = graph.out_degrees
+        op = program.reduce_op
 
         # --- memory accounting + optional disk staging -----------------
         for s, server in enumerate(servers):
@@ -103,17 +87,7 @@ class PregelEngine:
             else:
                 server.counters.set_memory("edges", edge_bytes)
 
-        sending = program.initially_active(graph).copy()
-        if program.reduce_op == "add":
-            # add-programs need every in-neighbor's contribution.
-            sending = np.ones(graph.num_vertices, dtype=bool)
-        reports: list[SuperstepReport] = []
-        cost_model = CostModel(cluster.spec)
-        converged = False
-
-        for superstep in range(max_supersteps):
-            t0 = time.perf_counter()
-            before = {s.server_id: CounterSnapshot.capture(s) for s in servers}
+        def gather(values: np.ndarray, sending: np.ndarray) -> Gathered:
             # Incoming accumulators for this superstep (per whole graph;
             # conceptually sharded by owner — receipt is metered below).
             accum = np.full(graph.num_vertices, program.identity)
@@ -129,7 +103,6 @@ class PregelEngine:
                     continue
                 indptr = part.server_indptr[s]
                 dst = part.server_dst[s]
-                weights = part.server_weights[s]
                 # Mask edges whose source sends this superstep.
                 lengths = np.diff(indptr)
                 edge_sending = np.repeat(local_sending, lengths)
@@ -140,10 +113,12 @@ class PregelEngine:
                 if self.stores_edges_on_disk:
                     # GraphD streams the whole adjacency from disk.
                     server.load_blob("adjacency")
-                contrib = program.edge_message(
-                    values[e_src],
-                    out_degrees[e_src] if program.uses_out_degree else None,
-                    weights[edge_sending] if program.uses_edge_weight else None,
+                contrib = edge_messages(
+                    program,
+                    values,
+                    out_degrees,
+                    e_src,
+                    part.server_weights[s][edge_sending],
                 )
                 server.counters.edges_processed += int(
                     e_dst.size * self.compute_overhead
@@ -159,9 +134,7 @@ class PregelEngine:
                     sel = dst_server == t
                     if not sel.any():
                         continue
-                    targets, combined = _combine(
-                        e_dst[sel], contrib[sel], program.reduce_op
-                    )
+                    targets, combined = combine(e_dst[sel], contrib[sel], op)
                     payload_bytes = targets.size * MESSAGE_BYTES
                     if self.stores_edges_on_disk:
                         # GraphD spills the pre-combine stream to disk.
@@ -178,7 +151,7 @@ class PregelEngine:
                     servers[t].counters.messages_processed += int(
                         targets.size * self.compute_overhead
                     )
-                    _reduce_into(accum, got_message, targets, combined, program)
+                    reduce_into(accum, got_message, targets, combined, op)
 
             if not self.stores_edges_on_disk:
                 for server in servers:
@@ -189,45 +162,9 @@ class PregelEngine:
                             + graph.num_vertices / n * 8
                         ),
                     )
+            return Gathered(accum, got_message)
 
-            # --- apply at owners ---------------------------------------
-            new_values = program.apply(accum, values)
-            if program.reduce_op != "add":
-                # Vertices without messages keep their value exactly.
-                new_values = np.where(got_message, new_values, values)
-            changed = program.value_changed(new_values, values)
-            values = np.where(changed, new_values, values)
-            updated = int(changed.sum())
-            if program.reduce_op == "add":
-                sending = np.ones(graph.num_vertices, dtype=bool)
-                if updated == 0:
-                    sending[:] = False
-            else:
-                sending = changed
-
-            step_deltas = [before[s.server_id].delta(s) for s in servers]
-            modeled = cost_model.superstep_time(step_deltas)
-            if self.framework_overhead_s:
-                modeled = replace(
-                    modeled, sync_s=modeled.sync_s + self.framework_overhead_s
-                )
-            reports.append(
-                SuperstepReport(
-                    superstep=superstep,
-                    updated_vertices=updated,
-                    tiles_processed=0,
-                    tiles_skipped=0,
-                    net_bytes=sum(d.net_sent for d in step_deltas),
-                    disk_read_bytes=sum(d.disk_read for d in step_deltas),
-                    cache_hit_ratio=0.0,  # in-memory engine: no cache, zero lookups
-                    modeled=modeled,
-                    wall_s=time.perf_counter() - t0,
-                )
-            )
-            if updated == 0:
-                converged = True
-                break
-        return RunResult(values=values, supersteps=reports, converged=converged)
+        return gather, None
 
 
 class GraphDEngine(PregelEngine):
@@ -235,34 +172,3 @@ class GraphDEngine(PregelEngine):
 
     name = "graphd"
     stores_edges_on_disk = True
-
-
-_REDUCE_UFUNCS = {"min": np.minimum, "max": np.maximum}
-
-
-def _combine(
-    targets: np.ndarray, contrib: np.ndarray, reduce_op: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sender-side combiner: one message per distinct target."""
-    uniq, inverse = np.unique(targets, return_inverse=True)
-    if reduce_op == "add":
-        combined = np.bincount(inverse, weights=contrib, minlength=uniq.size)
-    else:
-        combined = np.full(uniq.size, IDENTITY[reduce_op])
-        _REDUCE_UFUNCS[reduce_op].at(combined, inverse, contrib)
-    return uniq, combined
-
-
-def _reduce_into(
-    accum: np.ndarray,
-    got_message: np.ndarray,
-    targets: np.ndarray,
-    combined: np.ndarray,
-    program: VertexProgram,
-) -> None:
-    """Receiver-side reduction of combined messages."""
-    if program.reduce_op == "add":
-        accum[targets] += combined
-    else:
-        _REDUCE_UFUNCS[program.reduce_op].at(accum, targets, combined)
-    got_message[targets] = True

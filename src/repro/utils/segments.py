@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_OPS = {
+OPS = {
     "add": np.add,
     "min": np.minimum,
     "max": np.maximum,
@@ -96,9 +96,9 @@ def segment_reduce(
     Returns a length ``n_rows`` array.
     """
     try:
-        ufunc = _OPS[op]
+        ufunc = OPS[op]
     except KeyError:
-        raise ValueError(f"unknown op {op!r}; expected one of {sorted(_OPS)}") from None
+        raise ValueError(f"unknown op {op!r}; expected one of {sorted(OPS)}") from None
     if identity is None:
         identity = IDENTITY[op]
     plan = indptr if isinstance(indptr, SegmentPlan) else SegmentPlan(indptr)
