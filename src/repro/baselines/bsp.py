@@ -150,8 +150,12 @@ class BSPEngine:
             deltas = [b.delta(s) for b, s in zip(before, servers)]
             modeled = cost_model.superstep_time(deltas)
             if self.framework_overhead_s:
+                # overlap_s is stored, not derived like total_s: both
+                # estimates carry the overhead.
                 modeled = replace(
-                    modeled, sync_s=modeled.sync_s + self.framework_overhead_s
+                    modeled,
+                    sync_s=modeled.sync_s + self.framework_overhead_s,
+                    overlap_s=modeled.overlap_s + self.framework_overhead_s,
                 )
             updated = int(changed.sum())
             reports.append(
