@@ -1,26 +1,21 @@
 """Property test: every engine computes the same answers as the
 reference executor on arbitrary random graphs and programs.
 
-This is the strongest correctness statement the repository makes: four
+This is the strongest correctness statement the repository makes: five
 fundamentally different execution models (GAB tiles, Pregel messages,
-GAS vertex-cut, edge-centric streaming) plus two GraphH replication
-policies all derive from one vertex-program spec, so any divergence is
-an engine bug, not a modelling choice.
+GAS vertex-cut, edge-centric streaming, single-node grid streaming)
+plus two GraphH replication policies all derive from one vertex-program
+spec, so any divergence is an engine bug, not a modelling choice.
 """
+
+import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.apps import (
-    BFS,
-    SSSP,
-    WCC,
-    KatzCentrality,
-    PageRank,
-    reference_solution,
-)
-from repro.baselines import ChaosEngine, GASEngine, GraphDEngine, PregelEngine
+from repro.analysis.validate import cross_validate
+from repro.apps import BFS, SSSP, WCC, KatzCentrality, PageRank
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, MPEConfig, SPE
 from repro.graph import Graph
@@ -62,37 +57,19 @@ def make_program(name, graph, rng_seed):
     seed=st.integers(0, 1000),
 )
 def test_all_engines_agree_with_reference(graph, program_name, num_servers, seed):
-    expected, _ = reference_solution(
-        make_program(program_name, graph, seed), graph, 300
-    )
-
-    # GraphH, both replication policies.
-    for policy in ("aa", "od"):
-        with Cluster(ClusterSpec(num_servers=num_servers)) as cluster:
-            spe = SPE(cluster.dfs)
-            manifest = spe.preprocess(
-                graph, max(1, graph.num_edges // 5), name="g"
-            )
-            mpe = MPE(
-                cluster,
-                manifest,
-                MPEConfig(replication_policy=policy, max_supersteps=300),
-            )
-            result = mpe.run(make_program(program_name, graph, seed))
-        assert np.allclose(
-            result.values, expected, atol=1e-8, equal_nan=True
-        ), f"graphh-{policy} diverged on {program_name}"
-
-    # All four baseline engines.
-    for engine_cls in (PregelEngine, GraphDEngine, GASEngine, ChaosEngine):
-        with Cluster(ClusterSpec(num_servers=num_servers)) as cluster:
-            engine = engine_cls(cluster)
-            result = engine.run(
-                make_program(program_name, graph, seed), graph, 300
-            )
-        assert np.allclose(
-            result.values, expected, atol=1e-8, equal_nan=True
-        ), f"{engine_cls.__name__} diverged on {program_name}"
+    # GraphH under both replication policies, the four distributed
+    # baselines and GridGraph; a warning (inf - inf on an unreachable
+    # vertex, say) is a failure too.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cross_validate(
+            graph,
+            lambda: make_program(program_name, graph, seed),
+            num_servers=num_servers,
+            max_supersteps=300,
+            atol=1e-8,
+        )
+    assert report.all_match, report.render()
 
 
 @settings(max_examples=10, deadline=None)
