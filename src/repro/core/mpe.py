@@ -946,7 +946,13 @@ class MPE:
     def retile(self, composed: dict, renamed: dict) -> None:
         """Follow a mutation batch: ``composed`` maps every tile whose
         content changed to the tile it now decodes to, ``renamed`` those
-        whose blob was rewritten to its ``(local name, size)``."""
+        whose blob was rewritten to its ``(local name, size)``.
+
+        A tile that kept its blob is what its next load would compose
+        from that blob, so it goes into the decoded cache as is: the
+        hit path meters the load exactly as a parse would, and the batch
+        composes each changed tile once.  A rewritten blob is parsed
+        when first loaded, like any other."""
         # Per server: assignment index -> (blob name, composed tile) of
         # every tile whose shape may have changed — its slab's new slots.
         reshaped: dict[int, dict[int, tuple[str, Tile]]] = {}
@@ -961,11 +967,14 @@ class MPE:
                 self._blooms[tile_id] = tile.build_bloom_filter(
                     self.config.bloom_false_positive_rate
                 )
-            if server.decoded_cache is not None:
-                server.decoded_cache.invalidate(name)
+            dcache = server.decoded_cache
             if tile_id in renamed:
+                if dcache is not None:
+                    dcache.invalidate(name)
                 name, nbytes = renamed[tile_id]
                 self._assignments[server.server_id][idx] = (tile_id, name, nbytes)
+            elif dcache is not None:
+                dcache.put(name, tile, self._assignments[server.server_id][idx][2])
             reshaped.setdefault(server.server_id, {})[idx] = (name, tile)
         for server_id, changes in reshaped.items():
             dcache = self.cluster.servers[server_id].decoded_cache

@@ -230,7 +230,7 @@ class EvolvingGraph:
         plan = build_plan(
             program,
             prev_values,
-            store.since(watermark),
+            self.log.since(watermark, store.watermark),
             init_values=program.init_values(graph),
             num_vertices=mpe.manifest.num_vertices,
             num_tiles=mpe.manifest.num_tiles,

@@ -136,7 +136,9 @@ class TileOverlay:
     def _pair_keys(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:
         if num_vertices >= 2**31:
             raise ValueError("delta overlays require |V| < 2^31")
-        return src.astype(np.int64) * np.int64(num_vertices) + dst.astype(np.int64)
+        return src.astype(np.int64, copy=False) * np.int64(
+            num_vertices
+        ) + dst.astype(np.int64, copy=False)
 
     def compose(self, base: Tile) -> Tile:
         """``overlay ∘ base`` as a fresh, canonically-ordered tile."""
@@ -194,7 +196,11 @@ class TileOverlay:
                 )
                 new_vals = np.concatenate([new_vals, ins_w])
 
-        order = np.lexsort((new_srcs, new_targets))
+        # One stable argsort of the packed (target, src) key: the
+        # permutation ``np.lexsort((new_srcs, new_targets))`` gives.
+        order = np.argsort(
+            self._pair_keys(new_targets, new_srcs, n_vertices), kind="stable"
+        )
         new_targets = new_targets[order]
         new_srcs = new_srcs[order]
         if new_vals is not None:
@@ -300,10 +306,11 @@ class CompactResult:
 class DeltaStore:
     """All mutable-graph state the engine carries for one manifest.
 
-    Holds the per-tile overlays, the applied-mutation history with its
-    watermark (so re-applying a log after a fault replay or restart is
-    an exact no-op), exact degree deltas, and the per-tile blob version
-    counters merges advance.
+    Holds the per-tile overlays, the applied-mutation watermark (so
+    re-applying a log after a fault replay or restart is an exact
+    no-op; the mutations themselves are the engine's log's, ids
+    ``1..watermark``), exact degree deltas, and the per-tile blob
+    version counters merges advance.
     """
 
     def __init__(self, manifest, merge_ratio: float = DEFAULT_MERGE_RATIO) -> None:
@@ -313,7 +320,6 @@ class DeltaStore:
         self.splitter = np.asarray(manifest.splitter, dtype=np.int64)
         self.num_vertices = int(manifest.num_vertices)
         self.overlays: dict[int, TileOverlay] = {}
-        self.history: list[Mutation] = []
         self.watermark = 0
         self.out_deg_delta = np.zeros(self.num_vertices, dtype=np.int64)
         self.in_deg_delta = np.zeros(self.num_vertices, dtype=np.int64)
@@ -383,7 +389,6 @@ class DeltaStore:
                 trial.seal()
                 self.overlays[tile_id] = trial
         for mut in pending:
-            self.history.append(mut)
             if mut.op == OP_INSERT:
                 self.out_deg_delta[mut.src] += 1
                 self.in_deg_delta[mut.dst] += 1
@@ -416,15 +421,11 @@ class DeltaStore:
         self.merges += 1
         return gen
 
-    def since(self, watermark: int) -> list[Mutation]:
-        """Applied mutations with ``mut_id > watermark``."""
-        return [m for m in self.history if m.mut_id > watermark]
-
     def summary(self) -> dict:
         """JSON-friendly state snapshot for reports and gauges."""
         return {
             "watermark": self.watermark,
-            "applied_mutations": len(self.history),
+            "applied_mutations": self.watermark,  # ids are dense from 1
             "edge_delta": self.edge_delta,
             "overlay_tiles": len(self.overlays),
             "overlay_edges": self.total_overlay_edges,

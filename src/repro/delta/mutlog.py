@@ -15,9 +15,10 @@ The log is the system of record:
   so replaying a persisted log after a restart reproduces the exact
   same sequence.
 * **JSON and binary round-tripping** — :meth:`to_json` /
-  :meth:`from_json` feed the service layer's persisted state and the
-  socket protocol; :meth:`to_bytes` / :meth:`from_bytes` give a compact
-  ``GHML`` wire format in the style of the tile blobs.
+  :meth:`from_json` feed the socket protocol, :meth:`save` / :meth:`load`
+  the service's snapshot file, and :meth:`replay` appends the batches
+  its journal recorded since; :meth:`to_bytes` / :meth:`from_bytes` give
+  a compact ``GHML`` wire format in the style of the tile blobs.
 * **Seeded-RNG-friendly batches** — :func:`random_mutations` derives a
   deterministic batch from a :class:`~repro.graph.graph.Graph` and a
   seed, so benchmarks and tests generate identical evolving workloads
@@ -34,11 +35,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.utils.journal import write_json_rows
 
 __all__ = [
     "Mutation",
@@ -155,11 +157,29 @@ class MutationLog:
     def __len__(self) -> int:
         return len(self._mutations)
 
-    def since(self, watermark: int) -> list[Mutation]:
-        """Mutations with ``mut_id > watermark``, in log order."""
+    def since(self, watermark: int, upto: int | None = None) -> list[Mutation]:
+        """Mutations with ``watermark < mut_id <= upto`` (``upto=None``:
+        to the end), in log order."""
         # Ids are dense and 1-based, so the slice is a direct index.
         start = max(0, int(watermark))
-        return list(self._mutations[start:])
+        return self._mutations[start:upto]
+
+    def replay(self, rows) -> None:
+        """Append persisted mutation rows (``to_dict`` form, ids
+        included) — a journal's batches over a snapshot.  Rows at or
+        below :attr:`last_id` are already here and skipped, so a
+        replayed duplicate is a no-op; the rest must continue the ids
+        densely."""
+        for row in rows:
+            mut = Mutation.from_dict(row)
+            if mut.mut_id <= self.last_id:
+                continue
+            if mut.mut_id != self.last_id + 1:
+                raise ValueError(
+                    f"mutation ids must be dense and 1-based: expected "
+                    f"{self.last_id + 1}, got {mut.mut_id}"
+                )
+            self._mutations.append(mut)
 
     # -- serialisation -------------------------------------------------
     def to_json(self) -> dict:
@@ -176,14 +196,7 @@ class MutationLog:
                 f"not a mutation log (schema={payload.get('schema')!r})"
             )
         log = cls(num_vertices=payload.get("num_vertices"))
-        for i, row in enumerate(payload.get("mutations", []), start=1):
-            mut = Mutation.from_dict(row)
-            if mut.mut_id != i:
-                raise ValueError(
-                    f"mutation ids must be dense and 1-based; "
-                    f"row {i} has id {mut.mut_id}"
-                )
-            log._mutations.append(mut)
+        log.replay(payload.get("mutations", []))
         return log
 
     def to_bytes(self) -> bytes:
@@ -232,14 +245,17 @@ class MutationLog:
             )
         return log
 
-    def save(self, path: str) -> None:
-        """Atomically persist the log as JSON (one unindented ``dumps``:
-        the C encoder — the log is rewritten whole on every batch)."""
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_json(), sort_keys=True))
-            fh.write("\n")
-        os.replace(tmp, path)
+    def save(self, path: str, upto: int | None = None) -> int:
+        """Atomically persist the log (through ``mut_id`` ``upto``; all
+        of it by default) as :meth:`to_json`'s one-line JSON, a row at a
+        time; returns the bytes written."""
+        return write_json_rows(
+            path,
+            "mutations",
+            (m.to_dict() for m in self._mutations[:upto]),
+            num_vertices=self.num_vertices,
+            schema=MUTLOG_SCHEMA,
+        )
 
     @classmethod
     def load(cls, path: str) -> "MutationLog":

@@ -60,6 +60,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.facade import ClusterBuild
 from repro.core.mpe import MPEConfig
+from repro.delta.mutlog import MutationLog
 from repro.service.jobs import (
     ALGORITHMS,
     JobRecord,
@@ -68,6 +69,7 @@ from repro.service.jobs import (
     JobStatus,
 )
 from repro.service.scheduler import AdmissionError, JobQueue
+from repro.utils.journal import Journal, write_json_rows
 
 __all__ = ["Engine", "GraphContext", "reset_simulation"]
 
@@ -76,6 +78,12 @@ QUEUE_SCHEMA = "repro-service-queue/v1"
 # holds them; Engine.load_result reads an older one back.  Without the
 # bound a long-lived daemon's memory is every result it ever computed.
 RESULTS_IN_MEMORY = 16
+# The state dir's journal: one record per job submit / finish and per
+# mutation batch, over the snapshot files (jobs.json, mutlog-<graph>.json,
+# queue.json).  It is folded into the snapshot once it is larger than
+# both this and the last snapshot, so a record costs amortised O(1).
+JOURNAL = "journal.log"
+JOURNAL_MIN_BYTES = 1 << 20
 
 
 def reset_simulation(cluster, channel=None, cache_policy: str = "cold") -> None:
@@ -111,6 +119,8 @@ class GraphContext:
         self.arena = None
         self._unfront = None
         self.jobs_run = 0
+        # Last mutation id the state dir holds (journal or snapshot).
+        self.logged = 0
 
     @property
     def cluster(self):
@@ -152,9 +162,11 @@ class Engine:
         Base :class:`MPEConfig` for registrations (jobs overlay their
         run-scoped knobs on top of it).
     state_dir:
-        Directory for persisted state: the queue file (written on
-        graceful shutdown, reloaded on construction), the job index,
-        and per-job result blobs in checkpoint wire format.
+        Directory for persisted state: an append-only journal of job
+        and mutation-batch records over a snapshot (the job index, each
+        graph's mutation log, the queue at graceful shutdown), and
+        per-job result blobs in checkpoint wire format.  Construction
+        recovers from it, however the last engine on it stopped.
     capacity / tenant_quota:
         Admission control for the job queue.
     job_workers:
@@ -210,6 +222,11 @@ class Engine:
         self._workers: list[threading.Thread] = []
         self._stop = threading.Event()
         self._shut_down = False
+        self._journal = (
+            Journal(os.path.join(state_dir, JOURNAL)) if state_dir else None
+        )
+        self._persist_lock = threading.Lock()  # journal appends + snapshots
+        self._snapshot_bytes = 0
 
         if tracer is not None:
             self.metrics = tracer.metrics
@@ -286,6 +303,7 @@ class Engine:
         # memory does not survive a restart — the first incremental job
         # after one fails with a reason until a scratch run completes.
         self._replay_mutlog(ctx)
+        ctx.logged = mpe.mutation_log.last_id
         if self.share_tiles:
             ctx.install_arena()
         with self._lock:
@@ -307,6 +325,11 @@ class Engine:
         if ctx is None:
             raise KeyError(f"graph {name!r} not registered")
         with ctx.lock:
+            if self._journal is not None:
+                # The next compaction no longer sees this graph: its
+                # journaled batches go to its snapshot now.
+                with self._persist_lock:
+                    self._save_mutlog(ctx)
             ctx.release()
         if self.tracer is not None:
             self.tracer.service().instant("graph_evict", "service", graph=name)
@@ -325,9 +348,9 @@ class Engine:
         shared arena included); every job submitted afterwards sees the
         mutated graph, and ``incremental=True`` jobs repair from the
         previous fixed point.  Serialises against jobs on the same
-        graph via the context lock.  The full mutation log persists to
-        the state dir and is replayed on restart, so mutations survive
-        a service bounce.  Returns the compaction report.
+        graph via the context lock.  The batch is journaled to the state
+        dir and the graph's log is replayed on restart, so mutations
+        survive a service bounce.  Returns the compaction report.
         """
         with self._lock:
             ctx = self._graphs.get(graph)
@@ -336,7 +359,7 @@ class Engine:
         outer = self._exec_lock if self.tracer is not None else _NULL_LOCK
         with outer, ctx.lock:
             report = ctx.mpe.apply_mutations(ops)
-            self._persist_mutlog(ctx)
+            self._journal_batch(ctx)
         if self.tracer is not None:
             self.tracer.service().instant(
                 "graph_mutate",
@@ -350,11 +373,35 @@ class Engine:
             )
         return report
 
-    def _persist_mutlog(self, ctx: GraphContext) -> None:
-        if not self.state_dir or ctx.mpe.mutation_log is None:
+    def _journal_batch(self, ctx: GraphContext) -> None:
+        """Journal the batch ``ctx`` just applied (caller holds its lock)."""
+        if self._journal is None:
             return
-        ctx.mpe.mutation_log.save(
-            os.path.join(self.state_dir, f"mutlog-{ctx.name}.json")
+        log = ctx.mpe.mutation_log
+        rows = [m.to_dict() for m in log.since(ctx.logged)]
+        if not rows:
+            return
+        with self._persist_lock:
+            ctx.logged = log.last_id
+            self._append(
+                {
+                    "op": "mutate",
+                    "graph": ctx.name,
+                    "num_vertices": log.num_vertices,
+                    "mutations": rows,
+                }
+            )
+
+    def _mutlog_path(self, graph: str) -> str:
+        return os.path.join(self.state_dir, f"mutlog-{graph}.json")
+
+    def _save_mutlog(self, ctx: GraphContext) -> int:
+        """Snapshot a graph's journaled mutations (caller holds the
+        persist lock); returns the bytes written."""
+        if not ctx.logged:
+            return 0
+        return ctx.mpe.mutation_log.save(
+            self._mutlog_path(ctx.name), upto=ctx.logged
         )
 
     def _replay_mutlog(self, ctx: GraphContext) -> None:
@@ -362,15 +409,14 @@ class Engine:
 
         The fresh engine's delta watermark is 0, so the whole log
         replays; compaction is deterministic, so overlays and merges
-        land exactly as the pre-restart session left them.
+        land exactly as the pre-restart session left them.  (Recovery
+        already folded the journal's batches into the snapshot file.)
         """
         if not self.state_dir:
             return
-        path = os.path.join(self.state_dir, f"mutlog-{ctx.name}.json")
+        path = self._mutlog_path(ctx.name)
         if not os.path.exists(path):
             return
-        from repro.delta.mutlog import MutationLog
-
         ctx.mpe.apply_mutations(log=MutationLog.load(path))
 
     # -- submission ----------------------------------------------------
@@ -417,7 +463,7 @@ class Engine:
                     tenant=spec.tenant,
                     priority=spec.priority,
                 )
-        self._persist_jobs_index()
+        self._journal_job(record, "submit")
         return record
 
     def _validate(self, spec: JobSpec) -> str | None:
@@ -663,7 +709,7 @@ class Engine:
             record.finished_unix = time.time()
             self._done.notify_all()
         self._c_jobs.labels(status=status).inc()
-        self._persist_jobs_index()
+        self._journal_job(record, "finish")
 
     # -- persistence ---------------------------------------------------
     def _persist_result(self, record: JobRecord) -> None:
@@ -708,15 +754,43 @@ class Engine:
         result.values = snapshot.values
         return result
 
-    def _persist_jobs_index(self) -> None:
-        if not self.state_dir:
+    def _journal_job(self, record: JobRecord, op: str) -> None:
+        """Journal a job's record as it now stands (``op``: "submit" or
+        "finish" — replay treats both alike)."""
+        if self._journal is None:
             return
         with self._lock:
-            rows = [self._records[j].to_dict() for j in self._order]
-        _atomic_json(
+            row = record.to_dict()
+        with self._persist_lock:
+            self._append({"op": op, "job": row})
+
+    def _append(self, entry: dict) -> None:
+        """Journal one record (caller holds the persist lock), folding
+        the journal into the snapshot once it has outgrown it."""
+        if self._journal.append(entry) > max(
+            JOURNAL_MIN_BYTES, self._snapshot_bytes
+        ):
+            self._write_snapshot()
+
+    def _write_snapshot(self) -> None:
+        """Write the job index and every registered graph's journaled
+        mutations, then empty the journal (caller holds the persist
+        lock).  Records are encoded outside the registry lock: a change
+        that lands meanwhile is journaled after the reset, so replay
+        still ends on it."""
+        with self._lock:
+            records = [self._records[j] for j in self._order]
+            contexts = list(self._graphs.values())
+        nbytes = write_json_rows(
             os.path.join(self.state_dir, "jobs.json"),
-            {"schema": QUEUE_SCHEMA, "jobs": rows},
+            "jobs",
+            (r.to_dict() for r in records),
+            schema=QUEUE_SCHEMA,
         )
+        for ctx in contexts:
+            nbytes += self._save_mutlog(ctx)
+        self._journal.reset()
+        self._snapshot_bytes = nbytes
 
     def _persist_queue(self) -> list[JobRecord]:
         """Drain the queue and write it (+ the id sequence) to disk."""
@@ -735,30 +809,74 @@ class Engine:
         return queued
 
     def _restore_state(self) -> None:
-        """Reload the persisted queue and job index after a restart."""
-        index_path = os.path.join(self.state_dir, "jobs.json")
-        if os.path.exists(index_path):
-            with open(index_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            for row in data.get("jobs", []):
-                record = JobRecord.from_dict(row)
-                self._records[record.job_id] = record
-                self._order.append(record.job_id)
+        """Recover the job index, queue, id sequence and mutation logs,
+        however the last engine on this state dir stopped.
+
+        The snapshot is read first, then the journal replays over it
+        (its torn tail cut off), and the result is written back as the
+        new snapshot with the journal emptied (a new state dir writes
+        nothing).  Replay is idempotent: a
+        job row never moves a finished job back, and batch rows at or
+        below a log's last id are skipped.  Every job not finished —
+        queued, or running when the engine stopped — is re-admitted in
+        submission order, and ids resume after the highest one issued.
+        """
         queue_path = os.path.join(self.state_dir, "queue.json")
-        if not os.path.exists(queue_path):
-            return
-        with open(queue_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        self._seq = int(data.get("next_job_seq", 0))
-        for row in data.get("queued", []):
-            record = self._records.get(row["job_id"]) or JobRecord.from_dict(row)
+        queue = _read_json(queue_path)
+        index = _read_json(os.path.join(self.state_dir, "jobs.json"))
+        for row in index.get("jobs", []) + queue.get("queued", []):
+            self._restore_job(row)
+        logs: dict[str, MutationLog] = {}
+        journal = self._journal.replay()
+        for entry in journal:
+            if entry.get("op") != "mutate":
+                self._restore_job(entry["job"])
+                continue
+            name = entry["graph"]
+            if name not in logs:
+                path = self._mutlog_path(name)
+                logs[name] = (
+                    MutationLog.load(path)
+                    if os.path.exists(path)
+                    else MutationLog(num_vertices=entry.get("num_vertices"))
+                )
+            logs[name].replay(entry["mutations"])
+        self._order.sort(key=_job_seq)
+        self._seq = max(
+            [int(queue.get("next_job_seq", 0))]
+            + [_job_seq(job_id) for job_id in self._order]
+        )
+        for job_id in self._order:
+            record = self._records[job_id]
+            if record.done:
+                continue
             record.status = JobStatus.QUEUED
-            if record.job_id not in self._records:
-                self._records[record.job_id] = record
-                self._order.append(record.job_id)
-            self.queue.push(record)
+            try:
+                self.queue.push(record)
+            except AdmissionError as exc:
+                record.status = JobStatus.REJECTED
+                record.reason = exc.reason
+                record.finished_unix = time.time()
         self._g_depth.set(self.queue.depth())
-        os.remove(queue_path)  # consumed; a clean shutdown rewrites it
+        if not (index or queue or journal):
+            return  # a new state dir: nothing to fold
+        with self._persist_lock:
+            for name, log in logs.items():
+                log.save(self._mutlog_path(name))
+            self._write_snapshot()
+        if queue:
+            os.remove(queue_path)  # folded into jobs.json
+
+    def _restore_job(self, row: dict) -> None:
+        """Apply one persisted job row, keyed by id: a finished job
+        stays finished, so a duplicated or stale row is a no-op."""
+        record = JobRecord.from_dict(row)
+        known = self._records.get(record.job_id)
+        if known is None:
+            self._order.append(record.job_id)
+        elif known.done:
+            return
+        self._records[record.job_id] = record
 
     # -- shutdown ------------------------------------------------------
     def shutdown(self, drain: bool = True, timeout: float = 30.0) -> None:
@@ -779,7 +897,9 @@ class Engine:
                 t.join(timeout=max(0.0, deadline - time.monotonic()))
         self._workers.clear()
         self._persist_queue()
-        self._persist_jobs_index()
+        if self._journal is not None:
+            with self._persist_lock:
+                self._write_snapshot()
         with self._lock:
             contexts = list(self._graphs.values())
             self._graphs.clear()
@@ -807,9 +927,24 @@ _NULL_LOCK = _NullLock()
 
 def _atomic_json(path: str, payload: dict) -> None:
     # One ``dumps`` call, no ``indent``: indenting forces the
-    # pure-Python encoder, and these files are rewritten every job.
+    # pure-Python encoder, and a result sidecar is written every job.
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
     os.replace(tmp, path)
+
+
+def _read_json(path: str) -> dict:
+    """A snapshot file's payload ({} when it does not exist)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        return {}
+
+
+def _job_seq(job_id: str) -> int:
+    """The sequence number of a ``job-NNNNNNNN`` id (0 for any other)."""
+    tail = job_id.rpartition("-")[2]
+    return int(tail) if tail.isdigit() else 0

@@ -4,6 +4,8 @@ This package collects small, dependency-free building blocks used across
 the substrates: compact bitsets, the bloom filter that GraphH attaches to
 every tile (paper §III-C.4), varint coding for sparse message payloads,
 deterministic RNG construction, and human-readable size formatting.
+``repro.utils.journal`` holds the crc32-framed append-only journal the
+service's state dir is written as.
 """
 
 from repro.utils.bitset import Bitset

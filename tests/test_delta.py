@@ -25,6 +25,7 @@ The subsystem invariants:
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from repro.delta.mutlog import OP_DELETE, OP_INSERT
 from repro.faults import CRASH, DISK_ERROR, FaultEvent, FaultSchedule, Supervisor
 from repro.graph import chung_lu_graph
 from repro.obs import Tracer
+from repro.partition.tiles import Tile
 from repro.runtime import process_runtime_available
 from repro.runtime.shm import outstanding_segments
 
@@ -477,6 +479,11 @@ class TestMutationLog:
         path = str(tmp_path / "mutlog.json")
         log.save(path)
         assert MutationLog.load(path).mutations == log.mutations
+        # Written a row at a time, yet one dumps' bytes.
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(log.to_json(), sort_keys=True) + "\n"
+        log.save(path, upto=3)
+        assert MutationLog.load(path).mutations == log.mutations[:3]
 
     def test_ids_are_dense_and_monotonic(self):
         log = MutationLog()
@@ -715,6 +722,137 @@ class TestCompaction:
             )
         finally:
             cluster.close()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 3), st.floats(0.5, 4.0)),
+            max_size=30,
+        ),
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),  # insert / delete
+                st.integers(0, 7),
+                st.integers(0, 3),
+                st.floats(0.5, 4.0),
+            ),
+            max_size=30,
+        ),
+        weighted=st.booleans(),
+    )
+    def test_compose_orders_like_lexsort(self, base, ops, weighted):
+        """``compose`` sorts by one packed ``target * |V| + src`` key; the
+        tile must be the one ``np.lexsort((src, target))`` orders —
+        duplicate edges, base deletes and weights included."""
+        n = 8
+        src = np.array([s for s, _, _ in base], dtype=np.int64)
+        dst = np.array([d for _, d, _ in base], dtype=np.int64)
+        val = np.array([w for _, _, w in base], dtype=np.float64)
+        by_target = np.argsort(dst, kind="stable")  # sources left unsorted
+        src, dst, val = src[by_target], dst[by_target], val[by_target]
+        tile = Tile(
+            tile_id=0, target_lo=0, target_hi=4, num_graph_vertices=n,
+            row=np.searchsorted(dst, np.arange(5)).astype(np.int64),
+            col=src.astype(np.uint32), val=val if weighted else None,
+        )
+        overlay = TileOverlay(tile_id=0)
+        present = {}
+        for s, d in zip(src.tolist(), dst.tolist()):
+            present[(s, d)] = present.get((s, d), 0) + 1
+        for i, (insert, s, d, w) in enumerate(ops):
+            if insert:
+                overlay.apply(Mutation(i, OP_INSERT, s, d, w if weighted else None))
+                present[(s, d)] = present.get((s, d), 0) + 1
+            elif present.get((s, d)):
+                overlay.apply(Mutation(i, OP_DELETE, s, d))
+                present[(s, d)] -= 1
+        if overlay.is_empty:
+            assert overlay.compose(tile) is tile
+            return
+        # The reference: drop the first base instances of each delete in
+        # storage order, append the inserts, lexsort.
+        owed = dict(overlay.deletes)
+        rows = []
+        for s, d, w in zip(src.tolist(), dst.tolist(), val.tolist()):
+            if owed.get((s, d)):
+                owed[(s, d)] -= 1
+            else:
+                rows.append((s, d, w))
+        rows += [(s, d, 1.0 if w is None else w) for s, d, w in overlay.inserts]
+        ref_src = np.array([r[0] for r in rows], dtype=np.int64)
+        ref_dst = np.array([r[1] for r in rows], dtype=np.int64)
+        ref_val = np.array([r[2] for r in rows], dtype=np.float64)
+        order = np.lexsort((ref_src, ref_dst))
+        composed = overlay.compose(tile)
+        assert np.array_equal(
+            composed.row, np.searchsorted(ref_dst[order], np.arange(5))
+        )
+        assert np.array_equal(composed.col, ref_src[order])
+        if weighted:
+            assert composed.val.tobytes() == ref_val[order].tobytes()
+        else:
+            assert composed.val is None
+
+    def test_since_reads_the_applied_slice(self, skewed, batch):
+        """An incremental plan reads the engine's log by slice, up to
+        the store's watermark: what a scan of every applied mutation
+        returns, even with a failed batch's rows past the watermark."""
+        mpe, cluster = _engine(skewed)
+        try:
+            mpe.apply_mutations(batch)
+            mpe.apply_mutations(random_mutations(skewed, 20, 0, seed=21))
+            applied = list(mpe.mutation_log.mutations)
+            with pytest.raises(ValueError):
+                mpe.apply_mutations([{"op": "delete", "src": 0, "dst": 0}])
+            log, watermark = mpe.mutation_log, mpe.delta.store.watermark
+            assert watermark == len(applied) < log.last_id
+            for mark in range(watermark + 2):
+                assert log.since(mark, watermark) == [
+                    m for m in applied if m.mut_id > mark
+                ]
+        finally:
+            cluster.close()
+
+    def test_a_batch_composes_each_changed_tile_once(
+        self, skewed, monkeypatch
+    ):
+        """The batch hands its composed tiles to the decoded cache: the
+        next run composes nothing, and meters its loads exactly as an
+        engine that parses (and so composes) them again.  Serial: a
+        process run re-parses the parent's decoded cache after it."""
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
+        calls = []
+        compose = TileOverlay.compose
+        monkeypatch.setattr(
+            TileOverlay,
+            "compose",
+            lambda self, base: calls.append(self.tile_id) or compose(self, base),
+        )
+        stories = []
+        for parse_again in (False, True):
+            mpe, cluster = _engine(skewed)
+            try:
+                mpe.run(SSSP(source=1))  # every tile decoded and cached
+                calls.clear()
+                report = mpe.apply_mutations(
+                    random_mutations(skewed, 40, 0, seed=5)
+                )
+                assert not report["merged"]
+                assert sorted(calls) == sorted(set(calls))
+                assert len(calls) == report["affected_tiles"]
+                if parse_again:
+                    for server in cluster.servers:
+                        server.decoded_cache.clear()
+                calls.clear()
+                for server in cluster.servers:
+                    server.counters = type(server.counters)()
+                result = mpe.run(SSSP(source=1))
+                assert (len(calls) > 0) == parse_again
+                stories.append((result.values.tobytes(), _story(mpe, result)))
+            finally:
+                cluster.close()
+        assert stories[0] == stories[1]
 
 
 # ----------------------------------------------------------------------

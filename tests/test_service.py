@@ -11,6 +11,7 @@ hit ratio (the deliberate, metering-neutral warmth) may differ.
 import dataclasses
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from repro.service import (
     SocketServiceClient,
     reset_simulation,
 )
+from repro.utils.journal import Journal
 
 N_SERVERS = 3
 
@@ -507,6 +509,264 @@ class TestPersistence:
         finally:
             restarted.shutdown()
 
+    def _two_jobs_one_run(self, graph, tmp_path):
+        """Submit two jobs, run one, stop without ``shutdown()``: the
+        state dir as the killed process leaves it (no fsync to lose)."""
+        state = str(tmp_path / "state")
+        eng = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        try:
+            eng.register_graph(graph, name="tiny")
+            first = eng.submit(JobSpec(graph="tiny", max_supersteps=3))
+            second = eng.submit(JobSpec(graph="tiny", algorithm="degree"))
+            eng.run_next()
+            return _stopped_copy(state, tmp_path), first, second
+        finally:
+            eng.shutdown()
+
+    def test_unclean_stop_readmits_unfinished_jobs(self, graph, tmp_path):
+        state, first, second = self._two_jobs_one_run(graph, tmp_path)
+        restarted = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        try:
+            assert restarted.get(first.job_id).status == JobStatus.DONE
+            assert restarted.get(second.job_id).status == JobStatus.QUEUED
+            assert restarted.queue.depth() == 1
+            restarted.register_graph(graph, name="tiny")
+            assert restarted.run_next().job_id == second.job_id
+            assert restarted.get(second.job_id).status == JobStatus.DONE
+        finally:
+            restarted.shutdown()
+
+    def test_unclean_stop_resumes_job_ids(self, graph, tmp_path):
+        state, first, _second = self._two_jobs_one_run(graph, tmp_path)
+        restarted = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        try:
+            restarted.register_graph(graph, name="tiny")
+            fresh = restarted.submit(JobSpec(graph="tiny", algorithm="degree"))
+            assert fresh.job_id == "job-00000003"
+            assert restarted.get(first.job_id).status == JobStatus.DONE
+            loaded = restarted.load_result(first.job_id)
+            assert loaded.values.tobytes() == first.result.values.tobytes()
+        finally:
+            restarted.shutdown()
+
+    def test_state_dir_grows_by_the_record_not_the_history(
+        self, graph, tmp_path
+    ):
+        """What a batch and a job write to the state dir is the same at
+        job 5 and at job 200, up to record-size variation: no write is
+        proportional to the history before it."""
+        state = str(tmp_path / "state")
+
+        def files():
+            return {
+                os.path.join(folder, name): os.stat(os.path.join(folder, name))
+                for folder, _dirs, names in os.walk(state)
+                for name in names
+            }
+
+        def written(step):
+            """Bytes ``step`` wrote: every file it created or replaced
+            (a new inode), the growth of every file it appended to."""
+            before = files()
+            step()
+            total = 0
+            for path, st in files().items():
+                old = before.get(path)
+                if old is None or old.st_ino != st.st_ino:
+                    total += st.st_size
+                elif (old.st_size, old.st_mtime_ns) != (st.st_size, st.st_mtime_ns):
+                    assert st.st_size > old.st_size, f"{path} rewritten in place"
+                    total += st.st_size - old.st_size
+            return total
+
+        def round_(i):
+            batch = [{"op": "insert", "src": i % 50, "dst": 60}]
+            return (
+                written(lambda: eng.mutate("tiny", batch)),
+                written(
+                    lambda: _run_one(eng, JobSpec(graph="tiny", algorithm="degree"))
+                ),
+            )
+
+        eng = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        try:
+            eng.register_graph(graph, name="tiny")
+            grown = [round_(i) for i in range(200)]
+        finally:
+            eng.shutdown()
+        (batch_5, job_5), (batch_200, job_200) = grown[4], grown[199]
+        assert abs(batch_200 - batch_5) <= 8  # the id's digits
+        assert abs(job_200 - job_5) <= 0.05 * job_5  # floats' digits
+
+
+def _stopped_copy(state: str, tmp_path) -> str:
+    """A copy of a live engine's state dir: what a kill would leave."""
+    return shutil.copytree(state, str(tmp_path / "stopped"))
+
+
+def _recovery_view(eng, graph: str) -> dict:
+    """What a restart must reproduce: job index, queue, results and the
+    graph's mutation-log replay."""
+    jobs = [(r.job_id, r.status) for r in eng.jobs()]
+    with eng._lock:
+        mpe = eng._graphs[graph].mpe
+    # A restart replays the log as one batch: one compaction.
+    overlays = mpe.delta.store.summary()
+    del overlays["compactions"]
+    return {
+        "jobs": jobs,
+        "queue": [r.job_id for r in eng.queue.snapshot()],
+        "results": {
+            job_id: eng.load_result(job_id).values.tobytes()
+            for job_id, status in jobs
+            if status == JobStatus.DONE
+        },
+        "mutations": [m.to_dict() for m in mpe.mutation_log.mutations],
+        "overlays": overlays,
+    }
+
+
+# A stop at journal byte offset k: rows rewrite the journal a session
+# wrote (record ``i`` ends at ``ends[i]``) and name the step whose state
+# the restart must come back to.
+RECOVERY_ROWS = {
+    "torn-last-record": lambda data, ends: (
+        data[: (ends[-2] + ends[-1]) // 2], -2
+    ),
+    "duplicated-last-record": lambda data, ends: (
+        data + data[ends[-2] : ends[-1]], -1
+    ),
+    # job 1's submit again, after its finish: it must stay done
+    "duplicated-earlier-record": lambda data, ends: (
+        data[: ends[2]] + data[ends[0] : ends[1]] + data[ends[2] :], -1
+    ),
+    "stop-between-records": lambda data, ends: (data[: ends[4]], 4),
+    "stop-inside-a-record": lambda data, ends: (data[: ends[4] + 10], 4),
+}
+
+
+class TestRecovery:
+    """Failure paths as rows: each restarts to the job index, queue,
+    results and mutation-log replay of the step it stopped after."""
+
+    def _session(self, graph, state):
+        """Seven steps of one record each; returns the live engine and,
+        per step, (journal size, the state a restart must reproduce)."""
+        from repro.delta import random_mutations
+
+        eng = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        eng.register_graph(graph, name="evo")
+        journal = os.path.join(state, "journal.log")
+
+        def mark():
+            size = os.path.getsize(journal) if os.path.exists(journal) else 0
+            points.append((size, _recovery_view(eng, "evo")))
+
+        steps = [
+            lambda: eng.submit(
+                JobSpec(graph="evo", algorithm="sssp", params={"source": 1})
+            ),
+            eng.run_next,
+            lambda: eng.mutate("evo", random_mutations(graph, 40, 25, seed=7)),
+            lambda: eng.submit(JobSpec(graph="evo", max_supersteps=3)),
+            lambda: eng.submit(JobSpec(graph="evo", algorithm="degree")),
+            eng.run_next,
+            lambda: eng.mutate("evo", random_mutations(graph, 30, 0, seed=8)),
+        ]
+        points = []
+        mark()
+        for step in steps:
+            step()
+            mark()
+        return eng, points
+
+    def _restart(self, graph, state, expected):
+        restarted = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        try:
+            restarted.register_graph(graph, name="evo")
+            assert _recovery_view(restarted, "evo") == expected
+            fresh = restarted.submit(JobSpec(graph="evo", algorithm="degree"))
+            assert fresh.job_id == f"job-{len(expected['jobs']) + 1:08d}"
+        finally:
+            restarted.shutdown()
+
+    @pytest.mark.parametrize("row", sorted(RECOVERY_ROWS))
+    def test_restart_recovers(self, graph, tmp_path, row):
+        state = str(tmp_path / "state")
+        eng, points = self._session(graph, state)
+        try:
+            stopped = _stopped_copy(state, tmp_path)
+        finally:
+            eng.shutdown()
+        path = os.path.join(stopped, "journal.log")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        journal, step = RECOVERY_ROWS[row](data, [size for size, _ in points])
+        with open(path, "wb") as fh:
+            fh.write(journal)
+        self._restart(graph, stopped, points[step][1])
+
+    def test_restart_over_a_compacted_journal(
+        self, graph, tmp_path, monkeypatch
+    ):
+        """A journal that outgrew its snapshot was folded into it: the
+        restart reads the snapshot, then the records after it."""
+        import repro.service.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "JOURNAL_MIN_BYTES", 2000)
+        state = str(tmp_path / "state")
+        eng, points = self._session(graph, state)
+        try:
+            stopped = _stopped_copy(state, tmp_path)
+        finally:
+            eng.shutdown()
+        assert os.path.exists(os.path.join(stopped, "mutlog-evo.json"))
+        sizes = [size for size, _ in points]
+        assert any(b < a for a, b in zip(sizes, sizes[1:])), sizes
+        assert sizes[-1] > 0
+        self._restart(graph, stopped, points[-1][1])
+
+    def test_sigkilled_serve_restarts_with_its_jobs(self, tmp_path):
+        from repro.graph.io import load_edge_list_csv
+
+        state = tmp_path / "state"
+        proc, port, edges = _start_serve(tmp_path, state)
+        ops = [{"op": "insert", "src": 1, "dst": 2}, {"op": "insert", "src": 3, "dst": 4}]
+        try:
+            client = SocketServiceClient(port=port, timeout=60.0)
+            ids = []
+            for algorithm in ("pagerank", "degree"):
+                submitted = client.submit(graph="g", algorithm=algorithm)
+                assert client.wait(submitted["job_id"], timeout=60.0)[
+                    "status"
+                ] == JobStatus.DONE
+                ids.append(submitted["job_id"])
+            client.mutate("g", ops)
+            values = client.result(ids[0])["values"]
+            proc.kill()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate(timeout=60.0)
+        assert proc.returncode == -signal.SIGKILL
+        restarted = Engine(num_servers=2, state_dir=str(state), share_tiles=False)
+        try:
+            assert [(r.job_id, r.status) for r in restarted.jobs()] == [
+                (job_id, JobStatus.DONE) for job_id in ids
+            ]
+            assert restarted.queue.depth() == 0
+            assert restarted.load_result(ids[0]).values.tolist() == values
+            restarted.register_graph(load_edge_list_csv(str(edges)), name="g")
+            with restarted._lock:
+                log = restarted._graphs["g"].mpe.mutation_log
+            assert [
+                {"op": m.op, "src": m.src, "dst": m.dst} for m in log.mutations
+            ] == ops
+            fresh = restarted.submit(JobSpec(graph="g", algorithm="degree"))
+            assert fresh.job_id == "job-00000003"
+        finally:
+            restarted.shutdown()
+
 
 # ----------------------------------------------------------------------
 # Evolving graphs (repro.delta): mutate-while-serving + durability
@@ -574,7 +834,10 @@ class TestEvolvingGraphs:
         eng.run_next()
         client.wait(r["job_id"])
         client.mutate("evo", self._mutations(graph))
-        assert os.path.exists(os.path.join(state, "mutlog-evo.json"))
+        # The batch is journaled; the snapshot waits for the shutdown.
+        journal = Journal(os.path.join(state, "journal.log")).replay()
+        assert [e["graph"] for e in journal if e["op"] == "mutate"] == ["evo"]
+        assert not os.path.exists(os.path.join(state, "mutlog-evo.json"))
         r = client.submit(graph="evo", algorithm="sssp",
                           params={"source": 1})
         eng.run_next()
@@ -843,37 +1106,46 @@ class TestClusterBuild:
 # ----------------------------------------------------------------------
 # CLI: repro serve under SIGTERM (graceful drain end-to-end)
 # ----------------------------------------------------------------------
+def _start_serve(tmp_path, state, *flags):
+    """``repro serve`` on a generated graph ``g``: (process, port, edge
+    file).  The caller kills and reaps the process in a ``finally``."""
+    edges = tmp_path / "g.csv"
+    env = dict(os.environ, PYTHONPATH="src")
+    subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "generate", str(edges),
+            "--kind", "rmat", "--scale", "6", "--seed", "5",
+        ],
+        check=True, env=env, cwd=_repo_root(),
+    )
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve", str(edges),
+            "--servers", "2", "--port", "0", "--state-dir", str(state),
+            *flags,
+        ],
+        env=env, cwd=_repo_root(),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        line = proc.stdout.readline()
+        if "listening on" in line:
+            return proc, int(line.rsplit(":", 1)[1]), edges
+        if not line and proc.poll() is not None:
+            break
+    proc.kill()
+    proc.communicate()
+    raise AssertionError("serve never reported its port")
+
+
 class TestServeCli:
     def test_sigterm_drains_and_persists(self, tmp_path):
-        edges = tmp_path / "g.csv"
-        env = dict(os.environ, PYTHONPATH="src")
-        subprocess.run(
-            [
-                sys.executable, "-m", "repro.cli", "generate", str(edges),
-                "--kind", "rmat", "--scale", "6", "--seed", "5",
-            ],
-            check=True, env=env, cwd=_repo_root(),
-        )
         state = tmp_path / "state"
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve", str(edges),
-                "--servers", "2", "--port", "0",
-                "--state-dir", str(state),
-                "--trace-out", str(tmp_path / "trace.json"),
-            ],
-            env=env, cwd=_repo_root(),
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        proc, port, _edges = _start_serve(
+            tmp_path, state, "--trace-out", str(tmp_path / "trace.json")
         )
         try:
-            port = None
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                line = proc.stdout.readline()
-                if "listening on" in line:
-                    port = int(line.rsplit(":", 1)[1])
-                    break
-            assert port, "serve never reported its port"
             client = SocketServiceClient(port=port, timeout=60.0)
             submitted = client.submit(
                 graph="g", algorithm="pagerank", params=PAGERANK_PARAMS
