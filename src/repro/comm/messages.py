@@ -16,6 +16,10 @@ vertices / total vertices, footnote 5) exceeds ``SPARSITY_THRESHOLD``
 (0.8 in the paper) the sparse form is used.  The codec is applied to the
 whole payload; Figure 8c/8d study raw vs snappy vs zlib-1 vs zlib-3 and
 the paper settles on snappy as the default.
+
+Ids are positions in the sender's value array and strictly increasing:
+an id appears once, so both forms carry the same set (a repeated id
+would survive the sparse list and collapse in the bitvector).
 """
 
 from __future__ import annotations
@@ -104,7 +108,8 @@ def encode_update(
         The full ``float64[|V|]`` value array (dense encoding slices
         nothing; sparse encoding gathers ``values[updated_ids]``).
     updated_ids:
-        Sorted ids of vertices this server updated this superstep.
+        Strictly increasing ids of vertices this server updated this
+        superstep (``ValueError`` otherwise).
     codec_name:
         Payload compressor (one of the cache-mode codecs).
     mode:
@@ -116,8 +121,8 @@ def encode_update(
     if ids.size:
         if ids.min() < 0 or ids.max() >= num_vertices:
             raise ValueError("updated ids out of range")
-        if np.any(np.diff(ids) < 0):
-            raise ValueError("updated ids must be sorted")
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("updated ids must be sorted and strictly increasing")
     if mode is None:
         mode = choose_mode(ids.size, num_vertices, threshold)
     if mode == DENSE:
@@ -195,6 +200,12 @@ def decode_update(data: bytes) -> UpdatePayload:
         ids = decode_sorted_ids(payload[16 : 16 + id_len]).astype(np.int64)
         if ids.size != count:
             raise ValueError("sparse payload size mismatch")
+        if ids.size and (
+            ids[0] < 0 or ids[-1] >= num_vertices or np.any(ids[1:] <= ids[:-1])
+        ):
+            raise ValueError(
+                "sparse ids must be strictly increasing and below the vertex count"
+            )
         values = np.frombuffer(
             payload, dtype=np.float64, offset=16 + id_len, count=count
         )

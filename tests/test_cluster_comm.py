@@ -392,6 +392,14 @@ class TestUpdateMessages:
         with pytest.raises(ValueError):
             decode_update(b"\x00")
 
+    @pytest.mark.parametrize("mode", [DENSE, SPARSE, None])
+    def test_duplicate_ids_are_refused_in_every_mode(self, mode):
+        """A repeated id would decode as itself from the sparse list and
+        collapse into one bit of the dense mask (and count twice toward
+        the hybrid choice): the wire carries strictly increasing ids."""
+        with pytest.raises(ValueError, match="strictly increasing"):
+            encode_update(np.zeros(5), np.array([1, 1, 3]), "raw", mode=mode)
+
     @settings(max_examples=40)
     @given(
         num_vertices=st.integers(1, 300),
@@ -516,6 +524,73 @@ class TestDecodeAdversarial:
             with pytest.raises(ValueError):
                 out.values[0] = 5.0
 
+    @staticmethod
+    def _sparse_message(ids, num_vertices, codec="raw"):
+        """A sparse envelope around an arbitrary id list (zero values):
+        the id block is whatever the gaps say, sorted or not."""
+        from repro.utils.varint import encode_uvarints
+
+        ids = np.asarray(ids, dtype=np.int64)
+        gaps = np.diff(ids, prepend=0) if ids.size else ids
+        id_block = encode_uvarints(gaps.astype(np.uint64))
+        payload = (
+            ids.size.to_bytes(8, "little")
+            + len(id_block).to_bytes(8, "little")
+            + id_block
+            + b"\x00" * (8 * ids.size)
+        )
+        from repro.storage.codecs import get_codec
+
+        header = bytes(
+            [SPARSE, TestDecodeAdversarial._codec_id(codec)]
+        ) + num_vertices.to_bytes(8, "little")
+        return header + get_codec(codec).compress(payload)
+
+    def test_sparse_repeated_id_is_rejected(self):
+        assert decode_update(self._sparse_message([1, 3], 8)).ids.tolist() == [1, 3]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            decode_update(self._sparse_message([1, 1, 3], 8))
+
+    def test_sparse_id_at_or_past_the_vertex_count_is_rejected(self):
+        assert decode_update(self._sparse_message([7], 8)).ids.tolist() == [7]
+        for ids in ([8], [2, 8], [3, 300]):
+            with pytest.raises(ValueError, match="below the vertex count"):
+                decode_update(self._sparse_message(ids, 8))
+
+    @settings(max_examples=150)
+    @given(
+        ids=st.lists(st.integers(0, 40), max_size=12),
+        num_vertices=st.integers(0, 40),
+        codec=st.sampled_from(["raw", "snappylike", "zlib1"]),
+    )
+    def test_fuzz_sparse_id_blocks(self, ids, num_vertices, codec):
+        """Any id list behind a well-formed sparse frame: decoded exactly
+        when strictly increasing and below the vertex count, refused
+        with ValueError otherwise."""
+        valid = all(b > a for a, b in zip(ids, ids[1:])) and all(
+            i < num_vertices for i in ids
+        )
+        msg = self._sparse_message(ids, num_vertices, codec)
+        if valid:
+            assert decode_update(msg).ids.tolist() == ids
+        else:
+            with pytest.raises(ValueError):
+                decode_update(msg)
+
+    @settings(max_examples=100)
+    @given(
+        ids=st.lists(st.integers(0, 30), max_size=12),
+        mode=st.sampled_from([DENSE, SPARSE, None]),
+    )
+    def test_fuzz_encode_accepts_exactly_strictly_increasing_ids(self, ids, mode):
+        values = np.arange(31, dtype=np.float64)
+        if all(b > a for a, b in zip(ids, ids[1:])):
+            out = decode_update(encode_update(values, np.array(ids), "raw", mode))
+            assert out.ids.tolist() == ids
+        else:
+            with pytest.raises(ValueError):
+                encode_update(values, np.array(ids, dtype=np.int64), "raw", mode)
+
     @settings(max_examples=200)
     @given(data=st.binary(max_size=200))
     def test_fuzz_never_crashes(self, data):
@@ -536,3 +611,4 @@ class TestDecodeAdversarial:
             decode_update(framed)
         except ValueError:
             pass
+
