@@ -33,8 +33,10 @@ def test_kernel_gather_apply_pagerank(benchmark, web_tile):
     store = AllInAllStore(program.init_values(g), g.out_degrees)
     # The slot is per superstep, not per tile: built outside the timing.
     slot = store.message_slot(program)
-    ids, vals = benchmark(_sweep_run, program, TileRun.of_tile(tile), store, slot)
-    assert ids.size <= g.num_vertices
+    ids, vals, rows = benchmark(
+        _sweep_run, program, TileRun.of_tile(tile, 0), store, slot
+    )
+    assert ids.size == rows.size <= g.num_vertices
 
 
 def test_kernel_gather_apply_sssp(benchmark):
@@ -43,7 +45,7 @@ def test_kernel_gather_apply_sssp(benchmark):
     program = SSSP(source=0)
     store = AllInAllStore(program.init_values(g), None)
     # weighted: evaluated per edge
-    benchmark(_sweep_run, program, TileRun.of_tile(tile), store, None)
+    benchmark(_sweep_run, program, TileRun.of_tile(tile, 0), store, None)
 
 
 def test_kernel_segment_reduce_add(benchmark):

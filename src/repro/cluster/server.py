@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.cluster.counters import Counters, CounterSnapshot
 from repro.obs.trace import NULL_BUFFER
@@ -284,7 +284,10 @@ class Server:
             return obj
 
     def tile_runs(
-        self, loaded: Iterable[tuple[str, Any]], join: bool = True
+        self,
+        loaded: Iterable[tuple[str, Any]],
+        first_rows: Mapping[int, int],
+        join: bool = True,
     ) -> Iterator[TileRun]:
         """Group a sweep's tiles — ``(blob name, tile)`` as
         :meth:`load_tile` returned them, in sweep order, pulled lazily so
@@ -300,6 +303,11 @@ class Server:
         so it is never held.  ``join=False`` keeps every
         tile on its own (the slab holds no edge values: a sweep that
         reads them goes tile by tile).
+
+        Every run knows where its first target sits in this server's
+        target index: a slab run from its row offset, a tile the slab
+        does not hold (decoded cache off) from ``first_rows`` (tile id
+        -> position, static since setup).
         """
         slab = self.decoded_cache.slab if self.decoded_cache is not None else None
         limit = (slab.max_run if join else 1) if slab is not None else None
@@ -318,7 +326,7 @@ class Server:
             elif pos is not None:
                 yield slab.run(pos, pos)
             else:
-                yield TileRun.of_tile(tile)
+                yield TileRun.of_tile(tile, first_rows[tile.tile_id])
         if first is not None:
             yield slab.run(first, last)
 

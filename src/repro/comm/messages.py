@@ -20,12 +20,22 @@ the paper settles on snappy as the default.
 Ids are positions in the sender's value array and strictly increasing:
 an id appears once, so both forms carry the same set (a repeated id
 would survive the sparse list and collapse in the bitvector).
+
+All updated
+-----------
+A dense message whose ids are exactly ``0 … |V|−1`` — every value
+changed, as in PageRank's early supersteps — is framed without the
+bitvector work: its mask is the cached all-ones mask for ``|V|`` and its
+value array is the sender's array as is.  The bytes are the ones the
+general path builds, so the wire is unchanged; the decoder recognises
+that mask and answers ``arange(|V|)`` without unpacking it.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +74,14 @@ def _dense_scratch(num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
         pair[0][...] = False
         pair[1][...] = 0.0
     return pair
+
+
+@lru_cache(maxsize=64)
+def _all_ones_mask(num_vertices: int) -> bytes:
+    """The dense bitvector of a message that updates every vertex."""
+    return np.packbits(
+        np.ones(num_vertices, dtype=bool), bitorder="little"
+    ).tobytes()
 
 
 @dataclass(frozen=True)
@@ -125,7 +143,10 @@ def encode_update(
             raise ValueError("updated ids must be sorted and strictly increasing")
     if mode is None:
         mode = choose_mode(ids.size, num_vertices, threshold)
-    if mode == DENSE:
+    if mode == DENSE and ids.size == num_vertices:
+        # Strictly increasing and in range: ids are exactly 0 … n−1.
+        payload = _all_ones_mask(num_vertices) + values.tobytes()
+    elif mode == DENSE:
         bits, dense_values = _dense_scratch(num_vertices)
         bits[ids] = True
         # Non-updated slots are transmitted as zeros — the paper's own
@@ -176,6 +197,16 @@ def decode_update(data: bytes) -> UpdatePayload:
         mask_bytes = (num_vertices + 7) // 8
         if len(payload) != mask_bytes + 8 * num_vertices:
             raise ValueError("dense payload size mismatch")
+        if payload[:mask_bytes] == _all_ones_mask(num_vertices):
+            ids = np.arange(num_vertices, dtype=np.int64)
+            updated = np.frombuffer(
+                payload, dtype=np.float64, offset=mask_bytes, count=num_vertices
+            ).copy()
+            ids.setflags(write=False)
+            updated.setflags(write=False)
+            return UpdatePayload(
+                ids=ids, values=updated, num_vertices=num_vertices, mode=DENSE
+            )
         bits = np.unpackbits(
             np.frombuffer(payload, dtype=np.uint8, count=mask_bytes),
             bitorder="little",

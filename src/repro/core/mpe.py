@@ -296,8 +296,10 @@ class MPE:
         # while no schedule has routed a decision through a filter.
         self.filters_built: dict | None = None
         # Per-server sorted global ids of the targets its tiles own —
-        # the shared static index behind range-dense broadcasts.
+        # the shared static index behind range-dense broadcasts — and
+        # where each tile's first target sits in it (tile id -> row).
         self._server_target_ids: list[np.ndarray] = []
+        self._tile_first_rows: list[dict[int, int]] = []
         # Installed by repro.faults.FaultInjector.attach(); None in
         # normal runs.
         self.injector = None
@@ -495,14 +497,19 @@ class MPE:
         # traffic O(N|V|) cluster-wide, Table III).
         splitter = self.manifest.splitter
         self._server_target_ids = []
+        self._tile_first_rows = []
         for server_id in range(n):
-            ranges = [
-                np.arange(splitter[tid], splitter[tid + 1], dtype=np.int64)
-                for tid, _, _ in self._assignments[server_id]
-            ]
+            ranges, first_rows, row = [], {}, 0
+            for tid, _, _ in self._assignments[server_id]:
+                first_rows[tid] = row
+                ranges.append(
+                    np.arange(splitter[tid], splitter[tid + 1], dtype=np.int64)
+                )
+                row += ranges[-1].size
             self._server_target_ids.append(
                 np.concatenate(ranges) if ranges else np.zeros(0, dtype=np.int64)
             )
+            self._tile_first_rows.append(first_rows)
         self._check_static_layout()
         # Edge cache per server (§IV-B): capacity = configured budget,
         # mode auto-selected from the server's own tile volume.
@@ -531,8 +538,8 @@ class MPE:
         * Each server's tile ids are strictly ascending, so its per-tile
           changed-id parts — ascending disjoint target ranges — arrive
           already sorted and the sweep concatenates them without a sort.
-        * Every vertex has exactly one owning server, so all senders'
-          updates land in one batched ``store.write`` per receiver: with
+        * Every vertex has exactly one owning server, so each sender's
+          update lands with its own ``store.write``, in any order: with
           disjoint targets the write order cannot matter.
         """
         for server_id, tiles in enumerate(self._assignments):
@@ -546,7 +553,7 @@ class MPE:
         all_targets = np.concatenate(self._server_target_ids)
         if sorted_unique(all_targets).size != all_targets.size:
             raise RuntimeError(
-                "servers' target ids overlap: the batched apply scatter "
+                "servers' target ids overlap: the per-sender apply "
                 "needs every vertex owned by exactly one server"
             )
 
@@ -1355,6 +1362,7 @@ class MPE:
                 slot = store.message_slot(program)
             changed_ids_parts: list[np.ndarray] = []
             changed_vals_parts: list[np.ndarray] = []
+            changed_rows_parts: list[np.ndarray] = []
             tile_edge_counts: list[int] = []
             # Pending overlays' (bytes, edits) by tile id; empty unless
             # mutations are.
@@ -1420,12 +1428,15 @@ class MPE:
                 # Edge values live in the tiles, not in the slab: a program
                 # that reads them sweeps tile by tile.
                 for run in server.tile_runs(
-                    metered(scheduled), join=not program.uses_edge_weight
+                    metered(scheduled),
+                    self._tile_first_rows[server.server_id],
+                    join=not program.uses_edge_weight,
                 ):
-                    ids, vals = _sweep_run(program, run, store, slot)
+                    ids, vals, rows = _sweep_run(program, run, store, slot)
                     if ids.size:
                         changed_ids_parts.append(ids)
                         changed_vals_parts.append(vals)
+                        changed_rows_parts.append(rows)
             finally:
                 if prefetcher is not None:
                     prefetcher.close()
@@ -1450,28 +1461,33 @@ class MPE:
 
             # Per-tile parts cover ascending disjoint target ranges and a
             # server's tile list is ascending (_check_static_layout), so
-            # the concatenation is already sorted.
+            # the concatenation is already sorted — in global ids and in
+            # positions of the server's target index alike.
             if changed_ids_parts:
                 ids = np.concatenate(changed_ids_parts)
                 vals = np.concatenate(changed_vals_parts)
+                local_ids = np.concatenate(changed_rows_parts)
             else:
-                ids = np.zeros(0, dtype=np.int64)
+                ids = local_ids = np.zeros(0, dtype=np.int64)
                 vals = np.zeros(0, dtype=np.float64)
 
             # Stage this server's updated-value broadcast: dense form
             # covers only the targets its tiles own (receivers share the
             # static target index), sparse form ships local (index, value)
-            # pairs.
+            # pairs — addressed by the positions the sweep produced.
             payload = None
             if len(self.cluster.servers) > 1:
                 with trace.span("encode", "comm", updated=int(ids.size)):
                     own_targets = self._server_target_ids[server.server_id]
-                    # gather_values fancy-indexes into a fresh array — safe to
-                    # scatter into directly (the seed's extra .copy() doubled
-                    # the allocation for nothing).
-                    staged = store.gather_values(own_targets)
-                    local_ids = np.searchsorted(own_targets, ids)
-                    staged[local_ids] = vals
+                    if local_ids.size == own_targets.size:
+                        # Every target changed: the new values *are* the
+                        # server's slice, in index order.
+                        staged = vals
+                    else:
+                        # gather_values answers a fresh array — safe to
+                        # scatter into directly.
+                        staged = store.gather_values(own_targets)
+                        staged[local_ids] = vals
                     forced = {
                         "dense": DENSE,
                         "sparse": SPARSE,
@@ -1517,27 +1533,31 @@ class MPE:
         Each distinct payload is decoded once per superstep
         (:meth:`_decode_payload`) while every receiver still charges its
         own decompress bytes — the modeled cost is per-receiver NIC
-        work, §IV-C — and everything lands in one batched scatter:
-        sender target sets are disjoint (:meth:`_check_static_layout`),
-        so the write order cannot matter.
+        work, §IV-C — and each sender's update lands where it is, with
+        its own ``store.write``: sender target sets are disjoint
+        (:meth:`_check_static_layout`), so the write order cannot
+        matter, and nothing is concatenated.  A payload carrying every
+        position of the sender's target index (strictly increasing ids
+        ``0 … n−1``) writes through that index itself.
         """
         with server.trace.span("apply", "phase", inbox=len(inbox)):
             # The superstep's effective knobs: all senders encoded with
             # the same per-superstep codec (parent-resolved; the compute
             # handler put them into force wherever this runs).
             codec = self._knobs.message_codec
-            id_parts, val_parts = [own_update[0]], [own_update[1]]
+            store = server.state["store"]
+            store.write(*own_update)
             hits = 0
             for src, payload_bytes in inbox:
                 payload, hit = self._decode_payload(server, src, payload_bytes)
                 hits += hit
-                id_parts.append(self._server_target_ids[src][payload.ids])
-                val_parts.append(payload.values)
+                targets = self._server_target_ids[src]
+                if payload.ids.size == payload.num_vertices == targets.size:
+                    store.write(targets, payload.values)
+                else:
+                    store.write(targets[payload.ids], payload.values)
                 if codec != "raw":
                     server.counters.add_decompressed(codec, len(payload_bytes))
-            server.state["store"].write(
-                np.concatenate(id_parts), np.concatenate(val_parts)
-            )
         return hits, len(inbox) - hits
 
     def _decode_payload(self, server, src: int, payload_bytes: bytes):
@@ -1661,14 +1681,15 @@ def _sweep_run(
     run: TileRun,
     store,
     slot: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised Gather + Apply over one run of tiles' targets.
 
     ``store`` is either replica policy's vertex store (see
     :mod:`repro.core.vertexstore`); ``slot`` is its ``message_slot`` for
     this superstep, or ``None`` for a program whose message reads the
     edge weight and is therefore evaluated per edge.  Returns (changed
-    global ids, their new values), ascending as the run's targets are.
+    global ids, their new values, their positions in the server's
+    target index), ascending as the run's targets are.
     """
     col = run.col
     if slot is not None:
@@ -1682,4 +1703,5 @@ def _sweep_run(
     old = store.gather_values(run.target_ids)
     new = program.apply(accum, old, run.target_ids)
     changed = np.flatnonzero(program.value_changed(new, old))
-    return run.target_ids[changed], new[changed]
+    rows = changed + run.first_row if run.first_row else changed
+    return run.target_ids[changed], new[changed], rows

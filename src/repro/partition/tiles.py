@@ -213,18 +213,27 @@ class TileRun(NamedTuple):
     target, so joining tiles end to end joins their segment plans: row
     ``i`` of the run is ``target_ids[i]``, reduced over its own edges
     only, exactly as inside its tile.
+
+    ``first_row`` is where row 0 sits in the server's target index (the
+    concatenation of its tiles' target ranges), so row ``i`` is position
+    ``first_row + i`` there — the address a broadcast carries (§IV-C),
+    known without searching for the id.
     """
 
     col: np.ndarray  # int64 source id per edge
     plan: SegmentPlan  # edges -> target rows
     target_ids: np.ndarray  # int64 global id per target row
     tiles: tuple  # the tiles covered, in sweep order
+    first_row: int  # position of target_ids[0] in the server's target index
 
     @classmethod
-    def of_tile(cls, tile: Tile) -> "TileRun":
+    def of_tile(cls, tile: Tile, first_row: int) -> "TileRun":
         """One tile on its own (lazily materialised) shadows — a tile no
-        :class:`TileSlab` holds: decoded cache off or bounded."""
-        return cls(tile.col_int64, tile.segment_plan, tile.target_ids, (tile,))
+        :class:`TileSlab` holds (decoded cache off) — whose first target
+        sits at ``first_row`` of its server's target index."""
+        return cls(
+            tile.col_int64, tile.segment_plan, tile.target_ids, (tile,), first_row
+        )
 
     def edge_values(self) -> np.ndarray:
         """Edge value per element of ``col`` — of a one-tile run: tiles
@@ -331,7 +340,7 @@ class TileSlab:
         self._nonempty[r : r + plan.n_rows] = plan.nonempty
         plan.nonempty = self._nonempty[r : r + plan.n_rows]
         self._single[pos] = TileRun(
-            col, plan, self.target_ids[r : r + plan.n_rows], (tile,)
+            col, plan, self.target_ids[r : r + plan.n_rows], (tile,), r
         )
         return pos
 
@@ -350,6 +359,7 @@ class TileSlab:
             plan,
             self.target_ids[r0:r1],
             tuple(run.tiles[0] for run in self._single[first : last + 1]),
+            r0,
         )
 
 

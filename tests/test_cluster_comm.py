@@ -1,5 +1,6 @@
 """Tests for the cluster simulation and communication layer."""
 
+import contextlib
 import copy
 import dataclasses
 
@@ -612,3 +613,100 @@ class TestDecodeAdversarial:
         except ValueError:
             pass
 
+
+def _general_dense_message(values, ids, codec):
+    """The dense frame built the general way — bitvector from the ids,
+    zeros where nothing changed — independently of encode_update."""
+    from repro.comm.messages import _CODEC_IDS
+    from repro.storage.codecs import get_codec
+
+    n = values.size
+    bits = np.zeros(n, dtype=bool)
+    bits[ids] = True
+    dense = np.zeros(n)
+    dense[ids] = values[ids]
+    payload = np.packbits(bits, bitorder="little").tobytes() + dense.tobytes()
+    header = bytes([DENSE, _CODEC_IDS[codec]]) + n.to_bytes(8, "little")
+    return header + get_codec(codec).compress(payload)
+
+
+class TestAllUpdatedFraming:
+    """A dense message updating every vertex skips the mask work on both
+    ends and changes no byte and no decoded bit."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _mask(replace=None):
+        """Count the all-ones mask lookups (or answer ``replace(n)``
+        instead) for the body of the block."""
+        from repro.comm import messages
+
+        calls, mask = [], messages._all_ones_mask
+        messages._all_ones_mask = lambda n: calls.append(n) or (replace or mask)(n)
+        try:
+            yield calls
+        finally:
+            messages._all_ones_mask = mask
+
+    @settings(max_examples=60)
+    @given(
+        blocks=st.integers(0, 6),
+        tail=st.integers(0, 7),
+        codec=st.sampled_from(["raw", "snappylike", "zlib1"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_all_updated_bytes_equal_the_general_path(self, blocks, tail, codec, seed):
+        """Every n mod 8 (the mask's last byte is partial for 1…7)."""
+        n = 8 * blocks + tail
+        if n == 0:
+            return
+        values = np.random.default_rng(seed).standard_normal(n)
+        values[::3] = 0.0
+        ids = np.arange(n)
+        msg = encode_update(values, ids, codec, mode=DENSE)
+        assert msg == _general_dense_message(values, ids, codec)
+        # The hybrid rule picks dense for an all-updated set.
+        assert encode_update(values, ids, codec) == msg
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(1, 70),
+        codec=st.sampled_from(["raw", "snappylike", "zlib1"]),
+        data=st.data(),
+    )
+    def test_gaps_and_empty_sets_take_the_general_path(self, n, codec, data):
+        values = np.linspace(-1.0, 1.0, n)
+        k = data.draw(st.integers(0, n - 1))
+        ids = np.sort(
+            np.random.default_rng(n + k).choice(n, size=k, replace=False)
+        ).astype(np.int64)
+        with self._mask() as calls:
+            msg = encode_update(values, ids, codec, mode=DENSE)
+        assert calls == []
+        assert msg == _general_dense_message(values, ids, codec)
+
+    def test_duplicates_never_reach_the_all_updated_path(self):
+        # n ids, one repeated: the count matches n, the set does not.
+        with self._mask() as calls, pytest.raises(ValueError, match="strictly"):
+            encode_update(np.zeros(4), np.array([0, 1, 1, 3]), "raw", mode=DENSE)
+        assert calls == []
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(1, 70),
+        codec=st.sampled_from(["raw", "snappylike", "zlib1"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_all_ones_decode_equals_the_general_decode(self, n, codec, seed):
+        values = np.random.default_rng(seed).standard_normal(n)
+        msg = encode_update(values, np.arange(n), codec, mode=DENSE)
+        fast = decode_update(msg)
+        # A mask no payload can equal: the decoder unpacks the bits.
+        with self._mask(replace=lambda m: b"\x00" * (m + 1)):
+            general = decode_update(msg)
+        for name in ("ids", "values"):
+            a, b = getattr(fast, name), getattr(general, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert a.flags.writeable is b.flags.writeable is False
+        assert (fast.mode, fast.num_vertices) == (general.mode, general.num_vertices)
+        assert fast.values.tobytes() == values.tobytes()

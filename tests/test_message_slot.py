@@ -208,8 +208,9 @@ class TestSlot:
         with pytest.raises(ValueError):
             slot[0] = -1.0
         assert store._values.flags.writeable  # the replica itself still is
-        ids, _ = _sweep_run(program, TileRun.of_tile(tile), store, slot)
+        ids, _, rows = _sweep_run(program, TileRun.of_tile(tile, 0), store, slot)
         assert ids.size  # the sweep changed something, but applied nothing
+        assert rows.tolist() == ids.tolist()  # the tile starts the index at 0
         assert store._values.tobytes() == values.tobytes()
 
     @pytest.mark.skipif(

@@ -308,6 +308,55 @@ TRANSPORTS = [
 ]
 
 
+class TestRunPositions:
+    """A run carries where its rows sit in the server's target index, so
+    the sweep hands the broadcast its changed rows' positions instead of
+    the engine searching the index for the changed ids: whatever formed
+    the run, they are the positions that search would find."""
+
+    @pytest.fixture(autouse=True)
+    def _configured(self, monkeypatch):
+        # Checked inside the kernel, in this process.
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+
+    CASES = {
+        "slab runs": (PROGRAMS["pagerank"][0], None, {}),
+        "runs of one": (PROGRAMS["sssp"][0], None, {}),
+        "max_run=1": (PROGRAMS["pagerank"][0], 1, {}),
+        "decoded_cache=False": (PROGRAMS["bfs"][0], None, {"decoded_cache": False}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_positions_are_what_searching_the_index_finds(
+        self, graph, monkeypatch, case
+    ):
+        make, max_run, cfg = self.CASES[case]
+        kernel = mpe_module._sweep_run
+        lengths = []
+
+        def checked(program, run, store, slot):
+            ids, vals, rows = kernel(program, run, store, slot)
+            (server,) = [
+                s for s in mpe.cluster.servers if s.state.get("store") is store
+            ]
+            own = mpe._server_target_ids[server.server_id]
+            span = own[run.first_row : run.first_row + run.target_ids.size]
+            assert np.array_equal(span, run.target_ids)
+            assert np.array_equal(rows, np.searchsorted(own, ids))
+            lengths.append(len(run.tiles))
+            return ids, vals, rows
+
+        monkeypatch.setattr(mpe_module, "_sweep_run", checked)
+        mpe, cluster = _engine(graph, max_run, **cfg)
+        try:
+            for _ in range(2):  # cold, then warm: slab runs need a filled slab
+                mpe.run(make())
+        finally:
+            cluster.close()
+        assert lengths
+        assert (max(lengths) > 1) == (case == "slab runs")
+
+
 class TestRunsOfOneIdentity:
     @pytest.fixture(autouse=True)
     def _configured(self, monkeypatch):

@@ -16,9 +16,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.experiments import run_graphh
 from repro.apps import PageRank, SSSP, WCC
+from repro.comm import DENSE, SPARSE, encode_update
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, SPE, MPEConfig
 from repro.graph import chung_lu_graph
@@ -1087,8 +1090,8 @@ def _engine(graph, **cfg):
 
 class TestStaticLayout:
     """The superstep neither sorts a server's concatenated update parts
-    nor falls back to per-sender writes: the two placement facts that
-    make both unnecessary are checked once, at setup."""
+    nor orders its per-sender writes: the two placement facts that make
+    both unnecessary are checked once, at setup."""
 
     @pytest.mark.parametrize("policy", ["aa", "od"])
     @pytest.mark.parametrize("assignment", ["round_robin", "balanced"])
@@ -1127,17 +1130,28 @@ class TestStaticLayout:
 
 
 def _oracle_apply(mpe, store, counters, own_update, inbox):
-    """The per-sender reference for one server's barrier work: decode
-    every envelope, one ``store.write`` per sender in inbox order."""
+    """The concatenated reference for one server's barrier work: decode
+    every envelope without the decode-once cache, translate each
+    sender's positions through its target index, and land the own
+    update and every sender's in one ``store.write``."""
     from repro.comm import decode_update
 
     codec = mpe._knobs.message_codec
-    store.write(*own_update)
+    id_parts, val_parts = [own_update[0]], [own_update[1]]
     for src, payload_bytes in inbox:
         payload = decode_update(payload_bytes)
-        store.write(mpe._server_target_ids[src][payload.ids], payload.values)
+        id_parts.append(mpe._server_target_ids[src][payload.ids])
+        val_parts.append(payload.values)
         if codec != "raw":
             counters.add_decompressed(codec, len(payload_bytes))
+    store.write(np.concatenate(id_parts), np.concatenate(val_parts))
+
+
+@pytest.fixture(scope="module")
+def apply_engine(skewed):
+    mpe = _engine(skewed)
+    yield mpe
+    mpe.cluster.close()
 
 
 def _store_content(store):
@@ -1150,7 +1164,8 @@ def _store_content(store):
 class TestDecodeOnceApply:
     """How a broadcast is applied: each payload decoded once per
     superstep and shared across receivers, every receiver still charged
-    its own decompress bytes, one batched scatter per receiver."""
+    its own decompress bytes, each sender written where it lands — and
+    the result the one concatenated scatter per receiver would leave."""
 
     @pytest.fixture(autouse=True)
     def _configured_executor(self, monkeypatch):
@@ -1165,7 +1180,7 @@ class TestDecodeOnceApply:
     def test_matches_per_sender_oracle(self, skewed, policy, codec):
         """Differential: on every (own_update, inbox) of real 3-server
         supersteps, the engine leaves the store and the receiver's
-        Counters exactly where the per-sender oracle does."""
+        Counters exactly where the concatenated oracle does."""
         import copy
 
         mpe = _engine(
@@ -1194,6 +1209,67 @@ class TestDecodeOnceApply:
             mpe.cluster.close()
         # Every receiver of every superstep, each with a full inbox.
         assert checked == [2] * (3 * result.num_supersteps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kinds=st.lists(
+            st.sampled_from(["none", "some", "all"]), min_size=2, max_size=2
+        ),
+        mode=st.sampled_from([DENSE, SPARSE, None]),
+        codec=st.sampled_from(["raw", "snappylike"]),
+        seed=st.integers(0, 2**16),
+    )
+    @pytest.mark.parametrize("policy", ["aa", "od"])
+    def test_per_sender_apply_equals_the_concatenated_apply(
+        self, apply_engine, policy, kinds, mode, codec, seed
+    ):
+        """Random inboxes — senders updating nothing, some or all of
+        their targets (the last written through the target index
+        itself), in every wire mode — into AA and OD stores: the engine
+        leaves the store bytes and the Counters where the concatenated
+        oracle does."""
+        import copy
+
+        from repro.core.vertexstore import AllInAllStore, OnDemandStore
+        from repro.tuning.plan import KnobSettings
+
+        mpe = apply_engine
+        mpe._knobs = KnobSettings.of(MPEConfig(message_codec=codec))
+        rng = np.random.default_rng(seed)
+        nv = mpe.manifest.num_vertices
+        init = rng.standard_normal(nv)
+        targets = mpe._server_target_ids
+        if policy == "aa":
+            store = AllInAllStore(init, None)
+        else:
+            # Own targets plus a random part of the rest: writes to the
+            # vertices left out must be ignored.
+            extra = np.flatnonzero(rng.random(nv) < 0.5)
+            store = OnDemandStore(init, None, np.concatenate([targets[0], extra]))
+
+        def subset(n, kind):
+            if kind == "all":
+                return np.arange(n)
+            if kind == "none":
+                return np.zeros(0, dtype=np.int64)
+            return np.flatnonzero(rng.random(n) < 0.4)
+
+        own_rows = subset(targets[0].size, "some")
+        own = (targets[0][own_rows], rng.standard_normal(own_rows.size))
+        inbox = []
+        for src, kind in zip((1, 2), kinds):
+            staged = rng.standard_normal(targets[src].size)
+            rows = subset(targets[src].size, kind)
+            inbox.append((src, encode_update(staged, rows, codec, mode=mode)))
+        server = mpe.cluster.servers[0]
+        oracle_store = copy.deepcopy(store)
+        oracle_counters = copy.deepcopy(server.counters)
+        _oracle_apply(mpe, oracle_store, oracle_counters, own, inbox)
+        server.state["store"] = store
+        mpe._decode_cache.clear()
+        mpe._apply_server_step(server, own, inbox)
+        assert _store_content(store) == _store_content(oracle_store)
+        assert server.counters.snapshot() == oracle_counters.snapshot()
 
     def test_decode_counts_exact(self, skewed):
         """Serial executor, N=3 servers: each of the S·N broadcast
