@@ -1703,5 +1703,4 @@ def _sweep_run(
     old = store.gather_values(run.target_ids)
     new = program.apply(accum, old, run.target_ids)
     changed = np.flatnonzero(program.value_changed(new, old))
-    rows = changed + run.first_row if run.first_row else changed
-    return run.target_ids[changed], new[changed], rows
+    return run.target_ids[changed], new[changed], changed + run.first_row
