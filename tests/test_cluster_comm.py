@@ -529,6 +529,7 @@ class TestDecodeAdversarial:
     def _sparse_message(ids, num_vertices, codec="raw"):
         """A sparse envelope around an arbitrary id list (zero values):
         the id block is whatever the gaps say, sorted or not."""
+        from repro.storage.codecs import get_codec
         from repro.utils.varint import encode_uvarints
 
         ids = np.asarray(ids, dtype=np.int64)
@@ -540,8 +541,6 @@ class TestDecodeAdversarial:
             + id_block
             + b"\x00" * (8 * ids.size)
         )
-        from repro.storage.codecs import get_codec
-
         header = bytes(
             [SPARSE, TestDecodeAdversarial._codec_id(codec)]
         ) + num_vertices.to_bytes(8, "little")
@@ -585,12 +584,13 @@ class TestDecodeAdversarial:
     )
     def test_fuzz_encode_accepts_exactly_strictly_increasing_ids(self, ids, mode):
         values = np.arange(31, dtype=np.float64)
+        updated = np.array(ids, dtype=np.int64)
         if all(b > a for a, b in zip(ids, ids[1:])):
-            out = decode_update(encode_update(values, np.array(ids), "raw", mode))
+            out = decode_update(encode_update(values, updated, "raw", mode))
             assert out.ids.tolist() == ids
         else:
             with pytest.raises(ValueError):
-                encode_update(values, np.array(ids, dtype=np.int64), "raw", mode)
+                encode_update(values, updated, "raw", mode)
 
     @settings(max_examples=200)
     @given(data=st.binary(max_size=200))
