@@ -232,6 +232,11 @@ class MPEConfig:
             row.check(getattr(self, row.name))
         if self.incremental and not self.mutations:
             raise ValueError("incremental=True requires mutations=True")
+        if not 0.0 < self.bloom_false_positive_rate < 1.0:
+            raise ValueError(
+                "bloom_false_positive_rate must be in (0, 1), got "
+                f"{self.bloom_false_positive_rate!r}"
+            )
 
 
 class MPE:

@@ -108,6 +108,12 @@ def test_cross_field_rule():
         MPEConfig(incremental=True)
 
 
+@pytest.mark.parametrize("rate", [2.0, 1.0, 0.0, -0.5])
+def test_bloom_false_positive_rate_outside_unit_interval(rate):
+    with pytest.raises(ValueError, match="bloom_false_positive_rate"):
+        MPEConfig(bloom_false_positive_rate=rate)
+
+
 @pytest.mark.parametrize("row", ROWS, **ids)
 def test_facade_kwargs_follow_the_row(row):
     value = other_value(row)
