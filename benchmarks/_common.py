@@ -3,10 +3,9 @@
 Every ``BENCH_*.json``-emitting bench used to hand-roll the same report
 skeleton (host metadata, generation timestamp, sorted-key JSON writer);
 this module is that boilerplate, written once.  The report shape is
-load-bearing: ``benchmarks/check_regress.py`` keys on ``benchmark``,
-``results`` rows' ``config`` / ``num_servers``, and the recorded
-executor/parallelism metadata to compare a fresh run against the
-committed baselines without being fooled by host differences.
+load-bearing: ``benchmarks/check_regress.py`` matches a fresh run's
+``results`` rows to the committed baseline's by their ``config`` (or
+``checkpoint_every``) key.
 """
 
 from __future__ import annotations
@@ -19,39 +18,12 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def host_metadata(runtime: bool = False) -> dict:
-    """Host facts recorded into every report.
-
-    ``runtime=True`` adds the repro.runtime pool knobs (thread/worker
-    defaults, fork availability) — wanted by benches whose rows compare
-    executors — plus the 1-core honesty warning.
-    """
-    host: dict = {"cpu_count": os.cpu_count()}
-    if runtime:
-        from repro.runtime import (
-            default_num_threads,
-            default_num_workers,
-            process_runtime_available,
-        )
-
-        host["parallel_threads"] = default_num_threads()
-        host["process_workers"] = default_num_workers()
-        host["process_runtime_available"] = process_runtime_available()
-        if (os.cpu_count() or 1) == 1:
-            host["warning"] = (
-                "1-core host: parallel/process rows measure pool overhead, "
-                "not speedup"
-            )
-    return host
-
-
 def base_report(
     benchmark: str,
     *,
     dataset: str,
     tier: str,
     program: str,
-    runtime_host: bool = False,
     **extra,
 ) -> dict:
     """The common report skeleton (empty ``results`` list included)."""
@@ -60,7 +32,7 @@ def base_report(
         "dataset": dataset,
         "tier": tier,
         "program": program,
-        "host": host_metadata(runtime=runtime_host),
+        "host": {"cpu_count": os.cpu_count()},
         "generated_unix": time.time(),
         "results": [],
     }

@@ -147,16 +147,3 @@ class RunResult:
         if not vals:  # zero supersteps, or none carried modeled costs
             return 0.0
         return float(np.mean(vals))
-
-    def avg_superstep_overlap_s(self, skip_first: bool = True) -> float:
-        """Overlap-aware sibling of :meth:`avg_superstep_modeled_s`:
-        mean modeled time under the max(io, compute) pipelining rule."""
-        steps = self.supersteps[1:] if skip_first and len(self.supersteps) > 1 else self.supersteps
-        vals = [
-            s.modeled.overlap_s
-            for s in steps
-            if s.modeled is not None and s.modeled.overlap_s is not None
-        ]
-        if not vals:
-            return 0.0
-        return float(np.mean(vals))

@@ -24,7 +24,7 @@ from repro.apps import PageRank, SSSP, WCC
 from repro.comm import DENSE, SPARSE, encode_update
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, SPE, MPEConfig
-from repro.graph import chung_lu_graph
+from repro.graph import chung_lu_graph, load_dataset
 from repro.runtime import (
     ParallelExecutor,
     ProcessExecutor,
@@ -990,6 +990,24 @@ class TestPrefetchBitwiseIdentity:
         for s in result.supersteps:
             assert s.modeled.overlap_s is not None
             assert s.modeled.overlap_s <= s.modeled.total_s + 1e-12
+
+    def test_cold_config_overlap_below_serial_sum(self):
+        """On a thrashing mode-4 edge cache with the decoded cache off,
+        every superstep re-reads and re-decodes its tiles, so the overlap
+        rule hides real I/O behind real compute: strictly below the
+        serial sum on every superstep, not merely no larger."""
+        cold = MPEConfig(
+            cache_capacity_bytes=4096, cache_mode=4, decoded_cache=False
+        )
+        result, _ = _run(
+            load_dataset("uk2007-s", "test"),
+            PageRank(tolerance=0.0),
+            cold,
+            max_supersteps=4,
+        )
+        assert len(result.supersteps) == 4
+        for s in result.supersteps:
+            assert s.modeled.overlap_s < s.modeled.total_s
 
 
 class TestPrefetchConfig:
