@@ -15,9 +15,16 @@ from repro.core.mpe import _sweep_run
 from repro.core.vertexstore import AllInAllStore
 from repro.graph import chung_lu_graph, grid_graph
 from repro.partition import build_tiles
-from repro.partition.tiles import TileRun
+from repro.partition.tiles import TileSlab
 from repro.storage import get_codec
 from repro.utils.segments import segment_reduce
+
+
+def _one_tile_run(tile):
+    """``tile`` as the run of one the sweep would hand the kernel."""
+    slab = TileSlab(["tile"], [TileSlab.shape_of(tile)], tile.target_ids)
+    pos = slab.slot("tile", tile)
+    return slab.run(pos, pos)
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +41,7 @@ def test_kernel_gather_apply_pagerank(benchmark, web_tile):
     # The slot is per superstep, not per tile: built outside the timing.
     slot = store.message_slot(program)
     ids, vals, rows = benchmark(
-        _sweep_run, program, TileRun.of_tile(tile, 0), store, slot
+        _sweep_run, program, _one_tile_run(tile), store, slot
     )
     assert ids.size == rows.size <= g.num_vertices
 
@@ -45,7 +52,7 @@ def test_kernel_gather_apply_sssp(benchmark):
     program = SSSP(source=0)
     store = AllInAllStore(program.init_values(g), None)
     # weighted: evaluated per edge
-    benchmark(_sweep_run, program, TileRun.of_tile(tile, 0), store, None)
+    benchmark(_sweep_run, program, _one_tile_run(tile), store, None)
 
 
 def test_kernel_segment_reduce_add(benchmark):

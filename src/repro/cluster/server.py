@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.cluster.counters import Counters, CounterSnapshot
 from repro.obs.trace import NULL_BUFFER
@@ -240,8 +240,8 @@ class Server:
 
         The decoded-tile cache sits in front of :meth:`load_blob`, but
         never in front of its *metering*: every access still drives the
-        §IV-B edge-cache / disk accounting, byte-identically to the
-        undecoded path —
+        §IV-B edge-cache / disk accounting, byte-identically to a load
+        that re-parsed the blob —
 
         * decoded hit + edge-cache resident: a metering-equivalent hit
           (:meth:`EdgeCache.touch` recency/stats + the decompression
@@ -263,9 +263,6 @@ class Server:
             if self.fault_injector is not None:
                 self.fault_injector.on_tile_load(self, name)
             dcache = self.decoded_cache
-            if dcache is None:
-                data = self.load_blob(name, prefetched)
-                return self._parse(data, parser, prefetched)
             entry = dcache.get(name)
             if entry is not None:
                 obj, orig_len = entry
@@ -284,10 +281,7 @@ class Server:
             return obj
 
     def tile_runs(
-        self,
-        loaded: Iterable[tuple[str, Any]],
-        first_rows: Mapping[int, int],
-        join: bool = True,
+        self, loaded: Iterable[tuple[str, Any]], join: bool = True
     ) -> Iterator[TileRun]:
         """Group a sweep's tiles — ``(blob name, tile)`` as
         :meth:`load_tile` returned them, in sweep order, pulled lazily so
@@ -298,23 +292,20 @@ class Server:
         (§IV-B) and its decoded form in the decoded cache's slab — joins
         the tiles before it when they are consecutive in the assignment;
         the run is computed when something breaks it.  Any other tile is
-        streaming through (the spill regime, a disabled decoded cache):
-        it is a run of its own, computed before the next tile is pulled,
-        so it is never held.  ``join=False`` keeps every
-        tile on its own (the slab holds no edge values: a sweep that
-        reads them goes tile by tile).
+        streaming through (the spill regime): it is a run of its own,
+        computed before the next tile is pulled, so it is never held.
+        ``join=False`` keeps every tile on its own (the slab holds no
+        edge values: a sweep that reads them goes tile by tile).
 
         Every run knows where its first target sits in this server's
-        target index: a slab run from its row offset, a tile the slab
-        does not hold (decoded cache off) from ``first_rows`` (tile id
-        -> position, static since setup).
+        target index: its row offset in the slab.
         """
-        slab = self.decoded_cache.slab if self.decoded_cache is not None else None
-        limit = (slab.max_run if join else 1) if slab is not None else None
+        slab = self.decoded_cache.slab
+        limit = slab.max_run if join else 1
         first = last = None  # the open run: slab slots first..last
         for name, tile in loaded:
-            pos = slab.slot(name, tile) if slab is not None else None
-            held = pos is not None and self.cache is not None and name in self.cache
+            pos = slab.slot(name, tile)
+            held = self.cache is not None and name in self.cache
             if first is not None:
                 if held and pos == last + 1 and pos - first != limit:
                     last = pos
@@ -323,10 +314,8 @@ class Server:
                 first = None
             if held:
                 first = last = pos
-            elif pos is not None:
-                yield slab.run(pos, pos)
             else:
-                yield TileRun.of_tile(tile, first_rows[tile.tile_id])
+                yield slab.run(pos, pos)
         if first is not None:
             yield slab.run(first, last)
 

@@ -194,13 +194,14 @@ class GraphH:
         build: ClusterBuild | None = None,
         **knobs,
     ) -> None:
+        # Refused before any cluster exists: a bad knob leaks nothing.
+        self.config = overlay(config or MPEConfig(), **knobs)
         self._owns_build = build is None
         self._build = build or ClusterBuild(
             num_servers=num_servers, spec=spec, root=root
         )
         self.spec = self._build.spec
         self.cluster = self._build.cluster
-        self.config = overlay(config or MPEConfig(), **knobs)
         self.tracer = None
         self.trace_out = trace_out
         if trace or trace_out is not None:

@@ -78,7 +78,7 @@ from repro.runtime.shm import (
 )
 from repro.storage.backing import BackingStore
 from repro.storage.cache import cache_plan
-from repro.storage.codecs import CODECS
+from repro.storage.codecs import CACHE_MODES, CODECS
 from repro.tuning.plan import KnobSettings
 from repro.tuning.tuner import TunedRun
 from repro.utils.bloom import BloomFilter, hash_keys
@@ -87,6 +87,9 @@ from repro.utils.segments import (
     segment_reduce,
     sorted_unique,
 )
+
+#: Target false-positive rate of every tile's bloom filter.
+BLOOM_FALSE_POSITIVE_RATE = 0.01
 
 
 @dataclass(frozen=True)
@@ -101,12 +104,13 @@ class MPEConfig:
 
     # --- set-up scope: fixed when the engine is built -----------------
     cache_capacity_bytes: int | None = knob(
-        None, scope="setup",
+        None, scope="setup", min=0,
         help="edge-cache budget per server, in bytes (None = unlimited: "
         "all idle RAM)",
     )
     cache_mode: int | None = knob(
-        None, scope="setup", tunable=True,
+        None, scope="setup", choices=tuple(range(1, len(CACHE_MODES) + 1)),
+        tunable=True,
         help="edge-cache mode 1-4 (None = auto-select from the capacity "
         "constraint, §IV-B)",
     )
@@ -125,10 +129,6 @@ class MPEConfig:
         help="bloom-filter tile skipping, wherever the exact bitmap of "
         "selective scheduling does not decide",
     )
-    bloom_false_positive_rate: float = knob(
-        0.01, scope="setup",
-        help="target false-positive rate of the per-tile filters",
-    )
     replication_policy: str = knob(
         "aa", scope="setup", choices=("aa", "od"),
         help="vertex replication: All-in-All (§IV-A) or On-Demand",
@@ -137,12 +137,6 @@ class MPEConfig:
         "round_robin", scope="setup", choices=("round_robin", "balanced"),
         help="stage-two tile placement: round-robin (§III-C.1) or LPT over "
         "tile sizes (better stragglers on skew)",
-    )
-    # Metering is byte-identical either way (Server.load_tile).
-    decoded_cache: bool = knob(
-        True, scope="setup",
-        help="keep decoded tiles live between supersteps instead of "
-        "re-parsing each blob every superstep",
     )
     # None keeps the engine frozen-graph and is a bitwise no-op: no
     # delta store exists, the tile parser is the plain
@@ -232,11 +226,6 @@ class MPEConfig:
             row.check(getattr(self, row.name))
         if self.incremental and not self.mutations:
             raise ValueError("incremental=True requires mutations=True")
-        if not 0.0 < self.bloom_false_positive_rate < 1.0:
-            raise ValueError(
-                "bloom_false_positive_rate must be in (0, 1), got "
-                f"{self.bloom_false_positive_rate!r}"
-            )
 
 
 class MPE:
@@ -301,10 +290,8 @@ class MPE:
         # while no schedule has routed a decision through a filter.
         self.filters_built: dict | None = None
         # Per-server sorted global ids of the targets its tiles own —
-        # the shared static index behind range-dense broadcasts — and
-        # where each tile's first target sits in it (tile id -> row).
+        # the shared static index behind range-dense broadcasts.
         self._server_target_ids: list[np.ndarray] = []
-        self._tile_first_rows: list[dict[int, int]] = []
         # Installed by repro.faults.FaultInjector.attach(); None in
         # normal runs.
         self.injector = None
@@ -502,19 +489,14 @@ class MPE:
         # traffic O(N|V|) cluster-wide, Table III).
         splitter = self.manifest.splitter
         self._server_target_ids = []
-        self._tile_first_rows = []
         for server_id in range(n):
-            ranges, first_rows, row = [], {}, 0
-            for tid, _, _ in self._assignments[server_id]:
-                first_rows[tid] = row
-                ranges.append(
-                    np.arange(splitter[tid], splitter[tid + 1], dtype=np.int64)
-                )
-                row += ranges[-1].size
+            ranges = [
+                np.arange(splitter[tid], splitter[tid + 1], dtype=np.int64)
+                for tid, _, _ in self._assignments[server_id]
+            ]
             self._server_target_ids.append(
                 np.concatenate(ranges) if ranges else np.zeros(0, dtype=np.int64)
             )
-            self._tile_first_rows.append(first_rows)
         self._check_static_layout()
         # Edge cache per server (§IV-B): capacity = configured budget,
         # mode auto-selected from the server's own tile volume.
@@ -525,14 +507,11 @@ class MPE:
                 mode=self.config.cache_mode,
             )
             server.attach_cache(capacity_bytes=capacity, mode=mode)
-            if self.config.decoded_cache:
-                # The decoded tiles' shadows live in one slab (resident
-                # runs are swept as one).
-                names = [name for _t, name, _n in self._assignments[server_id]]
-                targets = self._server_target_ids[server_id]
-                server.attach_decoded_cache(
-                    TileSlab(names, shapes[server_id], targets)
-                )
+            # The decoded tiles' shadows live in one slab (resident runs
+            # are swept as one).
+            names = [name for _t, name, _n in self._assignments[server_id]]
+            targets = self._server_target_ids[server_id]
+            server.attach_decoded_cache(TileSlab(names, shapes[server_id], targets))
         self._tiles_fetched = True
 
     def _check_static_layout(self) -> None:
@@ -724,9 +703,7 @@ class MPE:
             # superstep mid-phase, every span still open above it.
             ebuf.close_to(0)
 
-        decoded = [
-            s.decoded_cache.stats for s in servers if s.decoded_cache is not None
-        ]
+        decoded = [s.decoded_cache.stats for s in servers]
         result = RunResult(
             values=values,
             supersteps=reports,
@@ -923,8 +900,7 @@ class MPE:
                 capacity_bytes=server.cache.capacity_bytes,
                 mode=server.cache.mode,
             )
-        if server.decoded_cache is not None:
-            server.attach_decoded_cache(server.decoded_cache.slab.relaid({}))
+        server.attach_decoded_cache(server.decoded_cache.slab.relaid({}))
         return refetched
 
     # ------------------------------------------------------------------
@@ -977,21 +953,19 @@ class MPE:
             self._heads.refresh(self._summaries[tile_id])
             if tile_id in self._blooms:
                 self._blooms[tile_id] = tile.build_bloom_filter(
-                    self.config.bloom_false_positive_rate
+                    BLOOM_FALSE_POSITIVE_RATE
                 )
             dcache = server.decoded_cache
             if tile_id in renamed:
-                if dcache is not None:
-                    dcache.invalidate(name)
+                dcache.invalidate(name)
                 name, nbytes = renamed[tile_id]
                 self._assignments[server.server_id][idx] = (tile_id, name, nbytes)
-            elif dcache is not None:
+            else:
                 dcache.put(name, tile, self._assignments[server.server_id][idx][2])
             reshaped.setdefault(server.server_id, {})[idx] = (name, tile)
         for server_id, changes in reshaped.items():
             dcache = self.cluster.servers[server_id].decoded_cache
-            if dcache is not None:
-                dcache.slab = dcache.slab.relaid(changes)
+            dcache.slab = dcache.slab.relaid(changes)
 
     # ------------------------------------------------------------------
     # Process runtime (repro.runtime.process + repro.runtime.shm)
@@ -1061,7 +1035,7 @@ class MPE:
             for tile_id, name, _nbytes in self._assignments[server.server_id]:
                 tile = self._tile_parser(server.disk.peek(name))
                 self._blooms[tile_id] = tile.build_bloom_filter(
-                    self.config.bloom_false_positive_rate
+                    BLOOM_FALSE_POSITIVE_RATE
                 )
         self.filters_built = {
             "superstep": superstep,
@@ -1433,9 +1407,7 @@ class MPE:
                 # Edge values live in the tiles, not in the slab: a program
                 # that reads them sweeps tile by tile.
                 for run in server.tile_runs(
-                    metered(scheduled),
-                    self._tile_first_rows[server.server_id],
-                    join=not program.uses_edge_weight,
+                    metered(scheduled), join=not program.uses_edge_weight
                 ):
                     ids, vals, rows = _sweep_run(program, run, store, slot)
                     if ids.size:

@@ -44,13 +44,12 @@ class Tile:
 
     Deserialised tiles hold *read-only zero-copy views* over the source
     blob (:meth:`from_bytes` uses ``np.frombuffer``); directly built
-    tiles hold their own arrays.  Either way the hot-path shadows
-    (:attr:`segment_plan`, :attr:`col_int64`, :attr:`target_ids`) are
-    materialised lazily and cached on the instance, so a tile that
-    stays live across supersteps (a bounded decoded-tile cache) pays
-    for them exactly once.  A tile held by an unbounded decoded cache
-    never materialises them: its shadows are slices of the server's
-    :class:`TileSlab`, and ``col_int64`` is set to its slice there.
+    tiles hold their own arrays.  Either way the ``int64`` shadows
+    (:attr:`row_int64`, :attr:`col_int64`, :attr:`target_ids`) are
+    materialised lazily and cached on the instance, for code that reads
+    one tile on its own (mutation overlays, incremental repair).  A tile
+    the engine sweeps has its shadows in the server's :class:`TileSlab`
+    instead, and ``col_int64`` is set to its slice there.
     """
 
     tile_id: int
@@ -81,14 +80,6 @@ class Tile:
         """``row`` as int64 (no copy when already int64) — the dtype the
         segment-reduce kernel consumes without per-call conversion."""
         return np.asarray(self.row, dtype=np.int64)
-
-    @cached_property
-    def segment_plan(self) -> SegmentPlan:
-        """``row`` checked (monotone, starts at 0) and reduced to its
-        non-empty mask and ``reduceat`` starts, once per decoded tile —
-        what the per-superstep :func:`~repro.utils.segments.segment_reduce`
-        consumes instead of re-deriving both from a static row pointer."""
-        return SegmentPlan(self.row_int64)
 
     @cached_property
     def col_int64(self) -> np.ndarray:
@@ -225,15 +216,6 @@ class TileRun(NamedTuple):
     target_ids: np.ndarray  # int64 global id per target row
     tiles: tuple  # the tiles covered, in sweep order
     first_row: int  # position of target_ids[0] in the server's target index
-
-    @classmethod
-    def of_tile(cls, tile: Tile, first_row: int) -> "TileRun":
-        """One tile on its own (lazily materialised) shadows — a tile no
-        :class:`TileSlab` holds (decoded cache off) — whose first target
-        sits at ``first_row`` of its server's target index."""
-        return cls(
-            tile.col_int64, tile.segment_plan, tile.target_ids, (tile,), first_row
-        )
 
     def edge_values(self) -> np.ndarray:
         """Edge value per element of ``col`` — of a one-tile run: tiles

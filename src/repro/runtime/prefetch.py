@@ -151,8 +151,7 @@ def speculate_load(server, name: str, parser: Callable[[bytes], Any]):
     """
     out = PrefetchedLoad(name)
     cache = server.cache
-    dcache = server.decoded_cache
-    decoded_present = dcache is not None and dcache.peek(name) is not None
+    decoded_present = server.decoded_cache.peek(name) is not None
     data: bytes | None = None
     if cache is not None:
         stored = cache.peek_stored(name)

@@ -545,8 +545,8 @@ class DecodedTileCache:
     Metering safety: this cache never replaces the §IV-B lookup — the
     server still drives the edge cache / disk metering for every access
     (:meth:`repro.cluster.server.Server.load_tile`), so hit ratios,
-    disk traffic, and decompression charges are byte-identical with the
-    decoded cache on or off.
+    disk traffic, and decompression charges are byte-identical to a load
+    that re-parsed the blob, and the engine always attaches one.
     """
 
     stats: DecodedCacheStats = field(default_factory=DecodedCacheStats)

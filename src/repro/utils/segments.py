@@ -38,9 +38,10 @@ class SegmentPlan:
     ``reduceat`` start offsets.
 
     A row pointer that is reduced over repeatedly (a decoded tile's,
-    once per superstep) builds its plan once —
-    :attr:`repro.partition.tiles.Tile.segment_plan` — and the per-call
-    work drops to a length check, one ``reduceat`` and one masked store.
+    once per superstep) builds its plan once — when
+    :meth:`repro.partition.tiles.TileSlab.slot` fills the tile's slot —
+    and the per-call work drops to a length check, one ``reduceat`` and
+    one masked store.
     """
 
     __slots__ = ("n_rows", "n_values", "nonempty", "starts")

@@ -66,7 +66,7 @@ def bad_value(row):
 # ----------------------------------------------------------------------
 def test_field_and_scope_counts():
     assert [f.name for f in dataclasses.fields(MPEConfig)] == [r.name for r in ROWS]
-    assert len(ROWS) == 21
+    assert len(ROWS) == 19
     assert sum(row.scope == "run" for row in ROWS) == 11
     assert not hasattr(MPEConfig(), "sparsity_threshold")
 
@@ -108,10 +108,17 @@ def test_cross_field_rule():
         MPEConfig(incremental=True)
 
 
-@pytest.mark.parametrize("rate", [2.0, 1.0, 0.0, -0.5])
-def test_bloom_false_positive_rate_outside_unit_interval(rate):
-    with pytest.raises(ValueError, match="bloom_false_positive_rate"):
-        MPEConfig(bloom_false_positive_rate=rate)
+@pytest.mark.parametrize(
+    "name,value",
+    [("cache_mode", 0), ("cache_mode", 5), ("cache_capacity_bytes", -5)],
+)
+def test_edge_cache_rows_refuse_at_construction(name, value):
+    """Refused by the row, naming it — not at the first run's set-up,
+    inside ``EdgeCache``."""
+    with pytest.raises(ValueError, match=name):
+        MPEConfig(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        GraphH(**{name: value})
 
 
 @pytest.mark.parametrize("row", ROWS, **ids)
@@ -338,7 +345,6 @@ def warm():
         {"replication_policy": "od"},
         {"cache_capacity_bytes": 1024},
         {"tile_assignment": "balanced"},
-        {"decoded_cache": False},
     ],
     ids=lambda change: next(iter(change)),
 )

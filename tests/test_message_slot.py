@@ -31,7 +31,7 @@ from repro.core.mpe import _sweep_run
 from repro.core.vertexstore import AllInAllStore, OnDemandStore
 from repro.graph import chung_lu_graph
 from repro.partition import build_tiles
-from repro.partition.tiles import TileRun
+from repro.partition.tiles import TileSlab
 from repro.runtime import process_runtime_available
 from repro.runtime.shm import SharedAllocator
 
@@ -208,7 +208,9 @@ class TestSlot:
         with pytest.raises(ValueError):
             slot[0] = -1.0
         assert store._values.flags.writeable  # the replica itself still is
-        ids, _, rows = _sweep_run(program, TileRun.of_tile(tile, 0), store, slot)
+        slab = TileSlab(["tile"], [TileSlab.shape_of(tile)], tile.target_ids)
+        pos = slab.slot("tile", tile)
+        ids, _, rows = _sweep_run(program, slab.run(pos, pos), store, slot)
         assert ids.size  # the sweep changed something, but applied nothing
         assert rows.tolist() == ids.tolist()  # the tile starts the index at 0
         assert store._values.tobytes() == values.tobytes()

@@ -219,9 +219,8 @@ def _engine(graph, max_run=None, tracer=None, tiles_per_server=10, **cfg):
 
 def _cap(server, max_run):
     dcache = server.decoded_cache
-    if dcache is not None and dcache.slab is not None:
-        slab = dcache.slab
-        dcache.slab = TileSlab(slab.names, slab.shapes, slab.target_ids, max_run)
+    slab = dcache.slab
+    dcache.slab = TileSlab(slab.names, slab.shapes, slab.target_ids, max_run)
 
 
 def _story(mpe, result, tracer=None):
@@ -245,16 +244,8 @@ def _story(mpe, result, tracer=None):
         "counters": [s.counters.snapshot() for s in servers],
         "cache_stats": [dataclasses.astuple(s.cache.stats) for s in servers],
         "cache_recency": [s.cache.content_keys() for s in servers],
-        "decoded_stats": [
-            dataclasses.astuple(s.decoded_cache.stats)
-            for s in servers
-            if s.decoded_cache is not None
-        ],
-        "decoded_recency": [
-            s.decoded_cache.content_keys()
-            for s in servers
-            if s.decoded_cache is not None
-        ],
+        "decoded_stats": [dataclasses.astuple(s.decoded_cache.stats) for s in servers],
+        "decoded_recency": [s.decoded_cache.content_keys() for s in servers],
     }
     if tracer is not None:
         story["spans"] = {
@@ -323,7 +314,11 @@ class TestRunPositions:
         "slab runs": (PROGRAMS["pagerank"][0], None, {}),
         "runs of one": (PROGRAMS["sssp"][0], None, {}),
         "max_run=1": (PROGRAMS["pagerank"][0], 1, {}),
-        "decoded_cache=False": (PROGRAMS["bfs"][0], None, {"decoded_cache": False}),
+        # An edge cache of 0 bytes holds no tile: every tile streams
+        # through as a run of one.
+        "spill": (
+            PROGRAMS["bfs"][0], None, {"cache_capacity_bytes": 0, "cache_mode": 1}
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -493,25 +488,6 @@ class TestRunsOfOneIdentity:
             expected += [stretch] * bool(stretch)
         assert max(expected) > 1
         assert lengths == expected * warm.num_supersteps
-
-    @pytest.mark.parametrize("cfg", [dict(decoded_cache=False)], ids=["disabled"])
-    def test_no_slab_without_an_unbounded_decoded_cache(self, graph, cfg, monkeypatch):
-        make = PROGRAMS["pagerank"][0]
-        lengths = _run_lengths(monkeypatch)
-        mpe, cluster = _engine(graph, **cfg)
-        try:
-            assert all(
-                s.decoded_cache is None or s.decoded_cache.slab is None
-                for s in cluster.servers
-            )
-            mpe.run(make())
-            got = _story(mpe, mpe.run(make()))
-        finally:
-            cluster.close()
-        assert set(lengths) == {1}
-        reference = _stories(graph, [make], None)[1]
-        for key in ("values", "supersteps", "counters", "cache_stats", "cache_recency"):
-            assert got[key] == reference[key], key
 
     @pytest.mark.parametrize("fault", [DiskReadFault, ServerCrashFault])
     def test_a_fault_on_the_fourth_tile_of_a_server(self, graph, fault):

@@ -266,45 +266,6 @@ class TestParallelBitwiseIdentity:
         )
 
 
-class TestDecodedCacheMeteringInvariance:
-    """The decoded-tile cache is a host-speed artifact: switching it off
-    must not move a single metered byte."""
-
-    @pytest.mark.parametrize("cache_mode", [None, 3, 1])
-    def test_decoded_cache_does_not_perturb_metering(self, skewed, cache_mode):
-        on = _run(
-            skewed,
-            PageRank(),
-            MPEConfig(decoded_cache=True, cache_mode=cache_mode),
-            max_supersteps=10,
-        )
-        off = _run(
-            skewed,
-            PageRank(),
-            MPEConfig(decoded_cache=False, cache_mode=cache_mode),
-            max_supersteps=10,
-        )
-        _assert_identical(on, off)
-
-    def test_decoded_cache_with_tiny_edge_cache(self, skewed):
-        """Thrashing edge cache: decoded hits must still do the real
-        blob load for its disk-side metering."""
-        base = dict(cache_capacity_bytes=4096, cache_mode=1)
-        on = _run(
-            skewed,
-            PageRank(),
-            MPEConfig(decoded_cache=True, **base),
-            max_supersteps=8,
-        )
-        off = _run(
-            skewed,
-            PageRank(),
-            MPEConfig(decoded_cache=False, **base),
-            max_supersteps=8,
-        )
-        _assert_identical(on, off)
-
-
 class TestResumeUnderParallel:
     """Checkpoint resume composes with the parallel executor: a run cut
     short and resumed in parallel must land on the same bitwise values
@@ -400,17 +361,6 @@ class TestRuntimeTelemetry:
         assert doc["runtime"] == rt
         assert doc["supersteps"][0]["superstep"] == 0
         assert "fault" in doc["supersteps"][0]["modeled_s"]
-
-    def test_decoded_cache_off_counts_nothing(self, skewed):
-        result, _ = _run(
-            skewed,
-            PageRank(),
-            MPEConfig(decoded_cache=False),
-            max_supersteps=6,
-        )
-        assert result.runtime()["decoded_cache_hits"] == 0
-        assert result.runtime()["decoded_cache_misses"] == 0
-        assert result.runtime()["executor"] == _expected_executor("serial")
 
 
 @needs_process
@@ -992,13 +942,11 @@ class TestPrefetchBitwiseIdentity:
             assert s.modeled.overlap_s <= s.modeled.total_s + 1e-12
 
     def test_cold_config_overlap_below_serial_sum(self):
-        """On a thrashing mode-4 edge cache with the decoded cache off,
-        every superstep re-reads and re-decodes its tiles, so the overlap
-        rule hides real I/O behind real compute: strictly below the
-        serial sum on every superstep, not merely no larger."""
-        cold = MPEConfig(
-            cache_capacity_bytes=4096, cache_mode=4, decoded_cache=False
-        )
+        """On a thrashing mode-4 edge cache every superstep re-reads its
+        tiles from disk, so the overlap rule hides real I/O behind real
+        compute: strictly below the serial sum on every superstep, not
+        merely no larger."""
+        cold = MPEConfig(cache_capacity_bytes=4096, cache_mode=4)
         result, _ = _run(
             load_dataset("uk2007-s", "test"),
             PageRank(tolerance=0.0),
@@ -1054,6 +1002,7 @@ class TestTilePrefetcherPrimitives:
 
         with Cluster(ClusterSpec(num_servers=1)) as cluster:
             server = cluster.servers[0]
+            server.attach_decoded_cache()
             names = [f"t{i}" for i in range(6)]
             for name in names:
                 server.disk.write(name, name.encode() * 10)
@@ -1081,6 +1030,7 @@ class TestTilePrefetcherPrimitives:
 
         with Cluster(ClusterSpec(num_servers=1)) as cluster:
             server = cluster.servers[0]
+            server.attach_decoded_cache()
             server.disk.write("t0", b"x" * 10)
             pre = TilePrefetcher(
                 server, ["t0", "missing"], explosive_parser, depth=2

@@ -21,6 +21,7 @@ The GraphMP-port invariants:
   checkpoint/resume and fork-sharing into the process executor.
 """
 
+import contextlib
 import dataclasses
 import os
 
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.mpe as mpe_module
 from repro.analysis.experiments import run_graphh
 from repro.apps import SSSP, PageRank
 from repro.cluster import Cluster, ClusterSpec
@@ -48,6 +50,15 @@ needs_process = pytest.mark.skipif(
 # exact, so bitmap and bloom agree on every skip and the tiles_skipped
 # counters stay comparable across the on/off sweep.
 EXACT_BLOOM = 1e-6
+
+
+@contextlib.contextmanager
+def _exact_bloom():
+    """Filters built inside the block use :data:`EXACT_BLOOM`.  They are
+    built in the parent process, so this holds under every executor."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpe_module, "BLOOM_FALSE_POSITIVE_RATE", EXACT_BLOOM)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -97,11 +108,10 @@ def _assert_identical(a, b):
 class TestBitwiseIdentity:
     @pytest.fixture(scope="class")
     def baseline(self, skewed):
-        cfg = MPEConfig(
-            selective_scheduling=False,
-            bloom_false_positive_rate=EXACT_BLOOM,
-        )
-        return _run(skewed, cfg, max_supersteps=14)
+        with _exact_bloom():
+            return _run(
+                skewed, MPEConfig(selective_scheduling=False), max_supersteps=14
+            )
 
     @pytest.mark.parametrize("prefetch", [0, 2])
     @pytest.mark.parametrize("store", ["mem", "mmap"])
@@ -114,9 +124,9 @@ class TestBitwiseIdentity:
             vertex_store=store,
             executor=executor,
             prefetch_depth=prefetch,
-            bloom_false_positive_rate=EXACT_BLOOM,
         )
-        run = _run(skewed, cfg, max_supersteps=14)
+        with _exact_bloom():
+            run = _run(skewed, cfg, max_supersteps=14)
         _assert_identical(baseline, run)
         assert run[0].runtime()["selective"] is True
         assert run[0].runtime()["vertex_store"] == store
@@ -167,9 +177,7 @@ def _old_rule(mpe, superstep, prev_updated, num_vertices, forced=frozenset()):
 
     def tile_filter(tile_id):
         sources = mpe._summaries[tile_id].sources
-        bf = BloomFilter(
-            max(1, sources.size), mpe.config.bloom_false_positive_rate
-        )
+        bf = BloomFilter(max(1, sources.size), mpe_module.BLOOM_FALSE_POSITIVE_RATE)
         bf.add_many(sources)
         return bf
 
@@ -236,7 +244,7 @@ def tail_heavy():
 
 
 class TestScheduleDifferential:
-    """At the default 1 % filter rate, not EXACT_BLOOM: false positives
+    """At the engine's 1 % filter rate, not EXACT_BLOOM: false positives
     are where a re-ordered rule would show."""
 
     def _compare(self, mpe, seen, seed_tiles=frozenset()):
@@ -654,7 +662,6 @@ class TestChaosWithSkips:
             vertex_store=store,
             checkpoint_every=2,
             max_supersteps=60,
-            bloom_false_positive_rate=EXACT_BLOOM,
         )
         mpe = MPE(cluster, manifest, cfg)
         # SSSP's late supersteps have sparse frontiers, so superstep 6
@@ -663,7 +670,8 @@ class TestChaosWithSkips:
         schedule = FaultSchedule(
             [FaultEvent(DISK_ERROR, superstep=6, server=0, retries=2)]
         )
-        result, report = Supervisor(mpe, schedule=schedule).run(SSSP(source=1))
+        with _exact_bloom():
+            result, report = Supervisor(mpe, schedule=schedule).run(SSSP(source=1))
         skipped = [s.tiles_skipped for s in result.supersteps]
         values = result.values.copy()
         cluster.close()
