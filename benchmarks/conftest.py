@@ -1,11 +1,9 @@
 """Shared benchmark configuration.
 
-Every benchmark regenerates one of the paper's tables or figures and
-prints it (so ``pytest benchmarks/ --benchmark-only -s`` reproduces the
-whole evaluation section), while pytest-benchmark times the run.
-
 ``REPRO_TIER`` selects the dataset scale: ``test`` (default, seconds per
-experiment) or ``bench`` (the larger analogs; minutes).
+benchmark) or ``bench`` (the larger analogs; minutes).  The paper's
+tables and figures are not benchmarks: ``python -m repro.analysis.run_all``
+regenerates them and checks their claims.
 """
 
 import os
@@ -16,16 +14,3 @@ import pytest
 @pytest.fixture(scope="session")
 def tier() -> str:
     return os.environ.get("REPRO_TIER", "test")
-
-
-def run_experiment(benchmark, capsys, fn, tier, **kwargs):
-    """Run one experiment exactly once under the benchmark timer and
-    print its regenerated table."""
-    result = benchmark.pedantic(
-        fn, args=(tier,), kwargs=kwargs, rounds=1, iterations=1
-    )
-    with capsys.disabled():
-        print()
-        print(result.render())
-        print()
-    return result

@@ -1,4 +1,4 @@
-"""Regenerate EXPERIMENTS.md: ``python -m repro.analysis.run_all [tier]``.
+"""Regenerate EXPERIMENTS.md: ``python -m repro.analysis.run_all [tier] [out]``.
 
 Runs every experiment in :data:`repro.analysis.ALL_EXPERIMENTS` and
 writes a paper-vs-measured record per table/figure.  ``tier`` defaults
@@ -6,6 +6,9 @@ to ``test`` (seconds per experiment); pass ``bench`` for the larger
 analogs.  Extra arguments select specific experiments, e.g.::
 
     python -m repro.analysis.run_all test out.md fig9 fig10
+
+The file is written either way; the exit status is 1 when any section
+checked a claim that came out VIOLATED, and each such line is printed.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         "disk/decompress/probe split.",
         "",
     ]
+    violated = []
     for exp_id in selected:
         fn = ALL_EXPERIMENTS[exp_id]
         print(f"[run_all] {exp_id} ...", flush=True)
@@ -64,10 +68,13 @@ def main(argv: list[str] | None = None) -> int:
         sections.append("```")
         sections.append(f"_(regenerated in {elapsed:.1f}s at tier `{tier}`)_")
         sections.append("")
+        violated.extend(f"{exp_id}: {line}" for line in result.violated)
         print(f"[run_all] {exp_id} done in {elapsed:.1f}s", flush=True)
     out_path.write_text("\n".join(sections))
     print(f"[run_all] wrote {out_path}")
-    return 0
+    for line in violated:
+        print(f"[run_all] {line}")
+    return 1 if violated else 0
 
 
 if __name__ == "__main__":

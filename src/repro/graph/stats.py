@@ -2,8 +2,8 @@
 
 ``compute_stats`` produces the exact row schema of the paper's dataset
 table — vertex count, edge count, average degree, max in/out degree, and
-CSV size — so ``benchmarks/bench_table1_datasets.py`` can print a
-side-by-side of paper values and our scaled analogs.
+CSV size — so ``repro.analysis.experiments.exp_table1_datasets`` can
+print a side-by-side of paper values and our scaled analogs.
 """
 
 from __future__ import annotations

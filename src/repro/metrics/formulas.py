@@ -4,7 +4,8 @@ The paper's Table III gives per-system asymptotics for RAM (vertices /
 edges / messages), network traffic, and disk I/O when running PageRank.
 We turn each row into a concrete byte/count calculator so that
 
-* ``benchmarks/bench_table3_costs.py`` prints the analytic table, and
+* ``repro.analysis.experiments.exp_table3_costs`` prints the analytic
+  table and checks measured network traffic against it, and
 * property tests can check the engines' *measured* counters land within
   a constant factor of the formulas (the asymptotics made executable).
 

@@ -1,5 +1,7 @@
 """Tests for the analysis/report layer (renderers and fast experiments)."""
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.analysis.experiments import (
     run_graphh,
     run_system,
     superstep_series_paper_scale,
+    verdict,
 )
 from repro.apps import PageRank
 from repro.graph import chung_lu_graph
@@ -99,6 +102,19 @@ class TestHelpers:
         with pytest.raises(KeyError):
             run_system("spark", graph, PageRank(), 1)
 
+    def test_failed_runs_leave_no_cluster_dir(self, tmp_path, monkeypatch):
+        class BrokenPageRank(PageRank):
+            def init_values(self, graph):
+                raise RuntimeError("no initial values")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        graph = chung_lu_graph(20, 100, seed=81)
+        with pytest.raises(KeyError):
+            run_system("spark", graph, PageRank(), 1)
+        with pytest.raises(RuntimeError, match="no initial values"):
+            run_graphh(graph, BrokenPageRank(), 2, max_supersteps=2)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRegistry:
     def test_all_experiments_registered(self):
@@ -137,3 +153,27 @@ class TestRegistry:
         from repro.analysis.run_all import main
 
         assert main(["test", str(tmp_path / "x.md"), "fig99"]) == 2
+
+    def test_run_all_writes_and_fails_on_a_violated_claim(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.analysis import run_all
+
+        result = ExperimentResult(
+            experiment_id="table1",
+            title="demo",
+            headers=["h"],
+            rows=[["v"]],
+            observations=[
+                f"ordering: {verdict(True)}", "ratio 2.0x", f"fastest: {verdict(False)}"
+            ],
+        )
+        assert result.violated == ["fastest: VIOLATED"]
+
+        monkeypatch.setitem(run_all.ALL_EXPERIMENTS, "table1", lambda tier: result)
+        out = tmp_path / "exp.md"
+        assert run_all.main(["test", str(out), "table1"]) == 1
+        assert "fastest: VIOLATED" in out.read_text()
+        printed = capsys.readouterr().out
+        assert "table1: fastest: VIOLATED" in printed
+        assert "table1: ordering" not in printed
