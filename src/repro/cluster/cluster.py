@@ -46,14 +46,6 @@ class Cluster:
         """Cluster width ``N``."""
         return self.spec.num_servers
 
-    def reset_counters(self) -> None:
-        """Zero all per-server counters and disk meters."""
-        for server in self.servers:
-            server.counters = Counters()
-            server.disk.reset_counters()
-            if server.cache is not None:
-                server.cache.reset_stats()
-
     def aggregate_counters(self) -> Counters:
         """Sum of all per-server counters."""
         total = Counters()

@@ -8,7 +8,7 @@ running peak, mirroring how the paper decomposes each system's RAM row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 
 @dataclass
@@ -127,25 +127,7 @@ class Counters:
         :meth:`CounterSnapshot.delta`) back into the parent's
         authoritative per-server counters.
         """
-        self.disk_read += other.disk_read
-        self.disk_read_random += other.disk_read_random
-        self.disk_write += other.disk_write
-        self.net_sent += other.net_sent
-        self.net_recv += other.net_recv
-        self.edges_processed += other.edges_processed
-        self.messages_sent += other.messages_sent
-        self.messages_processed += other.messages_processed
-        self.tiles_skipped += other.tiles_skipped
-        self.delta_bytes += other.delta_bytes
-        self.delta_edges += other.delta_edges
-        self.faults_injected += other.faults_injected
-        self.fault_retries += other.fault_retries
-        self.fault_delay_s += other.fault_delay_s
-        self.recovery_read += other.recovery_read
-        for codec, n in other.decompressed.items():
-            self.add_decompressed(codec, n)
-        for codec, n in other.compressed.items():
-            self.add_compressed(codec, n)
+        self._add(other, _VOLUMES)
 
     def merge(self, other: "Counters") -> None:
         """Accumulate another counter set into this one.
@@ -153,27 +135,11 @@ class Counters:
         Peaks add (an aggregate view over servers holds all their data
         at once); volumes add.
         """
-        self.mem_vertex += other.mem_vertex
-        self.mem_edges += other.mem_edges
-        self.mem_messages += other.mem_messages
-        self.mem_cache += other.mem_cache
-        self.mem_scratch += other.mem_scratch
-        self.mem_peak += other.mem_peak
-        self.disk_read += other.disk_read
-        self.disk_read_random += other.disk_read_random
-        self.disk_write += other.disk_write
-        self.net_sent += other.net_sent
-        self.net_recv += other.net_recv
-        self.edges_processed += other.edges_processed
-        self.messages_sent += other.messages_sent
-        self.messages_processed += other.messages_processed
-        self.tiles_skipped += other.tiles_skipped
-        self.delta_bytes += other.delta_bytes
-        self.delta_edges += other.delta_edges
-        self.faults_injected += other.faults_injected
-        self.fault_retries += other.fault_retries
-        self.fault_delay_s += other.fault_delay_s
-        self.recovery_read += other.recovery_read
+        self._add(other, _SCALARS)
+
+    def _add(self, other: "Counters", names: tuple[str, ...]) -> None:
+        for name in names:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for codec, n in other.decompressed.items():
             self.add_decompressed(codec, n)
         for codec, n in other.compressed.items():
@@ -181,29 +147,7 @@ class Counters:
 
     def snapshot(self) -> dict[str, int]:
         """Flat dict view (for reports and diffing)."""
-        out = {
-            "mem_vertex": self.mem_vertex,
-            "mem_edges": self.mem_edges,
-            "mem_messages": self.mem_messages,
-            "mem_cache": self.mem_cache,
-            "mem_scratch": self.mem_scratch,
-            "mem_peak": self.mem_peak,
-            "disk_read": self.disk_read,
-            "disk_read_random": self.disk_read_random,
-            "disk_write": self.disk_write,
-            "net_sent": self.net_sent,
-            "net_recv": self.net_recv,
-            "edges_processed": self.edges_processed,
-            "messages_sent": self.messages_sent,
-            "messages_processed": self.messages_processed,
-            "tiles_skipped": self.tiles_skipped,
-            "delta_bytes": self.delta_bytes,
-            "delta_edges": self.delta_edges,
-            "faults_injected": self.faults_injected,
-            "fault_retries": self.fault_retries,
-            "fault_delay_s": self.fault_delay_s,
-            "recovery_read": self.recovery_read,
-        }
+        out = {name: getattr(self, name) for name in _SCALARS}
         for codec, n in self.decompressed.items():
             out[f"decompressed_{codec}"] = n
         for codec, n in self.compressed.items():
@@ -211,92 +155,63 @@ class Counters:
         return out
 
 
+# The per-codec meters are dicts; every other field is one number.  The
+# memory gauges are absolute, the rest are volumes that accumulate.
+_CODEC_METERS = ("decompressed", "compressed")
+_SCALARS = tuple(f.name for f in fields(Counters) if f.name not in _CODEC_METERS)
+_VOLUMES = tuple(name for name in _SCALARS if not name.startswith("mem_"))
+
+
 @dataclass(frozen=True)
 class CounterSnapshot:
-    """Frozen view of the counter fields that accumulate inside one
-    superstep.
+    """Frozen copy of a server's :class:`Counters` at one instant.
 
-    Replaces the positional snapshot tuples the engines used to carry
-    (``before[server_id][9]`` magic indices); :meth:`delta` rebuilds the
-    superstep's volumes-only :class:`Counters` for the cost model, and
-    the process executor ships exactly that delta from worker to parent.
-    Cache hit/lookup totals ride along so per-superstep hit ratios need
-    no second bookkeeping structure.
+    :meth:`delta` rebuilds the volumes-only :class:`Counters` accumulated
+    since (one superstep's, for the cost model), and the process executor
+    ships exactly that delta from worker to parent.  Cache hit/lookup
+    totals ride along so per-superstep hit ratios need no second
+    bookkeeping structure.
     """
 
-    net_sent: int
-    net_recv: int
-    disk_read: int
-    disk_read_random: int
-    disk_write: int
-    edges_processed: int
-    messages_processed: int
-    tiles_skipped: int
-    fault_delay_s: float
-    decompressed: dict[str, int]
-    compressed: dict[str, int]
-    cache_hits: int
-    cache_lookups: int
+    counters: Counters
+    cache_hits: int = 0
+    cache_lookups: int = 0
     # Cache-side decompression total at capture time: lets consumers
     # (the autotuner) split a codec's superstep bytes into the edge
     # cache's share vs the message path's share when both use the same
     # codec.
     cache_bytes_decompressed: int = 0
-    # Delta-overlay volumes (0 on non-evolving graphs; defaulted so
-    # snapshots pickled by older worker code still unpickle).
-    delta_bytes: int = 0
-    delta_edges: int = 0
 
     @classmethod
     def capture(cls, server) -> "CounterSnapshot":
-        """Snapshot one server's in-superstep counters (and cache
-        totals, when a cache is attached)."""
+        """Snapshot one server's counters (and cache totals, when a
+        cache is attached)."""
         c = server.counters
+        copied = replace(
+            c, decompressed=dict(c.decompressed), compressed=dict(c.compressed)
+        )
         cache = getattr(server, "cache", None)
+        if cache is None:
+            return cls(copied)
         return cls(
-            net_sent=c.net_sent,
-            net_recv=c.net_recv,
-            disk_read=c.disk_read,
-            disk_read_random=c.disk_read_random,
-            disk_write=c.disk_write,
-            edges_processed=c.edges_processed,
-            messages_processed=c.messages_processed,
-            tiles_skipped=c.tiles_skipped,
-            fault_delay_s=c.fault_delay_s,
-            delta_bytes=c.delta_bytes,
-            delta_edges=c.delta_edges,
-            decompressed=dict(c.decompressed),
-            compressed=dict(c.compressed),
-            cache_hits=cache.stats.hits if cache is not None else 0,
-            cache_lookups=cache.stats.lookups if cache is not None else 0,
-            cache_bytes_decompressed=(
-                cache.stats.bytes_decompressed if cache is not None else 0
-            ),
+            copied,
+            cache_hits=cache.stats.hits,
+            cache_lookups=cache.stats.lookups,
+            cache_bytes_decompressed=cache.stats.bytes_decompressed,
         )
 
     def delta(self, server) -> Counters:
         """Volumes accumulated on ``server`` since this snapshot, as a
         :class:`Counters` holding only those volumes (what the cost
         model prices for one superstep)."""
-        c = server.counters
-        d = Counters()
-        d.net_sent = c.net_sent - self.net_sent
-        d.net_recv = c.net_recv - self.net_recv
-        d.disk_read = c.disk_read - self.disk_read
-        d.disk_read_random = c.disk_read_random - self.disk_read_random
-        d.disk_write = c.disk_write - self.disk_write
-        d.edges_processed = c.edges_processed - self.edges_processed
-        d.messages_processed = c.messages_processed - self.messages_processed
-        d.tiles_skipped = c.tiles_skipped - self.tiles_skipped
-        d.fault_delay_s = c.fault_delay_s - self.fault_delay_s
-        d.delta_bytes = c.delta_bytes - self.delta_bytes
-        d.delta_edges = c.delta_edges - self.delta_edges
+        c, base = server.counters, self.counters
+        d = Counters(**{n: getattr(c, n) - getattr(base, n) for n in _VOLUMES})
         for codec, n in c.decompressed.items():
-            prev = self.decompressed.get(codec, 0)
+            prev = base.decompressed.get(codec, 0)
             if n > prev:
                 d.add_decompressed(codec, n - prev)
         for codec, n in c.compressed.items():
-            prev = self.compressed.get(codec, 0)
+            prev = base.compressed.get(codec, 0)
             if n > prev:
                 d.add_compressed(codec, n - prev)
         return d

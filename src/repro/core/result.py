@@ -117,23 +117,6 @@ class RunResult:
             out.append(row)
         return out
 
-    def save_trace(self, path: str) -> None:
-        """Write the telemetry trace as JSON (per-superstep rows plus
-        the host-runtime summary from :meth:`runtime`)."""
-        import json
-
-        out = {
-            "converged": self.converged,
-            "runtime": self.runtime(),
-            "supersteps": self.trace(),
-        }
-        if self.tuning is not None:
-            out["tuning"] = self.tuning
-        if self.delta is not None:
-            out["delta"] = self.delta
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(out, fh, indent=1)
-
     def total_net_bytes(self) -> int:
         return sum(s.net_bytes for s in self.supersteps)
 

@@ -14,11 +14,10 @@ The log is the system of record:
   watermark, service persistence) address positions in the log by id,
   so replaying a persisted log after a restart reproduces the exact
   same sequence.
-* **JSON and binary round-tripping** — :meth:`to_json` /
-  :meth:`from_json` feed the socket protocol, :meth:`save` / :meth:`load`
-  the service's snapshot file, and :meth:`replay` appends the batches
-  its journal recorded since; :meth:`to_bytes` / :meth:`from_bytes` give
-  a compact ``GHML`` wire format in the style of the tile blobs.
+* **JSON round-tripping** — :meth:`to_json` / :meth:`from_json` feed
+  the socket protocol, :meth:`save` / :meth:`load` the service's
+  snapshot file, and :meth:`replay` appends the batches its journal
+  recorded since.
 * **Seeded-RNG-friendly batches** — :func:`random_mutations` derives a
   deterministic batch from a :class:`~repro.graph.graph.Graph` and a
   seed, so benchmarks and tests generate identical evolving workloads
@@ -34,8 +33,6 @@ batch deterministic to validate.
 from __future__ import annotations
 
 import json
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +51,6 @@ MUTLOG_SCHEMA = "repro-mutation-log/v1"
 
 OP_INSERT = "insert"
 OP_DELETE = "delete"
-
-_MAGIC = b"GHML"
-_HEADER = struct.Struct("<4sqq")  # magic, num_vertices, count
-_ROW = struct.Struct("<qBqqd")  # mut_id, op, src, dst, weight (nan = none)
 
 
 @dataclass(frozen=True)
@@ -197,52 +190,6 @@ class MutationLog:
             )
         log = cls(num_vertices=payload.get("num_vertices"))
         log.replay(payload.get("mutations", []))
-        return log
-
-    def to_bytes(self) -> bytes:
-        """Compact ``GHML`` binary form (inverse of :meth:`from_bytes`)."""
-        parts = [
-            _HEADER.pack(
-                _MAGIC,
-                -1 if self.num_vertices is None else self.num_vertices,
-                len(self._mutations),
-            )
-        ]
-        for m in self._mutations:
-            parts.append(
-                _ROW.pack(
-                    m.mut_id,
-                    0 if m.op == OP_INSERT else 1,
-                    m.src,
-                    m.dst,
-                    math.nan if m.weight is None else m.weight,
-                )
-            )
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "MutationLog":
-        if len(data) < _HEADER.size:
-            raise ValueError("truncated mutation log blob")
-        magic, num_vertices, count = _HEADER.unpack_from(data)
-        if magic != _MAGIC:
-            raise ValueError("bad mutation log magic")
-        if len(data) != _HEADER.size + count * _ROW.size:
-            raise ValueError("mutation log blob size mismatch")
-        log = cls(num_vertices=None if num_vertices < 0 else num_vertices)
-        offset = _HEADER.size
-        for _ in range(count):
-            mut_id, op, src, dst, weight = _ROW.unpack_from(data, offset)
-            offset += _ROW.size
-            log._mutations.append(
-                Mutation(
-                    mut_id=mut_id,
-                    op=OP_INSERT if op == 0 else OP_DELETE,
-                    src=src,
-                    dst=dst,
-                    weight=None if math.isnan(weight) else weight,
-                )
-            )
         return log
 
     def save(self, path: str, upto: int | None = None) -> int:

@@ -6,8 +6,8 @@ The paper's engine "restarts failed jobs from scratch"; the
 surfaces at the BSP barrier, applies a :class:`RecoveryPolicy`:
 
 * **respawn** — a crashed server lost its memory *and* local disk; the
-  supervisor re-fetches its assigned tiles from the DFS (metered as
-  ``recovery_read`` bytes) before the retry;
+  supervisor always re-fetches its assigned tiles from the DFS (metered
+  as ``recovery_read`` bytes) before the retry;
 * **restore** — re-enter ``MPE.run(resume=True)``, which rolls vertex
   state back to the newest DFS checkpoint (bitwise-exact ``float64``
   values + the update set), so at most ``checkpoint_every`` supersteps
@@ -45,8 +45,6 @@ class RecoveryPolicy:
     # Modeled delay before the first retry; grows geometrically.
     backoff_s: float = 0.5
     backoff_factor: float = 2.0
-    # Re-fetch a crashed server's tiles from DFS before retrying.
-    respawn: bool = True
     # "checkpoint": resume from the newest snapshot (fall back to a
     # fresh start when none exists).  "scratch": the paper's policy —
     # always restart from superstep 0.
@@ -139,7 +137,8 @@ class Supervisor:
         attached) or a pre-built :class:`FaultInjector`.  Omit both to
         supervise against real (non-injected) failures only.
     policy:
-        Recovery behaviour; defaults to checkpoint restore + respawn.
+        Recovery behaviour; defaults to checkpoint restore.  A crashed
+        server is always respawned.
     """
 
     def __init__(
@@ -190,7 +189,7 @@ class Supervisor:
                     - edges_before
                 )
                 action = "restore"
-                if isinstance(fault, ServerCrashFault) and policy.respawn:
+                if isinstance(fault, ServerCrashFault):
                     self.mpe.respawn_server(fault.server)
                     action = "respawn+restore"
                 if policy.restore == "checkpoint":

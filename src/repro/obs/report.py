@@ -356,7 +356,7 @@ def _format_tuning(tuning: dict) -> list[str]:
         lines.append(
             f"  fitted @ step {tuning.get('fit_superstep')} "
             f"from {tuning.get('num_samples')} samples "
-            f"({tuning.get('time_source')} time): " + " ".join(parts)
+            "(modeled time): " + " ".join(parts)
         )
         residuals = tuning.get("residuals") or []
         if residuals:

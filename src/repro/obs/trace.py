@@ -265,10 +265,9 @@ class Tracer:
     :func:`repro.obs.metrics.bridge_cluster`.
     """
 
-    def __init__(self, max_events_per_buffer: int = DEFAULT_MAX_EVENTS) -> None:
+    def __init__(self) -> None:
         from repro.obs.metrics import MetricsRegistry
 
-        self.max_events_per_buffer = int(max_events_per_buffer)
         self._buffers: dict[int, TraceBuffer] = {}
         self.metrics = MetricsRegistry()
 
@@ -313,7 +312,7 @@ class Tracer:
     def _buffer(self, tid: int, label: str) -> TraceBuffer:
         buf = self._buffers.get(tid)
         if buf is None:
-            buf = TraceBuffer(tid, label, self.max_events_per_buffer)
+            buf = TraceBuffer(tid, label)
             self._buffers[tid] = buf
         return buf
 

@@ -79,9 +79,11 @@ QUEUE_SCHEMA = "repro-service-queue/v1"
 # bound a long-lived daemon's memory is every result it ever computed.
 RESULTS_IN_MEMORY = 16
 # The state dir's journal: one record per job submit / finish and per
-# mutation batch, over the snapshot files (jobs.json, mutlog-<graph>.json,
-# queue.json).  It is folded into the snapshot once it is larger than
-# both this and the last snapshot, so a record costs amortised O(1).
+# mutation batch, over the snapshot files (jobs.json, mutlog-<graph>.json).
+# jobs.json holds every job record, queued ones included, so it is also
+# the persisted queue and its highest id the id sequence.  The journal is
+# folded into the snapshot once it is larger than both this and the last
+# snapshot, so a record costs amortised O(1).
 JOURNAL = "journal.log"
 JOURNAL_MIN_BYTES = 1 << 20
 
@@ -792,22 +794,6 @@ class Engine:
         self._journal.reset()
         self._snapshot_bytes = nbytes
 
-    def _persist_queue(self) -> list[JobRecord]:
-        """Drain the queue and write it (+ the id sequence) to disk."""
-        queued = self.queue.drain()
-        if self.state_dir:
-            with self._lock:
-                seq = self._seq
-            _atomic_json(
-                os.path.join(self.state_dir, "queue.json"),
-                {
-                    "schema": QUEUE_SCHEMA,
-                    "next_job_seq": seq,
-                    "queued": [r.to_dict() for r in queued],
-                },
-            )
-        return queued
-
     def _restore_state(self) -> None:
         """Recover the job index, queue, id sequence and mutation logs,
         however the last engine on this state dir stopped.
@@ -821,10 +807,8 @@ class Engine:
         queued, or running when the engine stopped — is re-admitted in
         submission order, and ids resume after the highest one issued.
         """
-        queue_path = os.path.join(self.state_dir, "queue.json")
-        queue = _read_json(queue_path)
         index = _read_json(os.path.join(self.state_dir, "jobs.json"))
-        for row in index.get("jobs", []) + queue.get("queued", []):
+        for row in index.get("jobs", []):
             self._restore_job(row)
         logs: dict[str, MutationLog] = {}
         journal = self._journal.replay()
@@ -842,10 +826,7 @@ class Engine:
                 )
             logs[name].replay(entry["mutations"])
         self._order.sort(key=_job_seq)
-        self._seq = max(
-            [int(queue.get("next_job_seq", 0))]
-            + [_job_seq(job_id) for job_id in self._order]
-        )
+        self._seq = max(map(_job_seq, self._order), default=0)
         for job_id in self._order:
             record = self._records[job_id]
             if record.done:
@@ -858,14 +839,12 @@ class Engine:
                 record.reason = exc.reason
                 record.finished_unix = time.time()
         self._g_depth.set(self.queue.depth())
-        if not (index or queue or journal):
+        if not (index or journal):
             return  # a new state dir: nothing to fold
         with self._persist_lock:
             for name, log in logs.items():
                 log.save(self._mutlog_path(name))
             self._write_snapshot()
-        if queue:
-            os.remove(queue_path)  # folded into jobs.json
 
     def _restore_job(self, row: dict) -> None:
         """Apply one persisted job row, keyed by id: a finished job
@@ -896,7 +875,6 @@ class Engine:
             for t in self._workers:
                 t.join(timeout=max(0.0, deadline - time.monotonic()))
         self._workers.clear()
-        self._persist_queue()
         if self._journal is not None:
             with self._persist_lock:
                 self._write_snapshot()

@@ -5,12 +5,13 @@ with a warm :class:`repro.service.engine.Engine` — algorithm name plus
 parameters, an optional source vertex, the run-scoped engine knobs
 (executor / prefetch / selective / …), and scheduling metadata
 (priority class, tenant).  Specs are plain data: they round-trip
-through JSON so the socket front end, the persisted queue file, and
+through JSON so the socket front end, the persisted job index, and
 the in-process client all speak the same shape.
 
-Job IDs are stable and monotonic (``job-00000001`` …); the engine
-persists the sequence counter with its queue so IDs never collide
-across a restart.  Results persist in the checkpoint wire format
+Job IDs are stable and monotonic (``job-00000001`` …); every issued id
+is a record in the persisted job index, so a restarted engine resumes
+after the highest one and IDs never collide across a restart.  Results
+persist in the checkpoint wire format
 (:func:`repro.core.checkpoint.pack_snapshot`) next to a JSON metadata
 sidecar, so a restarted service can still serve ``result`` requests
 for jobs finished before the restart.
@@ -158,7 +159,7 @@ class JobSpec:
     admission (``Engine.submit``) checks them against the rows and
     rejects a job whose knob is unknown, setup-scoped or out of range.
 
-    On the wire and in the persisted queue a spec is one flat dict
+    On the wire and in the persisted job index a spec is one flat dict
     (:meth:`to_dict`): job fields and set knobs side by side.
     """
 
@@ -217,7 +218,7 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
-        """A spec back from a persisted queue / job index.
+        """A spec back from the persisted job index.
 
         Keys that are neither a job field nor a run-scoped knob are
         ignored: a newer daemon's file must not brick an older one.

@@ -137,14 +137,6 @@ class JobQueue:
             self._cursor = saved_cursor
             return popped
 
-    def drain(self) -> list[JobRecord]:
-        """Remove and return every queued record in pop order."""
-        with self._lock:
-            drained: list[JobRecord] = []
-            while self._depth:
-                drained.append(self._pop_locked())
-            return drained
-
     def close(self) -> None:
         """Stop admitting; wake blocked poppers."""
         with self._lock:

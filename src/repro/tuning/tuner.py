@@ -10,13 +10,11 @@ the observed (volume, seconds) pairs by least squares
 (:func:`repro.metrics.cost.fit_cost_constants`), then re-evaluates every
 knob at each subsequent superstep boundary under the fitted model.
 
-Observation source: by default the tuner fits against the *modeled*
-superstep seconds — the simulation's wall-clock analog, a deterministic
-pure function of metered volumes.  That choice is what makes the
-decision trace a pure function of (dataset, program, config) and hence
-bitwise identical across serial / thread / process executors and fault
-replays; ``time_source="wall"`` fits host wall clock instead (the right
-choice on real hardware, documented as non-deterministic).
+Observation source: the tuner fits against the *modeled* superstep
+seconds — the simulation's wall-clock analog, a deterministic pure
+function of metered volumes.  That choice is what makes the decision
+trace a pure function of (dataset, program, config) and hence bitwise
+identical across serial / thread / process executors and fault replays.
 
 The tuner itself never reads the :class:`~repro.cluster.spec.ClusterSpec`
 constants — recovering them is its job.  The only codec facts it uses
@@ -35,34 +33,16 @@ from repro.storage.cache import cache_plan
 from repro.storage.codecs import CACHE_MODES, get_codec
 from repro.tuning.plan import KnobSettings, TuningDecision, TuningPlan
 
-__all__ = ["TuningConfig", "TuningSample", "Tuner", "TunedRun"]
+__all__ = ["TuningSample", "Tuner", "TunedRun"]
 
-
-@dataclass(frozen=True)
-class TuningConfig:
-    """Tuner behaviour knobs (defaults are the tested configuration)."""
-
-    # Relative predicted saving (fraction of the last superstep's cost)
-    # a switch must clear — hysteresis against fit noise.
-    min_gain: float = 0.02
-    # Rotate the message codec through unrated codecs during the first
-    # supersteps so every codec's rate and achieved size are observed
-    # directly.  Off → fit from whatever the configured knobs exercise.
-    explore: bool = True
-    # "modeled" (deterministic, executor-invariant — the default) or
-    # "wall" (host wall clock; real-hardware calibration).
-    time_source: str = "modeled"
-    # Pipeline depth the tuner enables when I/O can hide behind compute.
-    max_prefetch_depth: int = 2
-    # Supersteps a one-time switch cost (cache re-encode) is amortised
-    # over when weighing it against the predicted per-superstep gain.
-    switch_horizon: int = 5
-
-    def __post_init__(self) -> None:
-        if self.time_source not in ("modeled", "wall"):
-            raise ValueError('time_source must be "modeled" or "wall"')
-        if not 0 <= self.min_gain < 1:
-            raise ValueError("min_gain must be in [0, 1)")
+# Relative predicted saving (fraction of the last superstep's cost) a
+# switch must clear — hysteresis against fit noise.
+MIN_GAIN = 0.02
+# Supersteps a one-time switch cost (cache re-encode) is amortised over
+# when weighing it against the predicted per-superstep gain.
+SWITCH_HORIZON = 5
+# Pipeline depth the tuner enables when I/O can hide behind compute.
+MAX_PREFETCH_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -110,8 +90,7 @@ class Tuner:
     the existing plan, replaying recorded decisions verbatim.
     """
 
-    def __init__(self, config: TuningConfig | None = None) -> None:
-        self.config = config or TuningConfig()
+    def __init__(self) -> None:
         self.constants: FittedConstants | None = None
         self.plan: TuningPlan | None = None
         self.samples: dict[int, TuningSample] = {}
@@ -129,14 +108,17 @@ class Tuner:
         samples are kept: recorded decisions replay verbatim, which is
         what keeps fault-recovery re-execution bitwise identical to the
         aborted attempt.  A new signature resets the trace but keeps
-        the fitted constants (warm-engine reuse across jobs).
+        the fitted constants (warm-engine reuse across jobs).  Until a
+        fit exists, the first supersteps rotate the message codec
+        through the unrated codecs so each one's rate and achieved size
+        are observed directly.
         """
         if self._signature == signature and self.plan is not None:
             return self.plan
         self._signature = signature
         self.samples = {}
         self.plan = TuningPlan(base)
-        if self.constants is None and self.config.explore:
+        if self.constants is None:
             self._rotation = [
                 c for c in CACHE_MODES if c != base.message_codec
             ]
@@ -281,8 +263,7 @@ class Tuner:
         self, superstep: int, current: KnobSettings
     ) -> TuningDecision:
         last = self.samples[max(self.samples)]
-        cfg = self.config
-        threshold = cfg.min_gain * max(last.observed_s, 1e-12)
+        threshold = MIN_GAIN * max(last.observed_s, 1e-12)
         reasons: list[str] = []
         knobs = replace(current, cache_mode=None)
         predicted = None
@@ -343,7 +324,7 @@ class Tuner:
                 )
                 if (
                     gain > threshold
-                    and gain * cfg.switch_horizon > switch_cost
+                    and gain * SWITCH_HORIZON > switch_cost
                 ):
                     knobs = replace(knobs, cache_mode=target)
                     reasons.append(f"cache->mode{target}")
@@ -364,8 +345,8 @@ class Tuner:
             io_s,
             compute_s,
             total_s=last.observed_s,
-            min_overlap=cfg.min_gain,
-            max_depth=cfg.max_prefetch_depth,
+            min_overlap=MIN_GAIN,
+            max_depth=MAX_PREFETCH_DEPTH,
         )
         if (depth, io_threads) != (
             current.prefetch_depth,
@@ -391,7 +372,6 @@ class Tuner:
     def report(self) -> dict:
         """JSON-friendly tuning summary for the run report."""
         out: dict = {
-            "time_source": self.config.time_source,
             "fit_superstep": self.fit_superstep,
             "num_samples": len(self.samples),
         }
@@ -481,20 +461,16 @@ class TunedRun:
         """Feed one finished superstep to the tuner.
 
         The fit row follows the cost model's straggler attribution;
-        the default (deterministic) observation is the modeled superstep
-        seconds minus injected fault delay, so faults perturb neither
-        the fit nor the decision trace.
+        the (deterministic) observation is the modeled superstep seconds
+        minus injected fault delay, so faults perturb neither the fit
+        nor the decision trace.
         """
         tuner = self.tuner
         if tuner is None:
             return
         report, knobs = done.report, prep.knobs
         straggler = self.mpe.cost_model.straggler_index(done.deltas)
-        observed = (
-            report.wall_s
-            if tuner.config.time_source == "wall"
-            else report.modeled.total_s - report.modeled.fault_s
-        )
+        observed = report.modeled.total_s - report.modeled.fault_s
         cost = CostSample.from_deltas(done.deltas, observed, straggler)
         # Message-path codec bytes on the straggler: its total codec
         # volume minus the edge cache's share when cache and message

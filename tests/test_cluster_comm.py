@@ -21,6 +21,7 @@ from repro.comm import (
     decode_update,
     encode_update,
 )
+from repro.service import reset_simulation
 
 
 class TestSpec:
@@ -139,7 +140,7 @@ class TestCluster:
         with Cluster(ClusterSpec(num_servers=1)) as cluster:
             server = cluster.servers[0]
             server.store_blob("t", b"abc")
-            cluster.reset_counters()
+            reset_simulation(cluster)
             assert server.counters.disk_write == 0
 
     def test_aggregate_and_peak(self):

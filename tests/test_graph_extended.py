@@ -1,8 +1,6 @@
 """Tests for binary I/O, Watts-Strogatz, streaming generation, and the
 run trace export."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +22,7 @@ from repro.graph import (
     save_edge_list_csv,
     watts_strogatz_graph,
 )
+from repro.obs.report import build_run_report, load_run_report, save_run_report
 
 
 class TestStreamingGenerators:
@@ -193,7 +192,7 @@ class TestTrace:
         assert trace[0]["modeled_s"]["total"] > 0
 
         path = tmp_path / "trace.json"
-        result.save_trace(str(path))
-        loaded = json.loads(path.read_text())
+        save_run_report(build_run_report(result), str(path))
+        loaded = load_run_report(str(path))
         assert loaded["supersteps"][0]["net_bytes"] == trace[0]["net_bytes"]
         assert isinstance(loaded["converged"], bool)

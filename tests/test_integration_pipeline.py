@@ -6,8 +6,6 @@ and OD policy → results validated, traced, checkpointed, and re-derived
 after relabeling.  Each test is a miniature of a real deployment story.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -25,6 +23,7 @@ from repro.graph.reorder import (
     degree_sort_relabel,
     invert_relabeling,
 )
+from repro.obs.report import build_run_report, load_run_report, save_run_report
 
 
 class TestEndToEnd:
@@ -81,8 +80,8 @@ class TestEndToEnd:
             gh.load_graph(graph)
             result = gh.run(SSSP(source=0))
         path = tmp_path / "trace.json"
-        result.save_trace(str(path))
-        trace = json.loads(path.read_text())
+        save_run_report(build_run_report(result), str(path))
+        trace = load_run_report(str(path))
         assert trace["converged"] == result.converged
         assert len(trace["supersteps"]) == result.num_supersteps
         # Modeled totals must equal the component sums.

@@ -602,6 +602,27 @@ class TestCounterSnapshot:
         assert delta.edges_processed == 7
         assert delta.disk_read == 0
 
+    def test_delta_returns_every_volume_field(self):
+        """Each additive field of ``Counters`` — everything but the
+        memory gauges — comes back in the delta, so a forked worker's
+        charge to any of them reaches the parent."""
+        server = _FakeServer()
+        snap = CounterSnapshot.capture(server)
+        volumes = [
+            f.name
+            for f in dataclasses.fields(Counters)
+            if not f.name.startswith("mem_")
+            and f.name not in ("decompressed", "compressed")
+        ]
+        assert len(volumes) == 15
+        for bump, name in enumerate(volumes, start=1):
+            setattr(server.counters, name, bump)
+        delta = snap.delta(server)
+        assert {n: getattr(delta, n) for n in volumes} == {
+            n: bump for bump, n in enumerate(volumes, start=1)
+        }
+        assert delta.mem_current == 0 and delta.mem_peak == 0
+
     def test_delta_codec_appearing_after_snapshot(self):
         server = _FakeServer()
         server.counters.add_decompressed("delta", 10)

@@ -25,6 +25,7 @@ from repro.comm import DENSE, SPARSE, encode_update
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, SPE, MPEConfig
 from repro.graph import chung_lu_graph, load_dataset
+from repro.obs.report import build_run_report, load_run_report, save_run_report
 from repro.runtime import (
     ParallelExecutor,
     ProcessExecutor,
@@ -339,9 +340,7 @@ class TestRuntimeTelemetry:
     """RunResult exposes the PR-1 host-runtime knobs (executor mode,
     decoded-cache hits/misses) in trace output."""
 
-    def test_runtime_block_and_save_trace(self, skewed, tmp_path):
-        import json
-
+    def test_runtime_block_and_run_report(self, skewed, tmp_path):
         result, _ = _run(
             skewed,
             PageRank(),
@@ -356,8 +355,8 @@ class TestRuntimeTelemetry:
         assert rt["decoded_cache_hits"] > 0
 
         out = tmp_path / "trace.json"
-        result.save_trace(str(out))
-        doc = json.loads(out.read_text())
+        save_run_report(build_run_report(result), str(out))
+        doc = load_run_report(str(out))
         assert doc["runtime"] == rt
         assert doc["supersteps"][0]["superstep"] == 0
         assert "fault" in doc["supersteps"][0]["modeled_s"]

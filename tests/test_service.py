@@ -421,7 +421,8 @@ class TestPersistence:
     def test_restart_reads_a_state_dir_written_indented(self, graph, tmp_path):
         """State files were ``json.dump(..., indent=1)`` before they
         were one ``dumps``: a daemon restarted over an old state dir
-        must restore its queue, job index, results and mutation log."""
+        must restore its job index (queued jobs included), results and
+        mutation log."""
         state = str(tmp_path / "state")
         eng = Engine(
             num_servers=2, state_dir=state, share_tiles=False,
@@ -451,7 +452,7 @@ class TestPersistence:
                     json.dump(json.loads(text), fh, indent=1, sort_keys=True)
                     fh.write("\n")
                 rewritten += 1
-        assert rewritten >= 4  # jobs, queue, mutlog, one result
+        assert rewritten == 3  # jobs, mutlog, one result
         restarted = Engine(
             num_servers=2, state_dir=state, share_tiles=False,
             config=MPEConfig(mutations=True),
@@ -483,17 +484,16 @@ class TestPersistence:
             ).job_id
             for prio in ("low", "normal", "high")
         ]
-        eng.shutdown()  # drains workers, persists the queue
-        queue_file = os.path.join(state, "queue.json")
-        payload = json.load(open(queue_file))
-        assert payload["next_job_seq"] == 3
-        assert [r["job_id"] for r in payload["queued"]] == [
-            ids[2], ids[1], ids[0]  # persisted in pop order: high first
+        eng.shutdown()  # drains workers, persists the job index
+        with open(os.path.join(state, "jobs.json"), encoding="utf-8") as fh:
+            rows = json.load(fh)["jobs"]
+        assert [(r["job_id"], r["status"]) for r in rows] == [
+            (job_id, JobStatus.QUEUED) for job_id in ids
         ]
+        assert not os.path.exists(os.path.join(state, "queue.json"))
 
         restarted = Engine(num_servers=2, state_dir=state, share_tiles=False)
         try:
-            assert not os.path.exists(queue_file)  # consumed on restore
             assert restarted.queue.depth() == 3
             # New submissions continue the persisted id sequence.
             restarted.register_graph(graph, name="tiny")
@@ -506,6 +506,47 @@ class TestPersistence:
             # Priority still rules: the fresh normal job runs before
             # the restored low one.
             assert ran == [ids[2], ids[1], fresh.job_id, ids[0]]
+        finally:
+            restarted.shutdown()
+
+    def test_restart_over_a_state_dir_with_a_queue_file(self, graph, tmp_path):
+        """A graceful shutdown used to also write ``queue.json`` (the
+        queued rows in pop order plus the id sequence) beside
+        ``jobs.json``.  A state dir left that way restores the same job
+        table from ``jobs.json`` alone and continues the ids."""
+        state = str(tmp_path / "state")
+        eng = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        eng.register_graph(graph, name="tiny")
+        done = _run_one(eng, JobSpec(graph="tiny", max_supersteps=3))
+        queued = [
+            eng.submit(JobSpec(graph="tiny", priority=prio, max_supersteps=3))
+            for prio in ("low", "high")
+        ]
+        eng.shutdown()
+        with open(os.path.join(state, "queue.json"), "w") as fh:
+            json.dump(
+                {
+                    "schema": "repro-service-queue/v1",
+                    "next_job_seq": 3,
+                    "queued": [r.to_dict() for r in reversed(queued)],
+                },
+                fh,
+                sort_keys=True,
+            )
+
+        restarted = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        try:
+            assert [(r.job_id, r.status) for r in restarted.jobs()] == [
+                (done.job_id, JobStatus.DONE),
+                (queued[0].job_id, JobStatus.QUEUED),
+                (queued[1].job_id, JobStatus.QUEUED),
+            ]
+            assert [r.job_id for r in restarted.queue.snapshot()] == [
+                queued[1].job_id, queued[0].job_id
+            ]
+            restarted.register_graph(graph, name="tiny")
+            fresh = restarted.submit(JobSpec(graph="tiny", max_supersteps=3))
+            assert fresh.job_id == "job-00000004"
         finally:
             restarted.shutdown()
 

@@ -33,11 +33,12 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, MPEConfig, SPE
 from repro.graph import chung_lu_graph
 from repro.metrics.cost import CostSample, fit_cost_constants
+from repro.obs.report import build_run_report, load_run_report, save_run_report
 from repro.runtime import process_runtime_available
 from repro.runtime.prefetch import recommend_depth
 from repro.storage.cache import EdgeCache, cache_plan, select_cache_mode
 from repro.storage.codecs import CACHE_MODES, get_codec
-from repro.tuning import KnobSettings, Tuner, TuningConfig, TuningPlan
+from repro.tuning import KnobSettings, Tuner, TuningPlan
 
 N_SERVERS = 3
 SUPERSTEPS = 12
@@ -218,12 +219,6 @@ class TestKnobPlumbing:
         assert plan.knobs_for(3).message_codec == "zlib1"
         assert plan.knobs_for(7).message_codec == "zlib1"  # holds
         assert plan.switches() == [3]
-
-    def test_tuning_config_validation(self):
-        with pytest.raises(ValueError, match="time_source"):
-            TuningConfig(time_source="cpu")
-        with pytest.raises(ValueError, match="min_gain"):
-            TuningConfig(min_gain=1.5)
 
     def test_recommend_depth(self):
         # Nothing to hide -> pipeline off.
@@ -562,12 +557,13 @@ class TestObservability:
         assert "fitted @ step" in text
         assert "switches at:" in text
 
-    def test_run_result_save_trace_includes_tuning(self, graph, tmp_path):
+    def test_saved_run_report_includes_tuning(self, graph, tmp_path):
         result, _story = _run(graph, MPEConfig(tune=True))
         path = str(tmp_path / "run.json")
-        result.save_trace(path)
-        with open(path) as fh:
-            doc = json.load(fh)
+        save_run_report(
+            build_run_report(result, extra={"tuning": result.tuning}), path
+        )
+        doc = load_run_report(path)
         assert doc["tuning"]["plan"]["decisions"]
 
 
