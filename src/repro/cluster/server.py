@@ -29,11 +29,11 @@ class ServerMirror:
     — so the worker's volumes can only be added.  Everything else has
     one writer, the owning worker, and travels as an absolute: memory
     gauges and peak, both caches' stats objects, the edge cache's mode,
-    and the caches' content keys in recency order (contents are a pure
-    function of the key list: blobs are immutable and compression is
-    deterministic, so the parent rebuilds them when the workers are
-    gone — :meth:`Server.restore_mirrored_content`).  No tile data and
-    no store arrays: those live in shared memory.
+    and the caches' content keys in recency order (edge-cache contents
+    are a pure function of the key list and the remembered sizes, so
+    the parent rebuilds them when the workers are gone —
+    :meth:`Server.restore_mirrored_content`).  No tile data and no
+    store arrays: those live in shared memory.
     """
 
     volumes: Counters
@@ -43,11 +43,12 @@ class ServerMirror:
     cache_mode: int | None
     cache_stats: CacheStats | None
     cache_keys: tuple | None
-    # Every blob size the edge cache remembers, (name, mode) -> (raw
-    # length, crc32, stored length) (the pool is forked per run:
-    # unshipped, each run would re-learn — re-compress — them) and its
+    # Every blob size the edge cache remembers, (name, mode) -> (write
+    # generation, raw length, stored length) (the pool is forked per
+    # run: unshipped, each run would re-learn — re-compress — them; the
+    # parent also rebuilds the cache's entries from them) and its
     # compress_skipped count (host telemetry: rejects decided from a
-    # verified remembered size).
+    # remembered size).
     cache_sizes: dict | None
     compress_skipped: int
     decoded_stats: DecodedCacheStats | None
@@ -131,7 +132,7 @@ class Server:
         c.mem_peak = max(c.mem_peak, mirror.mem_peak)
         if self.cache is not None:
             if self.cache.mode != mirror.cache_mode:
-                # Resident entries are the previous mode's encoding; they
+                # Resident entries are the previous mode's sizes; they
                 # are rebuilt from the key list, never read.
                 self.cache.clear()
                 self.cache.mode = mirror.cache_mode
@@ -147,18 +148,18 @@ class Server:
     def restore_mirrored_content(self, parser: Callable[[bytes], Any]) -> None:
         """Rebuild both caches' contents from the key lists of the last
         absorbed mirror (no-op when none was absorbed since the last
-        restore).  Stored bytes and recency order come out exactly as a
+        restore).  Entries and recency order come out exactly as a
         single-process run would have left them, so a later run — a
         supervised retry, the next program on this cluster — meters the
-        same under every executor."""
+        same under every executor.  The edge cache is rebuilt from the
+        sizes the worker shipped, with no read and no codec; the decoded
+        tiles are re-parsed."""
         if self._mirrored_keys is None:
             return
         cache_keys, decoded_keys = self._mirrored_keys
         self._mirrored_keys = None
         if self.cache is not None:
-            self.cache.rebuild_content(
-                (name, self.disk.peek(name)) for name in cache_keys
-            )
+            self.cache.rebuild_content(cache_keys, self.disk)
         if self.decoded_cache is not None:
             items = []
             for name in decoded_keys:
@@ -175,11 +176,11 @@ class Server:
     def switch_cache_mode(self, mode: int) -> int:
         """Switch the edge cache's mode mid-run, metering the work.
 
-        Resident entries are decompressed under the old codec and
-        re-admitted under the new one (:meth:`EdgeCache.switch_mode`);
-        the decompression is charged like the hit path — old-codec
-        bytes via ``add_decompressed``, nothing for raw mode 1 — and
-        the recompression is uncharged, matching the insert path.  The
+        Resident entries are re-admitted under the new mode's sizes
+        (:meth:`EdgeCache.switch_mode`); their decompression is charged
+        like the hit path — old-codec bytes via ``add_decompressed``,
+        nothing for raw mode 1 — and the recompression is uncharged,
+        matching the insert path.  The
         cache memory gauge is refreshed.  Returns the uncompressed
         bytes re-encoded (0 when there is no cache or no mode change).
         """
@@ -188,7 +189,7 @@ class Server:
             return 0
         old_mode = cache.mode
         old_codec = cache.codec.name
-        raw_bytes = cache.switch_mode(mode)
+        raw_bytes = cache.switch_mode(mode, self.disk)
         if raw_bytes and old_mode != 1:
             self.counters.add_decompressed(old_codec, raw_bytes)
         self.counters.set_memory("cache", cache.used_bytes)
@@ -201,33 +202,39 @@ class Server:
         self.decoded_cache = DecodedTileCache(slab=slab)
         return self.decoded_cache
 
-    def load_blob(self, name: str, prefetched: Any | None = None) -> bytes:
+    def load_blob(
+        self, name: str, raw_len: int | None = None, data: bytes | None = None
+    ) -> bytes | None:
         """Read a blob through the cache if present, metering everything.
 
         This is the §IV-B lookup path wired into the server's counters:
         disk traffic on a miss, decompression work on a compressed hit,
         and the cache's live size mirrored into the memory accounting.
 
-        ``prefetched`` (a :class:`repro.runtime.prefetch.PrefetchedLoad`)
-        only substitutes identical precomputed bytes for codec/disk
-        work; every decision and counter mutation still happens here.
+        ``raw_len`` (the caller holds the blob decoded) or ``data`` (the
+        caller read it ahead) make the lookup a replay: every decision
+        and counter is the same, nothing is read, and ``data`` is
+        returned (see :meth:`EdgeCache.load`).
         """
-        before_read = self.disk.bytes_read
+        disk = self.disk
+        if data is not None:
+            raw_len = len(data)
+        before_read = disk.bytes_read
         if self.cache is not None:
             before_decomp = self.cache.stats.bytes_decompressed
-            data = self.cache.load(name, self.disk, prefetched)
+            data = self.cache.load(name, disk, raw_len, data)
             decomp = self.cache.stats.bytes_decompressed - before_decomp
             if decomp and self.cache.mode != 1:
                 self.counters.add_decompressed(self.cache.codec.name, decomp)
             self.counters.set_memory("cache", self.cache.used_bytes)
             # Cache misses are concurrent per-tile fetches — seek-bound.
-            self.counters.disk_read_random += self.disk.bytes_read - before_read
+            self.counters.disk_read_random += disk.bytes_read - before_read
         else:
-            if prefetched is not None and prefetched.raw is not None:
-                data = self.disk.read_cached(name, prefetched.raw)
+            if raw_len is None:
+                data = disk.read(name)
             else:
-                data = self.disk.read(name)
-            self.counters.disk_read += self.disk.bytes_read - before_read
+                disk.meter_read(raw_len)
+            self.counters.disk_read += disk.bytes_read - before_read
         return data
 
     def load_tile(
@@ -236,23 +243,23 @@ class Server:
         parser: Callable[[bytes], Any],
         prefetched: Any | None = None,
     ) -> Any:
-        """Load a blob and return it *decoded*, parsing at most once.
+        """Load a blob and return it *decoded*, reading and parsing it
+        at most once.
 
         The decoded-tile cache sits in front of :meth:`load_blob`, but
-        never in front of its *metering*: every access still drives the
-        §IV-B edge-cache / disk accounting, byte-identically to a load
-        that re-parsed the blob —
+        never in front of its *metering*: every access drives the §IV-B
+        edge-cache / disk accounting, byte-identically to a load that
+        re-read and re-parsed the blob —
 
-        * decoded hit + edge-cache resident: a metering-equivalent hit
-          (:meth:`EdgeCache.touch` recency/stats + the decompression
-          charge a real hit would incur), skipping both the codec and
-          the parse;
-        * decoded hit + edge-cache miss (tiny or thrashing cache): the
-          real blob load runs for its disk/admission side effects and
-          only the re-parse is skipped — the physical re-read happens,
-          exactly what the simulation must meter;
-        * decoded miss: the real blob load runs, the blob is parsed,
-          and the decoded object is cached for the next superstep.
+        * decoded hit: the lookup is replayed from the blob's length
+          (``load_blob(raw_len=…)``) — a hit charges its decompression,
+          a miss its disk read and admission — and nothing is read,
+          decompressed or compressed;
+        * decoded miss: the blob is read (or taken from ``prefetched``,
+          a :class:`repro.runtime.prefetch.PrefetchedLoad` whose bytes
+          were read ahead), metered the same way, parsed (or its
+          speculative parse reused), and the decoded object is cached
+          for the next superstep.
 
         The fault injector (when attached) is consulted first: transient
         injected read errors re-read the blob through the metered disk
@@ -266,17 +273,14 @@ class Server:
             entry = dcache.get(name)
             if entry is not None:
                 obj, orig_len = entry
-                if self.cache is not None and self.cache.touch(name, orig_len):
-                    if orig_len and self.cache.mode != 1:
-                        self.counters.add_decompressed(
-                            self.cache.codec.name, orig_len
-                        )
-                    self.counters.set_memory("cache", self.cache.used_bytes)
-                    return obj
-                self.load_blob(name, prefetched)
+                self.load_blob(name, raw_len=orig_len)
                 return obj
-            data = self.load_blob(name, prefetched)
-            obj = self._parse(data, parser, prefetched)
+            if prefetched is not None and prefetched.raw is not None:
+                data = self.load_blob(name, data=prefetched.raw)
+                obj = prefetched.decoded
+            else:
+                data = self.load_blob(name)
+                obj = parser(data)
             dcache.put(name, obj, len(data))
             return obj
 
@@ -318,21 +322,6 @@ class Server:
                 yield slab.run(pos, pos)
         if first is not None:
             yield slab.run(first, last)
-
-    @staticmethod
-    def _parse(
-        data: bytes, parser: Callable[[bytes], Any], prefetched: Any | None
-    ) -> Any:
-        """Parse ``data``, reusing a speculative decode only when it was
-        produced from this exact bytes object (parsing is a pure
-        function of the bytes, so the result is identical)."""
-        if (
-            prefetched is not None
-            and prefetched.decoded is not None
-            and prefetched.decoded_from is data
-        ):
-            return prefetched.decoded
-        return parser(data)
 
     def store_blob(self, name: str, data: bytes) -> None:
         """Write a blob to local disk, metering the transfer.  Whatever

@@ -294,7 +294,7 @@ def bridge_cluster(registry: MetricsRegistry, cluster, channel=None) -> MetricsR
     # Host telemetry, not contract: a warm engine skips more.
     cache_skipped = registry.gauge(
         "repro_cache_compress_skipped",
-        "edge-cache rejects decided from a remembered, crc32-verified size "
+        "edge-cache rejects decided from a remembered, generation-checked size "
         "(codec not run); equals the rejected events once sizes are learned",
         ("server",),
     )

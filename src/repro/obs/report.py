@@ -91,7 +91,7 @@ def build_run_report(
                 "used_bytes": s.cache.used_bytes,
                 "capacity_bytes": s.cache.capacity_bytes,
                 # Host telemetry (not contract): rejects decided from a
-                # remembered, fingerprint-verified size — no codec run.
+                # remembered, generation-checked size — no codec run.
                 "compress_skipped": s.cache.compress_skipped,
             }
             for s in cluster.servers

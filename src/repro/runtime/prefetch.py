@@ -6,7 +6,7 @@ compute.  The seed sweep was strictly sequential per server — read,
 decompress, decode, gather, apply, then request the next blob — so I/O
 and compute *added*.  :class:`TilePrefetcher` overlaps them: while the
 compute thread gathers tile *k*, background I/O threads perform tile
-*k+1*'s disk read + cache probe + codec decompress + CSR decode.
+*k+1*'s disk read + CSR decode.
 
 Determinism by construction
 ---------------------------
@@ -16,21 +16,19 @@ The pipeline keeps that contract with a strict speculate/commit split:
 
 * **Background threads never mutate anything.**  Speculation
   (:func:`speculate_load`) uses only non-mutating probes —
-  ``LocalDisk.peek``, ``EdgeCache.peek_stored``,
-  ``EdgeCache.would_reject``, ``DecodedTileCache.peek`` — and
-  computes codec/parse *products* (decompressed bytes, compressed
-  bytes, decoded tiles) that are pure
-  functions of immutable blob bytes.  No stats, no counters, no cache
-  contents, no recency order are touched off-thread.
+  ``LocalDisk.peek``, ``DecodedTileCache.peek`` — and computes a parse
+  *product* (the decoded tile) that is a pure function of immutable
+  blob bytes.  No stats, no counters, no cache contents, no recency
+  order are touched off-thread.
 * **All metering happens at dequeue, on the compute thread, in the
   serial sweep order.**  The sweep pulls ``(item, hint)`` pairs from
   the pipeline and drives the *unchanged* metered path
   (``Server.load_tile``) exactly as the sequential sweep would; the
-  hint only lets the metered path *skip recomputing* a deterministic
-  product, validated by object identity (``stored is entry``,
-  ``raw is data``, ``decoded_from is data``).  A hint can therefore
-  never change a branch decision or a byte count — at worst it is
-  discarded and the metered path recomputes inline (a stall, not a
+  hint only lets the metered path *skip* the read and the parse it
+  stands for — the edge cache is metered by sizes, so the bytes' only
+  consumer is the parse they came with.  A hint can therefore never
+  change a branch decision or a byte count — at worst it is empty and
+  the metered path reads and parses inline (a stall, not a
   divergence).
 * **Faults stay in serial sweep order.**  The fault injector fires
   inside the metered load at dequeue — the same per-tile instant, in
@@ -38,10 +36,9 @@ The pipeline keeps that contract with a strict speculate/commit split:
   consult it; a speculation raced against an injected fault is simply
   dropped.
 
-Speculation failures (eviction between enqueue and dequeue, a blob
-vanishing mid-flight, codec errors) all degrade to "no hint": the
-compute thread reruns the real path and surfaces any real error
-deterministically.
+Speculation failures (a blob vanishing mid-flight, parse errors) all
+degrade to "no hint": the compute thread reruns the real path and
+surfaces any real error deterministically.
 """
 
 from __future__ import annotations
@@ -87,39 +84,17 @@ def recommend_depth(
 
 
 class PrefetchedLoad:
-    """Products of one background speculation for one blob.
+    """Products of one background speculation for one blob: ``raw``,
+    its bytes read ahead (``None`` when the tile was decoded-resident,
+    so the metered path reads nothing, or the read failed), and
+    ``decoded``, their parse."""
 
-    Every field is either ``None`` (not speculated / not applicable) or
-    the exact object the metered path would have produced, tagged with
-    the source object it was derived from so consumers can validate by
-    identity:
-
-    * ``stored`` / ``decompressed`` — the cache entry observed at
-      speculation time and its decompression (hit path).
-    * ``raw`` / ``compressed`` — the peeked disk bytes and their
-      speculative compression for cache admission (miss path).
-    * ``decoded`` / ``decoded_from`` — the parsed tile and the bytes
-      object it was parsed from.
-    """
-
-    __slots__ = (
-        "name",
-        "raw",
-        "compressed",
-        "decompressed",
-        "stored",
-        "decoded",
-        "decoded_from",
-    )
+    __slots__ = ("name", "raw", "decoded")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.raw: bytes | None = None
-        self.compressed: bytes | None = None
-        self.decompressed: bytes | None = None
-        self.stored: bytes | None = None
         self.decoded: Any | None = None
-        self.decoded_from: bytes | None = None
 
 
 def _peek(disk, name: str) -> bytes | None:
@@ -132,47 +107,18 @@ def _peek(disk, name: str) -> bytes | None:
 def speculate_load(server, name: str, parser: Callable[[bytes], Any]):
     """Speculatively perform tile ``name``'s I/O work, mutating nothing.
 
-    Mirrors the four shapes of ``Server.load_tile``:
-
-    1. decoded-cache hit + edge-cache resident → the metered path does
-       no codec/parse work, so there is nothing to stage;
-    2. decoded-cache hit + edge-cache miss (thrashing) → stage the raw
-       bytes and — unless the cache already knows it will reject them —
-       their compression for the metered re-read/admission;
-    3. decoded-cache miss + edge-cache hit → stage the decompression
-       and the parse;
-    4. both miss (cache-cold) → stage raw bytes, compression, and parse.
-
-    "Already knows" is ``EdgeCache.would_reject``: the remembered size
-    read by name and length only.  The blob's fingerprint is not checked
-    here — a background thread must not raise — but by the committed
-    ``EdgeCache.put`` at dequeue, which verifies every remembered size
-    it decides from.
+    Mirrors the two shapes of ``Server.load_tile``: a decoded-cache hit
+    reads nothing, whatever the edge cache holds, so nothing is staged;
+    a decoded-cache miss reads the blob and parses it — the same bytes
+    on an edge-cache hit or miss (the edge cache holds sizes) — so both
+    are staged.
     """
     out = PrefetchedLoad(name)
-    cache = server.cache
-    decoded_present = server.decoded_cache.peek(name) is not None
-    data: bytes | None = None
-    if cache is not None:
-        stored = cache.peek_stored(name)
-        if stored is not None:
-            if decoded_present:
-                return out
-            out.stored = stored
-            data = out.decompressed = cache.codec.decompress(stored)
-        else:
-            data = out.raw = _peek(server.disk, name)
-            # Admission before compression, as in EdgeCache.put: a blob
-            # the cache is known to reject right now is not compressed.
-            # The guess can go stale by dequeue; put then compresses
-            # inline — a stall, never a divergence.
-            if data is not None and not cache.would_reject(name, len(data)):
-                out.compressed = cache.codec.compress(data)
-    else:
-        data = out.raw = _peek(server.disk, name)
-    if data is not None and not decoded_present:
-        out.decoded = parser(data)
-        out.decoded_from = data
+    if server.decoded_cache.peek(name) is not None:
+        return out
+    out.raw = _peek(server.disk, name)
+    if out.raw is not None:
+        out.decoded = parser(out.raw)
     return out
 
 

@@ -310,21 +310,33 @@ class ArenaDisk(LocalDisk):
     Byte-for-byte the same accounting as :class:`LocalDisk` — the meters
     advance identically and misses (blobs written after the arena was
     built, e.g. by a respawn) fall through to the real files.  Installed
-    on each server for the duration of one process-executor run.
+    on each server for the duration of one process-executor run.  The
+    write generations are the wrapped disk's own map, not a copy: a
+    size the edge cache learned on either disk is checked against every
+    write made through both, and a blob written again since the arena
+    was built is read from its file, not from the arena's old copy.
     """
 
     def __init__(self, inner: LocalDisk, arena: SharedBlobArena) -> None:
         super().__init__(inner.root)
         self._inner = inner
         self._arena = arena
+        self.generations = inner.generations
+        self._fronted = dict(inner.generations)
         # Continue the wrapped disk's meters so deltas span the swap.
         self.bytes_read = inner.bytes_read
         self.bytes_written = inner.bytes_written
         self.read_ops = inner.read_ops
         self.write_ops = inner.write_ops
 
+    def _shared(self, name: str) -> bytes | None:
+        """The arena's copy of blob ``name``, if it still is the blob."""
+        if self.generation(name) != self._fronted.get(name, 0):
+            return None
+        return self._arena.get(name)
+
     def read(self, name: str) -> bytes:
-        data = self._arena.get(name)
+        data = self._shared(name)
         if data is None:
             return super().read(name)
         self.bytes_read += len(data)
@@ -334,7 +346,7 @@ class ArenaDisk(LocalDisk):
     def peek(self, name: str) -> bytes:
         """Unmetered read served from the shared arena when possible —
         the prefetch pipeline's speculation path inside forked workers."""
-        data = self._arena.get(name)
+        data = self._shared(name)
         if data is None:
             return super().peek(name)
         return data

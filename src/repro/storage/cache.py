@@ -17,24 +17,26 @@ mode selection rule are implemented verbatim:
 All cache activity is metered (:class:`CacheStats`) so Figure 7's hit
 ratios and the cost model's decompression charges come from real counts.
 
-Admission is decided *before* the codec runs.  A real worker never
-compresses a tile it is about to drop, and the only thing ``put`` needs
-from the codec to reject is the compressed length — a pure function of
-(blob bytes, cache mode).  The cache remembers that length, with the
-blob's ``zlib.crc32``, the first time it compresses a blob, and decides
-every later insert of the same blob from the remembered number, so the
-codec runs only for blobs that will be stored.  "The same blob" is
-checked, not assumed: before a remembered length may decide anything
-the blob in hand must reproduce the remembered fingerprint (a stale
-size would change metered admission decisions silently; the check makes
-it an error).  Same decision from the same number: stats, contents,
-recency, and trace instants are bitwise what an always-compress cache
-produces.
+The cache is metered by sizes alone, so it holds sizes, not bytes.  Hit,
+miss, admission, eviction, ``mem_cache`` and the decompression charge
+are functions of each blob's uncompressed and stored lengths, and the
+tiles compute reads live decoded in :class:`DecodedTileCache`; no
+engine path reads a cached blob's bytes back.  An entry is therefore a
+blob's size record under the current mode: its write generation, raw
+length and stored length.  The stored length is learned by running the
+mode's codec once per (blob, mode) and remembered against the blob's write generation
+(:meth:`repro.storage.disk.LocalDisk.generation`), so every later
+admission — after a cache clear, a mode switch back, or in the next
+run — is decided from the remembered number with no read and no codec.
+"The same blob" is checked, not assumed: a remembered size or entry
+whose blob was written again since is stale, and using it raises (a
+stale size would change metered decisions silently).  Same decision
+from the same numbers: stats, contents, recency and trace instants are
+bitwise what a cache that read and compressed every blob produces.
 """
 
 from __future__ import annotations
 
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -57,7 +59,7 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        """Total get() calls."""
+        """Total lookups: every hit (``get`` or ``touch``) and miss."""
         return self.hits + self.misses
 
     @property
@@ -123,7 +125,7 @@ def cache_plan(
 
 @dataclass
 class EdgeCache:
-    """Cache of tile blobs, optionally compressed.
+    """Cache of tile blobs, optionally compressed, kept as sizes.
 
     Parameters
     ----------
@@ -142,16 +144,22 @@ class EdgeCache:
         yields the partial hit ratios of Figure 7b.  ``"lru"`` is
         available for non-cyclic workloads.
 
+    An entry is a blob's size record — ``(write generation, raw length,
+    stored length)`` — and the bytes it stands for live on the server's
+    disk, read (unmetered) by the few callers that need them on a hit
+    (:meth:`load`).  Methods that may have to learn a size, or check
+    one, take that disk.
+
     Remembered sizes are a fact about a blob, not about the cache's
     contents: they survive :meth:`clear`, :meth:`reset_stats` and mode
     switches (keyed per mode), and are dropped only by
     :meth:`invalidate` (the blob was rewritten) or with the cache
     object.  ``compress_skipped`` counts the puts rejected from a
-    remembered, fingerprint-verified size, i.e. without running the
-    codec; once every blob's size is known it advances in step with
-    ``CacheStats.rejected``.  Host telemetry, deliberately outside
-    :class:`CacheStats` (a warm engine legitimately skips more than a
-    cold one while its metered story stays identical).
+    remembered size, i.e. without running the codec; once every blob's
+    size is known it advances in step with ``CacheStats.rejected``.
+    Host telemetry, deliberately outside :class:`CacheStats` (a warm
+    engine legitimately skips more than a cold one while its metered
+    story stays identical).
     """
 
     capacity_bytes: int
@@ -166,10 +174,12 @@ class EdgeCache:
             raise ValueError("capacity_bytes must be >= 0")
         if self.eviction not in ("none", "lru"):
             raise ValueError('eviction must be "none" or "lru"')
-        self._entries: OrderedDict[str, bytes] = OrderedDict()
+        # Blob name -> its size record under the current mode, recency
+        # order.
+        self._entries: OrderedDict[str, tuple[int, int, int]] = OrderedDict()
         self._used = 0
-        # (blob name, mode) -> (uncompressed length, crc32 of the
-        # uncompressed blob, stored length).
+        # (blob name, mode) -> (write generation, raw length, stored
+        # length): the size records.
         self._sizes: dict[tuple[str, int], tuple[int, int, int]] = {}
         self.compress_skipped = 0
         # Owning server's TraceBuffer when tracing is on (see
@@ -193,38 +203,20 @@ class EdgeCache:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def get(self, key: str, prefetched=None) -> bytes | None:
-        """Return the uncompressed blob on hit, ``None`` on miss.
+    def get(self, key: str) -> int | None:
+        """The blob's uncompressed length on hit, ``None`` on miss.
 
-        ``prefetched`` is an optional speculation record from the tile
-        prefetch pipeline (:mod:`repro.runtime.prefetch`).  Its decoded
-        product is reused *only* when it was derived from the exact
-        stored entry (object identity) — the hint can never change the
-        hit/miss decision or the metered byte counts, it only skips
-        re-running the deterministic codec.
+        A hit updates recency and charges the decompression of the
+        stored entry (``bytes_decompressed``); a miss is counted.
         """
-        blob = self._entries.get(key)
-        if blob is None:
+        entry = self._entries.get(key)
+        if entry is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        if (
-            prefetched is not None
-            and prefetched.decompressed is not None
-            and prefetched.stored is blob
-        ):
-            data = prefetched.decompressed
-        else:
-            data = self.codec.decompress(blob)
-        self.stats.bytes_decompressed += len(data)
-        return data
-
-    def peek_stored(self, key: str) -> bytes | None:
-        """Non-mutating probe: the *stored* (possibly compressed) entry
-        bytes, or ``None``.  No stats, no recency update — safe for the
-        prefetch pipeline's background speculation."""
-        return self._entries.get(key)
+        self.stats.bytes_decompressed += entry[1]
+        return entry[1]
 
     def touch(self, key: str, uncompressed_len: int) -> bool:
         """Metering-equivalent hit for callers that already hold the
@@ -232,10 +224,9 @@ class EdgeCache:
 
         Updates recency and the hit / decompressed-bytes stats exactly
         as :meth:`get` would — ``uncompressed_len`` is what the codec
-        would have produced — without running the codec.  Returns
-        ``False`` with stats untouched when the key is absent; the
-        caller must then take the real lookup path so miss accounting
-        happens there.
+        would have produced.  Returns ``False`` with stats untouched
+        when the key is absent; the caller then meters the miss
+        (:meth:`load` does).
         """
         if key not in self._entries:
             return False
@@ -244,47 +235,47 @@ class EdgeCache:
         self.stats.bytes_decompressed += int(uncompressed_len)
         return True
 
-    def _remembered(self, key: str, data: bytes) -> int | None:
-        """Stored length of blob ``key`` under the current mode, if
-        ``data`` has been compressed here before; ``None`` when the name
-        is new or was last seen at another uncompressed length (it is
-        then measured afresh).  Same name and length but another
-        fingerprint is a rewrite nobody announced: ``RuntimeError``."""
-        known = self._sizes.get((key, self.mode))
-        if known is None or known[0] != len(data):
-            return None
-        if zlib.crc32(data) != known[1]:
-            raise _stale(key, "its content fingerprint differs")
-        return known[2]
+    def _measure(
+        self, key: str, disk: LocalDisk, data: bytes | None = None
+    ) -> tuple[int, int, int]:
+        """The size record ``(write generation, raw length, stored
+        length)`` of blob ``key`` on ``disk`` under the current mode.
 
-    def _learn(self, key: str, data: bytes, blob: bytes) -> None:
-        """Remember that ``data`` is stored as ``blob`` under this mode."""
-        self._sizes[(key, self.mode)] = (len(data), zlib.crc32(data), len(blob))
+        Remembered sizes answer without reading anything, once the
+        blob's write generation on ``disk`` matches the one they were
+        learned at (and ``data``, when in hand, has the remembered
+        length); either mismatch is a rewrite nobody announced:
+        ``RuntimeError``.  An unknown size is learned by running the
+        codec once — on ``data``, else on an unmetered read of the blob.
+        """
+        generation = disk.generation(key)
+        known = self._sizes.get((key, self.mode))
+        if known is not None:
+            if known[0] != generation:
+                raise _stale(key, "written again since it was measured")
+            if data is not None and len(data) != known[1]:
+                raise _stale(
+                    key, f"{known[1]} B remembered, {len(data)} B in hand"
+                )
+            return known
+        if data is None:
+            data = disk.peek(key)
+        record = (generation, len(data), len(self.codec.compress(data)))
+        self._sizes[(key, self.mode)] = record
+        return record
 
     def remembered_sizes(self) -> dict[tuple[str, int], tuple[int, int, int]]:
-        """Copy of every remembered size, ``(name, mode) -> (raw length,
-        crc32, stored length)`` — what a forked worker's cache ships
-        back so the parent's copy does not re-learn them next run."""
+        """Copy of every remembered size, ``(name, mode) -> (write
+        generation, raw length, stored length)`` — what a forked
+        worker's cache ships back so the parent's copy does not re-learn
+        them next run."""
         return dict(self._sizes)
 
     def merge_sizes(self, sizes) -> None:
         """Adopt sizes learned by another copy of this cache (a forked
-        worker's): ``((name, mode), (raw length, crc32, stored
-        length))`` pairs or a mapping of them."""
+        worker's): ``((name, mode), (write generation, raw length,
+        stored length))`` pairs or a mapping of them."""
         self._sizes.update(sizes)
-
-    def would_reject(self, key: str, raw_len: int) -> bool:
-        """Whether a :meth:`put` of blob ``key`` right now is *known* to
-        be rejected; ``False`` whenever the size has not been learned
-        yet.  Read-only and length-only — safe for the prefetch
-        pipeline's background speculation, which must not raise; the
-        committed :meth:`put` verifies the fingerprint."""
-        known = self._sizes.get((key, self.mode))
-        return (
-            known is not None
-            and known[0] == raw_len
-            and not self._fits(key, known[2])
-        )
 
     def _fits(self, key: str, stored_len: int) -> bool:
         """The §IV-B admission rule on a stored length alone."""
@@ -293,52 +284,11 @@ class EdgeCache:
         if self.eviction == "lru":
             return True
         resident = self._entries.get(key)
-        held = len(resident) if resident is not None else 0
+        held = resident[2] if resident is not None else 0
         return self._used - held + stored_len <= self.capacity_bytes
 
-    def _compress(self, data: bytes, prefetched=None) -> bytes:
-        """Run the codec, unless ``prefetched`` already carries the
-        compression of this exact object (compression is deterministic,
-        so the bytes are identical)."""
-        if (
-            prefetched is not None
-            and prefetched.compressed is not None
-            and prefetched.raw is data
-        ):
-            return prefetched.compressed
-        return self.codec.compress(data)
-
-    def _measure(
-        self, key: str, data: bytes, prefetched=None
-    ) -> tuple[int, bytes | None]:
-        """``(stored length, compressed blob or None)`` for ``data``.
-
-        The codec runs only the first time a blob is seen under the
-        current mode; afterwards the remembered length is returned —
-        once ``data`` has reproduced the remembered fingerprint — with
-        no blob, and the caller compresses only if it goes on to store.
-        """
-        stored_len = self._remembered(key, data)
-        if stored_len is not None:
-            return stored_len, None
-        blob = self._compress(data, prefetched)
-        self._learn(key, data, blob)
-        return len(blob), blob
-
-    def _recompress(
-        self, key: str, data: bytes, stored_len: int, prefetched=None
-    ) -> bytes:
-        """Run the codec on a blob whose stored length is remembered;
-        the two have to agree."""
-        blob = self._compress(data, prefetched)
-        if len(blob) != stored_len:
-            raise _stale(
-                key, f"{stored_len} B remembered, {len(blob)} B now"
-            )
-        return blob
-
-    def put(self, key: str, data: bytes, prefetched=None) -> bool:
-        """Insert an uncompressed blob; returns False if not admitted.
+    def put(self, key: str, disk: LocalDisk, data: bytes | None = None) -> bool:
+        """Admit blob ``key`` (on ``disk``); returns False if rejected.
 
         Under ``eviction="none"`` an entry that does not fit in the
         remaining free space is simply rejected (§IV-B).  Under
@@ -347,138 +297,145 @@ class EdgeCache:
         flushing the entire cache.  A rejected insert leaves a resident
         entry of the same key untouched.
 
-        The decision is taken on the blob's stored length before the
-        codec runs (see :meth:`_measure`); a rejected blob whose length
-        is remembered is not compressed.  A remembered length decides
-        only after ``data`` matched the fingerprint remembered with it,
-        and when the codec then runs (the blob is stored) its output
-        must have that length; either mismatch raises ``RuntimeError``.
-        ``prefetched`` may carry a speculatively pre-compressed copy of
-        ``data``; it is reused only when compressed from this exact
-        object.
+        Decided on the blob's remembered stored length (see
+        :meth:`_measure`): only a blob not yet measured under this mode
+        is compressed — ``data`` when the caller holds the bytes, else
+        an unmetered read — and only once.
         """
-        self.stats.bytes_compressed_in += len(data)
-        stored_len, blob = self._measure(key, data, prefetched)
+        known = (key, self.mode) in self._sizes
+        record = self._measure(key, disk, data)
+        _generation, raw_len, stored_len = record
+        self.stats.bytes_compressed_in += raw_len
         if not self._fits(key, stored_len):
-            if blob is None:
+            if known:
                 self.compress_skipped += 1
             self.stats.rejected += 1
             self.trace.instant("cache-reject", "cache", key=key)
             return False
-        if blob is None:
-            blob = self._recompress(key, data, stored_len, prefetched)
         if key in self._entries:
-            self._used -= len(self._entries.pop(key))
-        while self._used + len(blob) > self.capacity_bytes:
+            self._used -= self._entries.pop(key)[2]
+        while self._used + stored_len > self.capacity_bytes:
             victim, evicted = self._entries.popitem(last=False)
-            self._used -= len(evicted)
+            self._used -= evicted[2]
             self.stats.evictions += 1
             self.trace.instant("cache-evict", "cache", key=victim)
-        self._entries[key] = blob
-        self._used += len(blob)
+        self._entries[key] = record
+        self._used += stored_len
         self.stats.insertions += 1
         return True
 
-    def load(self, key: str, disk: LocalDisk, prefetched=None) -> bytes:
+    def load(
+        self,
+        key: str,
+        disk: LocalDisk,
+        raw_len: int | None = None,
+        data: bytes | None = None,
+    ) -> bytes | None:
         """The §IV-B lookup path: cache first, else disk + insert.
 
-        With a ``prefetched`` record the miss path serves the already-
-        peeked bytes through :meth:`LocalDisk.read_cached` (identical
-        metering, same returned object) so the insert can reuse the
-        speculative compression.  Hit/miss, admission, and every stat
-        are decided here exactly as without the hint.
+        What is read depends on what the caller already holds:
+
+        * nothing — the blob's bytes are returned: a miss reads them
+          through the metered :meth:`LocalDisk.read`, a hit (the cache
+          holds sizes) through the unmetered :meth:`LocalDisk.peek`;
+        * the blob decoded (``raw_len``: its uncompressed length, from
+          the decoded-tile cache) or read ahead (``data``) — nothing is
+          read: a miss charges the read it stands for
+          (:meth:`LocalDisk.meter_read`) and ``data`` is returned.
+
+        Hit, miss, admission and every stat are decided the same way in
+        all three cases, and a resident entry's generation is checked
+        against ``disk`` like a remembered size's.
         """
-        data = self.get(key, prefetched)
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] != disk.generation(key):
+            raise _stale(key, "written again since it was cached")
         if data is not None:
-            return data
-        if prefetched is not None and prefetched.raw is not None:
-            data = disk.read_cached(key, prefetched.raw)
-        else:
+            raw_len = len(data)
+        if raw_len is None:
+            if self.get(key) is not None:
+                return disk.peek(key)
             data = disk.read(key)
-        self.put(key, data, prefetched)
+        elif self.touch(key, raw_len):
+            return data
+        else:
+            self.stats.misses += 1
+            disk.meter_read(raw_len)
+        self.put(key, disk, data)
         return data
 
-    def switch_mode(self, mode: int) -> int:
-        """Re-encode every resident entry under a new mode's codec.
+    def switch_mode(self, mode: int, disk: LocalDisk) -> int:
+        """Re-admit every resident entry under a new mode's codec.
 
-        The autotuner's mid-run cache-mode switch: entries are
-        decompressed with the old codec and recompressed with the new
-        one, preserving recency order.  Entries that no longer fit
-        (switching to a worse-ratio codec inflates the footprint) are
-        dropped least-recent-first and counted as evictions.  Returns
-        the total *uncompressed* bytes re-encoded so the caller can
-        meter the decompression work (compression is uncharged, matching
-        the insert path); a same-mode call is a free no-op.  Like
-        :meth:`put`, an entry whose new stored length is remembered and
-        does not fit is dropped without being recompressed.
+        The autotuner's mid-run cache-mode switch: entries are re-sized
+        under the new codec (a size not yet learned for it is measured
+        from an unmetered read of the blob on ``disk``), preserving
+        recency order.  Entries that no longer fit (switching to a
+        worse-ratio codec inflates the footprint) are dropped
+        least-recent-first and counted as evictions.  Returns the total
+        *uncompressed* bytes re-encoded so the caller can meter the
+        decompression work (compression is uncharged, matching the
+        insert path); a same-mode call is a free no-op.
 
         Deterministic: contents are a pure function of the admitted-key
         sequence and the mode history, so serial, thread, and process
-        executors end up with byte-identical caches after a switch.
+        executors end up with identical caches after a switch.
         """
         if mode == self.mode:
             return 0
         if not 1 <= mode <= len(CACHE_MODES):
             raise ValueError(f"cache mode must be 1..{len(CACHE_MODES)}")
-        old_codec = self.codec
-        items = [
-            (key, old_codec.decompress(blob))
-            for key, blob in self._entries.items()
-        ]
+        keys = list(self._entries)
+        total_raw = sum(raw for _gen, raw, _stored in self._entries.values())
         self.mode = mode
         self._entries = OrderedDict()
         self._used = 0
-        total_raw = 0
-        # Recompress most-recent-first so capacity pressure drops the
+        # Re-admit most-recent-first so capacity pressure drops the
         # least recent entries — the same survivors an LRU would keep.
         kept = []
-        for key, data in reversed(items):
-            total_raw += len(data)
-            stored_len, blob = self._measure(key, data)
-            if self._used + stored_len > self.capacity_bytes:
+        for key in reversed(keys):
+            record = self._measure(key, disk)
+            if self._used + record[2] > self.capacity_bytes:
                 self.stats.evictions += 1
                 self.trace.instant("cache-evict", "cache", key=key)
                 continue
-            if blob is None:
-                blob = self._recompress(key, data, stored_len)
-            kept.append((key, blob))
-            self._used += len(blob)
-        for key, blob in reversed(kept):
-            self._entries[key] = blob
+            kept.append((key, record))
+            self._used += record[2]
+        self._entries.update(reversed(kept))
         return total_raw
 
     def content_keys(self) -> list[str]:
         """Entry keys in recency order (least recent first).
 
-        Contents are a pure function of the admitted-key sequence (blobs
-        are immutable, compression is deterministic), so this list is a
-        complete content fingerprint — what the process runtime ships
-        from worker to parent to resynchronise the parent's mirror.
+        Contents are a pure function of the admitted-key sequence and
+        the remembered sizes, so this list is a complete content
+        fingerprint — what the process runtime ships from worker to
+        parent to resynchronise the parent's mirror.
         """
         return list(self._entries)
 
-    def rebuild_content(self, items) -> None:
-        """Replace contents from ``(key, uncompressed blob)`` pairs.
+    def rebuild_content(self, keys, disk: LocalDisk) -> None:
+        """Replace contents with blobs ``keys`` (blob names on ``disk``,
+        least recent first), sized from the remembered sizes.
 
-        Stats are untouched (they are mirrored separately); the stored
-        bytes and recency order come out exactly as if the same ``put``
+        Stats are untouched (they are mirrored separately); the entries
+        and recency order come out exactly as if the same ``put``
         sequence had run here.
         """
         self._entries = OrderedDict()
         self._used = 0
-        for key, data in items:
-            blob = self.codec.compress(data)
-            self._learn(key, data, blob)
-            self._entries[key] = blob
-            self._used += len(blob)
+        for key in keys:
+            record = self._measure(key, disk)
+            self._entries[key] = record
+            self._used += record[2]
 
     def invalidate(self, key: str) -> None:
-        """Forget blob ``key`` entirely — its entry, the bytes it held,
-        and its remembered sizes and fingerprints under every mode.  For
-        a blob rewritten under the same name; no stat is touched."""
-        blob = self._entries.pop(key, None)
-        if blob is not None:
-            self._used -= len(blob)
+        """Forget blob ``key`` entirely — its entry, the bytes it was
+        charged, and its remembered sizes under every mode.  For a blob
+        rewritten under the same name; no stat is touched."""
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._used -= entry[2]
         for mode in range(1, len(CACHE_MODES) + 1):
             self._sizes.pop((key, mode), None)
 
@@ -530,23 +487,26 @@ class DecodedTileCache:
     it maps blob name → the decoded object plus the blob's uncompressed
     length, so a cache-resident tile is parsed once per run.
 
-    Memory accounting: decoded tiles are zero-copy ``np.frombuffer``
-    views over the blob bytes already charged to the edge cache
-    (``mem_cache``), so the modeled footprint is unchanged — matching
-    the real system, which holds each tile's arrays exactly once.  The
-    lazily-materialised ``int64`` index shadows (`Tile.col_int64` etc.)
-    are a numpy-host artifact with no counterpart in the paper's
-    ``uint32``-indexed C++ kernels and are deliberately excluded from
-    the modeled RAM.  The engine's cache carries the server's ``slab``
+    Memory accounting: the modeled footprint of a resident tile is
+    what the edge cache charges (``mem_cache``: its stored length) —
+    the real system holds each tile's arrays exactly once, and the
+    edge cache here keeps only sizes, so the decoded tile is the one
+    host copy (zero-copy ``np.frombuffer`` views over the bytes the
+    blob was parsed from).  The lazily-materialised ``int64`` index
+    shadows (`Tile.col_int64` etc.) are a numpy-host artifact with no
+    counterpart in the paper's ``uint32``-indexed C++ kernels and are
+    deliberately excluded from the modeled RAM.  The engine's cache carries the server's ``slab``
     (:class:`repro.partition.tiles.TileSlab`), where those shadows live
     laid end to end — what lets it sweep a stretch of resident tiles as
     one.
 
     Metering safety: this cache never replaces the §IV-B lookup — the
     server still drives the edge cache / disk metering for every access
-    (:meth:`repro.cluster.server.Server.load_tile`), so hit ratios,
-    disk traffic, and decompression charges are byte-identical to a load
-    that re-parsed the blob, and the engine always attaches one.
+    (:meth:`repro.cluster.server.Server.load_tile`), replayed from the
+    blob's length when the tile is held here, so hit ratios, disk
+    traffic, and decompression charges are byte-identical to a load
+    that re-read and re-parsed the blob, and the engine always attaches
+    one.
     """
 
     stats: DecodedCacheStats = field(default_factory=DecodedCacheStats)

@@ -5,6 +5,10 @@ directory.  Blobs are real files (tiles genuinely round-trip through the
 filesystem — nothing is mocked), and every read/write is metered so the
 cost model can charge paper-calibrated disk time (the testbed's RAID5
 sustains ~310 MB/s sequential reads, §IV-B).
+
+A disk also counts the writes of every blob name — its *generation* —
+so a fact remembered about a blob (the edge cache's stored sizes) can
+tell whether the blob was written again since it was learned.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ class LocalDisk:
         self.bytes_written = 0
         self.read_ops = 0
         self.write_ops = 0
+        # Blob name -> number of writes under that name.
+        self.generations: dict[str, int] = {}
 
     def _path(self, name: str) -> Path:
         if "/" in name or "\\" in name or name in (".", ".."):
@@ -33,9 +39,15 @@ class LocalDisk:
         """Persist a blob; returns bytes written."""
         path = self._path(name)
         path.write_bytes(data)
+        self.generations[name] = self.generations.get(name, 0) + 1
         self.bytes_written += len(data)
         self.write_ops += 1
         return len(data)
+
+    def generation(self, name: str) -> int:
+        """How many times blob ``name`` was written here (0: never, or
+        before this disk object existed)."""
+        return self.generations.get(name, 0)
 
     def read(self, name: str) -> bytes:
         """Read a blob back; meters the transfer."""
@@ -44,23 +56,17 @@ class LocalDisk:
         self.read_ops += 1
         return data
 
-    def read_cached(self, name: str, data: bytes) -> bytes:
-        """Metering-equivalent read for callers that already hold the
-        blob bytes (the tile prefetch pipeline).
-
-        Charges exactly what :meth:`read` would — blobs are immutable
-        for the duration of a run, so ``data`` (obtained earlier via
-        :meth:`peek`) is byte-identical to what a fresh read would
-        return.  Returns the *same object* so downstream identity
-        checks can tell a prefetched copy from a fresh read.
-        """
-        self.bytes_read += len(data)
+    def meter_read(self, nbytes: int) -> None:
+        """Charge the meters for a read of ``nbytes`` that is not made:
+        the caller already holds the blob — decoded, or read ahead — and
+        replays only the simulated I/O :meth:`read` would meter."""
+        self.bytes_read += int(nbytes)
         self.read_ops += 1
-        return data
 
     def peek(self, name: str) -> bytes:
         """Unmetered read for host-side plumbing (shared-memory blob
-        placement, cache resync, prefetch speculation) — never for
+        placement, prefetch speculation, the bytes behind an edge-cache
+        hit or a size the edge cache has yet to learn) — never for
         simulated I/O."""
         return self._path(name).read_bytes()
 

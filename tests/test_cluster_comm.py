@@ -158,9 +158,7 @@ def _mirrored_state(server):
         "cache_stats": dataclasses.astuple(server.cache.stats),
         "cache_mode": server.cache.mode,
         "cache_keys": server.cache.content_keys(),
-        "stored": [
-            len(server.cache.peek_stored(k)) for k in server.cache.content_keys()
-        ],
+        "used": server.cache.used_bytes,
         "sizes": sorted(server.cache.remembered_sizes().items()),
         "compress_skipped": server.cache.compress_skipped,
         "decoded_stats": dataclasses.astuple(server.decoded_cache.stats),
@@ -202,7 +200,7 @@ class TestServerMirror:
             worker.switch_cache_mode(2)
             for name in blobs:
                 worker.load_tile(name, parser)
-            assert not worker.cache.put("t3", blobs["t3"])
+            assert not worker.cache.put("t3", worker.disk)
             worker.counters.add_memory("scratch", 7)
             worker.prefetch_trace.complete("tile_prefetch", "prefetch", 0.0, 1.0)
             assert worker.cache.stats.rejected > 0

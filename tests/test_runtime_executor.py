@@ -640,9 +640,7 @@ def _server_state(cluster, result):
                 "cache_stats": dataclasses.astuple(s.cache.stats),
                 "cache_mode": s.cache.mode,
                 "cache_keys": s.cache.content_keys(),
-                "stored": [
-                    len(s.cache.peek_stored(k)) for k in s.cache.content_keys()
-                ],
+                "used": s.cache.used_bytes,
                 "sizes": sorted(s.cache.remembered_sizes().items()),
                 "decoded_stats": dataclasses.astuple(s.decoded_cache.stats),
                 "decoded_keys": s.decoded_cache.content_keys(),

@@ -272,10 +272,17 @@ class TestModeSelection:
         assert 1 <= select_cache_mode(total, capacity) <= 4
 
 
+def _disk(path, **blobs) -> LocalDisk:
+    """A disk at ``path`` holding ``blobs`` (name -> bytes)."""
+    disk = LocalDisk(path)
+    for name, data in blobs.items():
+        disk.write(name, data)
+    return disk
+
+
 class TestEdgeCache:
     def test_miss_then_hit(self, tmp_path):
-        disk = LocalDisk(tmp_path)
-        disk.write("t0", b"x" * 100)
+        disk = _disk(tmp_path, t0=b"x" * 100)
         cache = EdgeCache(capacity_bytes=1000, mode=1)
         assert cache.load("t0", disk) == b"x" * 100
         assert cache.stats.misses == 1
@@ -287,35 +294,40 @@ class TestEdgeCache:
         cache = EdgeCache(capacity_bytes=10, mode=1)
         assert cache.get("nope") is None
 
-    def test_lru_eviction_order(self):
+    def test_lru_eviction_order(self, tmp_path):
+        disk = _disk(tmp_path, a=b"x" * 100, b=b"y" * 100, c=b"z" * 100)
         cache = EdgeCache(capacity_bytes=250, mode=1, eviction="lru")
-        cache.put("a", b"x" * 100)
-        cache.put("b", b"y" * 100)
+        cache.put("a", disk)
+        cache.put("b", disk)
         cache.get("a")  # a becomes most-recent
-        cache.put("c", b"z" * 100)  # evicts b
+        cache.put("c", disk)  # evicts b
         assert "a" in cache and "c" in cache and "b" not in cache
         assert cache.stats.evictions == 1
 
-    def test_default_policy_admits_until_full(self):
+    def test_default_policy_admits_until_full(self, tmp_path):
         """§IV-B: a full cache rejects new tiles instead of evicting —
         the behaviour behind Figure 7b's stable partial hit ratios."""
+        disk = _disk(tmp_path, a=b"x" * 100, b=b"y" * 100, c=b"z" * 100)
         cache = EdgeCache(capacity_bytes=250, mode=1)
-        assert cache.put("a", b"x" * 100)
-        assert cache.put("b", b"y" * 100)
-        assert not cache.put("c", b"z" * 100)  # no room, no eviction
+        assert cache.put("a", disk)
+        assert cache.put("b", disk)
+        assert not cache.put("c", disk)  # no room, no eviction
         assert "a" in cache and "b" in cache and "c" not in cache
         assert cache.stats.evictions == 0
         assert cache.stats.rejected == 1
 
-    def test_admit_policy_beats_lru_on_cyclic_scan(self):
+    def test_admit_policy_beats_lru_on_cyclic_scan(self, tmp_path):
         """Cyclic tile scans: LRU thrashes to ~0%, admit-until-full
         pins a stable subset."""
+        keys = ("t0", "t1", "t2", "t3")
+        disk = _disk(tmp_path, **{k: b"v" * 100 for k in keys})
+
         def run(eviction):
             cache = EdgeCache(capacity_bytes=250, mode=1, eviction=eviction)
             for _ in range(5):  # 5 supersteps over 4 tiles of 100B
-                for k in ("t0", "t1", "t2", "t3"):
+                for k in keys:
                     if cache.get(k) is None:
-                        cache.put(k, b"v" * 100)
+                        cache.put(k, disk)
             return cache.stats.hit_ratio
 
         assert run("none") > run("lru")
@@ -325,55 +337,63 @@ class TestEdgeCache:
         with pytest.raises(ValueError):
             EdgeCache(capacity_bytes=10, mode=1, eviction="fifo")
 
-    def test_oversized_rejected(self):
-        cache = EdgeCache(capacity_bytes=10, mode=1)
+    def test_oversized_rejected(self, tmp_path):
         rng = np.random.default_rng(3)
         blob = rng.integers(0, 256, 100, dtype=np.uint8).tobytes()
-        assert not cache.put("big", blob)
+        disk = _disk(tmp_path, big=blob)
+        cache = EdgeCache(capacity_bytes=10, mode=1)
+        assert not cache.put("big", disk)
         assert cache.stats.rejected == 1
         assert len(cache) == 0
 
-    def test_compressed_mode_fits_more(self):
+    def test_compressed_mode_fits_more(self, tmp_path):
         # 3 tiles of very compressible data fit in a capacity sized for
         # one raw tile once zlib mode is on.
-        data = b"\x00" * 1000
+        disk = _disk(tmp_path, **{k: b"\x00" * 1000 for k in "abc"})
         raw = EdgeCache(capacity_bytes=1500, mode=1)
         zl = EdgeCache(capacity_bytes=1500, mode=3)
         for k in ("a", "b", "c"):
-            raw.put(k, data)
-            zl.put(k, data)
+            raw.put(k, disk)
+            zl.put(k, disk)
         assert len(raw) == 1
         assert len(zl) == 3
 
     def test_compressed_roundtrip_through_cache(self, tmp_path):
-        disk = LocalDisk(tmp_path)
         payload = np.arange(500, dtype=np.int64).tobytes()
-        disk.write("t", payload)
+        disk = _disk(tmp_path, t=payload)
         for mode in range(1, 5):
             cache = EdgeCache(capacity_bytes=100_000, mode=mode)
             assert cache.load("t", disk) == payload
             assert cache.load("t", disk) == payload
+            # Charged at the codec's stored length, decompressed in full.
+            assert cache.used_bytes == len(cache.codec.compress(payload))
+            assert cache.stats.bytes_decompressed == len(payload)
 
-    def test_put_replaces_existing(self):
+    def test_put_replaces_existing(self, tmp_path):
+        disk = _disk(tmp_path, k=b"a" * 100)
         cache = EdgeCache(capacity_bytes=1000, mode=1)
-        cache.put("k", b"a" * 100)
-        cache.put("k", b"b" * 50)
-        assert cache.get("k") == b"b" * 50
-        assert cache.used_bytes == 50
+        assert cache.put("k", disk) and cache.put("k", disk)
+        assert len(cache) == 1 and cache.used_bytes == 100
+        assert cache.get("k") == 100
+        assert cache.stats.insertions == 2
 
-    def test_hit_ratio(self):
+    def test_hit_ratio(self, tmp_path):
+        disk = _disk(tmp_path, k=b"v")
         cache = EdgeCache(capacity_bytes=1000, mode=1)
         # An untouched cache has served no lookups: idle reads as 0.0,
         # not a perfect 1.0.
         assert cache.stats.hit_ratio == 0.0
-        cache.put("k", b"v")
+        cache.put("k", disk)
         cache.get("k")
         cache.get("missing")
         assert cache.stats.hit_ratio == 0.5
+        assert cache.touch("k", 1) and not cache.touch("missing", 1)
+        assert cache.stats.lookups == 3  # touch hits count, its misses not
 
-    def test_clear(self):
+    def test_clear(self, tmp_path):
+        disk = _disk(tmp_path, k=b"v")
         cache = EdgeCache(capacity_bytes=100, mode=1)
-        cache.put("k", b"v")
+        cache.put("k", disk)
         cache.clear()
         assert len(cache) == 0
         assert cache.used_bytes == 0
@@ -386,42 +406,51 @@ class TestEdgeCache:
         with pytest.raises(ValueError):
             EdgeCache(capacity_bytes=-1, mode=1)
 
-    def test_used_never_exceeds_capacity(self):
-        cache = EdgeCache(capacity_bytes=500, mode=1)
+    def test_used_never_exceeds_capacity(self, tmp_path):
         rng = np.random.default_rng(7)
+        sizes = rng.integers(1, 200, 50)
+        disk = _disk(
+            tmp_path,
+            **{f"k{i}": _noise(int(n), seed=i) for i, n in enumerate(sizes)},
+        )
+        cache = EdgeCache(capacity_bytes=500, mode=1)
         for i in range(50):
-            size = int(rng.integers(1, 200))
-            cache.put(f"k{i}", rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+            cache.put(f"k{i}", disk)
             assert cache.used_bytes <= cache.capacity_bytes
 
-    def test_rejected_put_leaves_resident_entry(self):
-        """A same-key insert that does not fit is rejected without
-        touching the copy already resident."""
+    def test_rejected_put_leaves_resident_entry(self, tmp_path):
+        """A same-key insert is netted against the key's own resident
+        charge — re-admitting a resident blob into a full cache succeeds
+        — and a rejected insert leaves every resident entry untouched."""
+        big = _noise(300, seed=3)
+        disk = _disk(tmp_path, a=b"x" * 100, b=b"y" * 100, c=b"z" * 100, big=big)
         cache = EdgeCache(capacity_bytes=250, mode=1)
-        cache.put("a", b"x" * 100)
-        cache.put("b", b"y" * 100)
-        assert not cache.put("a", b"z" * 200)  # 100 (b) + 200 > 250
-        assert cache.get("a") == b"x" * 100
-        assert cache.used_bytes == 200
-        assert cache.stats.rejected == 1
+        assert cache.put("a", disk) and cache.put("b", disk)
+        assert cache.put("a", disk)  # 100 (b) + 100 - 100 (a) + 100
+        assert not cache.put("c", disk) and not cache.put("big", disk)
+        assert cache.content_keys() == ["b", "a"] and cache.used_bytes == 200
+        assert cache.stats.rejected == 2
         # Oversized for the whole cache: same under LRU.
         lru = EdgeCache(capacity_bytes=250, mode=1, eviction="lru")
-        lru.put("a", b"x" * 100)
-        assert not lru.put("a", b"z" * 300)
-        assert lru.get("a") == b"x" * 100 and lru.used_bytes == 100
+        lru.put("a", disk)
+        assert not lru.put("big", disk)
+        assert lru.get("a") == 100 and lru.used_bytes == 100
 
-    def test_invalidate_drops_entry_bytes_and_remembered_size(self):
-        cache = EdgeCache(capacity_bytes=40, mode=4)
+    def test_invalidate_drops_entry_bytes_and_remembered_size(self, tmp_path):
         zeros, noise = b"\x00" * 64, _noise(64, seed=5)
-        assert cache.put("t", zeros)  # compresses to a few bytes
+        disk = _disk(tmp_path, t=zeros)
+        cache = EdgeCache(capacity_bytes=40, mode=4)
+        assert cache.put("t", disk)  # compresses to a few bytes
         before = dataclasses.asdict(cache.stats)
+        disk.write("t", noise)
         cache.invalidate("t")
         assert "t" not in cache and cache.used_bytes == 0
         assert dataclasses.asdict(cache.stats) == before
         cache.invalidate("t")  # absent key: a no-op
         # Same name, same length, now incompressible: the remembered
-        # (tiny) size must not admit it.
-        assert not cache.put("t", noise)
+        # (tiny) size is gone and must not admit it.
+        assert cache.remembered_sizes() == {}
+        assert not cache.put("t", disk)
         assert cache.used_bytes == 0
 
     def test_store_blob_invalidates_edge_cache(self, tmp_path):
@@ -437,41 +466,46 @@ class TestEdgeCache:
         assert "t" not in server.cache and server.cache.used_bytes == 0
         assert server.load_blob("t") == b"new" * 50
 
-    def test_remembered_size_survives_clear_and_is_per_mode(self, monkeypatch):
+    def test_remembered_size_survives_clear_and_is_per_mode(
+        self, tmp_path, monkeypatch
+    ):
         calls = _count_compress_calls(monkeypatch)
+        disk = _disk(tmp_path, a=_noise(100, seed=1), b=_noise(100, seed=2))
         cache = EdgeCache(capacity_bytes=150, mode=4)
-        a, b = _noise(100, seed=1), _noise(100, seed=2)
-        assert cache.put("a", a) and not cache.put("b", b)
+        assert cache.put("a", disk) and not cache.put("b", disk)
         assert len(calls) == 2 and cache.compress_skipped == 0
-        assert not cache.put("b", b)  # from the remembered size
+        assert not cache.put("b", disk)  # from the remembered size
         assert len(calls) == 2 and cache.compress_skipped == 1
         cache.clear()
         cache.reset_stats()
-        assert cache.put("b", b)  # stored, so compressed
-        assert len(calls) == 3
-        assert not cache.put("a", a) and not cache.put("a", a)
-        assert len(calls) == 3 and cache.compress_skipped == 3
-        # A new mode knows nothing yet: b is re-encoded, a measured once.
-        cache.switch_mode(3)
-        assert not cache.put("a", a) and not cache.put("a", a)
-        assert len(calls) == 5 and cache.compress_skipped == 4
-        # Back under mode 4 both sizes are still known: b is re-encoded
-        # because it is stored, a is turned away unmeasured.
-        cache.switch_mode(4)
-        assert not cache.put("a", a)
-        assert len(calls) == 6 and cache.compress_skipped == 5
+        assert cache.put("b", disk)  # stored from the remembered size
+        assert len(calls) == 2
+        assert not cache.put("a", disk) and not cache.put("a", disk)
+        assert len(calls) == 2 and cache.compress_skipped == 3
+        # A new mode knows nothing yet: b is measured as it is
+        # re-admitted, a at its first put.
+        cache.switch_mode(3, disk)
+        assert not cache.put("a", disk) and not cache.put("a", disk)
+        assert len(calls) == 4 and cache.compress_skipped == 4
+        # Back under mode 4 both sizes are still known: nothing is
+        # measured again.
+        cache.switch_mode(4, disk)
+        assert not cache.put("a", disk)
+        assert len(calls) == 4 and cache.compress_skipped == 5
 
     def test_second_sweep_over_full_cache_makes_no_codec_call(
         self, tmp_path, monkeypatch
     ):
         """The win, pinned by count: the first sweep over a full
         admit-until-full cache compresses each blob once; a later sweep
-        never runs the codec — every reject is decided from a
-        remembered size."""
-        disk = LocalDisk(tmp_path)
+        never runs the codec — every admission is decided from a
+        remembered size.  Through a server whose decoded-tile cache
+        holds every tile, the later sweep does not read either, and
+        meters exactly what a server that reads every miss does."""
+        from repro.cluster.server import Server
+
         blobs = {f"t{i}": _noise(200, seed=i) for i in range(8)}
-        for name, data in blobs.items():
-            disk.write(name, data)
+        disk = _disk(tmp_path / "cache", **blobs)
         cache = EdgeCache(capacity_bytes=500, mode=4)  # holds two
         calls = _count_compress_calls(monkeypatch)
         for name, data in blobs.items():
@@ -486,38 +520,78 @@ class TestEdgeCache:
         assert cache.stats.rejected == cache.compress_skipped == 6
         assert cache.stats.bytes_compressed_in == 6 * 200
 
-    def test_fingerprint_catches_a_rewrite_that_skipped_invalidate(self):
-        """A blob rewritten under its name without ``invalidate`` is
-        caught the first time its remembered size is consulted, on
-        either side of the decision — loudly, not as a silent admission
-        change."""
+        servers = []
+        for label in ("replay", "oracle"):
+            server = Server(0, str(tmp_path / label))
+            server.attach_cache(capacity_bytes=500, mode=4)
+            server.attach_decoded_cache()
+            for name, data in blobs.items():
+                server.store_blob(name, data)
+            servers.append(server)
+        replay, oracle = servers
+        for name in blobs:  # cold: read, parse, learn every size
+            replay.load_tile(name, bytes)
+            oracle.load_blob(name)
+        reads = []
+        physical = LocalDisk.read
+
+        def counting_read(self, name):
+            reads.append((self.root.name, name))
+            return physical(self, name)
+
+        monkeypatch.setattr(LocalDisk, "read", counting_read)
+        del calls[:]
+        for name, data in blobs.items():
+            assert replay.load_tile(name, bytes) == data
+        assert reads == [] and calls == []
+        for name in blobs:  # the always-read oracle reads each miss
+            oracle.load_blob(name)
+        assert len(reads) == 6 and calls == []
+        assert replay.disk.bytes_read == oracle.disk.bytes_read > 0
+        assert replay.disk.read_ops == oracle.disk.read_ops
+        assert dataclasses.asdict(replay.cache.stats) == dataclasses.asdict(
+            oracle.cache.stats
+        )
+        assert replay.counters.snapshot() == oracle.counters.snapshot()
+
+    def test_fingerprint_catches_a_rewrite_that_skipped_invalidate(
+        self, tmp_path
+    ):
+        """A blob's fingerprint is its write generation: a blob
+        rewritten under its name without ``invalidate`` is caught the
+        first time its remembered size is consulted, on either side of
+        the decision and on the replay path — loudly, not as a silent
+        admission change."""
         zeros, noise = b"\x00" * 64, _noise(64, seed=5)
         # Store path: the remembered size says it fits.
+        disk = _disk(tmp_path, t=zeros)
         cache = EdgeCache(capacity_bytes=40, mode=4)
-        assert cache.put("t", zeros)
+        assert cache.put("t", disk)
         cache.clear()
+        disk.write("t", noise)
         with pytest.raises(RuntimeError, match="stale"):
-            cache.put("t", noise)
+            cache.put("t", disk)
         # Reject path: the first reject after the rewrite, whichever
-        # reject of the run that is.
+        # reject of the run that is, whether or not the bytes are in
+        # hand.
         for rejects_before in (1, 2, 3):
-            cache = EdgeCache(capacity_bytes=40, mode=4)
-            for _ in range(rejects_before):
-                assert not cache.put("t", noise)
-            with pytest.raises(RuntimeError, match="stale"):
-                cache.put("t", _noise(40, seed=6) + b"\x00" * 24)  # still too big
-            assert cache.stats.rejected == rejects_before
-            # The background probe reads the length only and never raises.
-            assert cache.would_reject("t", 64)
+            for held in (None, 64):
+                disk.write("t", noise)
+                cache = EdgeCache(capacity_bytes=40, mode=4)
+                for _ in range(rejects_before):
+                    assert not cache.put("t", disk)
+                disk.write("t", _noise(40, seed=6) + b"\x00" * 24)  # still too big
+                with pytest.raises(RuntimeError, match="stale"):
+                    cache.load("t", disk, raw_len=held)
+                assert cache.stats.rejected == rejects_before
 
     @pytest.mark.parametrize("capacity", [40, 100])  # rejected / stored
     def test_fingerprint_catches_a_rewrite_of_identical_stored_length(
-        self, capacity
+        self, tmp_path, capacity
     ):
         """Two bytes of an incompressible blob exchanged under mode 1:
         raw length and stored length both unchanged, so no comparison of
-        lengths — the store-side one, or re-compressing a reject — can
-        tell.  The fingerprint does."""
+        lengths can tell.  The write generation does."""
         noise = bytearray(_noise(64, seed=5))
         assert noise[3] != noise[40]
         rewrite = bytearray(noise)
@@ -525,29 +599,73 @@ class TestEdgeCache:
         noise, rewrite = bytes(noise), bytes(rewrite)
         raw = get_codec(CACHE_MODES[0])
         assert len(raw.compress(noise)) == len(raw.compress(rewrite)) == 64
+        disk = _disk(tmp_path, t=noise)
         cache = EdgeCache(capacity_bytes=capacity, mode=1)
-        assert cache.put("t", noise) == (capacity >= 64)
+        assert cache.put("t", disk) == (capacity >= 64)
         cache.clear()
+        disk.write("t", rewrite)
         with pytest.raises(RuntimeError, match="stale"):
-            cache.put("t", rewrite)
+            cache.put("t", disk, rewrite)
         cache.invalidate("t")
-        assert cache.put("t", rewrite) == (capacity >= 64)
+        assert cache.put("t", disk, rewrite) == (capacity >= 64)
 
-    def test_stored_length_is_still_checked_on_the_store_path(self):
-        """A record whose fingerprint matches but whose stored length
-        does not (it can only arrive through ``merge_sizes``) fails when
-        the codec runs to store the blob."""
+    def test_stored_length_is_still_checked_on_the_store_path(self, tmp_path):
+        """A remembered size that would *admit* is checked like one that
+        rejects: a record learned before the blob's last write (it can
+        arrive through ``merge_sizes``) fails the put it would decide."""
         zeros = b"\x00" * 64
+        disk = _disk(tmp_path, t=zeros)
         donor = EdgeCache(capacity_bytes=100, mode=4)
-        assert donor.put("t", zeros)
-        ((key, (raw_len, crc, stored_len)),) = donor.remembered_sizes().items()
+        assert donor.put("t", disk)
+        learned = donor.remembered_sizes()
+        disk.write("t", zeros)
         cache = EdgeCache(capacity_bytes=100, mode=4)
-        cache.merge_sizes({key: (raw_len, crc, stored_len + 1)})
+        cache.merge_sizes(learned)
         with pytest.raises(RuntimeError, match="stale"):
-            cache.put("t", zeros)
+            cache.put("t", disk)
+        donor.invalidate("t")
+        assert donor.put("t", disk)
         cache.merge_sizes(donor.remembered_sizes())
-        assert cache.put("t", zeros)
+        # Bytes in hand are held to the remembered raw length too.
+        with pytest.raises(RuntimeError, match="stale"):
+            cache.put("t", disk, zeros + b"\x00")
+        assert cache.put("t", disk, zeros)
 
+    @pytest.mark.parametrize("fronted", [False, True])
+    def test_server_rewrite_fails_first_use_unless_stored(self, tmp_path, fronted):
+        """An equal-length ``disk.write`` that bypasses
+        ``Server.store_blob`` fails the next load of a decoded-resident
+        tile, resident in the edge cache or not, whether the write went
+        to the disk or to the shared-memory disk fronting it for a
+        process-executor run; ``store_blob`` still invalidates."""
+        from repro.cluster.server import Server
+        from repro.runtime.shm import front_disks
+
+        blobs = {f"t{i}": _noise(200, seed=i) for i in range(4)}
+        server = Server(0, str(tmp_path))
+        server.attach_cache(capacity_bytes=450, mode=1)  # holds two
+        server.attach_decoded_cache()
+        for name, data in blobs.items():
+            server.store_blob(name, data)
+        for name in blobs:
+            server.load_tile(name, bytes)
+        assert server.cache.content_keys() == ["t0", "t1"]
+        inner = server.disk
+        undo = None
+        if fronted:
+            _arena, undo = front_disks(
+                [server], [[(i, name, 200) for i, name in enumerate(blobs)]]
+            )
+        try:
+            for name, via in (("t0", server.disk), ("t3", inner)):
+                via.write(name, _noise(200, seed=9))
+                with pytest.raises(RuntimeError, match="stale"):
+                    server.load_tile(name, bytes)
+                server.store_blob(name, _noise(200, seed=9))
+                assert server.load_tile(name, bytes) == _noise(200, seed=9)
+        finally:
+            if undo is not None:
+                undo()
 
 def _noise(n: int, seed: int) -> bytes:
     return np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()
@@ -568,9 +686,9 @@ def _count_compress_calls(monkeypatch) -> list:
 
 
 class _AlwaysCompressCache:
-    """Differential oracle: the edge cache as it was before admission
-    moved ahead of compression — every insert runs the codec first and
-    decides second, nothing is remembered."""
+    """Differential oracle: the edge cache as it was before it kept
+    sizes — it holds the compressed bytes, every insert runs the codec
+    first and decides second, nothing is remembered."""
 
     def __init__(self, capacity_bytes: int, mode: int, eviction: str) -> None:
         self.capacity_bytes = capacity_bytes
@@ -672,16 +790,19 @@ def _blob_variants() -> list[tuple[bytes, bytes]]:
 
 
 # Inserts are weighted up: a remembered size only matters on the second
-# insert of a blob, so most of a sequence should be inserts.
+# insert of a blob, so most of a sequence should be inserts.  "replay"
+# is the lookup of a caller holding the blob decoded: EdgeCache reads
+# nothing, the oracle reads the blob.
 _OPS = (
-    ("put", "load") * 4
+    ("put", "load", "replay") * 3
     + ("get", "touch", "clear", "switch_mode", "invalidate", "invalidate")
 )
 
 
 class TestAdmissionBeforeCompression:
-    """EdgeCache decides from remembered sizes; the oracle compresses
-    every time.  Whatever the operation sequence, nobody can tell."""
+    """EdgeCache keeps sizes and decides from remembered ones; the
+    oracle keeps bytes and compresses every time.  Whatever the
+    operation sequence, nobody can tell."""
 
     @pytest.mark.parametrize("eviction", ["none", "lru"])
     @pytest.mark.parametrize("mode", [1, 2, 3, 4])
@@ -710,18 +831,24 @@ class TestAdmissionBeforeCompression:
             name = f"t{index}"
             data = current[name]
             if op == "put":
-                assert cache.put(name, data) == oracle.put(name, data)
+                assert cache.put(name, disk, data) == oracle.put(name, data)
             elif op == "get":
-                assert cache.get(name) == oracle.get(name)
+                blob = oracle.get(name)
+                assert cache.get(name) == (None if blob is None else len(blob))
             elif op == "touch":
                 assert cache.touch(name, len(data)) == oracle.touch(name, len(data))
             elif op == "load":
                 assert cache.load(name, disk) == oracle.load(name, disk) == data
+            elif op == "replay":
+                assert cache.load(name, disk, raw_len=len(data)) is None
+                oracle.load(name, disk)
             elif op == "clear":
                 cache.clear()
                 oracle.clear()
             elif op == "switch_mode":
-                assert cache.switch_mode(new_mode) == oracle.switch_mode(new_mode)
+                assert cache.switch_mode(new_mode, disk) == oracle.switch_mode(
+                    new_mode
+                )
             else:  # the blob is rewritten under its name, same length
                 a, b = variants[index]
                 current[name] = b if data is a else a
@@ -730,9 +857,10 @@ class TestAdmissionBeforeCompression:
                 oracle.invalidate(name)
             assert dataclasses.asdict(cache.stats) == dataclasses.asdict(oracle.stats)
             assert cache.content_keys() == list(oracle.entries)
-            assert [cache.peek_stored(k) for k in oracle.entries] == list(
-                oracle.entries.values()
-            )
+            sizes = cache.remembered_sizes()
+            assert [sizes[(k, cache.mode)][2] for k in oracle.entries] == [
+                len(blob) for blob in oracle.entries.values()
+            ]
             assert cache.used_bytes == oracle.used_bytes <= 700
             assert cache.mode == oracle.mode
 

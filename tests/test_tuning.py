@@ -38,6 +38,7 @@ from repro.runtime import process_runtime_available
 from repro.runtime.prefetch import recommend_depth
 from repro.storage.cache import EdgeCache, cache_plan, select_cache_mode
 from repro.storage.codecs import CACHE_MODES, get_codec
+from repro.storage.disk import LocalDisk
 from repro.tuning import KnobSettings, Tuner, TuningPlan
 
 N_SERVERS = 3
@@ -113,18 +114,23 @@ class TestCachePlan:
                 assert capacity_out == capacity
                 assert mode == select_cache_mode(total, capacity)
 
-    def test_switch_mode_reencodes_and_meters(self):
+    def test_switch_mode_reencodes_and_meters(self, tmp_path):
+        disk = LocalDisk(tmp_path)
         cache = EdgeCache(capacity_bytes=1 << 20, mode=2)
         blobs = {f"t{i}": bytes([i % 7] * 512) for i in range(5)}
         for key, data in blobs.items():
-            assert cache.put(key, data)
-        raw = cache.switch_mode(3)
+            disk.write(key, data)
+            assert cache.put(key, disk)
+        raw = cache.switch_mode(3, disk)
         assert raw == sum(len(b) for b in blobs.values())
         assert cache.mode == 3
+        assert cache.used_bytes == sum(
+            len(cache.codec.compress(b)) for b in blobs.values()
+        )
         for key, data in blobs.items():
-            assert cache.get(key) == data
+            assert cache.get(key) == len(data)
         # Same-mode switch is a free no-op.
-        assert cache.switch_mode(3) == 0
+        assert cache.switch_mode(3, disk) == 0
 
     def test_server_switch_charges_old_codec(self, graph):
         mpe, cluster = _build(
