@@ -4,11 +4,17 @@ The surface a downstream user touches first:
 
 * ``generate`` — write a synthetic graph to an edge-list CSV;
 * ``stats``    — Table-I-style statistics for an edge-list file;
-* ``pagerank`` / ``sssp`` / ``wcc`` — run an algorithm on an edge-list
-  file through GraphH and write/print the per-vertex results;
-* ``shootout`` — compare all systems on one input (Figure-9-style row).
-
-Every command takes ``--servers`` for the simulated cluster width.
+* ``run ALGO PATH`` — run one algorithm (any name in
+  ``service.jobs.ALGORITHMS``) on an edge-list file through GraphH and
+  write/print the per-vertex results.  Tracing (``--trace-out``,
+  ``--metrics-out``, ``--timeline-out``, ``--report-out``), the online
+  autotuner (``--tune``) and an injected fault schedule
+  (``--crash-at`` …, supervised, ``--verify``) are options of this one
+  verb, not verbs of their own;
+* ``report``   — print a saved run report as the Table-3-style table;
+* ``shootout`` — compare all systems on one input (Figure-9-style row);
+* ``serve`` / ``submit`` / ``mutate`` / ``jobs`` — the persistent
+  service daemon and its clients.
 """
 
 from __future__ import annotations
@@ -18,13 +24,6 @@ import sys
 
 import numpy as np
 
-from repro.apps import (
-    BFS,
-    SSSP,
-    KatzCentrality,
-    PageRank,
-    PersonalizedPageRank,
-)
 from repro.core import GraphH, MPEConfig
 from repro.core.knobs import knob_rows, overlay
 from repro.graph import (
@@ -41,55 +40,35 @@ from repro.graph import (
 )
 from repro.service.jobs import ALGORITHMS, build_program
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--servers", type=int, default=1, help="cluster width")
-    parser.add_argument(
-        "--tile-edges", type=int, default=None, help="edges per tile (S)"
-    )
-    parser.add_argument(
-        "--output", default=None, help="write per-vertex values to this CSV"
-    )
-    parser.add_argument(
-        "--top", type=int, default=10, help="print the top-K vertices"
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the newest DFS checkpoint (use with --state-dir)",
-    )
-    parser.add_argument(
-        "--state-dir",
-        default=None,
-        help="persistent cluster root: keeps tiles + checkpoints across "
-        "invocations so --resume can pick up where a run stopped",
-    )
-    add_knob_arguments(parser)
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="JSON",
-        help="record an execution trace (repro.obs) and write it here "
-        "as Chrome trace-event JSON (Perfetto / chrome://tracing)",
-    )
+# Program parameters, flag name → (type, help).  Every default lives in
+# the factory ``service.jobs.ALGORITHMS`` names; ``None`` = not given.
+PARAMS = {
+    "damping": (float, "damping factor (pagerank, ppr)"),
+    "source": (int, "source vertex (sssp, bfs)"),
+    "seeds": (str, "comma-separated seed vertices (ppr)"),
+    "alpha": (float, "attenuation factor (katz)"),
+    "beta": (float, "constant term (katz)"),
+}
 
 
-def add_knob_arguments(parser, *, unset: bool = False, **defaults) -> None:
+def _usage_error(exc: Exception) -> SystemExit:
+    """A value a knob row or a program factory refuses: argparse's exit."""
+    print(f"repro: error: {exc}", file=sys.stderr)
+    return SystemExit(2)
+
+
+def add_knob_arguments(parser, *, unset: bool = False) -> None:
     """One flag per run-scoped :class:`MPEConfig` row — spelling, type,
     choices, default and help all read off the row.
 
-    ``defaults`` overrides a row's default for this command (``chaos``
-    checkpoints every 2 supersteps); ``unset=True`` (``repro submit``)
-    leaves every default ``None`` — "the registration's value stands" —
-    and also offers the rows only a long-lived engine can honour.
+    ``unset=True`` (``repro submit``) leaves every default ``None`` —
+    "the registration's value stands" — and also offers the rows only a
+    long-lived engine can honour.
     """
     for row in knob_rows(MPEConfig):
         if row.flag is None or (row.warm_only and not unset):
             continue
-        options = {
-            "default": None if unset else defaults.get(row.name, row.default),
-            "help": row.help,
-        }
+        options = {"default": None if unset else row.default, "help": row.help}
         if row.type is bool:
             options["action"] = argparse.BooleanOptionalAction
         elif row.choices is not None:
@@ -109,23 +88,29 @@ def knobs_from_args(args) -> dict:
 
 
 def config_from_args(args) -> MPEConfig:
-    """The :class:`MPEConfig` a parsed command line means (a value the
-    row refuses is a usage error, not a traceback)."""
+    """The :class:`MPEConfig` a parsed command line means."""
     try:
         return overlay(MPEConfig(), **knobs_from_args(args))
     except ValueError as exc:
-        raise SystemExit(f"repro: error: {exc}") from None
+        raise _usage_error(exc) from None
 
 
-def _program(args, graph: Graph):
-    """The named algorithm's program and the graph it runs on — the
-    undirected expansion when the algorithm needs one
-    (``service.jobs.ALGORITHMS`` is the one name → program table)."""
-    _factory, needs_sym = ALGORITHMS[args.algorithm]
-    program = build_program(
-        args.algorithm, {"damping": args.damping, "source": args.source}
-    )
-    return program, graph.to_undirected_edges() if needs_sym else graph
+def _add_params(parser: argparse.ArgumentParser) -> None:
+    for name, (kind, text) in PARAMS.items():
+        parser.add_argument(f"--{name}", type=kind, default=None, help=text)
+
+
+def _program(args):
+    """``(params, program)``: the parameter flags a parsed command line
+    set and the ``args.algorithm`` program they mean — built here, so a
+    value the factory refuses is a usage error, not a traceback."""
+    params = {name: getattr(args, name) for name in PARAMS if getattr(args, name) is not None}
+    try:
+        if "seeds" in params:
+            params["seeds"] = [int(s) for s in params["seeds"].split(",") if s]
+        return params, build_program(args.algorithm, params)
+    except ValueError as exc:
+        raise _usage_error(exc) from None
 
 
 def _load(path: str) -> Graph:
@@ -136,20 +121,6 @@ def _load(path: str) -> Graph:
         if fh.read(4) == b"GHBE":
             return load_edge_list_binary(path)
     return load_edge_list_csv(path)
-
-
-def _emit(values: np.ndarray, args, descending: bool = True) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            for v, x in enumerate(values.tolist()):
-                fh.write(f"{v},{x}\n")
-        print(f"wrote {values.size} values to {args.output}")
-    order = np.argsort(values)
-    if descending:
-        order = order[::-1]
-    print(f"top {args.top} vertices:")
-    for v in order[: args.top]:
-        print(f"  {v}\t{values[v]}")
 
 
 def cmd_generate(args) -> int:
@@ -185,342 +156,142 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _run(graph: Graph, program, args):
-    with GraphH(
-        num_servers=args.servers,
-        config=config_from_args(args),
-        root=args.state_dir,
-        trace_out=args.trace_out,
-    ) as gh:
-        gh.load_graph(
-            graph,
-            avg_tile_edges=args.tile_edges,
-            reuse=args.state_dir is not None,
-        )
-        result = gh.run(program, resume=args.resume)
-        print(
-            f"{program.name}: {result.num_supersteps} supersteps, "
-            f"converged={result.converged}"
-        )
-        if result.tuning:
-            switches = (result.tuning.get("plan") or {}).get(
-                "switch_supersteps", []
-            )
-            print(
-                "tuning: "
-                + (
-                    "switched knobs at superstep(s) "
-                    + ", ".join(str(s) for s in switches)
-                    if switches
-                    else "held the configured knobs"
-                )
-            )
-        if args.trace_out:
-            print(
-                f"wrote Chrome trace ({gh.tracer.total_events} events) "
-                f"to {args.trace_out}"
-            )
-        if result.supersteps and result.supersteps[0].superstep > 0:
-            print(
-                f"resumed from checkpoint at superstep "
-                f"{result.supersteps[0].superstep - 1}"
-            )
-        if args.state_dir:
-            gh.cluster.dfs.save_namespace()
-        return result.values
+def _fault_schedule(args, max_supersteps: int):
+    """The ``--*-at`` events plus a seeded :class:`repro.faults.FaultPlan`."""
+    from repro import faults
 
-
-def cmd_pagerank(args) -> int:
-    values = _run(_load(args.path), PageRank(damping=args.damping), args)
-    _emit(values, args)
-    return 0
-
-
-def cmd_sssp(args) -> int:
-    values = _run(_load(args.path), SSSP(source=args.source), args)
-    reachable = np.isfinite(values)
-    print(f"{int(reachable.sum())} vertices reachable from {args.source}")
-    _emit(np.where(reachable, values, np.inf), args, descending=False)
-    return 0
-
-
-def cmd_bfs(args) -> int:
-    values = _run(_load(args.path), BFS(source=args.source), args)
-    reachable = np.isfinite(values)
-    print(f"{int(reachable.sum())} vertices reachable from {args.source}")
-    _emit(np.where(reachable, values, np.inf), args, descending=False)
-    return 0
-
-
-def cmd_katz(args) -> int:
-    values = _run(
-        _load(args.path), KatzCentrality(alpha=args.alpha, beta=args.beta), args
+    explicit = (
+        (faults.CRASH, args.crash_at, {"server": args.crash_server}),
+        (faults.STRAGGLER, args.straggler_at,
+         {"server": args.straggler_server, "slow_factor": args.straggler_factor}),
+        (faults.MSG_DROP, args.drop_at, {"server": args.drop_src}),
+        (faults.DISK_ERROR, args.disk_error_at, {"retries": args.retries}),
     )
-    _emit(values, args)
-    return 0
-
-
-def cmd_ppr(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",")]
-    values = _run(
-        _load(args.path),
-        PersonalizedPageRank(seeds, damping=args.damping),
-        args,
+    events = [faults.FaultEvent(kind, superstep=at, **fields)
+              for kind, at, fields in explicit if at is not None]
+    plan = faults.FaultPlan(
+        seed=args.seed, crash_rate=args.crash_rate,
+        straggler_rate=args.straggler_rate, drop_rate=args.drop_rate,
     )
-    _emit(values, args)
-    return 0
+    events.extend(plan.materialize(args.servers, max_supersteps))
+    return faults.FaultSchedule(events)
 
 
-def cmd_wcc(args) -> int:
-    graph = _load(args.path)
-    with GraphH(
-        num_servers=args.servers,
-        config=config_from_args(args),
-        root=args.state_dir,
-        trace_out=args.trace_out,
-    ) as gh:
-        gh.load_graph(
-            graph,
-            avg_tile_edges=args.tile_edges,
-            reuse=args.state_dir is not None,
-        )
-        labels = gh.wcc(resume=args.resume)
-        if args.trace_out:
-            print(
-                f"wrote Chrome trace ({gh.tracer.total_events} events) "
-                f"to {args.trace_out}"
-            )
-        if args.state_dir:
-            gh.cluster.dfs.save_namespace()
-    components, sizes = np.unique(labels, return_counts=True)
-    print(f"{components.size} weakly connected components")
-    order = np.argsort(sizes)[::-1]
-    for i in order[: args.top]:
-        print(f"  component {int(components[i])}: {int(sizes[i])} vertices")
-    if args.output:
-        _emit(labels, args)
-    return 0
+def _export(gh: GraphH, program, result, recovery, args) -> None:
+    """Write the requested trace artifacts; print the Table-3 report when
+    ``--report-out`` was given or the run was tuned.  Exits 1 when the
+    emitted Chrome trace does not validate."""
+    from repro.obs import export
+    from repro.obs.report import build_run_report, format_run_report, save_run_report
 
-
-def cmd_chaos(args) -> int:
-    """Run an algorithm under an injected fault schedule, supervised.
-
-    Builds the schedule from the explicit ``--crash-at`` /
-    ``--straggler-at`` / ``--drop-at`` / ``--disk-error-at`` events
-    plus (when any ``--*-rate`` is nonzero) a seeded random
-    :class:`repro.faults.FaultPlan`, then runs the program under a
-    :class:`repro.faults.Supervisor` and prints the recovery report.
-    ``--verify`` re-runs fault-free and asserts bitwise-identical
-    values (exit code 1 on mismatch).
-    """
-    from repro.cluster import Cluster, ClusterSpec
-    from repro.core import MPE, SPE
-    from repro.faults import (
-        CRASH,
-        DISK_ERROR,
-        MSG_DROP,
-        STRAGGLER,
-        FaultEvent,
-        FaultPlan,
-        FaultSchedule,
-        RecoveryPolicy,
-        Supervisor,
-    )
-
-    program, graph = _program(args, _load(args.path))
-    config = config_from_args(args)
-
-    events = []
-    if args.crash_at is not None:
-        events.append(
-            FaultEvent(CRASH, superstep=args.crash_at, server=args.crash_server)
-        )
-    if args.straggler_at is not None:
-        events.append(
-            FaultEvent(
-                STRAGGLER,
-                superstep=args.straggler_at,
-                server=args.straggler_server,
-                slow_factor=args.straggler_factor,
-            )
-        )
-    if args.drop_at is not None:
-        events.append(
-            FaultEvent(MSG_DROP, superstep=args.drop_at, server=args.drop_src)
-        )
-    if args.disk_error_at is not None:
-        events.append(
-            FaultEvent(
-                DISK_ERROR, superstep=args.disk_error_at, retries=args.retries
-            )
-        )
-    plan = FaultPlan(
-        seed=args.seed,
-        crash_rate=args.crash_rate,
-        straggler_rate=args.straggler_rate,
-        drop_rate=args.drop_rate,
-    )
-    events.extend(plan.materialize(args.servers, args.max_supersteps))
-    schedule = FaultSchedule(events)
-    print(f"fault schedule ({len(schedule)} events):")
-    for line in schedule.describe():
-        print(f"  {line}")
-
-    def _build(cluster):
-        spe = SPE(cluster.dfs)
-        tile_edges = args.tile_edges or max(
-            1, graph.num_edges // (48 * args.servers)
-        )
-        manifest = spe.preprocess(graph, tile_edges, name=graph.name)
-        return MPE(cluster, manifest, config)
-
-    with Cluster(ClusterSpec(num_servers=args.servers)) as cluster:
-        supervisor = Supervisor(
-            _build(cluster),
-            schedule=schedule,
-            policy=RecoveryPolicy(max_restarts=args.max_restarts),
-        )
-        result, report = supervisor.run(program)
-        print(
-            f"{program.name}: {result.num_supersteps} supersteps, "
-            f"converged={result.converged}"
-        )
-        print(
-            f"recovery: {report.restarts} restart(s), "
-            f"{report.reexecuted_supersteps} superstep(s) re-executed, "
-            f"{report.recovery_read_bytes} recovery bytes, "
-            f"{report.faults_injected} fault(s), "
-            f"backoff {report.total_backoff_s:.2f}s"
-        )
-        for entry in report.fault_log:
-            print(f"  fired: {entry['event']} (superstep {entry['superstep']})")
-        if args.report:
-            import json
-
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=1)
-            print(f"wrote recovery report to {args.report}")
-
-    if not report.converged:
-        # An unrecovered run (restart budget exhausted, or the superstep
-        # cap hit) must fail loudly — scripts and CI key off the exit
-        # code, not the report text.
-        print(
-            f"chaos: FAILED — run did not converge after "
-            f"{report.restarts} restart(s)",
-            file=sys.stderr,
-        )
-        return 1
-
-    if args.verify:
-        with Cluster(ClusterSpec(num_servers=args.servers)) as cluster:
-            clean = _build(cluster).run(program)
-        if np.array_equal(result.values, clean.values):
-            print("verify: OK — values bitwise identical to fault-free run")
-        else:
-            print("verify: FAILED — values differ from fault-free run")
-            return 1
-    _emit(result.values, args, descending=args.algorithm == "pagerank")
-    return 0
-
-
-def cmd_trace(args) -> int:
-    """Run one algorithm fully observed and export the artifacts.
-
-    One traced run produces up to four artifacts — Chrome trace-event
-    JSON (``--out``), Prometheus metrics text (``--metrics-out``), a
-    per-superstep JSONL timeline (``--timeline-out``), and the run
-    report JSON (``--report-out``) — and always prints the Table-3
-    phase-breakdown table.  The emitted Chrome trace is validated
-    before this command reports success.
-    """
-    from repro.obs.export import (
-        validate_chrome_trace_file,
-        write_prometheus,
-        write_superstep_jsonl,
-    )
-    from repro.obs.report import (
-        build_run_report,
-        format_run_report,
-        save_run_report,
-    )
-
-    program, graph = _program(args, _load(args.path))
-    with GraphH(
-        num_servers=args.servers,
-        config=config_from_args(args),
-        trace=True,
-        trace_out=args.out,
-    ) as gh:
-        gh.load_graph(graph, avg_tile_edges=args.tile_edges)
-        result = gh.run(program)
-        extra = {"setup": gh.setup_profile}
-        if result.tuning:
-            extra["tuning"] = result.tuning
+    if args.metrics_out:
+        export.write_prometheus(gh.tracer.metrics, args.metrics_out)
+        print(f"wrote Prometheus metrics to {args.metrics_out}")
+    if args.timeline_out:
+        rows = export.write_superstep_jsonl(result, args.timeline_out)
+        print(f"wrote {rows} timeline rows to {args.timeline_out}")
+    if args.report_out or result.tuning:
+        extra = {"setup": gh.setup_profile, "tuning": result.tuning,
+                 "recovery": recovery and recovery.to_dict()}
         report = build_run_report(
-            result,
-            gh.cluster,
-            dataset=gh.manifest.name,
-            program=program.name,
-            num_servers=args.servers,
-            extra=extra,
+            result, gh.cluster, dataset=gh.manifest.name, program=program.name,
+            num_servers=args.servers, extra={k: v for k, v in extra.items() if v},
         )
-        if args.metrics_out:
-            write_prometheus(gh.tracer.metrics, args.metrics_out)
-            print(f"wrote Prometheus metrics to {args.metrics_out}")
-        if args.timeline_out:
-            rows = write_superstep_jsonl(result, args.timeline_out)
-            print(f"wrote {rows} timeline rows to {args.timeline_out}")
         if args.report_out:
             save_run_report(report, args.report_out)
             print(f"wrote run report to {args.report_out}")
         print(format_run_report(report))
-        if args.out:
-            problems = validate_chrome_trace_file(args.out)
-            if problems:
-                print(
-                    f"{args.out}: invalid Chrome trace:", file=sys.stderr
-                )
-                for problem in problems[:10]:
-                    print(f"  {problem}", file=sys.stderr)
-                return 1
-            print(
-                f"wrote Chrome trace ({gh.tracer.total_events} events, "
-                f"validated) to {args.out}"
-            )
-    return 0
-
-
-def cmd_tune(args) -> int:
-    """Run one algorithm under the online autotuner (``repro tune``).
-
-    Prints the Table-3 phase breakdown plus the tuning appendix —
-    fitted cost-model constants, fit residuals, and the per-superstep
-    decision trace — and optionally saves the run report JSON
-    (readable back with ``repro report``).
-    """
-    from repro.obs.report import (
-        build_run_report,
-        format_run_report,
-        save_run_report,
-    )
-
-    program, graph = _program(args, _load(args.path))
-    with GraphH(num_servers=args.servers, config=config_from_args(args)) as gh:
-        gh.load_graph(graph, avg_tile_edges=args.tile_edges)
-        result = gh.run(program)
-        report = build_run_report(
-            result,
-            gh.cluster,
-            dataset=gh.manifest.name,
-            program=program.name,
-            num_servers=args.servers,
-            extra={"tuning": result.tuning},
+    if args.trace_out:
+        problems = export.validate_chrome_trace_file(args.trace_out)
+        if problems:
+            listing = "\n  ".join(problems[:10])
+            raise SystemExit(f"{args.trace_out}: invalid Chrome trace:\n  {listing}")
+        print(
+            f"wrote Chrome trace ({gh.tracer.total_events} events, "
+            f"validated) to {args.trace_out}"
         )
-    if args.report_out:
-        save_run_report(report, args.report_out)
-        print(f"wrote run report to {args.report_out}")
-    print(format_run_report(report))
+
+
+def _print_values(values: np.ndarray, program, args) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="ascii") as fh:
+            for v, x in enumerate(values.tolist()):
+                fh.write(f"{v},{x}\n")
+        print(f"wrote {values.size} values to {args.output}")
+    if args.algorithm == "wcc":
+        components, sizes = np.unique(values, return_counts=True)
+        print(f"{components.size} weakly connected components")
+        for i in np.argsort(sizes)[::-1][: args.top]:
+            print(f"  component {int(components[i])}: {int(sizes[i])} vertices")
+        return
+    order = np.argsort(values)
+    if args.algorithm in ("sssp", "bfs"):
+        print(f"{int(np.isfinite(values).sum())} vertices reachable from {program.source}")
+    else:
+        order = order[::-1]
+    print(f"top {args.top} vertices:")
+    for v in order[: args.top]:
+        print(f"  {v}\t{values[v]}")
+
+
+def cmd_run(args) -> int:
+    """Run one algorithm once — traced, tuned or under faults as asked.
+
+    Exits 1 when the run did not converge (scripts and CI key off the
+    exit code), when ``--verify``'s fault-free re-run differs bitwise,
+    or when the emitted Chrome trace does not validate.
+    """
+    _, program = _program(args)
+    config = config_from_args(args)
+    schedule = _fault_schedule(args, config.max_supersteps)
+    graph = _load(args.path)
+    if ALGORITHMS[args.algorithm][1]:  # needs the undirected expansion
+        graph = graph.to_undirected_edges()
+    traced = any((args.trace_out, args.metrics_out, args.timeline_out, args.report_out))
+    with GraphH(
+        args.servers, config=config, root=args.state_dir, trace=traced, trace_out=args.trace_out
+    ) as gh:
+        gh.load_graph(graph, avg_tile_edges=args.tile_edges, reuse=args.state_dir is not None)
+        if len(schedule):
+            from repro.faults import RecoveryPolicy, Supervisor
+
+            print(f"fault schedule ({len(schedule)} events):")
+            for line in schedule.describe():
+                print(f"  {line}")
+            policy = RecoveryPolicy(max_restarts=args.max_restarts)
+            supervisor = Supervisor(gh.mpe, schedule=schedule, policy=policy)
+            result, recovery = supervisor.run(program, resume=args.resume)
+            gh.finish_trace(program)  # as gh.run does
+        else:
+            result, recovery = gh.run(program, resume=args.resume), None
+        print(f"{program.name}: {result.num_supersteps} supersteps, converged={result.converged}")
+        if recovery is not None:
+            print(
+                f"recovery: {recovery.restarts} restart(s), "
+                f"{recovery.reexecuted_supersteps} superstep(s) re-executed, "
+                f"{recovery.recovery_read_bytes} recovery bytes, "
+                f"{recovery.faults_injected} fault(s), "
+                f"backoff {recovery.total_backoff_s:.2f}s"
+            )
+            for entry in recovery.fault_log:
+                print(f"  fired: {entry['event']} (superstep {entry['superstep']})")
+        if args.resume and result.supersteps and result.supersteps[0].superstep > 0:
+            print(f"resumed from checkpoint at superstep {result.supersteps[0].superstep - 1}")
+        _export(gh, program, result, recovery, args)
+        if args.state_dir:
+            gh.cluster.dfs.save_namespace()
+    if not result.converged:
+        print(f"run: FAILED — {program.name} did not converge", file=sys.stderr)
+        return 1
+    if args.verify:
+        with GraphH(args.servers, config=config) as clean:
+            clean.load_graph(graph, avg_tile_edges=args.tile_edges)
+            expected = clean.run(program).values
+        if not np.array_equal(result.values, expected):
+            print("verify: FAILED — values differ from fault-free run")
+            return 1
+        print("verify: OK — values bitwise identical to fault-free run")
+    _print_values(result.values, program, args)
     return 0
 
 
@@ -540,7 +311,7 @@ def cmd_shootout(args) -> int:
     print(f"{'system':<12}{'modeled s/superstep':>20}")
     for name in systems:
         result, cluster = run_system(
-            name, graph, PageRank(), num_servers=args.servers, max_supersteps=5
+            name, graph, build_program("pagerank"), num_servers=args.servers, max_supersteps=5
         )
         cluster.close()
         # raw (unscaled) modeled time: the CLI input is the real graph.
@@ -615,13 +386,7 @@ def cmd_serve(args) -> int:
 
 def _submit_spec(args) -> dict:
     """Assemble the JobSpec dict a ``repro submit`` invocation means."""
-    params: dict = {}
-    if args.source is not None:
-        params["source"] = args.source
-    if args.damping is not None:
-        params["damping"] = args.damping
-    if args.seeds is not None:
-        params["seeds"] = [int(s) for s in args.seeds.split(",") if s]
+    params, _ = _program(args)
     spec = {
         "graph": args.graph,
         "algorithm": args.algorithm,
@@ -747,6 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="GraphH reproduction CLI"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    client = argparse.ArgumentParser(add_help=False)
+    client.add_argument("--host", default="127.0.0.1")
+    client.add_argument("--port", type=int, default=7077)
 
     g = sub.add_parser(
         "generate", help="write a synthetic edge list (.csv or .bin)"
@@ -766,87 +534,58 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("path")
     s.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("pagerank", help="PageRank over GraphH")
-    p.add_argument("path")
-    p.add_argument("--damping", type=float, default=0.85)
-    _add_common(p)
-    p.set_defaults(func=cmd_pagerank)
-
-    d = sub.add_parser("sssp", help="single-source shortest paths")
-    d.add_argument("path")
-    d.add_argument("--source", type=int, default=0)
-    _add_common(d)
-    d.set_defaults(func=cmd_sssp)
-
-    b = sub.add_parser("bfs", help="hop counts from a source")
-    b.add_argument("path")
-    b.add_argument("--source", type=int, default=0)
-    _add_common(b)
-    b.set_defaults(func=cmd_bfs)
-
-    k = sub.add_parser("katz", help="Katz centrality")
-    k.add_argument("path")
-    k.add_argument("--alpha", type=float, default=0.005)
-    k.add_argument("--beta", type=float, default=1.0)
-    _add_common(k)
-    k.set_defaults(func=cmd_katz)
-
-    r = sub.add_parser("ppr", help="personalized PageRank from seed vertices")
+    r = sub.add_parser(
+        "run",
+        help="run one algorithm through GraphH — traced, tuned (--tune) or "
+        "under an injected fault schedule, as the options ask",
+    )
+    r.add_argument("algorithm", choices=tuple(ALGORITHMS))
     r.add_argument("path")
-    r.add_argument("--seeds", required=True, help="comma-separated vertex ids")
-    r.add_argument("--damping", type=float, default=0.85)
-    _add_common(r)
-    r.set_defaults(func=cmd_ppr)
+    r.add_argument("--servers", type=int, default=1, help="cluster width")
+    r.add_argument("--tile-edges", type=int, default=None, help="edges per tile (S)")
+    r.add_argument("--output", default=None, help="write per-vertex values to this CSV")
+    r.add_argument("--top", type=int, default=10, help="print the top-K vertices")
+    r.add_argument("--resume", action="store_true",
+                   help="resume from the newest DFS checkpoint (use with --state-dir)")
+    r.add_argument("--state-dir", default=None,
+                   help="persistent cluster root: keeps tiles + checkpoints across "
+                   "invocations so --resume can pick up where a run stopped")
+    _add_params(r)
+    add_knob_arguments(r)
 
-    w = sub.add_parser("wcc", help="weakly connected components")
-    w.add_argument("path")
-    _add_common(w)
-    w.set_defaults(func=cmd_wcc)
-
-    t = sub.add_parser(
-        "trace",
-        help="run one algorithm fully observed: Chrome trace, Prometheus "
-        "metrics, superstep timeline, Table-3 run report",
-    )
-    t.add_argument("algorithm", choices=("pagerank", "sssp", "bfs", "wcc"))
-    t.add_argument("path")
-    t.add_argument("--servers", type=int, default=4, help="cluster width")
-    t.add_argument("--tile-edges", type=int, default=None)
-    t.add_argument("--damping", type=float, default=0.85)
-    t.add_argument("--source", type=int, default=0)
-    add_knob_arguments(t)
-    t.add_argument(
-        "--out", default=None, metavar="JSON",
-        help="Chrome trace-event JSON (validated after writing)",
-    )
-    t.add_argument("--metrics-out", default=None, metavar="PROM",
-                   help="Prometheus text exposition")
-    t.add_argument("--timeline-out", default=None, metavar="JSONL",
-                   help="per-superstep JSONL timeline")
-    t.add_argument("--report-out", default=None, metavar="JSON",
+    t = r.add_argument_group("tracing (any of these turns it on)")
+    t.add_argument("--trace-out", metavar="JSON",
+                   help="Chrome trace-event JSON (Perfetto), validated after writing")
+    t.add_argument("--metrics-out", metavar="PROM", help="Prometheus text exposition")
+    t.add_argument("--timeline-out", metavar="JSONL", help="per-superstep JSONL timeline")
+    t.add_argument("--report-out", metavar="JSON",
                    help="run report JSON (read back by `repro report`)")
-    t.set_defaults(func=cmd_trace)
 
-    n = sub.add_parser(
-        "tune",
-        help="run with the online autotuner: fit the cost model, switch "
-        "knobs mid-run, print fitted constants + the decision trace",
-    )
-    n.add_argument("algorithm", choices=("pagerank", "sssp", "bfs", "wcc"))
-    n.add_argument("path")
-    n.add_argument("--servers", type=int, default=4, help="cluster width")
-    n.add_argument("--tile-edges", type=int, default=None)
-    n.add_argument("--damping", type=float, default=0.85)
-    n.add_argument("--source", type=int, default=0)
-    add_knob_arguments(n, tune=True)
-    n.add_argument("--report-out", default=None, metavar="JSON",
-                   help="run report JSON (read back by `repro report`)")
-    n.set_defaults(func=cmd_tune)
+    f = r.add_argument_group("faults (a non-empty schedule runs under a supervisor)")
+    f.add_argument("--crash-at", type=int, metavar="STEP", help="crash a server at this superstep")
+    f.add_argument("--crash-server", type=int, default=0)
+    f.add_argument("--straggler-at", type=int, metavar="STEP")
+    f.add_argument("--straggler-server", type=int, default=0)
+    f.add_argument("--straggler-factor", type=float, default=4.0)
+    f.add_argument("--drop-at", type=int, metavar="STEP", help="drop a broadcast at this superstep")
+    f.add_argument("--drop-src", type=int, default=0)
+    f.add_argument("--disk-error-at", type=int, metavar="STEP",
+                   help="transient tile-read error at this superstep")
+    f.add_argument("--retries", type=int, default=2,
+                   help="failed attempts per transient disk error")
+    f.add_argument("--seed", type=int, default=0, help="seed for the random fault plan")
+    f.add_argument("--crash-rate", type=float, default=0.0)
+    f.add_argument("--straggler-rate", type=float, default=0.0)
+    f.add_argument("--drop-rate", type=float, default=0.0)
+    f.add_argument("--max-restarts", type=int, default=8)
+    f.add_argument("--verify", action="store_true",
+                   help="re-run fault-free and assert bitwise-identical values")
+    r.set_defaults(func=cmd_run)
 
     q = sub.add_parser(
         "report", help="print a saved run report as a Table-3-style table"
     )
-    q.add_argument("report", help="run report JSON from `repro trace --report-out`")
+    q.add_argument("report", help="run report JSON from `repro run --report-out`")
     q.add_argument("--max-rows", type=int, default=40,
                    help="elide the middle beyond this many superstep rows")
     q.set_defaults(func=cmd_report)
@@ -855,44 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("path")
     x.add_argument("--servers", type=int, default=4)
     x.set_defaults(func=cmd_shootout)
-
-    c = sub.add_parser(
-        "chaos",
-        help="run under an injected fault schedule with supervised recovery",
-    )
-    c.add_argument("algorithm", choices=("pagerank", "sssp", "wcc"))
-    c.add_argument("path")
-    c.add_argument("--servers", type=int, default=4, help="cluster width")
-    c.add_argument("--tile-edges", type=int, default=None)
-    c.add_argument("--damping", type=float, default=0.85)
-    c.add_argument("--source", type=int, default=0, help="sssp source vertex")
-    add_knob_arguments(c, checkpoint_every=2)
-    c.add_argument("--crash-at", type=int, default=None, metavar="STEP",
-                   help="crash a server at this superstep")
-    c.add_argument("--crash-server", type=int, default=0)
-    c.add_argument("--straggler-at", type=int, default=None, metavar="STEP")
-    c.add_argument("--straggler-server", type=int, default=0)
-    c.add_argument("--straggler-factor", type=float, default=4.0)
-    c.add_argument("--drop-at", type=int, default=None, metavar="STEP",
-                   help="drop a broadcast at this superstep")
-    c.add_argument("--drop-src", type=int, default=0)
-    c.add_argument("--disk-error-at", type=int, default=None, metavar="STEP",
-                   help="transient tile-read error at this superstep")
-    c.add_argument("--retries", type=int, default=2,
-                   help="failed attempts per transient disk error")
-    c.add_argument("--seed", type=int, default=0,
-                   help="seed for the random fault plan")
-    c.add_argument("--crash-rate", type=float, default=0.0)
-    c.add_argument("--straggler-rate", type=float, default=0.0)
-    c.add_argument("--drop-rate", type=float, default=0.0)
-    c.add_argument("--max-restarts", type=int, default=8)
-    c.add_argument("--verify", action="store_true",
-                   help="re-run fault-free and assert bitwise-identical values")
-    c.add_argument("--report", default=None,
-                   help="write the recovery report JSON here")
-    c.add_argument("--output", default=None)
-    c.add_argument("--top", type=int, default=5)
-    c.set_defaults(func=cmd_chaos)
 
     v = sub.add_parser(
         "serve",
@@ -923,16 +624,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the job-span Chrome trace on shutdown")
     v.set_defaults(func=cmd_serve)
 
-    u = sub.add_parser("submit", help="submit a job to a running daemon")
-    u.add_argument("--host", default="127.0.0.1")
-    u.add_argument("--port", type=int, default=7077)
+    u = sub.add_parser("submit", parents=[client], help="submit a job to a running daemon")
     u.add_argument("--graph", required=True, help="registered graph name")
     u.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="pagerank")
-    u.add_argument("--source", type=int, default=None,
-                   help="source vertex (sssp/bfs)")
-    u.add_argument("--damping", type=float, default=None)
-    u.add_argument("--seeds", default=None,
-                   help="comma-separated seed vertices (ppr)")
+    _add_params(u)
     u.add_argument("--priority", choices=("high", "normal", "low"),
                    default="normal")
     u.add_argument("--tenant", default="default")
@@ -944,11 +639,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser(
         "mutate",
+        parents=[client],
         help="apply an edge insert/delete batch to a daemon graph "
         "(repro.delta overlays; queries keep running)",
     )
-    m.add_argument("--host", default="127.0.0.1")
-    m.add_argument("--port", type=int, default=7077)
     m.add_argument("--graph", required=True, help="registered graph name")
     m.add_argument("--insert", action="append", default=[],
                    metavar="SRC:DST[:W]",
@@ -964,9 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--seed", type=int, default=7)
     m.set_defaults(func=cmd_mutate)
 
-    j = sub.add_parser("jobs", help="job table from a running daemon")
-    j.add_argument("--host", default="127.0.0.1")
-    j.add_argument("--port", type=int, default=7077)
+    j = sub.add_parser("jobs", parents=[client], help="job table from a running daemon")
     j.set_defaults(func=cmd_jobs)
     return parser
 

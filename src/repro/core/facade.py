@@ -274,7 +274,7 @@ class GraphH:
         config with ``checkpoint_every`` for snapshots to be written).
         """
         result = self.mpe.run(program, resume=resume)
-        self._finish_trace(program)
+        self.finish_trace(program)
         return result
 
     def mutate(self, ops) -> dict:
@@ -295,8 +295,11 @@ class GraphH:
         """
         return self.mpe.apply_mutations(ops)
 
-    def _finish_trace(self, program: VertexProgram) -> None:
-        """Post-run observability: bridge counters, export Chrome JSON."""
+    def finish_trace(self, program: VertexProgram) -> None:
+        """Post-run observability: bridge counters, export Chrome JSON.
+
+        :meth:`run` calls it; a caller that drives :attr:`mpe` itself
+        (a :class:`repro.faults.Supervisor`) calls it after the run."""
         if self.tracer is None:
             return
         from repro.obs.export import write_chrome_trace

@@ -14,7 +14,7 @@ rows"):
   warm-engine rule and the README's reference table.
 
 A row's ``scope`` says when the knob binds.  ``"run"``: read at the
-start of every run, so it is a per-run choice — each run command has
+start of every run, so it is a per-run choice — ``repro run`` has
 its flag, a ``JobSpec`` may carry it, a warm engine accepts a swap
 between runs.  ``"setup"``: fixed when the engine is built (for the
 service: when the graph is registered) — settable through the config

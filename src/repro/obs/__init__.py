@@ -8,8 +8,9 @@ trace-event JSON / Prometheus text / per-superstep JSONL
 (:mod:`repro.obs.report`).
 
 Enable it from the facade (``GraphH(..., trace=True)`` or
-``trace_out="run.trace.json"``) or the CLI (``repro trace``,
-``--trace-out`` on any algorithm subcommand).  When disabled — the
+``trace_out="run.trace.json"``) or the CLI (``repro run`` with
+``--trace-out``, ``--metrics-out``, ``--timeline-out`` or
+``--report-out``).  When disabled — the
 default — every instrumentation site records into the no-op
 ``NULL_BUFFER`` and the engine's values, counters, and modeled costs
 are bitwise unchanged.

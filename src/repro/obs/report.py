@@ -11,7 +11,7 @@ turns one :class:`repro.core.mpe.RunResult` into
   telemetry, aggregate counters, and enough identity metadata
   (dataset / program / executor) to compare runs across commits, and
 * a human-readable table (:func:`format_run_report`) mirroring the
-  Table 3 layout, printed by ``repro trace`` and ``repro report``.
+  Table 3 layout, printed by ``repro run`` and ``repro report``.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ class TestCli:
         assert (
             main(
                 [
+                    "run",
                     "pagerank",
                     graph_csv,
                     "--servers",
@@ -52,14 +53,14 @@ class TestCli:
         assert "top 3 vertices" in capsys.readouterr().out
 
     def test_sssp(self, graph_csv, capsys):
-        assert main(["sssp", graph_csv, "--source", "1", "--servers", "2"]) == 0
+        assert main(["run", "sssp", graph_csv, "--source", "1", "--servers", "2"]) == 0
         assert "reachable from 1" in capsys.readouterr().out
 
     def test_wcc(self, tmp_path, capsys):
         path = str(tmp_path / "two.csv")
         with open(path, "w") as fh:
             fh.write("0,1\n1,0\n2,3\n3,2\n")
-        assert main(["wcc", path]) == 0
+        assert main(["run", "wcc", path]) == 0
         assert "2 weakly connected components" in capsys.readouterr().out
 
     def test_shootout(self, graph_csv, capsys):
@@ -68,15 +69,15 @@ class TestCli:
         assert "graphh" in out and "chaos" in out
 
     def test_bfs(self, graph_csv, capsys):
-        assert main(["bfs", graph_csv, "--source", "0"]) == 0
+        assert main(["run", "bfs", graph_csv, "--source", "0"]) == 0
         assert "reachable from 0" in capsys.readouterr().out
 
     def test_katz(self, graph_csv, capsys):
-        assert main(["katz", graph_csv, "--alpha", "0.002"]) == 0
+        assert main(["run", "katz", graph_csv, "--alpha", "0.002"]) == 0
         assert "top" in capsys.readouterr().out
 
     def test_ppr(self, graph_csv, capsys):
-        assert main(["ppr", graph_csv, "--seeds", "0,5"]) == 0
+        assert main(["run", "ppr", graph_csv, "--seeds", "0,5"]) == 0
         assert "ppr" in capsys.readouterr().out
 
     def test_generate_binary_and_autodetect(self, tmp_path, capsys):
@@ -99,13 +100,33 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["pagerank", "--damping", "1.5"], "damping must be in [0, 1)"),
+            (["katz", "--alpha", "0"], "alpha must be positive"),
+            (["ppr", "--seeds", "1,,2"], None),  # the empty item is dropped
+        ],
+    )
+    def test_program_parameters_are_usage_errors(self, graph_csv, capsys, argv, error):
+        """A value the program refuses exits 2 with argparse's prefix,
+        not a traceback."""
+        argv = ["run", argv[0], graph_csv, *argv[1:], "--top", "1"]
+        if error is None:
+            assert main(argv) == 0
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"repro: error: {error}" in capsys.readouterr().err
+
 
 class TestCheckpointAndChaosCli:
     def test_checkpoint_resume_across_invocations(self, graph_csv, tmp_path, capsys):
         """--state-dir persists tiles + checkpoints + the namenode image,
         so a later --resume invocation picks up mid-run."""
         state = str(tmp_path / "state")
-        base = ["pagerank", graph_csv, "--servers", "2",
+        base = ["run", "pagerank", graph_csv, "--servers", "2",
                 "--checkpoint-every", "2", "--state-dir", state, "--top", "1"]
         assert main(base) == 0
         first = capsys.readouterr().out
@@ -115,19 +136,20 @@ class TestCheckpointAndChaosCli:
         assert "resumed from checkpoint at superstep" in out
 
     def test_chaos_verify_and_report(self, graph_csv, tmp_path, capsys):
-        """The chaos subcommand: crash + straggler, supervised recovery,
-        --verify asserting bitwise identity with the fault-free run."""
+        """A fault schedule on `run`: crash + straggler, supervised
+        recovery, --verify asserting bitwise identity with the fault-free
+        run, the recovery report inside the run report."""
         import json
 
-        report = str(tmp_path / "recovery.json")
+        report = str(tmp_path / "report.json")
         rc = main(
             [
-                "chaos", "pagerank", graph_csv,
+                "run", "pagerank", graph_csv,
                 "--servers", "3",
                 "--crash-at", "3", "--crash-server", "1",
                 "--straggler-at", "2", "--straggler-server", "0",
                 "--checkpoint-every", "2",
-                "--verify", "--report", report, "--top", "3",
+                "--verify", "--report-out", report, "--top", "3",
             ]
         )
         assert rc == 0
@@ -135,7 +157,9 @@ class TestCheckpointAndChaosCli:
         assert "fault schedule (2 events)" in out
         assert "1 restart(s)" in out
         assert "verify: OK" in out
-        doc = json.loads(open(report).read())
+        # A supervised restore is not a --resume.
+        assert "resumed from checkpoint" not in out
+        doc = json.loads(open(report).read())["recovery"]
         assert doc["restarts"] == 1
         assert doc["recovery_read_bytes"] > 0
         assert doc["records"][0]["kind"] == "crash"
@@ -144,7 +168,7 @@ class TestCheckpointAndChaosCli:
         """Random schedules come from a seeded FaultPlan (replayable)."""
         rc = main(
             [
-                "chaos", "sssp", graph_csv,
+                "run", "sssp", graph_csv,
                 "--servers", "2", "--seed", "7",
                 "--drop-rate", "0.05", "--straggler-rate", "0.05",
                 "--checkpoint-every", "2", "--top", "1",
@@ -158,22 +182,30 @@ class TestCheckpointAndChaosCli:
         the exit code, not the report text."""
         rc = main(
             [
-                "chaos", "pagerank", graph_csv,
+                "run", "pagerank", graph_csv,
                 "--servers", "2", "--max-supersteps", "2",
+                "--straggler-at", "1",
                 "--checkpoint-every", "2", "--top", "1",
             ]
         )
         assert rc == 1
-        assert "chaos: FAILED" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "run: FAILED" in err
+
+    def test_capped_run_exits_nonzero(self, graph_csv, capsys):
+        """Without faults too: a run that hit the superstep cap exits 1."""
+        rc = main(["run", "pagerank", graph_csv, "--max-supersteps", "2"])
+        assert rc == 1
+        assert "run: FAILED" in capsys.readouterr().err
 
     def test_trace_out_on_algorithm_command(self, graph_csv, tmp_path, capsys):
-        """--trace-out on the plain algorithm subcommands emits a valid
-        Chrome trace without changing the run."""
+        """--trace-out on a plain run emits a valid Chrome trace without
+        changing the run."""
         from repro.obs.export import validate_chrome_trace_file
 
         trace = str(tmp_path / "pr.trace.json")
         rc = main(
-            ["pagerank", graph_csv, "--servers", "2",
+            ["run", "pagerank", graph_csv, "--servers", "2",
              "--trace-out", trace, "--top", "1"]
         )
         assert rc == 0
@@ -181,7 +213,7 @@ class TestCheckpointAndChaosCli:
         assert validate_chrome_trace_file(trace) == []
 
     def test_trace_command_artifacts(self, graph_csv, tmp_path, capsys):
-        """repro trace: all four artifacts plus the Table-3 report."""
+        """All four trace artifacts plus the Table-3 report."""
         import json
 
         out = {
@@ -190,8 +222,8 @@ class TestCheckpointAndChaosCli:
         }
         rc = main(
             [
-                "trace", "pagerank", graph_csv, "--servers", "3",
-                "--out", out["trace.json"],
+                "run", "pagerank", graph_csv, "--servers", "3",
+                "--trace-out", out["trace.json"],
                 "--metrics-out", out["metrics.prom"],
                 "--timeline-out", out["tl.jsonl"],
                 "--report-out", out["report.json"],

@@ -4,8 +4,9 @@ Everything here iterates ``dataclasses.fields(MPEConfig)`` (through
 ``knob_rows``), so a future row is covered without editing this file:
 
 * each row's validation, ``GraphH(**knobs)``, ``JobSpec`` → overlay;
-* each run command × each row with a flag (the CLI drift that used to
-  be possible: ``chaos --num-workers``, every ``--num-threads``, …);
+* each spelling of ``repro run`` × each row with a flag (the CLI drift
+  that used to be possible: ``chaos --num-workers``, every
+  ``--num-threads``, …);
 * service admission rejects what the rows reject, at submit;
 * a warm engine refuses a set-up-scoped change instead of ignoring it;
 * the guard against sliding back, and README's reference table.
@@ -189,18 +190,18 @@ def test_jobspec_loads_a_parent_written_queue_row():
 
 
 # ----------------------------------------------------------------------
-# CLI: each run command × each row with a flag
+# CLI: each spelling of the one run command × each row with a flag
 # ----------------------------------------------------------------------
 RUN_COMMANDS = {
-    "pagerank": ["pagerank", "g.csv"],
-    "sssp": ["sssp", "g.csv"],
-    "bfs": ["bfs", "g.csv"],
-    "katz": ["katz", "g.csv"],
-    "ppr": ["ppr", "g.csv", "--seeds", "1"],
-    "wcc": ["wcc", "g.csv"],
-    "trace": ["trace", "pagerank", "g.csv"],
-    "tune": ["tune", "pagerank", "g.csv"],
-    "chaos": ["chaos", "pagerank", "g.csv"],
+    "pagerank": ["run", "pagerank", "g.csv"],
+    "sssp": ["run", "sssp", "g.csv"],
+    "bfs": ["run", "bfs", "g.csv"],
+    "katz": ["run", "katz", "g.csv"],
+    "ppr": ["run", "ppr", "g.csv", "--seeds", "1"],
+    "wcc": ["run", "wcc", "g.csv"],
+    "trace": ["run", "pagerank", "g.csv", "--trace-out", "t.json"],
+    "tune": ["run", "pagerank", "g.csv", "--tune"],
+    "chaos": ["run", "pagerank", "g.csv", "--crash-at", "2"],
 }
 
 
@@ -217,8 +218,7 @@ def _flag_args(row, value):
 def test_flag_lands_in_the_commands_config(command, row):
     parser = build_parser()
     plain = config_from_args(parser.parse_args(RUN_COMMANDS[command]))
-    # `tune` forces the tuner on and `chaos` checkpoints by default:
-    # move off whatever this command's own default is.
+    # `tune` passes --tune: move off whatever the argv already set.
     value = other_value(row._replace(default=getattr(plain, row.name)))
     args = parser.parse_args(RUN_COMMANDS[command] + _flag_args(row, value))
     assert config_from_args(args) == dataclasses.replace(
@@ -226,21 +226,21 @@ def test_flag_lands_in_the_commands_config(command, row):
     )
 
 
-def test_out_of_range_flag_is_a_usage_error():
-    args = build_parser().parse_args(["pagerank", "g.csv", "--io-threads", "0"])
-    with pytest.raises(SystemExit, match="io_threads must be >= 1"):
+def test_out_of_range_flag_is_a_usage_error(capsys):
+    args = build_parser().parse_args(["run", "pagerank", "g.csv", "--io-threads", "0"])
+    with pytest.raises(SystemExit) as exc:
         config_from_args(args)
+    assert exc.value.code == 2
+    assert "repro: error: io_threads must be >= 1" in capsys.readouterr().err
 
 
 def test_command_defaults():
+    """No spelling states a default of its own: the rows' defaults,
+    plus only what the argv itself sets (``--tune``)."""
     parser = build_parser()
-    config = {
-        name: config_from_args(parser.parse_args(argv))
-        for name, argv in RUN_COMMANDS.items()
-    }
-    assert config["pagerank"] == config["trace"] == MPEConfig()
-    assert config["tune"] == MPEConfig(tune=True)
-    assert config["chaos"] == MPEConfig(checkpoint_every=2)
+    for name, argv in RUN_COMMANDS.items():
+        config = config_from_args(parser.parse_args(argv))
+        assert config == (MPEConfig(tune=True) if name == "tune" else MPEConfig()), name
 
 
 @pytest.mark.parametrize("row", FLAG_ROWS, **ids)
@@ -255,12 +255,27 @@ def test_submit_flag_lands_in_the_spec(row):
     assert JobSpec(**_submit_spec(args)).knobs == {row.key: value}
 
 
+def test_submit_takes_every_program_parameter(capsys):
+    from repro.cli import _submit_spec
+
+    parser = build_parser()
+    argv = ["submit", "--graph", "g", "--algorithm", "katz"]
+    assert _submit_spec(parser.parse_args(argv + ["--alpha", "0.1"]))["params"] == {
+        "alpha": 0.1
+    }
+    # Refused before it reaches a daemon, as `run` refuses it.
+    with pytest.raises(SystemExit):
+        _submit_spec(parser.parse_args(argv + ["--alpha", "0"]))
+    assert "repro: error: alpha must be positive" in capsys.readouterr().err
+
+
 def test_chaos_under_the_process_executor(tmp_path, capsys):
     """The invocation that was a parse error (CI's chaos smoke runs it)."""
     path = str(tmp_path / "g.csv")
     assert main(["generate", path, "--kind", "rmat", "--scale", "8", "--seed", "3"]) == 0
-    argv = ["chaos", "pagerank", path, "--servers", "3", "--executor", "process",
-            "--num-workers", "2", "--crash-at", "2", "--verify"]
+    argv = ["run", "pagerank", path, "--servers", "3", "--checkpoint-every", "2",
+            "--executor", "process", "--num-workers", "2", "--crash-at", "2",
+            "--verify"]
     assert main(argv) == 0
     assert "verify: OK" in capsys.readouterr().out
 
@@ -433,7 +448,7 @@ def test_cli_derives_its_knob_flags():
     helper = cli.index("def config_from_args(")
     assert len(built) == 1
     assert helper < built[0] < cli.index("\ndef ", helper + 1)
-    assert len(cli.splitlines()) <= 1000
+    assert len(cli.splitlines()) <= 680
 
 
 # ----------------------------------------------------------------------
