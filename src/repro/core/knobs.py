@@ -13,6 +13,16 @@ rows"):
 * the CLI's flags, ``JobSpec``'s run-scoped set, service admission, the
   warm-engine rule and the README's reference table.
 
+A row's ``contract`` says what a non-default value may change against
+a run that differs from it only in that row, strongest first
+(:data:`CONTRACTS`).  ``"identical"``: nothing — values, every
+superstep report field but ``wall_s``, per-server Counters, CacheStats
+and both caches' contents, recency and remembered sizes are bitwise
+equal.  ``"metered"``: the values are bitwise equal, the metering may
+move.  ``"values"``: the values may move too.  Host telemetry (wall
+times, prefetch occupancy, decode-cache hit counts) is outside every
+level.  ``tests/contract.py`` checks each row at its level.
+
 A row's ``scope`` says when the knob binds.  ``"run"``: read at the
 start of every run, so it is a per-run choice — ``repro run`` has
 its flag, a ``JobSpec`` may carry it, a warm engine accepts a swap
@@ -29,9 +39,10 @@ import functools
 import numbers
 import typing
 
-__all__ = ["Knob", "knob", "knob_rows", "knob_row", "overlay"]
+__all__ = ["CONTRACTS", "Knob", "knob", "knob_rows", "knob_row", "overlay"]
 
 SCOPES = ("setup", "run")
+CONTRACTS = ("identical", "metered", "values")
 # An ``int`` row takes any integral number (numpy's included), a
 # ``float`` row any real one; bool is never a number here.
 _ACCEPTS = {int: numbers.Integral, float: numbers.Real}
@@ -44,6 +55,8 @@ class Knob(typing.NamedTuple):
     scope: str
     # One line on what the knob sets: a flag's help text, README's table.
     help: str
+    # What a non-default value may change: one of CONTRACTS.
+    contract: str
     choices: tuple | None = None
     min: float | None = None
     # The shorter name the front doors spell (flag, ``GraphH`` kwarg,
@@ -98,6 +111,10 @@ def knob(default, **row) -> dataclasses.Field:
     ``name: type = knob(default, scope=…, help=…, …)``."""
     if row["scope"] not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {row['scope']!r}")
+    if row.get("contract") not in CONTRACTS:
+        raise ValueError(
+            f"contract must be one of {CONTRACTS}, got {row.get('contract')!r}"
+        )
     return dataclasses.field(default=default, metadata={"knob": Knob(**row)})
 
 

@@ -104,45 +104,46 @@ class MPEConfig:
 
     # --- set-up scope: fixed when the engine is built -----------------
     cache_capacity_bytes: int | None = knob(
-        None, scope="setup", min=0,
+        None, scope="setup", min=0, contract="metered",
         help="edge-cache budget per server, in bytes (None = unlimited: "
         "all idle RAM)",
     )
     cache_mode: int | None = knob(
         None, scope="setup", choices=tuple(range(1, len(CACHE_MODES) + 1)),
-        tunable=True,
+        tunable=True, contract="metered",
         help="edge-cache mode 1-4 (None = auto-select from the capacity "
         "constraint, §IV-B)",
     )
     message_codec: str = knob(
         "snappylike", scope="setup", choices=tuple(CODECS), tunable=True,
+        contract="metered",
         help="broadcast payload codec (default: Figure 8d's winner)",
     )
     comm_mode: str = knob(
         "hybrid", scope="setup", choices=("hybrid", "dense", "sparse"),
-        tunable=True,
+        tunable=True, contract="metered",
         help="broadcast representation; hybrid picks dense or sparse per "
         "message at §IV-C's 0.8 sparsity ratio",
     )
     use_bloom_filters: bool = knob(
-        True, scope="setup", tunable=True,
+        True, scope="setup", tunable=True, contract="metered",
         help="bloom-filter tile skipping, wherever the exact bitmap of "
         "selective scheduling does not decide",
     )
     replication_policy: str = knob(
-        "aa", scope="setup", choices=("aa", "od"),
+        "aa", scope="setup", choices=("aa", "od"), contract="metered",
         help="vertex replication: All-in-All (§IV-A) or On-Demand",
     )
     tile_assignment: str = knob(
         "round_robin", scope="setup", choices=("round_robin", "balanced"),
+        contract="metered",
         help="stage-two tile placement: round-robin (§III-C.1) or LPT over "
         "tile sizes (better stragglers on skew)",
     )
-    # None keeps the engine frozen-graph and is a bitwise no-op: no
-    # delta store exists, the tile parser is the plain
-    # ``Tile.from_bytes``, and no delta counters ever move.
+    # None keeps the engine frozen-graph: no delta store exists and the
+    # tile parser is the plain ``Tile.from_bytes``.
     mutations: bool | None = knob(
-        None, scope="setup",
+        None, scope="setup", contract="identical",
         help="evolving graphs (repro.delta): accept mutation batches and "
         "overlay them on the immutable base tiles at load time",
     )
@@ -151,55 +152,48 @@ class MPEConfig:
     # Strictly more skips than bloom alone (differing only on bloom
     # false positives); see MPE._resolve_schedule.
     selective_scheduling: bool = knob(
-        True, scope="run", alias="selective",
+        True, scope="run", alias="selective", contract="metered",
         help="selective scheduling: skip tiles whose source vertices are "
         "all inactive (exact active-vertex bitmap; GraphMP)",
     )
     max_supersteps: int = knob(
-        200, scope="run", min=1, help="superstep cap per run"
+        200, scope="run", min=1, contract="values",
+        help="superstep cap per run",
     )
     checkpoint_every: int | None = knob(
-        None, scope="run", min=1,
+        None, scope="run", min=1, contract="metered",
         help="snapshot values into DFS every N supersteps (bounds "
         "re-executed work after a fault)",
     )
-    # All three are bitwise-identical in results and metering.  The
-    # REPRO_EXECUTOR environment variable (CI's forcing flag) overrides
-    # this at run time.
+    # The REPRO_EXECUTOR environment variable (CI's forcing flag)
+    # overrides this at run time.
     executor: str = knob(
         "serial", scope="run", choices=("serial", "parallel", "process"),
+        contract="identical",
         help="host executor: serial sweep, GIL threads, or the "
         "shared-memory process pool",
     )
     num_threads: int | None = knob(
-        None, scope="run", min=1,
+        None, scope="run", min=1, contract="identical",
         help="thread-pool width for --executor parallel (default: one "
         "per core)",
     )
     num_workers: int | None = knob(
-        None, scope="run", min=1,
+        None, scope="run", min=1, contract="identical",
         help="process-pool width for --executor process (default: one "
         "per core, capped)",
     )
-    # Results and metering are bitwise identical at every depth.  The
-    # REPRO_PREFETCH environment variable (CI's forcing flag) overrides
-    # the depth at run time.
     prefetch_depth: int = knob(
-        0, scope="run", min=0, tunable=True,
+        0, scope="run", min=0, tunable=True, contract="identical",
         help="tile prefetch pipeline depth (0 = off): overlap the next "
         "tile's disk read + decompress + decode with compute",
     )
     io_threads: int = knob(
-        1, scope="run", min=1, tunable=True,
+        1, scope="run", min=1, tunable=True, contract="identical",
         help="background I/O threads per server feeding the pipeline",
     )
-    # "mmap" is GraphMP's semi-external-memory mode (file-backed memmaps
-    # from repro.storage.backing): the N×|V| replicas stop being the
-    # memory ceiling.  The segments are MAP_SHARED, so the process
-    # executor and checkpoint/restore work unchanged; results and
-    # metering are bitwise identical in both modes.
     vertex_store: str = knob(
-        "mem", scope="run", choices=("mem", "mmap"),
+        "mem", scope="run", choices=("mem", "mmap"), contract="identical",
         help="vertex replica backing: in-RAM arrays or file-backed "
         "memmaps (semi-external memory — scales past RAM)",
     )
@@ -208,14 +202,13 @@ class MPEConfig:
     # bitwise-equal to from-scratch on the mutated graph; PageRank
     # agrees to its convergence tolerance (DESIGN.md §5i).
     incremental: bool = knob(
-        False, scope="run", warm_only=True,
+        False, scope="run", warm_only=True, contract="values",
         help="restart from the graph's previous fixed point, repairing "
         "only mutation-disturbed vertices (needs a prior completed run "
         "of the same algorithm)",
     )
-    # Off is bitwise identical to an engine without the tuner.
     tune: bool = knob(
-        False, scope="run",
+        False, scope="run", contract="metered",
         help="online autotuner: fit the cost model to the first "
         "supersteps, then switch codec/comm/cache/prefetch knobs mid-run "
         "at superstep boundaries (repro.tuning)",
@@ -247,10 +240,6 @@ class MPE:
         # buffers exist: _wire_tracer hands every instrumentation site
         # the null buffer / null instrument instead.
         self.tracer = tracer
-        # Effective prefetch depth for the current run; re-resolved at
-        # the top of run() (REPRO_PREFETCH override) *before* tracer
-        # wiring.
-        self._prefetch_depth = self.config.prefetch_depth
         # The tuner carrying fitted constants across runs (a warm
         # service engine reuses them job to job; repro.tuning builds it
         # at the first tuned run), an externally installed scripted
@@ -349,7 +338,7 @@ class MPE:
         # A tuned (or scripted) run may switch the pipeline on mid-run;
         # its buffers must exist before the process pool forks.
         prefetch_on = (
-            self._prefetch_depth > 0
+            self.config.prefetch_depth > 0
             or self.config.tune
             or self.tuning_plan is not None
         )
@@ -558,8 +547,6 @@ class MPE:
         ``resume=True`` restarts from the newest DFS checkpoint for this
         (dataset, program) pair, if one exists.
         """
-        # Resolve the pipeline depth first: tracer wiring keys off it.
-        self._prefetch_depth = self._resolve_prefetch()
         # Host telemetry is per run: a warm engine's second job reports
         # its own decode counts, not the running total.
         self.payload_decode_hits = 0
@@ -714,7 +701,7 @@ class MPE:
             decoded_cache_misses=sum(st.misses for st in decoded),
             payload_decode_hits=self.payload_decode_hits,
             payload_decode_misses=self.payload_decode_misses,
-            prefetch_depth=self._prefetch_depth,
+            prefetch_depth=cfg.prefetch_depth,
             selective=cfg.selective_scheduling,
             vertex_store=cfg.vertex_store,
             filters_built=self.filters_built,
@@ -754,9 +741,7 @@ class MPE:
         )
         prep = _RunPrep(
             program=program,
-            knobs=KnobSettings.of(
-                self.config, prefetch_depth=self._prefetch_depth
-            ),
+            knobs=KnobSettings.of(self.config),
         )
         for part in attached:
             part.begin_run(prep, graph)
@@ -951,6 +936,9 @@ class MPE:
             # (an inserted edge's source must be probe-visible).
             self._summaries[tile_id] = TileSourceSummary.from_tile(tile)
             self._heads.refresh(self._summaries[tile_id])
+            # ... and the next run's On-Demand store must hold it.
+            if self.config.replication_policy == "od":
+                self._server_sources[server.server_id].append(tile.source_vertices)
             if tile_id in self._blooms:
                 self._blooms[tile_id] = tile.build_bloom_filter(
                     BLOOM_FALSE_POSITIVE_RATE
@@ -1000,22 +988,6 @@ class MPE:
             "process": cfg.num_workers,
         }[name]
         return name, width, requested
-
-    def _resolve_prefetch(self) -> int:
-        """This run's prefetch depth: ``REPRO_PREFETCH`` (CI's forcing
-        flag) overrides the configured one."""
-        raw = os.environ.get("REPRO_PREFETCH", "").strip()
-        if not raw:
-            return self.config.prefetch_depth
-        try:
-            depth = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_PREFETCH must be an integer depth, got {raw!r}"
-            ) from None
-        if depth < 0:
-            raise ValueError("REPRO_PREFETCH must be >= 0")
-        return depth
 
     def _ensure_blooms(self, superstep: int | None = None) -> None:
         """Build every tile's bloom filter from the fetched blobs, once

@@ -44,8 +44,8 @@ class RunResult:
     # decoded (hits + misses = envelopes received).
     payload_decode_hits: int = 0
     payload_decode_misses: int = 0
-    # Effective tile-prefetch pipeline depth this run executed with
-    # (0 = pipeline off; REPRO_PREFETCH overrides already applied).
+    # Tile-prefetch pipeline depth this run started with (0 = pipeline
+    # off).
     prefetch_depth: int = 0
     # Whether bitmap selective scheduling was active and which
     # vertex-store backing ran.

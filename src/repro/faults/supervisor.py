@@ -89,11 +89,13 @@ class FaultRecord:
 class RecoveryReport:
     """What surviving the schedule cost.
 
-    Every field is executor-invariant except ``aborted_attempt_edges``:
-    a serial attempt stops at the first raising server, while a parallel
+    A serial attempt stops at the first raising server, while a parallel
     attempt lets in-flight sibling servers finish their sweep before the
-    exception propagates — so the wasted work, honestly metered, depends
-    on the host executor (the converged values never do).
+    exception propagates — so the wasted work (``aborted_attempt_edges``)
+    and, when other events share the aborting superstep, which attempt
+    fires them (``fault_log`` and its totals) depend on the host
+    executor.  The restarts, their records and the re-executed work do
+    not, nor do the converged values.
     """
 
     restarts: int = 0

@@ -171,11 +171,6 @@ class Engine:
         recovers from it, however the last engine on it stopped.
     capacity / tenant_quota:
         Admission control for the job queue.
-    job_workers:
-        Background worker threads executing queued jobs after
-        :meth:`start`.  ``0`` (the default) means jobs run only via
-        explicit :meth:`run_next` calls — the deterministic mode tests
-        and benchmarks use.
     tracer:
         A :class:`repro.obs.trace.Tracer`; enables per-job spans and
         serialises job execution globally (the MPE's span buffers are
@@ -195,7 +190,6 @@ class Engine:
         state_dir: str | None = None,
         capacity: int = 64,
         tenant_quota: int | None = None,
-        job_workers: int = 0,
         tracer=None,
         cache_policy: str = "cold",
         share_tiles: bool | None = None,
@@ -497,6 +491,10 @@ class Engine:
             spec.build_program()
         except (ValueError, TypeError) as exc:
             return f"bad parameters: {exc}"
+        try:
+            spec.supervision  # built once, here
+        except (ValueError, TypeError) as exc:
+            return f"bad fault schedule: {exc}"
         return None
 
     # -- lifecycle -----------------------------------------------------
@@ -540,7 +538,10 @@ class Engine:
         return record
 
     def start(self, job_workers: int | None = None) -> None:
-        """Spawn background worker threads draining the queue."""
+        """Spawn ``job_workers`` (default one) background threads
+        executing queued jobs.  An engine never started runs jobs only
+        via explicit :meth:`run_next` calls — the deterministic mode
+        tests and benchmarks use."""
         count = 1 if job_workers is None else int(job_workers)
         for i in range(count):
             t = threading.Thread(
@@ -676,28 +677,10 @@ class Engine:
 
     def _run_supervised(self, ctx: GraphContext, spec: JobSpec, program):
         """Run under fault injection with supervisor-backed retry."""
-        from repro.faults import (
-            FaultEvent,
-            FaultSchedule,
-            RecoveryPolicy,
-            Supervisor,
-        )
+        from repro.faults import Supervisor
 
-        events = []
-        for raw in spec.fault_events:
-            kwargs = {
-                k: v
-                for k, v in dict(raw).items()
-                if k in {f.name for f in FaultEvent.__dataclass_fields__.values()}
-            }
-            events.append(FaultEvent(**kwargs))
-        supervisor = Supervisor(
-            ctx.mpe,
-            schedule=FaultSchedule(events),
-            policy=RecoveryPolicy(
-                max_restarts=spec.max_restarts, backoff_s=0.0
-            ),
-        )
+        schedule, policy = spec.supervision
+        supervisor = Supervisor(ctx.mpe, schedule=schedule, policy=policy)
         try:
             result, report = supervisor.run(program)
         finally:

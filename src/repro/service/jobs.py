@@ -20,6 +20,7 @@ for jobs finished before the restart.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -204,6 +205,19 @@ class JobSpec:
 
     def build_program(self):
         return build_program(self.algorithm, self.params)
+
+    @functools.cached_property
+    def supervision(self):
+        """The ``(FaultSchedule, RecoveryPolicy)`` a supervised run of
+        this job uses — built on first read (admission's), so a key no
+        ``FaultEvent`` field has or a bad value is a ``TypeError`` /
+        ``ValueError`` at the door, not a dropped key or a failed run."""
+        from repro.faults import FaultEvent, FaultSchedule, RecoveryPolicy
+
+        return (
+            FaultSchedule([FaultEvent(**e) for e in self.fault_events]),
+            RecoveryPolicy(max_restarts=self.max_restarts, backoff_s=0.0),
+        )
 
     def overlay(self, base: MPEConfig) -> MPEConfig:
         """``base`` under this job's knobs (``TypeError`` / ``ValueError``

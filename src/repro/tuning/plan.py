@@ -53,19 +53,18 @@ class KnobSettings:
     cache_mode: int | None = None
 
     @classmethod
-    def of(cls, config, **resolved) -> "KnobSettings":
+    def of(cls, config) -> "KnobSettings":
         """``config``'s ``tunable`` knob rows (:mod:`repro.core.knobs` —
         the rows *are* these fields) as one concrete settings object:
         what every superstep of an untuned run executes, and the tuner's
-        starting point.  ``resolved`` overrides a configured value with
-        the run's effective one (a forced prefetch depth); ``cache_mode``
-        starts ``None``: set-up already attached the configured cache."""
+        starting point.  ``cache_mode`` starts ``None``: set-up already
+        attached the configured cache."""
         values = {
             FIELD_OF_ROW.get(f.name, f.name): getattr(config, f.name)
             for f in fields(config)
             if f.metadata["knob"].tunable
         }
-        return cls(**{**values, "cache_mode": None, **resolved})
+        return cls(**{**values, "cache_mode": None})
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ exercised.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, replace
 
 from repro.metrics.cost import CostSample, FittedConstants, fit_cost_constants
@@ -396,7 +395,6 @@ class TunedRun:
         self.tuner: Tuner | None = None
         self.plan = None
         self.tbuf = None
-        self._pinned: dict = {}
 
     def begin_run(self, prep, graph) -> None:
         mpe = self.mpe
@@ -412,18 +410,9 @@ class TunedRun:
             self.tuner = mpe.tuner
             # Identical signature -> the recorded plan replays (fault
             # retry, identical resubmission); different -> new plan,
-            # constants kept.  ``base`` adds the forced prefetch depth.
+            # constants kept.
             signature = (mpe.manifest.name, prep.program.name, mpe.config, base)
             self.plan = self.tuner.begin_run(signature, base)
-        # A forced REPRO_PREFETCH depth pins the pipeline knobs — CI
-        # forces a depth precisely to exercise it, so decisions must not
-        # un-force it.
-        self._pinned = {}
-        if os.environ.get("REPRO_PREFETCH", "").strip():
-            self._pinned = {
-                "prefetch_depth": base.prefetch_depth,
-                "io_threads": base.io_threads,
-            }
         self.tbuf = mpe._lane("tuning")
         self.tbuf.instant(
             "tuning_start",
@@ -442,8 +431,6 @@ class TunedRun:
             knobs = self.plan.knobs_for(superstep) or replace(
                 prep.knobs, cache_mode=None
             )
-        if self._pinned:
-            knobs = replace(knobs, **self._pinned)
         switched = knobs != prep.knobs or (
             knobs.cache_mode is not None
             and any(
@@ -462,8 +449,9 @@ class TunedRun:
 
         The fit row follows the cost model's straggler attribution;
         the (deterministic) observation is the modeled superstep seconds
-        minus injected fault delay, so faults perturb neither the fit
-        nor the decision trace.
+        minus injected fault delay, so that delay enters neither the fit
+        nor the decision trace (an injected straggler can still move
+        the attribution, and a replayed superstep its observation).
         """
         tuner = self.tuner
         if tuner is None:

@@ -9,13 +9,10 @@ The subsystem invariants:
   float tolerance for PageRank (the repair replays additions in a
   different order; observed max diff ~2e-9, asserted at 1e-7).  Holds
   at every executor × selective on/off.
-* **Off = bitwise no-op** — ``mutations=True`` with no pending batch
-  changes nothing: values, counters, and modeled costs are bit-for-bit
-  identical to ``mutations=None``.
-* **Fault determinism** — incremental runs replay identically under a
-  fault schedule (decisions are frozen parent-side; fixed-point memory
-  only advances at successful run end, so retries rebuild the same
-  plan).
+* **Off = bitwise no-op** and **fault determinism** — the ``mutations``
+  row's ``identical`` contract and incremental runs under fault
+  schedules are cases of ``tests/contract.py``'s matrix; here, the
+  retry's replayed plan and a failed run's clean abort.
 * **Compaction is atomic** — a batch that fails validation (deleting a
   missing edge) leaves the store untouched; replay is idempotent by
   watermark.
@@ -45,12 +42,13 @@ from repro.delta import (
     random_mutations,
 )
 from repro.delta.mutlog import OP_DELETE, OP_INSERT
-from repro.faults import CRASH, DISK_ERROR, FaultEvent, FaultSchedule, Supervisor
+from repro.faults import CRASH, FaultEvent, FaultSchedule, Supervisor
 from repro.graph import chung_lu_graph
 from repro.obs import Tracer
 from repro.partition.tiles import Tile
 from repro.runtime import process_runtime_available
 from repro.runtime.shm import outstanding_segments
+from tests.contract import Case, check
 
 needs_process = pytest.mark.skipif(
     not process_runtime_available(),
@@ -194,25 +192,8 @@ class TestIncrementalMatchesScratch:
 # Off = bitwise no-op
 # ----------------------------------------------------------------------
 class TestNoOpIdentity:
-    def test_mutations_on_without_batch_is_bitwise_noop(self, skewed):
-        plain_mpe, plain_cluster = _engine(skewed, MPEConfig())
-        delta_mpe, delta_cluster = _engine(skewed, MPEConfig(mutations=True))
-        try:
-            plain = plain_mpe.run(SSSP(source=1))
-            withd = delta_mpe.run(SSSP(source=1))
-            assert np.array_equal(plain.values, withd.values)
-            assert _story(plain_mpe, plain) == _story(delta_mpe, withd)
-            assert withd.delta is not None
-            assert withd.delta["applied_mutations"] == 0
-            assert all(
-                row["modeled_s"]["delta"] == 0.0
-                for row in withd.trace()
-                if "modeled_s" in row
-            )
-            assert plain.delta is None
-        finally:
-            plain_cluster.close()
-            delta_cluster.close()
+    def test_mutations_on_without_batch_is_bitwise_noop(self):
+        check(Case(program="sssp", knobs=(("mutations", True),)))
 
     def test_incremental_requires_mutations(self):
         with pytest.raises(ValueError, match="requires mutations"):
@@ -320,28 +301,23 @@ class TestFaultDeterminism:
         finally:
             cluster.close()
 
-    def test_crash_replay_is_deterministic(self, skewed, batch):
-        events = [dict(kind=CRASH, superstep=2, server=0)]
-        a = self._supervised_incremental(skewed, batch, events)
-        b = self._supervised_incremental(skewed, batch, events)
-        assert np.array_equal(a[0], b[0])
-        assert a[1] == b[1]
-        assert a[2] == b[2]
-        assert a[1]["restarts"] >= 1
+    # An incremental, tuned repair under seeded schedules of crashes,
+    # stragglers, drops and disk errors: the serial run's story, the
+    # fault-free run's values.
+    REPAIR = Case(
+        program="sssp",
+        participant="mutation",
+        context=(("incremental", True), ("tune", True)),
+    )
 
-    def test_crash_recovery_matches_fault_free_values(self, skewed, batch):
-        faulted = self._supervised_incremental(
-            skewed, batch, [dict(kind=CRASH, superstep=2, server=0)]
-        )
-        clean = self._supervised_incremental(skewed, batch, [])
-        assert np.array_equal(faulted[0], clean[0])
+    def test_crash_replay_is_deterministic(self):
+        check(dataclasses.replace(self.REPAIR, fault=3, executor="process", width=2))
 
-    def test_disk_error_retries_are_deterministic(self, skewed, batch):
-        events = [dict(kind=DISK_ERROR, superstep=1, server=0, retries=2)]
-        a = self._supervised_incremental(skewed, batch, events)
-        b = self._supervised_incremental(skewed, batch, events)
-        assert np.array_equal(a[0], b[0])
-        assert a[1] == b[1]
+    def test_crash_recovery_matches_fault_free_values(self):
+        check(dataclasses.replace(self.REPAIR, fault=8))
+
+    def test_disk_error_retries_are_deterministic(self):
+        check(dataclasses.replace(self.REPAIR, fault=35, executor="parallel", width=2))
 
     def test_supervised_retry_replays_plan_and_seed_tiles(
         self, skewed, batch, monkeypatch
@@ -819,7 +795,6 @@ class TestCompaction:
         engine that parses (and so composes) them again.  Serial: a
         process run re-parses the parent's decoded cache after it."""
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
         calls = []
         compose = TileOverlay.compose
         monkeypatch.setattr(

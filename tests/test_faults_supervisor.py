@@ -10,7 +10,7 @@ fires before the apply phase touches vertex values.
 import numpy as np
 import pytest
 
-from repro.apps import PageRank, SSSP
+from repro.apps import PageRank
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, MPEConfig, SPE
 from repro.faults import (
@@ -29,6 +29,8 @@ from repro.faults import (
     Supervisor,
 )
 from repro.graph import chung_lu_graph
+from tests import contract
+from tests.contract import Case, check, run
 
 N_SERVERS = 4
 
@@ -165,102 +167,37 @@ class TestFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# The acceptance invariant: chaos runs are bitwise-identical
+# The acceptance invariant: chaos runs converge to the fault-free values
+# (seeded schedules of tests/contract.py's matrix)
 # ----------------------------------------------------------------------
-ACCEPTANCE_SCHEDULE = FaultSchedule(
-    [
-        FaultEvent(CRASH, superstep=5, server=1),
-        FaultEvent(STRAGGLER, superstep=2, server=0, slow_factor=5.0),
-        FaultEvent(STRAGGLER, superstep=3, server=2, slow_factor=3.0),
-    ]
-)
-
-
 class TestChaosDeterminism:
-    def test_crash_and_stragglers_bitwise_identical_both_executors(
-        self, graph, clean
-    ):
-        """PageRank, N=4, crash at superstep 5 + straggler schedule,
-        checkpoint_every=2: values must be bitwise-identical to the
-        fault-free run under BOTH executors, and the two supervised
-        reports must agree with each other."""
-        clean_values, _ = clean
-        serial_values, serial_report = _supervised(
-            graph, ACCEPTANCE_SCHEDULE, executor="serial"
-        )
-        parallel_values, parallel_report = _supervised(
-            graph, ACCEPTANCE_SCHEDULE, executor="parallel"
+    def test_crash_and_stragglers_bitwise_identical_both_executors(self):
+        """A crash at superstep 5 with k=2 resumes from the superstep-3
+        snapshot, under either executor."""
+        case = Case(executor="parallel", width=2, fault=19)
+        check(case)
+        (crash, *_) = run(case)["metered"]["recovery"]["records"]
+        assert (crash["superstep"], crash["action"], crash["resume_superstep"]) == (
+            5,
+            "respawn+restore",
+            4,
         )
 
-        assert np.array_equal(serial_values, clean_values)
-        assert np.array_equal(parallel_values, clean_values)
-
-        for report in (serial_report, parallel_report):
-            assert report.converged
-            assert report.restarts == 1  # only the crash aborts
-            # Recovery is bounded: re-executed supersteps <= k per restart.
-            for record in report.records:
-                assert record.reexecuted_supersteps <= 2
-            # crash@5 with k=2 resumes from the superstep-3 snapshot.
-            assert report.records[0].resume_superstep == 4
-            assert report.records[0].action == "respawn+restore"
-            # Recovery work is metered, not free.
-            assert report.recovery_read_bytes > 0
-            assert report.aborted_attempt_edges > 0
-            assert report.faults_injected == 3
-            assert report.fault_delay_s > 0  # stragglers + backoff
-
-        # Reports agree on everything executor-invariant (aborted-attempt
-        # work depends on how many sibling servers were in flight when
-        # the fault propagated — see RecoveryReport).
-        a = serial_report.to_dict()
-        b = parallel_report.to_dict()
-        a.pop("aborted_attempt_edges")
-        b.pop("aborted_attempt_edges")
-        assert a == b
-
-    def test_seeded_plan_run_is_replayable(self, graph, clean):
+    def test_seeded_plan_run_is_replayable(self):
         """A FaultPlan-generated schedule replays exactly from its seed."""
-        clean_values, _ = clean
-        plan = FaultPlan(seed=7, crash_rate=0.02, straggler_rate=0.05,
-                         drop_rate=0.02)
-        schedule = plan.materialize(N_SERVERS, 12)
-        values_a, report_a = _supervised(graph, schedule)
-        values_b, report_b = _supervised(
-            graph, plan.materialize(N_SERVERS, 12)
-        )
-        assert np.array_equal(values_a, clean_values)
-        assert np.array_equal(values_b, clean_values)
-        assert report_a.to_dict() == report_b.to_dict()
+        case = Case(fault=7)
+        check(case)
+        assert contract.run.__wrapped__(case) == run(case)
 
-    def test_sssp_under_chaos(self, graph):
+    def test_sssp_under_chaos(self):
         """The invariant is program-agnostic: SSSP too."""
-        mpe, cluster = _fresh_mpe(graph)
-        clean_values = mpe.run(SSSP(source=1)).values.copy()
-        cluster.close()
-        schedule = FaultSchedule(
-            [
-                FaultEvent(CRASH, superstep=2, server=3),
-                FaultEvent(MSG_DROP, superstep=1, server=0),
-            ]
-        )
-        values, report = _supervised(graph, schedule, program=SSSP(source=1))
-        assert np.array_equal(values, clean_values)
-        assert report.restarts == 2
+        check(Case(program="sssp", fault=17))
 
 
 class TestProcessExecutorChaos:
-    """The process runtime under injected faults: the pool is torn down
-    cleanly on abort paths and supervised retries (each with a fresh
-    fork) still reconverge to the fault-free values."""
-
-    CHAOS = FaultSchedule(
-        [
-            FaultEvent(CRASH, superstep=5, server=1),
-            FaultEvent(STRAGGLER, superstep=2, server=0, slow_factor=5.0),
-            FaultEvent(MSG_DROP, superstep=3, server=2),
-        ]
-    )
+    """The process runtime under seeded chaos: supervised retries (each
+    with a fresh fork) reconverge to the fault-free values, and the
+    conftest tripwires see no worker or segment outlive an attempt."""
 
     @pytest.fixture(autouse=True)
     def _needs_fork(self):
@@ -269,109 +206,34 @@ class TestProcessExecutorChaos:
         if not process_runtime_available():
             pytest.skip("platform lacks fork + POSIX shared memory")
 
-    def test_crash_straggler_drop_reconverge(self, graph, clean):
-        import multiprocessing
+    def test_crash_straggler_drop_reconverge(self):
+        check(Case(executor="process", width=2, fault=17))
 
-        from repro.runtime import outstanding_segments
-
-        clean_values, _ = clean
-        values, report = _supervised(
-            graph, self.CHAOS, executor="process"
-        )
-        assert np.array_equal(values, clean_values)
-        assert report.converged
-        assert report.restarts == 2  # crash + dropped broadcast
-        # 1 crash + 1 straggler + 3 drops (one per broadcast destination)
-        assert report.faults_injected == 5
-        assert report.fault_delay_s > 0  # the straggler is charged
-        # Clean shutdown: no worker survives an aborted attempt, and no
-        # shared segment outlives its run.
-        assert not any(
-            p.name.startswith("repro-superstep")
-            for p in multiprocessing.active_children()
-        )
-        assert outstanding_segments() == []
-
-    def test_transient_disk_error_under_process(self, graph, clean):
-        """DISK_ERROR is resolved in the parent pre-dispatch: retries
+    def test_transient_disk_error_under_process(self):
+        """Disk errors are resolved in the parent pre-dispatch: retries
         and backoff are charged without restarting."""
-        clean_values, _ = clean
-        schedule = FaultSchedule(
-            [FaultEvent(DISK_ERROR, superstep=1, server=0, retries=2)]
-        )
-        values, report = _supervised(graph, schedule, executor="process")
-        assert np.array_equal(values, clean_values)
-        assert report.restarts == 0
-        assert report.fault_retries == 2
-        assert report.faults_injected == 1
+        case = Case(executor="process", width=2, fault=35)
+        check(case)
+        assert run(case)["metered"]["recovery"]["restarts"] == 0
 
-    def test_matches_serial_supervision_report(self, graph):
-        """Executor-invariant report fields agree with a serial run of
-        the same schedule (aborted-attempt work is executor-dependent —
-        serial computes pre-crash servers before aborting, the process
-        runtime resolves the crash before dispatch)."""
-        _, serial_report = _supervised(graph, self.CHAOS, executor="serial")
-        _, process_report = _supervised(graph, self.CHAOS, executor="process")
-        a = serial_report.to_dict()
-        b = process_report.to_dict()
-        a.pop("aborted_attempt_edges")
-        b.pop("aborted_attempt_edges")
-        assert a == b
+    def test_matches_serial_supervision_report(self):
+        check(Case(executor="process", width=2, fault=21))
 
 
 class TestPrefetchChaosDeterminism:
     """The tile prefetch pipeline must not move a single fault: the
     injector fires inside the metered load at dequeue — the same
-    per-tile instant, in the same serial sweep order — so any fault
-    schedule converges to the same values with the same recovery report
-    whether the pipeline is on or off."""
+    per-tile instant, in the same serial sweep order."""
 
-    def test_disk_error_schedule_identical_with_pipeline(self, graph, clean):
-        clean_values, _ = clean
-        schedule = [FaultEvent(DISK_ERROR, superstep=1, server=0, retries=2)]
-        off_values, off_report = _supervised(graph, FaultSchedule(schedule))
-        on_values, on_report = _supervised(
-            graph, FaultSchedule(schedule), prefetch_depth=2, io_threads=2
-        )
-        assert np.array_equal(on_values, clean_values)
-        assert np.array_equal(off_values, on_values)
-        assert on_report.fault_retries == 2
-        assert off_report.to_dict() == on_report.to_dict()
+    def test_disk_error_schedule_identical_with_pipeline(self):
+        check(Case(knobs=(("prefetch_depth", 2), ("io_threads", 2)), fault=38))
 
-    def test_crash_schedule_identical_with_pipeline(self, graph, clean):
-        clean_values, _ = clean
-        off_values, off_report = _supervised(graph, ACCEPTANCE_SCHEDULE)
-        on_values, on_report = _supervised(
-            graph, ACCEPTANCE_SCHEDULE, prefetch_depth=4
-        )
-        assert np.array_equal(on_values, clean_values)
-        assert np.array_equal(off_values, on_values)
-        assert off_report.to_dict() == on_report.to_dict()
+    def test_crash_schedule_identical_with_pipeline(self):
+        check(Case(knobs=(("prefetch_depth", 4),), fault=19))
 
-    def test_chaos_under_process_with_pipeline(self, graph, clean):
-        from repro.runtime import process_runtime_available
-
-        if not process_runtime_available():
-            pytest.skip("platform lacks fork + POSIX shared memory")
-        clean_values, _ = clean
-        values, report = _supervised(
-            graph,
-            TestProcessExecutorChaos.CHAOS,
-            executor="process",
-            prefetch_depth=2,
-            io_threads=2,
-        )
-        assert np.array_equal(values, clean_values)
-        assert report.converged
-        serial_values, serial_report = _supervised(
-            graph, TestProcessExecutorChaos.CHAOS, prefetch_depth=2
-        )
-        assert np.array_equal(serial_values, clean_values)
-        a = serial_report.to_dict()
-        b = report.to_dict()
-        a.pop("aborted_attempt_edges")
-        b.pop("aborted_attempt_edges")
-        assert a == b
+    def test_chaos_under_process_with_pipeline(self):
+        knobs = (("prefetch_depth", 2), ("io_threads", 2))
+        check(Case(knobs=knobs, executor="process", width=2, fault=17))
 
 
 # ----------------------------------------------------------------------

@@ -86,9 +86,9 @@ def test_tunable_rows_are_the_tuners_settings():
         f.name for f in dataclasses.fields(KnobSettings)
     )
     config = MPEConfig(**{name: other_value(knob_row(MPEConfig, name)) for name in field_of})
-    knobs = KnobSettings.of(config, io_threads=5)
+    knobs = KnobSettings.of(config)
     for name, field in field_of.items():
-        expected = {"cache_mode": None, "io_threads": 5}.get(field, getattr(config, name))
+        expected = None if field == "cache_mode" else getattr(config, name)
         assert getattr(knobs, field) == expected, name
 
 
@@ -471,6 +471,7 @@ def test_readme_table_rows_equal_the_registry():
             else ("--[no-]" + row.flag[2:] if row.type is bool else row.flag)
             + (" (submit)" if row.warm_only else ""),
             "yes" if row.tunable else "",
+            row.contract,
             row.help,
         )
         for row in ROWS

@@ -100,7 +100,6 @@ def test_default_config_run_attaches_nothing(small_engine, monkeypatch):
     """Zero participant calls, and no delta store, tuner or checkpoint
     writer is ever built."""
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    monkeypatch.delenv("REPRO_PREFETCH", raising=False)
     calls = []
     for cls in (EvolvingGraph, Checkpointer, TunedRun, DeltaStore, Tuner):
         points = ("__init__", "begin_run", "begin_superstep", "end_superstep", "end_run")

@@ -329,8 +329,7 @@ class TestNullBuffer:
             cluster.close()
 
     @pytest.mark.skipif(
-        any(os.environ.get(v, "").strip()
-            for v in ("REPRO_EXECUTOR", "REPRO_PREFETCH")),
+        bool(os.environ.get("REPRO_EXECUTOR", "").strip()),
         reason="a forcing flag changes which spans a run emits",
     )
     def test_serial_span_tree_is_the_recorded_one(self, skewed):
@@ -358,7 +357,6 @@ class TestPrefetchObservability:
     def _configured_depth(self, monkeypatch):
         """Each test here pins its prefetch depth (on, or off), so CI's
         forcing flag must not override it."""
-        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
 
     def test_prefetch_buffers_and_spans(self, skewed):
         tracer = Tracer()

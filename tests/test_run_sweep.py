@@ -356,7 +356,6 @@ class TestRunsOfOneIdentity:
     @pytest.fixture(autouse=True)
     def _configured(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
 
     @pytest.mark.parametrize("executor,width", TRANSPORTS)
     @pytest.mark.parametrize("policy", ["aa", "od"])
@@ -660,7 +659,6 @@ def _assert_call_guard(mpe, calls, program):
 class TestCallCountGuard:
     def test_at_most_four_kernel_calls_per_server_superstep(self, graph, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)  # counted in-process
-        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
         calls = _count_kernel_calls(monkeypatch)
         mpe, cluster = _engine(graph, max_supersteps=5)
         try:
@@ -675,7 +673,6 @@ class TestCallCountGuard:
         the per-tile shadows — warm runs must not grow the high-water
         mark (a second copy of ``col`` would, by a third)."""
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
 
         def vm_hwm_kb():
             with open("/proc/self/status") as fh:

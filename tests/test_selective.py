@@ -15,8 +15,8 @@ The GraphMP-port invariants:
   this file), and no tile is probed more than once per superstep: with
   the bitmap on no filter is probed with hashed keys at all.
 * **Fault-schedule stability** — the schedule is resolved parent-side
-  before dispatch, so chaos schedules replay identically whether the
-  prune is on or off.
+  before dispatch, so chaos schedules converge alike whether the prune
+  is on or off.
 * **SEM durability** — mmap-backed replica arrays survive
   checkpoint/resume and fork-sharing into the process executor.
 """
@@ -40,6 +40,7 @@ from repro.runtime import process_runtime_available
 from repro.runtime.active import ActiveBitmap, TileSourceSummary
 from repro.storage.backing import BackingStore
 from repro.utils.bloom import BloomFilter, HashedKeys, hash_keys
+from tests.contract import Case, check
 
 needs_process = pytest.mark.skipif(
     not process_runtime_available(),
@@ -116,20 +117,11 @@ class TestBitwiseIdentity:
     @pytest.mark.parametrize("prefetch", [0, 2])
     @pytest.mark.parametrize("store", ["mem", "mmap"])
     @pytest.mark.parametrize("executor", ["serial", "parallel", "process"])
-    def test_sweep(self, skewed, baseline, executor, store, prefetch):
+    def test_sweep(self, executor, store, prefetch):
         if executor == "process" and not process_runtime_available():
             pytest.skip("platform lacks fork + POSIX shared memory")
-        cfg = MPEConfig(
-            selective_scheduling=True,
-            vertex_store=store,
-            executor=executor,
-            prefetch_depth=prefetch,
-        )
-        with _exact_bloom():
-            run = _run(skewed, cfg, max_supersteps=14)
-        _assert_identical(baseline, run)
-        assert run[0].runtime()["selective"] is True
-        assert run[0].runtime()["vertex_store"] == store
+        knobs = (("vertex_store", store), ("prefetch_depth", prefetch))
+        check(Case(program="sssp", knobs=knobs, executor=executor, width=2))
 
     def test_off_and_on_skip_the_same_tiles_at_exact_bloom(
         self, skewed, baseline
@@ -137,6 +129,9 @@ class TestBitwiseIdentity:
         """With an effectively exact bloom, the bitmap changes nothing —
         including the per-superstep skip counts themselves."""
         assert sum(baseline[1]["skipped"]) > 0  # the sweep is non-trivial
+        with _exact_bloom():
+            on = _run(skewed, MPEConfig(), max_supersteps=14)
+        _assert_identical(baseline, on)
 
     def test_bitmap_skips_at_least_as_much_as_bloom(self, skewed):
         """At the default (approximate) rate the exact prune is a
@@ -649,47 +644,14 @@ class TestWarmLoopNeverResorts:
 # Chaos determinism: faults at skipped-tile supersteps
 # ----------------------------------------------------------------------
 class TestChaosWithSkips:
-    def _supervised(self, graph, selective, store="mem"):
-        from repro.faults import DISK_ERROR, FaultEvent, FaultSchedule, Supervisor
+    """A seeded fault schedule over SSSP's sparse late frontiers, where
+    tiles are skipped."""
 
-        cluster = Cluster(ClusterSpec(num_servers=3))
-        spe = SPE(cluster.dfs)
-        manifest = spe.preprocess(
-            graph, max(1, graph.num_edges // 9), name=graph.name
-        )
-        cfg = MPEConfig(
-            selective_scheduling=selective,
-            vertex_store=store,
-            checkpoint_every=2,
-            max_supersteps=60,
-        )
-        mpe = MPE(cluster, manifest, cfg)
-        # SSSP's late supersteps have sparse frontiers, so superstep 6
-        # skips tiles on this graph; the injected read error must land
-        # on a *surviving* tile at the same instant either way.
-        schedule = FaultSchedule(
-            [FaultEvent(DISK_ERROR, superstep=6, server=0, retries=2)]
-        )
-        with _exact_bloom():
-            result, report = Supervisor(mpe, schedule=schedule).run(SSSP(source=1))
-        skipped = [s.tiles_skipped for s in result.supersteps]
-        values = result.values.copy()
-        cluster.close()
-        return values, report, skipped
+    def test_fault_replay_identical_with_selective(self):
+        check(Case(program="sssp", knobs=(("selective_scheduling", False),), fault=38))
 
-    def test_fault_replay_identical_with_selective(self, skewed):
-        off_values, off_report, off_skips = self._supervised(skewed, False)
-        on_values, on_report, on_skips = self._supervised(skewed, True)
-        assert np.array_equal(off_values, on_values)
-        assert off_report.to_dict() == on_report.to_dict()
-        assert off_skips == on_skips
-        assert sum(on_skips[6:]) > 0  # the fault landed amid real skips
-
-    def test_fault_replay_identical_with_mmap(self, skewed):
-        mem = self._supervised(skewed, True, store="mem")
-        mmap = self._supervised(skewed, True, store="mmap")
-        assert np.array_equal(mem[0], mmap[0])
-        assert mem[1].to_dict() == mmap[1].to_dict()
+    def test_fault_replay_identical_with_mmap(self):
+        check(Case(program="sssp", knobs=(("vertex_store", "mmap"),), fault=38))
 
 
 # ----------------------------------------------------------------------

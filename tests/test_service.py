@@ -35,6 +35,7 @@ from repro.service import (
     reset_simulation,
 )
 from repro.utils.journal import Journal
+from tests.contract import Case, check
 
 N_SERVERS = 3
 
@@ -125,25 +126,13 @@ def _run_one(engine, spec):
 # ----------------------------------------------------------------------
 class TestWarmColdIdentity:
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_bitwise_identity_per_executor(self, graph, engine, executor):
-        """Two consecutive warm jobs == the cold reference, bit for bit
-        (values, Counters, CacheStats, modeled trace sans wall_s)."""
-        spec = JobSpec(
-            graph="svc-g",
-            algorithm="pagerank",
-            params=PAGERANK_PARAMS,
-            executor=executor,
-        )
-        cold = _cold_story(graph, spec)
-        for _ in range(2):  # second job exercises a fully warm cache
-            record = _run_one(engine, spec)
-            assert _warm_story(record.result) == cold
+    def test_bitwise_identity_per_executor(self, executor):
+        """Two consecutive warm jobs == a cold engine's run, bit for bit
+        (values, Counters, modeled trace sans wall_s)."""
+        check(Case(executor=executor, width=2, service=True))
 
-    def test_sssp_identity(self, graph, engine):
-        spec = JobSpec(graph="svc-g", algorithm="sssp", params={"source": 3})
-        cold = _cold_story(graph, spec)
-        record = _run_one(engine, spec)
-        assert _warm_story(record.result) == cold
+    def test_sssp_identity(self):
+        check(Case(program="sssp", service=True))
 
     def test_decoded_cache_reused_across_jobs(self, engine):
         """After the first job decodes every tile, later jobs re-parse
@@ -267,6 +256,20 @@ class TestAdmission:
         engine.run_next()
         assert ok.status == JobStatus.DONE and ok.result.converged
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(fault_events=[{"kind": "bogus"}]),
+            dict(fault_events=[{"kind": "crash", "superstp": 3, "server": 0}]),
+            dict(max_restarts=-5),
+        ],
+        ids=["unknown-kind", "misspelled-key", "negative-budget"],
+    )
+    def test_bad_fault_schedule_rejected_at_submit(self, engine, bad):
+        record = engine.submit(JobSpec(graph="svc-g", **bad))
+        assert record.status == JobStatus.REJECTED
+        assert record.reason.startswith("bad fault schedule: ")
+
     def test_queue_full_surfaces_as_rejected_record(self, graph):
         eng = Engine(num_servers=2, capacity=2, share_tiles=False)
         try:
@@ -322,6 +325,7 @@ class TestSupervisedJobs:
         ).result
         assert faulted.recovery is not None
         assert faulted.recovery["restarts"] >= 1
+        assert faulted.recovery["records"][0]["superstep"] == 2
         assert faulted.recovery["converged"]
         assert faulted.values.tobytes() == clean.values.tobytes()
         assert clean.recovery is None

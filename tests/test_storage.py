@@ -881,7 +881,6 @@ def test_warm_spill_run_makes_no_tile_codec_call(monkeypatch):
     from repro.graph import rmat_graph_streamed
 
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    monkeypatch.delenv("REPRO_PREFETCH", raising=False)
     calls = _count_compress_calls(monkeypatch)
     n = 4
     graph = rmat_graph_streamed(scale=16, edge_factor=16, weighted=True, seed=5)

@@ -24,7 +24,6 @@ The contract under test:
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import run_graphh
@@ -40,6 +39,7 @@ from repro.storage.cache import EdgeCache, cache_plan, select_cache_mode
 from repro.storage.codecs import CACHE_MODES, get_codec
 from repro.storage.disk import LocalDisk
 from repro.tuning import KnobSettings, Tuner, TuningPlan
+from tests.contract import Case, check, run
 
 N_SERVERS = 3
 SUPERSTEPS = 12
@@ -241,14 +241,9 @@ class TestKnobPlumbing:
 # tune=off is inert
 # ----------------------------------------------------------------------
 class TestTuneOff:
-    @pytest.fixture(scope="class")
-    def baseline(self, graph):
-        return _run(graph, MPEConfig())
-
-    def test_off_is_bitwise_inert(self, graph, baseline):
-        result, story = _run(graph, MPEConfig(tune=False))
-        assert result.tuning is None
-        assert story == baseline[1]
+    def test_off_is_bitwise_inert(self):
+        check(Case(knobs=(("tune", False),)))
+        assert run(Case())["metered"]["tuning"] is None
 
 
 # ----------------------------------------------------------------------
@@ -259,9 +254,8 @@ class TestTunedDeterminism:
     def tuned_serial(self, graph):
         return _run(graph, MPEConfig(tune=True))
 
-    def test_values_match_untuned(self, graph, tuned_serial):
-        _result, untuned_story = _run(graph, MPEConfig())
-        assert tuned_serial[1]["values"] == untuned_story["values"]
+    def test_values_match_untuned(self):
+        check(Case(knobs=(("tune", True),)))
 
     def test_explores_fits_and_decides(self, tuned_serial):
         tuning = tuned_serial[0].tuning
@@ -276,11 +270,8 @@ class TestTunedDeterminism:
         assert rated.issuperset(set(CACHE_MODES) - {"raw"})
 
     @pytest.mark.parametrize("executor", EXECUTORS[1:])
-    def test_identical_across_executors(self, graph, tuned_serial, executor):
-        _result, story = _run(
-            graph, MPEConfig(tune=True, executor=executor)
-        )
-        assert story == tuned_serial[1]
+    def test_identical_across_executors(self, executor):
+        check(Case(executor=executor, width=2, context=(("tune", True),)))
 
     def test_working_set_is_what_the_straggler_loaded(
         self, graph, monkeypatch
@@ -331,125 +322,34 @@ class TestTunedDeterminism:
 # ----------------------------------------------------------------------
 # Scripted mid-run switches: boundary-clean on every executor
 # ----------------------------------------------------------------------
-SWITCH_AT = 4
-SWITCHED = KnobSettings(
-    message_codec="zlib1",
-    comm_mode="dense",
-    prefetch_depth=1,
-    io_threads=2,
-)
-
-
 class TestScriptedSwitch:
-    @pytest.fixture(scope="class")
-    def post_switch_throughout(self, graph):
-        """The post-switch configuration held for the whole run."""
-        return _run(
-            graph,
-            MPEConfig(
-                message_codec="zlib1",
-                comm_mode="dense",
-                prefetch_depth=1,
-                io_threads=2,
-            ),
-        )
+    """A scripted switch of cache mode, codec, representation and the
+    prefetch pipeline at superstep boundaries moves no value — the run
+    under it is the one without it, bit for bit — on every executor and
+    under faults (``tests/contract.py``'s "plan" participant)."""
 
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_switch_equals_config_throughout(
-        self, graph, post_switch_throughout, executor
-    ):
-        plan = TuningPlan.scripted({SWITCH_AT: SWITCHED})
-        result, _story = _run(
-            graph, MPEConfig(executor=executor), plan=plan
-        )
-        assert (
-            result.values.tobytes()
-            == post_switch_throughout[1]["values"]
-        )
+    def test_switch_equals_config_throughout(self, executor):
+        check(Case(executor=executor, width=2, participant="plan"))
 
-    def test_cache_mode_switch_preserves_values(self, graph):
-        plan = TuningPlan.scripted(
-            {SWITCH_AT: KnobSettings(cache_mode=4)}
-        )
-        baseline, _ = _run(graph, MPEConfig())
-        for executor in EXECUTORS:
-            result, _story = _run(
-                graph, MPEConfig(executor=executor), plan=plan
-            )
-            assert np.array_equal(result.values, baseline.values)
+    def test_cache_mode_switch_preserves_values(self):
+        check(Case(program="sssp", participant="plan"))
 
-    def test_switch_under_faults_replays(self, graph):
-        """A crash + recovery replays the scripted switch verbatim."""
-        from repro.faults import (
-            CRASH,
-            FaultEvent,
-            FaultSchedule,
-            RecoveryPolicy,
-            Supervisor,
-        )
-
-        plan = TuningPlan.scripted({SWITCH_AT: SWITCHED})
-        clean, _ = _run(graph, MPEConfig(checkpoint_every=2), plan=plan)
-
-        mpe, cluster = _build(
-            graph,
-            MPEConfig(checkpoint_every=2, max_supersteps=SUPERSTEPS),
-        )
-        mpe.tuning_plan = TuningPlan.scripted({SWITCH_AT: SWITCHED})
-        sup = Supervisor(
-            mpe,
-            schedule=FaultSchedule(
-                [FaultEvent(CRASH, superstep=SWITCH_AT + 1, server=1)]
-            ),
-            policy=RecoveryPolicy(max_restarts=2),
-        )
-        result, report = sup.run(PageRank())
-        assert report.restarts == 1
-        assert np.array_equal(result.values, clean.values)
-        cluster.close()
+    def test_switch_under_faults_replays(self):
+        check(Case(participant="plan", fault=14))
 
 
 # ----------------------------------------------------------------------
 # Tuned runs under faults: the decision trace survives replay
 # ----------------------------------------------------------------------
 class TestTunedUnderFaults:
-    def test_trace_and_values_match_fault_free(self, graph):
-        from repro.faults import (
-            CRASH,
-            FaultEvent,
-            FaultSchedule,
-            RecoveryPolicy,
-            Supervisor,
-        )
-
-        cfg = MPEConfig(tune=True, checkpoint_every=2)
-        clean, clean_story = _run(graph, cfg)
-
-        mpe, cluster = _build(
-            graph, dataclasses.replace(cfg, max_supersteps=SUPERSTEPS)
-        )
-        sup = Supervisor(
-            mpe,
-            schedule=FaultSchedule(
-                [FaultEvent(CRASH, superstep=6, server=0)]
-            ),
-            policy=RecoveryPolicy(max_restarts=2),
-        )
-        result, report = sup.run(PageRank())
-        assert report.restarts == 1
-        assert np.array_equal(result.values, clean.values)
-        # The knob trace is identical: decisions recorded before the
-        # crash replay verbatim on re-execution (the predicted_s /
-        # current_s annotations may differ — a recovered superstep
-        # legitimately re-reads tiles the crash evicted).
-        def fingerprint(tuning):
-            return [
-                (d["superstep"], d["phase"], d["knobs"])
-                for d in tuning["plan"]["decisions"]
-            ]
-
-        assert fingerprint(result.tuning) == fingerprint(clean.tuning)
-        cluster.close()
+    def test_trace_and_values_match_fault_free(self):
+        """A crash's recovery replays the recorded decisions verbatim;
+        the values are the fault-free run's."""
+        case = Case(context=(("tune", True),), fault=4)  # crash at 9
+        check(case)
+        tuning = run(case)["metered"]["tuning"]
+        assert tuning == run(dataclasses.replace(case, fault=None))["metered"]["tuning"]
 
 
 # ----------------------------------------------------------------------
