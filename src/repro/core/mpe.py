@@ -938,7 +938,7 @@ class MPE:
             self._heads.refresh(self._summaries[tile_id])
             # ... and the next run's On-Demand store must hold it.
             if self.config.replication_policy == "od":
-                self._server_sources[server.server_id].append(tile.source_vertices)
+                self._server_sources[server.server_id][idx] = tile.source_vertices
             if tile_id in self._blooms:
                 self._blooms[tile_id] = tile.build_bloom_filter(
                     BLOOM_FALSE_POSITIVE_RATE

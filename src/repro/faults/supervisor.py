@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.checkpoint import latest_checkpoint
+from repro.core.checkpoint import clear_checkpoints, latest_checkpoint
 from repro.faults.errors import InjectedFault, ServerCrashFault
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
@@ -89,13 +89,13 @@ class FaultRecord:
 class RecoveryReport:
     """What surviving the schedule cost.
 
-    A serial attempt stops at the first raising server, while a parallel
+    Every field is executor-invariant except ``aborted_attempt_edges``:
+    a serial attempt stops at the first raising server, while a parallel
     attempt lets in-flight sibling servers finish their sweep before the
-    exception propagates — so the wasted work (``aborted_attempt_edges``)
-    and, when other events share the aborting superstep, which attempt
-    fires them (``fault_log`` and its totals) depend on the host
-    executor.  The restarts, their records and the re-executed work do
-    not, nor do the converged values.
+    exception propagates — so the wasted work, honestly metered, depends
+    on the host executor (the converged values never do).  ``fault_log``
+    holds the same entries under every executor, in the order the
+    servers reach them.
     """
 
     restarts: int = 0
@@ -170,6 +170,10 @@ class Supervisor:
         backoff = policy.backoff_s
         dfs = self.mpe.cluster.dfs
         dataset = self.mpe.manifest.name
+        if not resume:
+            # A retry restores this run's snapshots, never an earlier
+            # run's of the same program on this engine.
+            clear_checkpoints(dfs, dataset, program.name)
         while True:
             edges_before = sum(
                 s.counters.edges_processed for s in self.mpe.cluster.servers

@@ -33,7 +33,7 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, MPEConfig, SPE
 from repro.core.knobs import CONTRACTS, knob_rows
 from repro.delta import mirrored, random_mutations
-from repro.faults import FaultPlan, Supervisor
+from repro.faults import CRASH, FaultPlan, Supervisor
 from repro.graph import Graph, chung_lu_graph
 from repro.runtime import process_runtime_available
 from repro.service import Engine, JobSpec, JobStatus, reset_simulation
@@ -60,16 +60,18 @@ EXECUTORS = ("serial", "parallel") + (
 WIDTHS = (1, 2, 4)
 # "mutation": a converged run, a batch, then a second run (incremental
 # when a row says so); "resume": a run cut at RESUME_AT, resumed from
-# its checkpoint; "plan": a run under PLAN, then one without it.
+# its checkpoint; "plan": a run, then one under PLAN.
 PARTICIPANTS = (None, "mutation", "resume", "plan")
 RESUME_AT = 5
 PLAN = {
     2: KnobSettings(cache_mode=3),
     4: KnobSettings(message_codec="zlib1", comm_mode="sparse", prefetch_depth=1),
 }
-# Values for the rows no ``choices`` close.
+# Values for the rows no ``choices`` close.  A SPILLING edge cache
+# rejects some of every server's tiles; 6000 bytes hold them all raw.
+SPILLING = 768
 OPEN_VALUES = {
-    "cache_capacity_bytes": (2048, 6000),
+    "cache_capacity_bytes": (SPILLING, 6000),
     "max_supersteps": (3, 6),
     "checkpoint_every": (1, 3),
     "num_threads": WIDTHS,
@@ -77,16 +79,12 @@ OPEN_VALUES = {
     "prefetch_depth": (1, 2, 4),
     "io_threads": (2, 3),
 }
-# What a RecoveryReport holds however far an aborted attempt's other
-# servers got.  The rest of a faulted run differs between a serial
-# attempt, which stops at the first raising server, and a threaded or
-# forked one, whose in-flight siblings finish their sweep: the aborted
-# work, the sibling events fired before the abort rather than on the
-# retry, and the cache contents the attempt leaves behind — so every
-# later load's metering and the tuner's decisions fitted to it.
-RECOVERY_FIELDS = (
-    "restarts", "records", "reexecuted_supersteps", "recovery_read_bytes", "converged"
-)
+# What an aborted attempt's work is charged to.  A serial attempt stops
+# at the first raising server, while a threaded or forked one lets its
+# in-flight siblings finish their sweep: under a crash, that work
+# (``aborted_attempt_edges``, and the reads and edges it meters) is
+# executor-dependent.
+ABORTED_WORK = ("reports", "counters", "cache_stats")
 
 
 HOST = {n for n, row in ROWS.items() if row.tunable and row.contract == "identical"}
@@ -181,10 +179,9 @@ def fingerprint(cluster, result, recovery=None, earlier=()) -> dict:
     metered = {
         "reports": [{k: v for k, v in r.items() if k != "wall_s"} for r in result.trace()],
         "counters": [s.counters.snapshot() for s in servers],
-        "cache_stats": [s.cache and dataclasses.asdict(s.cache.stats) for s in servers],
+        "cache_stats": [dataclasses.asdict(s.cache.stats) for s in servers],
         "caches": [
-            s.cache
-            and (s.cache.mode, s.cache.content_keys(), sorted(s.cache.remembered_sizes().items()))
+            (s.cache.mode, s.cache.content_keys(), sorted(s.cache.remembered_sizes().items()))
             for s in servers
         ],
         "decoded": [s.decoded_cache.content_keys() for s in servers],
@@ -197,7 +194,7 @@ def fingerprint(cluster, result, recovery=None, earlier=()) -> dict:
         ],
     }
     if recovery is not None:
-        metered["recovery"] = dict(recovery.to_dict(), aborted_attempt_edges=None)
+        metered["recovery"] = recovery.to_dict()
     values = {
         "values": result.values.tobytes(),
         "converged": result.converged,
@@ -207,12 +204,18 @@ def fingerprint(cluster, result, recovery=None, earlier=()) -> dict:
 
 
 def _comparable(fp: dict, case: Case) -> dict:
-    """``fp`` less what a faulted attempt leaves executor-dependent
-    (:data:`RECOVERY_FIELDS`) when ``case`` runs off the serial executor."""
+    """``fp`` less what an aborted attempt leaves executor-dependent
+    when ``case`` runs a fault schedule off the serial executor (see
+    :data:`ABORTED_WORK`).  Its fault log is compared as a multiset:
+    sibling servers append to it in the order they reach their events."""
     if case.fault is None or case.executor == "serial":
         return fp
-    recovery = fp["metered"]["recovery"]
-    return dict(fp, metered={key: recovery[key] for key in RECOVERY_FIELDS})
+    recovery = dict(fp["metered"]["recovery"], aborted_attempt_edges=None)
+    recovery["fault_log"] = sorted(recovery["fault_log"], key=repr)
+    metered = dict(fp["metered"], recovery=recovery)
+    if any(event.kind == CRASH for event in schedule_of(case)):
+        metered = {k: v for k, v in metered.items() if k not in ABORTED_WORK}
+    return dict(fp, metered=metered)
 
 
 def _drive(mpe, case: Case):
@@ -221,9 +224,8 @@ def _drive(mpe, case: Case):
     make, graph, _ = PROGRAMS[case.program]
     cfg, resume, earlier = mpe.config, False, []
     if case.participant == "plan":
-        mpe.tuning_plan = TuningPlan.scripted(PLAN)
         earlier.append(mpe.run(make()))
-        mpe.tuning_plan = None
+        mpe.tuning_plan = TuningPlan.scripted(PLAN)
     elif case.participant == "mutation":
         earlier.append(mpe.run(make()))
         assert earlier[0].converged
@@ -260,6 +262,17 @@ def run(case: Case) -> dict:
         return fingerprint(cluster, result, recovery, earlier)
     finally:
         cluster.close()
+
+
+def recovery(case: Case) -> dict:
+    """The recovery report of ``case``, which runs a fault schedule."""
+    return run(case)["metered"]["recovery"]
+
+
+def restarts(case: Case) -> list[tuple]:
+    """``(kind, superstep, resume_superstep)`` of each restart ``case``'s
+    fault schedule causes."""
+    return [(r["kind"], r["superstep"], r["resume_superstep"]) for r in recovery(case)["records"]]
 
 
 def _warm_jobs(case: Case) -> list:

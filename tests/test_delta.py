@@ -48,7 +48,8 @@ from repro.obs import Tracer
 from repro.partition.tiles import Tile
 from repro.runtime import process_runtime_available
 from repro.runtime.shm import outstanding_segments
-from tests.contract import Case, check
+from tests import contract
+from tests.contract import Case, check, recovery, restarts, run
 
 needs_process = pytest.mark.skipif(
     not process_runtime_available(),
@@ -311,13 +312,21 @@ class TestFaultDeterminism:
     )
 
     def test_crash_replay_is_deterministic(self):
-        check(dataclasses.replace(self.REPAIR, fault=3, executor="process", width=2))
+        case = dataclasses.replace(self.REPAIR, fault=3, executor="process", width=2)
+        check(case)
+        assert contract.run.__wrapped__(case) == run(case)
+        assert restarts(case) == [("crash", 1, 0)]
 
     def test_crash_recovery_matches_fault_free_values(self):
-        check(dataclasses.replace(self.REPAIR, fault=8))
+        case = dataclasses.replace(self.REPAIR, fault=8)
+        check(case)
+        assert restarts(case) == [("crash", 2, 2)]
 
     def test_disk_error_retries_are_deterministic(self):
-        check(dataclasses.replace(self.REPAIR, fault=35, executor="parallel", width=2))
+        case = dataclasses.replace(self.REPAIR, fault=35, executor="parallel", width=2)
+        check(case)
+        report = recovery(case)
+        assert (report["restarts"], report["fault_retries"]) == (0, 3)
 
     def test_supervised_retry_replays_plan_and_seed_tiles(
         self, skewed, batch, monkeypatch

@@ -30,7 +30,7 @@ from repro.faults import (
 )
 from repro.graph import chung_lu_graph
 from tests import contract
-from tests.contract import Case, check, run
+from tests.contract import Case, check, recovery, restarts, run
 
 N_SERVERS = 4
 
@@ -173,25 +173,32 @@ class TestFaultPlan:
 class TestChaosDeterminism:
     def test_crash_and_stragglers_bitwise_identical_both_executors(self):
         """A crash at superstep 5 with k=2 resumes from the superstep-3
-        snapshot, under either executor."""
+        snapshot and a dropped broadcast at 7 from the superstep-5 one,
+        under either executor; recovery work is metered, not free."""
         case = Case(executor="parallel", width=2, fault=19)
         check(case)
-        (crash, *_) = run(case)["metered"]["recovery"]["records"]
-        assert (crash["superstep"], crash["action"], crash["resume_superstep"]) == (
-            5,
-            "respawn+restore",
-            4,
-        )
+        for run_of in (case, case.reference()):
+            assert restarts(run_of) == [("crash", 5, 4), ("msg_drop", 7, 6)]
+            report = recovery(run_of)
+            assert report["records"][0]["action"] == "respawn+restore"
+            assert report["faults_injected"] == 4  # and two stragglers
+            assert report["fault_delay_s"] > 0  # stragglers + backoff
+            assert report["recovery_read_bytes"] > 0
+            assert report["aborted_attempt_edges"] > 0
 
     def test_seeded_plan_run_is_replayable(self):
         """A FaultPlan-generated schedule replays exactly from its seed."""
         case = Case(fault=7)
         check(case)
         assert contract.run.__wrapped__(case) == run(case)
+        assert restarts(case) == [("msg_drop", 2, 2)]
+        assert recovery(case)["fault_retries"] > 0
 
     def test_sssp_under_chaos(self):
         """The invariant is program-agnostic: SSSP too."""
-        check(Case(program="sssp", fault=17))
+        case = Case(program="sssp", fault=17)
+        check(case)
+        assert restarts(case) == [("msg_drop", 3, 2), ("msg_drop", 4, 4), ("crash", 6, 6)]
 
 
 class TestProcessExecutorChaos:
@@ -207,33 +214,52 @@ class TestProcessExecutorChaos:
             pytest.skip("platform lacks fork + POSIX shared memory")
 
     def test_crash_straggler_drop_reconverge(self):
-        check(Case(executor="process", width=2, fault=17))
+        case = Case(executor="process", width=2, fault=17)
+        check(case)
+        assert restarts(case) == [("msg_drop", 3, 2), ("msg_drop", 4, 4), ("crash", 6, 6)]
+        report = recovery(case)
+        assert report["faults_injected"] == 6  # and stragglers, a disk error
+        assert report["fault_delay_s"] > 0  # the stragglers are charged
 
     def test_transient_disk_error_under_process(self):
         """Disk errors are resolved in the parent pre-dispatch: retries
         and backoff are charged without restarting."""
         case = Case(executor="process", width=2, fault=35)
         check(case)
-        assert run(case)["metered"]["recovery"]["restarts"] == 0
+        report = recovery(case)
+        assert (report["restarts"], report["fault_retries"], report["faults_injected"]) == (0, 3, 3)
 
     def test_matches_serial_supervision_report(self):
-        check(Case(executor="process", width=2, fault=21))
+        """Every report field but the aborted attempt's work is the
+        serial run's (``check``), across four restarts."""
+        case = Case(executor="process", width=2, fault=21)
+        check(case)
+        assert [kind for kind, *_ in restarts(case)] == ["msg_drop", "msg_drop", "crash", "msg_drop"]
 
 
 class TestPrefetchChaosDeterminism:
     """The tile prefetch pipeline must not move a single fault: the
     injector fires inside the metered load at dequeue — the same
-    per-tile instant, in the same serial sweep order."""
+    per-tile instant, in the same serial sweep order — so the recovery
+    report, aborted work included, is the pipeline-off run's."""
 
     def test_disk_error_schedule_identical_with_pipeline(self):
-        check(Case(knobs=(("prefetch_depth", 2), ("io_threads", 2)), fault=38))
+        case = Case(knobs=(("prefetch_depth", 2), ("io_threads", 2)), fault=38)
+        check(case)
+        report = recovery(case)
+        assert (report["restarts"], report["fault_retries"]) == (0, 5)
 
     def test_crash_schedule_identical_with_pipeline(self):
-        check(Case(knobs=(("prefetch_depth", 4),), fault=19))
+        case = Case(knobs=(("prefetch_depth", 4),), fault=19)
+        check(case)
+        assert restarts(case) == [("crash", 5, 4), ("msg_drop", 7, 6)]
+        assert recovery(case)["aborted_attempt_edges"] > 0
 
     def test_chaos_under_process_with_pipeline(self):
         knobs = (("prefetch_depth", 2), ("io_threads", 2))
-        check(Case(knobs=knobs, executor="process", width=2, fault=17))
+        case = Case(knobs=knobs, executor="process", width=2, fault=17)
+        check(case)
+        assert restarts(case) == [("msg_drop", 3, 2), ("msg_drop", 4, 4), ("crash", 6, 6)]
 
 
 # ----------------------------------------------------------------------

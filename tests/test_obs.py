@@ -353,11 +353,6 @@ class TestPrefetchObservability:
     buffers of ``tile_prefetch`` complete-events, ``prefetch_wait``
     spans on the compute thread, and the occupancy gauge."""
 
-    @pytest.fixture(autouse=True)
-    def _configured_depth(self, monkeypatch):
-        """Each test here pins its prefetch depth (on, or off), so CI's
-        forcing flag must not override it."""
-
     def test_prefetch_buffers_and_spans(self, skewed):
         tracer = Tracer()
         _run(skewed, "serial", tracer=tracer, prefetch_depth=2)

@@ -37,7 +37,7 @@ from repro.runtime import (
     process_runtime_available,
 )
 from repro.service import reset_simulation
-from tests.contract import Case, check, run
+from tests.contract import PLAN, SPILLING, Case, check, run
 
 needs_process = pytest.mark.skipif(
     not process_runtime_available(),
@@ -482,10 +482,10 @@ class TestStagedInboxes:
 
 
 class TestServerStateIdentity:
-    """After a run under a scripted plan (cache-mode, codec and
-    pipeline switches) and a run without it on one engine, every
-    server's Counters, both caches' state and remembered sizes are the
-    serial engine's, at any transport and width."""
+    """After a run and a run under a scripted plan (cache-mode, codec
+    and pipeline switches) on one engine, every server's Counters, both
+    caches' state and remembered sizes are the serial engine's, at any
+    transport and width."""
 
     @pytest.mark.parametrize("spilling", [True, False], ids=["spilling", "resident"])
     @pytest.mark.parametrize(
@@ -498,8 +498,14 @@ class TestServerStateIdentity:
         ],
     )
     def test_matches_serial_after_each_run(self, executor, width, spilling):
-        context = (("cache_capacity_bytes", 2048),) if spilling else ()
-        check(Case(executor=executor, width=width, participant="plan", context=context))
+        context = (("cache_capacity_bytes", SPILLING),) if spilling else ()
+        case = Case(executor=executor, width=width, participant="plan", context=context)
+        check(case)
+        # The scenario exercises what it claims to.
+        reference = run(case.reference())["metered"]
+        assert {mode for mode, *_ in reference["caches"]} == {PLAN[2].cache_mode}
+        if spilling:
+            assert all(stats["rejected"] > 0 for stats in reference["cache_stats"])
 
 
 @needs_process
@@ -642,8 +648,11 @@ class TestPrefetchBitwiseIdentity:
         entry observed at enqueue is evicted by dequeue): every hint
         must degrade to the inline path, never to different metering."""
         knobs = (("prefetch_depth", 3), ("io_threads", 2))
-        context = (("cache_capacity_bytes", 4096), ("cache_mode", 1))
-        check(Case(knobs=knobs, context=context))
+        context = (("cache_capacity_bytes", 2048), ("cache_mode", 1))
+        case = Case(knobs=knobs, context=context)
+        check(case)
+        stats = run(case.reference())["metered"]["cache_stats"]
+        assert all(server["rejected"] > 0 for server in stats)
 
     def test_no_cache_and_wcc(self):
         check(Case(program="wcc", knobs=(("prefetch_depth", 2),)))
@@ -1069,9 +1078,11 @@ class TestSpillingRememberedSizes:
     )
     def test_second_run_matches_cold_engine(self, executor, depth):
         knobs = (("prefetch_depth", depth),) if depth else ()
-        context = (("cache_capacity_bytes", 2048),)
+        context = (("cache_capacity_bytes", SPILLING),)
         case = Case(program="sssp", knobs=knobs, executor=executor, width=2)
         check(dataclasses.replace(case, context=context, service=True))
+        stats = run(case.reference(context=context))["metered"]["cache_stats"]
+        assert all(server["rejected"] > 0 for server in stats)
 
     @pytest.mark.parametrize("depth", [0, 2])
     @pytest.mark.parametrize(

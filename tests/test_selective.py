@@ -40,7 +40,7 @@ from repro.runtime import process_runtime_available
 from repro.runtime.active import ActiveBitmap, TileSourceSummary
 from repro.storage.backing import BackingStore
 from repro.utils.bloom import BloomFilter, HashedKeys, hash_keys
-from tests.contract import Case, check
+from tests.contract import Case, check, recovery, run
 
 needs_process = pytest.mark.skipif(
     not process_runtime_available(),
@@ -644,14 +644,48 @@ class TestWarmLoopNeverResorts:
 # Chaos determinism: faults at skipped-tile supersteps
 # ----------------------------------------------------------------------
 class TestChaosWithSkips:
-    """A seeded fault schedule over SSSP's sparse late frontiers, where
-    tiles are skipped."""
+    def _supervised(self, graph, selective):
+        from repro.faults import DISK_ERROR, FaultEvent, FaultSchedule, Supervisor
 
-    def test_fault_replay_identical_with_selective(self):
-        check(Case(program="sssp", knobs=(("selective_scheduling", False),), fault=38))
+        cluster = Cluster(ClusterSpec(num_servers=3))
+        spe = SPE(cluster.dfs)
+        manifest = spe.preprocess(
+            graph, max(1, graph.num_edges // 9), name=graph.name
+        )
+        cfg = MPEConfig(
+            selective_scheduling=selective,
+            checkpoint_every=2,
+            max_supersteps=60,
+        )
+        mpe = MPE(cluster, manifest, cfg)
+        # SSSP's late supersteps have sparse frontiers, so superstep 6
+        # skips tiles on this graph; the injected read error must land
+        # on a *surviving* tile at the same instant either way.
+        schedule = FaultSchedule(
+            [FaultEvent(DISK_ERROR, superstep=6, server=0, retries=2)]
+        )
+        with _exact_bloom():
+            result, report = Supervisor(mpe, schedule=schedule).run(SSSP(source=1))
+        skipped = [s.tiles_skipped for s in result.supersteps]
+        values = result.values.copy()
+        cluster.close()
+        return values, report, skipped
+
+    def test_fault_replay_identical_with_selective(self, skewed):
+        off_values, off_report, off_skips = self._supervised(skewed, False)
+        on_values, on_report, on_skips = self._supervised(skewed, True)
+        assert np.array_equal(off_values, on_values)
+        assert off_report.to_dict() == on_report.to_dict()
+        assert off_skips == on_skips
+        assert sum(on_skips[6:]) > 0  # the fault landed amid real skips
 
     def test_fault_replay_identical_with_mmap(self):
-        check(Case(program="sssp", knobs=(("vertex_store", "mmap"),), fault=38))
+        """A seeded schedule whose disk errors land in SSSP's sparse
+        late frontiers, where tiles are skipped."""
+        case = Case(program="sssp", knobs=(("vertex_store", "mmap"),), fault=38)
+        check(case)
+        assert recovery(case)["fault_retries"] == 5
+        assert sum(r["tiles_skipped"] for r in run(case)["metered"]["reports"][5:]) > 0
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ from repro.storage.cache import EdgeCache, cache_plan, select_cache_mode
 from repro.storage.codecs import CACHE_MODES, get_codec
 from repro.storage.disk import LocalDisk
 from repro.tuning import KnobSettings, Tuner, TuningPlan
-from tests.contract import Case, check, run
+from tests.contract import PLAN, Case, check, restarts, run
 
 N_SERVERS = 3
 SUPERSTEPS = 12
@@ -336,7 +336,12 @@ class TestScriptedSwitch:
         check(Case(program="sssp", participant="plan"))
 
     def test_switch_under_faults_replays(self):
-        check(Case(participant="plan", fault=14))
+        """A crash after the last switch resumes before it: the retry
+        replays that switch verbatim."""
+        case = Case(participant="plan", fault=19)
+        check(case)
+        (kind, superstep, resume), *_ = restarts(case)
+        assert kind == "crash" and resume <= max(PLAN) < superstep
 
 
 # ----------------------------------------------------------------------
@@ -346,10 +351,11 @@ class TestTunedUnderFaults:
     def test_trace_and_values_match_fault_free(self):
         """A crash's recovery replays the recorded decisions verbatim;
         the values are the fault-free run's."""
-        case = Case(context=(("tune", True),), fault=4)  # crash at 9
+        case = Case(context=(("tune", True),), fault=266)
         check(case)
+        assert restarts(case) == [("crash", 2, 2)]
         tuning = run(case)["metered"]["tuning"]
-        assert tuning == run(dataclasses.replace(case, fault=None))["metered"]["tuning"]
+        assert tuning and tuning == run(dataclasses.replace(case, fault=None))["metered"]["tuning"]
 
 
 # ----------------------------------------------------------------------
