@@ -88,7 +88,7 @@ def test_kernel_dense_message_roundtrip(benchmark):
         return decode_update(encode_update(values, ids, "snappylike", mode=0))
 
     out = benchmark(roundtrip)
-    assert out.num_updates == ids.size
+    assert out.values.size == ids.size
 
 
 def test_kernel_sparse_message_roundtrip(benchmark):
@@ -101,4 +101,4 @@ def test_kernel_sparse_message_roundtrip(benchmark):
         return decode_update(encode_update(values, ids, "snappylike", mode=1))
 
     out = benchmark(roundtrip)
-    assert out.num_updates == 500
+    assert out.values.size == 500

@@ -11,9 +11,9 @@ to every other server once per superstep.  The payload is either
 
 chosen per-broadcast from the sparsity ratio against the paper's 0.8
 threshold, then optionally compressed (snappy-like by default — the
-paper's choice after Figure 8d).  The channel moves real bytes between
-server states and meters per-server sent/received traffic, standing in
-for the paper's ZMQ broadcast layer.
+paper's choice after Figure 8d).  The channel delivers each update's
+record and meters per-server sent/received traffic by its wire length,
+standing in for the paper's ZMQ broadcast layer.
 """
 
 from repro.comm.messages import (
@@ -24,6 +24,7 @@ from repro.comm.messages import (
     choose_mode,
     decode_update,
     encode_update,
+    stage_update,
 )
 from repro.comm.channel import Channel
 
@@ -31,6 +32,7 @@ __all__ = [
     "Channel",
     "UpdatePayload",
     "encode_update",
+    "stage_update",
     "decode_update",
     "choose_mode",
     "DENSE",

@@ -2,10 +2,11 @@
 
 Stands in for the paper's ZMQ broadcast layer (§III-A: "to improve the
 communication performance, we use ZMQ to implement a broadcast interface
-instead of using MPI_Bcast").  Payloads are real byte strings delivered
-into per-destination mailboxes; the channel meters per-server sent and
-received bytes, from which the cost model charges network time and from
-which Figure 8's traffic curves are plotted.
+instead of using MPI_Bcast").  Payloads (bytes, or an engine broadcast's
+record, whose ``len`` is its wire length) are delivered into
+per-destination mailboxes; the channel meters per-server sent and
+received ``len(payload)``, from which the cost model charges network
+time and from which Figure 8's traffic curves are plotted.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.cluster.server import Server
+from repro.comm.messages import UpdatePayload
 from repro.obs.metrics import NULL_METRICS
 
 
@@ -22,7 +24,7 @@ class Envelope:
     """One delivered message."""
 
     src: int
-    payload: bytes
+    payload: bytes | UpdatePayload
 
 
 class Channel:
@@ -47,7 +49,7 @@ class Channel:
         if not 0 <= server_id < len(self.servers):
             raise ValueError(f"unknown server id {server_id}")
 
-    def send(self, src: int, dst: int, payload: bytes) -> None:
+    def send(self, src: int, dst: int, payload: bytes | UpdatePayload) -> None:
         """Point-to-point send; local sends move no network bytes.
 
         An attached fault injector may *drop* the delivery: the bytes
@@ -78,7 +80,7 @@ class Channel:
         if not dropped:
             self._mailboxes[dst].append(Envelope(src=src, payload=payload))
 
-    def broadcast(self, src: int, payload: bytes) -> None:
+    def broadcast(self, src: int, payload: bytes | UpdatePayload) -> None:
         """Deliver to every *other* server (§III-C's Broadcast step)."""
         self._check(src)
         for dst in range(len(self.servers)):

@@ -27,12 +27,12 @@ A dense message whose ids are exactly ``0 … |V|−1`` — every value
 changed, as in PageRank's early supersteps — is framed without the
 bitvector work: its mask is the cached all-ones mask for ``|V|`` and its
 value array is the sender's array as is.  The bytes are the ones the
-general path builds, so the wire is unchanged; the decoder recognises
-that mask and answers ``arange(|V|)`` without unpacking it.
+general path builds, so the wire is unchanged.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -84,19 +84,47 @@ def _all_ones_mask(num_vertices: int) -> bytes:
     ).tobytes()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpdatePayload:
-    """Decoded update message: which vertices changed, and their values."""
+    """One server's update broadcast as its receivers apply it: which
+    positions of the sender's target index changed (``None``: all of
+    them), their values, and the length of the wire message carrying
+    them, which is what the channel meters as ``len(record)``.  Both
+    arrays are read-only; pickled, a record is one raw buffer
+    (:func:`pack_update`).
+    """
 
-    ids: np.ndarray  # int64, sorted ascending
-    values: np.ndarray  # float64, aligned with ids
+    positions: np.ndarray | None  # int64, strictly increasing
+    values: np.ndarray  # float64, aligned with positions
     num_vertices: int
     mode: int
+    nbytes: int  # the wire message's full length, header included
 
-    @property
-    def num_updates(self) -> int:
-        """Number of updated vertices carried."""
-        return int(self.ids.size)
+    def select(self, index: np.ndarray) -> np.ndarray:
+        """The entries of ``index`` (the sender's target index) this
+        update writes: ``index`` itself when every position changed."""
+        return index if self.positions is None else index[self.positions]
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def __reduce__(self):
+        return unpack_update, (pack_update(self),)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
+def _record(positions, values, num_vertices, mode, nbytes) -> UpdatePayload:
+    """A record over read-only views (no positions when they are all)."""
+    if positions is not None and positions.size < num_vertices:
+        positions = _frozen(positions)
+    else:
+        positions = None
+    return UpdatePayload(positions, _frozen(values), num_vertices, mode, nbytes)
 
 
 def choose_mode(
@@ -171,14 +199,71 @@ def encode_update(
     return header + codec.compress(payload)
 
 
-def decode_update(data: bytes) -> UpdatePayload:
-    """Inverse of :func:`encode_update`.
+def stage_update(
+    values: np.ndarray,
+    updated_ids: np.ndarray,
+    codec_name: str = "snappylike",
+    mode: int | None = None,
+    threshold: float = SPARSITY_THRESHOLD,
+) -> UpdatePayload:
+    """The record of the broadcast :func:`encode_update` would send:
+    the wire is built with the same arguments and only its length and
+    mode are kept, so the mode and codec move what a broadcast costs,
+    never what it delivers.  Its arrays are read-only views of the
+    caller's, which must not write them afterwards."""
+    wire = encode_update(values, updated_ids, codec_name, mode, threshold)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    ids = np.ascontiguousarray(updated_ids, dtype=np.int64)
+    updated = values if ids.size == values.size else values[ids]
+    return _record(ids, updated, values.size, wire[0], len(wire))
 
-    The returned payload is *immutable* (both arrays are read-only):
-    the engine's decode-once cache hands the same object to every
-    receiver of a broadcast, so nothing downstream may mutate it.
-    Zero-copy where possible — the sparse value array is a ``frombuffer``
-    view over the decompressed payload rather than a private copy.
+
+# A packed record (pickle and shared-inbox form): this header, the values,
+# then (unless all changed) the positions as the dense wire's bitmask.
+_PACKED = struct.Struct("<B?6xqqq")  # mode, all updated, |V|, wire bytes, count
+
+
+def packed_size(update: UpdatePayload) -> int:
+    """``len(pack_update(update))``, without packing."""
+    mask = 0 if update.positions is None else (update.num_vertices + 7) // 8
+    return _PACKED.size + update.values.nbytes + mask
+
+
+def pack_update(update: UpdatePayload) -> bytes:
+    """``update`` as one raw buffer; :func:`unpack_update` inverts it."""
+    n, positions = update.num_vertices, update.positions
+    tail = b""
+    if positions is not None:
+        bits = np.zeros(n, dtype=bool)
+        bits[positions] = True
+        tail = np.packbits(bits, bitorder="little").tobytes()
+    header = _PACKED.pack(
+        update.mode, positions is None, n, update.nbytes, update.values.size
+    )
+    return b"".join((header, update.values.tobytes(), tail))
+
+
+def unpack_update(buf) -> UpdatePayload:
+    """The record packed in ``buf`` (bytes or a memoryview); its values
+    are a read-only view over ``buf``."""
+    mode, everything, n, nbytes, k = _PACKED.unpack_from(buf)
+    values = np.frombuffer(buf, dtype=np.float64, count=k, offset=_PACKED.size)
+    positions = None
+    if not everything:
+        at = _PACKED.size + 8 * k
+        bits = np.frombuffer(buf, dtype=np.uint8, count=(n + 7) // 8, offset=at)
+        positions = np.flatnonzero(np.unpackbits(bits, count=n, bitorder="little"))
+    return _record(positions, values, n, mode, nbytes)
+
+
+def decode_update(data: bytes) -> UpdatePayload:
+    """Inverse of :func:`encode_update`: the wire's record, equal
+    bitwise to the one :func:`stage_update` builds from the same
+    arguments (``nbytes`` is ``len(data)``).
+
+    Nothing in the engine decodes — a broadcast delivers its record —
+    so this is the wire format's tested inverse and the reference an
+    apply is checked against.  Malformed bytes raise ``ValueError``.
     """
     if len(data) < 10:
         raise ValueError("truncated update message")
@@ -197,30 +282,16 @@ def decode_update(data: bytes) -> UpdatePayload:
         mask_bytes = (num_vertices + 7) // 8
         if len(payload) != mask_bytes + 8 * num_vertices:
             raise ValueError("dense payload size mismatch")
-        if payload[:mask_bytes] == _all_ones_mask(num_vertices):
-            ids = np.arange(num_vertices, dtype=np.int64)
-            updated = np.frombuffer(
-                payload, dtype=np.float64, offset=mask_bytes, count=num_vertices
-            ).copy()
-            ids.setflags(write=False)
-            updated.setflags(write=False)
-            return UpdatePayload(
-                ids=ids, values=updated, num_vertices=num_vertices, mode=DENSE
-            )
-        bits = np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8, count=mask_bytes),
-            bitorder="little",
-        )[:num_vertices]
         values = np.frombuffer(
             payload, dtype=np.float64, offset=mask_bytes, count=num_vertices
         )
-        ids = np.flatnonzero(bits).astype(np.int64)
-        updated = values[ids]  # fancy indexing already copies
-        ids.setflags(write=False)
-        updated.setflags(write=False)
-        return UpdatePayload(
-            ids=ids, values=updated, num_vertices=num_vertices, mode=DENSE
+        bits = np.unpackbits(
+            np.frombuffer(payload, dtype=np.uint8, count=mask_bytes),
+            count=num_vertices,
+            bitorder="little",
         )
+        ids = np.flatnonzero(bits).astype(np.int64)
+        return _record(ids, values[ids], num_vertices, DENSE, len(data))
     if mode == SPARSE:
         if len(payload) < 16:
             raise ValueError("sparse payload size mismatch")
@@ -240,8 +311,5 @@ def decode_update(data: bytes) -> UpdatePayload:
         values = np.frombuffer(
             payload, dtype=np.float64, offset=16 + id_len, count=count
         )
-        ids.setflags(write=False)
-        return UpdatePayload(
-            ids=ids, values=values, num_vertices=num_vertices, mode=SPARSE
-        )
+        return _record(ids, values, num_vertices, SPARSE, len(data))
     raise ValueError(f"unknown mode byte {mode}")

@@ -34,7 +34,6 @@ per edge in every tile.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -49,7 +48,7 @@ from repro.apps.base import (
 )
 from repro.cluster.cluster import Cluster
 from repro.cluster.counters import CounterSnapshot
-from repro.comm import Channel, decode_update, encode_update
+from repro.comm import Channel, UpdatePayload, stage_update
 from repro.comm.messages import DENSE, SPARSE
 from repro.core.checkpoint import Checkpointer
 from repro.core.knobs import knob, knob_row, knob_rows
@@ -297,16 +296,6 @@ class MPE:
         self._own_updates: dict[int, tuple] = {}
         self._forked = False
         self._inboxes = InboxResolver()
-        # --- decode-once broadcast fan-out -----------------------------
-        # Per-superstep content-keyed decode cache: payload bytes →
-        # immutable UpdatePayload.  The first receiver decodes, every
-        # later one reuses the result while still charging its own
-        # decompress bytes.  The lock spans the whole get-or-decode so
-        # thread-executor hit/miss counts stay deterministic.
-        self._decode_cache: dict[bytes, object] = {}
-        self._decode_lock = threading.Lock()
-        self.payload_decode_hits = 0
-        self.payload_decode_misses = 0
 
     # ------------------------------------------------------------------
     # Observability wiring (repro.obs)
@@ -381,14 +370,6 @@ class MPE:
         self._obs_scheduled = metrics.counter(
             "repro_tiles_scheduled",
             "tiles that survived schedule pruning and were processed",
-        ).labels()
-        self._obs_decode_hits = metrics.counter(
-            "repro_decode_cache_hits",
-            "broadcast payloads served from the decode-once cache",
-        ).labels()
-        self._obs_decode_misses = metrics.counter(
-            "repro_decode_cache_misses",
-            "broadcast payloads actually decoded",
         ).labels()
         return ebuf
 
@@ -547,10 +528,6 @@ class MPE:
         ``resume=True`` restarts from the newest DFS checkpoint for this
         (dataset, program) pair, if one exists.
         """
-        # Host telemetry is per run: a warm engine's second job reports
-        # its own decode counts, not the running total.
-        self.payload_decode_hits = 0
-        self.payload_decode_misses = 0
         ebuf = self._wire_tracer()
         ebuf.begin("run", "run", program=program.name)
         cfg = self.config
@@ -643,7 +620,7 @@ class MPE:
                 # handler applies its inbox plus the own update its
                 # compute phase left behind, straight into its (possibly
                 # shared) value arrays.
-                for hits, misses in self._dispatch(
+                self._dispatch(
                     executor,
                     "apply",
                     [
@@ -653,14 +630,13 @@ class MPE:
                         ]
                         for s in servers
                     ],
-                ):
-                    self.payload_decode_hits += hits
-                    self.payload_decode_misses += misses
+                )
                 ebuf.end()  # apply
                 ebuf.begin("account", "phase")
                 done = self._account_superstep(
                     prep, superstep, t0, before, schedule, steps
                 )
+                del steps  # free the records before the next compute
                 reports.append(done.report)
                 prev_updated = done.updated
                 ebuf.end()  # account
@@ -699,8 +675,6 @@ class MPE:
             executor_requested=requested,
             decoded_cache_hits=sum(st.hits for st in decoded),
             decoded_cache_misses=sum(st.misses for st in decoded),
-            payload_decode_hits=self.payload_decode_hits,
-            payload_decode_misses=self.payload_decode_misses,
             prefetch_depth=cfg.prefetch_depth,
             selective=cfg.selective_scheduling,
             vertex_store=cfg.vertex_store,
@@ -843,7 +817,7 @@ class MPE:
             ),
             cache_hit_ratio=float(np.mean(hits)) if hits else 0.0,
             message_modes=[
-                st.payload[0] for st in steps if st.payload is not None
+                st.payload.mode for st in steps if st.payload is not None
             ],
             modeled=step_cost,
             wall_s=time.perf_counter() - t0,
@@ -854,8 +828,6 @@ class MPE:
                 self._obs_prefetch.labels(server=server.server_id).set(
                     step.prefetch_ready / step.prefetch_total
                 )
-        self._obs_decode_hits.set(self.payload_decode_hits)
-        self._obs_decode_misses.set(self.payload_decode_misses)
         return _SuperstepDone(report, step_deltas, before, schedule, updated)
 
     def respawn_server(self, server_id: int) -> int:
@@ -1215,6 +1187,10 @@ class MPE:
         for server, (result, mirror) in zip(self.cluster.servers, returned):
             if mirror is not None:
                 server.absorb_mirror(mirror)
+                if tag == "compute" and result.payload is not None:
+                    result.ids = result.payload.select(
+                        self._server_target_ids[server.server_id]
+                    )
                 if tag == "compute" and self.injector is not None:
                     # Straggler charges: an in-process sweep fires these
                     # at its end; here the volumes came back in the
@@ -1243,12 +1219,6 @@ class MPE:
         since = CounterSnapshot.capture(server) if self._forked else None
         if tag == "compute":
             superstep, sched, knobs = payload
-            # One decode-once generation per superstep attempt: nothing
-            # decodes during compute, so every handler opening the
-            # superstep empties the cache — retries re-decode (payload
-            # content may differ) and the cache never outlives the
-            # broadcast it serves.
-            self._decode_cache.clear()
             self._knobs = knobs
             if knobs.cache_mode is not None:
                 server.switch_cache_mode(knobs.cache_mode)
@@ -1258,9 +1228,13 @@ class MPE:
             self._own_updates[server_id] = (result.ids, result.vals)
             if self._forked:
                 # The values stay here, for this server's apply; the
-                # parent reads ids, payload and counts, so they are not
-                # pickled back with every superstep.
-                result = replace(result, vals=np.zeros(0, dtype=np.float64))
+                # parent reads the record and counts, and selects the
+                # frontier ids from the record's positions.
+                result = replace(
+                    result,
+                    ids=result.ids if result.payload is None else result.ids[:0],
+                    vals=np.zeros(0, dtype=np.float64),
+                )
         elif tag == "apply":
             result = self._apply_server_step(
                 server,
@@ -1286,8 +1260,8 @@ class MPE:
 
         Touches only this server's counters / cache / disk / store plus
         read-only shared structures, so executor threads never contend.
-        The encoded broadcast payload is returned (not delivered) — the
-        caller flushes all payloads after the join, in server-id order.
+        The staged broadcast record is returned (not delivered) — the
+        caller flushes all records after the join, in server-id order.
 
         ``sched`` is this server's entry of :meth:`_resolve_schedule`:
         the sweep accounts the skipped tiles and streams the run list,
@@ -1420,10 +1394,10 @@ class MPE:
                 ids = local_ids = np.zeros(0, dtype=np.int64)
                 vals = np.zeros(0, dtype=np.float64)
 
-            # Stage this server's updated-value broadcast: dense form
-            # covers only the targets its tiles own (receivers share the
-            # static target index), sparse form ships local (index, value)
-            # pairs — addressed by the positions the sweep produced.
+            # Stage this server's updated-value broadcast: its record of
+            # (position, value) pairs in the target index receivers
+            # share, and the length of the dense or sparse wire message
+            # that would carry them.
             payload = None
             if len(self.cluster.servers) > 1:
                 with trace.span("encode", "comm", updated=int(ids.size)):
@@ -1442,7 +1416,7 @@ class MPE:
                         "sparse": SPARSE,
                         "hybrid": None,
                     }[knobs.comm_mode]
-                    payload = encode_update(
+                    payload = stage_update(
                         staged,
                         local_ids,
                         codec_name=knobs.message_codec,
@@ -1450,7 +1424,7 @@ class MPE:
                     )
                     if knobs.message_codec != "raw":
                         server.counters.add_compressed(
-                            knobs.message_codec, len(payload)
+                            knobs.message_codec, payload.nbytes
                         )
             return _ServerStep(
                 ids=ids,
@@ -1471,23 +1445,17 @@ class MPE:
         self,
         server,
         own_update: tuple[np.ndarray, np.ndarray],
-        inbox: list[tuple[int, bytes]],
-    ) -> tuple[int, int]:
+        inbox: list[tuple[int, UpdatePayload]],
+    ) -> None:
         """One server's barrier work: apply own + received updates.
 
-        ``inbox`` is the drained mailbox as ``(sender id, payload
-        bytes)`` pairs.  Returns the decode-once ``(hits, misses)`` this
-        receiver saw (host telemetry the parent totals after the join).
-
-        Each distinct payload is decoded once per superstep
-        (:meth:`_decode_payload`) while every receiver still charges its
-        own decompress bytes — the modeled cost is per-receiver NIC
-        work, §IV-C — and each sender's update lands where it is, with
-        its own ``store.write``: sender target sets are disjoint
-        (:meth:`_check_static_layout`), so the write order cannot
-        matter, and nothing is concatenated.  A payload carrying every
-        position of the sender's target index (strictly increasing ids
-        ``0 … n−1``) writes through that index itself.
+        ``inbox`` is the drained mailbox as ``(sender id, record)``
+        pairs.  Nothing is decoded: each sender's record lands where it
+        is, with its own ``store.write`` — sender target sets are
+        disjoint (:meth:`_check_static_layout`), so the write order
+        cannot matter — while every receiver is still charged the
+        decompress of the wire bytes it received (per-receiver NIC
+        work, §IV-C).
         """
         with server.trace.span("apply", "phase", inbox=len(inbox)):
             # The superstep's effective knobs: all senders encoded with
@@ -1496,48 +1464,12 @@ class MPE:
             codec = self._knobs.message_codec
             store = server.state["store"]
             store.write(*own_update)
-            hits = 0
-            for src, payload_bytes in inbox:
-                payload, hit = self._decode_payload(server, src, payload_bytes)
-                hits += hit
-                targets = self._server_target_ids[src]
-                if payload.ids.size == payload.num_vertices == targets.size:
-                    store.write(targets, payload.values)
-                else:
-                    store.write(targets[payload.ids], payload.values)
+            for src, update in inbox:
+                store.write(
+                    update.select(self._server_target_ids[src]), update.values
+                )
                 if codec != "raw":
-                    server.counters.add_decompressed(codec, len(payload_bytes))
-        return hits, len(inbox) - hits
-
-    def _decode_payload(self, server, src: int, payload_bytes: bytes):
-        """Decode-once lookup for one received broadcast payload.
-
-        Content-keyed (bytes hash by value): the first receiver of a
-        payload decodes it and caches the immutable result for the rest
-        of the superstep; later receivers reuse it.  The lock spans the
-        whole get-or-decode so the thread executor's miss count equals
-        the number of distinct payloads exactly.  Emits a
-        ``payload_decode`` span on the server's trace buffer either way
-        — ``cache="miss"`` covers the decode, ``cache="hit"`` is empty —
-        so span trees do not encode which server happened to decode a
-        payload first (under the process executor that depends on how
-        servers map to workers).  Returns ``(payload, hit)``.
-        """
-        with self._decode_lock:
-            payload = self._decode_cache.get(payload_bytes)
-            hit = payload is not None
-            with server.trace.span(
-                "payload_decode",
-                "comm",
-                src=src,
-                nbytes=len(payload_bytes),
-                cache="hit" if hit else "miss",
-            ):
-                if not hit:
-                    payload = decode_update(payload_bytes)
-            if not hit:
-                self._decode_cache[payload_bytes] = payload
-        return payload, hit
+                    server.counters.add_decompressed(codec, update.nbytes)
 
     def collect_values(self, init_values) -> np.ndarray:
         """Globally consistent value array after a barrier.
@@ -1574,7 +1506,7 @@ class _ServerStep:
 
     ids: np.ndarray
     vals: np.ndarray
-    payload: bytes | None
+    payload: UpdatePayload | None
     tiles_processed: int
     tiles_skipped: int
     # Pipeline occupancy: dequeues served without stalling / total

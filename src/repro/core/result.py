@@ -39,11 +39,6 @@ class RunResult:
     executor_requested: str | None = None
     decoded_cache_hits: int = 0
     decoded_cache_misses: int = 0
-    # Decode-once broadcast telemetry, counted from zero every run:
-    # envelopes served from the per-superstep decode cache vs actually
-    # decoded (hits + misses = envelopes received).
-    payload_decode_hits: int = 0
-    payload_decode_misses: int = 0
     # Tile-prefetch pipeline depth this run started with (0 = pipeline
     # off).
     prefetch_depth: int = 0
@@ -79,8 +74,6 @@ class RunResult:
             **fallback,
             "decoded_cache_hits": self.decoded_cache_hits,
             "decoded_cache_misses": self.decoded_cache_misses,
-            "payload_decode_hits": self.payload_decode_hits,
-            "payload_decode_misses": self.payload_decode_misses,
             "prefetch_depth": self.prefetch_depth,
             "selective": self.selective,
             "vertex_store": self.vertex_store,

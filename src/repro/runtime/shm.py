@@ -23,6 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.comm.messages import pack_update, packed_size, unpack_update
 from repro.storage.disk import LocalDisk
 
 __all__ = [
@@ -178,45 +179,45 @@ def attach_segment(name: str):
 class StagedInboxes:
     """One superstep's drained mailboxes, staged for the apply dispatch.
 
-    ``inboxes[i]`` is server ``i``'s mailbox as ``(sender id, payload
-    bytes)`` pairs; ``handles[i]`` is the opaque per-server payload the
-    engine ships and the handler turns back into those pairs with
-    :meth:`InboxResolver.resolve`.  With ``shared=False`` (in-process
-    transports) a handle carries the pairs themselves.  With
-    ``shared=True`` every distinct payload is copied once into one
-    shared segment and a handle carries ``(sender, offset, length)``
-    spans instead of pickling the same bytes to every receiver.
-    Payloads are deduplicated by object identity — a broadcast delivers
-    the *same* bytes object to every other server's mailbox, while
-    byte-equal payloads from different senders stay distinct spans.  A
-    superstep that delivered nothing (a single server) allocates no
-    segment.  :meth:`release` (idempotent) unlinks the segment as soon
-    as the phase returns, so workers never hold it across supersteps.
+    ``inboxes[i]`` is server ``i``'s mailbox as ``(sender id, record)``
+    pairs (:class:`~repro.comm.messages.UpdatePayload`); ``handles[i]``
+    is the opaque per-server payload the engine ships and the handler
+    turns back into those pairs with :meth:`InboxResolver.resolve`.
+    With ``shared=False`` (in-process transports) a handle carries the
+    pairs themselves.  With ``shared=True`` every distinct record (by
+    identity: a broadcast delivers one record to every mailbox) is
+    packed once (:func:`~repro.comm.messages.pack_update`, never empty)
+    into one shared segment and a handle carries ``(sender, offset,
+    length)`` spans.  A superstep that delivered nothing (a single
+    server) allocates no segment.  :meth:`release` (idempotent) unlinks
+    the segment as soon as the phase returns, so workers never hold it
+    across supersteps.
     """
 
-    def __init__(self, inboxes: list[list[tuple[int, bytes]]], shared: bool) -> None:
+    def __init__(self, inboxes: list[list[tuple]], shared: bool) -> None:
         self._arena: SharedArray | None = None
         self.handles: list = [(None, inbox) for inbox in inboxes]
         distinct = (
-            {id(data): data for inbox in inboxes for _src, data in inbox}
+            {id(rec): rec for inbox in inboxes for _src, rec in inbox}
             if shared
             else {}
         )
         if not distinct:
             return
-        spans: dict[int, tuple[int, int]] = {}
-        total = 0
-        for key, data in distinct.items():
-            spans[key] = (total, len(data))
-            total += len(data)
+        spans, total = {}, 0
+        for key, rec in distinct.items():
+            spans[key] = (total, packed_size(rec))
+            total += -(-spans[key][1] // 8) * 8  # 8-byte aligned spans
         self._arena = SharedArray((total,), np.uint8)
-        for key, data in distinct.items():
+        for key, rec in distinct.items():
             off, n = spans[key]
-            # No local alias of the array: release() cannot close the
-            # segment while one is alive.
-            self._arena.array[off : off + n] = np.frombuffer(data, dtype=np.uint8)
+            # One record's bytes at a time; no local alias of the array:
+            # release() cannot close the segment while one is alive.
+            self._arena.array[off : off + n] = np.frombuffer(
+                pack_update(rec), dtype=np.uint8
+            )
         self.handles = [
-            (self._arena.name, [(src, *spans[id(data)]) for src, data in inbox])
+            (self._arena.name, [(src, *spans[id(rec)]) for src, rec in inbox])
             for inbox in inboxes
         ]
 
@@ -228,35 +229,36 @@ class StagedInboxes:
 
 class InboxResolver:
     """Turns :class:`StagedInboxes` handles back into ``(sender id,
-    payload bytes)`` pairs, on whichever side of a fork the handler
-    runs.
+    record)`` pairs, on whichever side of a fork the handler runs.
 
     Shared handles attach to the superstep's segment by name the first
-    time this resolver sees it (dropping the previous superstep's
-    attachment — segment names are never reused), then serve repeated
-    spans from a per-segment memo so each distinct payload's bytes are
-    built once per worker: equal spans come back as the *same* object.
+    time this resolver sees it, then serve repeated spans from a
+    per-segment memo: each distinct record is unpacked once, into
+    read-only views over the segment.  Moving to the next segment drops
+    the memo before closing the old attachment, which refuses to close
+    while a view of it is alive.
     """
 
     def __init__(self) -> None:
-        # (segment name, attachment, {(offset, length): bytes}).
+        # (segment name, attachment, {(offset, length): record}).
         self._attached: tuple[str, object, dict] | None = None
 
-    def resolve(self, handle) -> list[tuple[int, bytes]]:
+    def resolve(self, handle) -> list[tuple]:
         segment, entries = handle
         if segment is None:
             return entries
         if self._attached is None or self._attached[0] != segment:
             if self._attached is not None:
+                self._attached[2].clear()
                 self._attached[1].close()
             self._attached = (segment, attach_segment(segment), {})
         _name, shm, memo = self._attached
         inbox = []
         for src, off, ln in entries:
-            data = memo.get((off, ln))
-            if data is None:
-                data = memo[(off, ln)] = bytes(shm.buf[off : off + ln])
-            inbox.append((src, data))
+            rec = memo.get((off, ln))
+            if rec is None:
+                rec = memo[(off, ln)] = unpack_update(shm.buf[off : off + ln])
+            inbox.append((src, rec))
         return inbox
 
 

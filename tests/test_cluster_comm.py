@@ -20,6 +20,7 @@ from repro.comm import (
     choose_mode,
     decode_update,
     encode_update,
+    stage_update,
 )
 from repro.service import reset_simulation
 
@@ -311,6 +312,13 @@ class TestChannel:
             Channel([])
 
 
+def _ids(update) -> list[int]:
+    """An update record's positions as a list (``None`` is all of them)."""
+    if update.positions is None:
+        return list(range(update.num_vertices))
+    return update.positions.tolist()
+
+
 class TestUpdateMessages:
     def test_mode_selection_threshold(self):
         # 80% sparsity boundary: >80% unchanged → sparse.
@@ -325,7 +333,7 @@ class TestUpdateMessages:
         msg = encode_update(values, ids, codec_name="raw", mode=DENSE)
         out = decode_update(msg)
         assert out.mode == DENSE
-        assert out.ids.tolist() == [0, 3, 9]
+        assert _ids(out) == [0, 3, 9]
         assert out.values.tolist() == [0.0, 3.0, 9.0]
         assert out.num_vertices == 10
 
@@ -335,7 +343,7 @@ class TestUpdateMessages:
         msg = encode_update(values, ids, codec_name="raw", mode=SPARSE)
         out = decode_update(msg)
         assert out.mode == SPARSE
-        assert out.ids.tolist() == [5, 50, 99]
+        assert _ids(out) == [5, 50, 99]
         assert np.allclose(out.values, [7.5, 75.0, 148.5])
 
     def test_hybrid_picks_sparse_for_few_updates(self):
@@ -368,7 +376,7 @@ class TestUpdateMessages:
         ids = np.array([0, 128, 256])
         for mode in (DENSE, SPARSE):
             out = decode_update(encode_update(values, ids, codec, mode=mode))
-            assert out.ids.tolist() == [0, 128, 256]
+            assert _ids(out) == [0, 128, 256]
             assert np.allclose(out.values, values[[0, 128, 256]])
 
     def test_compression_shrinks_dense_payload(self):
@@ -382,7 +390,7 @@ class TestUpdateMessages:
 
     def test_empty_update(self):
         out = decode_update(encode_update(np.zeros(10), np.array([], dtype=np.int64)))
-        assert out.num_updates == 0
+        assert out.values.size == 0 and out.positions.size == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -415,16 +423,16 @@ class TestUpdateMessages:
             rng.choice(num_vertices, size=k, replace=False).astype(np.int64)
         )
         out = decode_update(encode_update(values, ids, codec))
-        assert out.ids.tolist() == ids.tolist()
+        assert _ids(out) == ids.tolist()
         assert np.allclose(out.values, values[ids])
         assert out.num_vertices == num_vertices
 
 
 class TestDecodeAdversarial:
     """Malformed wire bytes must raise ValueError — never crash with a
-    codec-internal exception, never return garbage.  The decode-once
-    cache hands one decoded payload to every receiver of a broadcast,
-    so a bad envelope has to fail loudly at its first (only) decode."""
+    codec-internal exception, never return garbage.  ``decode_update``
+    is the reference every delivered record is checked against, so a
+    bad message has to fail loudly rather than yield a record."""
 
     @staticmethod
     def _codec_id(name):
@@ -511,18 +519,22 @@ class TestDecodeAdversarial:
             decode_update(bad)
 
     def test_decoded_payload_is_immutable(self):
-        """The decode-once cache shares one UpdatePayload across all
-        receivers; its arrays must be read-only."""
+        """A broadcast hands one record to every receiver: a staged
+        record's arrays and a decoded one's are read-only, while the
+        sender's own arrays stay writable."""
         for mode in (DENSE, SPARSE):
-            out = decode_update(
-                encode_update(
-                    np.arange(32.0), np.array([1, 9]), "raw", mode=mode
-                )
-            )
-            with pytest.raises(ValueError):
-                out.ids[0] = 5
-            with pytest.raises(ValueError):
-                out.values[0] = 5.0
+            values, ids = np.arange(32.0), np.array([1, 9])
+            wire = encode_update(values, ids, "raw", mode=mode)
+            for out in (stage_update(values, ids, "raw", mode=mode),
+                        decode_update(wire)):
+                with pytest.raises(ValueError):
+                    out.positions[0] = 5
+                with pytest.raises(ValueError):
+                    out.values[0] = 5.0
+            assert values.flags.writeable and ids.flags.writeable
+        everything = stage_update(np.arange(8.0), np.arange(8), "raw")
+        assert everything.positions is None
+        assert not everything.values.flags.writeable
 
     @staticmethod
     def _sparse_message(ids, num_vertices, codec="raw"):
@@ -546,12 +558,12 @@ class TestDecodeAdversarial:
         return header + get_codec(codec).compress(payload)
 
     def test_sparse_repeated_id_is_rejected(self):
-        assert decode_update(self._sparse_message([1, 3], 8)).ids.tolist() == [1, 3]
+        assert _ids(decode_update(self._sparse_message([1, 3], 8))) == [1, 3]
         with pytest.raises(ValueError, match="strictly increasing"):
             decode_update(self._sparse_message([1, 1, 3], 8))
 
     def test_sparse_id_at_or_past_the_vertex_count_is_rejected(self):
-        assert decode_update(self._sparse_message([7], 8)).ids.tolist() == [7]
+        assert _ids(decode_update(self._sparse_message([7], 8))) == [7]
         for ids in ([8], [2, 8], [3, 300]):
             with pytest.raises(ValueError, match="below the vertex count"):
                 decode_update(self._sparse_message(ids, 8))
@@ -571,7 +583,7 @@ class TestDecodeAdversarial:
         )
         msg = self._sparse_message(ids, num_vertices, codec)
         if valid:
-            assert decode_update(msg).ids.tolist() == ids
+            assert _ids(decode_update(msg)) == ids
         else:
             with pytest.raises(ValueError):
                 decode_update(msg)
@@ -586,7 +598,7 @@ class TestDecodeAdversarial:
         updated = np.array(ids, dtype=np.int64)
         if all(b > a for a, b in zip(ids, ids[1:])):
             out = decode_update(encode_update(values, updated, "raw", mode))
-            assert out.ids.tolist() == ids
+            assert _ids(out) == ids
         else:
             with pytest.raises(ValueError):
                 encode_update(values, updated, "raw", mode)
@@ -630,8 +642,8 @@ def _general_dense_message(values, ids, codec):
 
 
 class TestAllUpdatedFraming:
-    """A dense message updating every vertex skips the mask work on both
-    ends and changes no byte and no decoded bit."""
+    """A dense message updating every vertex skips the encoder's mask
+    work and changes no byte, and decodes to the record staged for it."""
 
     @staticmethod
     @contextlib.contextmanager
@@ -697,15 +709,15 @@ class TestAllUpdatedFraming:
         seed=st.integers(0, 2**16),
     )
     def test_all_ones_decode_equals_the_general_decode(self, n, codec, seed):
+        """Decoding an all-updated message (through the general bitmask
+        path) yields its staged record: no positions, the sender's values
+        bit for bit, read-only."""
         values = np.random.default_rng(seed).standard_normal(n)
         msg = encode_update(values, np.arange(n), codec, mode=DENSE)
-        fast = decode_update(msg)
-        # A mask no payload can equal: the decoder unpacks the bits.
-        with self._mask(replace=lambda m: b"\x00" * (m + 1)):
-            general = decode_update(msg)
-        for name in ("ids", "values"):
-            a, b = getattr(fast, name), getattr(general, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            assert a.flags.writeable is b.flags.writeable is False
-        assert (fast.mode, fast.num_vertices) == (general.mode, general.num_vertices)
-        assert fast.values.tobytes() == values.tobytes()
+        decoded = decode_update(msg)
+        staged = stage_update(values, np.arange(n), codec, mode=DENSE)
+        for out in (decoded, staged):
+            assert out.positions is None
+            assert out.values.dtype == np.float64 and not out.values.flags.writeable
+            assert out.values.tobytes() == values.tobytes()
+            assert (out.mode, out.num_vertices, out.nbytes) == (DENSE, n, len(msg))

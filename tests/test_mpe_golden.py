@@ -2,10 +2,11 @@
 
 Each digest hashes a run's values, every ``SuperstepReport`` field but
 ``wall_s``, every ``SuperstepCost`` field, each server's ``Counters``
-and edge-cache ``CacheStats``, and the sha256 of every broadcast payload
-in delivery order — so a change to how updates are staged, encoded,
-decoded or applied that moves one wire byte, one meter or one value bit
-fails here, whatever it does to speed.
+and edge-cache ``CacheStats``, and the sha256 of every broadcast's wire
+message in delivery order — re-encoded from the delivered record, whose
+``nbytes`` must be that message's length — so a change to how updates
+are staged, encoded or applied that moves one wire byte, one meter or
+one value bit fails here, whatever it does to speed.
 
 Three graphs with one program each (Chung–Lu / PageRank at tolerance 0,
 weighted R-MAT / SSSP, Erdős–Rényi / WCC), crossed with a pairwise
@@ -34,6 +35,7 @@ import pytest
 
 from repro.apps import SSSP, WCC, PageRank
 from repro.cluster import Cluster, ClusterSpec
+from repro.comm import encode_update
 from repro.comm.channel import Channel
 from repro.core.mpe import MPE, MPEConfig
 from repro.core.spe import SPE
@@ -127,16 +129,40 @@ def graphs():
 
 @pytest.fixture
 def payload_log(monkeypatch):
-    """sha256 of every broadcast payload, in delivery order."""
-    log: list[tuple[int, str]] = []
+    """Every broadcast record, in delivery order, with its sender."""
+    log: list[tuple[int, object]] = []
     broadcast = Channel.broadcast
 
     def recording(self, src, payload):
-        log.append((src, hashlib.sha256(payload).hexdigest()))
+        log.append((src, payload))
         broadcast(self, src, payload)
 
     monkeypatch.setattr(Channel, "broadcast", recording)
     return log
+
+
+def wire_of(record, codec: str) -> bytes:
+    """A broadcast record's wire message: re-encoded at ``codec`` and
+    the record's mode over a zero array holding its values at its
+    positions — the bytes the sender's encode measured, so the record's
+    ``nbytes`` must be their length."""
+    staged = np.zeros(record.num_vertices)
+    if record.positions is None:
+        staged[:] = record.values
+        updated = np.arange(record.num_vertices)
+    else:
+        staged[record.positions] = record.values
+        updated = record.positions
+    wire = encode_update(staged, updated, codec, mode=record.mode)
+    assert len(wire) == record.nbytes
+    return wire
+
+
+def _wire_hashes(payload_log, codec) -> list[tuple[int, str]]:
+    return [
+        (src, hashlib.sha256(wire_of(record, codec)).hexdigest())
+        for src, record in payload_log
+    ]
 
 
 def _digest(result, servers, payloads) -> str:
@@ -169,7 +195,7 @@ def _run_digest(graph, program, row, payload_log, **extra) -> str:
             graph, max(1, graph.num_edges // 24), name=graph.name
         )
         result = MPE(cluster, manifest, config).run(_PROGRAMS[program]())
-        return _digest(result, cluster.servers, list(payload_log))
+        return _digest(result, cluster.servers, _wire_hashes(payload_log, codec))
 
 
 _CASES = [(program, row) for program in _PROGRAMS for row in _ROWS]

@@ -222,19 +222,10 @@ def _story(cluster, result):
 
 
 def _tree_digest(tracer) -> str:
-    """sha256 over the span trees (names, cats, nesting, instants) plus
-    every ``payload_decode`` span's ``cache=`` argument, in order."""
+    """sha256 over the span trees (names, cats, nesting, instants)."""
     trees = tracer.span_trees()
-    decode_args = {
-        buf.label: [
-            args["cache"]
-            for kind, name, _cat, _ts, args in buf.events()
-            if kind == "B" and name == "payload_decode"
-        ]
-        for buf in tracer.buffers()
-    }
     shape = [
-        (label, [node.as_tuple() for node in trees[label]], decode_args[label])
+        (label, [node.as_tuple() for node in trees[label]])
         for label in sorted(trees)
     ]
     return hashlib.sha256(repr(shape).encode()).hexdigest()
@@ -343,8 +334,10 @@ class TestNullBuffer:
         assert _tree_digest(tracer) == SERIAL_TREE_DIGEST
 
 
+# Re-recorded when broadcasts stopped decoding: the tree recorded at
+# 1215c28 with its ``payload_decode`` spans removed, nothing else moved.
 SERIAL_TREE_DIGEST = (
-    "b562212c80a0d1cb8dadd46d9b66764e9d898025b0a661ede2f21f66741ec476"
+    "c7e579dfbdc07e518db9b05188e1e1f7330884ab9d0495cf46c108687409a265"
 )
 
 
@@ -455,19 +448,16 @@ class TestExporters:
         reason="platform lacks fork + POSIX shared memory",
     )
     def test_process_trace_carries_both_decode_outcomes(self, skewed):
-        """Shared-inbox delivery + per-worker decode caches: the
-        exported trace shows payload_decode spans that hit and that
-        missed (the outcome is an argument of one span kind)."""
+        """Shared-inbox delivery of records: the exported process trace
+        validates, every server applied its inbox, and no span decodes
+        a broadcast."""
         tracer = Tracer()
         _run(skewed, "process", tracer=tracer)
         doc = to_chrome_trace(tracer)
         assert validate_chrome_trace(doc) == []
-        outcomes = {
-            e["args"]["cache"]
-            for e in doc["traceEvents"]
-            if e.get("name") == "payload_decode" and "args" in e
-        }
-        assert outcomes == {"hit", "miss"}
+        names = {e.get("name") for e in doc["traceEvents"]}
+        assert "apply" in names and "encode" in names
+        assert "payload_decode" not in names
 
     def test_chrome_trace_flags_unbalanced(self):
         tracer = Tracer()

@@ -81,8 +81,10 @@ def test_dense_and_sparse_updates_decode_identically(num_vertices, data):
     ids = np.sort(rng.choice(num_vertices, size=k, replace=False).astype(np.int64))
     dense = decode_update(encode_update(values, ids, "raw", mode=DENSE))
     sparse = decode_update(encode_update(values, ids, "raw", mode=SPARSE))
-    assert np.array_equal(dense.ids, sparse.ids)
-    assert np.allclose(dense.values, sparse.values)
+    assert (dense.positions is None) == (sparse.positions is None)
+    if dense.positions is not None:
+        assert np.array_equal(dense.positions, sparse.positions)
+    assert dense.values.tobytes() == sparse.values.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

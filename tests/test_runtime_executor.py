@@ -443,15 +443,36 @@ class TestProcessBitwiseIdentity:
         assert outstanding_segments() == []
 
 
+def _staged_records():
+    """Three senders' records: a sparse update, a dense one and one
+    that changed every position."""
+    from repro.comm import stage_update
+
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(300)
+    return {
+        "sparse": stage_update(values, np.array([3, 77, 201]), "snappylike"),
+        "dense": stage_update(values, np.arange(0, 300, 2), "zlib1"),
+        "all": stage_update(values, np.arange(300), "raw"),
+    }
+
+
 @needs_process
 class TestStagedInboxes:
-    """The shared-inbox wire format, both halves (runtime/shm.py)."""
+    """The shared-inbox format, both halves (runtime/shm.py): each
+    distinct record packed once into one segment, unpacked once per
+    resolver into read-only views."""
 
     def test_stage_resolve_roundtrip(self):
+        from repro.comm import stage_update
         from repro.runtime.shm import InboxResolver, StagedInboxes
 
-        a, b = b"alpha" * 40, b"beta" * 30
-        b_twin = bytes(bytearray(b))  # equal bytes, another sender's object
+        recs = _staged_records()
+        a, b = recs["dense"], recs["sparse"]
+        # An equal update from another sender: another object.
+        b_twin = stage_update(
+            np.zeros(300), np.array([3, 77, 201]), "snappylike"
+        )
         inboxes = [[(1, b), (2, b_twin)], [(0, a), (2, b_twin)], [(0, a), (1, b)]]
         # In-process transports: the pairs themselves, no segment.
         local = StagedInboxes(inboxes, shared=False)
@@ -466,12 +487,19 @@ class TestStagedInboxes:
             assert all(h[0] == segment for h in staged.handles)
             # Deduplicated by identity, not by value: three spans.
             spans = {e[1:] for _seg, entries in staged.handles for e in entries}
-            assert sorted(ln for _off, ln in spans) == sorted(map(len, (a, b, b)))
+            assert len(spans) == 3
             resolver = InboxResolver()
             resolved = [resolver.resolve(h) for h in staged.handles]
-            assert resolved == inboxes
+            for got, want in zip(resolved, inboxes):
+                assert [src for src, _ in got] == [src for src, _ in want]
+                for (_s, rec), (_t, original) in zip(got, want):
+                    # Bitwise: values, positions, nbytes, mode.
+                    assert _records_equal(rec, original)
+                    assert not rec.values.flags.writeable
+                    assert rec.positions is None or not rec.positions.flags.writeable
             # One materialisation per span per resolver.
             assert resolved[1][0][1] is resolved[2][0][1]
+            del resolved, rec
         finally:
             staged.release()
             staged.release()
@@ -479,6 +507,108 @@ class TestStagedInboxes:
         # Nothing delivered (N=1): nothing staged.
         empty = StagedInboxes([[]], shared=True)
         assert outstanding_segments() == [] and empty.handles == [(None, [])]
+
+    def test_all_updated_record_stages_no_positions(self):
+        from repro.comm.messages import pack_update
+        from repro.runtime.shm import StagedInboxes
+
+        recs = _staged_records()
+        everything, dense = recs["all"], recs["dense"]
+        assert everything.positions is None
+        staged = StagedInboxes([[(1, everything)], [(0, dense)]], shared=True)
+        try:
+            (_seg, [(_src, _off, length)]) = staged.handles[0]
+            # Header and values, nothing else.
+            assert length == len(pack_update(everything))
+            assert length == 32 + 8 * everything.num_vertices
+            # A dense record's positions travel as its bitmask, no larger
+            # than the wire's.
+            (_seg, [(_src, _off, length)]) = staged.handles[1]
+            assert length == 32 + 8 * dense.values.size + (300 + 7) // 8
+        finally:
+            staged.release()
+
+    def test_empty_update_and_next_record_get_distinct_spans(self):
+        """A record that updated nothing still has a header, so the
+        record staged after it starts elsewhere — a memo keyed by
+        offset cannot hand one's arrays (or nbytes) to the other."""
+        from repro.comm import stage_update
+        from repro.runtime.shm import InboxResolver, StagedInboxes
+
+        nothing = stage_update(np.arange(40.0), np.zeros(0, dtype=np.int64), "zlib1")
+        recs = _staged_records()
+        inboxes = [[(1, nothing), (2, recs["sparse"])], [(0, recs["dense"])]]
+        staged = StagedInboxes(inboxes, shared=True)
+        try:
+            (o1, l1), (o2, l2) = [e[1:] for e in staged.handles[0][1]]
+            assert l1 > 0 and o1 + l1 <= o2
+            assert o1 % 8 == o2 % 8 == 0
+            resolver = InboxResolver()
+            got = resolver.resolve(staged.handles[0])
+            assert got[0][1].values.size == got[0][1].positions.size == 0
+            assert _records_equal(got[0][1], nothing)
+            assert _records_equal(got[1][1], recs["sparse"])
+            del got
+        finally:
+            staged.release()
+
+    def test_segment_unlinked_after_the_phase(self, skewed, monkeypatch):
+        """Every superstep of a process run stages its inboxes in a new
+        segment, and each is unlinked as soon as its apply phase
+        returns: none can be attached afterwards."""
+        from repro.runtime import shm
+
+        names = []
+        init = shm.StagedInboxes.__init__
+
+        def recording(self, inboxes, shared):
+            init(self, inboxes, shared)
+            names.append(self._arena.name)
+
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        monkeypatch.setattr(shm.StagedInboxes, "__init__", recording)
+        result, _ = _run(
+            skewed, PageRank(), MPEConfig(executor="process", num_workers=2),
+            max_supersteps=4,
+        )
+        assert result.executor == "process"
+        assert len(set(names)) == result.num_supersteps
+        assert outstanding_segments() == []
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shm.attach_segment(name)
+
+    def test_resolver_closes_each_old_attachment(self):
+        """Three supersteps through one resolver: moving to a new
+        segment drops the old one's views and closes its attachment —
+        no ``BufferError`` — and nothing stays attached or staged."""
+        from repro.runtime.shm import InboxResolver, StagedInboxes
+
+        recs = _staged_records()
+        resolver = InboxResolver()
+        attachments = []
+        for _superstep in range(3):
+            staged = StagedInboxes(
+                [[(1, recs["sparse"]), (2, recs["all"])], [(0, recs["dense"])]],
+                shared=True,
+            )
+            try:
+                for handle in staged.handles:
+                    # What an apply does with its inbox: read each record
+                    # and let go of it.
+                    assert all(
+                        rec.values.size == rec.num_vertices
+                        or rec.values.size == rec.positions.size
+                        for _src, rec in resolver.resolve(handle)
+                    )
+                attachments.append(resolver._attached[1])
+            finally:
+                staged.release()
+            assert outstanding_segments() == []
+            # Every earlier attachment is closed; the current one is open.
+            assert all(a.buf is None for a in attachments[:-1])
+            assert attachments[-1].buf is not None
+        assert len({id(a) for a in attachments}) == 3
 
 
 class TestServerStateIdentity:
@@ -807,22 +937,36 @@ class TestStaticLayout:
             mpe.cluster.close()
 
 
-def _oracle_apply(mpe, store, counters, own_update, inbox):
+def _oracle_apply(mpe, store, counters, own_update, wires):
     """The concatenated reference for one server's barrier work: decode
-    every envelope without the decode-once cache, translate each
-    sender's positions through its target index, and land the own
-    update and every sender's in one ``store.write``."""
+    every sender's wire message, translate its positions through the
+    sender's target index, and land the own update and every sender's
+    in one ``store.write``, charging each message's decompress."""
     from repro.comm import decode_update
 
     codec = mpe._knobs.message_codec
     id_parts, val_parts = [own_update[0]], [own_update[1]]
-    for src, payload_bytes in inbox:
-        payload = decode_update(payload_bytes)
-        id_parts.append(mpe._server_target_ids[src][payload.ids])
+    for src, wire in wires:
+        payload = decode_update(wire)
+        id_parts.append(payload.select(mpe._server_target_ids[src]))
         val_parts.append(payload.values)
         if codec != "raw":
-            counters.add_decompressed(codec, len(payload_bytes))
+            counters.add_decompressed(codec, len(wire))
     store.write(np.concatenate(id_parts), np.concatenate(val_parts))
+
+
+def _check_apply(mpe, apply, server, own, inbox, wires):
+    """``apply`` (the engine's apply step) of ``inbox`` (records)
+    leaves ``server``'s store and Counters where :func:`_oracle_apply`
+    of ``wires`` (the same broadcasts as bytes) leaves copies of them."""
+    import copy
+
+    store = copy.deepcopy(server.state["store"])
+    counters = copy.deepcopy(server.counters)
+    _oracle_apply(mpe, store, counters, own, wires)
+    apply(server, own, inbox)
+    assert _store_content(server.state["store"]) == _store_content(store)
+    assert server.counters.snapshot() == counters.snapshot()
 
 
 @pytest.fixture(scope="module")
@@ -839,17 +983,44 @@ def _store_content(store):
     return values.tobytes()
 
 
+def _update_rows(rng, n, shape):
+    """Positions of an update of ``shape`` over ``n`` targets."""
+    if shape == "none":
+        return np.zeros(0, dtype=np.int64)
+    if shape == "one":
+        return np.array([int(rng.integers(n))])
+    if shape == "all":
+        return np.arange(n)
+    share = {"sparse": 0.05, "some": 0.4, "dense": 0.9}[shape]
+    return np.flatnonzero(rng.random(n) < share)
+
+
+def _records_equal(a, b) -> bool:
+    """Two update records carry the same update, bit for bit."""
+    if (a.positions is None) != (b.positions is None):
+        return False
+    if a.positions is not None and (
+        a.positions.dtype != b.positions.dtype
+        or a.positions.tobytes() != b.positions.tobytes()
+    ):
+        return False
+    return (a.values.dtype, a.values.tobytes(), a.num_vertices, a.mode, a.nbytes) == (
+        b.values.dtype, b.values.tobytes(), b.num_vertices, b.mode, b.nbytes
+    )
+
+
 class TestDecodeOnceApply:
-    """How a broadcast is applied: each payload decoded once per
-    superstep and shared across receivers, every receiver still charged
-    its own decompress bytes, each sender written where it lands — and
-    the result the one concatenated scatter per receiver would leave."""
+    """How a broadcast is applied: each sender's record — its update
+    plus the length of the wire message that would carry it — goes to
+    every receiver as is, nothing decodes, every receiver is still
+    charged its own decompress bytes, each sender is written where it
+    lands — and the result is the one a receiver that decoded the wire
+    bytes and made one concatenated scatter would leave."""
 
     @pytest.fixture(autouse=True)
     def _configured_executor(self, monkeypatch):
-        """Each test here pins its executor (exact decode counts and
-        the in-process differential are serial facts; each forked
-        worker has its own decode cache), so CI's forcing flag must not
+        """Each test here pins its executor (the in-process
+        differential is a serial fact), so CI's forcing flag must not
         override it."""
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
 
@@ -858,8 +1029,9 @@ class TestDecodeOnceApply:
     def test_matches_per_sender_oracle(self, skewed, policy, codec):
         """Differential: on every (own_update, inbox) of real 3-server
         supersteps, the engine leaves the store and the receiver's
-        Counters exactly where the concatenated oracle does."""
-        import copy
+        Counters exactly where the oracle decoding each record's wire
+        message does."""
+        from tests.test_mpe_golden import wire_of
 
         mpe = _engine(
             skewed,
@@ -871,14 +1043,9 @@ class TestDecodeOnceApply:
         checked = []
 
         def differential(server, own_update, inbox):
-            store = copy.deepcopy(server.state["store"])
-            counters = copy.deepcopy(server.counters)
-            _oracle_apply(mpe, store, counters, own_update, inbox)
-            decoded = engine_apply(server, own_update, inbox)
-            assert _store_content(server.state["store"]) == _store_content(store)
-            assert server.counters.snapshot() == counters.snapshot()
+            wires = [(src, wire_of(rec, codec)) for src, rec in inbox]
+            _check_apply(mpe, engine_apply, server, own_update, inbox, wires)
             checked.append(len(inbox))
-            return decoded
 
         mpe._apply_server_step = differential
         try:
@@ -888,26 +1055,70 @@ class TestDecodeOnceApply:
         # Every receiver of every superstep, each with a full inbox.
         assert checked == [2] * (3 * result.num_supersteps)
 
+    @pytest.mark.parametrize(
+        "shape", ["none", "one", "sparse", "dense", "all"]
+    )
+    @pytest.mark.parametrize("codec", ["raw", "snappylike", "zlib1", "zlib3"])
+    @pytest.mark.parametrize("comm_mode", ["hybrid", "dense", "sparse"])
+    def test_record_matches_its_wire(self, apply_engine, comm_mode, codec, shape):
+        """Record ↔ wire: a staged record's ``nbytes`` is its wire
+        message's length, decoding that message yields the record bit
+        for bit, and applying records leaves AA and OD stores and the
+        Counters where decoding the messages does."""
+        from repro.comm import decode_update, stage_update
+        from repro.core.vertexstore import AllInAllStore, OnDemandStore
+        from repro.tuning.plan import KnobSettings
+
+        mpe = apply_engine
+        mpe._knobs = KnobSettings.of(MPEConfig(message_codec=codec))
+        mode = {"hybrid": None, "dense": DENSE, "sparse": SPARSE}[comm_mode]
+        rng = np.random.default_rng(len(shape) * 7 + len(codec))
+        targets = mpe._server_target_ids
+        inbox, wires = [], []
+        for src in (1, 2):
+            staged = rng.standard_normal(targets[src].size)
+            rows = _update_rows(rng, targets[src].size, shape)
+            wire = encode_update(staged, rows, codec, mode=mode)
+            record = stage_update(staged, rows, codec, mode=mode)
+            assert record.nbytes == len(record) == len(wire)
+            assert _records_equal(decode_update(wire), record)
+            assert (record.positions is None) == (shape == "all")
+            inbox.append((src, record))
+            wires.append((src, wire))
+        nv = mpe.manifest.num_vertices
+        init = rng.standard_normal(nv)
+        own_rows = _update_rows(rng, targets[0].size, "some")
+        own = (targets[0][own_rows], rng.standard_normal(own_rows.size))
+        server = mpe.cluster.servers[0]
+        extra = np.flatnonzero(rng.random(nv) < 0.5)
+        for store in (
+            AllInAllStore(init, None),
+            OnDemandStore(init, None, np.concatenate([targets[0], extra])),
+        ):
+            server.state["store"] = store
+            _check_apply(mpe, mpe._apply_server_step, server, own, inbox, wires)
+
     @settings(max_examples=40, deadline=None)
     @given(
         kinds=st.lists(
-            st.sampled_from(["none", "some", "all"]), min_size=2, max_size=2
+            st.sampled_from(["none", "one", "sparse", "some", "dense", "all"]),
+            min_size=2,
+            max_size=2,
         ),
         mode=st.sampled_from([DENSE, SPARSE, None]),
-        codec=st.sampled_from(["raw", "snappylike"]),
+        codec=st.sampled_from(["raw", "snappylike", "zlib1"]),
         seed=st.integers(0, 2**16),
     )
     @pytest.mark.parametrize("policy", ["aa", "od"])
     def test_per_sender_apply_equals_the_concatenated_apply(
         self, apply_engine, policy, kinds, mode, codec, seed
     ):
-        """Random inboxes — senders updating nothing, some or all of
-        their targets (the last written through the target index
-        itself), in every wire mode — into AA and OD stores: the engine
-        leaves the store bytes and the Counters where the concatenated
-        oracle does."""
-        import copy
-
+        """Random inboxes of records — senders updating nothing, one,
+        some or all of their targets (the last written through the
+        target index itself), in every wire mode — into AA and OD
+        stores: the engine leaves the store bytes and the Counters where
+        the oracle decoding the same broadcasts' wire bytes does."""
+        from repro.comm import stage_update
         from repro.core.vertexstore import AllInAllStore, OnDemandStore
         from repro.tuning.plan import KnobSettings
 
@@ -924,59 +1135,70 @@ class TestDecodeOnceApply:
             # vertices left out must be ignored.
             extra = np.flatnonzero(rng.random(nv) < 0.5)
             store = OnDemandStore(init, None, np.concatenate([targets[0], extra]))
-
-        def subset(n, kind):
-            if kind == "all":
-                return np.arange(n)
-            if kind == "none":
-                return np.zeros(0, dtype=np.int64)
-            return np.flatnonzero(rng.random(n) < 0.4)
-
-        own_rows = subset(targets[0].size, "some")
+        own_rows = _update_rows(rng, targets[0].size, "some")
         own = (targets[0][own_rows], rng.standard_normal(own_rows.size))
-        inbox = []
+        inbox, wires = [], []
         for src, kind in zip((1, 2), kinds):
             staged = rng.standard_normal(targets[src].size)
-            rows = subset(targets[src].size, kind)
-            inbox.append((src, encode_update(staged, rows, codec, mode=mode)))
+            rows = _update_rows(rng, targets[src].size, kind)
+            inbox.append((src, stage_update(staged, rows, codec, mode=mode)))
+            wires.append((src, encode_update(staged, rows, codec, mode=mode)))
         server = mpe.cluster.servers[0]
-        oracle_store = copy.deepcopy(store)
-        oracle_counters = copy.deepcopy(server.counters)
-        _oracle_apply(mpe, oracle_store, oracle_counters, own, inbox)
         server.state["store"] = store
-        mpe._decode_cache.clear()
-        mpe._apply_server_step(server, own, inbox)
-        assert _store_content(store) == _store_content(oracle_store)
-        assert server.counters.snapshot() == oracle_counters.snapshot()
+        _check_apply(mpe, mpe._apply_server_step, server, own, inbox, wires)
 
-    def test_decode_counts_exact(self, skewed):
-        """Serial executor, N=3 servers: each of the S·N broadcast
-        payloads is decoded exactly once; its other N−2 receivers hit."""
-        n = 3
-        result, _ = _run(
-            skewed, PageRank(), MPEConfig(executor="serial"), max_supersteps=8
-        )
-        steps = result.num_supersteps
-        assert result.payload_decode_misses == steps * n
-        assert result.payload_decode_hits == steps * n * (n - 2)
-        runtime = result.runtime()
-        assert runtime["payload_decode_misses"] == steps * n
-        assert runtime["payload_decode_hits"] == result.payload_decode_hits
+    def test_decode_counts_exact(self, skewed, monkeypatch):
+        """No executor decodes: a run under serial, thread and process
+        transports makes no ``decode_update`` call (a forked worker
+        would fail its phase on the raising stand-in)."""
+        from repro.comm import messages
 
-    def test_decode_counts_are_per_run(self, skewed):
-        """Host telemetry is zeroed at the top of run(): the second job
-        on a warm engine reports its own counts, not the running sum."""
+        calls = []
+
+        def refusing(data):
+            calls.append(len(data))
+            raise AssertionError("a run decoded a broadcast")
+
+        monkeypatch.setattr(messages, "decode_update", refusing)
+        executors = ["serial", "parallel"]
+        if process_runtime_available():
+            executors.append("process")
+        clean = None
+        for executor in executors:
+            result, _ = _run(
+                skewed,
+                PageRank(),
+                MPEConfig(executor=executor, num_workers=2, num_threads=2),
+                max_supersteps=8,
+            )
+            assert result.executor == executor
+            if clean is None:
+                clean = result.values
+            assert np.array_equal(result.values, clean)
+        assert calls == []
+
+    def test_decode_counts_are_per_run(self, skewed, monkeypatch):
+        """A warm engine's second run delivers the same broadcasts as
+        its first: the same ``(sender, nbytes, mode)`` sequence."""
+        from repro.comm.channel import Channel
+
+        log = []
+        broadcast = Channel.broadcast
+
+        def recording(self, src, payload):
+            log.append((src, payload.nbytes, payload.mode))
+            broadcast(self, src, payload)
+
+        monkeypatch.setattr(Channel, "broadcast", recording)
         mpe = _engine(skewed, max_supersteps=6)
         try:
-            first = mpe.run(PageRank())
-            second = mpe.run(PageRank())
+            mpe.run(PageRank())
+            first = log[:]
+            log.clear()
+            mpe.run(PageRank())
         finally:
             mpe.cluster.close()
-        assert first.payload_decode_misses > 0 and first.payload_decode_hits > 0
-        assert (second.payload_decode_hits, second.payload_decode_misses) == (
-            first.payload_decode_hits,
-            first.payload_decode_misses,
-        )
+        assert first and log == first
 
     @needs_process
     def test_single_server_stages_no_segment(self, skewed, monkeypatch):
@@ -1017,9 +1239,9 @@ class TestDecodeOnceApply:
             mpe.cluster.close()
 
     def test_lost_broadcast_not_masked_by_cache(self, skewed):
-        """A dropped broadcast envelope must still be *lost* — the
-        decode cache shares decoded payloads, never delivery — so the
-        supervisor detects the divergence, restarts, and the retry is
+        """A dropped broadcast envelope must still be *lost* — receivers
+        share a sender's record, never its delivery — so the supervisor
+        detects the divergence, restarts, and the retry is
         byte-identical to the clean run."""
         from repro.faults import MSG_DROP, FaultEvent, FaultSchedule
 
