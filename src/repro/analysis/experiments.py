@@ -178,24 +178,6 @@ def cluster_memory_paper_gb(cluster: Cluster, tier: str) -> float:
     return total * tier_divisor(tier) / GB
 
 
-def peak_memory_paper_gb(cluster: Cluster, tier: str) -> float:
-    """Max per-server peak memory at paper scale, in GB (Figure 6b)."""
-    return cluster.max_server_memory_peak() * tier_divisor(tier) / GB
-
-
-def would_oom(cluster: Cluster, tier: str) -> bool:
-    """Whether the busiest server's paper-scale memory exceeds 128 GB.
-
-    The paper's motivation (§I): "the input graph and intermediate
-    messages can easily exceed the memory limit of a small-scale
-    cluster, leading to significant performance degradation or even
-    program crashes" — which is why Figures 9c/9d run no in-memory
-    system on UK-2014/EU-2015.
-    """
-    per_server = cluster.max_server_memory_peak() * tier_divisor(tier)
-    return per_server > cluster.spec.memory_bytes
-
-
 # ----------------------------------------------------------------------
 # Table I — datasets
 # ----------------------------------------------------------------------

@@ -33,7 +33,8 @@ class ServerMirror:
     are a pure function of the key list and the remembered sizes, so
     the parent rebuilds them when the workers are gone —
     :meth:`Server.restore_mirrored_content`).  No tile data and no
-    store arrays: those live in shared memory.
+    store arrays: the stores live in shared memory, and every tile the
+    parent lacks is on the server's own disk.
     """
 
     volumes: Counters
@@ -152,8 +153,12 @@ class Server:
         single-process run would have left them, so a later run — a
         supervised retry, the next program on this cluster — meters the
         same under every executor.  The edge cache is rebuilt from the
-        sizes the worker shipped, with no read and no codec; the decoded
-        tiles are re-parsed."""
+        sizes the worker shipped, with no read and no codec.  A decoded
+        tile the parent already holds is taken as is: inside a run the
+        decoded cache only gains entries (blobs are written by the
+        parent, between runs, and a write invalidates), so the worker's
+        entry under that key is the parent's.  Only tiles the worker
+        decoded for the first time are read and parsed."""
         if self._mirrored_keys is None:
             return
         cache_keys, decoded_keys = self._mirrored_keys
@@ -163,8 +168,11 @@ class Server:
         if self.decoded_cache is not None:
             items = []
             for name in decoded_keys:
-                data = self.disk.peek(name)
-                items.append((name, parser(data), len(data)))
+                held = self.decoded_cache.peek(name)
+                if held is None:
+                    data = self.disk.peek(name)
+                    held = (parser(data), len(data))
+                items.append((name, *held))
             self.decoded_cache.rebuild_content(items)
 
     def attach_cache(self, capacity_bytes: int, mode: int) -> EdgeCache:

@@ -73,11 +73,6 @@ class ClusterSpec:
         """Workers across the whole cluster (the paper's ``T * N``)."""
         return self.num_servers * self.workers_per_server
 
-    @property
-    def total_memory_bytes(self) -> int:
-        """Aggregate cluster memory."""
-        return self.num_servers * self.memory_bytes
-
     def with_servers(self, num_servers: int) -> "ClusterSpec":
         """Copy of this spec at a different cluster width."""
         return replace(self, num_servers=num_servers)

@@ -68,13 +68,7 @@ from repro.partition.tiles import (
 )
 from repro.runtime import make_executor, process_runtime_available
 from repro.runtime.active import ActiveBitmap, SourceHeads, TileSourceSummary
-from repro.runtime.shm import (
-    ArenaDisk,
-    InboxResolver,
-    SharedAllocator,
-    StagedInboxes,
-    front_disks,
-)
+from repro.runtime.shm import InboxResolver, SharedAllocator, StagedInboxes
 from repro.storage.backing import BackingStore
 from repro.storage.cache import cache_plan
 from repro.storage.codecs import CACHE_MODES, CODECS
@@ -532,7 +526,7 @@ class MPE:
         ebuf.begin("run", "run", program=program.name)
         cfg = self.config
         servers = self.cluster.servers
-        # Run-scoped shared-memory state (stores, blob arena) is torn
+        # Run-scoped shared-memory state (the stores) is torn
         # down LIFO in the finally below — on every path, including
         # injected faults and KeyboardInterrupt, so no SharedMemory
         # segment outlives the run.
@@ -555,9 +549,14 @@ class MPE:
             reports: list[SuperstepReport] = []
             converged = False
             if executor.forks:
-                self._start_process_pool(executor, cleanup)
-            else:
-                executor.start(self._phase_handler, len(servers))
+                # Cache contents live in the workers while the pool
+                # runs; the parent's copies are rebuilt at teardown.
+                cleanup.append(self._resync_parent_caches)
+            executor.start(
+                self._phase_handler,
+                len(servers),
+                child_init=self._process_child_init,
+            )
 
             for superstep in range(prep.start_superstep, cfg.max_supersteps):
                 t0 = time.perf_counter()
@@ -1083,41 +1082,6 @@ class MPE:
                     skipped.append((tile_id, "bloom"))
             schedule.append(_ServerSchedule(tuple(run), tuple(skipped)))
         return schedule
-
-    def _start_process_pool(self, executor, cleanup: list) -> None:
-        """Stage shared-memory state and fork the worker pool.
-
-        Everything big becomes shared *before* the fork — the vertex
-        stores already are (:meth:`_build_stores`), and here all tile
-        blobs (one read-only arena fronting each server's disk with
-        unchanged metering) join them.  Per-phase dispatch then ships
-        only plain data down and the handler's result plus a
-        :class:`~repro.cluster.server.ServerMirror` back.  Teardown
-        actions are pushed onto ``cleanup`` (run LIFO by ``run``'s
-        finally).
-        """
-        servers = self.cluster.servers
-
-        # Tile blobs: one shared read-only arena; every server's disk is
-        # fronted by an arena view with byte-identical metering, so
-        # worker tile loads touch shared pages instead of per-process
-        # file reads.  When a long-lived owner (the service engine) has
-        # already fronted every disk with an ArenaDisk, its warm arena
-        # is inherited as-is: no per-run blob copy, and the segments —
-        # owned by the engine, not this run — survive the teardown.
-        if not all(isinstance(s.disk, ArenaDisk) for s in servers):
-            _arena, restore_disks = front_disks(servers, self._assignments)
-            cleanup.append(restore_disks)
-
-        # Cache contents live in the workers while the pool runs; the
-        # parent's copies are rebuilt at teardown (runs first — LIFO —
-        # while the arena still fronts the disks).
-        cleanup.append(self._resync_parent_caches)
-        executor.start(
-            self._phase_handler,
-            len(servers),
-            child_init=self._process_child_init,
-        )
 
     def _process_child_init(self) -> None:
         """Runs once in each forked worker: detach parent-only machinery.

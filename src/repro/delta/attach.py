@@ -131,8 +131,8 @@ class EvolvingGraph:
             # DFS is the system of record: a crash respawn refetches
             # manifest.tile_path(tile_id), which must now hold the
             # merged bytes.  The local blob gets a *versioned* name so
-            # stale cached/arena entries under the old name can never
-            # serve the pre-merge tile.
+            # stale cached entries under the old name can never serve
+            # the pre-merge tile.
             mpe.cluster.dfs.write(mpe.manifest.tile_path(tile_id), blob)
             mpe.tile_home(tile_id)[0].store_blob(name, blob)
             renamed[tile_id] = (name, len(blob))

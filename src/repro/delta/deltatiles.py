@@ -1,8 +1,8 @@
 """Per-tile delta overlays: mutations compacted against immutable tiles.
 
-The SPE's base tiles never change after preprocessing — they may be
-resident in a long-lived :class:`repro.runtime.shm.SharedBlobArena`
-shared by forked workers, so rewriting them in place is off the table.
+The SPE's base tiles are not rewritten per batch — each server's
+decoded tiles, the edge cache's remembered blob sizes and the schedule
+summaries are all derived from them.
 Instead, pending mutations compact into one :class:`TileOverlay` per
 affected tile (a tile owns the in-edges of its target range, so a
 mutation lands in the tile owning ``dst``).  At load time the engine's
@@ -20,8 +20,8 @@ reproducible across serial/thread/process sweeps and fault replays.
 A threshold-driven **merge** (driven by the engine, see
 ``MPE.apply_mutations``) rewrites a tile whose overlay grew past
 ``merge_ratio`` × its base edge count into a fresh *versioned* blob and
-empties the overlay; the old base blob stays untouched wherever it is
-shared.
+empties the overlay; the old base blob stays untouched on its server's
+disk.
 """
 
 from __future__ import annotations
@@ -112,26 +112,6 @@ class TileOverlay:
         self.deletes[pair] = self.deletes.get(pair, 0) + 1
 
     # -- composition ---------------------------------------------------
-    def validate_against(self, base: Tile) -> None:
-        """Every base deletion must have enough instances to remove."""
-        if not self.deletes:
-            return
-        base_keys = self._pair_keys(
-            base.col_int64,
-            np.repeat(base.target_ids, np.diff(base.row_int64)),
-            base.num_graph_vertices,
-        )
-        base_sorted = np.sort(base_keys)
-        for (src, dst), count in sorted(self.deletes.items()):
-            key = np.int64(src) * base.num_graph_vertices + dst
-            lo = int(np.searchsorted(base_sorted, key, side="left"))
-            hi = int(np.searchsorted(base_sorted, key, side="right"))
-            if hi - lo < count:
-                raise ValueError(
-                    f"tile {self.tile_id}: cannot delete {count} instance(s) "
-                    f"of edge ({src}, {dst}); only {hi - lo} present"
-                )
-
     @staticmethod
     def _pair_keys(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:
         if num_vertices >= 2**31:
@@ -141,7 +121,11 @@ class TileOverlay:
         ) + dst.astype(np.int64, copy=False)
 
     def compose(self, base: Tile) -> Tile:
-        """``overlay ∘ base`` as a fresh, canonically-ordered tile."""
+        """``overlay ∘ base`` as a fresh, canonically-ordered tile.
+
+        Raises ``ValueError`` when a deletion names more instances of an
+        edge than the base holds — the batch validation
+        (:meth:`DeltaStore.compact` composes before it commits)."""
         if self.is_empty:
             return base
         n_vertices = base.num_graph_vertices
@@ -369,8 +353,11 @@ class DeltaStore:
             by_tile.setdefault(self.tile_of(mut.dst), []).append(mut)
 
         # Stage per tile first: validation failures must leave the
-        # store untouched (no partial batch application).
-        staged: dict[int, TileOverlay] = {}
+        # store untouched (no partial batch application).  Each base is
+        # loaded once; composing validates the overlay against it (a
+        # deletion without enough base instances raises), and only the
+        # composed tile and the base's edge count are kept.
+        staged: dict[int, tuple[TileOverlay, Tile, int]] = {}
         for tile_id in sorted(by_tile):
             overlay = self.overlays.get(tile_id)
             trial = TileOverlay(tile_id)
@@ -379,10 +366,11 @@ class DeltaStore:
                 trial.deletes = dict(overlay.deletes)
             for mut in by_tile[tile_id]:
                 trial.apply(mut)
-            trial.validate_against(load_base(tile_id))
-            staged[tile_id] = trial
+            base = load_base(tile_id)
+            composed = base if trial.is_empty else trial.compose(base)
+            staged[tile_id] = (trial, composed, base.num_edges)
 
-        for tile_id, trial in staged.items():
+        for tile_id, (trial, _composed, _base_edges) in staged.items():
             if trial.is_empty:
                 self.overlays.pop(tile_id, None)
             else:
@@ -400,16 +388,13 @@ class DeltaStore:
         self.watermark = pending[-1].mut_id
         self.compactions += 1
 
-        for tile_id in sorted(staged):
-            base = load_base(tile_id)
-            overlay = self.overlays.get(tile_id)
-            composed = overlay.compose(base) if overlay is not None else base
+        for tile_id, (trial, composed, base_edges) in staged.items():
             result.affected.append(tile_id)
             result.composed[tile_id] = composed
-            if overlay is not None:
-                result.overlay_bytes += overlay.nbytes()
-                result.overlay_edges += overlay.num_ops
-                if overlay.num_ops >= self.merge_ratio * max(1, base.num_edges):
+            if not trial.is_empty:
+                result.overlay_bytes += trial.nbytes()
+                result.overlay_edges += trial.num_ops
+                if trial.num_ops >= self.merge_ratio * max(1, base_edges):
                     result.merged.append(tile_id)
         return result
 

@@ -16,7 +16,7 @@ Design notes
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -80,9 +80,6 @@ class MiniCluster:
                 partitions[i] = items[bounds[i] : bounds[i + 1]]
         return Dataset(self, partitions)
 
-    def from_partitions(self, partitions: Sequence[list[Any]]) -> "Dataset":
-        """Wrap pre-built partitions without copying."""
-        return Dataset(self, [list(p) for p in partitions])
 
 
 @dataclass
@@ -217,20 +214,6 @@ class Dataset:
         return Dataset(
             self.cluster, [[k for k in bucket] for bucket in buckets]
         )
-
-    def sort_by(self, key_fn: Callable[[Any], Any], reverse: bool = False) -> "Dataset":
-        """Globally sort records onto evenly sized partitions."""
-        records = sorted(self.collect(), key=key_fn, reverse=reverse)
-        parts = self.cluster.num_partitions
-        partitions: list[list[Any]] = [[] for _ in range(parts)]
-        if records:
-            bounds = np.linspace(0, len(records), parts + 1).astype(int)
-            for i in range(parts):
-                partitions[i] = records[bounds[i] : bounds[i + 1]]
-        self.cluster.shuffle_stats.record(
-            len(records), sum(_approx_nbytes(r) for r in records)
-        )
-        return Dataset(self.cluster, partitions)
 
     # ------------------------------------------------------------------
     # Terminal reductions

@@ -54,20 +54,3 @@ def expected_memory_od(
         expected_od_vertices(num_vertices, avg_degree, num_servers)
         * OD_BYTES_PER_VERTEX
     )
-
-
-def aa_od_crossover(
-    num_vertices: int, avg_degree: float, max_servers: int = 256
-) -> int | None:
-    """Smallest ``N`` at which OD becomes cheaper than AA, if any.
-
-    Reproduces Figure 6a's qualitative story: for EU-2015's degree
-    profile the crossover sits around a few dozen servers, so AA is the
-    right call in the small clusters GraphH targets.
-    """
-    for n in range(1, max_servers + 1):
-        if expected_memory_od(num_vertices, avg_degree, n) < expected_memory_aa(
-            num_vertices, n
-        ):
-            return n
-    return None

@@ -21,9 +21,7 @@ from repro.runtime.prefetch import (
 )
 from repro.runtime.process import ProcessExecutor, default_num_workers
 from repro.runtime.shm import (
-    ArenaDisk,
     SharedArray,
-    SharedBlobArena,
     outstanding_segments,
     process_runtime_available,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "ParallelExecutor",
     "ProcessExecutor",
     "SharedArray",
-    "SharedBlobArena",
-    "ArenaDisk",
     "PrefetchedLoad",
     "TilePrefetcher",
     "speculate_load",

@@ -1,11 +1,13 @@
 """Shared-memory substrate for the process executor.
 
-The process runtime keeps every large array — vertex values, degree
-arrays, tile blobs — in POSIX shared memory
-(:mod:`multiprocessing.shared_memory`) created *before* the worker pool
-forks.  Workers inherit the mappings and operate on them zero-copy;
-per-superstep dispatch ships only small handles and compact results,
-never pickled megabyte payloads.
+The process runtime keeps the vertex stores — values and degree
+arrays — in POSIX shared memory (:mod:`multiprocessing.shared_memory`)
+created *before* the worker pool forks, and stages each superstep's
+drained inboxes in one more segment for the apply dispatch.  Workers
+inherit the store mappings and operate on them zero-copy; per-superstep
+dispatch ships only small handles and compact results, never pickled
+megabyte payloads.  Tile blobs are not shared: a worker reads its
+server's own local disk, as the parent does.
 
 Every segment created through :class:`SharedArray` is tracked in a
 process-local registry so tests can assert nothing leaked
@@ -19,22 +21,17 @@ from __future__ import annotations
 import itertools
 import os
 import sys
-from typing import Iterable
 
 import numpy as np
 
 from repro.comm.messages import pack_update, packed_size, unpack_update
-from repro.storage.disk import LocalDisk
 
 __all__ = [
     "SharedAllocator",
     "SharedArray",
-    "SharedBlobArena",
-    "ArenaDisk",
     "InboxResolver",
     "StagedInboxes",
     "attach_segment",
-    "front_disks",
     "outstanding_segments",
     "process_runtime_available",
     "segment_prefix",
@@ -260,129 +257,3 @@ class InboxResolver:
                 rec = memo[(off, ln)] = unpack_update(shm.buf[off : off + ln])
             inbox.append((src, rec))
         return inbox
-
-
-class SharedBlobArena:
-    """Read-only blob bytes concatenated into one shared segment.
-
-    Tile blobs are immutable after setup; placing them all in a single
-    shared mapping means worker tile loads touch the same physical pages
-    as the parent instead of each process paging its own file reads.
-    The arena is a *host-side* placement detail: metered disk traffic is
-    unchanged (see :class:`ArenaDisk`).
-    """
-
-    def __init__(self, blobs: Iterable[tuple[str, bytes]]) -> None:
-        items = list(blobs)
-        total = sum(len(data) for _, data in items)
-        self._sh = SharedArray((max(1, total),), np.uint8)
-        self._offsets: dict[str, tuple[int, int]] = {}
-        view = self._sh.array
-        cursor = 0
-        for name, data in items:
-            n = len(data)
-            view[cursor : cursor + n] = np.frombuffer(data, dtype=np.uint8)
-            self._offsets[name] = (cursor, n)
-            cursor += n
-        view.setflags(write=False)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._offsets
-
-    def get(self, name: str) -> bytes | None:
-        """Blob bytes (a private copy, like a disk read into a buffer),
-        or None if the arena does not hold this name."""
-        span = self._offsets.get(name)
-        if span is None:
-            return None
-        off, n = span
-        return bytes(self._sh.array[off : off + n])
-
-    @property
-    def nbytes(self) -> int:
-        return int(self._sh.array.nbytes)
-
-    def release(self) -> None:
-        self._sh.release()
-
-
-class ArenaDisk(LocalDisk):
-    """A server's local disk with reads served from a shared arena.
-
-    Byte-for-byte the same accounting as :class:`LocalDisk` — the meters
-    advance identically and misses (blobs written after the arena was
-    built, e.g. by a respawn) fall through to the real files.  Installed
-    on each server for the duration of one process-executor run.  The
-    write generations are the wrapped disk's own map, not a copy: a
-    size the edge cache learned on either disk is checked against every
-    write made through both, and a blob written again since the arena
-    was built is read from its file, not from the arena's old copy.
-    """
-
-    def __init__(self, inner: LocalDisk, arena: SharedBlobArena) -> None:
-        super().__init__(inner.root)
-        self._inner = inner
-        self._arena = arena
-        self.generations = inner.generations
-        self._fronted = dict(inner.generations)
-        # Continue the wrapped disk's meters so deltas span the swap.
-        self.bytes_read = inner.bytes_read
-        self.bytes_written = inner.bytes_written
-        self.read_ops = inner.read_ops
-        self.write_ops = inner.write_ops
-
-    def _shared(self, name: str) -> bytes | None:
-        """The arena's copy of blob ``name``, if it still is the blob."""
-        if self.generation(name) != self._fronted.get(name, 0):
-            return None
-        return self._arena.get(name)
-
-    def read(self, name: str) -> bytes:
-        data = self._shared(name)
-        if data is None:
-            return super().read(name)
-        self.bytes_read += len(data)
-        self.read_ops += 1
-        return data
-
-    def peek(self, name: str) -> bytes:
-        """Unmetered read served from the shared arena when possible —
-        the prefetch pipeline's speculation path inside forked workers."""
-        data = self._shared(name)
-        if data is None:
-            return super().peek(name)
-        return data
-
-    def restore(self) -> LocalDisk:
-        """Hand the meters back to the wrapped disk and return it."""
-        self._inner.bytes_read = self.bytes_read
-        self._inner.bytes_written = self.bytes_written
-        self._inner.read_ops = self.read_ops
-        self._inner.write_ops = self.write_ops
-        return self._inner
-
-
-def front_disks(servers, assignments):
-    """Front every server's disk with one shared read-only arena of its
-    tile blobs (``assignments[i]``: server ``i``'s ``(tile id, blob
-    name, nbytes)`` entries), metering unchanged.  Returns the arena and
-    the undo: disks restored with their meters handed back, arena
-    released."""
-    arena = SharedBlobArena(
-        (name, server.disk.peek(name))
-        for server, tiles in zip(servers, assignments)
-        for _tile_id, name, _nbytes in tiles
-        if server.disk.exists(name)
-    )
-    fronted = [(server, server.disk) for server in servers]
-    for server, disk in fronted:
-        server.disk = ArenaDisk(disk, arena)
-
-    def restore() -> None:
-        for server, original in fronted:
-            if isinstance(server.disk, ArenaDisk):
-                server.disk.restore()
-            server.disk = original
-        arena.release()
-
-    return arena, restore

@@ -3,15 +3,15 @@
 The GraphD-style deployment of the reproduction: instead of one-shot
 facade calls that rebuild the cluster per run, a long-lived
 :class:`Engine` registers each graph once — cluster build, SPE
-preprocessing, MPE setup, and (where available) a shared warm-tile
-arena — then serves a stream of :class:`JobSpec` requests through a
+preprocessing, MPE setup, and a warm decoded-tile cache — then serves
+a stream of :class:`JobSpec` requests through a
 bounded, priority-classed, tenant-fair queue.
 
 Invariant: with the default ``cache_policy="cold"``, every job's
 values, Counters, CacheStats, and modeled costs are bitwise identical
 to a cold one-shot :class:`repro.core.GraphH` run with the same knobs
 (see :func:`reset_simulation`); the warmth — decoded-tile cache,
-shared arena, setup state — is host-side only.
+setup state — is host-side only.
 
 Front ends: :class:`ServiceClient` in-process, or the socket/JSON
 :class:`ServiceServer` behind ``repro serve`` / ``repro submit`` /

@@ -3,13 +3,11 @@
 GraphH's edge cache exists to amortise tile-load cost across
 supersteps (§IV-B); this engine amortises the whole cold start across
 *jobs*.  Registering a graph builds a :class:`repro.core.ClusterBuild`
-(cluster + SPE preprocessing), runs the engine's setup once (tile
-placement, source summaries, caches), and — on
-platforms with POSIX shared memory — relocates every tile blob into a
-long-lived :class:`repro.runtime.shm.SharedBlobArena` fronting each
-server's disk.  Every subsequent job reuses all of it: no cluster
-construction, no SPE pass, no tile re-fetch, no re-parse (the decoded
-tile cache stays warm), no per-run arena copy for the process executor.
+(cluster + SPE preprocessing) and runs the engine's setup once (tile
+placement, source summaries, caches).  Every subsequent job reuses all
+of it: no cluster construction, no SPE pass, no tile re-fetch, no
+re-parse (the decoded tile cache stays warm, and a warm load reads no
+blob under any executor).
 
 Warm-vs-cold identity
 ---------------------
@@ -118,8 +116,6 @@ class GraphContext:
         self.mpe = mpe
         self.base_config = base_config
         self.lock = threading.Lock()
-        self.arena = None
-        self._unfront = None
         self.jobs_run = 0
         # Last mutation id the state dir holds (journal or snapshot).
         self.logged = 0
@@ -128,28 +124,8 @@ class GraphContext:
     def cluster(self):
         return self.build.cluster
 
-    def install_arena(self) -> bool:
-        """Front every server disk with a shared warm-tile arena.
-
-        The per-run process pool detects the ArenaDisk fronting and
-        inherits it instead of building (and tearing down) its own
-        arena copy.  Reads stay byte-identically metered for every
-        executor.  Returns False when the platform lacks POSIX shm.
-        """
-        from repro.runtime import process_runtime_available
-        from repro.runtime.shm import front_disks
-
-        if process_runtime_available() and self.arena is None:
-            self.arena, self._unfront = front_disks(
-                self.cluster.servers, self.mpe._assignments
-            )
-        return self.arena is not None
-
     def release(self) -> None:
-        """Restore disks, release the arena, tear the cluster down."""
-        if self.arena is not None:
-            self._unfront()
-            self.arena = None
+        """Tear the cluster down."""
         self.build.close()
 
 
@@ -178,9 +154,6 @@ class Engine:
     cache_policy:
         ``"cold"`` (default) pins the warm-vs-cold identity invariant;
         ``"warm"`` keeps the §IV-B edge cache populated across jobs.
-    share_tiles:
-        Front registered graphs' disks with a shared warm-tile arena
-        (default: wherever the process runtime is available).
     """
 
     def __init__(
@@ -192,7 +165,6 @@ class Engine:
         tenant_quota: int | None = None,
         tracer=None,
         cache_policy: str = "cold",
-        share_tiles: bool | None = None,
     ) -> None:
         if cache_policy not in ("cold", "warm"):
             raise ValueError("cache_policy must be 'cold' or 'warm'")
@@ -201,11 +173,6 @@ class Engine:
         self.state_dir = state_dir
         self.tracer = tracer
         self.cache_policy = cache_policy
-        if share_tiles is None:
-            from repro.runtime import process_runtime_available
-
-            share_tiles = process_runtime_available()
-        self.share_tiles = bool(share_tiles)
         self.queue = JobQueue(capacity=capacity, tenant_quota=tenant_quota)
         self._graphs: dict[str, GraphContext] = {}
         self._records: dict[str, JobRecord] = {}
@@ -294,14 +261,12 @@ class Engine:
         mpe.setup()  # the once-per-graph cold start
         ctx = GraphContext(name, build, mpe, base)
         # Replay this graph's persisted mutation log (service restart)
-        # before the arena freezes tile bytes: overlays/merges from
-        # earlier sessions must be visible to every job.  Fixed-point
+        # before the first job: overlays/merges from earlier sessions
+        # must be visible to every job.  Fixed-point
         # memory does not survive a restart — the first incremental job
         # after one fails with a reason until a scratch run completes.
         self._replay_mutlog(ctx)
         ctx.logged = mpe.mutation_log.last_id
-        if self.share_tiles:
-            ctx.install_arena()
         with self._lock:
             self._graphs[name] = ctx
         if self.tracer is not None:
@@ -310,12 +275,11 @@ class Engine:
                 "service",
                 graph=name,
                 num_tiles=manifest.num_tiles,
-                shared_arena=ctx.arena is not None,
             )
         return name
 
     def evict_graph(self, name: str) -> None:
-        """Release a registered graph's warm state (segments included)."""
+        """Release a registered graph's warm state."""
         with self._lock:
             ctx = self._graphs.pop(name, None)
         if ctx is None:
@@ -340,8 +304,8 @@ class Engine:
 
         ``ops`` is a list of ``{"op": "insert"|"delete", "src", "dst"
         [, "weight"]}`` dicts.  The batch lands in per-tile delta
-        overlays on the warm engine (base tile blobs stay immutable,
-        shared arena included); every job submitted afterwards sees the
+        overlays on the warm engine (base tile blobs stay immutable);
+        every job submitted afterwards sees the
         mutated graph, and ``incremental=True`` jobs repair from the
         previous fixed point.  Serialises against jobs on the same
         graph via the context lock.  The batch is journaled to the state

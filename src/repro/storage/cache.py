@@ -532,8 +532,9 @@ class DecodedTileCache:
         return entry
 
     def peek(self, key: str) -> tuple[object, int] | None:
-        """Non-mutating probe (no stats, no recency) for the prefetch
-        pipeline's background speculation."""
+        """Non-mutating probe (no stats, no recency): the prefetch
+        pipeline's background speculation, and the parent's rebuild
+        after a process run."""
         return self._entries.get(key)
 
     def put(self, key: str, obj: object, uncompressed_len: int) -> None:

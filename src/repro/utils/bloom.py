@@ -101,11 +101,6 @@ class BloomFilter:
         return self._num_bits
 
     @property
-    def num_hashes(self) -> int:
-        """Number of probe positions per key."""
-        return self._num_hashes
-
-    @property
     def nbytes(self) -> int:
         """Memory footprint in bytes."""
         return int(self._bits.nbytes)

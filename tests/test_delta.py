@@ -801,8 +801,8 @@ class TestCompaction:
     ):
         """The batch hands its composed tiles to the decoded cache: the
         next run composes nothing, and meters its loads exactly as an
-        engine that parses (and so composes) them again.  Serial: a
-        process run re-parses the parent's decoded cache after it."""
+        engine that parses (and so composes) them again.  Serial, so
+        every compose of the next run happens in this process."""
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         calls = []
         compose = TileOverlay.compose
@@ -835,6 +835,31 @@ class TestCompaction:
             finally:
                 cluster.close()
         assert stories[0] == stories[1]
+
+    def test_a_batch_loads_each_affected_base_once(self, skewed, monkeypatch):
+        """Compaction validates and composes each affected tile from one
+        load of its base blob."""
+        from repro.delta.attach import EvolvingGraph
+
+        loads = []
+        base_tile = EvolvingGraph.base_tile
+        monkeypatch.setattr(
+            EvolvingGraph,
+            "base_tile",
+            lambda self, tile_id: loads.append(tile_id) or base_tile(self, tile_id),
+        )
+        mpe, cluster = _engine(skewed)
+        try:
+            for seed in (5, 6):  # the second batch meets existing overlays
+                loads.clear()
+                report = mpe.apply_mutations(
+                    random_mutations(skewed, 30, 10, seed=seed)
+                )
+                assert report["affected_tiles"] > 1
+                assert sorted(loads) == sorted(set(loads))
+                assert len(loads) == report["affected_tiles"]
+        finally:
+            cluster.close()
 
 
 # ----------------------------------------------------------------------

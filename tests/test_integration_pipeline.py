@@ -2,8 +2,8 @@
 
 These exercise the seams the unit tests cannot: CSV on disk → CLI-style
 load → SPE over DFS with a failed datanode → MPE with constrained cache
-and OD policy → results validated, traced, checkpointed, and re-derived
-after relabeling.  Each test is a miniature of a real deployment story.
+and OD policy → results validated, traced, and checkpointed.  Each test
+is a miniature of a real deployment story.
 """
 
 import numpy as np
@@ -17,11 +17,6 @@ from repro.graph import (
     load_edge_list_csv,
     rmat_graph,
     save_edge_list_csv,
-)
-from repro.graph.reorder import (
-    apply_relabeling,
-    degree_sort_relabel,
-    invert_relabeling,
 )
 from repro.obs.report import build_run_report, load_run_report, save_run_report
 
@@ -61,18 +56,6 @@ class TestEndToEnd:
             result = MPE(cluster, manifest, MPEConfig()).run(PageRank())
             expected, _ = reference_solution(PageRank(), graph, 300)
             assert np.allclose(result.values, expected, atol=1e-6)
-
-    def test_relabel_compute_unrelabel(self):
-        """The locality-preprocessing workflow returns original-id results."""
-        graph = chung_lu_graph(300, 3000, seed=33, name="relabel")
-        new_ids = degree_sort_relabel(graph)
-        relabeled = apply_relabeling(graph, new_ids)
-        with GraphH(num_servers=2) as gh:
-            gh.load_graph(relabeled, name="rl")
-            ranks_shuffled = gh.run(PageRank()).values
-        ranks = invert_relabeling(ranks_shuffled, new_ids)
-        expected, _ = reference_solution(PageRank(), graph, 300)
-        assert np.allclose(ranks, expected, atol=1e-6)
 
     def test_trace_roundtrips_through_json(self, tmp_path):
         graph = chung_lu_graph(100, 800, seed=34, name="trace-e2e")

@@ -299,7 +299,7 @@ BAD_SPECS = [
 @pytest.fixture(scope="module")
 def engine():
     graph = chung_lu_graph(120, 700, seed=5, name="adm-g")
-    eng = Engine(num_servers=2, share_tiles=False)
+    eng = Engine(num_servers=2)
     eng.register_graph(graph)
     yield eng
     eng.shutdown()

@@ -127,20 +127,6 @@ class TestSetOps:
     def test_distinct_empty(self, mc):
         assert mc.parallelize([]).distinct().collect() == []
 
-    def test_sort_by(self, mc):
-        ds = mc.parallelize([(3, "c"), (1, "a"), (2, "b")]).sort_by(
-            lambda r: r[0]
-        )
-        assert ds.collect() == [(1, "a"), (2, "b"), (3, "c")]
-
-    def test_sort_by_reverse(self, mc):
-        ds = mc.parallelize([1, 3, 2]).sort_by(lambda x: x, reverse=True)
-        assert ds.collect() == [3, 2, 1]
-
-    def test_sort_preserves_partition_count(self, mc):
-        ds = mc.parallelize(range(10)).sort_by(lambda x: -x)
-        assert ds.num_partitions() == 4
-
 
 class TestTerminalOps:
     def test_reduce(self, mc):

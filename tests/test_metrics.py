@@ -15,7 +15,6 @@ from repro.metrics import (
     expected_od_vertices,
 )
 from repro.metrics.formulas import GraphParams
-from repro.metrics.replication import aa_od_crossover
 
 
 def make_spec(**kw):
@@ -201,10 +200,17 @@ class TestReplicationModel:
                 )
 
     def test_figure6a_shape_large_cluster_od_wins_eu2015(self):
-        """Fig 6a: OD wins for EU-2015 (d=85.7) at N >= 48."""
-        crossover = aa_od_crossover(10**6, 85.7)
-        assert crossover is not None
-        assert 16 <= crossover <= 128
+        """Fig 6a: for EU-2015 (d=85.7) AA is no worse below N=16, and
+        OD is cheaper somewhere in 16..128."""
+        v, d = 10**6, 85.7
+        assert all(
+            expected_memory_aa(v, n) <= expected_memory_od(v, d, n)
+            for n in range(1, 16)
+        )
+        assert any(
+            expected_memory_od(v, d, n) < expected_memory_aa(v, n)
+            for n in range(16, 129)
+        )
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

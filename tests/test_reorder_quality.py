@@ -1,19 +1,8 @@
-"""Tests for vertex relabeling and partition-quality metrics."""
+"""Tests for the partition-quality metrics (Figure 2's strategies quantified)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.apps import PageRank, reference_solution
-from repro.graph import Graph, chung_lu_graph, erdos_renyi_graph, grid_graph
-from repro.graph.reorder import (
-    apply_relabeling,
-    bfs_relabel,
-    degree_sort_relabel,
-    invert_relabeling,
-    locality_score,
-)
+from repro.graph import chung_lu_graph
 from repro.partition import (
     build_tiles,
     greedy_vertex_cut,
@@ -25,109 +14,11 @@ from repro.partition.quality import (
     tile_quality,
     vertex_cut_quality,
 )
-from repro.storage import get_codec
 
 
 @pytest.fixture(scope="module")
 def skewed():
     return chung_lu_graph(400, 6000, seed=110)
-
-
-class TestRelabeling:
-    def test_apply_preserves_structure(self, skewed):
-        new_ids = degree_sort_relabel(skewed)
-        relabeled = apply_relabeling(skewed, new_ids)
-        assert relabeled.num_edges == skewed.num_edges
-        # Degree multiset is invariant under relabeling.
-        assert sorted(relabeled.in_degrees.tolist()) == sorted(
-            skewed.in_degrees.tolist()
-        )
-
-    def test_degree_sort_puts_hubs_first(self, skewed):
-        new_ids = degree_sort_relabel(skewed)
-        relabeled = apply_relabeling(skewed, new_ids)
-        deg = relabeled.in_degrees
-        assert np.all(deg[:-1] >= deg[1:])
-
-    def test_degree_sort_variants(self, skewed):
-        for by in ("in", "out", "total"):
-            new_ids = degree_sort_relabel(skewed, by=by)
-            assert np.array_equal(
-                np.sort(new_ids), np.arange(skewed.num_vertices)
-            )
-        with pytest.raises(ValueError):
-            degree_sort_relabel(skewed, by="pagerank")
-
-    def test_bfs_relabel_is_permutation(self, skewed):
-        new_ids = bfs_relabel(skewed)
-        assert np.array_equal(np.sort(new_ids), np.arange(skewed.num_vertices))
-
-    def test_bfs_relabel_improves_locality_on_grid(self):
-        # Scrambled grid: BFS order restores neighborhood locality.
-        g = grid_graph(20, 20, seed=5)
-        rng = np.random.default_rng(0)
-        scramble = rng.permutation(g.num_vertices)
-        scrambled = apply_relabeling(g, scramble)
-        relabeled = apply_relabeling(scrambled, bfs_relabel(scrambled))
-        assert locality_score(relabeled) < locality_score(scrambled) / 2
-
-    def test_bfs_covers_disconnected_components(self):
-        g = Graph.from_edges([(0, 1), (2, 3)], num_vertices=6)
-        new_ids = bfs_relabel(g)
-        assert np.array_equal(np.sort(new_ids), np.arange(6))
-
-    def test_bfs_root_validation(self, skewed):
-        with pytest.raises(ValueError):
-            bfs_relabel(skewed, root=10**6)
-
-    def test_invert_roundtrip(self, skewed):
-        new_ids = degree_sort_relabel(skewed)
-        relabeled = apply_relabeling(skewed, new_ids)
-        expected, _ = reference_solution(PageRank(tolerance=1e-12), skewed, 300)
-        shuffled, _ = reference_solution(PageRank(tolerance=1e-12), relabeled, 300)
-        restored = invert_relabeling(shuffled, new_ids)
-        assert np.allclose(restored, expected, atol=1e-9)
-
-    def test_apply_validation(self, skewed):
-        with pytest.raises(ValueError):
-            apply_relabeling(skewed, np.zeros(3, dtype=np.int64))
-        with pytest.raises(ValueError):
-            apply_relabeling(
-                skewed, np.zeros(skewed.num_vertices, dtype=np.int64)
-            )
-
-    def test_degree_sort_improves_tile_compression(self):
-        """The Table V connection: locality-aware ids make tiles more
-        compressible (real crawls have this for free).  The effect needs
-        a realistic id width — with hubs renamed to small ids, the col
-        arrays' high bytes go quiet."""
-        g = chung_lu_graph(60_000, 300_000, seed=111)
-
-        def compressed_bytes(graph):
-            tiles = build_tiles(graph, max(1, graph.num_edges // 8)).tiles
-            codec = get_codec("zlib1")
-            return sum(len(codec.compress(t.to_bytes())) for t in tiles)
-
-        relabeled = apply_relabeling(g, degree_sort_relabel(g))
-        assert compressed_bytes(relabeled) < 0.98 * compressed_bytes(g)
-
-    @settings(max_examples=20)
-    @given(
-        n=st.integers(1, 40),
-        m=st.integers(0, 120),
-        seed=st.integers(0, 10),
-    )
-    def test_relabeling_preserves_answers_property(self, n, m, seed):
-        g = erdos_renyi_graph(n, m, seed=seed)
-        new_ids = degree_sort_relabel(g)
-        relabeled = apply_relabeling(g, new_ids)
-        original, _ = reference_solution(PageRank(tolerance=1e-12), g, 200)
-        shuffled, _ = reference_solution(
-            PageRank(tolerance=1e-12), relabeled, 200
-        )
-        assert np.allclose(
-            invert_relabeling(shuffled, new_ids), original, atol=1e-9
-        )
 
 
 class TestPartitionQuality:

@@ -355,9 +355,10 @@ class TestProcessBitwiseIdentity:
     @pytest.fixture
     def stray_segments(self, monkeypatch):
         """Per phase dispatch, the live shared segments that are neither
-        a vertex-store array, nor the tile-blob arena, nor that apply
-        phase's inbox — the schedule travels as plain data, so a process
-        run owns nothing else."""
+        a vertex-store array nor that apply phase's inbox — tile blobs
+        are read from each server's own disk and the schedule travels as
+        plain data, so a process run owns nothing else: a tile-bytes
+        segment would show up here as a stray."""
         from repro.runtime import shm
 
         owned = set()
@@ -375,11 +376,6 @@ class TestProcessBitwiseIdentity:
         monkeypatch.setattr(
             shm.SharedAllocator, "create", claiming(shm.SharedAllocator.create)
         )
-        monkeypatch.setattr(
-            shm.SharedBlobArena,
-            "__init__",
-            claiming(shm.SharedBlobArena.__init__),
-        )
         run_phase = ProcessExecutor.run_phase
 
         def sampling(self, tag, payloads):
@@ -395,6 +391,9 @@ class TestProcessBitwiseIdentity:
     def test_only_stores_arena_and_inbox_are_shared(
         self, skewed, stray_segments, monkeypatch
     ):
+        """A process run shares its vertex stores and each apply
+        phase's inbox segment, nothing else: a tile-bytes segment at any
+        dispatch is a stray."""
         # Asserts on the process transport: CI's forcing flag must not
         # swap it for another.
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
@@ -413,6 +412,8 @@ class TestProcessBitwiseIdentity:
         assert outstanding_segments() == []
 
     def test_nothing_shared_survives_a_crash(self, skewed, stray_segments):
+        """A crashed and supervised process run leaves no stray segment
+        at any dispatch (tile bytes included) and none after it."""
         from repro.faults import CRASH, FaultEvent, FaultSchedule, Supervisor
 
         cluster = Cluster(ClusterSpec(num_servers=3))
@@ -441,6 +442,40 @@ class TestProcessBitwiseIdentity:
             cluster.close()
         assert all(not strays for _tag, strays in stray_segments)
         assert outstanding_segments() == []
+
+    def test_warm_run_reads_no_tile_blob_in_the_parent(self, skewed, monkeypatch):
+        """After a first process run, the next one reads no tile blob in
+        the parent: nothing is staged for the workers, and the parent's
+        decoded tiles are rebuilt from the entries it already holds."""
+        from repro.storage.disk import LocalDisk
+
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        mpe = _engine(skewed, executor="process", num_workers=2, max_supersteps=6)
+        try:
+            mpe.run(PageRank())
+            names = {name for tiles in mpe._assignments for _t, name, _n in tiles}
+            tiles = {
+                name: s.decoded_cache.peek(name)[0]
+                for s in mpe.cluster.servers
+                for name in s.decoded_cache.content_keys()
+            }
+            assert set(tiles) == names
+            reads = []  # appended in the parent only: workers hold a copy
+            for method in ("read", "peek"):
+
+                def logged(self, name, _orig=getattr(LocalDisk, method), _m=method):
+                    if name in names:
+                        reads.append((_m, name))
+                    return _orig(self, name)
+
+                monkeypatch.setattr(LocalDisk, method, logged)
+            mpe.run(PageRank())
+            assert reads == []
+            for server in mpe.cluster.servers:
+                for name in server.decoded_cache.content_keys():
+                    assert server.decoded_cache.peek(name)[0] is tiles[name]
+        finally:
+            mpe.cluster.close()
 
 
 def _staged_records():
@@ -1223,9 +1258,9 @@ class TestDecodeOnceApply:
         )
         cluster.close()
         assert result.num_supersteps == 4
-        # Inbox segments are the only uint8 SharedArrays a run creates
-        # besides the tile-blob arena (one per run).
-        assert created.count(np.dtype(np.uint8)) == 1
+        # Inbox segments are the only uint8 SharedArrays a run creates,
+        # and tile blobs are never staged.
+        assert created.count(np.dtype(np.uint8)) == 0
 
     @staticmethod
     def _supervised(graph, schedule):

@@ -1,8 +1,7 @@
 """Tests for ``repro.service`` — the persistent multi-job engine.
 
 The headline invariant: a job on a *warm* engine (cluster built once,
-setup run once, decoded-tile cache populated, shared arena installed)
-produces bitwise-identical values, Counters, CacheStats, and modeled
+setup run once, decoded-tile cache populated) produces bitwise-identical values, Counters, CacheStats, and modeled
 costs to a *cold* one-shot facade run with the same knobs, at every
 executor.  Only ``wall_s`` (host wall-clock) and the decoded-tile-cache
 hit ratio (the deliberate, metering-neutral warmth) may differ.
@@ -53,8 +52,9 @@ def graph():
 
 @pytest.fixture(scope="module")
 def engine(graph):
-    """One warm engine shared by the identity tests (module-scoped so
-    its arena segments predate each test's leak-tripwire snapshot)."""
+    """One warm engine shared by the identity tests (module-scoped: it
+    is built once, and it holds no segment between jobs, so each test's
+    leak tripwire sees only what that test left behind)."""
     eng = Engine(num_servers=N_SERVERS)
     eng.register_graph(graph)
     eng.register_graph(graph, name="svc-g-sym", symmetrize=True)
@@ -271,7 +271,7 @@ class TestAdmission:
         assert record.reason.startswith("bad fault schedule: ")
 
     def test_queue_full_surfaces_as_rejected_record(self, graph):
-        eng = Engine(num_servers=2, capacity=2, share_tiles=False)
+        eng = Engine(num_servers=2, capacity=2)
         try:
             eng.register_graph(graph, name="tiny")
             specs = [JobSpec(graph="tiny", max_supersteps=2) for _ in range(3)]
@@ -286,9 +286,7 @@ class TestAdmission:
             eng.shutdown()
 
     def test_tenant_quota_enforced_per_tenant(self, graph):
-        eng = Engine(
-            num_servers=2, capacity=8, tenant_quota=1, share_tiles=False
-        )
+        eng = Engine(num_servers=2, capacity=8, tenant_quota=1)
         try:
             eng.register_graph(graph, name="tiny")
             a1 = eng.submit(JobSpec(graph="tiny", tenant="alice"))
@@ -365,13 +363,13 @@ def _run_one_allow_fail(engine, spec):
 class TestPersistence:
     def test_result_round_trips_through_state_dir(self, graph, tmp_path):
         state = str(tmp_path / "state")
-        eng = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        eng = Engine(num_servers=2, state_dir=state)
         try:
             eng.register_graph(graph, name="tiny")
             record = _run_one(eng, JobSpec(graph="tiny", max_supersteps=4))
         finally:
             eng.shutdown()
-        reloaded = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        reloaded = Engine(num_servers=2, state_dir=state)
         try:
             result = reloaded.load_result(record.job_id)
             assert result is not None
@@ -389,9 +387,7 @@ class TestPersistence:
         import repro.service.engine as engine_module
 
         monkeypatch.setattr(engine_module, "RESULTS_IN_MEMORY", 2)
-        eng = Engine(
-            num_servers=2, state_dir=str(tmp_path / "state"), share_tiles=False
-        )
+        eng = Engine(num_servers=2, state_dir=str(tmp_path / "state"))
         try:
             eng.register_graph(graph, name="tiny")
             records = [
@@ -411,7 +407,7 @@ class TestPersistence:
         finally:
             eng.shutdown()
         # Without a state dir there is nowhere to read one back from.
-        eng = Engine(num_servers=2, share_tiles=False)
+        eng = Engine(num_servers=2)
         try:
             eng.register_graph(graph, name="tiny")
             records = [
@@ -429,8 +425,7 @@ class TestPersistence:
         mutation log."""
         state = str(tmp_path / "state")
         eng = Engine(
-            num_servers=2, state_dir=state, share_tiles=False,
-            config=MPEConfig(mutations=True),
+            num_servers=2, state_dir=state, config=MPEConfig(mutations=True)
         )
         eng.register_graph(graph, name="evo")
         ops = [
@@ -458,8 +453,7 @@ class TestPersistence:
                 rewritten += 1
         assert rewritten == 3  # jobs, mutlog, one result
         restarted = Engine(
-            num_servers=2, state_dir=state, share_tiles=False,
-            config=MPEConfig(mutations=True),
+            num_servers=2, state_dir=state, config=MPEConfig(mutations=True)
         )
         try:
             assert restarted.get(done.job_id).status == JobStatus.DONE
@@ -480,7 +474,7 @@ class TestPersistence:
 
     def test_restart_restores_queued_jobs_in_order(self, graph, tmp_path):
         state = str(tmp_path / "state")
-        eng = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        eng = Engine(num_servers=2, state_dir=state)
         eng.register_graph(graph, name="tiny")
         ids = [
             eng.submit(
@@ -496,7 +490,7 @@ class TestPersistence:
         ]
         assert not os.path.exists(os.path.join(state, "queue.json"))
 
-        restarted = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        restarted = Engine(num_servers=2, state_dir=state)
         try:
             assert restarted.queue.depth() == 3
             # New submissions continue the persisted id sequence.
@@ -519,7 +513,7 @@ class TestPersistence:
         ``jobs.json``.  A state dir left that way restores the same job
         table from ``jobs.json`` alone and continues the ids."""
         state = str(tmp_path / "state")
-        eng = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        eng = Engine(num_servers=2, state_dir=state)
         eng.register_graph(graph, name="tiny")
         done = _run_one(eng, JobSpec(graph="tiny", max_supersteps=3))
         queued = [
@@ -538,7 +532,7 @@ class TestPersistence:
                 sort_keys=True,
             )
 
-        restarted = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        restarted = Engine(num_servers=2, state_dir=state)
         try:
             assert [(r.job_id, r.status) for r in restarted.jobs()] == [
                 (done.job_id, JobStatus.DONE),
@@ -558,7 +552,7 @@ class TestPersistence:
         """Submit two jobs, run one, stop without ``shutdown()``: the
         state dir as the killed process leaves it (no fsync to lose)."""
         state = str(tmp_path / "state")
-        eng = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        eng = Engine(num_servers=2, state_dir=state)
         try:
             eng.register_graph(graph, name="tiny")
             first = eng.submit(JobSpec(graph="tiny", max_supersteps=3))
@@ -570,7 +564,7 @@ class TestPersistence:
 
     def test_unclean_stop_readmits_unfinished_jobs(self, graph, tmp_path):
         state, first, second = self._two_jobs_one_run(graph, tmp_path)
-        restarted = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        restarted = Engine(num_servers=2, state_dir=state)
         try:
             assert restarted.get(first.job_id).status == JobStatus.DONE
             assert restarted.get(second.job_id).status == JobStatus.QUEUED
@@ -583,7 +577,7 @@ class TestPersistence:
 
     def test_unclean_stop_resumes_job_ids(self, graph, tmp_path):
         state, first, _second = self._two_jobs_one_run(graph, tmp_path)
-        restarted = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        restarted = Engine(num_servers=2, state_dir=state)
         try:
             restarted.register_graph(graph, name="tiny")
             fresh = restarted.submit(JobSpec(graph="tiny", algorithm="degree"))
@@ -633,7 +627,7 @@ class TestPersistence:
                 ),
             )
 
-        eng = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        eng = Engine(num_servers=2, state_dir=state)
         try:
             eng.register_graph(graph, name="tiny")
             grown = [round_(i) for i in range(200)]
@@ -699,7 +693,7 @@ class TestRecovery:
         per step, (journal size, the state a restart must reproduce)."""
         from repro.delta import random_mutations
 
-        eng = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        eng = Engine(num_servers=2, state_dir=state)
         eng.register_graph(graph, name="evo")
         journal = os.path.join(state, "journal.log")
 
@@ -726,7 +720,7 @@ class TestRecovery:
         return eng, points
 
     def _restart(self, graph, state, expected):
-        restarted = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        restarted = Engine(num_servers=2, state_dir=state)
         try:
             restarted.register_graph(graph, name="evo")
             assert _recovery_view(restarted, "evo") == expected
@@ -794,7 +788,7 @@ class TestRecovery:
                 proc.kill()
             proc.communicate(timeout=60.0)
         assert proc.returncode == -signal.SIGKILL
-        restarted = Engine(num_servers=2, state_dir=str(state), share_tiles=False)
+        restarted = Engine(num_servers=2, state_dir=str(state))
         try:
             assert [(r.job_id, r.status) for r in restarted.jobs()] == [
                 (job_id, JobStatus.DONE) for job_id in ids
@@ -830,11 +824,7 @@ class TestEvolvingGraphs:
         import numpy as np
 
         segments_before = set(outstanding_segments())
-        eng = Engine(
-            num_servers=2,
-            state_dir=str(tmp_path / "state"),
-            share_tiles=False,
-        )
+        eng = Engine(num_servers=2, state_dir=str(tmp_path / "state"))
         try:
             eng.register_graph(graph, name="evo")
             client = ServiceClient(eng)
@@ -860,7 +850,6 @@ class TestEvolvingGraphs:
             assert not np.array_equal(scratch, base)
         finally:
             eng.shutdown()
-        # relative to the module engine fixture's long-lived arena
         assert set(outstanding_segments()) == segments_before
 
     def test_mutation_log_survives_restart(self, graph, tmp_path):
@@ -871,7 +860,7 @@ class TestEvolvingGraphs:
 
         segments_before = set(outstanding_segments())
         state = str(tmp_path / "state")
-        eng = Engine(num_servers=2, state_dir=state, share_tiles=False)
+        eng = Engine(num_servers=2, state_dir=state)
         eng.register_graph(graph, name="evo")
         client = ServiceClient(eng)
         r = client.submit(graph="evo", algorithm="sssp",
@@ -890,8 +879,7 @@ class TestEvolvingGraphs:
         before = np.asarray(client.result(r["job_id"])["values"])
         eng.shutdown()
 
-        restarted = Engine(num_servers=2, state_dir=state,
-                           share_tiles=False)
+        restarted = Engine(num_servers=2, state_dir=state)
         try:
             restarted.register_graph(graph, name="evo")
             client = ServiceClient(restarted)
@@ -925,23 +913,24 @@ class TestEvolvingGraphs:
         reason="platform lacks fork + POSIX shared memory",
     )
     def test_overlay_eviction_releases_segments(self, graph):
-        """Mutated graphs under a shared warm-tile arena (including
-        merged, versioned tile blobs) evict segment-clean."""
+        """A mutated graph (merged, versioned tile blobs included) that
+        ran a process job evicts segment-clean."""
         segments_before = set(outstanding_segments())
-        eng = Engine(num_servers=2, share_tiles=True)
+        eng = Engine(num_servers=2)
         try:
-            eng.register_graph(graph, name="evo-arena")
+            eng.register_graph(graph, name="evo-proc")
             with eng._lock:
-                ctx = eng._graphs["evo-arena"]
-            assert ctx.arena is not None
-            # force merges so versioned blobs exist next to the arena
+                ctx = eng._graphs["evo-proc"]
+            # force merges so versioned blobs exist next to the bases
             ctx.mpe.delta.store.merge_ratio = 1e-9
-            eng.mutate("evo-arena", self._mutations(graph))
-            rec = eng.submit(JobSpec(graph="evo-arena", algorithm="sssp",
-                                     params={"source": 1}))
+            report = eng.mutate("evo-proc", self._mutations(graph))
+            assert report["merged"]
+            rec = eng.submit(JobSpec(graph="evo-proc", algorithm="sssp",
+                                     params={"source": 1},
+                                     executor="process", num_workers=2))
             eng.run_next()
             assert rec.status == JobStatus.DONE, rec.reason
-            eng.evict_graph("evo-arena")
+            eng.evict_graph("evo-proc")
         finally:
             eng.shutdown()
         assert set(outstanding_segments()) == segments_before
@@ -981,14 +970,21 @@ class TestLifecycle:
         before = set(outstanding_segments())
         eng = Engine(num_servers=2)
         eng.register_graph(graph, name="tiny")
-        assert set(outstanding_segments()) - before  # arena is live
+        # A registered graph holds no segment, before or after a job.
+        assert set(outstanding_segments()) == before
         _run_one(eng, JobSpec(graph="tiny", max_supersteps=3))
+        assert set(outstanding_segments()) == before
+        _run_one(
+            eng,
+            JobSpec(graph="tiny", max_supersteps=3, executor="process",
+                    num_workers=2),
+        )
         eng.shutdown()
         assert set(outstanding_segments()) == before
         eng.shutdown()  # idempotent
 
     def test_submit_after_shutdown_is_rejected(self, graph):
-        eng = Engine(num_servers=2, share_tiles=False)
+        eng = Engine(num_servers=2)
         eng.register_graph(graph, name="tiny")
         eng.shutdown()
         record = eng.submit(JobSpec(graph="tiny"))
@@ -1069,7 +1065,7 @@ class TestObservability:
         from repro.obs.trace import SERVICE_TID, Tracer
 
         tracer = Tracer()
-        eng = Engine(num_servers=2, tracer=tracer, share_tiles=False)
+        eng = Engine(num_servers=2, tracer=tracer)
         try:
             eng.register_graph(graph, name="tiny")
             _run_one(eng, JobSpec(graph="tiny", max_supersteps=3))
@@ -1088,7 +1084,7 @@ class TestObservability:
     def test_service_report_rows(self, graph):
         from repro.obs.report import build_service_report, format_service_report
 
-        eng = Engine(num_servers=2, share_tiles=False)
+        eng = Engine(num_servers=2)
         try:
             eng.register_graph(graph, name="tiny")
             done = _run_one(eng, JobSpec(graph="tiny", max_supersteps=3))
@@ -1237,7 +1233,7 @@ class TestConcurrency:
             JobSpec(graph="tiny", algorithm="degree"),
         ] * 2
 
-        sequential = Engine(num_servers=2, share_tiles=False)
+        sequential = Engine(num_servers=2)
         try:
             sequential.register_graph(graph, name="tiny")
             expected = [
@@ -1246,7 +1242,7 @@ class TestConcurrency:
         finally:
             sequential.shutdown()
 
-        concurrent = Engine(num_servers=2, share_tiles=False)
+        concurrent = Engine(num_servers=2)
         try:
             concurrent.register_graph(graph, name="tiny")
             records = [concurrent.submit(s) for s in specs]

@@ -631,15 +631,14 @@ class TestEdgeCache:
             cache.put("t", disk, zeros + b"\x00")
         assert cache.put("t", disk, zeros)
 
-    @pytest.mark.parametrize("fronted", [False, True])
+    @pytest.mark.parametrize("fronted", [False])
     def test_server_rewrite_fails_first_use_unless_stored(self, tmp_path, fronted):
         """An equal-length ``disk.write`` that bypasses
         ``Server.store_blob`` fails the next load of a decoded-resident
-        tile, resident in the edge cache or not, whether the write went
-        to the disk or to the shared-memory disk fronting it for a
-        process-executor run; ``store_blob`` still invalidates."""
+        tile, resident in the edge cache or not; ``store_blob`` still
+        invalidates.  ``fronted`` is always False: no shared-memory
+        disk fronts a server's own under any executor."""
         from repro.cluster.server import Server
-        from repro.runtime.shm import front_disks
 
         blobs = {f"t{i}": _noise(200, seed=i) for i in range(4)}
         server = Server(0, str(tmp_path))
@@ -650,22 +649,13 @@ class TestEdgeCache:
         for name in blobs:
             server.load_tile(name, bytes)
         assert server.cache.content_keys() == ["t0", "t1"]
-        inner = server.disk
-        undo = None
-        if fronted:
-            _arena, undo = front_disks(
-                [server], [[(i, name, 200) for i, name in enumerate(blobs)]]
-            )
-        try:
-            for name, via in (("t0", server.disk), ("t3", inner)):
-                via.write(name, _noise(200, seed=9))
-                with pytest.raises(RuntimeError, match="stale"):
-                    server.load_tile(name, bytes)
-                server.store_blob(name, _noise(200, seed=9))
-                assert server.load_tile(name, bytes) == _noise(200, seed=9)
-        finally:
-            if undo is not None:
-                undo()
+        for name in ("t0", "t3"):
+            server.disk.write(name, _noise(200, seed=9))
+            with pytest.raises(RuntimeError, match="stale"):
+                server.load_tile(name, bytes)
+            server.store_blob(name, _noise(200, seed=9))
+            assert server.load_tile(name, bytes) == _noise(200, seed=9)
+
 
 def _noise(n: int, seed: int) -> bytes:
     return np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()

@@ -379,7 +379,7 @@ class TestWarmReuse:
     def test_service_engine_reuses_constants(self, graph):
         from repro.service import Engine, JobSpec
 
-        eng = Engine(num_servers=2, share_tiles=False)
+        eng = Engine(num_servers=2)
         try:
             eng.register_graph(graph, name="tune-g")
             r1 = eng.submit(
