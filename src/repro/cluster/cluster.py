@@ -53,10 +53,6 @@ class Cluster:
             total.merge(server.counters)
         return total
 
-    def max_server_memory_peak(self) -> int:
-        """Peak memory of the busiest server (Figure 6b's metric)."""
-        return max(server.counters.mem_peak for server in self.servers)
-
     def close(self) -> None:
         """Remove on-disk state if this cluster owns its root dir."""
         if self._owns_root:

@@ -75,13 +75,10 @@ class Server:
         self.decoded_cache: DecodedTileCache | None = None
         self.counters = Counters()
         self.state: dict[str, Any] = {}
-        # Installed by repro.faults.FaultInjector.attach(); None in
-        # normal runs.  Consulted on the tile-load path only.
-        self.fault_injector: Any | None = None
         # This server's repro.obs.trace.TraceBuffer, installed by the
         # engine when tracing is on; the null buffer in normal runs.
-        # Single-writer: only this server's executor thread / sticky
-        # worker records.
+        # Single-writer: this server's executor thread / sticky worker
+        # during a phase, the parent (fault instants) between phases.
         self.trace: Any = NULL_BUFFER
         # Separate buffer for the prefetch pipeline's background I/O
         # threads (multi-writer safe: complete-events only, one atomic
@@ -268,15 +265,8 @@ class Server:
           were read ahead), metered the same way, parsed (or its
           speculative parse reused), and the decoded object is cached
           for the next superstep.
-
-        The fault injector (when attached) is consulted first: transient
-        injected read errors re-read the blob through the metered disk
-        and charge retry costs here, before the cache lookup; fatal ones
-        raise :class:`repro.faults.errors.DiskReadFault`.
         """
         with self.trace.span("load", "io", blob=name):
-            if self.fault_injector is not None:
-                self.fault_injector.on_tile_load(self, name)
             dcache = self.decoded_cache
             entry = dcache.get(name)
             if entry is not None:

@@ -581,7 +581,7 @@ class MPE:
                 ebuf.begin("compute", "phase")
                 # The superstep's tile schedule, resolved once: every
                 # executor's sweep, the tuner's working set and the
-                # parent-side fault replay all read this record.
+                # compute-phase fault pass all read this record.
                 schedule = self._resolve_schedule(
                     superstep,
                     prev_updated,
@@ -1037,7 +1037,7 @@ class MPE:
            set, both prunes off).
 
         The result is plain data, so the sweeps of every executor, the
-        tuner's working set and the fault replay's first-load
+        tuner's working set and the fault pass's first-load
         coordinate are decision-identical by construction.
         """
         bitmap = heads = might_intersect = None
@@ -1086,14 +1086,12 @@ class MPE:
     def _process_child_init(self) -> None:
         """Runs once in each forked worker: detach parent-only machinery.
 
-        All fault decisions are resolved in the parent (the injector's
+        All fault decisions are fired in the parent (the injector's
         one-shot fired-set must stay authoritative across pool
         lifetimes), and mailboxes / DFS belong to the parent; a worker
         touching either would double-fire or double-meter.
         """
         self.injector = None
-        for server in self.cluster.servers:
-            server.fault_injector = None
         self.channel.fault_injector = None
         self.cluster.dfs.fault_injector = None
         # From here on the phase handler reports each server's state
@@ -1122,26 +1120,31 @@ class MPE:
         """Run one phase of :meth:`_phase_handler` for every server and
         return the handler results in server-id order.
 
-        The only place the engine talks to its transport.  Around a
-        forking executor it also does the parent-side work a forked
-        handler cannot: fault decisions are fired before a compute
-        dispatch (the injector never forks), an apply dispatch's inboxes
-        travel by shared segment, and each result's
-        :class:`~repro.cluster.server.ServerMirror` is absorbed — in
-        server-id order, so per-buffer trace sequences are the ones a
-        serial run records.  In-process handlers return no mirror: the
+        The only place the engine talks to its transport, and the only
+        place compute-phase faults fire, the same under every executor.
+        Crashes and disk errors fire before the dispatch, in server
+        order; an aborting fault at server k leaves servers k and later
+        without a payload and is raised after the join, so the servers
+        a serial sweep reaches are the ones that sweep.  Straggler
+        charges fire after the join, in server order.  Around a forking
+        executor an apply dispatch's inboxes travel by shared segment,
+        and each result's :class:`~repro.cluster.server.ServerMirror` is
+        absorbed — in server-id order, so per-buffer trace sequences are
+        the ones a serial run records.  In-process handlers return no mirror: the
         server they ran on *is* the parent's.
         """
-        staged = None
+        staged = fault = None
         if tag == "apply":
             staged = StagedInboxes(payloads, shared=executor.forks)
             payloads = staged.handles
-        elif executor.forks and self.injector is not None:
-            # The injector never forks: its compute-phase decisions are
-            # fired here, in serial sweep order.
-            self.injector.replay_compute(
+        elif self.injector is not None:
+            fault = self.injector.fire_compute(
                 self.cluster.servers, [sched for _s, sched, _k in payloads]
             )
+            if fault is not None:
+                payloads = payloads[: fault.server] + [None] * (
+                    len(payloads) - fault.server
+                )
         try:
             returned = executor.run_phase(tag, payloads)
         finally:
@@ -1155,14 +1158,11 @@ class MPE:
                     result.ids = result.payload.select(
                         self._server_target_ids[server.server_id]
                     )
-                if tag == "compute" and self.injector is not None:
-                    # Straggler charges: an in-process sweep fires these
-                    # at its end; here the volumes came back in the
-                    # mirror.
-                    self.injector.after_compute(
-                        server, mirror.volumes.edges_processed
-                    )
+            if tag == "compute" and result is not None and self.injector is not None:
+                self.injector.after_compute(server, result.edges)
             results.append(result)
+        if fault is not None:
+            raise fault
         return results
 
     def _phase_handler(self, tag: str, server_id: int, payload):
@@ -1177,8 +1177,11 @@ class MPE:
         switch is metered here, after the superstep's counter snapshot,
         so its charge lands in this superstep's delta — sweeps the
         schedule, and keeps the server's own update for its apply.
-        ``apply`` takes the server's staged inbox.
+        ``apply`` takes the server's staged inbox.  A ``None`` payload
+        (a server an aborting fault cut off) does nothing.
         """
+        if payload is None:
+            return None, None
         server = self.cluster.servers[server_id]
         since = CounterSnapshot.capture(server) if self._forked else None
         if tag == "compute":
@@ -1233,12 +1236,10 @@ class MPE:
         zero I/O.
         """
         trace = server.trace
-        # span() unwinds with close_to: an injected fault aborting the
-        # sweep mid-tile must not leave spans open for the next attempt.
+        # span() unwinds with close_to: an error aborting the sweep
+        # mid-tile must not leave spans open for the next attempt.
         with trace.span("compute", "phase", superstep=superstep):
             knobs = self._knobs
-            if self.injector is not None:
-                self.injector.on_compute(server)
             store = server.state["store"]
             # §IV-A's message slot: a program that reads no edge weight
             # sends one message per source vertex, so it is computed once
@@ -1270,8 +1271,8 @@ class MPE:
                 for (tile_id, blob_name, nbytes), prefetched in scheduled:
                     with trace.span("tile", "compute", tile=tile_id):
                         # The single metered tile-load path: cache/disk
-                        # accounting, fault injection and decode all funnel
-                        # through here with the shared parser.
+                        # accounting and decode all funnel through here
+                        # with the shared parser.
                         tile = server.load_tile(
                             blob_name, self._tile_parser, prefetched
                         )
@@ -1299,9 +1300,7 @@ class MPE:
 
                 # Background threads speculate ahead (read-only, unmetered);
                 # the metering pass commits each dequeue through the same
-                # metered path as the sequential sweep, in the same order —
-                # the fault injector keeps firing inside the metered load,
-                # i.e. in deterministic serial sweep order.
+                # metered path as the sequential sweep, in the same order.
                 prefetcher = TilePrefetcher(
                     server,
                     sched.run,
@@ -1343,8 +1342,6 @@ class MPE:
                 )
             )
             server.counters.edges_processed += edges_charged
-            if self.injector is not None:
-                self.injector.after_compute(server, edges_charged)
 
             # Per-tile parts cover ascending disjoint target ranges and a
             # server's tile list is ascending (_check_static_layout), so
@@ -1396,6 +1393,7 @@ class MPE:
                 payload=payload,
                 tiles_processed=tiles_processed,
                 tiles_skipped=len(sched.skipped),
+                edges=edges_charged,
                 prefetch_ready=prefetch_ready,
                 prefetch_total=prefetch_total,
             )
@@ -1473,6 +1471,9 @@ class _ServerStep:
     payload: UpdatePayload | None
     tiles_processed: int
     tiles_skipped: int
+    # The compute volume charged (edges_processed): what a straggler's
+    # delay is scaled by.
+    edges: int
     # Pipeline occupancy: dequeues served without stalling / total
     # dequeues (both 0 when the pipeline is off).  Host-side telemetry
     # only — never part of the bitwise-compared results.

@@ -1,16 +1,15 @@
 """The fault injector: fires scheduled faults at the engine's seams.
 
 One :class:`FaultInjector` is attached to one :class:`repro.core.mpe.MPE`
-(:meth:`attach`), which wires it into the four injection points:
+(:meth:`attach`), which wires it into the three injection points:
 
-* ``cluster/server.py`` — :meth:`on_tile_load` (transient local-disk
-  read errors, metered retry I/O) before every tile load;
-* ``core/mpe.py`` — :meth:`on_compute` (server crashes) at the start of
-  each server's superstep sweep, :meth:`after_compute` (straggler
-  slowdown charges) at its end, and :meth:`barrier_check` (lost
-  broadcast detection) at the BSP barrier, *before* any update is
-  applied; around a forking executor the sweep's two points are fired
-  from the parent instead (:meth:`replay_compute`);
+* ``core/mpe.py`` — the compute phase's faults, fired in the parent
+  under every executor: :meth:`fire_compute` (server crashes, then
+  local-disk read errors on the server's first scheduled tile, server
+  by server) before each compute dispatch, :meth:`after_compute`
+  (straggler slowdown charges) after its join, and
+  :meth:`barrier_check` (lost broadcast detection) at the BSP barrier,
+  *before* any update is applied;
 * ``comm/channel.py`` — :meth:`on_deliver` (broadcast message drops) on
   every delivery;
 * ``dfs/filesystem.py`` — :meth:`on_dfs_read` (transient DFS block-read
@@ -19,7 +18,7 @@ One :class:`FaultInjector` is attached to one :class:`repro.core.mpe.MPE`
 Design rules that keep chaos runs deterministic and honest:
 
 * **One-shot events.**  Every event fires at most once (tracked in
-  ``_fired`` under a lock — injection points run on executor threads).
+  ``_fired`` under a lock).
   A superstep re-executed after recovery therefore replays fault-free,
   so supervised runs always terminate.
 * **Fail before mutate.**  Faults that abort a superstep (crash, fatal
@@ -42,6 +41,7 @@ from repro.cluster.counters import Counters
 from repro.faults.errors import (
     DfsReadFault,
     DiskReadFault,
+    InjectedFault,
     MessageDropFault,
     ServerCrashFault,
 )
@@ -82,12 +82,10 @@ class FaultInjector:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, mpe) -> "FaultInjector":
-        """Wire this injector into an MPE's cluster, channel, and DFS."""
+        """Wire this injector into an MPE, its channel and its DFS."""
         self._mpe = mpe
         self._spec = mpe.cluster.spec
         mpe.injector = self
-        for server in mpe.cluster.servers:
-            server.fault_injector = self
         mpe.channel.fault_injector = self
         mpe.cluster.dfs.fault_injector = self
         return self
@@ -97,8 +95,6 @@ class FaultInjector:
         if self._mpe is None:
             return
         self._mpe.injector = None
-        for server in self._mpe.cluster.servers:
-            server.fault_injector = None
         self._mpe.channel.fault_injector = None
         self._mpe.cluster.dfs.fault_injector = None
         self._mpe = None
@@ -126,9 +122,9 @@ class FaultInjector:
         with self._lock:
             self.log.append(entry)
         # Tracing (repro.obs): fired faults surface as instants.  Server
-        # events go to the server's single-writer buffer (we are on its
-        # sweep thread, or on the parent resolving pre-dispatch); ANY-
-        # scoped events (DFS transients) go to the engine buffer.
+        # events go to the server's buffer (the parent writes it between
+        # dispatches); ANY-scoped events (DFS transients) go to the
+        # engine buffer.
         if self._mpe is not None:
             on_server = isinstance(server, int) and server >= 0
             lane = ("server", server) if on_server else ("engine",)
@@ -148,31 +144,33 @@ class FaultInjector:
         self.superstep = superstep
         self._drops = []
 
-    def replay_compute(self, servers, schedule) -> None:
-        """Fire the compute phase's fault decisions in the parent, in
-        serial sweep order, before ``schedule`` (one entry per server)
-        is dispatched to forked workers — the injector never forks, so
-        its one-shot fired-set stays authoritative across pool
-        lifetimes.
+    def fire_compute(self, servers, schedule) -> InjectedFault | None:
+        """Fire the compute phase's crash and disk-error decisions, in
+        the parent, server by server, before ``schedule`` (one entry per
+        server) is dispatched — the injector never runs inside a sweep,
+        so its one-shot fired-set is the same under every executor.
 
-        Crash and disk-error points are replayed against the same
-        (superstep, server, first-loaded-blob) coordinates the serial
-        sweep would present — the first load is the head of the
-        server's run list; a crash therefore aborts the superstep
-        before any worker computes, with vertex state untouched — the
-        same post-abort state as every other executor ("fail before
-        mutate").
+        A disk error fires against the blob a sweep loads first: the
+        head of the server's run list.  The first aborting fault is
+        returned, not raised, and fires nothing past its server: the
+        engine still dispatches the servers before it and raises it
+        after the join — what a serial sweep charges — with vertex
+        state untouched ("fail before mutate").
         """
         disk_events = self.schedule.of_kind(DISK_ERROR)
         for server, sched in zip(servers, schedule):
-            self.on_compute(server)
-            if sched.run and any(
-                e.matches(self.superstep, server.server_id) for e in disk_events
-            ):
-                self.on_tile_load(server, sched.run[0][1])
+            try:
+                self._fire_crash(server)
+                if sched.run and any(
+                    e.matches(self.superstep, server.server_id) for e in disk_events
+                ):
+                    self._fire_disk_error(server, sched.run[0][1])
+            except InjectedFault as fault:
+                return fault
+        return None
 
-    def on_compute(self, server) -> None:
-        """Start of one server's tile sweep: crash point."""
+    def _fire_crash(self, server) -> None:
+        """Before one server's tile sweep: crash point."""
         for idx, event in enumerate(self.schedule.events):
             if event.kind != CRASH:
                 continue
@@ -190,7 +188,7 @@ class FaultInjector:
             )
 
     def after_compute(self, server, edges_processed: int) -> None:
-        """End of one server's tile sweep: straggler slowdown charge.
+        """After one server's tile sweep: straggler slowdown charge.
 
         The modeled delay is ``(slow_factor - 1)`` times the server's
         modeled compute time for the superstep — the extra seconds a
@@ -216,8 +214,8 @@ class FaultInjector:
                 event, server.server_id, detail=f"delay={delay:.6f}s"
             )
 
-    def on_tile_load(self, server, blob_name: str) -> None:
-        """Before a tile load off local disk: transient read errors.
+    def _fire_disk_error(self, server, blob_name: str) -> None:
+        """Before a server's first tile load: local-disk read errors.
 
         Each failed attempt genuinely re-reads the blob through the
         metered disk (seek-bound, like the cache-miss path) and charges

@@ -46,7 +46,7 @@ class FaultEvent:
     server:
         Server the event hits (crash / straggler / disk_error), or the
         broadcast *source* for ``msg_drop``.  :data:`ANY` matches any
-        server (first one to reach the injection point fires it).
+        server (the first in server order fires it).
     dst:
         ``msg_drop`` only: drop deliveries to this destination
         (``None`` → every recipient of the broadcast).

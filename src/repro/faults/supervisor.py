@@ -89,13 +89,9 @@ class FaultRecord:
 class RecoveryReport:
     """What surviving the schedule cost.
 
-    Every field is executor-invariant except ``aborted_attempt_edges``:
-    a serial attempt stops at the first raising server, while a parallel
-    attempt lets in-flight sibling servers finish their sweep before the
-    exception propagates — so the wasted work, honestly metered, depends
-    on the host executor (the converged values never do).  ``fault_log``
-    holds the same entries under every executor, in the order the
-    servers reach them.
+    Every field is executor-invariant: faults fire in the parent, so an
+    aborted attempt sweeps the servers before the faulting one under
+    every executor, and ``fault_log`` lists its entries in firing order.
     """
 
     restarts: int = 0

@@ -25,12 +25,8 @@ side buffers ride back to the parent in the process executor's result
 objects and are merged in server-id order, so the per-buffer event
 sequences — and therefore the span trees — are identical across the
 serial, thread, and process executors.  (Timestamps are wall-clock and
-differ; trees and event names never do.  Fault *instants* are the one
-documented exception: the process executor resolves fault decisions in
-the parent around the worker dispatch, so their position relative to a
-server's compute span is executor-dependent even though the fired set
-is identical — compare trees with ``include_instants=False`` under
-chaos.)
+differ; trees and event names never do.  Fault instants included: every
+executor fires compute-phase faults in the parent, between dispatches.)
 
 Cost contract
 -------------
@@ -340,16 +336,15 @@ class Tracer:
             buf.clear()
 
     # -- analysis ------------------------------------------------------
-    def span_trees(self, include_instants: bool = True) -> dict[str, list]:
+    def span_trees(self) -> dict[str, list]:
         """Deterministic span forest per buffer, keyed by buffer label.
 
         Trees carry names and categories only — no timestamps — so two
-        runs of the same workload compare equal across executors.  Set
-        ``include_instants=False`` under fault injection (see module
-        docstring).
+        runs of the same workload compare equal across executors, under
+        a fault schedule too.
         """
         return {
-            buf.label: span_forest(buf.events(), include_instants)
+            buf.label: span_forest(buf.events())
             for buf in self.buffers()
         }
 
@@ -401,7 +396,7 @@ class SpanNode:
         return f"SpanNode({self.name!r}, children={len(self.children)})"
 
 
-def span_forest(events, include_instants: bool = True) -> list[SpanNode]:
+def span_forest(events) -> list[SpanNode]:
     """Rebuild the span forest from one buffer's event sequence.
 
     Nesting comes purely from begin/end order.  Unmatched ends (the
@@ -418,7 +413,7 @@ def span_forest(events, include_instants: bool = True) -> list[SpanNode]:
         elif kind == END:
             if stack:
                 stack.pop()
-        elif kind == INSTANT and include_instants:
+        elif kind == INSTANT:
             node = SpanNode(name, cat, "instant")
             (stack[-1].children if stack else roots).append(node)
         elif kind == COMPLETE:

@@ -59,7 +59,7 @@ class Executor:
 
     name = "abstract"
     # Whether handler calls run in forked children.  Parent-only
-    # machinery (fault injector, mailboxes) never fires there, results
+    # machinery (mailboxes, the DFS) is never touched there, results
     # carry a mirror of the server's state, and per-superstep bytes
     # travel by shared segment instead of by reference.
     forks = False

@@ -30,11 +30,9 @@ The pipeline keeps that contract with a strict speculate/commit split:
   change a branch decision or a byte count — at worst it is empty and
   the metered path reads and parses inline (a stall, not a
   divergence).
-* **Faults stay in serial sweep order.**  The fault injector fires
-  inside the metered load at dequeue — the same per-tile instant, in
-  the same order, as the sequential sweep.  Background threads never
-  consult it; a speculation raced against an injected fault is simply
-  dropped.
+* **Faults never reach the pipeline.**  Every compute-phase fault
+  fires in the parent, before the sweep is dispatched; neither the
+  background threads nor the dequeue consult an injector.
 
 Speculation failures (a blob vanishing mid-flight, parse errors) all
 degrade to "no hint": the compute thread reruns the real path and

@@ -85,10 +85,6 @@ class LocalDisk:
         except FileNotFoundError:
             pass
 
-    def list_blobs(self) -> list[str]:
-        """Names of all stored blobs, sorted."""
-        return sorted(p.name for p in self.root.iterdir() if p.is_file())
-
     def used_bytes(self) -> int:
         """Total bytes currently stored."""
         return sum(p.stat().st_size for p in self.root.iterdir() if p.is_file())

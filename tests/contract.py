@@ -33,7 +33,7 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, MPEConfig, SPE
 from repro.core.knobs import CONTRACTS, knob_rows
 from repro.delta import mirrored, random_mutations
-from repro.faults import CRASH, FaultPlan, Supervisor
+from repro.faults import FaultPlan, Supervisor
 from repro.graph import Graph, chung_lu_graph
 from repro.runtime import process_runtime_available
 from repro.service import Engine, JobSpec, JobStatus, reset_simulation
@@ -79,13 +79,6 @@ OPEN_VALUES = {
     "prefetch_depth": (1, 2, 4),
     "io_threads": (2, 3),
 }
-# What an aborted attempt's work is charged to.  A serial attempt stops
-# at the first raising server, while a threaded or forked one lets its
-# in-flight siblings finish their sweep: under a crash, that work
-# (``aborted_attempt_edges``, and the reads and edges it meters) is
-# executor-dependent.
-ABORTED_WORK = ("reports", "counters", "cache_stats")
-
 
 HOST = {n for n, row in ROWS.items() if row.tunable and row.contract == "identical"}
 
@@ -203,21 +196,6 @@ def fingerprint(cluster, result, recovery=None, earlier=()) -> dict:
     return {"values": values, "metered": metered}
 
 
-def _comparable(fp: dict, case: Case) -> dict:
-    """``fp`` less what an aborted attempt leaves executor-dependent
-    when ``case`` runs a fault schedule off the serial executor (see
-    :data:`ABORTED_WORK`).  Its fault log is compared as a multiset:
-    sibling servers append to it in the order they reach their events."""
-    if case.fault is None or case.executor == "serial":
-        return fp
-    recovery = dict(fp["metered"]["recovery"], aborted_attempt_edges=None)
-    recovery["fault_log"] = sorted(recovery["fault_log"], key=repr)
-    metered = dict(fp["metered"], recovery=recovery)
-    if any(event.kind == CRASH for event in schedule_of(case)):
-        metered = {k: v for k, v in metered.items() if k not in ABORTED_WORK}
-    return dict(fp, metered=metered)
-
-
 def _drive(mpe, case: Case):
     """One engine through the case's participant: the last run's result,
     under a fault schedule its recovery report, and the earlier runs'."""
@@ -318,8 +296,8 @@ def mismatches(case: Case, level: str | None = None) -> list[str]:
     """What ``case`` breaks at ``level`` (default: its declared one),
     one line each."""
     level = level or case.level
-    fp = run(dataclasses.replace(case, service=False))
-    got, ref = _comparable(fp, case), _comparable(run(case.reference()), case)
+    got = run(dataclasses.replace(case, service=False))
+    ref = run(case.reference())
     parts = {"identical": ("values", "metered"), "metered": ("values",), "values": ()}
     out = [
         f"{case}: {part}[{key}] differs at level {level}"
@@ -340,14 +318,14 @@ def mismatches(case: Case, level: str | None = None) -> list[str]:
     if not np.allclose(values, _expected_values(case), rtol=0, atol=5e-4):
         out.append(f"{case}: values are not the reference solution's")
     if case.service:
-        cold = {key: fp["metered"][key] for key in ("reports", "counters", "cache_stats")}
+        cold = {key: got["metered"][key] for key in ("reports", "counters", "cache_stats")}
         for i, job in enumerate(_warm_jobs(case)):
             warm = {
                 "reports": [{k: v for k, v in r.items() if k != "wall_s"} for r in job.supersteps],
                 "counters": [job.counters[str(s)] for s in range(N_SERVERS)],
                 "cache_stats": [job.cache_stats.get(str(s)) for s in range(N_SERVERS)],
             }
-            if job.values.tobytes() != fp["values"]["values"] or warm != cold:
+            if job.values.tobytes() != got["values"]["values"] or warm != cold:
                 out.append(f"{case}: warm job {i} is not a cold engine's run")
     return out
 

@@ -149,7 +149,6 @@ class TestCluster:
             cluster.servers[0].counters.add_memory("vertex", 100)
             cluster.servers[1].counters.add_memory("vertex", 300)
             assert cluster.aggregate_counters().mem_vertex == 400
-            assert cluster.max_server_memory_peak() == 300
 
 
 def _mirrored_state(server):

@@ -29,6 +29,7 @@ from repro.faults import (
     Supervisor,
 )
 from repro.graph import chung_lu_graph
+from repro.obs.trace import Tracer
 from tests import contract
 from tests.contract import Case, check, recovery, restarts, run
 
@@ -230,18 +231,75 @@ class TestProcessExecutorChaos:
         assert (report["restarts"], report["fault_retries"], report["faults_injected"]) == (0, 3, 3)
 
     def test_matches_serial_supervision_report(self):
-        """Every report field but the aborted attempt's work is the
-        serial run's (``check``), across four restarts."""
+        """Every report field, the aborted attempts' work included, is
+        the serial run's (``check``), across four restarts."""
         case = Case(executor="process", width=2, fault=21)
         check(case)
         assert [kind for kind, *_ in restarts(case)] == ["msg_drop", "msg_drop", "crash", "msg_drop"]
 
 
+class TestOneFaultPass:
+    """Every executor fires the compute phase's faults in the parent, in
+    server order: two aborting faults in one superstep, a straggler on
+    whichever server and a lone crash leave serial's recovery report,
+    Counters, CacheStats and span trees — fault instants included."""
+
+    SCHEDULES = {
+        "disk+crash": [
+            FaultEvent(DISK_ERROR, superstep=3, server=0, fatal=True),
+            FaultEvent(CRASH, superstep=3, server=2),
+        ],
+        "any-straggler": [FaultEvent(STRAGGLER, superstep=3)],
+        "crash": [FaultEvent(CRASH, superstep=3, server=2)],
+    }
+
+    @pytest.fixture(autouse=True)
+    def _configured(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+
+    @staticmethod
+    def _outcome(graph, name, executor):
+        mpe, cluster = _fresh_mpe(graph, executor=executor, num_threads=2, num_workers=2)
+        mpe.tracer = Tracer()
+        try:
+            result, report = Supervisor(
+                mpe, schedule=FaultSchedule(TestOneFaultPass.SCHEDULES[name])
+            ).run(PageRank())
+            return {
+                "values": result.values.tobytes(),
+                "recovery": report.to_dict(),
+                "counters": [s.counters.snapshot() for s in cluster.servers],
+                "cache": [s.cache.stats for s in cluster.servers],
+                "spans": {
+                    label: [node.as_tuple() for node in forest]
+                    for label, forest in mpe.tracer.span_trees().items()
+                },
+            }
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("executor", contract.EXECUTORS[1:])
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_an_executor_aborts_and_charges_as_serial(self, graph, clean, name, executor):
+        serial = self._outcome(graph, name, "serial")
+        assert serial["values"] == clean[0].tobytes()
+        # One attempt per aborting fault; an ANY straggler slows server 0.
+        assert (
+            serial["recovery"]["restarts"],
+            [(e["kind"], e["server"]) for e in serial["recovery"]["fault_log"]],
+        ) == {
+            "disk+crash": (2, [(DISK_ERROR, 0), (CRASH, 2)]),
+            "any-straggler": (0, [(STRAGGLER, 0)]),
+            "crash": (1, [(CRASH, 2)]),
+        }[name]
+        assert self._outcome(graph, name, executor) == serial
+
+
 class TestPrefetchChaosDeterminism:
-    """The tile prefetch pipeline must not move a single fault: the
-    injector fires inside the metered load at dequeue — the same
-    per-tile instant, in the same serial sweep order — so the recovery
-    report, aborted work included, is the pipeline-off run's."""
+    """The tile prefetch pipeline must not move a single fault: faults
+    fire in the parent before the sweep is dispatched, and the pipeline
+    meters every tile at dequeue in sweep order, so the recovery report,
+    aborted work included, is the pipeline-off run's."""
 
     def test_disk_error_schedule_identical_with_pipeline(self):
         case = Case(knobs=(("prefetch_depth", 2), ("io_threads", 2)), fault=38)

@@ -489,19 +489,25 @@ class TestRunsOfOneIdentity:
         assert lengths == expected * warm.num_supersteps
 
     @pytest.mark.parametrize("fault", [DiskReadFault, ServerCrashFault])
-    def test_a_fault_on_the_fourth_tile_of_a_server(self, graph, fault):
-        """The metering pass is the serial sweep: the fault fires at the
-        same load, and what the abort leaves behind is the same."""
+    def test_a_fault_on_the_fourth_tile_of_a_server(self, graph, fault, monkeypatch):
+        """The metering pass is the serial sweep: an error raised by a
+        tile load aborts at the same load, and what the abort leaves
+        behind is the same."""
 
         class FourthLoad:
-            def __init__(self):
+            """Server 1's ``load_tile``, raising on its fourth load of
+            superstep 2."""
+
+            def __init__(self, load_tile):
+                self.load_tile = load_tile
                 self.loads, self.superstep, self.fired = 0, None, None
 
-            def on_tile_load(self, server, blob_name):
+            def __call__(self, blob_name, *args):
                 self.loads += 1
                 if self.superstep == 2 and self.loads == 4:
-                    self.fired = (server.server_id, blob_name)
-                    raise fault("injected", superstep=2, server=server.server_id)
+                    self.fired = (1, blob_name)
+                    raise fault("injected", superstep=2, server=1)
+                return self.load_tile(blob_name, *args)
 
         outcomes = []
         for max_run in (None, 1):
@@ -509,7 +515,9 @@ class TestRunsOfOneIdentity:
             mpe, cluster = _engine(graph, max_run, tracer=tracer, max_supersteps=4)
             try:
                 mpe.run(PageRank(tolerance=0.0))
-                hook = cluster.servers[1].fault_injector = FourthLoad()
+                server = cluster.servers[1]
+                hook = FourthLoad(server.load_tile)
+                monkeypatch.setattr(server, "load_tile", hook)
                 resolve = mpe._resolve_schedule
 
                 def resolved(superstep, *args):
@@ -538,7 +546,7 @@ class TestRunsOfOneIdentity:
                     }
                 )
                 # The engine runs clean afterwards.
-                cluster.servers[1].fault_injector = None
+                monkeypatch.delattr(server, "load_tile")
                 mpe._resolve_schedule = resolve
                 outcomes[-1]["after"] = mpe.run(PageRank(tolerance=0.0)).values.tobytes()
             finally:
