@@ -39,7 +39,7 @@ def test_kernel_gather_apply_pagerank(benchmark, web_tile):
     program = PageRank()
     store = AllInAllStore(program.init_values(g), g.out_degrees)
     # The slot is per superstep, not per tile: built outside the timing.
-    slot = store.message_slot(program)
+    slot = store.message_slot(program, 0)
     ids, vals, rows = benchmark(
         _sweep_run, program, _one_tile_run(tile), store, slot
     )

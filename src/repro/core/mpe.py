@@ -284,7 +284,7 @@ class MPE:
         # phase for its apply phase;
         # whether this process is a forked worker (set post-fork by
         # _process_child_init), in which case handler results carry a
-        # ServerMirror for the parent; and the apply phase's inbox
+        # ServerMirror for the parent; and the OD apply phase's inbox
         # resolver (its shared-segment attachment, in a worker).
         self._run: _RunPrep | None = None
         self._own_updates: dict[int, tuple] = {}
@@ -614,11 +614,12 @@ class MPE:
                 ebuf.begin("apply", "phase")
 
                 # ---- BSP barrier: apply all updates everywhere ---------
-                # Also per-server-independent (own store, own mailbox,
-                # own counters).  The parent drains each mailbox; every
-                # handler applies its inbox plus the own update its
-                # compute phase left behind, straight into its (possibly
-                # shared) value arrays.
+                # Also per-server-independent (own mailbox, own counters,
+                # and own targets of the one AA replica or an own OD
+                # store).  The parent drains each mailbox; every handler
+                # writes the own update its compute phase left behind
+                # (plus, under OD, its inbox's records) straight into
+                # its (possibly shared) value arrays.
                 self._dispatch(
                     executor,
                     "apply",
@@ -737,9 +738,13 @@ class MPE:
     def _build_stores(self, init_values, degrees, shared: bool, cleanup: list) -> None:
         """Give every server its vertex store for this run.
 
-        Where the replica arrays live is picked once per run: the heap
-        (no allocator), shared-memory segments when handlers run in
-        forked workers (``shared``), or — semi-external-memory mode —
+        Under AA that is one store every server views: the N logical
+        replicas are bitwise identical after every barrier, so they are
+        one physical array, and each server is still charged a full
+        replica (Eq. 2).  Under OD each server gets its own subset.
+        Where the arrays live is picked once per run: the heap (no
+        allocator), shared-memory segments when handlers run in forked
+        workers (``shared``), or — semi-external-memory mode —
         file-backed maps under the cluster tempdir (MAP_SHARED, so they
         serve every executor, process included).  The allocator goes on
         ``cleanup`` *before* the stores, so LIFO teardown drops the
@@ -753,20 +758,13 @@ class MPE:
             allocator = SharedAllocator()
         if allocator is not None:
             cleanup.append(allocator.release)
-        # Shared-memory AA replicas view one read-only degree
-        # segment — a host-side dedup; each store still *accounts* a
-        # full per-replica copy (§IV-A).
-        share_degrees = shared and cfg.vertex_store != "mmap"
-        degree_donor = None
+        replica = None
+        if cfg.replication_policy == "aa":
+            replica = AllInAllStore(init_values, degrees, allocator)
+            cleanup.append(replica.release)
         for server in self.cluster.servers:
-            if cfg.replication_policy == "aa":
-                # All-in-All: full dense arrays on every server.
-                store = AllInAllStore(
-                    init_values, degrees, allocator, degree_donor
-                )
-                if share_degrees:
-                    degree_donor = store
-            else:
+            store = replica
+            if store is None:
                 # On-Demand: only this server's tile sources ∪ targets
                 # (the store takes the union of what it is handed).
                 local = np.concatenate(
@@ -774,7 +772,7 @@ class MPE:
                     + [self._server_target_ids[server.server_id]]
                 )
                 store = OnDemandStore(init_values, degrees, local, allocator)
-            cleanup.append(store.release)
+                cleanup.append(store.release)
             server.state["store"] = store
             vertex_bytes, message_bytes = store.memory_bytes()
             server.counters.set_memory("vertex", vertex_bytes)
@@ -1126,15 +1124,23 @@ class MPE:
         order; an aborting fault at server k leaves servers k and later
         without a payload and is raised after the join, so the servers
         a serial sweep reaches are the ones that sweep.  Straggler
-        charges fire after the join, in server order.  Around a forking
-        executor an apply dispatch's inboxes travel by shared segment,
-        and each result's :class:`~repro.cluster.server.ServerMirror` is
+        charges fire after the join, in server order.  An AA apply
+        dispatch ships each received record as ``(sender, nbytes)``:
+        every sender writes its own update into the one replica, so a
+        receiver needs only what it is charged for.  An OD apply ships
+        the records themselves — by shared segment around a forking
+        executor.  Each result's :class:`~repro.cluster.server.ServerMirror` is
         absorbed — in server-id order, so per-buffer trace sequences are
         the ones a serial run records.  In-process handlers return no mirror: the
         server they ran on *is* the parent's.
         """
         staged = fault = None
-        if tag == "apply":
+        if tag == "apply" and self.config.replication_policy == "aa":
+            payloads = [
+                [(src, record.nbytes) for src, record in inbox]
+                for inbox in payloads
+            ]
+        elif tag == "apply":
             staged = StagedInboxes(payloads, shared=executor.forks)
             payloads = staged.handles
         elif self.injector is not None:
@@ -1177,7 +1183,8 @@ class MPE:
         switch is metered here, after the superstep's counter snapshot,
         so its charge lands in this superstep's delta — sweeps the
         schedule, and keeps the server's own update for its apply.
-        ``apply`` takes the server's staged inbox.  A ``None`` payload
+        ``apply`` takes the server's inbox: ``(sender, nbytes)`` pairs
+        under AA, a staged-inbox handle under OD.  A ``None`` payload
         (a server an aborting fault cut off) does nothing.
         """
         if payload is None:
@@ -1203,10 +1210,10 @@ class MPE:
                     vals=np.zeros(0, dtype=np.float64),
                 )
         elif tag == "apply":
+            if self.config.replication_policy == "od":
+                payload = self._inboxes.resolve(payload)
             result = self._apply_server_step(
-                server,
-                self._own_updates.pop(server_id),
-                self._inboxes.resolve(payload),
+                server, self._own_updates.pop(server_id), payload
             )
         else:
             raise ValueError(f"unknown phase {tag!r}")
@@ -1245,11 +1252,11 @@ class MPE:
             # sends one message per source vertex, so it is computed once
             # over the resident vertices and gathered per edge; weighted
             # programs evaluate per edge.  Values only change at the
-            # barrier, so the slot holds for the whole sweep, and a
-            # retried sweep rebuilds it.
+            # barrier, so the slot holds for the whole superstep (the
+            # shared AA replica builds it once for every server).
             slot = None
             if sched.run and not program.uses_edge_weight:
-                slot = store.message_slot(program)
+                slot = store.message_slot(program, superstep)
             changed_ids_parts: list[np.ndarray] = []
             changed_vals_parts: list[np.ndarray] = []
             changed_rows_parts: list[np.ndarray] = []
@@ -1407,16 +1414,19 @@ class MPE:
         self,
         server,
         own_update: tuple[np.ndarray, np.ndarray],
-        inbox: list[tuple[int, UpdatePayload]],
+        inbox: list[tuple],
     ) -> None:
         """One server's barrier work: apply own + received updates.
 
-        ``inbox`` is the drained mailbox as ``(sender id, record)``
-        pairs.  Nothing is decoded: each sender's record lands where it
-        is, with its own ``store.write`` — sender target sets are
-        disjoint (:meth:`_check_static_layout`), so the write order
-        cannot matter — while every receiver is still charged the
-        decompress of the wire bytes it received (per-receiver NIC
+        ``inbox`` is the drained mailbox.  Under AA it is ``(sender id,
+        nbytes)`` pairs: the replica is shared, and each sender's own
+        apply writes its update there, so a receiver writes nothing it
+        received.  Under OD it is ``(sender id, record)`` pairs, and
+        each record lands in this server's store with its own
+        ``store.write`` — sender target sets are disjoint
+        (:meth:`_check_static_layout`), so the write order cannot
+        matter.  Nothing is decoded, and every receiver is still charged
+        the decompress of the wire bytes it received (per-receiver NIC
         work, §IV-C).
         """
         with server.trace.span("apply", "phase", inbox=len(inbox)):
@@ -1425,13 +1435,18 @@ class MPE:
             # handler put them into force wherever this runs).
             codec = self._knobs.message_codec
             store = server.state["store"]
-            store.write(*own_update)
-            for src, update in inbox:
-                store.write(
-                    update.select(self._server_target_ids[src]), update.values
-                )
+            if own_update[0].size:
+                store.write(*own_update)
+            for src, received in inbox:
+                nbytes = received
+                if store.policy == "od":
+                    store.write(
+                        received.select(self._server_target_ids[src]),
+                        received.values,
+                    )
+                    nbytes = received.nbytes
                 if codec != "raw":
-                    server.counters.add_decompressed(codec, update.nbytes)
+                    server.counters.add_decompressed(codec, nbytes)
 
     def collect_values(self, init_values) -> np.ndarray:
         """Globally consistent value array after a barrier.

@@ -6,6 +6,12 @@ so both replication policies are real, runnable implementations:
 * :class:`AllInAllStore` — the paper's choice: every server holds all
   ``|V|`` values in dense arrays indexed directly by vertex id.  20 B
   per vertex (value + message slot + degree), zero indexing overhead.
+  In this single-host simulation the N replicas are one object: after
+  every barrier the N logical copies are bitwise identical (a fault
+  fails a superstep before any write), so one physical array that
+  every server views *is* each of them.  ``memory_bytes()`` still
+  charges a full logical replica per server (Eq. 2), as a cluster of
+  N machines would hold.
 * :class:`OnDemandStore` — holds only the vertices that appear in this
   server's tiles (sources ∪ targets), at the cost of a 4-byte id per
   entry and a binary-search translation on every access — exactly the
@@ -26,8 +32,11 @@ source (:mod:`repro.apps.base`), so message-then-gather and
 gather-then-message produce the same bits.  The slot never goes
 through an allocator: it is a fresh heap array local to whichever
 process runs the compute phase (or, for a program whose message *is*
-the value, a view of the replica), rebuilt every superstep, read-only,
-and dropped before the barrier writes the values it was derived from.
+the value, a view of the replica), read-only, and valid only until the
+barrier writes the values it was derived from.  The OD store builds one
+per server per superstep; the AA replica, which every server shares,
+builds it once per superstep and serves it to every server that sweeps
+(per process: a forked worker builds its own, once, for its servers).
 
 *Where* a store's arrays live is not the store's business: each takes an
 optional allocator — anything with ``create(source, tag) -> ndarray``
@@ -38,8 +47,10 @@ that hands back.  No allocator is the heap;
 read and write vertex state zero-copy);
 :class:`~repro.storage.backing.BackingStore` is file-backed memmaps
 (GraphMP's semi-external-memory mode, ``MPEConfig.vertex_store="mmap"``:
-the N×|V| replicas stop being the memory ceiling, the OS pages them on
-demand).  Both are ``MAP_SHARED`` and fork-shareable.  The indexing code
+vertex state stops being the memory ceiling, the OS pages it on
+demand).  Both are ``MAP_SHARED`` and fork-shareable, so under AA the
+one replica is one array wherever it lives: forked workers write their
+servers' updates into the same pages the parent reads.  The indexing code
 is the same object code in all three, which is what makes
 process-parallel and mmap-backed results bitwise identical to serial:
 the bytes live elsewhere, the arithmetic is the same.  The allocator's
@@ -49,6 +60,8 @@ ndarray still references the buffer).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -76,7 +89,10 @@ def _place(allocator, source: np.ndarray, tag: str, dtype=None) -> np.ndarray:
 
 
 class AllInAllStore:
-    """Dense full-replica store (§IV-A's AA policy)."""
+    """Dense full-replica store (§IV-A's AA policy): one per run, viewed
+    by every server.  Each server writes only its own update into it at
+    the barrier — the other senders' updates land through their own
+    writes — and the message slot is built once per superstep."""
 
     policy = "aa"
 
@@ -85,23 +101,29 @@ class AllInAllStore:
         init_values: np.ndarray,
         out_degrees: np.ndarray | None,
         allocator=None,
-        degrees_from: "AllInAllStore | None" = None,
     ) -> None:
-        """``degrees_from`` is another replica whose (read-only) degree
-        array this one views instead of allocating its own — host-side
-        dedup only: ``memory_bytes`` still reports a full logical
-        replica, so the modeled §IV-A accounting is unchanged."""
         self._values = _place(allocator, init_values, "values")
-        if degrees_from is not None:
-            self._out_degrees = degrees_from._out_degrees
-        elif out_degrees is not None:
-            self._out_degrees = _place(allocator, out_degrees, "degrees", np.int32)
-        else:
-            self._out_degrees = None
+        self._out_degrees = (
+            _place(allocator, out_degrees, "degrees", np.int32)
+            if out_degrees is not None
+            else None
+        )
+        # (superstep, slot): the slot every server of this process reads
+        # in that superstep.  The lock makes concurrent sweeps (the
+        # thread executor) build it once.
+        self._slot: tuple[int, np.ndarray] | None = None
+        self._slot_lock = threading.Lock()
 
-    def message_slot(self, program) -> np.ndarray:
-        """This superstep's message per resident vertex (Eq. 2's slot)."""
-        return _message_slot(program, self._values, self._out_degrees)
+    def message_slot(self, program, superstep: int) -> np.ndarray:
+        """This superstep's message per vertex (Eq. 2's slot), built by
+        the first server that asks and shared with the rest."""
+        with self._slot_lock:
+            if self._slot is None or self._slot[0] != superstep:
+                self._slot = (
+                    superstep,
+                    _message_slot(program, self._values, self._out_degrees),
+                )
+            return self._slot[1]
 
     def gather_values(
         self, vertex_ids: np.ndarray, plane: np.ndarray | None = None
@@ -115,7 +137,8 @@ class AllInAllStore:
         return np.take(self._out_degrees, vertex_ids)
 
     def write(self, vertex_ids: np.ndarray, values: np.ndarray) -> None:
-        """Apply updates (ids the server may or may not care about)."""
+        """Apply one server's own update (its targets are disjoint from
+        every other server's, so concurrent writers never overlap)."""
         self._values[vertex_ids] = values
 
     def full_values(self) -> np.ndarray:
@@ -123,7 +146,8 @@ class AllInAllStore:
         return self._values
 
     def memory_bytes(self) -> tuple[int, int]:
-        """(vertex-state bytes, message-buffer bytes) — Eq. 2 terms."""
+        """(vertex-state bytes, message-buffer bytes) of one logical
+        replica — Eq. 2 terms, charged to every server."""
         vertex = self._values.nbytes
         if self._out_degrees is not None:
             vertex += self._out_degrees.nbytes
@@ -134,7 +158,9 @@ class AllInAllStore:
         return int(self._values.size)
 
     def release(self) -> None:
-        """Drop the array views (their memory belongs to the allocator)."""
+        """Drop the array views (their memory belongs to the allocator);
+        the slot goes too, since it may be a view of the values."""
+        self._slot = None
         self._values = None
         self._out_degrees = None
 
@@ -178,7 +204,9 @@ class OnDemandStore:
             raise KeyError("vertex not resident under the OD policy")
         return slots
 
-    def message_slot(self, program) -> np.ndarray:
+    def message_slot(self, program, superstep: int) -> np.ndarray:
+        """This server's slot over its resident vertices (``superstep``
+        is unused: the store is this server's alone)."""
         return _message_slot(program, self._values, self._out_degrees)
 
     def gather_values(

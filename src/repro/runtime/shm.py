@@ -1,9 +1,11 @@
 """Shared-memory substrate for the process executor.
 
 The process runtime keeps the vertex stores — values and degree
-arrays — in POSIX shared memory (:mod:`multiprocessing.shared_memory`)
-created *before* the worker pool forks, and stages each superstep's
-drained inboxes in one more segment for the apply dispatch.  Workers
+arrays; under All-in-All one pair for the whole cluster — in POSIX
+shared memory (:mod:`multiprocessing.shared_memory`) created *before*
+the worker pool forks, and, under On-Demand, stages each superstep's
+drained inboxes in one more segment for the apply dispatch (an
+All-in-All apply ships only each record's length).  Workers
 inherit the store mappings and operate on them zero-copy; per-superstep
 dispatch ships only small handles and compact results, never pickled
 megabyte payloads.  Tile blobs are not shared: a worker reads its

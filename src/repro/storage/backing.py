@@ -1,8 +1,8 @@
 """Backing files for semi-external-memory vertex state.
 
 GraphMP's semi-external-memory model keeps vertex data addressable but
-not necessarily resident: the N×|V| replica arrays that were this
-engine's memory ceiling become ``np.memmap`` views over real files, and
+not necessarily resident: the vertex arrays that were this engine's
+memory ceiling become ``np.memmap`` views over real files, and
 the OS pages them in and out on demand.  :class:`BackingStore` owns one
 directory of such files (one per array) and hands out writable
 ``mode="w+"`` maps — ``MAP_SHARED``, so a map created in the parent

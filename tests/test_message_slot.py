@@ -106,7 +106,7 @@ class TestElementwiseContract:
         store = _store(policy, values, degrees)
         before = store.gather_values(LOCAL).copy()
 
-        per_vertex = store.gather_values(col, store.message_slot(program))
+        per_vertex = store.gather_values(col, store.message_slot(program, 0))
         per_edge = program.edge_message(
             store.gather_values(col),
             store.gather_out_degrees(col) if degrees is not None else None,
@@ -182,7 +182,7 @@ class TestSlot:
         values = np.arange(N_VERTICES, dtype=np.float64)
         degrees = np.full(N_VERTICES, 2)
         store = _store(policy, values, degrees)
-        slot = store.message_slot(PageRank())
+        slot = store.message_slot(PageRank(), 0)
         assert slot.size == store.num_stored()
         assert store.gather_values(np.array([8, 2]), slot).tolist() == [4.0, 1.0]
         if policy == "od":
@@ -202,7 +202,7 @@ class TestSlot:
             store = AllInAllStore(values, None)
         else:
             store = OnDemandStore(values, None, np.arange(N_VERTICES))
-        slot = store.message_slot(program)
+        slot = store.message_slot(program, 0)
         assert np.shares_memory(slot, store._values)
         assert not slot.flags.writeable
         with pytest.raises(ValueError):
@@ -215,6 +215,48 @@ class TestSlot:
         assert rows.tolist() == ids.tolist()  # the tile starts the index at 0
         assert store._values.tobytes() == values.tobytes()
 
+    def test_concurrent_askers_share_one_build_per_superstep(self, monkeypatch):
+        """Stress: eight threads (more than the cores) ask the one AA
+        replica for each superstep's slot at once, with thread switches
+        forced as often as the interpreter allows; each superstep is
+        built once and every asker gets that one array."""
+        import sys
+        import threading
+
+        builds = []
+        edge_message = PageRank.edge_message
+
+        def counted(self, src_values, out_degrees, weights):
+            builds.append(1)
+            return edge_message(self, src_values, out_degrees, weights)
+
+        monkeypatch.setattr(PageRank, "edge_message", counted)
+        store = AllInAllStore(np.ones(1000), np.arange(1000))
+        program = PageRank()
+        supersteps, threads = 20, 8
+        start = threading.Barrier(threads, timeout=30)
+        got = [[None] * threads for _ in range(supersteps)]
+
+        def ask(t):
+            for superstep in range(supersteps):
+                start.wait()
+                got[superstep][t] = store.message_slot(program, superstep)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=ask, args=(t,)) for t in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert len(builds) == supersteps
+        for slots in got:
+            assert all(slot is slots[0] for slot in slots)
+
     @pytest.mark.skipif(
         not process_runtime_available(), reason="platform lacks POSIX shared memory"
     )
@@ -222,7 +264,7 @@ class TestSlot:
         allocator = SharedAllocator()
         store = AllInAllStore(np.ones(8), np.arange(8), allocator)
         try:
-            slot = store.message_slot(PageRank())
+            slot = store.message_slot(PageRank(), 0)
             assert not np.shares_memory(slot, store._values)
             assert slot.tolist() == (1.0 / np.maximum(np.arange(8), 1)).tolist()
             del slot
@@ -283,9 +325,36 @@ class TestCallCounts:
         assert len(plans) == built  # decoded tiles kept theirs
         assert degree_gathers == []
         # tolerance=0: every server sweeps a non-empty run list every
-        # superstep.  The two small calls are _begin_run's contract probe.
+        # superstep, and all of them read the one AA replica's slot,
+        # built once per superstep.  The two small calls are
+        # _begin_run's contract probe.
         assert all(s.tiles_processed for s in warm.supersteps)
         slot_builds = [n for n in sizes if n == graph.num_vertices]
-        assert len(slot_builds) == num_servers * warm.num_supersteps
+        assert len(slot_builds) == warm.num_supersteps
         assert sorted(set(sizes) - {graph.num_vertices}) == [32, 64]
         assert len(sizes) == len(slot_builds) + 2
+
+    def test_one_slot_build_per_superstep_under_two_threads(
+        self, graph, monkeypatch
+    ):
+        """Two threads sweep servers at once against the one AA replica;
+        the slot is still built once per superstep."""
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        sizes: list[int] = []
+        edge_message = PageRank.edge_message
+
+        def counted_message(self, src_values, out_degrees, weights):
+            sizes.append(src_values.size)
+            return edge_message(self, src_values, out_degrees, weights)
+
+        monkeypatch.setattr(PageRank, "edge_message", counted_message)
+        mpe, cluster = _engine(
+            graph, 3, executor="parallel", num_threads=2, max_supersteps=6
+        )
+        try:
+            result = mpe.run(PageRank(tolerance=0.0))
+        finally:
+            cluster.close()
+        assert result.executor == "parallel"
+        assert all(s.tiles_processed for s in result.supersteps)
+        assert sizes.count(graph.num_vertices) == result.num_supersteps

@@ -328,13 +328,13 @@ class TestRunPositions:
         make, max_run, cfg = self.CASES[case]
         kernel = mpe_module._sweep_run
         lengths = []
+        # The server sweeping right now (serial: one at a time); every
+        # AA server views the one replica, so the store cannot say.
+        sweeping = []
 
         def checked(program, run, store, slot):
             ids, vals, rows = kernel(program, run, store, slot)
-            (server,) = [
-                s for s in mpe.cluster.servers if s.state.get("store") is store
-            ]
-            own = mpe._server_target_ids[server.server_id]
+            own = mpe._server_target_ids[sweeping[-1]]
             span = own[run.first_row : run.first_row + run.target_ids.size]
             assert np.array_equal(span, run.target_ids)
             assert np.array_equal(rows, np.searchsorted(own, ids))
@@ -343,6 +343,13 @@ class TestRunPositions:
 
         monkeypatch.setattr(mpe_module, "_sweep_run", checked)
         mpe, cluster = _engine(graph, max_run, **cfg)
+        compute = mpe._compute_server_step
+
+        def tracked(program, server, superstep, sched):
+            sweeping.append(server.server_id)
+            return compute(program, server, superstep, sched)
+
+        mpe._compute_server_step = tracked
         try:
             for _ in range(2):  # cold, then warm: slab runs need a filled slab
                 mpe.run(make())

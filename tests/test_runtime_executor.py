@@ -588,9 +588,10 @@ class TestStagedInboxes:
             staged.release()
 
     def test_segment_unlinked_after_the_phase(self, skewed, monkeypatch):
-        """Every superstep of a process run stages its inboxes in a new
-        segment, and each is unlinked as soon as its apply phase
-        returns: none can be attached afterwards."""
+        """Every superstep of a process OD run stages its inboxes in a
+        new segment (an AA run stages none), and each is unlinked as
+        soon as its apply phase returns: none can be attached
+        afterwards."""
         from repro.runtime import shm
 
         names = []
@@ -603,7 +604,9 @@ class TestStagedInboxes:
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         monkeypatch.setattr(shm.StagedInboxes, "__init__", recording)
         result, _ = _run(
-            skewed, PageRank(), MPEConfig(executor="process", num_workers=2),
+            skewed,
+            PageRank(),
+            MPEConfig(executor="process", num_workers=2, replication_policy="od"),
             max_supersteps=4,
         )
         assert result.executor == "process"
@@ -991,7 +994,7 @@ def _oracle_apply(mpe, store, counters, own_update, wires):
 
 
 def _check_apply(mpe, apply, server, own, inbox, wires):
-    """``apply`` (the engine's apply step) of ``inbox`` (records)
+    """OD: ``apply`` (the engine's apply step) of ``inbox`` (records)
     leaves ``server``'s store and Counters where :func:`_oracle_apply`
     of ``wires`` (the same broadcasts as bytes) leaves copies of them."""
     import copy
@@ -1002,6 +1005,57 @@ def _check_apply(mpe, apply, server, own, inbox, wires):
     apply(server, own, inbox)
     assert _store_content(server.state["store"]) == _store_content(store)
     assert server.counters.snapshot() == counters.snapshot()
+
+
+def _check_cluster_apply(mpe, apply, calls):
+    """AA: ``calls`` is one superstep's ``(server, own update, records
+    received, their wires)`` for every server, all viewing one replica.
+    ``apply`` (the engine's apply step) runs each on ``(sender,
+    nbytes)`` pairs; each receiver's Counters then equal where
+    :func:`_oracle_apply` of its wires leaves a copy, and once every
+    server has applied, the one replica equals every receiver's oracle:
+    the replica as it was, plus that receiver's own update and the
+    decoded wires it received, in one concatenated write."""
+    import copy
+
+    from repro.core.vertexstore import AllInAllStore
+
+    replica = mpe.cluster.servers[0].state["store"]
+    assert all(s.state["store"] is replica for s in mpe.cluster.servers)
+    before = replica.full_values().copy()
+    oracles = []
+    for server, own, records, wires in calls:
+        counters = copy.deepcopy(server.counters)
+        oracle = AllInAllStore(before, None)
+        _oracle_apply(mpe, oracle, counters, own, wires)
+        oracles.append(oracle)
+        apply(server, own, [(src, rec.nbytes) for src, rec in records])
+        assert server.counters.snapshot() == counters.snapshot()
+    for oracle in oracles:
+        assert _store_content(replica) == _store_content(oracle)
+
+
+def _cluster_calls(mpe, updates, codec, mode):
+    """Every server's apply call for one superstep in which server
+    ``i`` staged ``updates[i] = (staged, rows)``: its own update, and
+    the other servers' records and wires."""
+    from repro.comm import stage_update
+
+    targets = mpe._server_target_ids
+    records = [stage_update(st_, rows, codec, mode=mode) for st_, rows in updates]
+    wires = [encode_update(st_, rows, codec, mode=mode) for st_, rows in updates]
+    calls = []
+    for server in mpe.cluster.servers:
+        sid = server.server_id
+        staged, rows = updates[sid]
+        others = [src for src in range(len(updates)) if src != sid]
+        calls.append((
+            server,
+            (targets[sid][rows], staged[rows]),
+            [(src, records[src]) for src in others],
+            [(src, wires[src]) for src in others],
+        ))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -1047,10 +1101,11 @@ def _records_equal(a, b) -> bool:
 class TestDecodeOnceApply:
     """How a broadcast is applied: each sender's record — its update
     plus the length of the wire message that would carry it — goes to
-    every receiver as is, nothing decodes, every receiver is still
-    charged its own decompress bytes, each sender is written where it
-    lands — and the result is the one a receiver that decoded the wire
-    bytes and made one concatenated scatter would leave."""
+    every receiver (under AA as its length alone), nothing decodes,
+    every receiver is still charged its own decompress bytes, each
+    update is written where it lands (under AA by its sender, into the
+    one replica) — and the result is the one a receiver that decoded
+    the wire bytes and made one concatenated scatter would leave."""
 
     @pytest.fixture(autouse=True)
     def _configured_executor(self, monkeypatch):
@@ -1063,7 +1118,8 @@ class TestDecodeOnceApply:
     @pytest.mark.parametrize("policy", ["aa", "od"])
     def test_matches_per_sender_oracle(self, skewed, policy, codec):
         """Differential: on every (own_update, inbox) of real 3-server
-        supersteps, the engine leaves the store and the receiver's
+        supersteps, the engine leaves the store — under AA the one
+        replica, once every server has applied — and each receiver's
         Counters exactly where the oracle decoding each record's wire
         message does."""
         from tests.test_mpe_golden import wire_of
@@ -1076,12 +1132,34 @@ class TestDecodeOnceApply:
         )
         engine_apply = mpe._apply_server_step
         checked = []
+        # AA receivers get (sender, nbytes): the records they stand for
+        # are the superstep's broadcasts, by sender.
+        sent = {}
+        broadcast = mpe.channel.broadcast
+
+        def recording(src, payload):
+            sent[src] = payload
+            broadcast(src, payload)
+
+        pending = []
 
         def differential(server, own_update, inbox):
-            wires = [(src, wire_of(rec, codec)) for src, rec in inbox]
-            _check_apply(mpe, engine_apply, server, own_update, inbox, wires)
             checked.append(len(inbox))
+            if policy == "od":
+                wires = [(src, wire_of(rec, codec)) for src, rec in inbox]
+                _check_apply(mpe, engine_apply, server, own_update, inbox, wires)
+                return
+            records = [(src, sent[src]) for src, _nbytes in inbox]
+            assert [n for _s, n in inbox] == [r.nbytes for _s, r in records]
+            wires = [(src, wire_of(rec, codec)) for src, rec in records]
+            # The serial executor applies server by server; the replica
+            # is checked once the last server of the superstep has.
+            pending.append((server, own_update, records, wires))
+            if len(pending) == len(mpe.cluster.servers):
+                _check_cluster_apply(mpe, engine_apply, pending)
+                pending.clear()
 
+        mpe.channel.broadcast = recording
         mpe._apply_server_step = differential
         try:
             result = mpe.run(PageRank())
@@ -1089,6 +1167,7 @@ class TestDecodeOnceApply:
             mpe.cluster.close()
         # Every receiver of every superstep, each with a full inbox.
         assert checked == [2] * (3 * result.num_supersteps)
+        assert pending == []
 
     @pytest.mark.parametrize(
         "shape", ["none", "one", "sparse", "dense", "all"]
@@ -1098,8 +1177,8 @@ class TestDecodeOnceApply:
     def test_record_matches_its_wire(self, apply_engine, comm_mode, codec, shape):
         """Record ↔ wire: a staged record's ``nbytes`` is its wire
         message's length, decoding that message yields the record bit
-        for bit, and applying records leaves AA and OD stores and the
-        Counters where decoding the messages does."""
+        for bit, and applying records leaves the OD store, the one AA
+        replica and the Counters where decoding the messages does."""
         from repro.comm import decode_update, stage_update
         from repro.core.vertexstore import AllInAllStore, OnDemandStore
         from repro.tuning.plan import KnobSettings
@@ -1109,7 +1188,10 @@ class TestDecodeOnceApply:
         mode = {"hybrid": None, "dense": DENSE, "sparse": SPARSE}[comm_mode]
         rng = np.random.default_rng(len(shape) * 7 + len(codec))
         targets = mpe._server_target_ids
-        inbox, wires = [], []
+        updates = [(
+            rng.standard_normal(targets[0].size),
+            _update_rows(rng, targets[0].size, "some"),
+        )]
         for src in (1, 2):
             staged = rng.standard_normal(targets[src].size)
             rows = _update_rows(rng, targets[src].size, shape)
@@ -1118,20 +1200,21 @@ class TestDecodeOnceApply:
             assert record.nbytes == len(record) == len(wire)
             assert _records_equal(decode_update(wire), record)
             assert (record.positions is None) == (shape == "all")
-            inbox.append((src, record))
-            wires.append((src, wire))
+            updates.append((staged, rows))
+        calls = _cluster_calls(mpe, updates, codec, mode)
         nv = mpe.manifest.num_vertices
         init = rng.standard_normal(nv)
-        own_rows = _update_rows(rng, targets[0].size, "some")
-        own = (targets[0][own_rows], rng.standard_normal(own_rows.size))
-        server = mpe.cluster.servers[0]
+        servers = mpe.cluster.servers
+        replica = AllInAllStore(init, None)
+        for server in servers:
+            server.state["store"] = replica
+        _check_cluster_apply(mpe, mpe._apply_server_step, calls)
         extra = np.flatnonzero(rng.random(nv) < 0.5)
-        for store in (
-            AllInAllStore(init, None),
-            OnDemandStore(init, None, np.concatenate([targets[0], extra])),
-        ):
-            server.state["store"] = store
-            _check_apply(mpe, mpe._apply_server_step, server, own, inbox, wires)
+        servers[0].state["store"] = OnDemandStore(
+            init, None, np.concatenate([targets[0], extra])
+        )
+        _server, own, records, wires = calls[0]
+        _check_apply(mpe, mpe._apply_server_step, servers[0], own, records, wires)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1150,10 +1233,10 @@ class TestDecodeOnceApply:
     ):
         """Random inboxes of records — senders updating nothing, one,
         some or all of their targets (the last written through the
-        target index itself), in every wire mode — into AA and OD
-        stores: the engine leaves the store bytes and the Counters where
-        the oracle decoding the same broadcasts' wire bytes does."""
-        from repro.comm import stage_update
+        target index itself), in every wire mode — into the one AA
+        replica and an OD store: the engine leaves the store bytes and
+        the Counters where the oracle decoding the same broadcasts' wire
+        bytes does."""
         from repro.core.vertexstore import AllInAllStore, OnDemandStore
         from repro.tuning.plan import KnobSettings
 
@@ -1163,24 +1246,31 @@ class TestDecodeOnceApply:
         nv = mpe.manifest.num_vertices
         init = rng.standard_normal(nv)
         targets = mpe._server_target_ids
-        if policy == "aa":
-            store = AllInAllStore(init, None)
-        else:
-            # Own targets plus a random part of the rest: writes to the
-            # vertices left out must be ignored.
-            extra = np.flatnonzero(rng.random(nv) < 0.5)
-            store = OnDemandStore(init, None, np.concatenate([targets[0], extra]))
-        own_rows = _update_rows(rng, targets[0].size, "some")
-        own = (targets[0][own_rows], rng.standard_normal(own_rows.size))
-        inbox, wires = [], []
+        updates = [(
+            rng.standard_normal(targets[0].size),
+            _update_rows(rng, targets[0].size, "some"),
+        )]
         for src, kind in zip((1, 2), kinds):
-            staged = rng.standard_normal(targets[src].size)
-            rows = _update_rows(rng, targets[src].size, kind)
-            inbox.append((src, stage_update(staged, rows, codec, mode=mode)))
-            wires.append((src, encode_update(staged, rows, codec, mode=mode)))
-        server = mpe.cluster.servers[0]
-        server.state["store"] = store
-        _check_apply(mpe, mpe._apply_server_step, server, own, inbox, wires)
+            updates.append((
+                rng.standard_normal(targets[src].size),
+                _update_rows(rng, targets[src].size, kind),
+            ))
+        calls = _cluster_calls(mpe, updates, codec, mode)
+        servers = mpe.cluster.servers
+        if policy == "aa":
+            replica = AllInAllStore(init, None)
+            for server in servers:
+                server.state["store"] = replica
+            _check_cluster_apply(mpe, mpe._apply_server_step, calls)
+            return
+        # Own targets plus a random part of the rest: writes to the
+        # vertices left out must be ignored.
+        extra = np.flatnonzero(rng.random(nv) < 0.5)
+        servers[0].state["store"] = OnDemandStore(
+            init, None, np.concatenate([targets[0], extra])
+        )
+        _server, own, records, wires = calls[0]
+        _check_apply(mpe, mpe._apply_server_step, servers[0], own, records, wires)
 
     def test_decode_counts_exact(self, skewed, monkeypatch):
         """No executor decodes: a run under serial, thread and process
@@ -1289,6 +1379,98 @@ class TestDecodeOnceApply:
         values, report = self._supervised(skewed, schedule)
         assert report.restarts == 1
         assert np.array_equal(values, clean.values)
+
+
+class TestOneReplica:
+    """All-in-All keeps one physical replica: every server views it and
+    writes only its own update into it, and a process run shares it as
+    one segment and ships no update values to the apply."""
+
+    @pytest.fixture(autouse=True)
+    def _configured_executor(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+
+    @pytest.mark.parametrize(
+        "executor", ["serial", "parallel", pytest.param("process", marks=needs_process)]
+    )
+    def test_one_write_per_updating_server(
+        self, skewed, tmp_path, monkeypatch, executor
+    ):
+        """Every ``AllInAllStore.write`` of a run is one server's own
+        update, once — none for a received record and none for a server
+        that changed nothing — in the parent or in a forked worker."""
+        import hashlib
+
+        from repro.core.vertexstore import AllInAllStore
+
+        log = tmp_path / "writes.log"
+        write = AllInAllStore.write
+
+        def digest(ids):
+            return hashlib.sha1(np.asarray(ids, dtype=np.int64).tobytes()).hexdigest()
+
+        def logged(self, vertex_ids, values):
+            # One short appended line per call: whole across processes.
+            with open(log, "a") as fh:
+                fh.write(digest(vertex_ids) + "\n")
+            write(self, vertex_ids, values)
+
+        monkeypatch.setattr(AllInAllStore, "write", logged)
+        mpe = _engine(
+            skewed, executor=executor, num_threads=2, num_workers=2, max_supersteps=8
+        )
+        account = mpe._account_superstep
+        updates = []
+
+        def recording(prep, superstep, t0, before, schedule, steps):
+            updates.extend(digest(st.ids) for st in steps if st.ids.size)
+            return account(prep, superstep, t0, before, schedule, steps)
+
+        mpe._account_superstep = recording
+        try:
+            result = mpe.run(PageRank())
+        finally:
+            mpe.cluster.close()
+        assert result.executor == executor
+        writes = log.read_text().split() if log.exists() else []
+        assert updates and sorted(writes) == sorted(updates)
+
+    @needs_process
+    def test_a_process_run_shares_one_values_segment(self, skewed, monkeypatch):
+        """A process AA run allocates one ``values`` segment for its N
+        servers and stages no inbox segment (the only ``uint8`` arrays a
+        run creates); OD still gives each server its own arrays and
+        stages its records."""
+        from repro.runtime import shm
+
+        tags, dtypes = [], []
+        create = shm.SharedAllocator.create
+        init = shm.SharedArray.__init__
+
+        def counting_create(self, source, tag="arr"):
+            tags.append(tag)
+            return create(self, source, tag)
+
+        def counting_init(self, shape, dtype):
+            init(self, shape, dtype)
+            dtypes.append(np.dtype(dtype))
+
+        monkeypatch.setattr(shm.SharedAllocator, "create", counting_create)
+        monkeypatch.setattr(shm.SharedArray, "__init__", counting_init)
+        seen = {}
+        for policy in ("aa", "od"):
+            tags.clear()
+            dtypes.clear()
+            result, _ = _run(
+                skewed,
+                PageRank(),
+                MPEConfig(executor="process", num_workers=2, replication_policy=policy),
+                max_supersteps=6,
+            )
+            assert result.executor == "process"
+            seen[policy] = (tags.count("values"), dtypes.count(np.dtype(np.uint8)))
+        assert seen["aa"] == (1, 0)
+        assert seen["od"][0] == 3 and seen["od"][1] > 0
 
 
 def _spilling_engine(graph, executor: str, depth: int):

@@ -127,15 +127,6 @@ class TestStoresOverAllocators:
             allocator.release()  # idempotent
         assert outstanding_segments() == []
 
-    def test_aa_replicas_share_one_degree_array(self):
-        degrees = np.arange(5, dtype=np.int64)
-        first = AllInAllStore(np.zeros(5), degrees)
-        second = AllInAllStore(np.zeros(5), degrees, degrees_from=first)
-        assert second.gather_out_degrees(np.array([4])).tolist() == [4]
-        assert np.shares_memory(first._out_degrees, second._out_degrees)
-        # Host-side dedup only: each replica accounts a full copy (§IV-A).
-        assert second.memory_bytes() == first.memory_bytes()
-
 
 def run_with_policy(graph, program, policy, num_servers=3):
     with Cluster(ClusterSpec(num_servers=num_servers)) as cluster:
