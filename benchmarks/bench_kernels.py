@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.apps import PageRank, SSSP
-from repro.comm import decode_update, encode_update
+from repro.comm import decode_update, encode_update, stage_update
 from repro.core.mpe import _sweep_run
 from repro.core.vertexstore import AllInAllStore
 from repro.graph import chung_lu_graph, grid_graph
@@ -89,6 +89,19 @@ def test_kernel_dense_message_roundtrip(benchmark):
 
     out = benchmark(roundtrip)
     assert out.values.size == ids.size
+
+
+def test_kernel_stage_update(benchmark):
+    """One sender's dense broadcast sized as the engine stages it: the
+    ``pr-fanout-n9`` shape, about 33 k targets with 97 % updated."""
+    rng = np.random.default_rng(1)
+    n = 33_000
+    ids = np.flatnonzero(rng.random(n) < 0.97)
+    values = rng.random(ids.size) / n
+    record = benchmark(stage_update, ids, values, n, "snappylike", mode=0)
+    staged = np.zeros(n)
+    staged[ids] = values
+    assert record.nbytes == len(encode_update(staged, ids, "snappylike", mode=0))
 
 
 def test_kernel_sparse_message_roundtrip(benchmark):

@@ -8,8 +8,9 @@ Wire format
   followed by the full ``float64[|V|]`` value array — "a dense array
   representation for updated vertex values along with a bitvector to
   record updated vertex id";
-* sparse payload = ``8B LE k`` + delta-varint-encoded sorted updated ids
-  + ``float64[k]`` updated values — "a list of indices and values".
+* sparse payload = ``8B LE k`` + ``8B LE`` id-block length +
+  delta-varint-encoded sorted updated ids + ``float64[k]`` updated
+  values — "a list of indices and values".
 
 The mode is chosen per message: if the **sparsity ratio** (unchanged
 vertices / total vertices, footnote 5) exceeds ``SPARSITY_THRESHOLD``
@@ -28,6 +29,16 @@ changed, as in PageRank's early supersteps — is framed without the
 bitvector work: its mask is the cached all-ones mask for ``|V|`` and its
 value array is the sender's array as is.  The bytes are the ones the
 general path builds, so the wire is unchanged.
+
+Sized, not built
+----------------
+The engine keeps two facts of a broadcast's wire: its length and its
+mode byte.  :func:`stage_update` frames the payload exactly as
+:func:`encode_update` does (one helper serves both) and asks the codec
+for ``compressed_size(payload)`` instead of compressed bytes, so no
+broadcast runs a codec.  :func:`encode_update` and :func:`decode_update`
+remain the wire format's reference, and the staged length is tested
+against ``len(encode_update(...))``.
 """
 
 from __future__ import annotations
@@ -52,28 +63,32 @@ SPARSITY_THRESHOLD = 0.8
 
 _CODEC_IDS = {name: i for i, name in enumerate(CACHE_MODES)}
 _CODEC_NAMES = {i: name for name, i in _CODEC_IDS.items()}
+_HEADER_LEN = 10  # mode, codec id, uint64 vertex count
 
-# Dense-encode scratch: each server stages the same-sized bitvector and
-# value array every superstep, so reuse them per thread (keyed by size —
-# servers own slightly different target counts) instead of reallocating
-# on every broadcast.
+# Dense-payload scratch: each server frames a same-sized payload every
+# superstep, so reuse one buffer per thread (keyed by size — servers own
+# slightly different target counts) instead of reallocating it on every
+# broadcast.  It is laid out so the value array starts 8-byte aligned.
 _SCRATCH = threading.local()
 
 
-def _dense_scratch(num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+def _dense_scratch(num_vertices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(bits, payload, values)``: a bool array, the payload buffer
+    and the float64 view of its value array, all uninitialised."""
     pool = getattr(_SCRATCH, "pool", None)
     if pool is None:
         pool = _SCRATCH.pool = {}
-    pair = pool.get(num_vertices)
-    if pair is None:
-        pair = pool[num_vertices] = (
-            np.zeros(num_vertices, dtype=bool),
-            np.zeros(num_vertices, dtype=np.float64),
+    scratch = pool.get(num_vertices)
+    if scratch is None:
+        mask = (num_vertices + 7) // 8
+        pad = -mask % 8
+        buf = np.empty(pad + mask + 8 * num_vertices, dtype=np.uint8)
+        scratch = pool[num_vertices] = (
+            np.empty(num_vertices, dtype=bool),
+            buf[pad:],
+            buf[pad + mask :].view(np.float64),
         )
-    else:
-        pair[0][...] = False
-        pair[1][...] = 0.0
-    return pair
+    return scratch
 
 
 @lru_cache(maxsize=64)
@@ -139,6 +154,59 @@ def choose_mode(
     return SPARSE if sparsity > threshold else DENSE
 
 
+def _checked_ids(ids, num_vertices: int) -> np.ndarray:
+    """``ids`` as int64, refused unless strictly increasing and below
+    ``num_vertices`` (``ValueError``)."""
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    if ids.size:
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("updated ids must be sorted and strictly increasing")
+        if ids[0] < 0 or ids[-1] >= num_vertices:
+            raise ValueError("updated ids out of range")
+    return ids
+
+
+def _framed(
+    ids: np.ndarray,
+    vals: np.ndarray,
+    num_vertices: int,
+    mode: int | None,
+    threshold: float,
+):
+    """``(mode, payload)`` of the message updating ``ids`` to ``vals``
+    (checked by :func:`_checked_ids`), ``mode`` resolved by the hybrid rule
+    when ``None``.  A dense payload is this thread's scratch buffer,
+    valid until its next dense framing of the same size."""
+    if mode is None:
+        mode = choose_mode(ids.size, num_vertices, threshold)
+    if mode == DENSE:
+        bits, payload, dense_values = _dense_scratch(num_vertices)
+        mask = payload.size - dense_values.nbytes
+        if ids.size == num_vertices:
+            # Strictly increasing and in range: ids are exactly 0 … n−1.
+            payload[:mask] = np.frombuffer(_all_ones_mask(num_vertices), np.uint8)
+            dense_values[:] = vals
+        else:
+            bits[:] = False
+            bits[ids] = True
+            payload[:mask] = np.packbits(bits, bitorder="little")
+            # Non-updated slots are transmitted as zeros — the paper's
+            # own framing ("it needs to send many zeros"), which is also
+            # what makes late-run dense payloads highly compressible.
+            dense_values[:] = 0.0
+            dense_values[bits] = vals  # ids ascend: the mask's order
+        return mode, payload
+    if mode == SPARSE:
+        id_block = encode_sorted_ids(ids)
+        return mode, (
+            ids.size.to_bytes(8, "little")
+            + len(id_block).to_bytes(8, "little")
+            + id_block
+            + vals.tobytes()
+        )
+    raise ValueError(f"unknown mode {mode}")
+
+
 def encode_update(
     values: np.ndarray,
     updated_ids: np.ndarray,
@@ -148,11 +216,15 @@ def encode_update(
 ) -> bytes:
     """Encode one server's per-superstep update broadcast.
 
+    The wire format's reference: the engine sizes a broadcast with
+    :func:`stage_update`, which is tested to give this message's length
+    and mode byte without building it.
+
     Parameters
     ----------
     values:
-        The full ``float64[|V|]`` value array (dense encoding slices
-        nothing; sparse encoding gathers ``values[updated_ids]``).
+        The full ``float64[|V|]`` value array (only the entries at
+        ``updated_ids`` are read).
     updated_ids:
         Strictly increasing ids of vertices this server updated this
         superstep (``ValueError`` otherwise).
@@ -162,60 +234,38 @@ def encode_update(
         Force DENSE/SPARSE; ``None`` applies the hybrid rule.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    ids = np.ascontiguousarray(updated_ids, dtype=np.int64)
     num_vertices = values.size
-    if ids.size:
-        if ids.min() < 0 or ids.max() >= num_vertices:
-            raise ValueError("updated ids out of range")
-        if np.any(ids[1:] <= ids[:-1]):
-            raise ValueError("updated ids must be sorted and strictly increasing")
-    if mode is None:
-        mode = choose_mode(ids.size, num_vertices, threshold)
-    if mode == DENSE and ids.size == num_vertices:
-        # Strictly increasing and in range: ids are exactly 0 … n−1.
-        payload = _all_ones_mask(num_vertices) + values.tobytes()
-    elif mode == DENSE:
-        bits, dense_values = _dense_scratch(num_vertices)
-        bits[ids] = True
-        # Non-updated slots are transmitted as zeros — the paper's own
-        # framing ("it needs to send many zeros"), which is also what
-        # makes late-run dense payloads highly compressible.
-        dense_values[ids] = values[ids]
-        payload = (
-            np.packbits(bits, bitorder="little").tobytes() + dense_values.tobytes()
-        )
-    elif mode == SPARSE:
-        id_block = encode_sorted_ids(ids)
-        payload = (
-            ids.size.to_bytes(8, "little")
-            + len(id_block).to_bytes(8, "little")
-            + id_block
-            + values[ids].tobytes()
-        )
-    else:
-        raise ValueError(f"unknown mode {mode}")
+    ids = _checked_ids(updated_ids, num_vertices)
+    vals = values if ids.size == num_vertices else values[ids]
+    mode, payload = _framed(ids, vals, num_vertices, mode, threshold)
     codec = get_codec(codec_name)
     header = bytes([mode, _CODEC_IDS[codec_name]]) + num_vertices.to_bytes(8, "little")
-    return header + codec.compress(payload)
+    return header + codec.compress(bytes(payload))
 
 
 def stage_update(
+    positions: np.ndarray,
     values: np.ndarray,
-    updated_ids: np.ndarray,
+    num_vertices: int,
     codec_name: str = "snappylike",
     mode: int | None = None,
     threshold: float = SPARSITY_THRESHOLD,
 ) -> UpdatePayload:
-    """The record of the broadcast :func:`encode_update` would send:
-    the wire is built with the same arguments and only its length and
-    mode are kept, so the mode and codec move what a broadcast costs,
-    never what it delivers.  Its arrays are read-only views of the
-    caller's, which must not write them afterwards."""
-    wire = encode_update(values, updated_ids, codec_name, mode, threshold)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    ids = np.ascontiguousarray(updated_ids, dtype=np.int64)
-    updated = values if ids.size == values.size else values[ids]
-    return _record(ids, updated, values.size, wire[0], len(wire))
+    """The record of the broadcast that sets ``positions`` (strictly
+    increasing, below ``num_vertices``) to ``values``: its length and
+    mode byte are those of :func:`encode_update` over any array holding
+    ``values`` at ``positions``, computed from the framed payload with
+    ``codec.compressed_size`` — no compressed bytes are produced.  So
+    the mode and codec move what a broadcast costs, never what it
+    delivers.  Its arrays are read-only views of the caller's, which
+    must not write them afterwards."""
+    ids = _checked_ids(positions, num_vertices)
+    vals = np.ascontiguousarray(values, dtype=np.float64)
+    if vals.size != ids.size:
+        raise ValueError("updated ids and values differ in length")
+    mode, payload = _framed(ids, vals, num_vertices, mode, threshold)
+    nbytes = _HEADER_LEN + get_codec(codec_name).compressed_size(payload)
+    return _record(ids, vals, num_vertices, mode, nbytes)
 
 
 # A packed record (pickle and shared-inbox form): this header, the values,
@@ -259,7 +309,7 @@ def unpack_update(buf) -> UpdatePayload:
 def decode_update(data: bytes) -> UpdatePayload:
     """Inverse of :func:`encode_update`: the wire's record, equal
     bitwise to the one :func:`stage_update` builds from the same
-    arguments (``nbytes`` is ``len(data)``).
+    positions and values (``nbytes`` is ``len(data)``).
 
     Nothing in the engine decodes — a broadcast delivers its record —
     so this is the wire format's tested inverse and the reference an

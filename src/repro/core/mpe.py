@@ -1365,28 +1365,19 @@ class MPE:
             # Stage this server's updated-value broadcast: its record of
             # (position, value) pairs in the target index receivers
             # share, and the length of the dense or sparse wire message
-            # that would carry them.
+            # that would carry them — sized, not built.
             payload = None
             if len(self.cluster.servers) > 1:
                 with trace.span("encode", "comm", updated=int(ids.size)):
-                    own_targets = self._server_target_ids[server.server_id]
-                    if local_ids.size == own_targets.size:
-                        # Every target changed: the new values *are* the
-                        # server's slice, in index order.
-                        staged = vals
-                    else:
-                        # gather_values answers a fresh array — safe to
-                        # scatter into directly.
-                        staged = store.gather_values(own_targets)
-                        staged[local_ids] = vals
                     forced = {
                         "dense": DENSE,
                         "sparse": SPARSE,
                         "hybrid": None,
                     }[knobs.comm_mode]
                     payload = stage_update(
-                        staged,
                         local_ids,
+                        vals,
+                        self._server_target_ids[server.server_id].size,
                         codec_name=knobs.message_codec,
                         mode=forced,
                     )

@@ -23,8 +23,10 @@ are functions of each blob's uncompressed and stored lengths, and the
 tiles compute reads live decoded in :class:`DecodedTileCache`; no
 engine path reads a cached blob's bytes back.  An entry is therefore a
 blob's size record under the current mode: its write generation, raw
-length and stored length.  The stored length is learned by running the
-mode's codec once per (blob, mode) and remembered against the blob's write generation
+length and stored length.  The stored length is learned once per (blob,
+mode) with the mode codec's :meth:`~repro.storage.codecs.Codec.compressed_size`
+(computed for the snappy-like mode; zlib compresses to measure) and
+remembered against the blob's write generation
 (:meth:`repro.storage.disk.LocalDisk.generation`), so every later
 admission — after a cache clear, a mode switch back, or in the next
 run — is decided from the remembered number with no read and no codec.
@@ -245,8 +247,9 @@ class EdgeCache:
         blob's write generation on ``disk`` matches the one they were
         learned at (and ``data``, when in hand, has the remembered
         length); either mismatch is a rewrite nobody announced:
-        ``RuntimeError``.  An unknown size is learned by running the
-        codec once — on ``data``, else on an unmetered read of the blob.
+        ``RuntimeError``.  An unknown size is learned once from the
+        codec's ``compressed_size`` — of ``data``, else of an unmetered
+        read of the blob.
         """
         generation = disk.generation(key)
         known = self._sizes.get((key, self.mode))
@@ -260,7 +263,7 @@ class EdgeCache:
             return known
         if data is None:
             data = disk.peek(key)
-        record = (generation, len(data), len(self.codec.compress(data)))
+        record = (generation, len(data), self.codec.compressed_size(data))
         self._sizes[(key, self.mode)] = record
         return record
 

@@ -17,6 +17,13 @@ selection logic depends on (DESIGN.md §2).
 Each codec also carries *modeled* per-core throughputs taken from Table V
 so the cost model can charge paper-calibrated (de)compression time
 independent of how fast the Python implementation happens to run.
+
+Every codec answers :meth:`Codec.compressed_size` — exactly
+``len(compress(data))`` — which is all a size record or a metered
+broadcast needs.  :class:`SnappyLikeCodec` computes it from byte-plane
+statistics (per-plane change counts, and run lengths for the planes
+that could be run-length coded) without producing compressed bytes;
+zlib has no closed form and compresses to measure.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.varint import decode_uvarints, encode_uvarints
+from repro.utils.varint import decode_uvarints, encode_uvarints, uvarints_len
 
 
 _SHUFFLE_STRIDE = 4
@@ -61,6 +68,80 @@ def byte_unshuffle(
     return out[:orig_len].tobytes()
 
 
+# SnappyLikeCodec framing: b'P' + stride + uint64 length; a literal plane
+# is tag + uint64 length + bytes; an RLE plane is tag + uint64 run count
+# + uint64 varint-block length + varints + one value byte per run.
+_BLOB_HEADER = 10
+_LITERAL_HEADER = 9
+_RLE_HEADER = 17
+_EMPTY_SNAPPYLIKE = b"P" + bytes([4]) + bytes(8) + (bytes([0]) + bytes(8)) * 4
+
+# Lane sums run over whole rows as one unsigned word per row, in blocks
+# of 64 rows: 64 0/1 bytes cannot carry out of a byte, and any 127
+# consecutive rows without a change — the span of a run of 128, the
+# first length needing a second varint byte — cover a whole block.
+_WORDS = {4: np.uint32, 8: np.uint64}
+_BLOCK_ROWS = 64
+
+
+def _rle_wins(size: int, runs: int, varint_len: int) -> bool:
+    """The snappy-like format's one plane rule: a plane of ``size``
+    bytes in ``runs`` runs whose lengths take ``varint_len`` varint
+    bytes is RLE-coded iff that block is strictly shorter than the
+    literal (a tie stays literal).  With ``varint_len = runs``, its
+    lower bound, a ``False`` rules RLE out before any run is measured."""
+    return _RLE_HEADER + varint_len + runs < _LITERAL_HEADER + size
+
+
+def _plane_changes(arr: np.ndarray, stride: int) -> np.ndarray:
+    """Where each plane of ``byte_shuffle(arr, stride)`` changes:
+    element ``[i, p]`` is ``plane_p[i + 1] != plane_p[i]``.
+
+    Row ``i`` of the planes is bytes ``i*stride … (i+1)*stride - 1`` of
+    ``arr``, so this is one contiguous compare of ``arr`` against itself
+    a row later, plus the zero-padded last row when ``arr`` ends
+    mid-row; nothing is shuffled or copied."""
+    full, tail = divmod(arr.size, stride)
+    rows = full + (tail > 0)
+    out = np.empty((max(rows - 1, 0), stride), dtype=bool)
+    flat = out.reshape(-1)
+    body = max(full - 1, 0) * stride
+    np.not_equal(arr[stride : full * stride], arr[:body], out=flat[:body])
+    if tail and full:
+        last = np.zeros(stride, dtype=np.uint8)
+        last[:tail] = arr[full * stride :]
+        np.not_equal(last, arr[body : body + stride], out=flat[body:])
+    return out
+
+
+def _lane_counts(changes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-plane change counts of :func:`_plane_changes`: its column
+    sums over each whole block of :data:`_BLOCK_ROWS` rows (a
+    ``(blocks, stride)`` array) and in total, added a row at a time as
+    one machine word per row."""
+    stride = changes.shape[1]
+    word = _WORDS[stride]
+    words = changes.reshape(-1).view(word)
+    blocks, rest = divmod(words.size, _BLOCK_ROWS)
+    sums = np.empty(blocks + 1, dtype=word)
+    words[: blocks * _BLOCK_ROWS].reshape(blocks, _BLOCK_ROWS).sum(
+        axis=1, dtype=word, out=sums[:blocks]
+    )
+    sums[blocks] = words[words.size - rest :].sum(dtype=word)
+    lanes = sums.view(np.uint8).reshape(-1, stride)
+    return lanes[:blocks], lanes.sum(axis=0, dtype=np.int64)
+
+
+def _run_lengths(change: np.ndarray) -> np.ndarray:
+    """The run lengths of a plane whose row-to-row changes are
+    ``change`` (one entry fewer than the plane has rows)."""
+    at = np.flatnonzero(change)
+    edges = np.empty(at.size + 2, dtype=np.int64)
+    edges[0], edges[-1] = -1, change.size
+    edges[1:-1] = at
+    return edges[1:] - edges[:-1]
+
+
 @dataclass(frozen=True)
 class Codec:
     """A byte-blob compressor plus its modeled performance constants.
@@ -88,6 +169,10 @@ class Codec:
     def decompress(self, data: bytes) -> bytes:
         raise NotImplementedError
 
+    def compressed_size(self, data) -> int:
+        """``len(self.compress(data))`` for any bytes-like ``data``."""
+        return len(self.compress(bytes(data)))
+
 
 @dataclass(frozen=True)
 class RawCodec(Codec):
@@ -104,6 +189,9 @@ class RawCodec(Codec):
     def decompress(self, data: bytes) -> bytes:
         return bytes(data)
 
+    def compressed_size(self, data) -> int:
+        return memoryview(data).nbytes
+
 
 @dataclass(frozen=True)
 class SnappyLikeCodec(Codec):
@@ -118,8 +206,9 @@ class SnappyLikeCodec(Codec):
     planes are incompressible (kept literal), landing at snappy's ~2x
     Table V ratio.  A whole-blob ``b'L'`` literal fallback bounds
     expansion.  Both strides (4 and 8) are tried and the smaller wins,
-    since graph blobs mix uint32 ids with int64/float64 payloads.  All
-    passes are single numpy operations (``np.diff`` / ``np.repeat``).
+    since graph blobs mix uint32 ids with int64/float64 payloads.  Both
+    strides are sized first (:meth:`_packed_size`) and only the winner
+    is packed; :meth:`compressed_size` stops after sizing.
     """
 
     name: str = "snappylike"
@@ -128,31 +217,52 @@ class SnappyLikeCodec(Codec):
     model_decompress_mbps: float = 900.0
 
     @staticmethod
+    def _packed_size(arr: np.ndarray, stride: int) -> int:
+        """``len(self._pack(arr, stride))``, from plane statistics.
+
+        One compare of ``arr`` against itself a row later gives every
+        plane's change count (:func:`_plane_changes`,
+        :func:`_lane_counts`); only a plane whose count leaves RLE a
+        chance (:func:`_rle_wins` at the one-byte-per-run lower bound)
+        needs the varint byte count of its run lengths.  That is one
+        byte per run when every block of the plane changes; otherwise
+        the run lengths are taken."""
+        changes = _plane_changes(arr, stride)
+        rows = changes.shape[0] + 1
+        per_block, totals = _lane_counts(changes)
+        size = _BLOB_HEADER + stride * (_LITERAL_HEADER + rows)
+        for p, count in enumerate(totals.tolist()):
+            runs = count + 1
+            if _rle_wins(rows, runs, runs):
+                if per_block[:, p].all():
+                    varint_len = runs  # every run is shorter than 128
+                else:
+                    varint_len = uvarints_len(_run_lengths(changes[:, p]))
+                if _rle_wins(rows, runs, varint_len):
+                    size += _RLE_HEADER + varint_len + runs - (_LITERAL_HEADER + rows)
+        return size
+
+    @staticmethod
     def _pack_plane(plane: np.ndarray) -> bytes:
         literal = bytes([0]) + plane.size.to_bytes(8, "little") + plane.tobytes()
-        if plane.size == 0:
-            return literal
-        # Choose before encoding: an RLE block is at least 17 + 2*runs
-        # bytes (>= 1 varint byte + 1 value byte per run) against the
-        # literal's 9 + size, so a plane with too many runs — every
-        # mantissa plane of a float payload — is never varint-encoded
-        # just to be discarded.  Same bytes out for every input.
+        # Choose before encoding: a plane with too many runs for RLE to
+        # win even at one varint byte per run — every mantissa plane of
+        # a float payload — is never varint-encoded just to be discarded.
         change = plane[1:] != plane[:-1]
-        if 17 + 2 * (int(np.count_nonzero(change)) + 1) >= len(literal):
+        runs = int(np.count_nonzero(change)) + 1
+        if not _rle_wins(plane.size, runs, runs):
             return literal
-        boundaries = np.flatnonzero(change) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [plane.size]))
-        lengths = (ends - starts).astype(np.uint64)
+        lengths = _run_lengths(change)
         length_block = encode_uvarints(lengths)
-        rle = (
+        if not _rle_wins(plane.size, runs, len(length_block)):
+            return literal
+        return (
             bytes([1])
             + lengths.size.to_bytes(8, "little")
             + len(length_block).to_bytes(8, "little")
             + length_block
-            + plane[starts].tobytes()
+            + plane[np.cumsum(lengths) - lengths].tobytes()
         )
-        return rle if len(rle) < len(literal) else literal
 
     def _pack(self, data: bytes, stride: int) -> bytes:
         shuffled = byte_shuffle(data, stride)
@@ -162,15 +272,22 @@ class SnappyLikeCodec(Codec):
             parts.append(self._pack_plane(shuffled[p * plane_len : (p + 1) * plane_len]))
         return b"".join(parts)
 
+    def compressed_size(self, data) -> int:
+        arr = np.frombuffer(data, dtype=np.uint8)
+        if not arr.size:
+            return len(_EMPTY_SNAPPYLIKE)
+        return min(self._packed_size(arr, 4), self._packed_size(arr, 8), arr.size + 1)
+
     def compress(self, data: bytes) -> bytes:
         if not data:
-            return b"P" + bytes([4]) + (0).to_bytes(8, "little") + bytes(
-                [0, 0, 0, 0, 0, 0, 0, 0, 0]
-            ) * 4
-        packed = min((self._pack(data, stride) for stride in (4, 8)), key=len)
-        if len(packed) >= len(data) + 1:
+            return _EMPTY_SNAPPYLIKE
+        arr = np.frombuffer(data, dtype=np.uint8)
+        by4, by8 = self._packed_size(arr, 4), self._packed_size(arr, 8)
+        if min(by4, by8) >= len(data) + 1:
             return b"L" + data
-        return packed
+        # The smaller stride wins; a tie keeps stride 4.  Only the
+        # winner is packed.
+        return self._pack(data, 8 if by8 < by4 else 4)
 
     def decompress(self, data: bytes) -> bytes:
         if not data:

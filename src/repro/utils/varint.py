@@ -50,6 +50,18 @@ def encode_uvarints(values: np.ndarray) -> bytes:
     return out.tobytes()
 
 
+def uvarints_len(values: np.ndarray) -> int:
+    """``len(encode_uvarints(values))``, without encoding: one byte per
+    value plus one per further 7-bit group."""
+    total = values.size
+    if total:
+        top, threshold = int(values.max()), 128
+        while threshold <= top:
+            total += int(np.count_nonzero(values >= threshold))
+            threshold <<= 7
+    return total
+
+
 def decode_uvarints(data: bytes) -> np.ndarray:
     """Decode concatenated varints back to a ``uint64`` array."""
     raw = np.frombuffer(data, dtype=np.uint8)

@@ -427,6 +427,79 @@ class TestUpdateMessages:
         assert out.num_vertices == num_vertices
 
 
+_CODECS = ["raw", "snappylike", "zlib1", "zlib3"]
+
+
+class TestStagedSize:
+    """A staged record carries its wire's length and mode byte, computed
+    without building the wire: ``len(encode_update(...))`` and byte 0
+    are the reference."""
+
+    @staticmethod
+    def _check(values, ids, codec, mode, threshold=0.8):
+        wire = encode_update(values, ids, codec, mode=mode, threshold=threshold)
+        staged = stage_update(
+            ids, values[ids], values.size, codec, mode=mode, threshold=threshold
+        )
+        assert (staged.nbytes, staged.mode) == (len(wire), wire[0])
+        if staged.mode == DENSE:
+            # Framing reuses scratch: hold both to a frame built apart.
+            assert wire == _general_dense_message(values, ids, codec)
+        assert _ids(staged) == ids.tolist()
+        assert staged.values.tobytes() == values[ids].tobytes()
+        assert staged.num_vertices == values.size
+
+    @pytest.mark.parametrize("mode", [None, DENSE, SPARSE])
+    @pytest.mark.parametrize("codec", _CODECS)
+    def test_shapes(self, codec, mode):
+        rng = np.random.default_rng(len(codec))
+        for n in (1, 2, 3, 7, 8, 9, 100, 4099):
+            values = rng.standard_normal(n)
+            for ids in (
+                np.zeros(0, dtype=np.int64),  # none updated
+                np.arange(n),  # all updated
+                np.array([n - 1]),
+                np.flatnonzero(rng.random(n) < 0.5),
+                np.flatnonzero(rng.random(n) < 0.97),
+            ):
+                self._check(values, ids, codec, mode)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        share=st.floats(0, 1),
+        codec=st.sampled_from(_CODECS),
+        mode=st.sampled_from([None, DENSE, SPARSE]),
+        threshold=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property(self, n, share, codec, mode, threshold, seed):
+        rng = np.random.default_rng(seed)
+        # Ranks, repeats and zeros: compressible planes as well as noise.
+        values = np.round(rng.random(n) / n, int(rng.integers(1, 17)))
+        values[rng.random(n) < 0.2] = 0.0
+        ids = np.flatnonzero(rng.random(n) < share)
+        self._check(values, ids, codec, mode, threshold)
+
+    @pytest.mark.parametrize("mode", [None, DENSE, SPARSE])
+    def test_invalid_ids_are_refused(self, mode):
+        for ids in ([8], [-1], [0, 7, 9]):
+            with pytest.raises(ValueError, match="out of range"):
+                stage_update(np.array(ids), np.zeros(len(ids)), 8, "raw", mode=mode)
+        for ids in ([3, 1], [1, 1, 3]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                stage_update(np.array(ids), np.zeros(len(ids)), 8, "raw", mode=mode)
+        with pytest.raises(ValueError, match="differ in length"):
+            stage_update(np.array([1, 2]), np.zeros(3), 8, "raw", mode=mode)
+
+    def test_scratch_is_not_the_record(self):
+        """Dense framing reuses a per-thread buffer: a later broadcast
+        of the same size must not move an earlier record."""
+        first = stage_update(np.array([1, 2]), np.array([5.0, 6.0]), 64, "raw", mode=DENSE)
+        stage_update(np.array([3]), np.array([7.0]), 64, "raw", mode=DENSE)
+        assert first.values.tolist() == [5.0, 6.0] and _ids(first) == [1, 2]
+
+
 class TestDecodeAdversarial:
     """Malformed wire bytes must raise ValueError — never crash with a
     codec-internal exception, never return garbage.  ``decode_update``
@@ -524,14 +597,14 @@ class TestDecodeAdversarial:
         for mode in (DENSE, SPARSE):
             values, ids = np.arange(32.0), np.array([1, 9])
             wire = encode_update(values, ids, "raw", mode=mode)
-            for out in (stage_update(values, ids, "raw", mode=mode),
+            for out in (stage_update(ids, values[ids], 32, "raw", mode=mode),
                         decode_update(wire)):
                 with pytest.raises(ValueError):
                     out.positions[0] = 5
                 with pytest.raises(ValueError):
                     out.values[0] = 5.0
             assert values.flags.writeable and ids.flags.writeable
-        everything = stage_update(np.arange(8.0), np.arange(8), "raw")
+        everything = stage_update(np.arange(8), np.arange(8.0), 8, "raw")
         assert everything.positions is None
         assert not everything.values.flags.writeable
 
@@ -714,7 +787,7 @@ class TestAllUpdatedFraming:
         values = np.random.default_rng(seed).standard_normal(n)
         msg = encode_update(values, np.arange(n), codec, mode=DENSE)
         decoded = decode_update(msg)
-        staged = stage_update(values, np.arange(n), codec, mode=DENSE)
+        staged = stage_update(np.arange(n), values, n, codec, mode=DENSE)
         for out in (decoded, staged):
             assert out.positions is None
             assert out.values.dtype == np.float64 and not out.values.flags.writeable

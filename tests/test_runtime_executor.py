@@ -485,10 +485,11 @@ def _staged_records():
 
     rng = np.random.default_rng(5)
     values = rng.standard_normal(300)
+    sparse, dense = np.array([3, 77, 201]), np.arange(0, 300, 2)
     return {
-        "sparse": stage_update(values, np.array([3, 77, 201]), "snappylike"),
-        "dense": stage_update(values, np.arange(0, 300, 2), "zlib1"),
-        "all": stage_update(values, np.arange(300), "raw"),
+        "sparse": stage_update(sparse, values[sparse], 300, "snappylike"),
+        "dense": stage_update(dense, values[dense], 300, "zlib1"),
+        "all": stage_update(np.arange(300), values, 300, "raw"),
     }
 
 
@@ -506,7 +507,7 @@ class TestStagedInboxes:
         a, b = recs["dense"], recs["sparse"]
         # An equal update from another sender: another object.
         b_twin = stage_update(
-            np.zeros(300), np.array([3, 77, 201]), "snappylike"
+            np.array([3, 77, 201]), np.zeros(3), 300, "snappylike"
         )
         inboxes = [[(1, b), (2, b_twin)], [(0, a), (2, b_twin)], [(0, a), (1, b)]]
         # In-process transports: the pairs themselves, no segment.
@@ -570,7 +571,7 @@ class TestStagedInboxes:
         from repro.comm import stage_update
         from repro.runtime.shm import InboxResolver, StagedInboxes
 
-        nothing = stage_update(np.arange(40.0), np.zeros(0, dtype=np.int64), "zlib1")
+        nothing = stage_update(np.zeros(0, dtype=np.int64), np.zeros(0), 40, "zlib1")
         recs = _staged_records()
         inboxes = [[(1, nothing), (2, recs["sparse"])], [(0, recs["dense"])]]
         staged = StagedInboxes(inboxes, shared=True)
@@ -1042,7 +1043,10 @@ def _cluster_calls(mpe, updates, codec, mode):
     from repro.comm import stage_update
 
     targets = mpe._server_target_ids
-    records = [stage_update(st_, rows, codec, mode=mode) for st_, rows in updates]
+    records = [
+        stage_update(rows, st_[rows], st_.size, codec, mode=mode)
+        for st_, rows in updates
+    ]
     wires = [encode_update(st_, rows, codec, mode=mode) for st_, rows in updates]
     calls = []
     for server in mpe.cluster.servers:
@@ -1196,7 +1200,7 @@ class TestDecodeOnceApply:
             staged = rng.standard_normal(targets[src].size)
             rows = _update_rows(rng, targets[src].size, shape)
             wire = encode_update(staged, rows, codec, mode=mode)
-            record = stage_update(staged, rows, codec, mode=mode)
+            record = stage_update(rows, staged[rows], staged.size, codec, mode=mode)
             assert record.nbytes == len(record) == len(wire)
             assert _records_equal(decode_update(wire), record)
             assert (record.positions is None) == (shape == "all")

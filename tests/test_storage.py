@@ -195,6 +195,120 @@ class TestSnappyLikeChoosesBeforeEncoding:
         assert tight[0] == (1 if slack > 0 else 0)
 
 
+def _on_the_tie(runs: int, slack: int) -> bytes:
+    """A blob whose first stride-4 plane is short runs sized ``slack``
+    bytes off the RLE/literal tie (``17 + 2*runs == 9 + size`` at
+    ``slack=0``) and whose other planes are zeros."""
+    size = 8 + 2 * runs + slack
+    lengths = np.full(runs, size // runs, dtype=np.int64)
+    lengths[: size % runs] += 1
+    rows = np.zeros((size, 4), dtype=np.uint8)
+    rows[:, 0] = np.repeat((np.arange(runs) % 2).astype(np.uint8), lengths)
+    return rows.tobytes()
+
+
+def _size_examples() -> list[bytes]:
+    """Blobs on every edge of the size arithmetic."""
+    rng = np.random.default_rng(3)
+    blobs = [b""]
+    # Lengths off a stride multiple, down to one-row planes.
+    blobs += [rng.integers(0, 256, n, dtype=np.uint8).tobytes() for n in range(1, 18)]
+    blobs += [bytes([7]) * n for n in (1, 3, 4, 5, 8, 9, 1000)]  # all-equal planes
+    # Runs of >= 128 and >= 16 384 rows: multi-byte varints.
+    blobs.append(bytes([1]) * 600 + bytes([2]) * 601)
+    blobs.append(bytes([1]) * 140_000 + bytes([2]) * 70_001 + bytes([3]) * 5)
+    # Every lane changes on every row for 1 400 rows, and a burst of 300
+    # changes inside a run-length-coded plane: a word-sum carry out of a
+    # lane would corrupt the counts.
+    blobs.append((bytes([0]) * 8 + bytes([1]) * 8) * 700)
+    for width in (4, 8):
+        burst = np.zeros((3300, width), dtype=np.uint8)
+        burst[:300:2, 0] = 1
+        blobs.append(burst.tobytes())
+    # A 150-row run straddling block boundaries, with every other block
+    # changing: long runs are found however the blocks fall.
+    straddle = np.zeros((420, 4), dtype=np.uint8)
+    straddle[101:251, 0] = 1
+    for start in range(301, 420, 100):
+        straddle[start : start + 50, 0] = 1
+    blobs.append(straddle.tobytes())
+    blobs.append(rng.integers(0, 256, 5000, dtype=np.uint8).tobytes())  # 'L'
+    blobs.append(_dense_payload(3000, seed=4))
+    # Stride-4 planes exactly on, and one byte either side of, the tie.
+    for runs in (1, 2, 17, 300):
+        for slack in (-1, 0, 1):
+            blobs.append(_on_the_tie(runs, slack))
+    return blobs
+
+
+_SIZED_BLOBS = st.one_of(
+    _BLOBS,
+    # Row-aligned structure: each byte repeated over a stride, so the
+    # planes share the runs (and ties) of the drawn sequence.
+    st.builds(
+        lambda runs, width: np.repeat(
+            np.repeat(
+                np.array([v for v, _ in runs], dtype=np.uint8),
+                [n for _, n in runs],
+            ),
+            width,
+        ).tobytes(),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 300)), max_size=12),
+        st.sampled_from([1, 2, 4, 8]),
+    ),
+)
+
+
+class TestCompressedSize:
+    """``compressed_size`` is ``len(compress(...))`` for every codec."""
+
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    def test_edge_cases(self, name):
+        codec = get_codec(name)
+        for data in _size_examples():
+            assert codec.compressed_size(data) == len(codec.compress(data)), len(data)
+
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=_SIZED_BLOBS)
+    def test_equals_the_compressed_length(self, name, data):
+        codec = get_codec(name)
+        size = len(codec.compress(data))
+        assert codec.compressed_size(data) == size
+        # Any bytes-like input: the framed payloads are numpy buffers.
+        assert codec.compressed_size(np.frombuffer(data, dtype=np.uint8)) == size
+
+    def test_the_edge_cases_reach_every_branch(self):
+        """The examples above hit the RLE/literal tie, multi-byte
+        varints and the 'L' fallback."""
+        codec = SnappyLikeCodec()
+        streams = [codec.compress(data) for data in _size_examples()]
+        assert any(out[:1] == b"L" for out in streams)
+        for runs in (17, 300):
+            tie = codec.compress(_on_the_tie(runs, 0))
+            past = codec.compress(_on_the_tie(runs, 1))
+            assert tie[:2] == past[:2] == b"P\x04"
+            assert tie[10] == 0 and past[10] == 1  # literal at the tie only
+        long_runs = codec.compress(bytes([1]) * 140_000 + bytes([2]) * 70_001)
+        assert long_runs[10] == 1 and int.from_bytes(long_runs[19:27], "little") > 4
+
+    def test_cache_size_records_are_the_compressed_lengths(self, tmp_path, monkeypatch):
+        """Mode 2's size records hold ``len(compress(blob))`` and are
+        learned without running the codec."""
+        blobs = {f"t{i}": data for i, (data, _) in enumerate(_blob_variants())}
+        disk = _disk(tmp_path, **blobs)
+        calls = _count_compress_calls(monkeypatch)
+        cache = EdgeCache(capacity_bytes=700, mode=2)
+        for name in blobs:
+            cache.put(name, disk)
+        assert calls == []
+        codec = get_codec(CACHE_MODES[1])
+        assert cache.remembered_sizes() == {
+            (name, 2): (disk.generation(name), len(data), len(codec.compress(data)))
+            for name, data in blobs.items()
+        }
+
+
 class TestLocalDisk:
     def test_write_read_roundtrip(self, tmp_path):
         disk = LocalDisk(tmp_path / "d0")
@@ -860,10 +974,8 @@ def test_warm_spill_run_makes_no_tile_codec_call(monkeypatch):
     (10⁶-edge weighted R-MAT, N=4, edge cache at 24 % of a server's
     tiles): once a run has learned every tile's stored size, the next
     finds the admitted tiles resident and turns the rest away
-    unmeasured — the zlib cache codec does not run, and the only codec
-    calls left are the broadcasts' snappy-like encodes."""
-    from collections import Counter
-
+    unmeasured — the zlib cache codec does not run, and the broadcasts
+    are sized without one either."""
     from repro.apps import SSSP
     from repro.core import MPEConfig
     from repro.core.facade import ClusterBuild
@@ -895,10 +1007,9 @@ def test_warm_spill_run_makes_no_tile_codec_call(monkeypatch):
         del calls[:]
         second = mpe.run(program)
         assert np.array_equal(second.values, first.values)
-        # A warm run stores nothing new and learns nothing new.
-        assert Counter(name for name, _ in calls) == {
-            "snappylike": n * len(second.supersteps)
-        }
+        # A warm run stores nothing new and learns nothing new, and its
+        # broadcasts are sized without a codec run: no codec call at all.
+        assert calls == []
         assert (
             sum(c.compress_skipped for c in caches) - skipped
             == sum(c.stats.rejected for c in caches) - rejected

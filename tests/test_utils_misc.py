@@ -15,7 +15,7 @@ from repro.utils import (
     make_rng,
     parse_size,
 )
-from repro.utils.varint import decode_sorted_ids, encode_sorted_ids
+from repro.utils.varint import decode_sorted_ids, encode_sorted_ids, uvarints_len
 
 
 class TestVarint:
@@ -58,7 +58,9 @@ class TestVarint:
     @given(st.lists(st.integers(0, 2**63 - 1), max_size=300))
     def test_roundtrip_property(self, values):
         arr = np.array(values, dtype=np.uint64)
-        assert decode_uvarints(encode_uvarints(arr)).tolist() == values
+        data = encode_uvarints(arr)
+        assert decode_uvarints(data).tolist() == values
+        assert uvarints_len(arr) == len(data)
 
     @given(
         st.lists(
