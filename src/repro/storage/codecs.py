@@ -74,14 +74,11 @@ def byte_unshuffle(
 _BLOB_HEADER = 10
 _LITERAL_HEADER = 9
 _RLE_HEADER = 17
-_EMPTY_SNAPPYLIKE = b"P" + bytes([4]) + bytes(8) + (bytes([0]) + bytes(8)) * 4
 
 # Lane sums run over whole rows as one unsigned word per row, in blocks
-# of 64 rows: 64 0/1 bytes cannot carry out of a byte, and any 127
-# consecutive rows without a change — the span of a run of 128, the
-# first length needing a second varint byte — cover a whole block.
+# of at most 255 rows, so no byte lane of a word can carry into the next.
 _WORDS = {4: np.uint32, 8: np.uint64}
-_BLOCK_ROWS = 64
+_BLOCK_ROWS = 255
 
 
 def _rle_wins(size: int, runs: int, varint_len: int) -> bool:
@@ -114,11 +111,9 @@ def _plane_changes(arr: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
-def _lane_counts(changes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-plane change counts of :func:`_plane_changes`: its column
-    sums over each whole block of :data:`_BLOCK_ROWS` rows (a
-    ``(blocks, stride)`` array) and in total, added a row at a time as
-    one machine word per row."""
+def _lane_counts(changes: np.ndarray) -> np.ndarray:
+    """Per-plane change counts of :func:`_plane_changes` (its column
+    sums), added a row at a time as one machine word per row."""
     stride = changes.shape[1]
     word = _WORDS[stride]
     words = changes.reshape(-1).view(word)
@@ -128,8 +123,7 @@ def _lane_counts(changes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         axis=1, dtype=word, out=sums[:blocks]
     )
     sums[blocks] = words[words.size - rest :].sum(dtype=word)
-    lanes = sums.view(np.uint8).reshape(-1, stride)
-    return lanes[:blocks], lanes.sum(axis=0, dtype=np.int64)
+    return sums.view(np.uint8).reshape(-1, stride).sum(axis=0, dtype=np.int64)
 
 
 def _run_lengths(change: np.ndarray) -> np.ndarray:
@@ -206,9 +200,10 @@ class SnappyLikeCodec(Codec):
     planes are incompressible (kept literal), landing at snappy's ~2x
     Table V ratio.  A whole-blob ``b'L'`` literal fallback bounds
     expansion.  Both strides (4 and 8) are tried and the smaller wins,
-    since graph blobs mix uint32 ids with int64/float64 payloads.  Both
-    strides are sized first (:meth:`_packed_size`) and only the winner
-    is packed; :meth:`compressed_size` stops after sizing.
+    since graph blobs mix uint32 ids with int64/float64 payloads.  All
+    passes are single numpy operations (``np.diff`` / ``np.repeat``).
+    :meth:`compressed_size` computes the winner's length per stride
+    (:meth:`_packed_size`) without packing either.
     """
 
     name: str = "snappylike"
@@ -224,20 +219,14 @@ class SnappyLikeCodec(Codec):
         plane's change count (:func:`_plane_changes`,
         :func:`_lane_counts`); only a plane whose count leaves RLE a
         chance (:func:`_rle_wins` at the one-byte-per-run lower bound)
-        needs the varint byte count of its run lengths.  That is one
-        byte per run when every block of the plane changes; otherwise
-        the run lengths are taken."""
+        needs the varint byte count of its run lengths."""
         changes = _plane_changes(arr, stride)
         rows = changes.shape[0] + 1
-        per_block, totals = _lane_counts(changes)
         size = _BLOB_HEADER + stride * (_LITERAL_HEADER + rows)
-        for p, count in enumerate(totals.tolist()):
+        for p, count in enumerate(_lane_counts(changes).tolist()):
             runs = count + 1
             if _rle_wins(rows, runs, runs):
-                if per_block[:, p].all():
-                    varint_len = runs  # every run is shorter than 128
-                else:
-                    varint_len = uvarints_len(_run_lengths(changes[:, p]))
+                varint_len = uvarints_len(_run_lengths(changes[:, p]))
                 if _rle_wins(rows, runs, varint_len):
                     size += _RLE_HEADER + varint_len + runs - (_LITERAL_HEADER + rows)
         return size
@@ -275,19 +264,18 @@ class SnappyLikeCodec(Codec):
     def compressed_size(self, data) -> int:
         arr = np.frombuffer(data, dtype=np.uint8)
         if not arr.size:
-            return len(_EMPTY_SNAPPYLIKE)
+            return _BLOB_HEADER + 4 * _LITERAL_HEADER
         return min(self._packed_size(arr, 4), self._packed_size(arr, 8), arr.size + 1)
 
     def compress(self, data: bytes) -> bytes:
         if not data:
-            return _EMPTY_SNAPPYLIKE
-        arr = np.frombuffer(data, dtype=np.uint8)
-        by4, by8 = self._packed_size(arr, 4), self._packed_size(arr, 8)
-        if min(by4, by8) >= len(data) + 1:
+            return b"P" + bytes([4]) + (0).to_bytes(8, "little") + bytes(
+                [0, 0, 0, 0, 0, 0, 0, 0, 0]
+            ) * 4
+        packed = min((self._pack(data, stride) for stride in (4, 8)), key=len)
+        if len(packed) >= len(data) + 1:
             return b"L" + data
-        # The smaller stride wins; a tie keeps stride 4.  Only the
-        # winner is packed.
-        return self._pack(data, 8 if by8 < by4 else 4)
+        return packed
 
     def decompress(self, data: bytes) -> bytes:
         if not data:

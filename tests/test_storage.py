@@ -225,8 +225,8 @@ def _size_examples() -> list[bytes]:
         burst = np.zeros((3300, width), dtype=np.uint8)
         burst[:300:2, 0] = 1
         blobs.append(burst.tobytes())
-    # A 150-row run straddling block boundaries, with every other block
-    # changing: long runs are found however the blocks fall.
+    # A 150-row run among shorter ones: a plane's long runs are counted
+    # wherever they fall.
     straddle = np.zeros((420, 4), dtype=np.uint8)
     straddle[101:251, 0] = 1
     for start in range(301, 420, 100):
