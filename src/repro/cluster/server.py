@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.cluster.counters import Counters, CounterSnapshot
 from repro.obs.trace import NULL_BUFFER
@@ -282,22 +282,64 @@ class Server:
             dcache.put(name, obj, len(data))
             return obj
 
-    def tile_runs(
-        self, loaded: Iterable[tuple[str, Any]], join: bool = True
-    ) -> Iterator[TileRun]:
-        """Group a sweep's tiles — ``(blob name, tile)`` as
-        :meth:`load_tile` returned them, in sweep order, pulled lazily so
-        that each load happens where the sweep is — into the runs to
-        compute, in the same order.
+    def held_stretch(self, names: Sequence[str], start: int) -> int:
+        """How many of ``names[start:]``, in a row, this server holds in
+        memory: the blob in the edge cache (§IV-B) and the decoded tile
+        in the decoded cache.  Such a tile costs its lookup's hits and
+        nothing else, so :meth:`load_held` meters the stretch in one
+        step.
 
-        A tile this server holds in memory — its blob in the edge cache
-        (§IV-B) and its decoded form in the decoded cache's slab — joins
-        the tiles before it when they are consecutive in the assignment;
-        the run is computed when something breaks it.  Any other tile is
-        streaming through (the spill regime): it is a run of its own,
-        computed before the next tile is pulled, so it is never held.
-        ``join=False`` keeps every tile on its own (the slab holds no
-        edge values: a sweep that reads them goes tile by tile).
+        Decided from both caches' contents — the metered state, which
+        every executor keeps identical — when the sweep reaches
+        ``start``: a hit changes no content, so the answer holds for the
+        whole stretch, while the tile after it may be evicted by a
+        streamed tile's admission and is asked about again.
+        """
+        cache, decoded = self.cache, self.decoded_cache
+        if cache is None:
+            return 0
+        end, stop = start, len(names)
+        while end < stop and names[end] in cache and names[end] in decoded:
+            end += 1
+        return end - start
+
+    def load_held(self, names: Sequence[str]) -> list:
+        """Meter a held stretch (:meth:`held_stretch`) in one step and
+        return its decoded tiles, in order.
+
+        What ``len(names)`` :meth:`load_tile` calls would charge, summed:
+        each blob's write generation is checked (a rewrite nobody
+        announced raises, as on the per-tile path), both caches count
+        the hits and move the names to their recent end in sweep order,
+        the decompression of the raw lengths is charged (nothing in raw
+        mode 1), and the cache gauge is refreshed.  No span: the sweep's
+        ``tile`` span covers the stretch.
+        """
+        cache = self.cache
+        entries = self.decoded_cache.get_run(names)
+        decomp = cache.touch_run(names, [n for _obj, n in entries], self.disk)
+        if decomp and cache.mode != 1:
+            self.counters.add_decompressed(cache.codec.name, decomp)
+        self.counters.set_memory("cache", cache.used_bytes)
+        return [obj for obj, _n in entries]
+
+    def tile_runs(
+        self, stretches: Iterable[tuple[Sequence[int], bool]], join: bool = True
+    ) -> Iterator[TileRun]:
+        """Group a sweep's tiles into the runs to compute, in sweep order.
+
+        ``stretches`` yields ``(slab positions, held)`` in sweep order,
+        pulled lazily so that each is metered where the sweep is: a held
+        stretch as :meth:`load_held` metered it, or one tile as
+        :meth:`load_tile` loaded it — held when its load left the blob
+        in the edge cache (its decoded form is in the slab from then on).
+
+        A held tile joins the tiles before it when they are consecutive
+        in the assignment; the run is computed when something breaks it.
+        Any other tile is streaming through (the spill regime): it is a
+        run of its own, computed before the next tile is pulled, so it is
+        never held.  ``join=False`` keeps every tile on its own (the slab
+        holds no edge values: a sweep that reads them goes tile by tile).
 
         Every run knows where its first target sits in this server's
         target index: its row offset in the slab.
@@ -305,19 +347,18 @@ class Server:
         slab = self.decoded_cache.slab
         limit = slab.max_run if join else 1
         first = last = None  # the open run: slab slots first..last
-        for name, tile in loaded:
-            pos = slab.slot(name, tile)
-            held = self.cache is not None and name in self.cache
-            if first is not None:
-                if held and pos == last + 1 and pos - first != limit:
-                    last = pos
-                    continue
-                yield slab.run(first, last)
-                first = None
-            if held:
-                first = last = pos
-            else:
-                yield slab.run(pos, pos)
+        for positions, held in stretches:
+            for pos in positions:
+                if first is not None:
+                    if held and pos == last + 1 and pos - first != limit:
+                        last = pos
+                        continue
+                    yield slab.run(first, last)
+                    first = None
+                if held:
+                    first = last = pos
+                else:
+                    yield slab.run(pos, pos)
         if first is not None:
             yield slab.run(first, last)
 

@@ -17,11 +17,12 @@ Execution model
 * The edge cache (§IV-B) sits between tile loads and the local disk;
   its mode is auto-selected from the capacity constraint unless forced.
 
-The tile is the unit of I/O, caching, skipping and metering; the unit of
-*compute* is a run — a stretch of a server's scheduled tiles that are
+The tile is the unit of I/O, caching and skipping; a stretch of tiles a
+server holds in both caches is metered in one step (``Server.load_held``),
+any other tile through the one metered load, in sweep order.  The unit
+of *compute* is a run — a stretch of a server's scheduled tiles that are
 consecutive in its assignment and live in its decoded-tile cache
-(:class:`repro.partition.tiles.TileSlab`).  Every scheduled tile still
-takes the one metered load, in sweep order; one pure-numpy kernel
+(:class:`repro.partition.tiles.TileSlab`); one pure-numpy kernel
 (:func:`_sweep_run`: gather by index,
 :func:`repro.utils.segments.segment_reduce`, vectorised apply) then
 covers the whole run, so the Python interpreter appears once per run,
@@ -1260,7 +1261,10 @@ class MPE:
             changed_ids_parts: list[np.ndarray] = []
             changed_vals_parts: list[np.ndarray] = []
             changed_rows_parts: list[np.ndarray] = []
-            tile_edge_counts: list[int] = []
+            # Slab position of every tile swept, in sweep order: its
+            # edge count is the slab's shape.
+            swept: list[int] = []
+            slab = server.decoded_cache.slab
             # Pending overlays' (bytes, edits) by tile id; empty unless
             # mutations are.
             overlay_charges = self._run.overlay_charges
@@ -1270,44 +1274,76 @@ class MPE:
                     "tile_skip", "schedule", tile=tile_id, reason=reason
                 )
 
-            def metered(scheduled):
-                """The metering pass: every scheduled tile, in sweep
-                order, through the one metered load — what a tile costs
-                is charged here, tile by tile, whatever run it is then
-                computed in.  Yields ``(blob name, tile)``."""
-                for (tile_id, blob_name, nbytes), prefetched in scheduled:
-                    with trace.span("tile", "compute", tile=tile_id):
-                        # The single metered tile-load path: cache/disk
-                        # accounting and decode all funnel through here
-                        # with the shared parser.
-                        tile = server.load_tile(
-                            blob_name, self._tile_parser, prefetched
-                        )
-                        if overlay_charges and tile_id in overlay_charges:
-                            # Overlay composition work: charged per *scheduled*
-                            # overlaid tile, whether or not the decoded cache
-                            # served the composed object — like the edge-cache
-                            # metering, the simulated cost is schedule-driven
-                            # and therefore executor-invariant.
+            def charge(stretch):
+                """What a stretch of scheduled tiles costs beyond its
+                lookups, charged once for the stretch."""
+                counters = server.counters
+                if overlay_charges:
+                    # Overlay composition work: charged per *scheduled*
+                    # overlaid tile, whether or not the decoded cache
+                    # served the composed object — like the edge-cache
+                    # metering, the simulated cost is schedule-driven and
+                    # therefore executor-invariant.
+                    for tile_id, _name, _nbytes in stretch:
+                        if tile_id in overlay_charges:
                             overlay_bytes, edits = overlay_charges[tile_id]
-                            server.counters.delta_bytes += overlay_bytes
-                            server.counters.delta_edges += edits
-                        # One tile's worth of scratch at a time (§III-B's
-                        # streaming): the peak is the largest tile's.
-                        with trace.span("gather-apply", "compute", tile=tile_id):
-                            server.counters.add_memory("scratch", nbytes)
-                            server.counters.add_memory("scratch", -nbytes)
-                        tile_edge_counts.append(tile.num_edges)
-                    yield blob_name, tile
+                            counters.delta_bytes += overlay_bytes
+                            counters.delta_edges += edits
+                # One tile's worth of scratch at a time (§III-B's
+                # streaming): the peak is the largest tile's.
+                scratch = max(nbytes for _t, _n, nbytes in stretch)
+                counters.add_memory("scratch", scratch)
+                counters.add_memory("scratch", -scratch)
 
+            def streamed(item, prefetched):
+                """One tile through the one metered tile-load path:
+                cache/disk accounting and decode all funnel through here
+                with the shared parser."""
+                tile_id, blob_name, _nbytes = item
+                with trace.span("tile", "compute", tile=tile_id):
+                    tile = server.load_tile(blob_name, self._tile_parser, prefetched)
+                    charge((item,))
+                pos = slab.slot(blob_name, tile)
+                swept.append(pos)
+                # Held from now on when its load left the blob cached.
+                return (pos,), server.cache is not None and blob_name in server.cache
+
+            def metered():
+                """The metering walk: every scheduled tile, in sweep
+                order, is charged here, whatever run it is then computed
+                in.  From where the walk stands, the longest stretch of
+                tiles this server holds is metered in one step, and the
+                next tile that is not held takes the per-tile load.
+                Yields ``(slab positions, held)``."""
+                if prefetcher is not None:
+                    for item, hint, _ready in prefetcher:
+                        yield streamed(item, hint)
+                    return
+                at, stop = 0, len(names)
+                while at < stop:
+                    k = server.held_stretch(names, at)
+                    if not k:
+                        yield streamed(sched.run[at], None)
+                        at += 1
+                        continue
+                    held = names[at : at + k]
+                    with trace.span("tile", "compute", tiles=k):
+                        tiles = server.load_held(held)
+                        charge(sched.run[at : at + k])
+                    positions = [slab.slot(n, t) for n, t in zip(held, tiles)]
+                    swept.extend(positions)
+                    yield positions, True
+                    at += k
+
+            names = [item[1] for item in sched.run]
             prefetcher = None
-            scheduled = ((item, None) for item in sched.run)
             if knobs.prefetch_depth > 0 and sched.run:
                 from repro.runtime.prefetch import TilePrefetcher
 
                 # Background threads speculate ahead (read-only, unmetered);
-                # the metering pass commits each dequeue through the same
-                # metered path as the sequential sweep, in the same order.
+                # the metering walk commits each dequeue through the same
+                # metered path as the sequential sweep, in the same order
+                # — every tile takes it: nothing is metered as held.
                 prefetcher = TilePrefetcher(
                     server,
                     sched.run,
@@ -1318,14 +1354,14 @@ class MPE:
                     io_trace=server.prefetch_trace,
                     wait_trace=trace,
                 )
-                scheduled = ((item, hint) for item, hint, _ready in prefetcher)
             try:
                 # Edge values live in the tiles, not in the slab: a program
                 # that reads them sweeps tile by tile.
                 for run in server.tile_runs(
-                    metered(scheduled), join=not program.uses_edge_weight
+                    metered(), join=not program.uses_edge_weight
                 ):
-                    ids, vals, rows = _sweep_run(program, run, store, slot)
+                    with trace.span("gather-apply", "compute", tiles=len(run.tiles)):
+                        ids, vals, rows = _sweep_run(program, run, store, slot)
                     if ids.size:
                         changed_ids_parts.append(ids)
                         changed_vals_parts.append(vals)
@@ -1333,7 +1369,7 @@ class MPE:
             finally:
                 if prefetcher is not None:
                     prefetcher.close()
-            tiles_processed = len(tile_edge_counts)
+            tiles_processed = len(swept)
             prefetch_ready = prefetcher.served_ready if prefetcher else 0
             prefetch_total = prefetcher.dequeues if prefetcher else 0
 
@@ -1343,7 +1379,7 @@ class MPE:
             edges_charged = int(
                 round(
                     effective_parallel_volume(
-                        tile_edge_counts,
+                        slab.shapes[swept, 1],
                         self.cluster.spec.workers_per_server,
                     )
                 )

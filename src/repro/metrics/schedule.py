@@ -33,11 +33,13 @@ def lpt_makespan(durations, workers: int) -> float:
         raise ValueError("durations must be non-negative")
     if workers == 1 or jobs.size <= 1:
         return float(jobs.sum()) if workers == 1 else float(jobs.max())
-    loads = [0.0] * min(workers, jobs.size)
+    # The ``workers`` largest jobs each start on an idle machine (0.0 +
+    # job is job): only the jobs after them go through the heap.
+    order = np.sort(jobs)[::-1].tolist()
+    loads = order[:workers]
     heapq.heapify(loads)
-    for job in np.sort(jobs)[::-1]:
-        lightest = heapq.heappop(loads)
-        heapq.heappush(loads, lightest + float(job))
+    for job in order[workers:]:
+        heapq.heapreplace(loads, loads[0] + job)
     return max(loads)
 
 

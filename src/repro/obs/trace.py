@@ -8,7 +8,8 @@ timeline:
 
 * **Spans** — begin/end pairs covering a region of work: the run, each
   superstep, each phase (compute / broadcast / apply / account), each
-  per-tile load and gather-apply.  Spans nest; nesting is derived from
+  streamed tile's load or held stretch's metering, each computed run's
+  gather-apply.  Spans nest; nesting is derived from
   begin/end *order within one buffer*, never from timestamps, so the
   recovered tree is deterministic even though wall-clock values differ
   between runs and executors.

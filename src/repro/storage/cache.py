@@ -237,6 +237,27 @@ class EdgeCache:
         self.stats.bytes_decompressed += int(uncompressed_len)
         return True
 
+    def touch_run(self, keys, uncompressed_lens, disk: LocalDisk) -> int:
+        """:meth:`touch` of a stretch of resident keys in one step.
+
+        Every entry's generation is checked against ``disk`` first, as
+        :meth:`load` checks one (a rewritten blob refuses the stretch
+        before any stat moves); then recency is updated in ``keys``
+        order and the hits and decompressed bytes are added once.
+        Returns the bytes added.
+        """
+        entries = self._entries
+        generation = disk.generation
+        for key in keys:
+            if entries[key][0] != generation(key):
+                raise _stale(key, "written again since it was cached")
+        for key in keys:
+            entries.move_to_end(key)
+        total = sum(uncompressed_lens)
+        self.stats.hits += len(keys)
+        self.stats.bytes_decompressed += total
+        return total
+
     def _measure(
         self, key: str, disk: LocalDisk, data: bytes | None = None
     ) -> tuple[int, int, int]:
@@ -506,10 +527,12 @@ class DecodedTileCache:
     Metering safety: this cache never replaces the §IV-B lookup — the
     server still drives the edge cache / disk metering for every access
     (:meth:`repro.cluster.server.Server.load_tile`), replayed from the
-    blob's length when the tile is held here, so hit ratios, disk
-    traffic, and decompression charges are byte-identical to a load
-    that re-read and re-parsed the blob, and the engine always attaches
-    one.
+    blob's length when the tile is held here, or — for a stretch of
+    tiles held here and in the edge cache — summed over the stretch in
+    one step (:meth:`repro.cluster.server.Server.load_held`), so hit
+    ratios, disk traffic, and decompression charges are byte-identical
+    to a load that re-read and re-parsed the blob, and the engine
+    always attaches one.
     """
 
     stats: DecodedCacheStats = field(default_factory=DecodedCacheStats)
@@ -533,6 +556,17 @@ class DecodedTileCache:
         self._entries.move_to_end(key)
         self.stats.hits += 1
         return entry
+
+    def get_run(self, keys) -> list[tuple[object, int]]:
+        """:meth:`get` of a stretch of resident keys in one step: their
+        entries in ``keys`` order, recency updated in that order, the
+        hits added once."""
+        entries = self._entries
+        out = [entries[key] for key in keys]
+        for key in keys:
+            entries.move_to_end(key)
+        self.stats.hits += len(out)
+        return out
 
     def peek(self, key: str) -> tuple[object, int] | None:
         """Non-mutating probe (no stats, no recency): the prefetch

@@ -150,14 +150,27 @@ def merge_sorted_unique(parts: "list[np.ndarray]") -> np.ndarray:
     ``int64`` array.
 
     The BSP barrier calls this every superstep to union the per-server
-    (sorted, disjoint) updated-vertex sets.  It is a stable sort of the
-    concatenation: the pairwise ``searchsorted`` + ``np.insert`` merge
-    tree this replaced was 5x slower than that on 9 x 33 k parts (15.5
-    vs 3.1 ms) — its O(n log k) was a modeled win the ledger never saw.
+    (sorted, disjoint) updated-vertex sets.  A dense union — more than
+    half of the ids up to the largest present, none negative: a
+    PageRank frontier — is marked in a boolean mask and read back with
+    ``np.flatnonzero`` (9 parts, 294 k of 300 k ids: 1.5 -> 0.9 ms on
+    a 2-core host).  Anything sparser is a stable sort of the
+    concatenation, which the mask's ``O(largest id)`` pass would lose
+    to; the pairwise ``searchsorted`` + ``np.insert`` merge tree that
+    sort replaced was 5x slower than it on 9 x 33 k parts (15.5 vs
+    3.1 ms) — its O(n log k) was a modeled win the ledger never saw.
     """
     arrays = [np.asarray(p, dtype=np.int64) for p in parts]
+    arrays = [a for a in arrays if a.size]
     if not arrays:
         return np.zeros(0, dtype=np.int64)
+    total = sum(a.size for a in arrays)
+    top = max(int(a[-1]) for a in arrays)
+    if 2 * total > top + 1 and min(int(a[0]) for a in arrays) >= 0:
+        mask = np.zeros(top + 1, dtype=bool)
+        for a in arrays:
+            mask[a] = True
+        return np.flatnonzero(mask).astype(np.int64, copy=False)
     return sorted_unique(np.concatenate(arrays), kind="stable")
 
 

@@ -336,8 +336,14 @@ class TestNullBuffer:
 
 # Re-recorded when broadcasts stopped decoding: the tree recorded at
 # 1215c28 with its ``payload_decode`` spans removed, nothing else moved.
+# Re-recorded when held stretches began to be metered as one: over the
+# four server lanes, superstep 0's 12 ``tile`` > ``load`` spans stay, the
+# 60 later tiles' spans become 20 ``tile`` spans (one per held stretch,
+# no ``load``), and ``gather-apply`` moved from under each ``tile`` (72)
+# to around each computed run, under ``compute`` (24).  Nothing else
+# moved.
 SERIAL_TREE_DIGEST = (
-    "c7e579dfbdc07e518db9b05188e1e1f7330884ab9d0495cf46c108687409a265"
+    "923983e6a5861cdd7749fb53255dccca11126bf57a74c24076031328d6aab336"
 )
 
 

@@ -3,12 +3,14 @@
 A server's scheduled tiles that are consecutive in its assignment and
 live in both of its caches are swept by one gather-reduce-apply over
 slices of the server's :class:`~repro.partition.tiles.TileSlab`; every
-tile still takes the one metered load, in sweep order.  Everything here
-is an *identity*: joining tiles must not show in any number the engine
-reports.  The reference is the same engine with runs capped at one tile
-(``TileSlab(max_run=1)``) — the tile-at-a-time sweep out of the same
-code — so the executor sweep (``tests/test_runtime_executor.py``) is not
-repeated, only crossed with the cap.
+tile is still metered in sweep order, a held stretch in one step.
+Everything here is an *identity*: joining tiles must not show in any
+number the engine reports.  The reference is the same engine with runs
+capped at one tile (``TileSlab(max_run=1)``) — the tile-at-a-time sweep
+out of the same code — so the executor sweep
+(``tests/test_runtime_executor.py``) is not repeated, only crossed with
+the cap; the held meter's reference is the same runs with every tile
+forced onto the per-tile load (``TestHeldRunMetering``).
 """
 
 import dataclasses
@@ -30,6 +32,7 @@ from repro.apps import (
 )
 from repro.apps.base import check_elementwise_in_target
 from repro.cluster import Cluster, ClusterSpec
+from repro.cluster.server import Server
 from repro.core import MPE, SPE, MPEConfig
 from repro.core.facade import GraphH
 from repro.core.vertexstore import AllInAllStore, OnDemandStore
@@ -41,6 +44,7 @@ from repro.partition.tiles import Tile, TileSlab
 from repro.runtime import process_runtime_available
 from repro.runtime.active import ActiveBitmap, SourceHeads, TileSourceSummary
 from repro.service import Engine, JobSpec, reset_simulation
+from repro.storage.codecs import CACHE_MODES
 from repro.utils.segments import SegmentPlan, segment_reduce
 
 N_SERVERS = 3
@@ -248,11 +252,24 @@ def _story(mpe, result, tracer=None):
         "decoded_recency": [s.decoded_cache.content_keys() for s in servers],
     }
     if tracer is not None:
-        story["spans"] = {
-            label: [node.as_tuple() for node in forest]
-            for label, forest in tracer.span_trees().items()
-        }
+        story["spans"] = _spans(tracer)
     return story
+
+
+def _spans(tracer):
+    """Timestamp-free span trees without their ``gather-apply`` spans:
+    there is one per computed run, so capping runs changes their number
+    and nothing else (``TestGatherApplySpans`` counts them)."""
+
+    def strip(node):
+        kind, name, cat, children = node
+        kept = tuple(strip(c) for c in children if c[1] != "gather-apply")
+        return kind, name, cat, kept
+
+    return {
+        label: [strip(node.as_tuple()) for node in forest]
+        for label, forest in tracer.span_trees().items()
+    }
 
 
 def _stories(graph, programs, max_run, **cfg):
@@ -497,24 +514,25 @@ class TestRunsOfOneIdentity:
 
     @pytest.mark.parametrize("fault", [DiskReadFault, ServerCrashFault])
     def test_a_fault_on_the_fourth_tile_of_a_server(self, graph, fault, monkeypatch):
-        """The metering pass is the serial sweep: an error raised by a
-        tile load aborts at the same load, and what the abort leaves
-        behind is the same."""
+        """The metering walk is the serial sweep: an error raised while a
+        tile is metered aborts at the same tile, and what the abort
+        leaves behind is the same.  On a warm engine every tile is held,
+        so the fourth tile is metered by the held-run meter."""
 
         class FourthLoad:
-            """Server 1's ``load_tile``, raising on its fourth load of
-            superstep 2."""
+            """Server 1's ``load_held``, raising when the stretch it
+            meters holds its fourth tile of superstep 2."""
 
-            def __init__(self, load_tile):
-                self.load_tile = load_tile
+            def __init__(self, load_held):
+                self.load_held = load_held
                 self.loads, self.superstep, self.fired = 0, None, None
 
-            def __call__(self, blob_name, *args):
-                self.loads += 1
-                if self.superstep == 2 and self.loads == 4:
-                    self.fired = (1, blob_name)
+            def __call__(self, names):
+                before, self.loads = self.loads, self.loads + len(names)
+                if self.superstep == 2 and before < 4 <= self.loads:
+                    self.fired = (1, names[3 - before])
                     raise fault("injected", superstep=2, server=1)
-                return self.load_tile(blob_name, *args)
+                return self.load_held(names)
 
         outcomes = []
         for max_run in (None, 1):
@@ -523,8 +541,8 @@ class TestRunsOfOneIdentity:
             try:
                 mpe.run(PageRank(tolerance=0.0))
                 server = cluster.servers[1]
-                hook = FourthLoad(server.load_tile)
-                monkeypatch.setattr(server, "load_tile", hook)
+                hook = FourthLoad(server.load_held)
+                monkeypatch.setattr(server, "load_held", hook)
                 resolve = mpe._resolve_schedule
 
                 def resolved(superstep, *args):
@@ -546,14 +564,11 @@ class TestRunsOfOneIdentity:
                             dataclasses.astuple(s.decoded_cache.stats)
                             for s in cluster.servers
                         ],
-                        "spans": {
-                            label: [node.as_tuple() for node in forest]
-                            for label, forest in tracer.span_trees().items()
-                        },
+                        "spans": _spans(tracer),
                     }
                 )
                 # The engine runs clean afterwards.
-                monkeypatch.delattr(server, "load_tile")
+                monkeypatch.delattr(server, "load_held")
                 mpe._resolve_schedule = resolve
                 outcomes[-1]["after"] = mpe.run(PageRank(tolerance=0.0)).values.tobytes()
             finally:
@@ -636,7 +651,161 @@ class TestRunsOfOneIdentity:
 
 
 # ----------------------------------------------------------------------
-# (iv) the call-count guard: no per-tile loop behind the run sweep
+# (iv) a held stretch is metered in one step, as its tiles' loads would be
+# ----------------------------------------------------------------------
+EXECUTORS = [
+    ("serial", None),
+    ("parallel", 2),
+    pytest.param("process", 2, marks=needs_process),
+]
+
+
+def _count_spans(tracer, name):
+    def count(nodes):
+        return sum((node.name == name) + count(node.children) for node in nodes)
+
+    return sum(count(forest) for forest in tracer.span_trees().values())
+
+
+class TestHeldRunMetering:
+    """The oracle is the same runs with every tile forced onto the
+    per-tile load (the held predicate patched to hold nothing): values,
+    per-superstep reports and modeled costs, every server's Counters,
+    both caches' stats and both caches' recency, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _configured(self, monkeypatch):
+        # The predicate is patched in this process; forked workers
+        # inherit it.
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+
+    @staticmethod
+    def _runs(graph, make, eviction="none", between=None, **cfg):
+        """Cold, warm, then (after ``between(mpe)``) one more run on one
+        engine: the stories, and (``tile`` spans, tiles processed)."""
+        tracer = Tracer()
+        mpe, cluster = _engine(graph, tracer=tracer, **cfg)
+        try:
+            for server in cluster.servers:
+                server.cache.eviction = eviction
+            stories, spans, tiles = [], 0, 0
+            for step in range(3):
+                if step == 2 and between is not None:
+                    between(mpe)
+                tracer.clear_events()
+                result = mpe.run(make())
+                stories.append(_story(mpe, result))
+                spans += _count_spans(tracer, "tile")
+                tiles += sum(s.tiles_processed for s in result.supersteps)
+            return stories, spans, tiles
+        finally:
+            cluster.close()
+
+    def _check(self, monkeypatch, graph, make, **kw):
+        held, spans, tiles = self._runs(graph, make, **kw)
+        with monkeypatch.context() as forced:
+            forced.setattr(Server, "held_stretch", lambda self, names, start: 0)
+            streamed, streamed_spans, streamed_tiles = self._runs(graph, make, **kw)
+        assert streamed_spans == streamed_tiles == tiles  # a span per tile
+        assert spans < tiles  # ... and held stretches metered as one
+        assert held == streamed
+        return held
+
+    @pytest.mark.parametrize("mode", [1, 2, 3, 4])
+    def test_cache_modes(self, graph, monkeypatch, mode):
+        stories = self._check(
+            monkeypatch, graph, PROGRAMS["pagerank"][0], cache_mode=mode
+        )
+        # Raw mode 1 charges no decompression; the others charge their
+        # codec's.
+        charged = stories[-1]["counters"][0].get(f"decompressed_{CACHE_MODES[mode - 1]}")
+        assert (charged is None) == (mode == 1)
+
+    @pytest.mark.parametrize("executor,width", EXECUTORS)
+    @pytest.mark.parametrize(
+        "eviction,make,share",
+        [
+            # Admit until full: a miss is rejected, and the held
+            # stretches are what superstep 0 admitted.
+            ("none", PROGRAMS["pagerank"][0], 0.5),
+            # LRU under a cyclic sweep: an admission evicts the tile the
+            # sweep reaches next, so held-ness is decided per stretch.
+            ("lru", PROGRAMS["sssp"][0], 0.7),
+        ],
+    )
+    def test_capacity_pressure(
+        self, graph, monkeypatch, eviction, make, share, executor, width
+    ):
+        mpe, cluster = _engine(graph)
+        smallest = min(sum(n for _t, _b, n in a) for a in mpe._assignments)
+        cluster.close()
+        stories = self._check(
+            monkeypatch, graph, make,
+            eviction=eviction,
+            cache_capacity_bytes=int(smallest * share),
+            cache_mode=1,
+            executor=executor, num_workers=width, num_threads=width,
+        )
+        # CacheStats: hits, misses, evictions, insertions, rejected, ...
+        last = [sum(col) for col in zip(*stories[-1]["cache_stats"])]
+        assert last[0] > 0
+        assert (last[2] > 0, last[4] > 0) == (eviction == "lru", eviction == "none")
+
+    @pytest.mark.parametrize("executor,width", EXECUTORS)
+    def test_pending_mutation_batch(self, graph, monkeypatch, executor, width):
+        batch = random_mutations(graph, 40, 25, seed=5)
+        stories = self._check(
+            monkeypatch, graph, PROGRAMS["pagerank"][0],
+            between=lambda mpe: mpe.apply_mutations(batch),
+            mutations=True,
+            executor=executor, num_workers=width, num_threads=width,
+        )
+        # Overlay charges: none before the batch, then on its tiles.
+        assert not any(c["delta_bytes"] for c in stories[1]["counters"])
+        assert any(c["delta_bytes"] for c in stories[2]["counters"])
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_a_held_blob_rewritten_behind_the_cache(self, graph, monkeypatch, forced):
+        if forced:
+            monkeypatch.setattr(Server, "held_stretch", lambda self, names, start: 0)
+        mpe, cluster = _engine(graph)
+        try:
+            mpe.run(PageRank(tolerance=0.0))
+            server = cluster.servers[0]
+            name = mpe._assignments[0][3][1]
+            assert server.held_stretch([name], 0) == (0 if forced else 1)
+            server.disk.write(name, server.disk.peek(name))  # not store_blob
+            with pytest.raises(RuntimeError, match="stale"):
+                mpe.run(PageRank(tolerance=0.0))
+        finally:
+            cluster.close()
+
+
+class TestGatherApplySpans:
+    def test_one_per_computed_run_and_one_tile_span_per_held_stretch(
+        self, graph, monkeypatch
+    ):
+        """``gather-apply`` wraps the run kernel, so its spans are the
+        kernel calls; a warm dense sweep is one held stretch per server
+        and superstep, so one ``tile`` span each."""
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)  # counted here
+        lengths = _run_lengths(monkeypatch)
+        tracer = Tracer()
+        mpe, cluster = _engine(graph, tracer=tracer, max_supersteps=4)
+        try:
+            mpe.run(PageRank(tolerance=0.0))
+            lengths.clear()
+            tracer.clear_events()
+            warm = mpe.run(PageRank(tolerance=0.0))
+        finally:
+            cluster.close()
+        assert _count_spans(tracer, "gather-apply") == len(lengths)
+        assert _count_spans(tracer, "tile") == N_SERVERS * warm.num_supersteps
+        assert _count_spans(tracer, "load") == 0
+
+
+# ----------------------------------------------------------------------
+# (v) the call-count guard: no per-tile loop behind the run sweep
 # ----------------------------------------------------------------------
 def _count_kernel_calls(monkeypatch):
     calls = {"gather": 0, "reduce": 0}

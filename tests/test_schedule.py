@@ -1,5 +1,7 @@
 """Tests for the LPT makespan model."""
 
+import heapq
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +49,21 @@ class TestLptMakespan:
         assert makespan <= total + 1e-9
         # Graham's list-scheduling bound: <= total/m + (1 - 1/m)·longest.
         assert makespan <= total / workers + longest + 1e-6
+
+    @given(
+        jobs=st.lists(
+            st.one_of(st.floats(0, 1e6), st.integers(0, 3).map(float)), max_size=60
+        ),
+        workers=st.integers(2, 30),  # one worker is a plain sum
+    )
+    def test_equals_the_heap_over_every_job(self, jobs, workers):
+        """The reference: every job, largest first, onto the least
+        loaded of ``workers`` idle machines — bit for bit."""
+        loads = [0.0] * min(workers, len(jobs))
+        heapq.heapify(loads)
+        for job in sorted(jobs, reverse=True):
+            heapq.heappush(loads, heapq.heappop(loads) + job)
+        assert lpt_makespan(jobs, workers) == (max(loads) if loads else 0.0)
 
     def test_effective_volume(self):
         # 4 equal jobs on 4 workers: no inefficiency.

@@ -163,7 +163,8 @@ class TestSortedUnique:
 
 class TestSortedMerge:
     """The barrier's union of the per-server update sets (sorted and
-    disjoint): a stable sort of the concatenation."""
+    disjoint): a mask read back when the union is dense, a stable sort
+    of the concatenation otherwise."""
 
     def test_is_sorted(self):
         assert is_sorted(np.array([], dtype=np.int64))
@@ -209,3 +210,56 @@ class TestSortedMerge:
         assert out.dtype == np.int64
         assert out.tolist() == expected.tolist()
         assert not any(np.shares_memory(out, a) for a in arrays)
+
+    @staticmethod
+    def _paths(monkeypatch):
+        """Record which path each call takes (the mask path reads its
+        mask back with ``np.flatnonzero``; the sort path never calls it)."""
+        taken = []
+        flatnonzero = np.flatnonzero
+
+        def spy(a):
+            taken.append("mask")
+            return flatnonzero(a)
+
+        monkeypatch.setattr(np, "flatnonzero", spy)
+        return taken
+
+    @settings(max_examples=60)
+    @given(
+        # Dense: ids drawn from 0..40, so up to 280 of them cover most
+        # of the range; parts overlap, and some are empty.
+        dense=st.lists(
+            st.lists(st.integers(0, 40), max_size=40).map(sorted), max_size=7
+        ),
+        # Sparse: a few ids up to 10^6, the sort's side of the rule.
+        sparse=st.lists(
+            st.lists(st.integers(0, 10**6), max_size=20).map(sorted), max_size=7
+        ),
+    )
+    def test_both_paths_match_np_unique(self, dense, sparse):
+        for parts in (dense, sparse):
+            arrays = [np.array(p, dtype=np.int64) for p in parts]
+            every = np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
+            out = merge_sorted_unique(arrays)
+            assert out.dtype == np.int64
+            assert out.tolist() == np.unique(every).tolist()
+            assert not any(np.shares_memory(out, a) for a in arrays)
+
+    def test_the_rule_picks_the_path(self, monkeypatch):
+        taken = self._paths(monkeypatch)
+        empty = np.zeros(0, dtype=np.int64)
+        # Dense, overlapping, with empty parts: more than half of 0..9.
+        out = merge_sorted_unique(
+            [np.array([0, 2, 4, 6]), empty, np.array([2, 3, 9]), empty]
+        )
+        assert out.tolist() == [0, 2, 3, 4, 6, 9] and taken == ["mask"]
+        # Exactly half of 0..7 present: not dense, sorted.
+        out = merge_sorted_unique([np.array([1, 7]), np.array([3, 5])])
+        assert out.tolist() == [1, 3, 5, 7] and taken == ["mask"]
+        # Dense but negative: sorted, never masked.
+        out = merge_sorted_unique([np.array([-2, -1, 0]), np.array([-1, 1])])
+        assert out.tolist() == [-2, -1, 0, 1] and taken == ["mask"]
+        # Only empty parts.
+        assert merge_sorted_unique([empty, empty]).tolist() == []
+        assert taken == ["mask"]

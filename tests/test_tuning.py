@@ -278,7 +278,8 @@ class TestTunedDeterminism:
     ):
         """The tuner's working set is read off the resolved schedule;
         it must equal the blob bytes the straggler's sweep really pulled
-        through ``Server.load_tile`` that superstep — skips included."""
+        through ``Server.load_tile`` and ``Server.load_held`` (the held
+        stretches' meter) that superstep — skips included."""
         from repro.cluster.server import Server
         from repro.metrics.cost import CostModel
 
@@ -287,11 +288,17 @@ class TestTunedDeterminism:
         loaded = [[0] * N_SERVERS]
         stragglers = []
         original_load = Server.load_tile
+        original_held = Server.load_held
         original_index = CostModel.straggler_index
 
         def load_tile(self, name, *args, **kwargs):
             loaded[-1][self.server_id] += len(self.disk.peek(name))
             return original_load(self, name, *args, **kwargs)
+
+        def load_held(self, names):
+            for name in names:
+                loaded[-1][self.server_id] += len(self.disk.peek(name))
+            return original_held(self, names)
 
         def straggler_index(self, per_server):
             # Called once per tuned superstep, after its sweeps.
@@ -300,6 +307,7 @@ class TestTunedDeterminism:
             return stragglers[-1]
 
         monkeypatch.setattr(Server, "load_tile", load_tile)
+        monkeypatch.setattr(Server, "load_held", load_held)
         monkeypatch.setattr(CostModel, "straggler_index", straggler_index)
         mpe, cluster = _build(
             graph, MPEConfig(tune=True, executor="serial", max_supersteps=40)
