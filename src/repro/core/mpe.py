@@ -22,9 +22,11 @@ server holds in both caches is metered in one step (``Server.load_held``),
 any other tile through the one metered load, in sweep order.  The unit
 of *compute* is a run — a stretch of a server's scheduled tiles that are
 consecutive in its assignment and live in its decoded-tile cache
-(:class:`repro.partition.tiles.TileSlab`); one pure-numpy kernel
-(:func:`_sweep_run`: gather by index,
-:func:`repro.utils.segments.segment_reduce`, vectorised apply) then
+(:class:`repro.partition.tiles.TileSlab`); one vectorised kernel
+(:func:`_sweep_run`: for an additive program that reads no edge weight,
+one CSR mat-vec of the run's edges against the message slot,
+:func:`repro.utils.segments.gather_sum`; otherwise gather by index and
+:func:`repro.utils.segments.segment_reduce`; then a vectorised apply)
 covers the whole run, so the Python interpreter appears once per run,
 not once per tile.  What it gathers is the replica's message slot: a
 program that reads no edge weight has its ``edge_message`` evaluated
@@ -77,6 +79,7 @@ from repro.tuning.plan import KnobSettings
 from repro.tuning.tuner import TunedRun
 from repro.utils.bloom import BloomFilter, hash_keys
 from repro.utils.segments import (
+    gather_sum,
     merge_sorted_unique,
     segment_reduce,
     sorted_unique,
@@ -1575,19 +1578,25 @@ def _sweep_run(
     ``store`` is either replica policy's vertex store (see
     :mod:`repro.core.vertexstore`); ``slot`` is its ``message_slot`` for
     this superstep, or ``None`` for a program whose message reads the
-    edge weight and is therefore evaluated per edge.  Returns (changed
-    global ids, their new values, their positions in the server's
-    target index), ascending as the run's targets are.
+    edge weight and is therefore evaluated per edge.  An additive
+    program's slot is gathered and summed per target in one pass
+    (:func:`gather_sum`); any other message is gathered per edge and
+    reduced with ``reduceat``.  Returns (changed global ids, their new
+    values, their positions in the server's target index), ascending as
+    the run's targets are.
     """
     col = run.col
-    if slot is not None:
-        contributions = store.gather_values(col, slot)
+    if slot is not None and program.reduce_op == "add":
+        index, top = store.plane_index(col, run.col_max)
+        accum = gather_sum(slot, index, top, run.plan)
+    elif slot is not None:
+        accum = segment_reduce(store.gather_values(col, slot), run.plan, program.reduce_op)
     else:
         out_deg = store.gather_out_degrees(col) if program.uses_out_degree else None
         contributions = program.edge_message(
             store.gather_values(col), out_deg, run.edge_values()
         )
-    accum = segment_reduce(contributions, run.plan, program.reduce_op)
+        accum = segment_reduce(contributions, run.plan, program.reduce_op)
     old = store.gather_values(run.target_ids)
     new = program.apply(accum, old, run.target_ids)
     changed = np.flatnonzero(program.value_changed(new, old))

@@ -18,16 +18,22 @@ so both replication policies are real, runnable implementations:
   trade-off Eq. 3 charges and Figure 6a plots.
 
 Both stores expose identical semantics; the GAB engine is policy-blind.
-Every gather is ``np.take`` over an ``int64`` index (``mode="raise"``,
-so out-of-range ids still fail): the same bits as fancy indexing, with
-less per-call overhead.  Keep the index ``int64`` — an ``int32`` one is
-widened to ``intp`` on every call and gathers about twice as slowly.
+A gather that is kept — the old targets' values, a weighted program's
+per-edge sources — is ``np.take`` over an ``int64`` index
+(``mode="raise"``, so out-of-range ids still fail): the same bits as
+fancy indexing, with less per-call overhead.  Keep the index ``int64``
+— an ``int32`` one is widened to ``intp`` on every call and gathers
+about twice as slowly.  The per-edge gather of an additive program is
+not kept: :func:`repro.utils.segments.gather_sum` reads the slot
+through :meth:`plane_index` and sums it per target in the same pass,
+so the run's edges are never gathered into an array of their own.
 
 The *message slot* Eq. 2 charges is real: :meth:`message_slot` runs a
 program's ``edge_message`` once over the resident vertices — one message
 per source vertex per superstep, in the store's own index space — and
 the per-edge gather reads it through the store's usual id translation
-(``gather_values(ids, slot)``).  ``edge_message`` is elementwise in the
+(``gather_values(ids, slot)``, or :meth:`plane_index` for the fused
+sum).  ``edge_message`` is elementwise in the
 source (:mod:`repro.apps.base`), so message-then-gather and
 gather-then-message produce the same bits.  The slot never goes
 through an allocator: it is a fresh heap array local to whichever
@@ -132,6 +138,12 @@ class AllInAllStore:
         array in this store's index space (:meth:`message_slot`)."""
         return np.take(self._values if plane is None else plane, vertex_ids)
 
+    def plane_index(self, vertex_ids: np.ndarray, top: int) -> tuple[np.ndarray, int]:
+        """``vertex_ids`` as positions in this store's planes, with a
+        bound on the largest: under AA an id is its own position, so
+        ``top`` (the largest id) is that bound."""
+        return vertex_ids, top
+
     def gather_out_degrees(self, vertex_ids: np.ndarray) -> np.ndarray:
         """Per-edge source out-degree gather."""
         return np.take(self._out_degrees, vertex_ids)
@@ -214,6 +226,11 @@ class OnDemandStore:
     ) -> np.ndarray:
         plane = self._values if plane is None else plane
         return np.take(plane, self._index(vertex_ids))
+
+    def plane_index(self, vertex_ids: np.ndarray, top: int) -> tuple[np.ndarray, int]:
+        """``vertex_ids`` as local positions (``KeyError`` for an id not
+        resident), bounded by the resident count whatever ``top`` is."""
+        return self._index(vertex_ids), self._local_ids.size - 1
 
     def gather_out_degrees(self, vertex_ids: np.ndarray) -> np.ndarray:
         return np.take(self._out_degrees, self._index(vertex_ids))

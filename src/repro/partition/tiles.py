@@ -209,6 +209,10 @@ class TileRun(NamedTuple):
     concatenation of its tiles' target ranges), so row ``i`` is position
     ``first_row + i`` there — the address a broadcast carries (§IV-C),
     known without searching for the id.
+
+    ``col_max`` bounds the gather: it is recorded when a tile's slot is
+    filled, so a run checks its reads with one comparison, not a pass
+    over ``col``.
     """
 
     col: np.ndarray  # int64 source id per edge
@@ -216,6 +220,7 @@ class TileRun(NamedTuple):
     target_ids: np.ndarray  # int64 global id per target row
     tiles: tuple  # the tiles covered, in sweep order
     first_row: int  # position of target_ids[0] in the server's target index
+    col_max: int  # largest source id in col (-1 when it is empty)
 
     def edge_values(self) -> np.ndarray:
         """Edge value per element of ``col`` — of a one-tile run: tiles
@@ -233,7 +238,7 @@ class TileSlab:
 
     Three sibling arrays share one layout, fixed from the tiles' shapes
     (targets, edges, non-empty targets): the widened ``col``, the
-    ``reduceat`` starts (offset to the slab's start) and the non-empty
+    segment starts (offset to the slab's start) and the non-empty
     mask; the fourth, the target ids, is the server's static target
     index.  A tile's slots are filled the first time a sweep sees it
     (:meth:`slot` — its ``col_int64`` *is* the slab slice from then on,
@@ -270,6 +275,8 @@ class TileSlab:
         if self._row_off[-1] != target_ids.size:
             raise ValueError("tile shapes do not cover the server's targets")
         self._col = self._starts = self._nonempty = None
+        # Largest source id per filled slot.
+        self._col_max = [-1] * len(self.names)
         # Each filled slot as a run of one, built when it is filled (a
         # sweep that does not join tiles takes these, tile by tile).
         self._single: list[TileRun | None] = [None] * len(self.names)
@@ -294,7 +301,8 @@ class TileSlab:
     def slot(self, name: str, tile: Tile) -> int:
         """The position of blob ``name``'s slots, filled from ``tile``
         if they do not hold it yet.  The row pointer is checked at the
-        fill, once per decoded tile (:class:`SegmentPlan`)."""
+        fill, once per decoded tile (:class:`SegmentPlan`), and the
+        largest source id recorded (:attr:`TileRun.col_max`)."""
         pos = self._index.get(name)
         held = self._single[pos] if pos is not None else None
         if held is not None and held.tiles[0] is tile:
@@ -318,11 +326,13 @@ class TileSlab:
         col = self._col[a : a + tile.num_edges]
         np.copyto(col, tile.col)
         tile.col_int64 = col  # fills the cached property's slot
+        self._col_max[pos] = int(col.max()) if col.size else -1
         np.add(plan.starts, a, out=self._starts[s : s + plan.starts.size])
         self._nonempty[r : r + plan.n_rows] = plan.nonempty
         plan.nonempty = self._nonempty[r : r + plan.n_rows]
         self._single[pos] = TileRun(
-            col, plan, self.target_ids[r : r + plan.n_rows], (tile,), r
+            col, plan, self.target_ids[r : r + plan.n_rows], (tile,), r,
+            self._col_max[pos],
         )
         return pos
 
@@ -342,6 +352,7 @@ class TileSlab:
             self.target_ids[r0:r1],
             tuple(run.tiles[0] for run in self._single[first : last + 1]),
             r0,
+            max(self._col_max[first : last + 1]),
         )
 
 

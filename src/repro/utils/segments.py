@@ -3,19 +3,39 @@
 The gather phase of every engine reduces per-edge contributions into
 per-target accumulators.  Edges inside a tile are already grouped by
 target vertex (CSR by target, §III-B), so the reduction is a *segment
-reduce* over contiguous runs — expressible with ``ufunc.reduceat`` and
-therefore free of Python per-edge loops (the hot-path rule from the
-hpc-parallel guides).
+reduce* over contiguous runs, with no Python per-edge loop (the
+hot-path rule from the hpc-parallel guides).  Two kernels do it:
+
+* :func:`gather_sum` — the additive programs' gather and reduce in one
+  pass: each row's sum of a per-vertex plane over its edges' source
+  ids, computed by scipy's compiled ``csr_matvec`` with the edges as
+  the matrix's column indices and a shared plane of ones as its
+  entries.  No per-edge temporary is built, and each row is summed
+  left to right.
+* :func:`segment_reduce` — ``ufunc.reduceat`` over per-edge values
+  already gathered: min/max programs, weighted programs (whose message
+  is evaluated per edge), and the single-machine reference.
 
 ``reduceat`` has a classic pitfall: a zero-length segment yields the
 element *at* its start offset instead of the identity.  We sidestep it
 by reducing only over non-empty segments (their start offsets are
 strictly increasing and consecutive non-empty starts bound exactly one
 segment because empty segments contribute no elements in between) and
-filling empty rows with the reduction's identity value.
+filling empty rows with the reduction's identity value.  ``gather_sum``
+uses the same non-empty starts as its row pointer.
+
+The two kernels sum differently: ``reduceat`` adds a segment as
+``a[0] + np.add.reduce(a[1:])`` (pairwise), the mat-vec strictly left
+to right, so the same terms can differ in the last bits.  Every engine
+path of an additive program that reads no edge weight takes
+``gather_sum``, so its values are the same on every path.
 """
 
 from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
 
@@ -32,6 +52,51 @@ IDENTITY = {
 }
 
 
+def _load_csr_matvec():
+    """scipy's compiled ``csr_matvec``, from its extension module alone.
+
+    ``import scipy.sparse`` would cost every process about 22 MB and
+    0.27 s for this one function; loading ``_sparsetools`` by path
+    costs under 1 MB.  There is no fallback: a host without it would
+    sum additive programs differently, so it refuses to import.
+    """
+    name = "scipy.sparse._sparsetools"
+    spec = importlib.util.find_spec("scipy")  # locates; imports nothing
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.exists(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader)
+                )
+                loader.exec_module(module)
+                return module.csr_matvec
+    raise ImportError(
+        "repro needs scipy (>= 1.10): its compiled scipy.sparse._sparsetools "
+        "extension sums the additive programs' gathers"
+    )
+
+
+_csr_matvec = _load_csr_matvec()
+
+#: Edges per ``csr_matvec`` call in :func:`gather_sum`, and the length
+#: of the one read-only plane of ones every call reads as its matrix
+#: entries (512 KB, allocated on first use).
+CHUNK_EDGES = 1 << 16
+_ones: np.ndarray | None = None
+
+
+def _ones_plane(size: int) -> np.ndarray:
+    global _ones
+    ones = _ones
+    if ones is None or ones.size < size:
+        ones = np.ones(size)
+        ones.flags.writeable = False
+        _ones = ones
+    return ones
+
+
 class SegmentPlan:
     """Everything :func:`segment_reduce` derives from a row pointer
     alone: the validity check, the non-empty-row mask and the
@@ -40,8 +105,8 @@ class SegmentPlan:
     A row pointer that is reduced over repeatedly (a decoded tile's,
     once per superstep) builds its plan once — when
     :meth:`repro.partition.tiles.TileSlab.slot` fills the tile's slot —
-    and the per-call work drops to a length check, one ``reduceat`` and
-    one masked store.
+    and the per-call work drops to a length check, one ``reduceat`` (or
+    :func:`gather_sum`'s mat-vec) and one masked store.
     """
 
     __slots__ = ("n_rows", "n_values", "nonempty", "starts")
@@ -116,12 +181,50 @@ def segment_reduce(
     return out
 
 
-def is_sorted(values: np.ndarray) -> bool:
-    """True when ``values`` is non-decreasing (vacuously for size < 2)."""
-    values = np.asarray(values)
-    if values.size < 2:
-        return True
-    return bool(np.all(values[1:] >= values[:-1]))
+def gather_sum(
+    plane: np.ndarray, index: np.ndarray, top: int, plan: SegmentPlan
+) -> np.ndarray:
+    """``segment_reduce(plane[index], plan, "add")`` without the
+    per-edge temporary, each row summed left to right.
+
+    The rows are a CSR matrix with ``index`` as its column indices and
+    ones as its entries, so the sums are one ``csr_matvec`` against
+    ``plane``, in calls of at most :data:`CHUNK_EDGES` edges.  A call
+    adds its edges onto each of its rows' accumulators in order, so a
+    row that straddles two calls is still summed left to right.  The
+    accumulators start at ``-0.0``, which adds to any term exactly, so
+    a row's sum is its first term plus the rest, in order.
+
+    ``top`` is the largest element of ``index``, recorded when the
+    indices were laid out: ``csr_matvec`` does not check its reads, so
+    the bounds check is this one comparison.  Empty rows are 0.0.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    if index.size != plan.n_values:
+        raise ValueError(f"index length {index.size} != indptr[-1] {plan.n_values}")
+    out = np.zeros(plan.n_rows)
+    starts = plan.starts
+    if not starts.size:
+        return out
+    plane = np.asarray(plane, dtype=np.float64)
+    if top >= plane.size:
+        raise IndexError(f"index {top} is out of bounds for a plane of {plane.size}")
+    acc = np.full(starts.size, -0.0)
+    chunk = CHUNK_EDGES
+    ones = _ones_plane(chunk)
+    for lo in range(0, plan.n_values, chunk):
+        hi = min(lo + chunk, plan.n_values)
+        # Rows r0..r1-1 hold edges lo..hi-1; the first may have started
+        # in the previous call, the last may go on in the next.
+        r0 = int(starts.searchsorted(lo, "right")) - 1
+        r1 = int(starts.searchsorted(hi, "left"))
+        indptr = np.empty(r1 - r0 + 1, dtype=np.int64)
+        indptr[0] = 0
+        np.subtract(starts[r0 + 1 : r1], lo, out=indptr[1:-1])
+        indptr[-1] = hi - lo
+        _csr_matvec(r1 - r0, plane.size, indptr, index[lo:hi], ones, plane, acc[r0:r1])
+    out[plan.nonempty] = acc
+    return out
 
 
 def sorted_unique(values: np.ndarray, kind: str | None = None) -> np.ndarray:
@@ -172,11 +275,6 @@ def merge_sorted_unique(parts: "list[np.ndarray]") -> np.ndarray:
             mask[a] = True
         return np.flatnonzero(mask).astype(np.int64, copy=False)
     return sorted_unique(np.concatenate(arrays), kind="stable")
-
-
-def segment_lengths(indptr: np.ndarray) -> np.ndarray:
-    """Row lengths from a CSR row pointer."""
-    return np.diff(np.asarray(indptr, dtype=np.int64))
 
 
 def expand_indptr(indptr: np.ndarray) -> np.ndarray:

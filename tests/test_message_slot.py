@@ -31,7 +31,7 @@ from repro.core.mpe import _sweep_run
 from repro.core.vertexstore import AllInAllStore, OnDemandStore
 from repro.graph import chung_lu_graph
 from repro.partition import build_tiles
-from repro.partition.tiles import TileSlab
+from repro.partition.tiles import Tile, TileSlab
 from repro.runtime import process_runtime_available
 from repro.runtime.shm import SharedAllocator
 
@@ -214,6 +214,30 @@ class TestSlot:
         assert ids.size  # the sweep changed something, but applied nothing
         assert rows.tolist() == ids.tolist()  # the tile starts the index at 0
         assert store._values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("policy,error", [("aa", IndexError), ("od", KeyError)])
+    def test_a_source_outside_the_store_is_refused(self, policy, error):
+        """The fused gather reads unchecked, so its bounds come from the
+        slab: a tile naming a source id >= |V| (AA) or one that is not
+        resident (OD: vertex 4) fails the sweep instead of reading past
+        the slot."""
+        bad = N_VERTICES if policy == "aa" else 4
+        tile = Tile(
+            tile_id=0,
+            target_lo=0,
+            target_hi=3,
+            num_graph_vertices=N_VERTICES,
+            row=np.array([0, 2, 2, 3], dtype=np.int64),
+            col=np.array([1, bad, 2], dtype=np.uint32),
+            val=None,
+        )
+        store = _store(policy, np.ones(N_VERTICES), np.ones(N_VERTICES))
+        program = PageRank()
+        slab = TileSlab(["tile"], [TileSlab.shape_of(tile)], tile.target_ids)
+        pos = slab.slot("tile", tile)
+        assert slab.run(pos, pos).col_max == bad
+        with pytest.raises(error):
+            _sweep_run(program, slab.run(pos, pos), store, store.message_slot(program, 0))
 
     def test_concurrent_askers_share_one_build_per_superstep(self, monkeypatch):
         """Stress: eight threads (more than the cores) ask the one AA

@@ -84,19 +84,23 @@ def _key(program, row) -> str:
 
 
 #: sha256 prefixes recorded at the MPE that staged a broadcast by
-#: ``searchsorted`` and applied all senders in one concatenated scatter.
+#: ``searchsorted`` and applied all senders in one concatenated scatter;
+#: the PageRank rows re-recorded when additive programs began summing
+#: each target's messages left to right (one CSR mat-vec per run) —
+#: values within 1.7e-15 relative of the old ones, and on the zlib1 rows
+#: the broadcasts' compressed lengths moved with the values' last bits.
 GOLDEN_DIGESTS = {
-    "pagerank-n4-hybrid-snappylike-aa-dc": "2bf822b68f8188e3",
-    "pagerank-n4-hybrid-raw-aa-dc": "5ac6064d6c486fb7",
-    "pagerank-n4-hybrid-zlib1-od-nodc": "df93155e140ad55a",
-    "pagerank-n4-dense-snappylike-aa-dc": "2bf822b68f8188e3",
-    "pagerank-n4-dense-raw-aa-nodc": "5ac6064d6c486fb7",
-    "pagerank-n4-dense-zlib1-od-dc": "df93155e140ad55a",
-    "pagerank-n4-sparse-snappylike-od-nodc": "10b369c6e10d3e96",
-    "pagerank-n4-sparse-raw-od-dc": "ac8426aa00e8c44c",
-    "pagerank-n4-sparse-zlib1-aa-dc": "5345dec5fe3fe561",
-    "pagerank-n1-hybrid-snappylike-aa-dc": "28f0b3982a41cdcb",
-    "pagerank-n1-hybrid-snappylike-od-nodc": "b4d76a98cc6ffe7f",
+    "pagerank-n4-hybrid-snappylike-aa-dc": "0123a42ff9a0b16c",
+    "pagerank-n4-hybrid-raw-aa-dc": "255c164033c75a6e",
+    "pagerank-n4-hybrid-zlib1-od-nodc": "10bf1b421a3a4be9",
+    "pagerank-n4-dense-snappylike-aa-dc": "0123a42ff9a0b16c",
+    "pagerank-n4-dense-raw-aa-nodc": "255c164033c75a6e",
+    "pagerank-n4-dense-zlib1-od-dc": "10bf1b421a3a4be9",
+    "pagerank-n4-sparse-snappylike-od-nodc": "a9cbf22d65a7f650",
+    "pagerank-n4-sparse-raw-od-dc": "3b94e072ec116564",
+    "pagerank-n4-sparse-zlib1-aa-dc": "1cdcc5705a93952c",
+    "pagerank-n1-hybrid-snappylike-aa-dc": "ca53c0d68a855efe",
+    "pagerank-n1-hybrid-snappylike-od-nodc": "95efd475ec90b5db",
     "sssp-n4-hybrid-snappylike-aa-dc": "887c5c78547f2d24",
     "sssp-n4-hybrid-raw-aa-dc": "4e716565cdcffc0e",
     "sssp-n4-hybrid-zlib1-od-nodc": "608a0fbe7620aa09",

@@ -25,6 +25,8 @@ from repro.apps import (
     BFS,
     SSSP,
     WCC,
+    InDegreeCentrality,
+    KatzCentrality,
     MaxLabelPropagation,
     PageRank,
     PersonalizedPageRank,
@@ -45,7 +47,8 @@ from repro.runtime import process_runtime_available
 from repro.runtime.active import ActiveBitmap, SourceHeads, TileSourceSummary
 from repro.service import Engine, JobSpec, reset_simulation
 from repro.storage.codecs import CACHE_MODES
-from repro.utils.segments import SegmentPlan, segment_reduce
+from repro.utils import segments
+from repro.utils.segments import SegmentPlan, gather_sum, segment_reduce
 
 N_SERVERS = 3
 needs_process = pytest.mark.skipif(
@@ -114,6 +117,13 @@ class TestJoinedPlans:
                 for t in run.tiles
             ]
             assert joined.tobytes() == np.concatenate(parts).tobytes()
+        assert run.col_max == max(run.col.tolist(), default=-1)
+        joined = gather_sum(plane, run.col, run.col_max, run.plan)
+        parts = [
+            gather_sum(plane, t.col_int64, int(t.col.max(initial=0)), SegmentPlan(t.row))
+            for t in run.tiles
+        ]
+        assert joined.tobytes() == np.concatenate(parts).tobytes()
 
     def test_a_tile_that_does_not_fit_its_slot_is_refused(self):
         rng = np.random.default_rng(0)
@@ -650,6 +660,67 @@ class TestRunsOfOneIdentity:
             assert job.cache_stats == cache
 
 
+def _left_to_right(program, graph, supersteps):
+    """``program`` for ``supersteps`` synchronous supersteps, its
+    messages summed per target by a plain loop: one by one, in the
+    tiles' edge order (the graph's CSC order)."""
+    values = program.init_values(graph).astype(np.float64)
+    indptr, sources, _ = graph.csc_arrays()
+    degrees = graph.out_degrees if program.uses_out_degree else None
+    for _ in range(supersteps):
+        messages = program.edge_message(values, degrees, None).tolist()
+        accum = []
+        for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+            total = messages[sources[lo]] if hi > lo else 0.0
+            for e in range(lo + 1, hi):
+                total += messages[sources[e]]
+            accum.append(total)
+        values = program.apply(np.array(accum), values)
+    return values
+
+
+ADDITIVE = {
+    "pagerank": lambda: PageRank(tolerance=0.0),
+    "ppr": lambda: PersonalizedPageRank([3, 17], tolerance=0.0),
+    "katz": lambda: KatzCentrality(tolerance=0.0),
+    "indegree": InDegreeCentrality,
+}
+
+
+class TestAdditiveSumsLeftToRight:
+    """An additive program's gather-reduce is one mat-vec per run, and
+    every store and transport sums each target's messages left to
+    right: the values are a plain loop's, bit for bit.  The kernel's
+    calls are cut to 7 edges, so rows straddle calls."""
+
+    @pytest.fixture(autouse=True)
+    def _configured(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        monkeypatch.setattr(segments, "CHUNK_EDGES", 7)
+
+    @pytest.mark.parametrize(
+        "executor,width",
+        [("serial", None), ("parallel", 2), pytest.param("process", 2, marks=needs_process)],
+    )
+    @pytest.mark.parametrize("policy", ["aa", "od"])
+    @pytest.mark.parametrize("name", sorted(ADDITIVE))
+    def test_values_equal_a_left_to_right_loop(self, graph, name, policy, executor, width):
+        mpe, cluster = _engine(
+            graph,
+            max_supersteps=5,
+            replication_policy=policy,
+            executor=executor,
+            num_workers=width,
+            num_threads=width,
+        )
+        try:
+            result = mpe.run(ADDITIVE[name]())
+        finally:
+            cluster.close()
+        expected = _left_to_right(ADDITIVE[name](), graph, result.num_supersteps)
+        assert result.values.tobytes() == expected.tobytes()
+
+
 # ----------------------------------------------------------------------
 # (iv) a held stretch is metered in one step, as its tiles' loads would be
 # ----------------------------------------------------------------------
@@ -809,13 +880,16 @@ class TestGatherApplySpans:
 # ----------------------------------------------------------------------
 def _count_kernel_calls(monkeypatch):
     calls = {"gather": 0, "reduce": 0}
-    reduce = mpe_module.segment_reduce
+    # PageRank's gather-reduce is one fused call; a reduceat would be a
+    # second kernel call per run, so it counts too.
+    for name in ("gather_sum", "segment_reduce"):
+        kernel = getattr(mpe_module, name)
 
-    def counted_reduce(*args, **kwargs):
-        calls["reduce"] += 1
-        return reduce(*args, **kwargs)
+        def counted_reduce(*args, _kernel=kernel, **kwargs):
+            calls["reduce"] += 1
+            return _kernel(*args, **kwargs)
 
-    monkeypatch.setattr(mpe_module, "segment_reduce", counted_reduce)
+        monkeypatch.setattr(mpe_module, name, counted_reduce)
     for store in (AllInAllStore, OnDemandStore):
         gather = store.gather_values
 
@@ -833,9 +907,9 @@ def _assert_call_guard(mpe, calls, program):
     warm = mpe.run(program())
     assert all(s.tiles_skipped == 0 for s in warm.supersteps)  # dense
     server_steps = len(mpe.cluster.servers) * warm.num_supersteps
-    # Per server and superstep: the run's gather, the old-target read,
-    # the broadcast staging, one reduce.  (AA collects the final values
-    # without a gather.)
+    # Per server and superstep: one fused gather-reduce over the run and
+    # the old-target read.  (AA collects the final values without a
+    # gather.)
     assert calls["reduce"] == server_steps
     assert calls["gather"] + calls["reduce"] <= 4 * server_steps
 

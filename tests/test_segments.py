@@ -1,16 +1,21 @@
 """Tests for the vectorised segment reduction helper."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.utils import segments
 from repro.utils.segments import (
     SegmentPlan,
     expand_indptr,
-    is_sorted,
+    gather_sum,
     merge_sorted_unique,
-    segment_lengths,
     segment_reduce,
     sorted_unique,
 )
@@ -119,10 +124,84 @@ class TestSegmentPlan:
         assert segment_reduce(np.zeros(0), empty, "min").tolist() == [np.inf, np.inf]
 
 
-class TestHelpers:
-    def test_segment_lengths(self):
-        assert segment_lengths(np.array([0, 2, 2, 5])).tolist() == [2, 0, 3]
+def left_to_right(plane, col, indptr):
+    """Each row's terms ``plane[col[e]]`` added one by one, in edge
+    order, as Python floats (IEEE doubles); 0.0 for an empty row."""
+    out = []
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        terms = [float(plane[c]) for c in col[lo:hi]]
+        total = terms[0] if terms else 0.0
+        for term in terms[1:]:
+            total += term
+        out.append(total)
+    return np.array(out, dtype=np.float64)
 
+
+class TestGatherSum:
+    """The additive programs' fused gather-reduce: one CSR mat-vec per
+    call, each row summed left to right however the calls split it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 6), max_size=30),
+        seed=st.integers(0, 2**16),
+        chunk=st.sampled_from([1, 2, 3, 5, 1 << 16]),
+    )
+    def test_equals_a_left_to_right_loop_bitwise(self, lengths, seed, chunk):
+        rng = np.random.default_rng(seed)
+        indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        col = rng.integers(0, 20, int(indptr[-1])).astype(np.int64)
+        plane = rng.random(20) * 10.0 ** rng.integers(-8, 8, 20)  # no cancellation
+        top = int(col.max()) if col.size else -1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(segments, "CHUNK_EDGES", chunk)  # rows straddle calls
+            got = gather_sum(plane, col, top, SegmentPlan(indptr))
+        assert got.tobytes() == left_to_right(plane, col, indptr).tobytes()
+        pairwise = segment_reduce(plane[col], indptr, "add")
+        np.testing.assert_allclose(got, pairwise, rtol=1e-12, atol=1e-300)
+
+    def test_a_read_past_the_plane_is_refused(self):
+        plan = SegmentPlan(np.array([0, 2, 3]))
+        col = np.array([0, 4, 1])
+        assert gather_sum(np.ones(5), col, 4, plan).tolist() == [2.0, 1.0]
+        with pytest.raises(IndexError, match="out of bounds"):
+            gather_sum(np.ones(4), col, 4, plan)
+        with pytest.raises(ValueError, match="index length 2"):
+            gather_sum(np.ones(5), col[:2], 4, plan)
+
+    def test_empty_rows_read_zero(self):
+        plan = SegmentPlan(np.array([0, 0, 2, 2]))
+        out = gather_sum(np.array([1.5, 2.0]), np.array([1, 0]), 1, plan)
+        assert out.tolist() == [0.0, 3.5, 0.0]
+        assert gather_sum(np.ones(1), np.zeros(0), -1, SegmentPlan([0, 0])).tolist() == [0.0]
+
+
+    def test_a_pagerank_run_does_not_import_scipy_sparse(self):
+        """The kernel's extension is loaded on its own: ``scipy.sparse``
+        would cost every process ~22 MB and a quarter second."""
+        src = str(Path(__file__).parent.parent / "src")
+        code = (
+            "import sys\n"
+            "from repro.apps import PageRank\n"
+            "from repro.cluster import Cluster, ClusterSpec\n"
+            "from repro.core import MPE, SPE, MPEConfig\n"
+            "from repro.graph import chung_lu_graph\n"
+            "g = chung_lu_graph(200, 1600, seed=1)\n"
+            "with Cluster(ClusterSpec(num_servers=2)) as cluster:\n"
+            "    manifest = SPE(cluster.dfs).preprocess(g, 100, name='g')\n"
+            "    MPE(cluster, manifest, MPEConfig(executor='serial')).run(PageRank())\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("REPRO_EXECUTOR", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "['scipy.sparse._sparsetools']"
+
+
+class TestHelpers:
     def test_expand_indptr(self):
         assert expand_indptr(np.array([0, 2, 2, 5])).tolist() == [0, 0, 2, 2, 2]
 
@@ -165,12 +244,6 @@ class TestSortedMerge:
     """The barrier's union of the per-server update sets (sorted and
     disjoint): a mask read back when the union is dense, a stable sort
     of the concatenation otherwise."""
-
-    def test_is_sorted(self):
-        assert is_sorted(np.array([], dtype=np.int64))
-        assert is_sorted(np.array([7]))
-        assert is_sorted(np.array([1, 1, 2, 9]))
-        assert not is_sorted(np.array([3, 1]))
 
     def test_merge_basic(self):
         out = merge_sorted_unique(
