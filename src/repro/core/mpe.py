@@ -70,7 +70,13 @@ from repro.partition.tiles import (
     assign_tiles_round_robin,
 )
 from repro.runtime import make_executor, process_runtime_available
-from repro.runtime.active import ActiveBitmap, SourceHeads, TileSourceSummary
+from repro.runtime.active import (
+    ActiveBitmap,
+    SourceHeads,
+    SourceTileIndex,
+    TileSourceSummary,
+    pushes,
+)
 from repro.runtime.shm import InboxResolver, SharedAllocator, StagedInboxes
 from repro.storage.backing import BackingStore
 from repro.storage.cache import cache_plan
@@ -251,9 +257,12 @@ class MPE:
         # backing the bitmap prune; built at setup for every tile (a
         # warm engine's next job may switch selective scheduling on)
         # and refreshed by apply_mutations — as is their batched front,
-        # the [P, 64] matrix of every tile's first sources.
+        # the [P, 64] matrix of every tile's first sources.  Their
+        # transpose, the vertex -> tile index a small frontier is pushed
+        # through, is built by the first push and dropped by retile.
         self._summaries: dict[int, TileSourceSummary] = {}
         self._heads: SourceHeads | None = None
+        self._source_index: SourceTileIndex | None = None
         # The evolving graph (repro.delta: overlays, mutation log, fixed
         # points) — built at setup when config.mutations is on, None
         # otherwise.  ``_tile_parser`` is the decode callback every
@@ -902,6 +911,8 @@ class MPE:
         # Per server: assignment index -> (blob name, composed tile) of
         # every tile whose shape may have changed — its slab's new slots.
         reshaped: dict[int, dict[int, tuple[str, Tile]]] = {}
+        if composed:
+            self._source_index = None  # rebuilt by the next push
         for tile_id, tile in composed.items():
             server, idx, name = self.tile_home(tile_id)
             # Refresh parent-side schedule state from the composed tile
@@ -995,6 +1006,30 @@ class MPE:
             "tile bloom filters built, lazily, before the first probe",
         ).labels().inc(len(self._blooms))
 
+    def _ensure_source_index(self, superstep: int) -> SourceTileIndex:
+        """The vertex -> tile index a small frontier is pushed through,
+        built from the source summaries the first time a schedule
+        pushes (after a mutation batch: the first time since) — a
+        counted, traced event, like :meth:`_ensure_blooms`.  PageRank's
+        frontiers never push, so its engines never build one."""
+        index = self._source_index
+        if index is None:
+            index = self._source_index = SourceTileIndex(
+                self._summaries, self.manifest.num_vertices
+            )
+            self._lane("engine").instant(
+                "source_index_built",
+                "schedule",
+                superstep=superstep,
+                tiles=index.num_tiles,
+                bytes=index.nbytes,
+            )
+            self._metrics.counter(
+                "repro_source_index_builds",
+                "vertex -> tile indexes built for pushed frontiers",
+            ).labels().inc()
+        return index
+
     # ------------------------------------------------------------------
     # The superstep's tile schedule (§III-C.4 bloom skip; GraphMP's
     # selective scheduling via repro.runtime.active)
@@ -1017,10 +1052,14 @@ class MPE:
            on, a previous update set (an incremental run seeds its
            dirty ids as superstep 0's), and not every vertex updated —
            the tile is skipped as ``"bitmap"`` iff its source summary
-           misses the active bitmap.  One batched probe of every
+           misses the active bitmap.  A frontier of at most V/8
+           vertices (:func:`~repro.runtime.active.pushes`) is pushed:
+           the OR of its rows in the vertex -> tile index
+           (:meth:`_ensure_source_index`) names every tile it reaches.
+           A larger one is pulled: one batched probe of every
            tile's first sources (:class:`~repro.runtime.active.SourceHeads`)
-           answers for most tiles; the summary's own test is taken only
-           where that cannot tell.  A survivor runs *unprobed*: it
+           answers for most tiles, and the summary's own test is taken
+           only where that cannot tell.  A survivor runs *unprobed*: it
            has an updated source, and its filter was built from the
            same ``source_vertices`` with no false negatives, so the
            filter could only agree.
@@ -1042,14 +1081,20 @@ class MPE:
         tuner's working set and the fault pass's first-load
         coordinate are decision-identical by construction.
         """
-        bitmap = heads = might_intersect = None
+        bitmap = verdicts = might_intersect = None
         if prev_updated is not None:
             if self.config.selective_scheduling:
                 bitmap = ActiveBitmap.seed_from_ids(prev_updated, num_vertices)
                 if bitmap.dense:
                     bitmap = None
+                elif pushes(bitmap.count, num_vertices):
+                    verdicts = self._ensure_source_index(superstep).probe(bitmap)
+                    self._metrics.counter(
+                        "repro_schedule_push",
+                        "supersteps whose frontier was pushed to its tiles",
+                    ).labels().inc()
                 else:
-                    heads = self._heads.probe(bitmap)
+                    verdicts = self._heads.probe(bitmap)
             if bitmap is None and self._knobs.use_bloom:
                 if prev_updated.size == num_vertices:
 
@@ -1071,7 +1116,7 @@ class MPE:
                 if tile_id in forced:
                     run.append(tile)
                 elif bitmap is not None:
-                    verdict = heads[tile_id]
+                    verdict = verdicts[tile_id]
                     if verdict is None:
                         verdict = self._summaries[tile_id].intersects(bitmap)
                     if verdict:

@@ -280,6 +280,11 @@ class TileSlab:
         # Each filled slot as a run of one, built when it is filled (a
         # sweep that does not join tiles takes these, tile by tile).
         self._single: list[TileRun | None] = [None] * len(self.names)
+        # Joined runs by (first, last) slot, kept while no slot is
+        # refilled so a plan's mat-vec chunks are cut once, not once per
+        # superstep; cleared when their rows pass twice the slab's.
+        self._joined: dict[tuple[int, int], TileRun] = {}
+        self._joined_rows = 0
 
     @staticmethod
     def shape_of(tile: Tile) -> tuple[int, int, int]:
@@ -318,6 +323,8 @@ class TileSlab:
                 f"decoded tile {name!r} does not fit the slab layout: it "
                 "was rewritten (or renamed) without a re-layout"
             )
+        self._joined.clear()
+        self._joined_rows = 0
         if self._col is None:
             self._col = np.empty(self._edge_off[-1], dtype=np.int64)
             self._starts = np.empty(self._seg_off[-1], dtype=np.int64)
@@ -340,20 +347,28 @@ class TileSlab:
         """Filled slots ``first..last`` as one run."""
         if first == last:
             return self._single[first]
+        run = self._joined.get((first, last))
+        if run is not None:
+            return run
         a, b = self._edge_off[first], self._edge_off[last + 1]
         r0, r1 = self._row_off[first], self._row_off[last + 1]
         starts = self._starts[self._seg_off[first] : self._seg_off[last + 1]]
         plan = SegmentPlan.from_parts(
             b - a, self._nonempty[r0:r1], starts - a if a else starts
         )
-        return TileRun(
+        if self._joined_rows + r1 - r0 > 2 * self._row_off[-1]:
+            self._joined.clear()
+            self._joined_rows = 0
+        self._joined_rows += r1 - r0
+        run = self._joined[first, last] = TileRun(
             self._col[a:b],
             plan,
             self.target_ids[r0:r1],
-            tuple(run.tiles[0] for run in self._single[first : last + 1]),
+            tuple(one.tiles[0] for one in self._single[first : last + 1]),
             r0,
             max(self._col_max[first : last + 1]),
         )
+        return run
 
 
 @dataclass

@@ -18,8 +18,9 @@ schedules; that invariant is pinned in ``tests/test_selective.py``.
 Two pieces:
 
 * :class:`ActiveBitmap` — the previous superstep's updated-vertex set as
-  a dense :class:`~repro.utils.bitset.Bitset` plus the sorted id array
-  it was built from (for O(log n) range rejection).
+  a dense :class:`~repro.utils.bitset.Bitset` (built when a probe first
+  reads it) plus the sorted id array it was built from (for O(log n)
+  range rejection).
 * :class:`TileSourceSummary` — a tile's source-vertex footprint: the
   ``[src_lo, src_hi]`` range plus the exact sorted source array.  Built
   once at setup from decoded tiles; ~8 B/distinct-source resident.
@@ -35,6 +36,13 @@ probe over the tile's sources.
 schedules it, a tile with at most 64 sources is decided either way, and
 only what is left takes the per-tile test above — same predicate, same
 verdicts, one call instead of ``P`` on a frontier that is nearly dense.
+
+Both of those *pull*: a tile is skipped only once each of its sources
+has been tested, so a frontier of three vertices still tests every
+source in the graph.  :class:`SourceTileIndex` *pushes* a small frontier
+instead (Ligra's sparse mode): per vertex, the tiles it is a source of
+as a row of bits, so the tiles a frontier reaches are one OR over the
+frontier's rows.  :func:`pushes` says which side a frontier takes.
 """
 
 from __future__ import annotations
@@ -44,10 +52,31 @@ import numpy as np
 from repro.utils.bitset import Bitset
 from repro.utils.segments import sorted_unique
 
-__all__ = ["ActiveBitmap", "SourceHeads", "TileSourceSummary"]
+__all__ = [
+    "ActiveBitmap",
+    "SourceHeads",
+    "SourceTileIndex",
+    "TileSourceSummary",
+    "pushes",
+]
 
 #: Sources per tile :class:`SourceHeads` probes in its one batched call.
 HEAD_WIDTH = 64
+
+#: A frontier of at most ``V / PUSH_DIVISOR`` vertices is pushed through
+#: :class:`SourceTileIndex`; a larger one is pulled.  Measured on a
+#: 2-core host: at |u| = 34 of 131 072 vertices (an SSSP tail, 184
+#: tiles) the pull took 16.5-17.8 ms and the push 0.11-0.16 ms, while
+#: at PageRank's 97-99 % of V (300 000 vertices, 432 tiles) the push
+#: took 12-16 ms against 1.0-1.2 ms for the pull — its cost grows with
+#: the frontier, the pull's with the tiles' sources.
+PUSH_DIVISOR = 8
+
+
+def pushes(count: int, num_vertices: int) -> bool:
+    """Whether a frontier of ``count`` of ``num_vertices`` vertices is
+    small enough to push (:data:`PUSH_DIVISOR`)."""
+    return count * PUSH_DIVISOR <= num_vertices
 
 
 class ActiveBitmap:
@@ -56,6 +85,9 @@ class ActiveBitmap:
     ``dense`` is True when *every* vertex updated — the common first few
     supersteps of PageRank-style programs — in which case no tile can be
     skipped and callers should bypass per-tile probes entirely.
+
+    The bitset behind the exact probes is built on first use
+    (:attr:`bits`): a pushed frontier reads only :attr:`updated`.
     """
 
     __slots__ = ("num_vertices", "updated", "dense", "_bits")
@@ -65,10 +97,6 @@ class ActiveBitmap:
         self.updated = np.asarray(updated, dtype=np.int64)
         self.dense = self.updated.size >= self.num_vertices
         self._bits: Bitset | None = None
-        if not self.dense and self.updated.size:
-            bits = Bitset(self.num_vertices)
-            bits.set_many(self.updated)
-            self._bits = bits
 
     @classmethod
     def seed_from_ids(cls, vertex_ids, num_vertices: int) -> "ActiveBitmap":
@@ -111,6 +139,16 @@ class ActiveBitmap:
         """Number of active vertices."""
         return int(self.updated.size)
 
+    @property
+    def bits(self) -> Bitset | None:
+        """The frontier as a :class:`~repro.utils.bitset.Bitset`, built
+        on first read; ``None`` when it is dense or empty."""
+        if self._bits is None and not self.dense and self.updated.size:
+            bits = Bitset(self.num_vertices)
+            bits.set_many(self.updated)
+            self._bits = bits
+        return self._bits
+
     def any_in_range(self, lo: int, hi: int) -> bool:
         """Whether any active vertex lies in ``[lo, hi]`` (inclusive)."""
         if self.dense:
@@ -122,9 +160,8 @@ class ActiveBitmap:
         """Exact probe: is any of ``vertex_ids`` active?"""
         if self.dense:
             return vertex_ids.size > 0
-        if self._bits is None:
-            return False
-        return self._bits.any_of(vertex_ids)
+        bits = self.bits
+        return bits is not None and bits.any_of(vertex_ids)
 
 
 class SourceHeads:
@@ -160,13 +197,56 @@ class SourceHeads:
         first :data:`HEAD_WIDTH` active)."""
         if bitmap.dense:
             return (self._sizes > 0).tolist()
-        if bitmap._bits is None:  # empty frontier: nothing intersects
+        bits = bitmap.bits
+        if bits is None:  # empty frontier: nothing intersects
             return [False] * self._sizes.size
-        hit = bitmap._bits.test_many(self._heads.ravel())
+        hit = bits.test_many(self._heads.ravel())
         hit = hit.reshape(self._heads.shape).any(axis=1) & (self._sizes > 0)
         verdict = hit.astype(object)
         verdict[~hit & (self._sizes > HEAD_WIDTH)] = None
         return verdict.tolist()
+
+
+class SourceTileIndex:
+    """Per vertex, the tiles it is a source of: a ``V × ⌈P/64⌉``
+    ``uint64`` matrix whose row ``v`` has bit ``t % 64`` of word
+    ``t // 64`` set iff ``v`` is one of tile ``t``'s sources — the
+    transpose of the tiles' :class:`TileSourceSummary` arrays, so
+    ``V·⌈P/64⌉·8`` bytes.
+
+    :meth:`probe` pushes a frontier: the tiles with an active source are
+    the OR of the frontier's rows, which is exactly where
+    :meth:`TileSourceSummary.intersects` says ``True``.  Built whole from
+    the summaries and never patched: a mutation batch drops it and the
+    next push rebuilds it.
+    """
+
+    __slots__ = ("num_tiles", "_rows")
+
+    def __init__(
+        self, summaries: dict[int, TileSourceSummary], num_vertices: int
+    ) -> None:
+        self.num_tiles = len(summaries)
+        words = max(1, -(-self.num_tiles // 64))
+        self._rows = np.zeros((int(num_vertices), words), dtype=np.uint64)
+        for summary in summaries.values():
+            # A tile's sources are distinct, so no row is written twice.
+            word, bit = divmod(summary.tile_id, 64)
+            self._rows[summary.sources, word] |= np.uint64(1 << bit)
+
+    @property
+    def nbytes(self) -> int:
+        """Resident footprint of the index."""
+        return int(self._rows.nbytes)
+
+    def probe(self, bitmap: ActiveBitmap) -> list:
+        """Per tile id, whether that tile has a source in ``bitmap`` —
+        :meth:`SourceHeads.probe`'s verdicts with no ``None`` left."""
+        words = np.bitwise_or.reduce(self._rows[bitmap.updated], axis=0)
+        hit = np.unpackbits(
+            words.astype("<u8", copy=False).view(np.uint8), bitorder="little"
+        )
+        return hit[: self.num_tiles].astype(bool).tolist()
 
 
 class TileSourceSummary:

@@ -106,10 +106,12 @@ class SegmentPlan:
     once per superstep) builds its plan once — when
     :meth:`repro.partition.tiles.TileSlab.slot` fills the tile's slot —
     and the per-call work drops to a length check, one ``reduceat`` (or
-    :func:`gather_sum`'s mat-vec) and one masked store.
+    :func:`gather_sum`'s mat-vec) and one masked store.  The mat-vec's
+    cut into calls is derived on first use and kept with it
+    (:meth:`chunks`).
     """
 
-    __slots__ = ("n_rows", "n_values", "nonempty", "starts")
+    __slots__ = ("n_rows", "n_values", "nonempty", "starts", "_chunks")
 
     def __init__(self, indptr: np.ndarray) -> None:
         indptr = np.asarray(indptr, dtype=np.int64)
@@ -122,6 +124,7 @@ class SegmentPlan:
         self.n_values = int(indptr[-1])
         self.nonempty = lengths > 0
         self.starts = indptr[:-1][self.nonempty]
+        self._chunks = None
 
     @classmethod
     def from_parts(
@@ -136,7 +139,34 @@ class SegmentPlan:
         plan.n_values = int(n_values)
         plan.nonempty = nonempty
         plan.starts = starts
+        plan._chunks = None
         return plan
+
+    def chunks(self, size: int) -> list:
+        """The values cut into calls of at most ``size``, as
+        ``(lo, hi, r0, r1, indptr)``: values ``lo..hi-1`` fall in
+        non-empty rows ``r0..r1-1``, and ``indptr`` is those rows'
+        pointer into the call's values — the first row may have started
+        in the previous call, the last may go on in the next.  Derived
+        once per size and kept."""
+        cached = self._chunks
+        if cached is not None and cached[0] == size:
+            return cached[1]
+        starts = self.starts
+        los = np.arange(0, self.n_values, size, dtype=np.int64)
+        his = np.minimum(los + size, self.n_values)
+        r0s = starts.searchsorted(los, "right") - 1
+        r1s = starts.searchsorted(his, "left")
+        out = []
+        bounds = zip(los.tolist(), his.tolist(), r0s.tolist(), r1s.tolist())
+        for lo, hi, r0, r1 in bounds:
+            indptr = np.empty(r1 - r0 + 1, dtype=np.int64)
+            indptr[0] = 0
+            np.subtract(starts[r0 + 1 : r1], lo, out=indptr[1:-1])
+            indptr[-1] = hi - lo
+            out.append((lo, hi, r0, r1, indptr))
+        self._chunks = (size, out)
+        return out
 
 
 def segment_reduce(
@@ -189,7 +219,8 @@ def gather_sum(
 
     The rows are a CSR matrix with ``index`` as its column indices and
     ones as its entries, so the sums are one ``csr_matvec`` against
-    ``plane``, in calls of at most :data:`CHUNK_EDGES` edges.  A call
+    ``plane``, in calls of at most :data:`CHUNK_EDGES` edges, cut once
+    per plan (:meth:`SegmentPlan.chunks`).  A call
     adds its edges onto each of its rows' accumulators in order, so a
     row that straddles two calls is still summed left to right.  The
     accumulators start at ``-0.0``, which adds to any term exactly, so
@@ -210,18 +241,8 @@ def gather_sum(
     if top >= plane.size:
         raise IndexError(f"index {top} is out of bounds for a plane of {plane.size}")
     acc = np.full(starts.size, -0.0)
-    chunk = CHUNK_EDGES
-    ones = _ones_plane(chunk)
-    for lo in range(0, plan.n_values, chunk):
-        hi = min(lo + chunk, plan.n_values)
-        # Rows r0..r1-1 hold edges lo..hi-1; the first may have started
-        # in the previous call, the last may go on in the next.
-        r0 = int(starts.searchsorted(lo, "right")) - 1
-        r1 = int(starts.searchsorted(hi, "left"))
-        indptr = np.empty(r1 - r0 + 1, dtype=np.int64)
-        indptr[0] = 0
-        np.subtract(starts[r0 + 1 : r1], lo, out=indptr[1:-1])
-        indptr[-1] = hi - lo
+    ones = _ones_plane(CHUNK_EDGES)
+    for lo, hi, r0, r1, indptr in plan.chunks(CHUNK_EDGES):
         _csr_matvec(r1 - r0, plane.size, indptr, index[lo:hi], ones, plane, acc[r0:r1])
     out[plan.nonempty] = acc
     return out

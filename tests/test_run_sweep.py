@@ -125,6 +125,28 @@ class TestJoinedPlans:
         ]
         assert joined.tobytes() == np.concatenate(parts).tobytes()
 
+    def test_a_joined_run_is_kept_until_a_slot_is_refilled(self):
+        """A run's plan — and with it its mat-vec chunks — is built once
+        while the slab's slots hold the same tiles; a refilled slot drops
+        every joined run, so none names a tile the slab no longer holds."""
+        rng = np.random.default_rng(4)
+        tiles = [_tile(0, 0, [2, 0, 3], rng), _tile(1, 3, [1, 4], rng)]
+        names = ["tile-0", "tile-1"]
+        slab = TileSlab(
+            names, [TileSlab.shape_of(t) for t in tiles], np.arange(5, dtype=np.int64)
+        )
+        for name, tile in zip(names, tiles):
+            slab.slot(name, tile)
+        run = slab.run(0, 1)
+        assert slab.run(0, 1) is run
+        slab.slot("tile-0", tiles[0])  # already held: nothing refilled
+        assert slab.run(0, 1) is run
+        again = _tile(0, 0, [2, 0, 3], rng)
+        slab.slot("tile-0", again)
+        rebuilt = slab.run(0, 1)
+        assert rebuilt is not run and rebuilt.tiles == (again, tiles[1])
+        assert rebuilt.col.tolist() == again.col.tolist() + tiles[1].col.tolist()
+
     def test_a_tile_that_does_not_fit_its_slot_is_refused(self):
         rng = np.random.default_rng(0)
         tile = _tile(0, 0, [2, 0, 3], rng)

@@ -160,6 +160,32 @@ class TestGatherSum:
         pairwise = segment_reduce(plane[col], indptr, "add")
         np.testing.assert_allclose(got, pairwise, rtol=1e-12, atol=1e-300)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 6), max_size=30),
+        seed=st.integers(0, 2**16),
+        chunks=st.lists(st.sampled_from([1, 2, 3, 5, 1 << 16]), min_size=2, max_size=4),
+    )
+    def test_a_plan_reused_across_calls_stays_left_to_right(self, lengths, seed, chunks):
+        """One plan summed over again — new planes, the call size
+        changed between calls — matches the loop bit for bit each time;
+        its cut into calls is derived once per size and then reused."""
+        rng = np.random.default_rng(seed)
+        indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        col = rng.integers(0, 20, int(indptr[-1])).astype(np.int64)
+        top = int(col.max()) if col.size else -1
+        plan = SegmentPlan(indptr)
+        for chunk in chunks + chunks:
+            plane = rng.random(20) * 10.0 ** rng.integers(-8, 8, 20)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(segments, "CHUNK_EDGES", chunk)
+                got = gather_sum(plane, col, top, plan)
+            assert got.tobytes() == left_to_right(plane, col, indptr).tobytes()
+        assert plan.chunks(chunks[-1]) is plan.chunks(chunks[-1])
+        total = int(indptr[-1])
+        bounds = [(lo, hi) for lo, hi, *_ in plan.chunks(3)]
+        assert bounds == [(lo, min(lo + 3, total)) for lo in range(0, total, 3)]
+
     def test_a_read_past_the_plane_is_refused(self):
         plan = SegmentPlan(np.array([0, 2, 3]))
         col = np.array([0, 4, 1])

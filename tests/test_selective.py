@@ -37,7 +37,7 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, MPEConfig, SPE
 from repro.graph import Graph, chung_lu_graph
 from repro.runtime import process_runtime_available
-from repro.runtime.active import ActiveBitmap, TileSourceSummary
+from repro.runtime.active import ActiveBitmap, TileSourceSummary, pushes
 from repro.storage.backing import BackingStore
 from repro.utils.bloom import BloomFilter, HashedKeys, hash_keys
 from tests.contract import Case, check, recovery, run
@@ -215,13 +215,30 @@ def _old_rule(mpe, superstep, prev_updated, num_vertices, forced=frozenset()):
     return out
 
 
-def _frontiers(n):
+def _sinks(mpe):
+    """Every vertex that sources no tile: no out-edges."""
+    sourced = np.zeros(mpe.manifest.num_vertices, dtype=bool)
+    for summary in mpe._summaries.values():
+        sourced[summary.sources] = True
+    return np.flatnonzero(~sourced).astype(np.int64)
+
+
+def _frontiers(n, sinks):
+    """Update sets on both sides of the push threshold (V/8), and one of
+    vertices with no out-edges, which reaches no tile."""
     rng = np.random.default_rng(5)
     everyone = np.arange(n, dtype=np.int64)
+
+    def some(k):
+        return np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
+
     return {
         "none": None,
         "empty": np.zeros(0, dtype=np.int64),
-        "sparse": np.sort(rng.choice(n, size=5, replace=False)).astype(np.int64),
+        "sparse": some(5),
+        "push-largest": some(n // 8),
+        "pull-smallest": some(n // 8 + 1),
+        "sinks": sinks,
         "all-but-one": np.delete(everyone, n // 2),
         "dense": everyone,
     }
@@ -246,7 +263,10 @@ class TestScheduleDifferential:
         """``seed_tiles`` are forced the way ``MPE.run`` forces a run's:
         at superstep 0 only."""
         n = mpe.manifest.num_vertices
-        for label, frontier in _frontiers(n).items():
+        frontiers = _frontiers(n, _sinks(mpe))
+        assert pushes(frontiers["push-largest"].size, n)
+        assert not pushes(frontiers["pull-smallest"].size, n)
+        for label, frontier in frontiers.items():
             for superstep in (0, 1):
                 forced = seed_tiles if superstep == 0 else frozenset()
                 got = mpe._resolve_schedule(superstep, frontier, n, forced)
@@ -257,6 +277,10 @@ class TestScheduleDifferential:
                 )
                 for sched in got:
                     seen.update(reason for _tile, reason in sched.skipped)
+                if label == "sinks" and mpe.config.selective_scheduling:
+                    assert {t[0] for s in got for t in s.run} == set(forced)
+        if mpe.config.selective_scheduling:
+            assert mpe._source_index is not None  # the push side ran
 
     @pytest.mark.parametrize("use_bloom", [True, False])
     @pytest.mark.parametrize("selective", [True, False])
@@ -265,6 +289,7 @@ class TestScheduleDifferential:
         for graph, tile_edges in (
             (skewed, max(1, skewed.num_edges // 24)),
             (tail_heavy, 1),
+            (skewed, 4),  # 151 tiles: three words per row of the push index
         ):
             mpe, cluster = _engine(
                 graph,
@@ -273,6 +298,9 @@ class TestScheduleDifferential:
                 use_bloom_filters=use_bloom,
             )
             try:
+                # tail_heavy has a vertex with no out-edges: its
+                # "sinks" frontier is not the empty one.
+                assert graph is skewed or _sinks(mpe).size
                 self._compare(mpe, seen)
                 seed_tiles = frozenset(range(0, mpe.manifest.num_tiles, 3))
                 self._compare(mpe, seen, seed_tiles)
@@ -316,12 +344,23 @@ class TestScheduleDifferential:
 
     @pytest.mark.parametrize("selective", [True, False])
     def test_inserted_source_is_visible_after_mutation(self, skewed, selective):
+        """One vertex is a frontier the push side takes: under selective
+        scheduling the index is built before the batch, dropped by it
+        and rebuilt by the next push, which sees the inserted source."""
+        from repro.obs import Tracer
+
+        tracer = Tracer()
         mpe, cluster = _engine(
             skewed,
             max(1, skewed.num_edges // 24),
+            tracer=tracer,
             selective_scheduling=selective,
             mutations=True,
         )
+
+        def builds():
+            return tracer.instant_counts().get("source_index_built", 0)
+
         try:
             n = mpe.manifest.num_vertices
             tile_id = 0
@@ -340,9 +379,12 @@ class TestScheduleDifferential:
                 )
 
             before = runs_tile()  # only a false positive could say yes
+            assert builds() == int(selective)
             mpe.apply_mutations([{"op": "insert", "src": src, "dst": dst}])
+            assert mpe._source_index is None
             assert runs_tile()
             assert not (selective and before)
+            assert builds() == 2 * int(selective)
             seen = set()
             self._compare(mpe, seen)
         finally:
@@ -520,6 +562,52 @@ _SERIAL_AND_PROCESS = pytest.mark.parametrize(
     ],
     ids=["serial", "process2"],
 )
+
+
+class TestPushedFrontier:
+    """A frontier of at most V/8 vertices is pushed through the vertex ->
+    tile index, built at the first push: a counted, traced event, like a
+    filter build, and never paid by a run whose frontiers are larger."""
+
+    def test_a_run_above_the_threshold_never_builds_the_index(self, skewed):
+        _story, result, mpe, tracer = _filter_run(
+            skewed, PageRank(tolerance=0.0), False
+        )
+        n = mpe.manifest.num_vertices
+        assert all(
+            not pushes(s.updated_vertices, n) for s in result.supersteps[:-1]
+        )
+        assert tracer.instant_counts().get("source_index_built", 0) == 0
+        text = tracer.metrics.to_text()
+        assert "repro_source_index_builds" not in text
+        assert "repro_schedule_push" not in text
+        assert mpe._source_index is None
+
+    @_SERIAL_AND_PROCESS
+    def test_a_small_frontier_builds_it_once_and_pushes(self, skewed, executor):
+        _story, result, mpe, tracer = _filter_run(
+            skewed, SSSP(source=1), False, **executor
+        )
+        n, num_tiles = mpe.manifest.num_vertices, mpe.manifest.num_tiles
+        pushed = [
+            s.superstep + 1
+            for s in result.supersteps[:-1]
+            if 0 < s.updated_vertices and pushes(s.updated_vertices, n)
+        ]
+        assert pushed  # SSSP's frontier starts as its source
+        built = [
+            args
+            for buf in tracer.buffers()
+            for kind, name, _cat, _ts, args in buf.events()
+            if name == "source_index_built"
+        ]
+        words = -(-num_tiles // 64)
+        assert built == [
+            {"superstep": pushed[0], "tiles": num_tiles, "bytes": n * words * 8}
+        ]
+        text = tracer.metrics.to_text()
+        assert "repro_source_index_builds 1" in text
+        assert f"repro_schedule_push {len(pushed)}" in text
 
 
 class TestLazyFilters:
