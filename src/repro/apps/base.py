@@ -9,7 +9,8 @@ A program is defined by four vectorised pieces:
   is **elementwise in the source**: output element ``i`` is a function
   of input elements ``i`` alone, never of the array's length, order or
   any other element;
-* ``reduce_op`` — ``"add"`` or ``"min"``, the associative combiner;
+* ``reduce_op`` — ``"add"``, ``"min"`` or ``"max"``, the associative
+  combiner;
 * ``apply(accum, old_values)`` — new value per vertex, **elementwise in
   the target**: output element ``i`` is a function of ``accum[i]``,
   ``old_values[i]`` and ``vertex_ids[i]`` alone (``value_changed``
@@ -39,6 +40,19 @@ targets share one ``apply`` call is the engine's choice — a tile's, a
 run of tiles', a server's — and must not show in the values;
 :func:`check_elementwise_in_target` rejects a program (one that
 normalises over the array it is handed, say) for which it would.
+
+A program whose ``apply`` *folds* — ``apply(accum, old)`` is
+``reduce_op(accum, old)`` for a ``min`` or ``max`` reducer, with exact
+change detection (``apply_folds = True``: SSSP, BFS, WCC, max label
+propagation) — lets an engine gather only the edges of the vertices
+that changed.  A source that did not change sent the same message when
+it last did, and that message is already folded into every target's
+old value; min and max neither count nor order their terms, so
+gathering it again changes no bit.  The superstep-0 side of the same
+argument is :meth:`VertexProgram.initially_active`'s contract: a vertex
+that is not initially active sends the reducer's identity.
+:func:`check_fold` rejects a program that declares the fold falsely,
+or breaks that contract.
 """
 
 from __future__ import annotations
@@ -46,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.utils.segments import IDENTITY
+from repro.utils.segments import IDENTITY, OPS
 
 
 class VertexProgram:
@@ -60,6 +74,12 @@ class VertexProgram:
     uses_edge_weight: bool = False
     #: Absolute tolerance for change detection (0 = exact comparison).
     tolerance: float = 0.0
+    #: Whether ``apply(accum, old)`` is ``reduce_op(accum, old)`` bit for
+    #: bit, with a ``"min"`` or ``"max"`` reducer and exact change
+    #: detection: then only the out-edges of the vertices updated in the
+    #: previous superstep (at superstep 0, the initially active ones)
+    #: need gathering (module docstring; :func:`check_fold`).
+    apply_folds: bool = False
     name: str = "program"
 
     @property
@@ -130,7 +150,13 @@ class VertexProgram:
         return new != old
 
     def initially_active(self, graph: Graph) -> np.ndarray:
-        """Vertices active at superstep 0 (all, by default)."""
+        """Vertices active at superstep 0 (all, by default).
+
+        A contract, not a hint: a vertex that is not initially active
+        sends the reducer's identity from its initial value (SSSP's
+        unreached ``inf``), so leaving its edges out of superstep 0's
+        gather cannot show.  Engines gather only the active vertices'
+        edges when the program folds (:attr:`apply_folds`)."""
         return np.ones(graph.num_vertices, dtype=bool)
 
     def __repr__(self) -> str:
@@ -200,3 +226,49 @@ def check_elementwise_in_target(program: VertexProgram, values: np.ndarray) -> N
                 "elementwise in the target: a vertex's new value changed "
                 "with the other vertices in the array (see repro.apps.base)"
             )
+
+
+def check_fold(program: VertexProgram, graph, values: np.ndarray) -> np.ndarray:
+    """Raise ``ValueError`` unless a program declaring
+    :attr:`~VertexProgram.apply_folds` does fold: tolerance 0, a ``min``
+    or ``max`` reducer, ``apply`` equal bit for bit to the reducer
+    applied to ``(accum, old)`` and ``value_changed`` to ``new != old``
+    on a small prefix of the vertex space (against the initial values
+    and against accumulators on both sides of them), and the
+    :meth:`~VertexProgram.initially_active` contract on up to
+    :data:`_PROBE` vertices that are not: their messages from
+    ``values``, the initial values, are the reducer's identity.
+    Returns the initially active vertex ids, ascending."""
+    name = type(program).__name__
+    if program.tolerance != 0 or program.reduce_op not in ("min", "max"):
+        raise ValueError(
+            f"{name} declares apply_folds but its reducer is "
+            f"{program.reduce_op!r} with tolerance {program.tolerance}: a fold "
+            "needs min or max and exact change detection (see repro.apps.base)"
+        )
+    n = min(values.size, _PROBE)
+    ids = np.arange(n, dtype=np.int64)
+    accum = np.arange(1, n + 1, dtype=np.float64)
+    for old in (values[:n], accum[::-1].copy()):
+        new = np.asarray(program.apply(accum, old, ids))
+        fold = OPS[program.reduce_op](accum, old)
+        changed = np.asarray(program.value_changed(fold, old), dtype=bool)
+        if new.tobytes() != fold.tobytes() or not np.array_equal(changed, fold != old):
+            raise ValueError(
+                f"{name} declares apply_folds but its apply / value_changed "
+                f"is not {program.reduce_op}(accum, old) / new != old "
+                "(see repro.apps.base)"
+            )
+    active = np.asarray(program.initially_active(graph), dtype=bool)
+    idle = np.flatnonzero(~active)[:_PROBE]
+    if idle.size:
+        degrees = graph.out_degrees[idle] if program.uses_out_degree else None
+        weights = np.ones(idle.size) if program.uses_edge_weight else None
+        message = np.asarray(program.edge_message(values[idle], degrees, weights))
+        if (message != program.identity).any():
+            raise ValueError(
+                f"{name}: a vertex that is not initially active sends a message "
+                "other than the reducer's identity (see "
+                "VertexProgram.initially_active)"
+            )
+    return np.flatnonzero(active)

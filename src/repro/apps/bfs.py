@@ -17,6 +17,7 @@ class BFS(VertexProgram):
     """
 
     reduce_op = "min"
+    apply_folds = True
     name = "bfs"
 
     def __init__(self, source: int = 0) -> None:

@@ -20,6 +20,7 @@ class MaxLabelPropagation(VertexProgram):
     """Maximum-label flood fill."""
 
     reduce_op = "max"
+    apply_folds = True
     name = "maxlabel"
     requires_symmetric_input = True
 

@@ -18,6 +18,7 @@ class SSSP(VertexProgram):
     """
 
     reduce_op = "min"
+    apply_folds = True
     uses_edge_weight = True
     name = "sssp"
 

@@ -21,6 +21,7 @@ class WCC(VertexProgram):
     """
 
     reduce_op = "min"
+    apply_folds = True
     name = "wcc"
     requires_symmetric_input = True
 

@@ -31,7 +31,9 @@ covers the whole run, so the Python interpreter appears once per run,
 not once per tile.  What it gathers is the replica's message slot: a
 program that reads no edge weight has its ``edge_message`` evaluated
 once per resident vertex at the top of each server's sweep, not once
-per edge in every tile.
+per edge in every tile.  A program whose apply folds, with a small
+frontier, gathers only the frontier's out-edges, over the server's whole
+slab at once (:func:`_sweep_sparse`).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from repro.apps.base import (
     VertexProgram,
     check_elementwise_in_source,
     check_elementwise_in_target,
+    check_fold,
 )
 from repro.cluster.cluster import Cluster
 from repro.cluster.counters import CounterSnapshot
@@ -63,6 +66,7 @@ from repro.metrics.schedule import effective_parallel_volume
 from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, NULL_METRICS
 from repro.obs.trace import NULL_BUFFER
 from repro.partition.tiles import (
+    EdgeIndex,
     Tile,
     TileRun,
     TileSlab,
@@ -75,6 +79,7 @@ from repro.runtime.active import (
     SourceHeads,
     SourceTileIndex,
     TileSourceSummary,
+    gathers_sparse,
     pushes,
 )
 from repro.runtime.shm import InboxResolver, SharedAllocator, StagedInboxes
@@ -744,6 +749,13 @@ class MPE:
             check_elementwise_in_source(program, scratch, prep.degrees)
         # ... and apply / value_changed per run of tiles, not per tile.
         check_elementwise_in_target(program, scratch)
+        if program.apply_folds:
+            # ... and may gather only its frontier's out-edges.
+            active = check_fold(program, graph_for_init or graph, scratch)
+            prep.fold_degrees = graph.out_degrees
+            prep.fold_edges = int(graph.num_edges)
+            if prep.init_values is None:
+                prep.first_frontier = active
         if prep.init_values is None:
             prep.init_values = scratch
         return prep
@@ -833,6 +845,15 @@ class MPE:
             wall_s=time.perf_counter() - t0,
         )
         self._obs_wall.observe(report.wall_s)
+        if any(st.sparse for st in steps):
+            self._metrics.counter(
+                "repro_gather_sparse",
+                "server supersteps that gathered their frontier's edges alone",
+            ).labels().inc(sum(st.sparse for st in steps))
+        if any(st.index_built for st in steps):
+            self._metrics.counter(
+                "repro_edge_index_builds", "slab edge indexes built for sparse gathers"
+            ).labels().inc(sum(st.index_built for st in steps))
         for server, step in zip(servers, steps):
             if step.prefetch_total > 0:
                 self._obs_prefetch.labels(server=server.server_id).set(
@@ -867,7 +888,10 @@ class MPE:
                 capacity_bytes=server.cache.capacity_bytes,
                 mode=server.cache.mode,
             )
-        server.attach_decoded_cache(server.decoded_cache.slab.relaid({}))
+        slab = server.decoded_cache.slab
+        server.attach_decoded_cache(
+            TileSlab(slab.names, slab.shapes, slab.target_ids, slab.max_run)
+        )
         return refetched
 
     # ------------------------------------------------------------------
@@ -1077,6 +1101,10 @@ class MPE:
         4. Else the tile runs (scratch superstep 0, resume with no
            set, both prunes off).
 
+        Every server's entry also carries the superstep's gather
+        frontier (:meth:`_gather_frontier`): ``None``, or the ids whose
+        out-edges are all its sweep gathers.
+
         The result is plain data, so the sweeps of every executor, the
         tuner's working set and the fault pass's first-load
         coordinate are decision-identical by construction.
@@ -1108,6 +1136,7 @@ class MPE:
                     def might_intersect(tile_id):
                         return self._blooms[tile_id].might_intersect(hashed)
 
+        frontier = self._gather_frontier(prev_updated, forced)
         schedule = []
         for tiles in self._assignments:
             run, skipped = [], []
@@ -1127,8 +1156,48 @@ class MPE:
                     run.append(tile)
                 else:
                     skipped.append((tile_id, "bloom"))
-            schedule.append(_ServerSchedule(tuple(run), tuple(skipped)))
+            schedule.append(_ServerSchedule(tuple(run), tuple(skipped), frontier))
         return schedule
+
+    def _gather_frontier(self, prev_updated, forced) -> np.ndarray | None:
+        """The sorted ids whose out-edges are all this superstep's
+        sweeps must gather — ``None``: every edge of every scheduled
+        tile.  Only a folding program (``VertexProgram.apply_folds``)
+        ever gathers sparsely, never with a tile forced (an incremental
+        seed superstep's reset and deletion targets re-gather whole),
+        and only when its frontier sources at most E / GATHER_DIVISOR of
+        the run's edges (:func:`~repro.runtime.active.gathers_sparse`,
+        over the run's degrees, mutations included).  A scratch run's
+        superstep 0 has no update set: its frontier is the initially
+        active vertices (SSSP's and BFS's source)."""
+        prep = self._run
+        if prep is None or prep.fold_degrees is None or forced:
+            return None
+        frontier = prev_updated if prev_updated is not None else prep.first_frontier
+        if frontier is None or not gathers_sparse(
+            int(prep.fold_degrees[frontier].sum()), prep.fold_edges
+        ):
+            return None
+        return frontier
+
+    def _edge_index(self, server, slab):
+        """``(index, built)``: the server's slab's edge index, built
+        when the slab has none (a traced event) — ``None`` while a slot
+        is empty."""
+        index = slab.edge_index
+        if index is not None:
+            return index, False
+        t0 = time.perf_counter()
+        index = slab.build_edge_index(self.manifest.num_vertices)
+        if index is not None:
+            server.trace.instant(
+                "edge_index_built",
+                "compute",
+                server=server.server_id,
+                bytes=index.nbytes,
+                ms=round((time.perf_counter() - t0) * 1e3, 3),
+            )
+        return index, index is not None
 
     def _process_child_init(self) -> None:
         """Runs once in each forked worker: detach parent-only machinery.
@@ -1289,7 +1358,11 @@ class MPE:
         ``sched`` is this server's entry of :meth:`_resolve_schedule`:
         the sweep accounts the skipped tiles and streams the run list,
         deciding nothing itself — a skipped tile costs the pipeline
-        zero I/O.
+        zero I/O.  With a gather frontier the walk meters every
+        scheduled tile first, as ever, and one sparse kernel
+        (:func:`_sweep_sparse`) then gathers the frontier's out-edges
+        over the whole slab — once every slot of it is filled; until
+        then the runs are swept whole.
         """
         trace = server.trace
         # span() unwinds with close_to: an error aborting the sweep
@@ -1402,18 +1475,31 @@ class MPE:
                     io_trace=server.prefetch_trace,
                     wait_trace=trace,
                 )
+            def keep(ids, vals, rows):
+                if ids.size:
+                    changed_ids_parts.append(ids)
+                    changed_vals_parts.append(vals)
+                    changed_rows_parts.append(rows)
+
+            index, built = None, False
             try:
-                # Edge values live in the tiles, not in the slab: a program
-                # that reads them sweeps tile by tile.
-                for run in server.tile_runs(
-                    metered(), join=not program.uses_edge_weight
-                ):
-                    with trace.span("gather-apply", "compute", tiles=len(run.tiles)):
-                        ids, vals, rows = _sweep_run(program, run, store, slot)
-                    if ids.size:
-                        changed_ids_parts.append(ids)
-                        changed_vals_parts.append(vals)
-                        changed_rows_parts.append(rows)
+                stretches = metered()
+                if sched.frontier is not None and sched.run:
+                    stretches = list(stretches)  # the walk, drained
+                    index, built = self._edge_index(server, slab)
+                if index is not None:
+                    with trace.span(
+                        "gather-apply", "compute", tiles=len(swept), sparse=True
+                    ):
+                        keep(*_sweep_sparse(program, slab, index, sched.frontier, store, slot))
+                else:
+                    # Edge values live in the tiles, not in the slab: a
+                    # program that reads them sweeps tile by tile.
+                    for run in server.tile_runs(
+                        stretches, join=not program.uses_edge_weight
+                    ):
+                        with trace.span("gather-apply", "compute", tiles=len(run.tiles)):
+                            keep(*_sweep_run(program, run, store, slot))
             finally:
                 if prefetcher is not None:
                     prefetcher.close()
@@ -1478,6 +1564,8 @@ class MPE:
                 edges=edges_charged,
                 prefetch_ready=prefetch_ready,
                 prefetch_total=prefetch_total,
+                sparse=index is not None,
+                index_built=built,
             )
 
     # The one decode callback every metered tile load shares — the
@@ -1550,6 +1638,10 @@ class _ServerSchedule(NamedTuple):
     run: tuple
     # Tiles pruned: (tile_id, "bitmap" | "bloom").
     skipped: tuple
+    # The superstep's gather frontier (MPE._gather_frontier): sorted ids
+    # whose out-edges are all a folding program gathers; None: every
+    # edge of every tile in ``run``.
+    frontier: np.ndarray | None = None
 
 
 @dataclass
@@ -1569,6 +1661,10 @@ class _ServerStep:
     # only — never part of the bitwise-compared results.
     prefetch_ready: int = 0
     prefetch_total: int = 0
+    # Whether the sweep gathered its frontier's edges alone, and built
+    # its slab's edge index to do so.
+    sparse: bool = False
+    index_built: bool = False
 
 
 class _SuperstepDone(NamedTuple):
@@ -1610,6 +1706,12 @@ class _RunPrep:
     # tile id -> (overlay bytes, overlay edits): what sweeping a tile
     # with a pending mutation overlay is charged.
     overlay_charges: dict = field(default_factory=dict)
+    # A folding program's gather rule (MPE._gather_frontier): the run's
+    # out-degrees and edge count, and a scratch run's superstep-0
+    # frontier (its initially active ids).  None for other programs.
+    fold_degrees: np.ndarray | None = None
+    fold_edges: int = 0
+    first_frontier: np.ndarray | None = None
 
 
 def _sweep_run(
@@ -1646,3 +1748,45 @@ def _sweep_run(
     new = program.apply(accum, old, run.target_ids)
     changed = np.flatnonzero(program.value_changed(new, old))
     return run.target_ids[changed], new[changed], changed + run.first_row
+
+
+def _sweep_sparse(
+    program: VertexProgram,
+    slab: TileSlab,
+    index: EdgeIndex,
+    frontier: np.ndarray,
+    store,
+    slot: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_sweep_run` over the out-edges of ``frontier`` alone — a
+    folding program's gather (``VertexProgram.apply_folds``), over one
+    server's whole slab.
+
+    The edges' slab positions come from ``index`` (the slab's
+    :class:`~repro.partition.tiles.EdgeIndex`), ascending; their
+    messages from the slot, or, for a weighted program, evaluated per
+    edge with the values of the tiles the edges sit in; one ``reduceat``
+    reduces them per touched target row, and the apply covers those rows
+    alone.  Every other row would fold in a message already folded into
+    its old value — or the identity — and keep it.  Returns what
+    :func:`_sweep_run` returns, for every row of the slab at once.
+    """
+    positions = index.positions(frontier)
+    if not positions.size:
+        none = np.zeros(0, dtype=np.int64)
+        return none, np.zeros(0, dtype=np.float64), none
+    sources = slab.sources(positions)
+    if slot is not None:
+        messages = store.gather_values(sources, slot)
+    else:
+        out_deg = store.gather_out_degrees(sources) if program.uses_out_degree else None
+        messages = program.edge_message(
+            store.gather_values(sources), out_deg, slab.edge_values_at(positions)
+        )
+    plan, rows = slab.touched(positions)
+    accum = segment_reduce(messages, plan, program.reduce_op)
+    target_ids = slab.target_ids[rows]
+    old = store.gather_values(target_ids)
+    new = program.apply(accum, old, target_ids)
+    changed = np.flatnonzero(program.value_changed(new, old))
+    return target_ids[changed], new[changed], rows[changed]

@@ -16,7 +16,8 @@ from repro.partition import (
     hash_edge_cut,
     hybrid_vertex_cut,
 )
-from repro.partition.tiles import stable_argsort, vertex_tile_table
+import repro.partition.tiles as tiles_module
+from repro.partition.tiles import EdgeIndex, stable_argsort, vertex_tile_table
 
 
 def fig4_graph() -> Graph:
@@ -101,6 +102,27 @@ class TestSortHelpers:
         # Heavy duplication: seven values, the extremes among them.
         values = np.concatenate(([0, bound - 1], rng.integers(0, bound, 5)))
         keys = rng.choice(values, size=5000).astype(np.int64)
+        order = stable_argsort(keys, bound)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bound=st.sampled_from(
+            [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 20, (1 << 32) - 1, 1 << 32]
+        ),
+        pool=st.lists(st.integers(0, (1 << 32) - 1), min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 7), min_size=0, max_size=300),
+        dtype=st.sampled_from([np.int64, np.uint32]),
+    )
+    def test_two_radix_passes_are_the_stable_argsort(self, bound, pool, picks, dtype):
+        """Keys drawn from a few values — the bound's extremes among them
+        — so every run of duplicates must keep its order."""
+        values = [0, bound - 1] + [v % bound for v in pool]
+        keys = np.array([values[i % len(values)] for i in picks], dtype=np.int64)
+        if dtype is np.uint32 and bound > 1 << 32:
+            dtype = np.int64
+        keys = keys.astype(dtype)
         order = stable_argsort(keys, bound)
         assert order.dtype == np.intp
         assert np.array_equal(order, np.argsort(keys, kind="stable"))
@@ -472,3 +494,55 @@ class TestTileViews:
                 assert parsed.val is None
             # A second serialise from the parsed views is byte-identical.
             assert parsed.to_bytes() == tile.to_bytes()
+
+
+class TestEdgeIndex:
+    """The slab's source -> positions map: each vertex's out-edge
+    positions, ascending, whatever the chunking of the build."""
+
+    @staticmethod
+    def _expected(col, frontier, num_vertices):
+        mask = np.zeros(num_vertices, dtype=bool)
+        mask[frontier] = True
+        return np.flatnonzero(mask[col])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        num_vertices=st.sampled_from([1, 5, 300, (1 << 16) + 3]),
+        size=st.integers(0, 400),
+        chunk=st.sampled_from([1, 3, 64, 1 << 16]),
+    )
+    def test_positions_are_the_frontiers_edges(self, seed, num_vertices, size, chunk):
+        rng = np.random.default_rng(seed)
+        # Few distinct sources: long runs of duplicates within and
+        # across chunks.
+        sources = rng.integers(0, num_vertices, 6)
+        col = rng.choice(sources, size).astype(np.int64)
+        saved = tiles_module.INDEX_CHUNK
+        tiles_module.INDEX_CHUNK = chunk
+        try:
+            index = EdgeIndex(col, num_vertices)
+        finally:
+            tiles_module.INDEX_CHUNK = saved
+        assert index.nbytes == 4 * (num_vertices + 1) + 3 * size
+        frontiers = [
+            np.zeros(0, dtype=np.int64),
+            np.arange(num_vertices, dtype=np.int64),
+            np.sort(rng.choice(num_vertices, min(num_vertices, 4), replace=False)),
+        ]
+        for frontier in frontiers:
+            got = index.positions(frontier)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, self._expected(col, frontier, num_vertices))
+
+    def test_positions_past_two_to_the_sixteen(self):
+        """The high part of a position: a slab of 200 k edges."""
+        rng = np.random.default_rng(5)
+        col = rng.integers(0, 1000, 200_000).astype(np.int64)
+        index = EdgeIndex(col, 1000)
+        assert index.high.dtype == np.uint8 and index.ptr.dtype == np.uint32
+        for frontier in (np.array([0, 999]), np.arange(0, 1000, 7)):
+            assert np.array_equal(
+                index.positions(frontier), self._expected(col, frontier, 1000)
+            )

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.mpe as mpe_module
+import repro.partition.tiles as tiles_module
 from repro.apps import (
     BFS,
     SSSP,
@@ -160,6 +161,69 @@ class TestJoinedPlans:
         relaid = slab.relaid({0: ("tile-0-v1", grown)})
         assert relaid.slot("tile-0-v1", grown) == 0
         assert relaid.run(0, 0).col.tolist() == grown.col.tolist()
+
+    def test_relaid_copies_unchanged_slots_and_refills_only_changed_ones(
+        self, monkeypatch
+    ):
+        """A relaid slab, once its changed slots are filled, equals a
+        slab filled from scratch with the same tiles; the unchanged
+        slots move over without a fill, and the edge index is dropped."""
+        rng = np.random.default_rng(11)
+        lengths = [[2, 0, 3], [1, 4], [0, 0], [5, 1, 1], [2, 2], [3]]
+        tiles, lo = [], 0
+        for tile_id, rows in enumerate(lengths):
+            tiles.append(_tile(tile_id, lo, rows, rng))
+            lo += len(rows)
+        names = [f"tile-{t.tile_id}" for t in tiles]
+        targets = np.arange(lo, dtype=np.int64)
+        slab = TileSlab(names, [TileSlab.shape_of(t) for t in tiles], targets)
+        for name, tile in zip(names, tiles[:-1]):  # the last slot stays empty
+            slab.slot(name, tile)
+        slab.run(0, 2)
+        assert slab.build_edge_index(1 << 12) is None  # a slot is empty
+        slab.slot(names[-1], tiles[-1])
+        assert slab.build_edge_index(1 << 12) is slab.edge_index is not None
+
+        fills = []
+
+        class CountedPlan(segments.SegmentPlan):
+            def __init__(self, indptr):
+                fills.append(len(indptr))
+                super().__init__(indptr)
+
+        monkeypatch.setattr(tiles_module, "SegmentPlan", CountedPlan)
+        now = list(tiles)
+        now[1] = _tile(1, tiles[1].target_lo, [1, 6], rng)  # grown
+        now[3] = _tile(3, tiles[3].target_lo, [0, 1, 1], rng)  # shrunk
+        now_names = list(names)
+        now_names[1], now_names[3] = "tile-1-v1", "tile-3-v1"
+        relaid = slab.relaid({1: (now_names[1], now[1]), 3: (now_names[3], now[3])})
+        assert relaid.edge_index is None
+        assert relaid.build_edge_index(1 << 12) is None  # slots 1 and 3 wait
+        for name, tile in zip(now_names, now):
+            relaid.slot(name, tile)
+        assert len(fills) == 2
+        assert now[0].col_int64.base is relaid._col  # moved, not left behind
+        fresh = TileSlab(now_names, [TileSlab.shape_of(t) for t in now], targets)
+        for name, tile in zip(now_names, now):
+            fresh.slot(name, tile)
+        assert np.array_equal(relaid._col, fresh._col)
+        assert np.array_equal(relaid._starts, fresh._starts)
+        assert np.array_equal(relaid._nonempty, fresh._nonempty)
+        assert relaid._col_max == fresh._col_max
+        for first in range(len(now)):
+            for last in range(first, len(now)):
+                a, b = relaid.run(first, last), fresh.run(first, last)
+                assert a.tiles == b.tiles
+                assert (a.first_row, a.col_max) == (b.first_row, b.col_max)
+                for x, y in (
+                    (a.col, b.col),
+                    (a.target_ids, b.target_ids),
+                    (a.plan.starts, b.plan.starts),
+                    (a.plan.nonempty, b.plan.nonempty),
+                ):
+                    assert np.array_equal(x, y)
+                assert a.plan.n_values == b.plan.n_values
 
 
 # ----------------------------------------------------------------------
@@ -946,6 +1010,44 @@ class TestCallCountGuard:
             _assert_call_guard(mpe, calls, lambda: PageRank(tolerance=0.0))
         finally:
             cluster.close()
+
+    def test_a_sparse_gather_is_one_kernel_call_per_server(self, graph, monkeypatch):
+        """With every frontier gathered sparsely, a warm SSSP run makes
+        one sparse kernel call per server and superstep and no run call:
+        one reduce and two gathers (sources, old targets) each."""
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        calls = _count_kernel_calls(monkeypatch)
+        kernels = {"_sweep_sparse": 0, "_sweep_run": 0}
+        for name in kernels:
+
+            def counted(*args, _kernel=getattr(mpe_module, name), _name=name):
+                kernels[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(mpe_module, name, counted)
+        monkeypatch.setattr(mpe_module, "gathers_sparse", lambda *_args: True)
+        tracer = Tracer()
+        mpe, cluster = _engine(graph, tracer=tracer)
+        source = int(np.argmax(graph.out_degrees))
+        try:
+            mpe.run(SSSP(source=source))  # fills the slab, builds the index
+            calls.update(gather=0, reduce=0)
+            kernels.update(_sweep_sparse=0, _sweep_run=0)
+            before = tracer.metrics.to_text()
+            warm = mpe.run(SSSP(source=source))
+            after = tracer.metrics.to_text()
+        finally:
+            cluster.close()
+
+        def sparse(text):
+            (line,) = [x for x in text.splitlines() if x.startswith("repro_gather_sparse ")]
+            return int(float(line.split()[1]))
+
+        assert kernels["_sweep_run"] == 0
+        assert kernels["_sweep_sparse"] == sparse(after) - sparse(before) > 0
+        assert kernels["_sweep_sparse"] <= N_SERVERS * warm.num_supersteps
+        assert calls["reduce"] == kernels["_sweep_sparse"]
+        assert calls["gather"] == 2 * kernels["_sweep_sparse"]
 
     @pytest.mark.slow
     def test_million_edge_pagerank_sweeps_runs_and_holds_its_memory(self, monkeypatch):
