@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.cluster.counters import Counters, CounterSnapshot
 from repro.obs.trace import NULL_BUFFER
-from repro.partition.tiles import TileRun
 from repro.storage.cache import (
     CacheStats,
     DecodedCacheStats,
@@ -322,45 +321,6 @@ class Server:
             self.counters.add_decompressed(cache.codec.name, decomp)
         self.counters.set_memory("cache", cache.used_bytes)
         return [obj for obj, _n in entries]
-
-    def tile_runs(
-        self, stretches: Iterable[tuple[Sequence[int], bool]], join: bool = True
-    ) -> Iterator[TileRun]:
-        """Group a sweep's tiles into the runs to compute, in sweep order.
-
-        ``stretches`` yields ``(slab positions, held)`` in sweep order,
-        pulled lazily so that each is metered where the sweep is: a held
-        stretch as :meth:`load_held` metered it, or one tile as
-        :meth:`load_tile` loaded it — held when its load left the blob
-        in the edge cache (its decoded form is in the slab from then on).
-
-        A held tile joins the tiles before it when they are consecutive
-        in the assignment; the run is computed when something breaks it.
-        Any other tile is streaming through (the spill regime): it is a
-        run of its own, computed before the next tile is pulled, so it is
-        never held.  ``join=False`` keeps every tile on its own (the slab
-        holds no edge values: a sweep that reads them goes tile by tile).
-
-        Every run knows where its first target sits in this server's
-        target index: its row offset in the slab.
-        """
-        slab = self.decoded_cache.slab
-        limit = slab.max_run if join else 1
-        first = last = None  # the open run: slab slots first..last
-        for positions, held in stretches:
-            for pos in positions:
-                if first is not None:
-                    if held and pos == last + 1 and pos - first != limit:
-                        last = pos
-                        continue
-                    yield slab.run(first, last)
-                    first = None
-                if held:
-                    first = last = pos
-                else:
-                    yield slab.run(pos, pos)
-        if first is not None:
-            yield slab.run(first, last)
 
     def store_blob(self, name: str, data: bytes) -> None:
         """Write a blob to local disk, metering the transfer.  Whatever

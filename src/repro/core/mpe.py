@@ -19,13 +19,16 @@ Execution model
 
 The tile is the unit of I/O, caching and skipping; a stretch of tiles a
 server holds in both caches is metered in one step (``Server.load_held``),
-any other tile through the one metered load, in sweep order.  The unit
-of *compute* is a run — a stretch of a server's scheduled tiles that are
-consecutive in its assignment and live in its decoded-tile cache
+any other tile through the one metered load, in sweep order.  A sweep
+meters its whole schedule first, then computes.  The unit of *compute*
+is a run — a stretch of a server's scheduled tiles that are consecutive
+in its assignment, all of them in its slab after the walk
 (:class:`repro.partition.tiles.TileSlab`); one vectorised kernel
 (:func:`_sweep_run`: for an additive program that reads no edge weight,
 one CSR mat-vec of the run's edges against the message slot,
-:func:`repro.utils.segments.gather_sum`; otherwise gather by index and
+:func:`repro.utils.segments.gather_sum`; for a min/max one, the slot
+gathered and folded a bounded number of edges at a time,
+:func:`repro.utils.segments.gather_fold`; otherwise gather by index and
 :func:`repro.utils.segments.segment_reduce`; then a vectorised apply)
 covers the whole run, so the Python interpreter appears once per run,
 not once per tile.  What it gathers is the replica's message slot: a
@@ -90,6 +93,7 @@ from repro.tuning.plan import KnobSettings
 from repro.tuning.tuner import TunedRun
 from repro.utils.bloom import BloomFilter, hash_keys
 from repro.utils.segments import (
+    gather_fold,
     gather_sum,
     merge_sorted_unique,
     segment_reduce,
@@ -1356,13 +1360,12 @@ class MPE:
         caller flushes all records after the join, in server-id order.
 
         ``sched`` is this server's entry of :meth:`_resolve_schedule`:
-        the sweep accounts the skipped tiles and streams the run list,
-        deciding nothing itself — a skipped tile costs the pipeline
-        zero I/O.  With a gather frontier the walk meters every
-        scheduled tile first, as ever, and one sparse kernel
-        (:func:`_sweep_sparse`) then gathers the frontier's out-edges
-        over the whole slab — once every slot of it is filled; until
-        then the runs are swept whole.
+        the sweep accounts the skipped tiles and decides nothing itself
+        — a skipped tile costs the pipeline zero I/O.  It meters every
+        scheduled tile, in order, into the slab, then computes: one
+        :func:`_sweep_sparse` over the slab when the gather frontier has
+        an edge index, else one :func:`_sweep_run` per run of
+        consecutive swept slots.
         """
         trace = server.trace
         # span() unwinds with close_to: an error aborting the sweep
@@ -1379,9 +1382,6 @@ class MPE:
             slot = None
             if sched.run and not program.uses_edge_weight:
                 slot = store.message_slot(program, superstep)
-            changed_ids_parts: list[np.ndarray] = []
-            changed_vals_parts: list[np.ndarray] = []
-            changed_rows_parts: list[np.ndarray] = []
             # Slab position of every tile swept, in sweep order: its
             # edge count is the slab's shape.
             swept: list[int] = []
@@ -1416,55 +1416,15 @@ class MPE:
                 counters.add_memory("scratch", scratch)
                 counters.add_memory("scratch", -scratch)
 
-            def streamed(item, prefetched):
-                """One tile through the one metered tile-load path:
-                cache/disk accounting and decode all funnel through here
-                with the shared parser."""
-                tile_id, blob_name, _nbytes = item
-                with trace.span("tile", "compute", tile=tile_id):
-                    tile = server.load_tile(blob_name, self._tile_parser, prefetched)
-                    charge((item,))
-                pos = slab.slot(blob_name, tile)
-                swept.append(pos)
-                # Held from now on when its load left the blob cached.
-                return (pos,), server.cache is not None and blob_name in server.cache
-
-            def metered():
-                """The metering walk: every scheduled tile, in sweep
-                order, is charged here, whatever run it is then computed
-                in.  From where the walk stands, the longest stretch of
-                tiles this server holds is metered in one step, and the
-                next tile that is not held takes the per-tile load.
-                Yields ``(slab positions, held)``."""
-                if prefetcher is not None:
-                    for item, hint, _ready in prefetcher:
-                        yield streamed(item, hint)
-                    return
-                at, stop = 0, len(names)
-                while at < stop:
-                    k = server.held_stretch(names, at)
-                    if not k:
-                        yield streamed(sched.run[at], None)
-                        at += 1
-                        continue
-                    held = names[at : at + k]
-                    with trace.span("tile", "compute", tiles=k):
-                        tiles = server.load_held(held)
-                        charge(sched.run[at : at + k])
-                    positions = [slab.slot(n, t) for n, t in zip(held, tiles)]
-                    swept.extend(positions)
-                    yield positions, True
-                    at += k
-
             names = [item[1] for item in sched.run]
-            prefetcher = None
+            prefetcher = feed = None
             if knobs.prefetch_depth > 0 and sched.run:
                 from repro.runtime.prefetch import TilePrefetcher
 
                 # Background threads speculate ahead (read-only, unmetered);
-                # the metering walk commits each dequeue through the same
-                # metered path as the sequential sweep, in the same order
-                # — every tile takes it: nothing is metered as held.
+                # the walk commits each dequeue through the same metered
+                # path as the sequential sweep, in the same order — every
+                # tile takes it: nothing is metered as held.
                 prefetcher = TilePrefetcher(
                     server,
                     sched.run,
@@ -1475,37 +1435,56 @@ class MPE:
                     io_trace=server.prefetch_trace,
                     wait_trace=trace,
                 )
-            def keep(ids, vals, rows):
-                if ids.size:
-                    changed_ids_parts.append(ids)
-                    changed_vals_parts.append(vals)
-                    changed_rows_parts.append(rows)
+                feed = iter(prefetcher)
 
-            index, built = None, False
+            # The metering walk: every scheduled tile, in sweep order.
+            # From where the walk stands, the longest stretch of tiles
+            # this server holds is metered in one step; the next tile
+            # that is not held takes the one metered tile load.
             try:
-                stretches = metered()
-                if sched.frontier is not None and sched.run:
-                    stretches = list(stretches)  # the walk, drained
-                    index, built = self._edge_index(server, slab)
-                if index is not None:
-                    with trace.span(
-                        "gather-apply", "compute", tiles=len(swept), sparse=True
-                    ):
-                        keep(*_sweep_sparse(program, slab, index, sched.frontier, store, slot))
-                else:
-                    # Edge values live in the tiles, not in the slab: a
-                    # program that reads them sweeps tile by tile.
-                    for run in server.tile_runs(
-                        stretches, join=not program.uses_edge_weight
-                    ):
-                        with trace.span("gather-apply", "compute", tiles=len(run.tiles)):
-                            keep(*_sweep_run(program, run, store, slot))
+                at = 0
+                while at < len(names):
+                    k = server.held_stretch(names, at) if feed is None else 0
+                    if k:
+                        held = names[at : at + k]
+                        with trace.span("tile", "compute", tiles=k):
+                            tiles = server.load_held(held)
+                            charge(sched.run[at : at + k])
+                        swept.extend(map(slab.slot, held, tiles))
+                        at += k
+                        continue
+                    item, hint = sched.run[at], None
+                    if feed is not None:
+                        item, hint, _ready = next(feed)
+                    with trace.span("tile", "compute", tile=item[0]):
+                        tile = server.load_tile(item[1], self._tile_parser, hint)
+                        charge((item,))
+                    swept.append(slab.slot(item[1], tile))
+                    at += 1
             finally:
                 if prefetcher is not None:
                     prefetcher.close()
             tiles_processed = len(swept)
             prefetch_ready = prefetcher.served_ready if prefetcher else 0
             prefetch_total = prefetcher.dequeues if prefetcher else 0
+
+            # Then the kernels, over the slab the walk filled.
+            index, built = None, False
+            if sched.frontier is not None and swept:
+                index, built = self._edge_index(server, slab)
+            if index is not None:
+                with trace.span(
+                    "gather-apply", "compute", tiles=len(swept), sparse=True
+                ):
+                    parts = [_sweep_sparse(program, slab, index, sched.frontier, store, slot)]
+            else:
+                # A program that reads edge values sweeps tile by tile:
+                # joining the tiles' values measured slower and larger
+                # than the per-tile calls it saves (DESIGN §5n).
+                parts = []
+                for run in slab.runs(swept, join=not program.uses_edge_weight):
+                    with trace.span("gather-apply", "compute", tiles=len(run.tiles)):
+                        parts.append(_sweep_run(program, run, store, slot))
 
             # Charge compute as the LPT makespan of this server's
             # indivisible tiles over its T workers (§III-C.3's
@@ -1520,14 +1499,13 @@ class MPE:
             )
             server.counters.edges_processed += edges_charged
 
-            # Per-tile parts cover ascending disjoint target ranges and a
+            # Per-run parts cover ascending disjoint target ranges and a
             # server's tile list is ascending (_check_static_layout), so
             # the concatenation is already sorted — in global ids and in
             # positions of the server's target index alike.
-            if changed_ids_parts:
-                ids = np.concatenate(changed_ids_parts)
-                vals = np.concatenate(changed_vals_parts)
-                local_ids = np.concatenate(changed_rows_parts)
+            parts = [part for part in parts if part[0].size]
+            if parts:
+                ids, vals, local_ids = map(np.concatenate, zip(*parts))
             else:
                 ids = local_ids = np.zeros(0, dtype=np.int64)
                 vals = np.zeros(0, dtype=np.float64)
@@ -1727,27 +1705,27 @@ def _sweep_run(
     this superstep, or ``None`` for a program whose message reads the
     edge weight and is therefore evaluated per edge.  An additive
     program's slot is gathered and summed per target in one pass
-    (:func:`gather_sum`); any other message is gathered per edge and
-    reduced with ``reduceat``.  Returns (changed global ids, their new
-    values, their positions in the server's target index), ascending as
-    the run's targets are.
+    (:func:`gather_sum`), a min/max program's gathered and folded a
+    bounded number of edges at a time (:func:`gather_fold`); a message
+    evaluated per edge is reduced with ``reduceat``.  Returns (changed
+    global ids, their new values, their positions in the server's target
+    index), ascending as the run's targets are.
     """
     col = run.col
-    if slot is not None and program.reduce_op == "add":
+    if slot is not None:
         index, top = store.plane_index(col, run.col_max)
-        accum = gather_sum(slot, index, top, run.plan)
-    elif slot is not None:
-        accum = segment_reduce(store.gather_values(col, slot), run.plan, program.reduce_op)
+        if program.reduce_op == "add":
+            accum = gather_sum(slot, index, top, run.plan)
+        else:
+            accum = gather_fold(slot, index, run.plan, program.reduce_op)
     else:
         out_deg = store.gather_out_degrees(col) if program.uses_out_degree else None
         contributions = program.edge_message(
             store.gather_values(col), out_deg, run.edge_values()
         )
         accum = segment_reduce(contributions, run.plan, program.reduce_op)
-    old = store.gather_values(run.target_ids)
-    new = program.apply(accum, old, run.target_ids)
-    changed = np.flatnonzero(program.value_changed(new, old))
-    return run.target_ids[changed], new[changed], changed + run.first_row
+    ids, vals, changed = _apply_rows(program, accum, store, run.target_ids)
+    return ids, vals, changed + run.first_row
 
 
 def _sweep_sparse(
@@ -1785,8 +1763,16 @@ def _sweep_sparse(
         )
     plan, rows = slab.touched(positions)
     accum = segment_reduce(messages, plan, program.reduce_op)
-    target_ids = slab.target_ids[rows]
+    ids, vals, changed = _apply_rows(program, accum, store, slab.target_ids[rows])
+    return ids, vals, rows[changed]
+
+
+def _apply_rows(
+    program: VertexProgram, accum: np.ndarray, store, target_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both kernels' apply of ``accum`` over ``target_ids``: the changed
+    targets' global ids, new values and indices into ``target_ids``."""
     old = store.gather_values(target_ids)
     new = program.apply(accum, old, target_ids)
     changed = np.flatnonzero(program.value_changed(new, old))
-    return target_ids[changed], new[changed], rows[changed]
+    return target_ids[changed], new[changed], changed

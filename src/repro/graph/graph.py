@@ -120,16 +120,6 @@ class Graph:
         np.cumsum(self.in_degrees, out=indptr[1:])
         return indptr, order, self.src[order]
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        """``Γout(v)`` as an array of target ids."""
-        indptr, _, dst_sorted = self._csr
-        return dst_sorted[indptr[v] : indptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """``Γin(v)`` as an array of source ids."""
-        indptr, _, src_sorted = self._csc
-        return src_sorted[indptr[v] : indptr[v + 1]]
-
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, dst, weight) with edges grouped by source vertex."""
         indptr, order, dst_sorted = self._csr

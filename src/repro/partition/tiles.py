@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -227,9 +227,9 @@ class TileRun(NamedTuple):
 
     def edge_values(self) -> np.ndarray:
         """Edge value per element of ``col`` — of a one-tile run: tiles
-        hold their values as views of the blob, and joining them would
-        be a second copy (per superstep, or kept — and then one more
-        thing to go stale between a weighted and an unweighted run)."""
+        hold their values as views of the blob, and a program that reads
+        them sweeps tile by tile, because joining them measured worse
+        (DESIGN §5n)."""
         (tile,) = self.tiles
         return tile.edge_values()
 
@@ -491,6 +491,23 @@ class TileSlab:
             max(self._col_max[first : last + 1]),
         )
         return run
+
+    def runs(self, positions: Iterable[int], join: bool = True) -> Iterator[TileRun]:
+        """Filled slots ``positions`` (ascending) as the runs to compute:
+        each maximal stretch of consecutive slots, cut every
+        ``max_run`` tiles (never while it is ``None``) — or every slot on
+        its own when not ``join``."""
+        limit = self.max_run if join else 1
+        first = last = None
+        for pos in positions:
+            if first is not None and pos == last + 1 and pos - first != limit:
+                last = pos
+                continue
+            if first is not None:
+                yield self.run(first, last)
+            first = last = pos
+        if first is not None:
+            yield self.run(first, last)
 
     # ------------------------------------------------------------------
     # The sparse gather's side of the slab

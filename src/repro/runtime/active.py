@@ -141,20 +141,6 @@ class ActiveBitmap:
             )
         return cls(ids, num_vertices)
 
-    def union(self, other: "ActiveBitmap") -> "ActiveBitmap":
-        """A new bitmap active wherever either input is (both
-        ``updated`` arrays are sorted-unique by construction, so the
-        union is a stable sort of two runs)."""
-        if self.num_vertices != other.num_vertices:
-            raise ValueError(
-                f"bitmap sizes differ: {self.num_vertices} vs "
-                f"{other.num_vertices}"
-            )
-        merged = sorted_unique(
-            np.concatenate((self.updated, other.updated)), kind="stable"
-        )
-        return ActiveBitmap(merged, self.num_vertices)
-
     @property
     def count(self) -> int:
         """Number of active vertices."""

@@ -103,11 +103,6 @@ class Bitset:
         bits = np.unpackbits(self._words.view(np.uint8), bitorder="little")
         return np.flatnonzero(bits[: self._size]).astype(np.int64)
 
-    def to_bool_array(self) -> np.ndarray:
-        """Return a dense boolean mask of length ``size``."""
-        bits = np.unpackbits(self._words.view(np.uint8), bitorder="little")
-        return bits[: self._size].astype(bool)
-
     def any_of(self, indices: np.ndarray) -> bool:
         """Return True if *any* bit listed in ``indices`` is set.
 
@@ -123,12 +118,6 @@ class Bitset:
             self.test_many(idx[:_PROBE_BLOCK]).any()
             or self.test_many(idx[_PROBE_BLOCK:]).any()
         )
-
-    def union_update(self, other: "Bitset") -> None:
-        """In-place union with another bitset of identical capacity."""
-        if other._size != self._size:
-            raise ValueError("bitset capacities differ")
-        np.bitwise_or(self._words, other._words, out=self._words)
 
     def copy(self) -> "Bitset":
         """Deep copy."""

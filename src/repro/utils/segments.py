@@ -248,6 +248,26 @@ def gather_sum(
     return out
 
 
+def gather_fold(
+    plane: np.ndarray, index: np.ndarray, plan: SegmentPlan, op: str
+) -> np.ndarray:
+    """``segment_reduce(plane[index], plan, op)`` for ``"min"`` or
+    ``"max"``, in :meth:`SegmentPlan.chunks` calls, so the per-edge
+    temporary is a call's, not the run's.  A row that straddles calls
+    is folded from each; min and max are exact in any order."""
+    index = np.asarray(index, dtype=np.int64)
+    if index.size != plan.n_values:
+        raise ValueError(f"index length {index.size} != indptr[-1] {plan.n_values}")
+    ufunc, identity = OPS[op], IDENTITY[op]
+    acc = np.full(plan.starts.size, identity)
+    for lo, hi, r0, r1, indptr in plan.chunks(CHUNK_EDGES):
+        part = ufunc.reduceat(np.take(plane, index[lo:hi]), indptr[:-1])
+        ufunc(acc[r0:r1], part, out=acc[r0:r1])
+    out = np.full(plan.n_rows, identity)
+    out[plan.nonempty] = acc
+    return out
+
+
 def sorted_unique(values: np.ndarray, kind: str | None = None) -> np.ndarray:
     """Sorted distinct elements of ``values`` — ``numpy.unique``'s
     result and dtype (input ravelled the same way), computed as one

@@ -1,9 +1,11 @@
 """The unit of compute is a run (DESIGN.md, "The unit of compute is a run").
 
-A server's scheduled tiles that are consecutive in its assignment and
-live in both of its caches are swept by one gather-reduce-apply over
-slices of the server's :class:`~repro.partition.tiles.TileSlab`; every
-tile is still metered in sweep order, a held stretch in one step.
+A sweep meters every scheduled tile first, in sweep order (a held
+stretch in one step), and leaves it in the server's
+:class:`~repro.partition.tiles.TileSlab`; then each stretch of scheduled
+tiles consecutive in the assignment is computed by one
+gather-reduce-apply over slices of the slab, whatever the edge cache
+holds.
 Everything here is an *identity*: joining tiles must not show in any
 number the engine reports.  The reference is the same engine with runs
 capped at one tile (``TileSlab(max_run=1)``) — the tile-at-a-time sweep
@@ -384,6 +386,18 @@ def _stories(graph, programs, max_run, **cfg):
         cluster.close()
 
 
+def _stretches(slots, cap=None):
+    """Lengths of the maximal stretches of consecutive ``slots``, each
+    cut every ``cap`` slots: the runs a sweep of those slots computes."""
+    out = []
+    for i, pos in enumerate(slots):
+        if i and pos == slots[i - 1] + 1 and out[-1] != cap:
+            out[-1] += 1
+        else:
+            out.append(1)
+    return out
+
+
 def _run_lengths(monkeypatch):
     """Record ``len(run.tiles)`` of every kernel call (this process)."""
     lengths: list[int] = []
@@ -416,7 +430,9 @@ class TestRunPositions:
     """A run carries where its rows sit in the server's target index, so
     the sweep hands the broadcast its changed rows' positions instead of
     the engine searching the index for the changed ids: whatever formed
-    the run, they are the positions that search would find."""
+    the run, they are the positions that search would find.  The runs
+    are the stretches of consecutive scheduled slots, whatever the edge
+    cache holds."""
 
     @pytest.fixture(autouse=True)
     def _configured(self, monkeypatch):
@@ -428,7 +444,8 @@ class TestRunPositions:
         "runs of one": (PROGRAMS["sssp"][0], None, {}),
         "max_run=1": (PROGRAMS["pagerank"][0], 1, {}),
         # An edge cache of 0 bytes holds no tile: every tile streams
-        # through as a run of one.
+        # through the per-tile load, and is still computed in a run of
+        # consecutive slots.
         "spill": (
             PROGRAMS["bfs"][0], None, {"cache_capacity_bytes": 0, "cache_mode": 1}
         ),
@@ -458,18 +475,31 @@ class TestRunPositions:
         mpe, cluster = _engine(graph, max_run, **cfg)
         compute = mpe._compute_server_step
 
+        # Per dense sweep: the runs computed, and the stretches of
+        # consecutive assignment slots its schedule leaves.
+        swept, expected = [], []
+
         def tracked(program, server, superstep, sched):
             sweeping.append(server.server_id)
-            return compute(program, server, superstep, sched)
+            before = len(lengths)
+            step = compute(program, server, superstep, sched)
+            if not step.sparse:
+                slot = {name: pos for pos, (_t, name, _n) in enumerate(
+                    mpe._assignments[server.server_id])}
+                cap = 1 if max_run == 1 or program.uses_edge_weight else None
+                swept.append(lengths[before:])
+                expected.append(_stretches([slot[n] for _t, n, _b in sched.run], cap))
+            return step
 
         mpe._compute_server_step = tracked
         try:
-            for _ in range(2):  # cold, then warm: slab runs need a filled slab
+            for _ in range(2):  # cold, then warm
                 mpe.run(make())
         finally:
             cluster.close()
         assert lengths
-        assert (max(lengths) > 1) == (case == "slab runs")
+        assert swept == expected
+        assert (max(lengths) > 1) == (case in ("slab runs", "spill"))
 
 
 class TestRunsOfOneIdentity:
@@ -580,7 +610,8 @@ class TestRunsOfOneIdentity:
         make = PROGRAMS["pagerank"][0]
         joined = _stories(graph, [make], None, **cfg)
         assert joined == _stories(graph, [make], 1, **cfg)
-        # A tile the edge cache rejected streams through: it joins no run.
+        # A tile the edge cache rejected streams through the per-tile
+        # load, and still joins the run of the slots around it.
         lengths = _run_lengths(monkeypatch)
         mpe, cluster = _engine(graph, **cfg)
         try:
@@ -594,25 +625,15 @@ class TestRunsOfOneIdentity:
         finally:
             cluster.close()
         assert all(any(h) and not all(h) for h in held)
-        # Per server: maximal stretches of held tiles, the others alone.
-        expected = []
-        for server_held in held:
-            stretch = 0
-            for is_held in server_held:
-                if is_held:
-                    stretch += 1
-                    continue
-                expected += [stretch] * bool(stretch) + [1]
-                stretch = 0
-            expected += [stretch] * bool(stretch)
-        assert max(expected) > 1
-        assert lengths == expected * warm.num_supersteps
+        # Nothing is skipped, so each server's sweep is one run.
+        assert all(s.tiles_skipped == 0 for s in warm.supersteps)
+        assert lengths == [len(h) for h in held] * warm.num_supersteps
 
     @pytest.mark.parametrize("fault", [DiskReadFault, ServerCrashFault])
     def test_a_fault_on_the_fourth_tile_of_a_server(self, graph, fault, monkeypatch):
         """The metering walk is the serial sweep: an error raised while a
-        tile is metered aborts at the same tile, and what the abort
-        leaves behind is the same.  On a warm engine every tile is held,
+        tile is metered aborts at the same tile, before any kernel runs,
+        and what the abort leaves behind is the same.  On a warm engine every tile is held,
         so the fourth tile is metered by the held-run meter."""
 
         class FourthLoad:
@@ -649,6 +670,12 @@ class TestRunsOfOneIdentity:
                 tracer.clear_events()
                 with pytest.raises(fault):
                     mpe.run(PageRank(tolerance=0.0))
+                # The walk comes first: the sweep aborted before any
+                # kernel ran.
+                lane = tracer.span_trees()["server-1"]
+                aborted = [node for node in lane if node.name == "compute"][-1]
+                opened = [child.name for child in aborted.children]
+                assert "tile" in opened and "gather-apply" not in opened
                 outcomes.append(
                     {
                         "fired": hook.fired,
@@ -1010,6 +1037,35 @@ class TestCallCountGuard:
             _assert_call_guard(mpe, calls, lambda: PageRank(tolerance=0.0))
         finally:
             cluster.close()
+
+    def test_a_half_missing_edge_cache_still_sweeps_one_run_per_stretch(
+        self, graph, monkeypatch
+    ):
+        """The edge cache decides what a tile's load costs, not how it is
+        computed: with half the tiles rejected, a warm PageRank still
+        makes one ``_sweep_run`` call per maximal stretch of consecutive
+        scheduled tiles — here, with nothing skipped, one per server and
+        superstep — and one fused gather-reduce each."""
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        mpe, cluster = _engine(graph)
+        per_server = sum(n for _t, _b, n in mpe._assignments[0])
+        cluster.close()
+        calls = _count_kernel_calls(monkeypatch)
+        lengths = _run_lengths(monkeypatch)
+        mpe, cluster = _engine(
+            graph, max_supersteps=5, cache_capacity_bytes=per_server // 2, cache_mode=1
+        )
+        try:
+            _assert_call_guard(mpe, calls, lambda: PageRank(tolerance=0.0))
+            held = [
+                [name in server.cache for _t, name, _n in tiles]
+                for server, tiles in zip(cluster.servers, mpe._assignments)
+            ]
+        finally:
+            cluster.close()
+        assert all(any(h) and not all(h) for h in held)
+        # Cold and warm alike: each server's whole assignment, in order.
+        assert lengths == [len(h) for h in held] * (len(lengths) // N_SERVERS)
 
     def test_a_sparse_gather_is_one_kernel_call_per_server(self, graph, monkeypatch):
         """With every frontier gathered sparsely, a warm SSSP run makes

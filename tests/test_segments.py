@@ -14,6 +14,7 @@ from repro.utils import segments
 from repro.utils.segments import (
     SegmentPlan,
     expand_indptr,
+    gather_fold,
     gather_sum,
     merge_sorted_unique,
     segment_reduce,
@@ -225,6 +226,38 @@ class TestGatherSum:
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.strip() == "['scipy.sparse._sparsetools']"
+
+
+class TestGatherFold:
+    """The min/max programs' gather-reduce, in calls of a bounded number
+    of edges: ``segment_reduce`` of the gathered plane, bit for bit,
+    however the calls split the rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 6), max_size=30),
+        seed=st.integers(0, 2**16),
+        chunk=st.sampled_from([1, 2, 3, 5, 1 << 16]),
+        op=st.sampled_from(["min", "max"]),
+    )
+    def test_equals_segment_reduce_bitwise(self, lengths, seed, chunk, op):
+        rng = np.random.default_rng(seed)
+        indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        col = rng.integers(0, 20, int(indptr[-1])).astype(np.int64)
+        plane = rng.standard_normal(20)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(segments, "CHUNK_EDGES", chunk)  # rows straddle calls
+            got = gather_fold(plane, col, SegmentPlan(indptr), op)
+        assert got.tobytes() == segment_reduce(plane[col], indptr, op).tobytes()
+
+    def test_a_bad_index_is_refused(self):
+        plan = SegmentPlan(np.array([0, 2, 3]))
+        col = np.array([0, 4, 1])
+        assert gather_fold(np.arange(5.0), col, plan, "max").tolist() == [4.0, 1.0]
+        with pytest.raises(IndexError):
+            gather_fold(np.ones(4), col, plan, "min")
+        with pytest.raises(ValueError, match="index length 2"):
+            gather_fold(np.ones(5), col[:2], plan, "min")
 
 
 class TestHelpers:

@@ -1002,22 +1002,6 @@ class TestActivePrimitives:
         in_order = ActiveBitmap.seed_from_ids(np.array([[2, 9], [40, 41]]), 64)
         assert in_order.updated.ndim == 1 and in_order.count == 4
 
-    def test_union(self):
-        a = ActiveBitmap.seed_from_ids([1, 5], 32)
-        b = ActiveBitmap.seed_from_ids([5, 9], 32)
-        u = a.union(b)
-        assert np.array_equal(u.updated, np.array([1, 5, 9], dtype=np.int64))
-        assert u.num_vertices == 32
-        # union with an empty bitmap is the identity set
-        e = ActiveBitmap.seed_from_ids([], 32)
-        assert np.array_equal(a.union(e).updated, a.updated)
-
-    def test_union_rejects_mismatched_domains(self):
-        a = ActiveBitmap.seed_from_ids([1], 32)
-        b = ActiveBitmap.seed_from_ids([1], 16)
-        with pytest.raises(ValueError):
-            a.union(b)
-
 
 # ----------------------------------------------------------------------
 # Scale: the 10⁷-edge convergence smoke (slow; run explicitly or in CI)

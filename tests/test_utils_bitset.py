@@ -80,17 +80,6 @@ class TestBitsetBasics:
         assert bs.any_of(np.array([9, 10]))
         assert not bs.any_of(np.array([9, 11]))
 
-    def test_union_update(self):
-        a, b = Bitset(70), Bitset(70)
-        a.set(1)
-        b.set(65)
-        a.union_update(b)
-        assert a.test(1) and a.test(65)
-
-    def test_union_size_mismatch(self):
-        with pytest.raises(ValueError):
-            Bitset(10).union_update(Bitset(11))
-
     def test_clear_all(self):
         bs = Bitset(100)
         bs.set_many(np.arange(100))
@@ -112,13 +101,6 @@ class TestBitsetBasics:
         assert a == b
         b.set(4)
         assert a != b
-
-    def test_bool_array_roundtrip(self):
-        bs = Bitset(67)
-        bs.set_many(np.array([0, 66]))
-        mask = bs.to_bool_array()
-        assert mask.shape == (67,)
-        assert mask[0] and mask[66] and mask.sum() == 2
 
     def test_nbytes(self):
         assert Bitset(64).nbytes == 8
