@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.utils.sizes import GB, MB
 
@@ -73,11 +73,8 @@ class ClusterSpec:
         """Workers across the whole cluster (the paper's ``T * N``)."""
         return self.num_servers * self.workers_per_server
 
-    def with_servers(self, num_servers: int) -> "ClusterSpec":
-        """Copy of this spec at a different cluster width."""
-        return replace(self, num_servers=num_servers)
 
-
-#: The evaluation testbed (9 nodes).  Benchmarks derive the 1/3/6-node
-#: points of Figures 9-10 via :meth:`ClusterSpec.with_servers`.
+#: The evaluation testbed (9 nodes).  The 1/3/6-node points of Figures
+#: 9-10 are clusters built as ``ClusterSpec(num_servers=n)``
+#: (``repro.analysis.experiments.CLUSTER_SIZES``).
 PAPER_TESTBED = ClusterSpec()

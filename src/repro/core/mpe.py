@@ -312,6 +312,9 @@ class MPE:
         self._own_updates: dict[int, tuple] = {}
         self._forked = False
         self._inboxes = InboxResolver()
+        # Per server, its forked worker's sweeps this run, (scheduled
+        # tiles, gathered sparsely), for _resync_parent_caches.
+        self._worker_sweeps: list[list[tuple]] = []
 
     # ------------------------------------------------------------------
     # Observability wiring (repro.obs)
@@ -571,8 +574,9 @@ class MPE:
             reports: list[SuperstepReport] = []
             converged = False
             if executor.forks:
-                # Cache contents live in the workers while the pool
-                # runs; the parent's copies are rebuilt at teardown.
+                # Cache contents and slab fills live in the workers while
+                # the pool runs; the parent's are rebuilt at teardown.
+                self._worker_sweeps = [[] for _ in servers]
                 cleanup.append(self._resync_parent_caches)
             executor.start(
                 self._phase_handler,
@@ -1224,14 +1228,21 @@ class MPE:
             self.tracer.clear_events()
 
     def _resync_parent_caches(self) -> None:
-        """Rebuild parent-side cache *contents* as the pool winds down:
-        workers die with the run, and a later run — a supervised retry,
-        or the next program on this cluster — must start from exactly
-        the cache state a single-process run would have left (stats and
-        gauges were absorbed every phase).  Keeps cross-run metering
-        executor-independent."""
-        for server in self.cluster.servers:
+        """Rebuild parent-side cache *contents* and slabs as the pool
+        winds down: workers die with the run, and a later run — a
+        supervised retry, or the next program on this cluster — must
+        start from exactly the state a single-process run would have
+        left (stats and gauges were absorbed every phase), and the next
+        pool inherits filled slabs: each replays its worker's sweeps
+        (:meth:`TileSlab.replay`) over ``peek``-ed tiles, silently."""
+        join = not self._run.program.uses_edge_weight
+        for server, sweeps in zip(self.cluster.servers, self._worker_sweeps):
             server.restore_mirrored_content(self._tile_parser)
+            dcache = server.decoded_cache
+            for run, sparse in sweeps:
+                named = [(name, dcache.peek(name)[0]) for _t, name, _n in run]
+                dcache.slab.replay(named, sparse, join, self.manifest.num_vertices)
+        self._worker_sweeps = []
 
     # ------------------------------------------------------------------
     # One superstep phase, under every executor
@@ -1251,10 +1262,11 @@ class MPE:
         every sender writes its own update into the one replica, so a
         receiver needs only what it is charged for.  An OD apply ships
         the records themselves — by shared segment around a forking
-        executor.  Each result's :class:`~repro.cluster.server.ServerMirror` is
-        absorbed — in server-id order, so per-buffer trace sequences are
-        the ones a serial run records.  In-process handlers return no mirror: the
-        server they ran on *is* the parent's.
+        executor.  Each result's :class:`~repro.cluster.server.ServerMirror`
+        is absorbed — in server-id order, so per-buffer trace sequences
+        are the ones a serial run records — and its sweep noted for
+        :meth:`_resync_parent_caches`.  In-process handlers return no
+        mirror: the server they ran on *is* the parent's.
         """
         staged = fault = None
         if tag == "apply" and self.config.replication_policy == "aa":
@@ -1279,13 +1291,18 @@ class MPE:
             if staged is not None:
                 staged.release()
         results = []
-        for server, (result, mirror) in zip(self.cluster.servers, returned):
+        for server, payload, (result, mirror) in zip(
+            self.cluster.servers, payloads, returned
+        ):
             if mirror is not None:
                 server.absorb_mirror(mirror)
-                if tag == "compute" and result.payload is not None:
-                    result.ids = result.payload.select(
-                        self._server_target_ids[server.server_id]
-                    )
+            if mirror is not None and tag == "compute":
+                sid = server.server_id
+                if result.payload is not None:
+                    result.ids = result.payload.select(self._server_target_ids[sid])
+                sweep = (payload[1].run, result.sparse)
+                if sweep not in self._worker_sweeps[sid][-1:]:
+                    self._worker_sweeps[sid].append(sweep)
             if tag == "compute" and result is not None and self.injector is not None:
                 self.injector.after_compute(server, result.edges)
             results.append(result)
@@ -1323,13 +1340,18 @@ class MPE:
             )
             self._own_updates[server_id] = (result.ids, result.vals)
             if self._forked:
-                # The values stay here, for this server's apply; the
-                # parent reads the record and counts, and selects the
-                # frontier ids from the record's positions.
+                # Values stay here, for this server's apply: the parent
+                # reads the record and counts, selects the frontier ids
+                # from the record's positions and, under AA (values go by
+                # the shared replica), reads no record's values.
+                record = result.payload
+                if record is not None and self.config.replication_policy == "aa":
+                    record = replace(record, values=record.values[:0])
                 result = replace(
                     result,
-                    ids=result.ids if result.payload is None else result.ids[:0],
+                    ids=result.ids if record is None else result.ids[:0],
                     vals=np.zeros(0, dtype=np.float64),
+                    payload=record,
                 )
         elif tag == "apply":
             if self.config.replication_policy == "od":

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.utils.bloom import BloomFilter
-from repro.utils.segments import SegmentPlan, sorted_unique
+from repro.utils.segments import CHUNK_EDGES, SegmentPlan, sorted_unique
 
 _MAGIC = b"GHTL"
 _HEADER = struct.Struct("<4sIqqqqB")  # magic, tile_id, lo, hi, n_edges, n_vertices, weighted
@@ -316,11 +316,12 @@ class TileSlab:
     index.  A tile's slots are filled the first time a sweep sees it
     (:meth:`slot` — its ``col_int64`` *is* the slab slice from then on,
     not a second array), so the slab replaces the per-tile shadows byte
-    for byte, and only in the process that sweeps: nothing is allocated
-    before the first tile arrives, and a forked worker fills (its
-    copy-on-write copy of) whatever the parent had not.  A tile decoded
-    again — its blob was rewritten — is a new object and refills its
-    slot.
+    for byte: nothing is allocated before the first tile arrives.  A
+    forked worker's sweeps fill its copy-on-write copy; when the pool
+    winds down the parent fills its own slab the same way, through
+    :meth:`slot`, so the next pool forks with the slots filled.  A tile
+    decoded again — its blob was rewritten — is a new object and refills
+    its slot.
 
     The layout is only as good as the shapes: a tile whose edge count
     changes (a mutation overlay, a merge) needs a new slab
@@ -508,6 +509,25 @@ class TileSlab:
             first = last = pos
         if first is not None:
             yield self.run(first, last)
+
+    def replay(
+        self, named: Iterable[tuple[str, Tile]], sparse: bool, join: bool,
+        num_vertices: int,
+    ) -> None:
+        """Leave this slab as one engine sweep over ``named`` ((blob
+        name, decoded tile) pairs, in sweep order) leaves the slab it
+        runs on, without computing anything: each slot filled
+        (:meth:`slot`), then the edge index built if the sweep gathered
+        ``sparse``-ly, else — when it joined runs, as a program that
+        reads no edge weight does — each run's mat-vec chunks cut.  How
+        a process pool's parent keeps what its workers' sweeps built."""
+        swept = [self.slot(name, tile) for name, tile in named]
+        if sparse:
+            if self.edge_index is None:
+                self.build_edge_index(num_vertices)
+        elif join:
+            for run in self.runs(swept):
+                run.plan.chunks(CHUNK_EDGES)
 
     # ------------------------------------------------------------------
     # The sparse gather's side of the slab

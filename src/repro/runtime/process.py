@@ -14,8 +14,9 @@ Design constraints that keep results bitwise identical to serial:
 
 * Workers are **forked after the engine's superstep state is built**, so
   they inherit tile assignments, vertex stores (in shared
-  memory — see :mod:`repro.runtime.shm`) and the phase handler itself by
-  address-space copy: nothing structural is pickled.
+  memory — see :mod:`repro.runtime.shm`), the slabs earlier runs filled
+  and the phase handler itself by address-space copy: nothing
+  structural is pickled.
 * Server *i* is pinned to worker ``i % num_workers`` ("sticky" routing),
   so a server's mutable state (store slice, cache, counters) has exactly
   one writer for the pool's lifetime.

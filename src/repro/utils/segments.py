@@ -317,13 +317,3 @@ def merge_sorted_unique(parts: "list[np.ndarray]") -> np.ndarray:
         return np.flatnonzero(mask).astype(np.int64, copy=False)
     return sorted_unique(np.concatenate(arrays), kind="stable")
 
-
-def expand_indptr(indptr: np.ndarray) -> np.ndarray:
-    """Per-element row index for a CSR layout (inverse of bincount).
-
-    ``expand_indptr([0, 2, 2, 5]) == [0, 0, 2, 2, 2]`` — used when a
-    scatter needs each edge's *target-local* row id.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    lengths = np.diff(indptr)
-    return np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)

@@ -32,11 +32,6 @@ class TestSpec:
         assert PAPER_TESTBED.total_workers == 216  # footnote 3
         assert PAPER_TESTBED.memory_bytes == 128 * 1024**3
 
-    def test_with_servers(self):
-        spec3 = PAPER_TESTBED.with_servers(3)
-        assert spec3.num_servers == 3
-        assert spec3.memory_bytes == PAPER_TESTBED.memory_bytes
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ClusterSpec(num_servers=0)

@@ -15,7 +15,10 @@ at N=4 and two rows at N=1 (no broadcast).  One row per program runs
 again under the process executor and must reproduce its serial digest.
 The digests were recorded before broadcasts were staged and applied by
 position; they hold under every executor, so CI's forced-executor legs
-run this file unchanged.
+run this file unchanged.  Under All-in-All a forked sender's record
+reaches the parent without its values (receivers read the shared
+replica); its wire is re-encoded from the values its sender wrote there,
+read back after the barrier.
 
 Twelve digests (keys ending ``-nodc``) were recorded with the
 decoded-tile cache switched off, when it still had a switch: every tile
@@ -133,15 +136,28 @@ def graphs():
 
 @pytest.fixture
 def payload_log(monkeypatch):
-    """Every broadcast record, in delivery order, with its sender."""
+    """Every broadcast record, in delivery order, with its sender — a
+    record that arrived without its values (a forked AA sender's) given
+    the ones its sender wrote into the replica, once the barrier is past."""
     log: list[tuple[int, object]] = []
     broadcast = Channel.broadcast
+    account = MPE._account_superstep
 
     def recording(self, src, payload):
         log.append((src, payload))
         broadcast(self, src, payload)
 
+    def hydrating(self, *args):
+        for i, (src, record) in enumerate(log):
+            ids = record.select(self._server_target_ids[src])
+            if record.values.size != ids.size:
+                store = self.cluster.servers[src].state["store"]
+                values = store.gather_values(ids)
+                log[i] = (src, dataclasses.replace(record, values=values))
+        return account(self, *args)
+
     monkeypatch.setattr(Channel, "broadcast", recording)
+    monkeypatch.setattr(MPE, "_account_superstep", hydrating)
     return log
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.utils import segments
 from repro.utils.segments import (
     SegmentPlan,
-    expand_indptr,
     gather_fold,
     gather_sum,
     merge_sorted_unique,
@@ -258,14 +257,6 @@ class TestGatherFold:
             gather_fold(np.ones(4), col, plan, "min")
         with pytest.raises(ValueError, match="index length 2"):
             gather_fold(np.ones(5), col[:2], plan, "min")
-
-
-class TestHelpers:
-    def test_expand_indptr(self):
-        assert expand_indptr(np.array([0, 2, 2, 5])).tolist() == [0, 0, 2, 2, 2]
-
-    def test_expand_empty(self):
-        assert expand_indptr(np.array([0])).size == 0
 
 
 class TestSortedUnique:
