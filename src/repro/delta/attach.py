@@ -66,6 +66,15 @@ class EvolvingGraph:
         """A tile's current *base* blob decoded, no overlay."""
         return Tile.from_bytes(self._blob(tile_id))
 
+    def held_tile(self, tile_id: int) -> Tile | None:
+        """A tile's decoded-cache entry under its current blob name — what
+        :meth:`parse` of that blob returns, since ``MPE.retile`` puts each
+        batch's composed tile there — or ``None``.  A ``peek``: no stat
+        and no recency move."""
+        server, _index, name = self.mpe.tile_home(tile_id)
+        held = server.decoded_cache.peek(name)
+        return None if held is None else held[0]
+
     # ------------------------------------------------------------------
     # A mutation batch
     # ------------------------------------------------------------------
@@ -104,7 +113,7 @@ class EvolvingGraph:
         pending = self.log.since(store.watermark)
         num_inserts = sum(1 for m in pending if m.op == "insert")
 
-        result = store.compact(pending, self.base_tile)
+        result = store.compact(pending, self.base_tile, self.held_tile)
 
         if pending:
             # Every checkpoint written so far snapshots the *pre-batch*
@@ -224,7 +233,10 @@ class EvolvingGraph:
 
         def load_composed(tile_id: int) -> Tile:
             if tile_id not in composed:
-                composed[tile_id] = self.parse(self._blob(tile_id))
+                held = self.held_tile(tile_id)
+                composed[tile_id] = (
+                    self.parse(self._blob(tile_id)) if held is None else held
+                )
             return composed[tile_id]
 
         plan = build_plan(

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.delta.mutlog import OP_DELETE, OP_INSERT, Mutation
 from repro.partition.tiles import Tile
+from repro.utils.segments import sorted_unique
 
 __all__ = ["TileOverlay", "DeltaStore", "CompactResult", "DEFAULT_MERGE_RATIO"]
 
@@ -41,6 +42,18 @@ DEFAULT_MERGE_RATIO = 0.25
 
 _MAGIC = b"GHDT"
 _HEADER = struct.Struct("<4sIqqB")  # magic, tile_id, n_inserts, n_deletes, weighted
+
+
+def _spliced(arr: np.ndarray, at: list[int], values: list, dtype) -> np.ndarray:
+    """``np.insert(arr, at, values)`` for ascending ``at``, as one
+    ``concatenate``: on tiles of a few thousand edges ``np.insert``'s own
+    argument handling costs more than the copy."""
+    parts, cut = [], 0
+    for i, value in zip(at, values):
+        parts += (arr[cut:i], (value,))
+        cut = i
+    parts.append(arr[cut:])
+    return np.concatenate(parts, dtype=dtype, casting="unsafe")
 
 
 class TileOverlay:
@@ -204,6 +217,49 @@ class TileOverlay:
             val=new_vals,
         )
 
+    def recompose(self, prior: Tile, added: int) -> Tile:
+        """What :meth:`compose` of the base returns, from ``prior``: the
+        tile this overlay without its last ``added`` inserts composes to.
+
+        ``prior`` is canonical — rows ascending, each row's sources
+        sorted, equal keys in base-then-append order — and the stable
+        sort in :meth:`compose` puts each new insert after every equal
+        key before it.  So the new inserts, in ``(target, src)`` order
+        with append order among equals, each go in at
+        ``searchsorted(side="right")`` inside their row, and the source
+        set is carried forward.  The base is not read; a base parse
+        could not stand in for ``prior``, since the SPE keeps a row's
+        sources in storage order, not sorted."""
+        new = sorted(
+            self.inserts[len(self.inserts) - added :], key=lambda e: (e[1], e[0])
+        )
+        row, col, val = prior.row_int64, prior.col, prior.val
+        src = [s for s, _, _ in new]
+        rows = np.array([d for _, d, _ in new], dtype=np.int64) - prior.target_lo
+        at = [
+            lo + int(col[lo:hi].searchsorted(s, side="right"))
+            for lo, hi, s in zip(row[rows].tolist(), row[rows + 1].tolist(), src)
+        ]
+        if val is not None:
+            weights = [1.0 if w is None else w for _, _, w in new]
+            val = _spliced(val, at, weights, np.float64)
+        grown = np.bincount(rows, minlength=prior.num_targets)
+        tile = Tile(
+            tile_id=prior.tile_id,
+            target_lo=prior.target_lo,
+            target_hi=prior.target_hi,
+            num_graph_vertices=prior.num_graph_vertices,
+            row=row + np.concatenate(([0], np.cumsum(grown))),
+            col=_spliced(col, at, src, np.uint32),
+            val=val,
+        )
+        # merge_sorted_unique's sparse path: a stable sort of one sorted
+        # run and a few new ids.
+        tile.source_vertices = sorted_unique(
+            np.concatenate([prior.source_vertices, src]), kind="stable"
+        )
+        return tile
+
     # -- serialisation (the delta blob written next to the base tile) --
     def to_bytes(self) -> bytes:
         pairs = sorted(self.deletes.items())
@@ -323,16 +379,20 @@ class DeltaStore:
     def total_overlay_bytes(self) -> int:
         return sum(o.nbytes() for o in self.overlays.values())
 
-    def compact(self, mutations, load_base) -> CompactResult:
+    def compact(self, mutations, load_base, load_composed) -> CompactResult:
         """Fold pending mutations into overlays.
 
         ``mutations`` are :class:`Mutation` rows with ids above the
         current watermark (already-applied rows are skipped, making
         replay idempotent).  ``load_base`` maps ``tile_id`` → decoded
-        *base* :class:`Tile`; each affected tile's overlay is validated
-        against it and the freshly composed tile is returned so the
-        caller can refresh schedule summaries and bloom filters.
-        Overlays past ``merge_ratio`` × base edges are listed in
+        *base* :class:`Tile`; ``load_composed`` maps it to the tile its
+        current overlay composes to, or ``None`` when that is not held.
+        Each affected tile's overlay is validated and the freshly
+        composed tile is returned so the caller can refresh schedule
+        summaries and bloom filters.  A tile that already has an overlay
+        and gets only inserts is composed onto its held composed tile
+        (:meth:`TileOverlay.recompose`); any other is composed from its
+        base.  Overlays past ``merge_ratio`` × base edges are listed in
         ``merged`` — the caller rewrites those tiles and then calls
         :meth:`finish_merge`.
         """
@@ -348,27 +408,50 @@ class DeltaStore:
                     f"got {mut.mut_id}"
                 )
             expected += 1
+        count = len(pending)
+        src = np.fromiter((m.src for m in pending), dtype=np.int64, count=count)
+        dst = np.fromiter((m.dst for m in pending), dtype=np.int64, count=count)
+        sign = np.fromiter(
+            (1 if m.op == OP_INSERT else -1 for m in pending),
+            dtype=np.int64,
+            count=count,
+        )
+        owners = np.searchsorted(self.splitter, dst, side="right") - 1
         by_tile: dict[int, list[Mutation]] = {}
-        for mut in pending:
-            by_tile.setdefault(self.tile_of(mut.dst), []).append(mut)
+        for mut, tile_id in zip(pending, owners.tolist()):
+            by_tile.setdefault(tile_id, []).append(mut)
 
         # Stage per tile first: validation failures must leave the
-        # store untouched (no partial batch application).  Each base is
-        # loaded once; composing validates the overlay against it (a
-        # deletion without enough base instances raises), and only the
+        # store untouched (no partial batch application).  Composing
+        # from a base validates the overlay against it (a deletion
+        # without enough base instances raises); an insert-only batch
+        # onto a held composed tile has nothing to validate.  Only the
         # composed tile and the base's edge count are kept.
         staged: dict[int, tuple[TileOverlay, Tile, int]] = {}
         for tile_id in sorted(by_tile):
             overlay = self.overlays.get(tile_id)
+            muts = by_tile[tile_id]
             trial = TileOverlay(tile_id)
             if overlay is not None:
                 trial.inserts = list(overlay.inserts)
                 trial.deletes = dict(overlay.deletes)
-            for mut in by_tile[tile_id]:
+            for mut in muts:
                 trial.apply(mut)
-            base = load_base(tile_id)
-            composed = base if trial.is_empty else trial.compose(base)
-            staged[tile_id] = (trial, composed, base.num_edges)
+            prior = None
+            if overlay is not None and all(m.op == OP_INSERT for m in muts):
+                prior = load_composed(tile_id)
+            if prior is not None:
+                composed = trial.recompose(prior, len(muts))
+                base_edges = (
+                    prior.num_edges
+                    - len(overlay.inserts)
+                    + sum(overlay.deletes.values())
+                )
+            else:
+                base = load_base(tile_id)
+                composed = base if trial.is_empty else trial.compose(base)
+                base_edges = base.num_edges
+            staged[tile_id] = (trial, composed, base_edges)
 
         for tile_id, (trial, _composed, _base_edges) in staged.items():
             if trial.is_empty:
@@ -376,15 +459,9 @@ class DeltaStore:
             else:
                 trial.seal()
                 self.overlays[tile_id] = trial
-        for mut in pending:
-            if mut.op == OP_INSERT:
-                self.out_deg_delta[mut.src] += 1
-                self.in_deg_delta[mut.dst] += 1
-                self.edge_delta += 1
-            else:
-                self.out_deg_delta[mut.src] -= 1
-                self.in_deg_delta[mut.dst] -= 1
-                self.edge_delta -= 1
+        np.add.at(self.out_deg_delta, src, sign)
+        np.add.at(self.in_deg_delta, dst, sign)
+        self.edge_delta += int(sign.sum())
         self.watermark = pending[-1].mut_id
         self.compactions += 1
 

@@ -22,6 +22,7 @@ The subsystem invariants:
 """
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -97,6 +98,29 @@ def _story(mpe, result):
         ],
         "skipped": [s.tiles_skipped for s in result.supersteps],
     }
+
+
+_ORACLE_ROWS = [3, 40, 41, 77, 118]
+
+
+@functools.cache
+def _oracle_graph(weighted):
+    return chung_lu_graph(120, 700, seed=3, weighted=weighted, name="delta-oracle")
+
+
+def _assert_held_tiles_compose(mpe, affected):
+    """Every overlaid tile's decoded-cache entry — present for each tile
+    the last batch changed — is the tile its overlay composes to from
+    its base: the same bytes and the same source set."""
+    delta = mpe.delta
+    for tile_id, overlay in delta.store.overlays.items():
+        held = delta.held_tile(tile_id)
+        assert held is not None or tile_id not in affected
+        if held is not None:
+            want = overlay.compose(delta.base_tile(tile_id))
+            assert held.to_bytes() == want.to_bytes()
+            assert held.source_vertices.dtype == want.source_vertices.dtype
+            assert np.array_equal(held.source_vertices, want.source_vertices)
 
 
 # ----------------------------------------------------------------------
@@ -776,6 +800,104 @@ class TestCompaction:
         else:
             assert composed.val is None
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weighted=st.booleans(),
+        batches=st.lists(
+            st.lists(
+                st.tuples(
+                    st.one_of(st.integers(0, 3), st.integers(0, 119)),
+                    st.sampled_from(_ORACLE_ROWS),  # few rows: equal keys
+                    st.sampled_from([0.5, 1.5, None]),
+                ),
+                min_size=1,
+                max_size=10,
+            ),
+            min_size=4,
+            max_size=7,
+        ),
+        data=st.data(),
+    )
+    def test_held_tiles_are_what_their_overlays_compose(
+        self, weighted, batches, data
+    ):
+        """The oracle for composing onto the last composed tile: after
+        every batch, each overlaid tile's decoded-cache entry is what its
+        overlay composes to from its base.  Insert-only batches with
+        duplicate edges and equal keys of different weights; one batch
+        with a delete (composed from the base), one after the decoded
+        cache is cleared, one that merges a tile mid-sequence."""
+        last = len(batches) - 1
+        delete_at = data.draw(st.integers(1, last), label="delete_at")
+        clear_at = data.draw(st.integers(1, last), label="clear_at")
+        merge_at = data.draw(st.integers(1, last - 1), label="merge_at")
+        graph = _oracle_graph(weighted)
+        mpe, cluster = _engine(graph, tile_edges=40)
+        try:
+            mpe.setup()
+            store = mpe.delta.store
+            for i, inserts in enumerate(batches):
+                # The first edge again, twice: equal keys, weights not
+                # in append order.
+                src, dst, _ = inserts[0]
+                inserts = inserts + [(src, dst, 2.5), (src, dst, 0.25)]
+                ops = [
+                    {"op": OP_INSERT, "src": s, "dst": d, "weight": w}
+                    for s, d, w in inserts
+                ]
+                if i == delete_at:
+                    # A base edge into an overlaid row: the delete sends
+                    # a tile with an overlay back to its base.
+                    j = int(np.flatnonzero(np.isin(graph.dst, _ORACLE_ROWS))[i])
+                    ops.append(
+                        {
+                            "op": OP_DELETE,
+                            "src": int(graph.src[j]),
+                            "dst": int(graph.dst[j]),
+                        }
+                    )
+                if i == merge_at:
+                    flooded = store.tile_of(77)
+                    overlay = store.overlays.get(flooded)
+                    need = mpe.delta.base_tile(flooded).num_edges // 4 + 1
+                    need -= 0 if overlay is None else overlay.num_ops
+                    ops += [{"op": OP_INSERT, "src": 5, "dst": 77}] * max(1, need)
+                if i == clear_at:
+                    for server in cluster.servers:
+                        server.decoded_cache.clear()
+                report = mpe.apply_mutations(ops)
+                if i == merge_at:
+                    assert flooded in [m["tile"] for m in report["merged"]]
+                _assert_held_tiles_compose(mpe, {store.tile_of(o["dst"]) for o in ops})
+        finally:
+            cluster.close()
+
+    @needs_process
+    def test_held_tiles_compose_under_process_executor(self, skewed, monkeypatch):
+        """The same oracle with a run between batches under the process
+        executor: forked workers parse through the same overlays, the
+        parent's decoded cache comes back holding composed tiles, and
+        every run's values equal the serial engine's bitwise."""
+        batches = [random_mutations(skewed, 20, 0, seed=s) for s in range(30, 36)]
+        batches.append(random_mutations(skewed, 20, 10, seed=36))
+        values = {}
+        for executor in ("serial", "process"):
+            monkeypatch.setenv("REPRO_EXECUTOR", executor)
+            mpe, cluster = _engine(skewed)
+            try:
+                mpe.run(SSSP(source=1))
+                runs = []
+                for ops in batches:
+                    mpe.apply_mutations(ops)
+                    affected = {mpe.delta.store.tile_of(op["dst"]) for op in ops}
+                    _assert_held_tiles_compose(mpe, affected)
+                    runs.append(mpe.run(SSSP(source=1)).values.tobytes())
+                    _assert_held_tiles_compose(mpe, affected)
+                values[executor] = runs
+            finally:
+                cluster.close()
+        assert values["serial"] == values["process"]
+
     def test_since_reads_the_applied_slice(self, skewed, batch):
         """An incremental plan reads the engine's log by slice, up to
         the store's watermark: what a scan of every applied mutation
@@ -801,28 +923,39 @@ class TestCompaction:
     ):
         """The batch hands its composed tiles to the decoded cache: the
         next run composes nothing, and meters its loads exactly as an
-        engine that parses (and so composes) them again.  Serial, so
+        engine that parses (and so composes) them again.  A tile is
+        composed once per batch that changes it — from its base, or onto
+        the tile the last batch composed (``recompose``).  Serial, so
         every compose of the next run happens in this process."""
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        calls = []
-        compose = TileOverlay.compose
+        calls, recomposed = [], []
+        compose, recompose = TileOverlay.compose, TileOverlay.recompose
         monkeypatch.setattr(
             TileOverlay,
             "compose",
             lambda self, base: calls.append(self.tile_id) or compose(self, base),
         )
+
+        def counted_recompose(self, prior, added):
+            calls.append(self.tile_id)
+            recomposed.append(self.tile_id)
+            return recompose(self, prior, added)
+
+        monkeypatch.setattr(TileOverlay, "recompose", counted_recompose)
         stories = []
         for parse_again in (False, True):
             mpe, cluster = _engine(skewed)
             try:
                 mpe.run(SSSP(source=1))  # every tile decoded and cached
-                calls.clear()
-                report = mpe.apply_mutations(
-                    random_mutations(skewed, 40, 0, seed=5)
-                )
-                assert not report["merged"]
-                assert sorted(calls) == sorted(set(calls))
-                assert len(calls) == report["affected_tiles"]
+                for seed in (5, 11):  # the second batch meets overlays
+                    calls.clear()
+                    report = mpe.apply_mutations(
+                        random_mutations(skewed, 40, 0, seed=seed)
+                    )
+                    assert not report["merged"]
+                    assert sorted(calls) == sorted(set(calls))
+                    assert len(calls) == report["affected_tiles"]
+                assert recomposed
                 if parse_again:
                     for server in cluster.servers:
                         server.decoded_cache.clear()
@@ -837,8 +970,11 @@ class TestCompaction:
         assert stories[0] == stories[1]
 
     def test_a_batch_loads_each_affected_base_once(self, skewed, monkeypatch):
-        """Compaction validates and composes each affected tile from one
-        load of its base blob."""
+        """Compaction reads a tile's base at most once per batch, and only
+        when it composes from it: a tile with no overlay yet, no held
+        composed tile, or a delete in the batch.  Every other affected
+        tile is composed onto its held tile (a base tile is not
+        canonical, so a first overlay always reads the base)."""
         from repro.delta.attach import EvolvingGraph
 
         loads = []
@@ -850,16 +986,68 @@ class TestCompaction:
         )
         mpe, cluster = _engine(skewed)
         try:
+            mpe.setup()  # attaches the (empty) evolving graph
             for seed in (5, 6):  # the second batch meets existing overlays
+                ops = random_mutations(skewed, 30, 10, seed=seed)
+                delta = mpe.delta
+                tile_of = delta.store.tile_of
+                affected = {tile_of(op["dst"]) for op in ops}
+                expected = {
+                    t
+                    for t in affected
+                    if t not in delta.store.overlays
+                    or delta.held_tile(t) is None
+                    or any(
+                        op["op"] == OP_DELETE and tile_of(op["dst"]) == t
+                        for op in ops
+                    )
+                }
                 loads.clear()
-                report = mpe.apply_mutations(
-                    random_mutations(skewed, 30, 10, seed=seed)
-                )
-                assert report["affected_tiles"] > 1
-                assert sorted(loads) == sorted(set(loads))
-                assert len(loads) == report["affected_tiles"]
+                report = mpe.apply_mutations(ops)
+                assert report["affected_tiles"] == len(affected) > 1
+                assert sorted(loads) == sorted(expected)
+                if seed == 5:
+                    assert expected == affected
+                else:
+                    assert 0 < len(expected) < len(affected)
         finally:
             cluster.close()
+
+    def test_incremental_plan_reads_held_tiles(self, skewed, monkeypatch):
+        """An incremental plan after a mixed batch scans tiles for the
+        delete targets' forward reach: with a warm decoded cache it reads
+        no blob, and plans and converges exactly as when every tile is
+        parsed from its blob."""
+        from repro.delta.attach import EvolvingGraph
+
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        blobs = []
+        blob = EvolvingGraph._blob
+        monkeypatch.setattr(
+            EvolvingGraph,
+            "_blob",
+            lambda self, tile_id: blobs.append(tile_id) or blob(self, tile_id),
+        )
+        outcomes = []
+        for held in (True, False):
+            if not held:
+                monkeypatch.setattr(EvolvingGraph, "held_tile", lambda *_: None)
+            mpe, cluster = _engine(skewed)
+            try:
+                mpe.run(SSSP(source=1))
+                mpe.apply_mutations(random_mutations(skewed, 30, 10, seed=5))
+                mpe.config = MPEConfig(mutations=True, incremental=True)
+                blobs.clear()
+                result = mpe.run(SSSP(source=1))
+                assert result.delta["incremental"]
+                assert result.delta["reset_vertices"] > 0  # reach was scanned
+                assert (len(blobs) == 0) == held
+                outcomes.append(
+                    (result.values.tobytes(), result.delta, _story(mpe, result))
+                )
+            finally:
+                cluster.close()
+        assert outcomes[0] == outcomes[1]
 
 
 # ----------------------------------------------------------------------
