@@ -897,9 +897,7 @@ class MPE:
                 mode=server.cache.mode,
             )
         slab = server.decoded_cache.slab
-        server.attach_decoded_cache(
-            TileSlab(slab.names, slab.shapes, slab.target_ids, slab.max_run)
-        )
+        server.attach_decoded_cache(TileSlab(slab.names, slab.shapes, slab.target_ids))
         return refetched
 
     # ------------------------------------------------------------------

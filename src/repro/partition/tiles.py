@@ -331,22 +331,12 @@ class TileSlab:
     (:meth:`build_edge_index`): the sparse gather's source -> position
     map.  It is never patched: a slot fill drops it, and a relaid slab
     starts without one.
-
-    ``max_run`` caps the tiles per run; tests force 1 to get the
-    tile-at-a-time sweep out of the same code.
     """
 
-    def __init__(
-        self,
-        names: Iterable[str],
-        shapes,
-        target_ids: np.ndarray,
-        max_run: int | None = None,
-    ) -> None:
+    def __init__(self, names: Iterable[str], shapes, target_ids: np.ndarray) -> None:
         self.names = tuple(names)
         self.shapes = np.asarray(shapes, dtype=np.int64).reshape(len(self.names), 3)
         self.target_ids = target_ids
-        self.max_run = max_run
         self._index = {name: pos for pos, name in enumerate(self.names)}
         offsets = np.zeros((len(self.names) + 1, 3), dtype=np.int64)
         np.cumsum(self.shapes, axis=0, out=offsets[1:])
@@ -386,7 +376,7 @@ class TileSlab:
         names, shapes = list(self.names), self.shapes.copy()
         for pos, (name, tile) in changes.items():
             names[pos], shapes[pos] = name, self.shape_of(tile)
-        new = TileSlab(names, shapes, self.target_ids, self.max_run)
+        new = TileSlab(names, shapes, self.target_ids)
         kept = [
             pos
             for pos, held in enumerate(self._single)
@@ -495,10 +485,9 @@ class TileSlab:
 
     def runs(self, positions: Iterable[int], join: bool = True) -> Iterator[TileRun]:
         """Filled slots ``positions`` (ascending) as the runs to compute:
-        each maximal stretch of consecutive slots, cut every
-        ``max_run`` tiles (never while it is ``None``) — or every slot on
-        its own when not ``join``."""
-        limit = self.max_run if join else 1
+        each maximal stretch of consecutive slots — or every slot on its
+        own when not ``join``."""
+        limit = None if join else 1
         first = last = None
         for pos in positions:
             if first is not None and pos == last + 1 and pos - first != limit:

@@ -12,8 +12,13 @@ values are also checked against :func:`~repro.apps.reference_solution`
 and, under a fault schedule, against the fault-free run's; a service
 case checks that a warm engine's jobs are a cold engine's run.
 
-:func:`sample` is the seeded sampler behind ``tests/test_contract.py``;
-other test files pin named cases.  ``REPRO_EXECUTOR`` is cleared around
+A fast path registers the slower path it must equal in
+:data:`REFERENCES`: a case ``forced`` to a row runs again with that
+reference forced, and the two runs' fingerprints — decoded-cache stats
+and span trees included — must meet the row's level.
+
+:func:`sample` is the seeded sampler behind ``tests/test_contract.py``,
+which also pins named cases.  ``REPRO_EXECUTOR`` is cleared around
 every run, so a forced-executor CI leg cannot collapse the executor
 axis.
 """
@@ -25,18 +30,25 @@ import dataclasses
 import functools
 import os
 import random
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 
-from repro.apps import SSSP, WCC, PageRank, reference_solution
+import repro.core.mpe as mpe_module
+from repro.apps import BFS, SSSP, WCC, MaxLabelPropagation, PageRank, reference_solution
 from repro.cluster import Cluster, ClusterSpec
+from repro.cluster.server import Server
 from repro.core import MPE, MPEConfig, SPE
 from repro.core.knobs import CONTRACTS, knob_rows
 from repro.delta import mirrored, random_mutations
 from repro.faults import FaultPlan, Supervisor
 from repro.graph import Graph, chung_lu_graph
+from repro.obs.trace import Tracer
+from repro.partition.tiles import TileSlab
 from repro.runtime import process_runtime_available
-from repro.service import Engine, JobSpec, JobStatus, reset_simulation
+from repro.runtime.active import SourceHeads
+from repro.service import ALGORITHMS, Engine, JobSpec, JobStatus, reset_simulation
 from repro.tuning import KnobSettings, TuningPlan
 
 ROWS = {row.name: row for row in knob_rows(MPEConfig)}
@@ -44,11 +56,14 @@ N_SERVERS = 3
 GRAPH = chung_lu_graph(240, 2400, seed=91, name="contract-g")
 SYM = GRAPH.to_undirected_edges()
 TILE_EDGES = GRAPH.num_edges // (4 * N_SERVERS)
+FINE_TILE_EDGES = 4  # 153 tiles of GRAPH, 238 of SYM
 # program -> (factory, graph, a job's params)
 PROGRAMS = {
     "pagerank": (lambda: PageRank(tolerance=1e-4), GRAPH, {"tolerance": 1e-4}),
     "sssp": (lambda: SSSP(source=1), GRAPH, {"source": 1}),
+    "bfs": (lambda: BFS(source=1), GRAPH, {"source": 1}),
     "wcc": (WCC, SYM, {}),
+    "maxlabel": (MaxLabelPropagation, SYM, {}),
 }
 BATCH = {
     GRAPH: random_mutations(GRAPH, num_inserts=30, num_deletes=20, seed=7),
@@ -83,6 +98,65 @@ OPEN_VALUES = {
 HOST = {n for n, row in ROWS.items() if row.tunable and row.contract == "identical"}
 
 
+class Reference(NamedTuple):
+    """A fast path's slower reference: the ``patches`` (owner, name,
+    value) that force it, the weakest level the pair must meet, and the
+    span and instant names it changes by construction.  Its cases run
+    one of ``programs`` (those the fast path serves), with ``context``
+    rows, on the ``fine`` tiling if set."""
+
+    patches: tuple
+    level: str
+    folded: tuple
+    programs: tuple = tuple(sorted(PROGRAMS))
+    context: tuple = ()
+    fine: bool = False
+
+    @contextlib.contextmanager
+    def force(self):
+        """Patched in this process before any pool forks: workers inherit it."""
+        with pytest.MonkeyPatch.context() as patch:
+            for owner, name, value in self.patches:
+                patch.setattr(owner, name, value)
+            yield
+
+
+_joined_runs = TileSlab.runs
+
+
+def _runs_of_one(slab, positions, join=True):
+    return _joined_runs(slab, positions, join=False)
+
+
+REFERENCES = {
+    # Joined runs, one gather-apply span each, against runs of one tile.
+    "runs-of-one": Reference(
+        ((TileSlab, "runs", _runs_of_one),), "identical", ("gather-apply",),
+        programs=("bfs", "maxlabel", "pagerank", "wcc"),  # a weighted one never joins
+    ),
+    # Held stretches metered in one step, one tile span each, against
+    # every tile's own load; a spilling edge cache ends stretches.
+    "per-tile-meter": Reference(
+        ((Server, "held_stretch", lambda self, names, start: 0),), "identical", ("tile",),
+        context=(("cache_capacity_bytes", SPILLING),),
+    ),
+    # A folding program's frontier gathered through the edge index
+    # against every edge of every scheduled tile.
+    "full-gather": Reference(
+        ((mpe_module, "gathers_sparse", lambda *_a: False),), "identical",
+        ("gather-apply", "edge_index_built"), programs=("bfs", "maxlabel", "sssp", "wcc"),
+    ),
+    # Pushed frontiers and the heads probe against the exact summary
+    # predicate for every tile; past 128 tiles a push index row is three
+    # words.
+    "pulled-schedule": Reference(
+        ((mpe_module, "pushes", lambda *_a: False),
+         (SourceHeads, "probe", lambda self, bitmap: [None] * self._sizes.size)),
+        "identical", ("source_index_built",), fine=True,
+    ),
+}
+
+
 def values_of(row) -> tuple:
     """The non-default values the sampler draws for ``row``."""
     options = OPEN_VALUES.get(row.name) or row.choices or (True, False)
@@ -102,16 +176,23 @@ class Case:
     participant: str | None = None
     context: tuple = ()
     service: bool = False
+    forced: str | None = None  # a REFERENCES row
+    fine: bool = False  # tiled at FINE_TILE_EDGES
 
     @property
     def level(self) -> str:
-        """The weakest contract among the rows under test, the executor
-        (and so its width) included."""
+        """The forced reference's level, else the weakest contract among
+        the rows under test, the executor (and so its width) included."""
+        if self.forced:
+            return REFERENCES[self.forced].level
         names = [name for name, _ in self.knobs] + ["executor"]
         return max((ROWS[n].contract for n in names), key=CONTRACTS.index)
 
     def reference(self, **changes) -> Case:
-        """The same point, serial, the rows under test at default."""
+        """What this case is compared with: itself, its reference forced
+        — else the same point, serial, the rows under test at default."""
+        if self.forced:
+            return dataclasses.replace(self, **changes)
         return dataclasses.replace(
             self, knobs=(), executor="serial", width=None, service=False, **changes
         )
@@ -123,6 +204,8 @@ class Case:
         parts += [f"fault{self.fault}"] if self.fault is not None else []
         parts += [self.participant] if self.participant else []
         parts += ["service"] if self.service else []
+        parts += ["fine"] if self.fine else []
+        parts += [f"forced:{self.forced}"] if self.forced else []
         return "-".join(parts)
 
 
@@ -163,11 +246,12 @@ def schedule_of(case: Case):
     return plan.materialize(N_SERVERS, 12)
 
 
-def fingerprint(cluster, result, recovery=None, earlier=()) -> dict:
+def fingerprint(cluster, result, recovery=None, earlier=(), tracer=None) -> dict:
     """A run's observable state split by contract level: ``values`` is
-    what ``metered`` keeps, ``metered`` what ``identical`` adds.  Host
-    telemetry is in neither.  ``earlier`` are the values of the runs
-    before it on the same engine."""
+    what ``metered`` keeps, ``metered`` what ``identical`` adds; a forced
+    case's ``identical`` adds ``traced`` too.  Host telemetry is in none.
+    ``earlier`` are the values of the runs before it on the same
+    engine."""
     servers = cluster.servers
     metered = {
         "reports": [{k: v for k, v in r.items() if k != "wall_s"} for r in result.trace()],
@@ -193,7 +277,26 @@ def fingerprint(cluster, result, recovery=None, earlier=()) -> dict:
         "converged": result.converged,
         "earlier": tuple(r.values.tobytes() for r in earlier),
     }
-    return {"values": values, "metered": metered}
+    traced = {
+        "decoded_stats": [dataclasses.asdict(s.decoded_cache.stats) for s in servers],
+        # The prefetch lanes' I/O threads speculate: host telemetry.
+        "spans": tracer and {
+            label: [node.as_tuple() for node in forest]
+            for label, forest in tracer.span_trees().items()
+            if not label.startswith("prefetch")
+        },
+    }
+    return {"values": values, "metered": metered, "traced": traced}
+
+
+def _folded(traced: dict, names: tuple) -> dict:
+    """``traced`` with every span or instant named in ``names`` cut out
+    of the span trees, with what it encloses."""
+
+    def cut(nodes):
+        return [(kind, name, cat, cut(kids)) for kind, name, cat, kids in nodes if name not in names]
+
+    return {**traced, "spans": {label: cut(forest) for label, forest in traced["spans"].items()}}
 
 
 def _drive(mpe, case: Case):
@@ -225,19 +328,25 @@ def _drive(mpe, case: Case):
 
 @functools.cache
 def run(case: Case) -> dict:
-    """The fingerprint of one case (cached: references are shared)."""
+    """The fingerprint of one case, its reference forced if it names one
+    (cached: references are shared)."""
     graph = PROGRAMS[case.program][1]
+    tile_edges = FINE_TILE_EDGES if case.fine else TILE_EDGES
+    forced = REFERENCES[case.forced].force() if case.forced else contextlib.nullcontext()
     cluster = Cluster(ClusterSpec(num_servers=N_SERVERS))
     try:
-        manifest = SPE(cluster.dfs).preprocess(graph, TILE_EDGES, name=graph.name)
-        mpe = MPE(cluster, manifest, config_of(case))
-        mpe.setup()
-        # Set-up's own traffic is not the run's (the service resets it
-        # before every job, too).
-        reset_simulation(cluster, mpe.channel)
-        with _configured_executor():
-            result, recovery, earlier = _drive(mpe, case)
-        return fingerprint(cluster, result, recovery, earlier)
+        with forced:
+            manifest = SPE(cluster.dfs).preprocess(graph, tile_edges, name=graph.name)
+            tracer = Tracer()
+            mpe = MPE(cluster, manifest, config_of(case), tracer=tracer)
+            mpe.setup()
+            # Set-up's own traffic is not the run's (the service resets it
+            # before every job, too).
+            reset_simulation(cluster, mpe.channel)
+            tracer.clear_events()
+            with _configured_executor():
+                result, recovery, earlier = _drive(mpe, case)
+        return fingerprint(cluster, result, recovery, earlier, tracer)
     finally:
         cluster.close()
 
@@ -296,12 +405,16 @@ def mismatches(case: Case, level: str | None = None) -> list[str]:
     """What ``case`` breaks at ``level`` (default: its declared one),
     one line each."""
     level = level or case.level
-    got = run(dataclasses.replace(case, service=False))
+    got = run(dataclasses.replace(case, service=False, forced=None))
     ref = run(case.reference())
-    parts = {"identical": ("values", "metered"), "metered": ("values",), "values": ()}
+    parts = {"identical": ("values", "metered"), "metered": ("values",), "values": ()}[level]
+    if case.forced and level == "identical":
+        folded = REFERENCES[case.forced].folded
+        got, ref = (dict(fp, traced=_folded(fp["traced"], folded)) for fp in (got, ref))
+        parts += ("traced",)
     out = [
         f"{case}: {part}[{key}] differs at level {level}"
-        for part in parts[level]
+        for part in parts
         for key in got[part]
         if got[part][key] != ref[part][key]
     ]
@@ -335,38 +448,56 @@ def check(case: Case) -> None:
     assert not problems, "\n".join(problems)
 
 
-def sample(seed: int, n: int, rows=tuple(sorted(ROWS))) -> list[Case]:
+def sample(
+    seed: int, n: int, rows=tuple(sorted(ROWS)), programs=tuple(sorted(PROGRAMS))
+) -> list[Case]:
     """``n`` seeded cases: each of ``rows`` in turn at one of its
     values, crossed with an executor and width, a fault schedule, a
-    participant, a program and — one case in three — a context row."""
+    participant, one of ``programs`` and — one case in three — a context
+    row.
+    A :data:`REFERENCES` row in ``rows`` is forced instead, always with
+    a context row over its own (and its mutation participant half the
+    time incremental), under the executors in turn: each
+    ``len(EXECUTORS)`` rounds put it under every one."""
     rng = random.Random(seed)
-    contexts = [r for r in ROWS if r not in ("executor", "incremental", "mutations")]
     cases = []
     while len(cases) < n:
         name = rows[len(cases) % len(rows)]
-        value = rng.choice(values_of(ROWS[name]))
+        ref = REFERENCES.get(name)
+        value = None if ref else rng.choice(values_of(ROWS[name]))
         participant = rng.choice(PARTICIPANTS)
         if name == "incremental":
             participant = "mutation"
         elif name in ("mutations", "max_supersteps") and participant in ("mutation", "resume"):
             participant = None
-        context = ()
-        if rng.random() < 1 / 3:
-            other = rng.choice([r for r in contexts if r != name])
+        context = ref.context if ref else ()
+        # A forced mutation case repairs incrementally one time in two.
+        if ref and participant == "mutation" and rng.random() < 0.5:
+            context += (("incremental", True),)
+        if ref or rng.random() < 1 / 3:
+            taken = {name, "executor", "incremental", "mutations"} | dict(context).keys()
+            other = rng.choice([r for r in ROWS if r not in taken])
             if not (other == "max_supersteps" and participant in ("mutation", "resume")):
-                context = ((other, rng.choice(values_of(ROWS[other]))),)
-        executor = value if name == "executor" else rng.choice(EXECUTORS)
+                context += ((other, rng.choice(values_of(ROWS[other]))),)
+        if ref:
+            executor = EXECUTORS[len(cases) // len(rows) % len(EXECUTORS)]
+        else:
+            executor = value if name == "executor" else rng.choice(EXECUTORS)
         fault = rng.choice((None, rng.randrange(100)))
+        program = rng.choice(ref.programs if ref else programs)
+        service = participant is None and fault is None and not ref
         cases.append(
             Case(
-                program=rng.choice(sorted(PROGRAMS)),
-                knobs=() if name == "executor" else ((name, value),),
+                program=program,
+                knobs=() if ref or name == "executor" else ((name, value),),
                 executor=executor,
                 width=rng.choice(WIDTHS) if executor != "serial" else None,
                 fault=fault,
                 participant=participant,
                 context=context,
-                service=participant is None and fault is None and rng.random() < 0.2,
+                service=service and rng.random() < 0.2 and program in ALGORITHMS,
+                forced=ref and name,
+                fine=bool(ref and ref.fine),
             )
         )
     return cases

@@ -217,9 +217,6 @@ class TestIncrementalMatchesScratch:
 # Off = bitwise no-op
 # ----------------------------------------------------------------------
 class TestNoOpIdentity:
-    def test_mutations_on_without_batch_is_bitwise_noop(self):
-        check(Case(program="sssp", knobs=(("mutations", True),)))
-
     def test_incremental_requires_mutations(self):
         with pytest.raises(ValueError, match="requires mutations"):
             MPEConfig(incremental=True)

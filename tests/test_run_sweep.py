@@ -5,17 +5,13 @@ stretch in one step), and leaves it in the server's
 :class:`~repro.partition.tiles.TileSlab`; then each stretch of scheduled
 tiles consecutive in the assignment is computed by one
 gather-reduce-apply over slices of the slab, whatever the edge cache
-holds.
-Everything here is an *identity*: joining tiles must not show in any
-number the engine reports.  The reference is the same engine with runs
-capped at one tile (``TileSlab(max_run=1)``) — the tile-at-a-time sweep
-out of the same code — so the executor sweep
-(``tests/test_runtime_executor.py``) is not repeated, only crossed with
-the cap; the held meter's reference is the same runs with every tile
-forced onto the per-tile load (``TestHeldRunMetering``).
+holds.  Neither shows in any number the engine reports: that is the
+contract harness's ``runs-of-one`` and ``per-tile-meter`` references
+(``tests/contract.py``).  Here: the slab's plans, the heads probe, and
+what one engine's sweeps compute, meter, call and leave behind.
 """
 
-import dataclasses
+import contextlib
 import multiprocessing
 import os
 
@@ -39,7 +35,6 @@ from repro.apps import (
 )
 from repro.apps.base import check_elementwise_in_target
 from repro.cluster import Cluster, ClusterSpec
-from repro.cluster.server import Server
 from repro.comm.channel import Channel
 from repro.core import MPE, SPE, MPEConfig
 from repro.core.facade import GraphH
@@ -51,10 +46,10 @@ from repro.obs.trace import Tracer
 from repro.partition.tiles import Tile, TileSlab
 from repro.runtime import process_runtime_available
 from repro.runtime.active import ActiveBitmap, SourceHeads, TileSourceSummary
-from repro.service import Engine, JobSpec, reset_simulation
 from repro.storage.codecs import CACHE_MODES
 from repro.utils import segments
 from repro.utils.segments import SegmentPlan, gather_sum, segment_reduce
+from tests.contract import REFERENCES, fingerprint
 
 N_SERVERS = 3
 needs_process = pytest.mark.skipif(
@@ -293,21 +288,17 @@ class TestHeadsProbe:
 
 
 # ----------------------------------------------------------------------
-# (iii) engine level: runs joined == runs of one, in every reported bit
+# (iii) engine level: what a joined sweep computes, on one engine (that
+# it equals runs of one in every reported bit is the contract harness's
+# ``runs-of-one`` reference)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def graph():
     return chung_lu_graph(260, 3200, seed=23, weighted=True, name="runs-g")
 
 
-@pytest.fixture(scope="module")
-def symmetric(graph):
-    return graph.to_undirected_edges()
-
-
-def _engine(graph, max_run=None, tracer=None, tiles_per_server=10, **cfg):
-    """A set-up engine whose slabs cap runs at ``max_run`` tiles (the
-    grouping helper's test-only constructor argument); caller closes."""
+def _engine(graph, tracer=None, tiles_per_server=10, **cfg):
+    """A set-up engine; caller closes."""
     cluster = Cluster(ClusterSpec(num_servers=N_SERVERS))
     manifest = SPE(cluster.dfs).preprocess(
         graph,
@@ -317,76 +308,7 @@ def _engine(graph, max_run=None, tracer=None, tiles_per_server=10, **cfg):
     cfg.setdefault("max_supersteps", 12)
     mpe = MPE(cluster, manifest, MPEConfig(**cfg), tracer=tracer)
     mpe.setup()
-    for server in cluster.servers:
-        _cap(server, max_run)
     return mpe, cluster
-
-
-def _cap(server, max_run):
-    dcache = server.decoded_cache
-    slab = dcache.slab
-    dcache.slab = TileSlab(slab.names, slab.shapes, slab.target_ids, max_run)
-
-
-def _story(mpe, result, tracer=None):
-    servers = mpe.cluster.servers
-    story = {
-        "values": result.values.tobytes(),
-        "converged": result.converged,
-        "supersteps": [
-            (
-                s.updated_vertices,
-                s.tiles_processed,
-                s.tiles_skipped,
-                s.net_bytes,
-                s.disk_read_bytes,
-                s.cache_hit_ratio,
-                tuple(s.message_modes),
-                s.modeled,
-            )
-            for s in result.supersteps
-        ],
-        "counters": [s.counters.snapshot() for s in servers],
-        "cache_stats": [dataclasses.astuple(s.cache.stats) for s in servers],
-        "cache_recency": [s.cache.content_keys() for s in servers],
-        "decoded_stats": [dataclasses.astuple(s.decoded_cache.stats) for s in servers],
-        "decoded_recency": [s.decoded_cache.content_keys() for s in servers],
-    }
-    if tracer is not None:
-        story["spans"] = _spans(tracer)
-    return story
-
-
-def _spans(tracer):
-    """Timestamp-free span trees without their ``gather-apply`` spans:
-    there is one per computed run, so capping runs changes their number
-    and nothing else (``TestGatherApplySpans`` counts them)."""
-
-    def strip(node):
-        kind, name, cat, children = node
-        kept = tuple(strip(c) for c in children if c[1] != "gather-apply")
-        return kind, name, cat, kept
-
-    return {
-        label: [strip(node.as_tuple()) for node in forest]
-        for label, forest in tracer.span_trees().items()
-    }
-
-
-def _stories(graph, programs, max_run, **cfg):
-    """One warm engine, the programs in order (each run twice: the cold
-    run fills the slab, the warm one sweeps whole runs); every story."""
-    tracer = Tracer()
-    mpe, cluster = _engine(graph, max_run, tracer=tracer, **cfg)
-    try:
-        out = []
-        for make in programs:
-            for _ in range(2):
-                tracer.clear_events()
-                out.append(_story(mpe, mpe.run(make()), tracer))
-        return out
-    finally:
-        cluster.close()
 
 
 def _stretches(slots, cap=None):
@@ -415,18 +337,10 @@ def _run_lengths(monkeypatch):
 
 
 PROGRAMS = {
-    "pagerank": (lambda: PageRank(tolerance=0.0), False),
-    "sssp": (lambda: SSSP(source=1), False),
-    "bfs": (lambda: BFS(source=1), False),
-    "wcc": (WCC, True),
-    "maxlabel": (MaxLabelPropagation, True),
+    "pagerank": lambda: PageRank(tolerance=0.0),
+    "sssp": lambda: SSSP(source=1),
+    "bfs": lambda: BFS(source=1),
 }
-TRANSPORTS = [
-    ("serial", None),
-    ("parallel", 2),
-    pytest.param("process", 1, marks=needs_process),
-    pytest.param("process", 2, marks=needs_process),
-]
 
 
 class TestRunPositions:
@@ -443,22 +357,19 @@ class TestRunPositions:
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
 
     CASES = {
-        "slab runs": (PROGRAMS["pagerank"][0], None, {}),
-        "runs of one": (PROGRAMS["sssp"][0], None, {}),
-        "max_run=1": (PROGRAMS["pagerank"][0], 1, {}),
+        "slab runs": (PROGRAMS["pagerank"], {}),
+        "runs of one": (PROGRAMS["sssp"], {}),
         # An edge cache of 0 bytes holds no tile: every tile streams
         # through the per-tile load, and is still computed in a run of
         # consecutive slots.
-        "spill": (
-            PROGRAMS["bfs"][0], None, {"cache_capacity_bytes": 0, "cache_mode": 1}
-        ),
+        "spill": (PROGRAMS["bfs"], {"cache_capacity_bytes": 0, "cache_mode": 1}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_positions_are_what_searching_the_index_finds(
         self, graph, monkeypatch, case
     ):
-        make, max_run, cfg = self.CASES[case]
+        make, cfg = self.CASES[case]
         kernel = mpe_module._sweep_run
         lengths = []
         # The server sweeping right now (serial: one at a time); every
@@ -475,7 +386,7 @@ class TestRunPositions:
             return ids, vals, rows
 
         monkeypatch.setattr(mpe_module, "_sweep_run", checked)
-        mpe, cluster = _engine(graph, max_run, **cfg)
+        mpe, cluster = _engine(graph, **cfg)
         compute = mpe._compute_server_step
 
         # Per dense sweep: the runs computed, and the stretches of
@@ -489,7 +400,7 @@ class TestRunPositions:
             if not step.sparse:
                 slot = {name: pos for pos, (_t, name, _n) in enumerate(
                     mpe._assignments[server.server_id])}
-                cap = 1 if max_run == 1 or program.uses_edge_weight else None
+                cap = 1 if program.uses_edge_weight else None
                 swept.append(lengths[before:])
                 expected.append(_stretches([slot[n] for _t, n, _b in sched.run], cap))
             return step
@@ -505,34 +416,10 @@ class TestRunPositions:
         assert (max(lengths) > 1) == (case in ("slab runs", "spill"))
 
 
-class TestRunsOfOneIdentity:
+class TestJoinedSweep:
     @pytest.fixture(autouse=True)
     def _configured(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-
-    @pytest.mark.parametrize("executor,width", TRANSPORTS)
-    @pytest.mark.parametrize("policy", ["aa", "od"])
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_program_by_store_by_transport(
-        self, graph, symmetric, name, policy, executor, width
-    ):
-        make, undirected = PROGRAMS[name]
-        g = symmetric if undirected else graph
-        cfg = dict(
-            replication_policy=policy,
-            executor=executor,
-            num_workers=width,
-            num_threads=width,
-        )
-        assert _stories(g, [make], None, **cfg) == _stories(g, [make], 1, **cfg)
-
-    @pytest.mark.parametrize("depth", [0, 2])
-    def test_prefetch_pipeline(self, graph, depth):
-        cfg = dict(prefetch_depth=depth)
-        make = PROGRAMS["pagerank"][0]
-        assert _stories(graph, [make], None, **cfg) == _stories(
-            graph, [make], 1, **cfg
-        )
 
     def test_dense_warm_sweep_is_one_run_per_server(self, graph, monkeypatch):
         lengths = _run_lengths(monkeypatch)
@@ -551,8 +438,6 @@ class TestRunsOfOneIdentity:
         """A weighted program reads edge values, which the slab does not
         hold: on an engine whose slab an unweighted program just filled
         it must still see every tile's own values."""
-        order = [PROGRAMS["pagerank"][0], PROGRAMS["sssp"][0], PROGRAMS["bfs"][0]]
-        assert _stories(graph, order, None) == _stories(graph, order, 1)
         lengths = _run_lengths(monkeypatch)
         mpe, cluster = _engine(graph)
         try:
@@ -588,56 +473,24 @@ class TestRunsOfOneIdentity:
 
             return resolved
 
-        stories, lengths = [], _run_lengths(monkeypatch)
-        for max_run in (None, 1):
-            lengths.clear()
-            tracer = Tracer()
-            mpe, cluster = _engine(graph, max_run, tracer=tracer, max_supersteps=3)
-            try:
-                mpe._resolve_schedule = gapped(mpe._resolve_schedule)
-                stories.append(_story(mpe, mpe.run(PageRank(tolerance=0.0)), tracer))
-                width = len(mpe._assignments[0])
-            finally:
-                cluster.close()
-            if max_run is None:
-                # Superstep 0 is one run per server; then server 0 sweeps
-                # positions 0-1, 3-4 and 6-.
-                assert lengths[N_SERVERS : N_SERVERS + 3] == [2, 2, width - 6]
-        assert stories[0] == stories[1]
-
-    def test_edge_cache_capped_so_that_half_the_tiles_miss(self, graph, monkeypatch):
-        mpe, cluster = _engine(graph)
-        per_server = sum(n for _t, _b, n in mpe._assignments[0])
-        cluster.close()
-        cfg = dict(cache_capacity_bytes=per_server // 2, cache_mode=1)
-        make = PROGRAMS["pagerank"][0]
-        joined = _stories(graph, [make], None, **cfg)
-        assert joined == _stories(graph, [make], 1, **cfg)
-        # A tile the edge cache rejected streams through the per-tile
-        # load, and still joins the run of the slots around it.
         lengths = _run_lengths(monkeypatch)
-        mpe, cluster = _engine(graph, **cfg)
+        mpe, cluster = _engine(graph, max_supersteps=3)
         try:
-            mpe.run(make())
-            lengths.clear()
-            warm = mpe.run(make())
-            held = [
-                [name in server.cache for _t, name, _n in tiles]
-                for server, tiles in zip(cluster.servers, mpe._assignments)
-            ]
+            mpe._resolve_schedule = gapped(mpe._resolve_schedule)
+            mpe.run(PageRank(tolerance=0.0))
+            width = len(mpe._assignments[0])
         finally:
             cluster.close()
-        assert all(any(h) and not all(h) for h in held)
-        # Nothing is skipped, so each server's sweep is one run.
-        assert all(s.tiles_skipped == 0 for s in warm.supersteps)
-        assert lengths == [len(h) for h in held] * warm.num_supersteps
+        # Superstep 0 is one run per server; then server 0 sweeps
+        # positions 0-1, 3-4 and 6-.
+        assert lengths[N_SERVERS : N_SERVERS + 3] == [2, 2, width - 6]
 
     @pytest.mark.parametrize("fault", [DiskReadFault, ServerCrashFault])
     def test_a_fault_on_the_fourth_tile_of_a_server(self, graph, fault, monkeypatch):
         """The metering walk is the serial sweep: an error raised while a
-        tile is metered aborts at the same tile, before any kernel runs,
-        and what the abort leaves behind is the same.  On a warm engine every tile is held,
-        so the fourth tile is metered by the held-run meter."""
+        tile is metered aborts at that tile, before any kernel runs, and
+        the engine runs clean afterwards.  On a warm engine every tile is
+        held, so the fourth tile is metered by the held-run meter."""
 
         class FourthLoad:
             """Server 1's ``load_held``, raising when the stretch it
@@ -654,126 +507,67 @@ class TestRunsOfOneIdentity:
                     raise fault("injected", superstep=2, server=1)
                 return self.load_held(names)
 
-        outcomes = []
-        for max_run in (None, 1):
-            tracer = Tracer()
-            mpe, cluster = _engine(graph, max_run, tracer=tracer, max_supersteps=4)
-            try:
+        tracer = Tracer()
+        mpe, cluster = _engine(graph, tracer=tracer, max_supersteps=4)
+        try:
+            clean = mpe.run(PageRank(tolerance=0.0)).values
+            server = cluster.servers[1]
+            hook = FourthLoad(server.load_held)
+            monkeypatch.setattr(server, "load_held", hook)
+            resolve = mpe._resolve_schedule
+
+            def resolved(superstep, *args):
+                hook.superstep, hook.loads = superstep, 0
+                return resolve(superstep, *args)
+
+            mpe._resolve_schedule = resolved
+            tracer.clear_events()
+            with pytest.raises(fault):
                 mpe.run(PageRank(tolerance=0.0))
-                server = cluster.servers[1]
-                hook = FourthLoad(server.load_held)
-                monkeypatch.setattr(server, "load_held", hook)
-                resolve = mpe._resolve_schedule
-
-                def resolved(superstep, *args):
-                    hook.superstep, hook.loads = superstep, 0
-                    return resolve(superstep, *args)
-
-                mpe._resolve_schedule = resolved
-                tracer.clear_events()
-                with pytest.raises(fault):
-                    mpe.run(PageRank(tolerance=0.0))
-                # The walk comes first: the sweep aborted before any
-                # kernel ran.
-                lane = tracer.span_trees()["server-1"]
-                aborted = [node for node in lane if node.name == "compute"][-1]
-                opened = [child.name for child in aborted.children]
-                assert "tile" in opened and "gather-apply" not in opened
-                outcomes.append(
-                    {
-                        "fired": hook.fired,
-                        "counters": [s.counters.snapshot() for s in cluster.servers],
-                        "cache": [
-                            dataclasses.astuple(s.cache.stats) for s in cluster.servers
-                        ],
-                        "decoded": [
-                            dataclasses.astuple(s.decoded_cache.stats)
-                            for s in cluster.servers
-                        ],
-                        "spans": _spans(tracer),
-                    }
-                )
-                # The engine runs clean afterwards.
-                monkeypatch.delattr(server, "load_held")
-                mpe._resolve_schedule = resolve
-                outcomes[-1]["after"] = mpe.run(PageRank(tolerance=0.0)).values.tobytes()
-            finally:
-                cluster.close()
-        assert outcomes[0]["fired"] == (1, mpe._assignments[1][3][1])
-        assert outcomes[0] == outcomes[1]
+            # The walk comes first: the sweep aborted before any
+            # kernel ran.
+            lane = tracer.span_trees()["server-1"]
+            aborted = [node for node in lane if node.name == "compute"][-1]
+            opened = [child.name for child in aborted.children]
+            monkeypatch.delattr(server, "load_held")
+            mpe._resolve_schedule = resolve
+            after = mpe.run(PageRank(tolerance=0.0)).values
+        finally:
+            cluster.close()
+        assert hook.fired == (1, mpe._assignments[1][3][1])
+        assert "tile" in opened and "gather-apply" not in opened
+        assert after.tobytes() == clean.tobytes()
 
     def test_mutations_and_a_merge_between_two_runs(self, graph):
         """A batch changes tiles' edge counts, a merge renames a blob:
-        the slab is laid out again, and nothing else shows."""
+        the slab is laid out again, and the values are a cold engine's
+        of the mutated graph."""
         batch = random_mutations(graph, 40, 25, seed=5)
-        stories = []
-        for max_run in (None, 1):
-            mpe, cluster = _engine(graph, max_run, mutations=True)
-            try:
-                make = PROGRAMS["pagerank"][0]
-                before = _story(mpe, mpe.run(make()))
-                slabs = [s.decoded_cache.slab for s in cluster.servers]
-                report = mpe.apply_mutations(batch[:30])
-                overlaid = _story(mpe, mpe.run(make()))
-                mpe.delta.store.merge_ratio = 1e-9  # every overlay merges
-                merged = mpe.apply_mutations(batch[30:])
-                assert merged["merged"]
-                for server in cluster.servers:
-                    _cap(server, max_run)
-                after = _story(mpe, mpe.run(make()))
-                names = [n for a in mpe._assignments for _t, n, _b in a]
-                relaid = [s.decoded_cache.slab for s in cluster.servers]
-            finally:
-                cluster.close()
-            assert report["affected_tiles"] and any("-v1" in n for n in names)
-            assert all(a is not b for a, b in zip(slabs, relaid))
-            assert [n for s in relaid for n in s.names] == names
-            assert before["values"] != overlaid["values"]
-            stories.append((before, overlaid, after))
-        assert stories[0] == stories[1]
-        # ... and the mutated graph's values are a cold engine's.
+        make = PROGRAMS["pagerank"]
+        mpe, cluster = _engine(graph, mutations=True)
+        try:
+            before = mpe.run(make()).values
+            slabs = [s.decoded_cache.slab for s in cluster.servers]
+            report = mpe.apply_mutations(batch[:30])
+            overlaid = mpe.run(make()).values
+            mpe.delta.store.merge_ratio = 1e-9  # every overlay merges
+            assert mpe.apply_mutations(batch[30:])["merged"]
+            after = mpe.run(make()).values
+            names = [n for a in mpe._assignments for _t, n, _b in a]
+            relaid = [s.decoded_cache.slab for s in cluster.servers]
+        finally:
+            cluster.close()
+        assert report["affected_tiles"] and any("-v1" in n for n in names)
+        assert all(a is not b for a, b in zip(slabs, relaid))
+        assert [n for s in relaid for n in s.names] == names
+        assert before.tobytes() != overlaid.tobytes()
         mpe, cluster = _engine(graph, mutations=True)
         try:
             mpe.apply_mutations(batch)
-            cold = mpe.run(PROGRAMS["pagerank"][0]())
+            cold = mpe.run(make())
         finally:
             cluster.close()
-        assert stories[0][2]["values"] == cold.values.tobytes()
-
-    def test_warm_equals_cold_through_the_service(self, graph):
-        spec = JobSpec(
-            graph=graph.name, algorithm="pagerank",
-            params={"tolerance": 0.0}, max_supersteps=6,
-        )
-        engine = Engine(num_servers=N_SERVERS)
-        try:
-            engine.register_graph(graph)
-            warm = []
-            for _ in range(2):  # the second job sweeps a filled slab
-                record = engine.submit(spec)
-                assert engine.run_next() is record and record.status == "done"
-                warm.append(record.result)
-        finally:
-            engine.shutdown()
-        gh = GraphH(num_servers=N_SERVERS, config=spec.overlay(MPEConfig()))
-        try:
-            gh.load_graph(graph, name=graph.name)
-            gh.mpe.setup()
-            reset_simulation(gh.cluster, gh.mpe.channel)
-            cold = gh.mpe.run(spec.build_program())
-            counters = {
-                str(s.server_id): s.counters.snapshot() for s in gh.cluster.servers
-            }
-            cache = {
-                str(s.server_id): dataclasses.asdict(s.cache.stats)
-                for s in gh.cluster.servers
-            }
-        finally:
-            gh.close()
-        for job in warm:
-            assert job.values.tobytes() == cold.values.tobytes()
-            assert job.counters == counters
-            assert job.cache_stats == cache
+        assert after.tobytes() == cold.values.tobytes()
 
 
 def _left_to_right(program, graph, supersteps):
@@ -838,15 +632,9 @@ class TestAdditiveSumsLeftToRight:
 
 
 # ----------------------------------------------------------------------
-# (iv) a held stretch is metered in one step, as its tiles' loads would be
+# (iv) a held stretch is metered in one step (that it is metered as its
+# tiles' loads would be is the harness's ``per-tile-meter`` reference)
 # ----------------------------------------------------------------------
-EXECUTORS = [
-    ("serial", None),
-    ("parallel", 2),
-    pytest.param("process", 2, marks=needs_process),
-]
-
-
 def _count_spans(tracer, name):
     def count(nodes):
         return sum((node.name == name) + count(node.children) for node in nodes)
@@ -854,116 +642,88 @@ def _count_spans(tracer, name):
     return sum(count(forest) for forest in tracer.span_trees().values())
 
 
-class TestHeldRunMetering:
-    """The oracle is the same runs with every tile forced onto the
-    per-tile load (the held predicate patched to hold nothing): values,
-    per-superstep reports and modeled costs, every server's Counters,
-    both caches' stats and both caches' recency, bit for bit."""
-
+class TestHeldStretches:
     @pytest.fixture(autouse=True)
     def _configured(self, monkeypatch):
-        # The predicate is patched in this process; forked workers
-        # inherit it.
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
 
-    @staticmethod
-    def _runs(graph, make, eviction="none", between=None, **cfg):
-        """Cold, warm, then (after ``between(mpe)``) one more run on one
-        engine: the stories, and (``tile`` spans, tiles processed)."""
+    @pytest.mark.parametrize("mode", [1, 2, 3, 4])
+    def test_cache_modes(self, graph, mode):
+        """A warm run opens one ``tile`` span per held stretch, fewer
+        than the tiles it processes; raw mode 1 charges no
+        decompression, the others their codec's."""
         tracer = Tracer()
-        mpe, cluster = _engine(graph, tracer=tracer, **cfg)
+        mpe, cluster = _engine(graph, tracer=tracer, cache_mode=mode)
         try:
-            for server in cluster.servers:
-                server.cache.eviction = eviction
-            stories, spans, tiles = [], 0, 0
-            for step in range(3):
-                if step == 2 and between is not None:
-                    between(mpe)
-                tracer.clear_events()
-                result = mpe.run(make())
-                stories.append(_story(mpe, result))
-                spans += _count_spans(tracer, "tile")
-                tiles += sum(s.tiles_processed for s in result.supersteps)
-            return stories, spans, tiles
+            mpe.run(PageRank(tolerance=0.0))
+            tracer.clear_events()
+            warm = mpe.run(PageRank(tolerance=0.0))
+            counters = cluster.servers[0].counters.snapshot()
         finally:
             cluster.close()
-
-    def _check(self, monkeypatch, graph, make, **kw):
-        held, spans, tiles = self._runs(graph, make, **kw)
-        with monkeypatch.context() as forced:
-            forced.setattr(Server, "held_stretch", lambda self, names, start: 0)
-            streamed, streamed_spans, streamed_tiles = self._runs(graph, make, **kw)
-        assert streamed_spans == streamed_tiles == tiles  # a span per tile
-        assert spans < tiles  # ... and held stretches metered as one
-        assert held == streamed
-        return held
-
-    @pytest.mark.parametrize("mode", [1, 2, 3, 4])
-    def test_cache_modes(self, graph, monkeypatch, mode):
-        stories = self._check(
-            monkeypatch, graph, PROGRAMS["pagerank"][0], cache_mode=mode
-        )
-        # Raw mode 1 charges no decompression; the others charge their
-        # codec's.
-        charged = stories[-1]["counters"][0].get(f"decompressed_{CACHE_MODES[mode - 1]}")
+        tiles = sum(s.tiles_processed for s in warm.supersteps)
+        assert _count_spans(tracer, "tile") < tiles
+        charged = counters.get(f"decompressed_{CACHE_MODES[mode - 1]}")
         assert (charged is None) == (mode == 1)
 
-    @pytest.mark.parametrize("executor,width", EXECUTORS)
     @pytest.mark.parametrize(
         "eviction,make,share",
         [
             # Admit until full: a miss is rejected, and the held
             # stretches are what superstep 0 admitted.
-            ("none", PROGRAMS["pagerank"][0], 0.5),
+            ("none", PROGRAMS["pagerank"], 0.5),
             # LRU under a cyclic sweep: an admission evicts the tile the
             # sweep reaches next, so held-ness is decided per stretch.
-            ("lru", PROGRAMS["sssp"][0], 0.7),
+            ("lru", PROGRAMS["sssp"], 0.7),
         ],
     )
-    def test_capacity_pressure(
-        self, graph, monkeypatch, eviction, make, share, executor, width
-    ):
+    def test_capacity_pressure(self, graph, eviction, make, share):
         mpe, cluster = _engine(graph)
         smallest = min(sum(n for _t, _b, n in a) for a in mpe._assignments)
         cluster.close()
-        stories = self._check(
-            monkeypatch, graph, make,
-            eviction=eviction,
-            cache_capacity_bytes=int(smallest * share),
-            cache_mode=1,
-            executor=executor, num_workers=width, num_threads=width,
+        mpe, cluster = _engine(
+            graph, cache_capacity_bytes=int(smallest * share), cache_mode=1
         )
-        # CacheStats: hits, misses, evictions, insertions, rejected, ...
-        last = [sum(col) for col in zip(*stories[-1]["cache_stats"])]
-        assert last[0] > 0
-        assert (last[2] > 0, last[4] > 0) == (eviction == "lru", eviction == "none")
-
-    @pytest.mark.parametrize("executor,width", EXECUTORS)
-    def test_pending_mutation_batch(self, graph, monkeypatch, executor, width):
-        batch = random_mutations(graph, 40, 25, seed=5)
-        stories = self._check(
-            monkeypatch, graph, PROGRAMS["pagerank"][0],
-            between=lambda mpe: mpe.apply_mutations(batch),
-            mutations=True,
-            executor=executor, num_workers=width, num_threads=width,
+        try:
+            for server in cluster.servers:
+                server.cache.eviction = eviction
+            for _ in range(3):
+                mpe.run(make())
+            stats = [server.cache.stats for server in cluster.servers]
+        finally:
+            cluster.close()
+        assert sum(s.hits for s in stats) > 0
+        assert (sum(s.evictions for s in stats) > 0, sum(s.rejected for s in stats) > 0) == (
+            eviction == "lru",
+            eviction == "none",
         )
-        # Overlay charges: none before the batch, then on its tiles.
-        assert not any(c["delta_bytes"] for c in stories[1]["counters"])
-        assert any(c["delta_bytes"] for c in stories[2]["counters"])
 
-    @pytest.mark.parametrize("forced", [False, True])
-    def test_a_held_blob_rewritten_behind_the_cache(self, graph, monkeypatch, forced):
-        if forced:
-            monkeypatch.setattr(Server, "held_stretch", lambda self, names, start: 0)
-        mpe, cluster = _engine(graph)
+    def test_pending_mutation_batch(self, graph):
+        """Overlay charges: none before the batch, then on its tiles."""
+        mpe, cluster = _engine(graph, mutations=True)
         try:
             mpe.run(PageRank(tolerance=0.0))
-            server = cluster.servers[0]
-            name = mpe._assignments[0][3][1]
-            assert server.held_stretch([name], 0) == (0 if forced else 1)
-            server.disk.write(name, server.disk.peek(name))  # not store_blob
-            with pytest.raises(RuntimeError, match="stale"):
+            before = [s.counters.snapshot()["delta_bytes"] for s in cluster.servers]
+            mpe.apply_mutations(random_mutations(graph, 40, 25, seed=5))
+            mpe.run(PageRank(tolerance=0.0))
+            after = [s.counters.snapshot()["delta_bytes"] for s in cluster.servers]
+        finally:
+            cluster.close()
+        assert not any(before) and any(after)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_a_held_blob_rewritten_behind_the_cache(self, graph, forced):
+        reference = REFERENCES["per-tile-meter"].force() if forced else contextlib.nullcontext()
+        mpe, cluster = _engine(graph)
+        try:
+            with reference:
                 mpe.run(PageRank(tolerance=0.0))
+                server = cluster.servers[0]
+                name = mpe._assignments[0][3][1]
+                assert server.held_stretch([name], 0) == (0 if forced else 1)
+                server.disk.write(name, server.disk.peek(name))  # not store_blob
+                with pytest.raises(RuntimeError, match="stale"):
+                    mpe.run(PageRank(tolerance=0.0))
         finally:
             cluster.close()
 
@@ -1377,7 +1137,7 @@ class TestForkWarm:
 
     @pytest.mark.parametrize("name", ["pagerank", "sssp"])
     def test_the_parent_slab_is_a_serial_twins_after_each_run(self, graph, name):
-        make = PROGRAMS[name][0]
+        make = PROGRAMS[name]
         states = {}
         for executor in ("serial", "process"):
             mpe, cluster = _engine(graph, executor=executor, num_workers=2)
@@ -1430,11 +1190,11 @@ class TestForkWarm:
                 replication_policy=policy,
             )
             try:
-                stories[executor] = [_story(mpe, mpe.run(SSSP(source=1)))]
+                stories[executor] = [fingerprint(cluster, mpe.run(SSSP(source=1)))]
                 if mutate:
                     mpe.apply_mutations(batch)
-                stories[executor].append(_story(mpe, mpe.run(PageRank(tolerance=0.0))))
-                stories[executor].append(_story(mpe, mpe.run(SSSP(source=1))))
+                stories[executor].append(fingerprint(cluster, mpe.run(PageRank(tolerance=0.0))))
+                stories[executor].append(fingerprint(cluster, mpe.run(SSSP(source=1))))
             finally:
                 cluster.close()
         assert stories["process"] == stories["serial"]

@@ -208,19 +208,6 @@ def _run(graph, program, cfg, **kw):
     return result, telemetry
 
 
-class TestParallelBitwiseIdentity:
-    @pytest.mark.parametrize("program", ["pagerank", "sssp"])
-    def test_directed_apps(self, program):
-        check(Case(program=program, executor="parallel", width=4))
-
-    def test_wcc(self):
-        check(Case(program="wcc", executor="parallel"))
-
-    def test_parallel_with_balanced_assignment_and_od(self):
-        context = (("tile_assignment", "balanced"), ("replication_policy", "od"))
-        check(Case(executor="parallel", width=2, context=context))
-
-
 class TestResumeUnderParallel:
     def test_parallel_resume_bitwise_vs_serial_fresh(self):
         """Resumed in parallel: the serial resume's story, and the
@@ -326,18 +313,9 @@ class TestProcessExecutorPrimitives:
 
 @needs_process
 class TestProcessBitwiseIdentity:
-    """The process executor under both replication policies and all
-    three comm modes, plus what it shares and leaves behind."""
-
-    @pytest.mark.parametrize("policy", ["aa", "od"])
-    @pytest.mark.parametrize("comm", ["dense", "sparse", "hybrid"])
-    def test_sweep(self, policy, comm):
-        context = (("replication_policy", policy), ("comm_mode", comm))
-        check(Case(executor="process", width=2, context=context))
-
-    def test_wcc_and_sssp_under_process(self):
-        for program in ("wcc", "sssp"):
-            check(Case(program=program, executor="process", width=2))
+    """What the process executor shares and leaves behind (its runs
+    under both replication policies and all three comm modes are
+    ``tests/test_contract.py``'s pinned cases)."""
 
     def test_no_shared_memory_leaks(self, skewed):
         _run(
@@ -793,24 +771,9 @@ class TestExecutorResolution:
 
 
 class TestPrefetchBitwiseIdentity:
-    """The tile prefetch pipeline at any depth, across executors, comm
-    modes and cache configurations."""
-
-    @pytest.mark.parametrize("depth", [1, 4])
-    @pytest.mark.parametrize("comm", ["dense", "sparse", "hybrid"])
-    def test_depth_sweep_serial(self, depth, comm):
-        check(Case(knobs=(("prefetch_depth", depth),), context=(("comm_mode", comm),)))
-
-    @pytest.mark.parametrize("depth", [1, 4])
-    def test_depth_sweep_parallel(self, depth):
-        knobs = (("prefetch_depth", depth), ("io_threads", 2))
-        check(Case(knobs=knobs, executor="parallel", width=2))
-
-    @needs_process
-    @pytest.mark.parametrize("depth", [1, 4])
-    def test_depth_sweep_process(self, depth):
-        knobs = (("prefetch_depth", depth), ("io_threads", 2))
-        check(Case(knobs=knobs, executor="process", width=2))
+    """The tile prefetch pipeline under a thrashing cache, and what it
+    reports (its depth sweeps across executors and comm modes are
+    ``tests/test_contract.py``'s pinned cases)."""
 
     def test_thrashing_cache_with_io_threads(self):
         """A thrashing edge cache maximises speculation failures (the
@@ -822,9 +785,6 @@ class TestPrefetchBitwiseIdentity:
         check(case)
         stats = run(case.reference())["metered"]["cache_stats"]
         assert all(server["rejected"] > 0 for server in stats)
-
-    def test_no_cache_and_wcc(self):
-        check(Case(program="wcc", knobs=(("prefetch_depth", 2),)))
 
     def test_result_reports_depth_and_occupancy(self, skewed):
         result, _ = _run(

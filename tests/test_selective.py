@@ -5,15 +5,19 @@ The GraphMP-port invariants:
 * **Bitwise identity** — selective scheduling and the mmap vertex store
   are pure I/O optimisations: values, counters, modeled costs, and
   per-superstep skip counts must be bit-for-bit identical with the
-  features on or off, under every executor and prefetch depth.  (The
-  sweeps pin the bloom filter at a near-zero false-positive rate so the
-  approximate prune makes the same decisions as the exact one — with
-  the default rate the bitmap legitimately skips *more* tiles, which is
-  the point of the feature, but then skip counters differ by design.)
+  features on or off.  (Here the bloom filter is pinned at a near-zero
+  false-positive rate so the approximate prune makes the same decisions
+  as the exact one — with the default rate the bitmap legitimately
+  skips *more* tiles, which is the point of the feature, but then skip
+  counters differ by design.)  The mmap store under every executor and
+  prefetch depth is ``tests/test_contract.py``'s pinned cases.
 * **One schedule** — ``MPE._resolve_schedule`` reproduces the old
   three-copy pruning rule tile for tile (differential test, oracle in
   this file), and no tile is probed more than once per superstep: with
-  the bitmap on no filter is probed with hashed keys at all.
+  the bitmap on no filter is probed with hashed keys at all.  That a
+  pushed frontier and the heads probe decide as the exact summary
+  predicate would is ``tests/contract.py``'s ``pulled-schedule``
+  reference.
 * **Fault-schedule stability** — the schedule is resolved parent-side
   before dispatch, so chaos schedules converge alike whether the prune
   is on or off.
@@ -113,15 +117,6 @@ class TestBitwiseIdentity:
             return _run(
                 skewed, MPEConfig(selective_scheduling=False), max_supersteps=14
             )
-
-    @pytest.mark.parametrize("prefetch", [0, 2])
-    @pytest.mark.parametrize("store", ["mem", "mmap"])
-    @pytest.mark.parametrize("executor", ["serial", "parallel", "process"])
-    def test_sweep(self, executor, store, prefetch):
-        if executor == "process" and not process_runtime_available():
-            pytest.skip("platform lacks fork + POSIX shared memory")
-        knobs = (("vertex_store", store), ("prefetch_depth", prefetch))
-        check(Case(program="sssp", knobs=knobs, executor=executor, width=2))
 
     def test_off_and_on_skip_the_same_tiles_at_exact_bloom(
         self, skewed, baseline

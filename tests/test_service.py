@@ -34,7 +34,6 @@ from repro.service import (
     reset_simulation,
 )
 from repro.utils.journal import Journal
-from tests.contract import Case, check
 
 N_SERVERS = 3
 
@@ -125,15 +124,6 @@ def _run_one(engine, spec):
 # The tentpole invariant
 # ----------------------------------------------------------------------
 class TestWarmColdIdentity:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_bitwise_identity_per_executor(self, executor):
-        """Two consecutive warm jobs == a cold engine's run, bit for bit
-        (values, Counters, modeled trace sans wall_s)."""
-        check(Case(executor=executor, width=2, service=True))
-
-    def test_sssp_identity(self):
-        check(Case(program="sssp", service=True))
-
     def test_decoded_cache_reused_across_jobs(self, engine):
         """After the first job decodes every tile, later jobs re-parse
         nothing — the observable (metering-neutral) warmth."""

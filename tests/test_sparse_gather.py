@@ -3,12 +3,12 @@
 gathers only its frontier's out-edges, through the slab's edge index,
 whenever they are at most E / ``GATHER_DIVISOR`` of the run's edges.
 
-Everything here is an *identity*: the reference is the same engine with
-the sparse path refused (``gathers_sparse`` patched to ``False``), and
-every reported bit — values, superstep reports, modeled costs, Counters,
-both caches' stats — must agree, under every executor, both replication
-policies, runs capped at one tile, the prefetch pipeline and incremental
-runs.  Metering is schedule-driven, so nothing but the kernel moves.
+That every reported bit equals the full sweep's — under every executor,
+replication policy, participant and knob — is the contract harness's
+``full-gather`` reference (``tests/contract.py``: ``gathers_sparse``
+patched to ``False``).  Here, on one engine: how often the sparse path
+runs, its incremental repairs, the fold declarations it trusts, and the
+edge index's lifetime.
 """
 
 import dataclasses
@@ -17,19 +17,14 @@ import numpy as np
 import pytest
 
 import repro.core.mpe as mpe_module
-from repro.apps import BFS, SSSP, WCC, MaxLabelPropagation, PageRank
+from repro.apps import BFS, SSSP, WCC, MaxLabelPropagation, PageRank, reference_solution
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import MPE, SPE, MPEConfig
 from repro.graph import chung_lu_graph
 from repro.obs.trace import Tracer
-from repro.partition.tiles import TileSlab
 from repro.runtime import process_runtime_available
-from repro.runtime.active import gathers_sparse
 
 N_SERVERS = 3
-EXECUTORS = ["serial", "parallel"] + (
-    ["process"] if process_runtime_available() else []
-)
 needs_process = pytest.mark.skipif(
     not process_runtime_available(),
     reason="platform lacks fork + POSIX shared memory",
@@ -59,44 +54,14 @@ PROGRAMS = {
 }
 
 
-def _engine(graph, tracer, max_run=None, **cfg):
+def _engine(graph, tracer, **cfg):
     cluster = Cluster(ClusterSpec(num_servers=N_SERVERS))
     manifest = SPE(cluster.dfs).preprocess(
         graph, max(1, graph.num_edges // (10 * N_SERVERS)), name=graph.name
     )
     mpe = MPE(cluster, manifest, MPEConfig(**cfg), tracer=tracer)
     mpe.setup()
-    if max_run is not None:
-        for server in cluster.servers:
-            slab = server.decoded_cache.slab
-            server.decoded_cache.slab = TileSlab(
-                slab.names, slab.shapes, slab.target_ids, max_run
-            )
     return mpe, cluster
-
-
-def _story(mpe, result):
-    servers = mpe.cluster.servers
-    return {
-        "values": result.values.tobytes(),
-        "converged": result.converged,
-        "supersteps": [
-            (
-                s.updated_vertices,
-                s.tiles_processed,
-                s.tiles_skipped,
-                s.net_bytes,
-                s.disk_read_bytes,
-                s.cache_hit_ratio,
-                tuple(s.message_modes),
-                s.modeled,
-            )
-            for s in result.supersteps
-        ],
-        "counters": [s.counters.snapshot() for s in servers],
-        "cache_stats": [dataclasses.astuple(s.cache.stats) for s in servers],
-        "decoded_stats": [dataclasses.astuple(s.decoded_cache.stats) for s in servers],
-    }
 
 
 def _counter(tracer, name) -> int:
@@ -106,75 +71,47 @@ def _counter(tracer, name) -> int:
     return 0
 
 
-def _runs(graph, make, runs=2, max_run=None, **cfg):
-    """Stories of ``runs`` runs on one engine (the first fills the slab),
-    the sparse server-supersteps and the total server-supersteps."""
+def _runs(graph, make, **cfg):
+    """Two runs on one engine (the first fills the slab): the last
+    result, the sparse server-supersteps and the total ones."""
     tracer = Tracer()
-    mpe, cluster = _engine(graph, tracer, max_run, **cfg)
+    mpe, cluster = _engine(graph, tracer, **cfg)
     try:
-        results = [mpe.run(make()) for _ in range(runs)]
-        steps = N_SERVERS * sum(r.num_supersteps for r in results)
-        stories = [_story(mpe, r) for r in results]
-        return stories, _counter(tracer, "repro_gather_sparse"), steps
+        results = [mpe.run(make()) for _ in range(2)]
     finally:
         cluster.close()
+    steps = N_SERVERS * sum(r.num_supersteps for r in results)
+    return results[-1], _counter(tracer, "repro_gather_sparse"), steps
 
 
-def _full(monkeypatch):
-    monkeypatch.setattr(mpe_module, "gathers_sparse", lambda *_args: False)
+class TestSparseShare:
+    @pytest.fixture(autouse=True)
+    def _configured(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
 
-
-class TestSparseEqualsFull:
-    @pytest.mark.parametrize("policy", ["aa", "od"])
-    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("prefetch", [0, 2])
     @pytest.mark.parametrize("name", list(PROGRAMS))
-    def test_every_program_executor_and_policy(
-        self, graph, symmetric, name, executor, policy, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    def test_some_server_supersteps_gather_sparsely(self, graph, symmetric, name, prefetch):
+        """Frontiers on both sides of E/16: some server-supersteps gather
+        sparsely, some whole — behind the prefetch pipeline too."""
         factory, sym = PROGRAMS[name]
         g = symmetric if sym else graph
-        cfg = dict(executor=executor, replication_policy=policy, num_workers=2)
-        sparse, count, steps = _runs(g, lambda: factory(g), **cfg)
-        # Frontiers on both sides of E/16: some server-supersteps gather
-        # sparsely, some whole.
+        _result, count, steps = _runs(g, lambda: factory(g), prefetch_depth=prefetch, io_threads=2)
         assert 0 < count < steps
-        _full(monkeypatch)
-        full, none, _ = _runs(g, lambda: factory(g), **cfg)
-        assert none == 0
-        assert sparse == full
-
-    @pytest.mark.parametrize(
-        "variant",
-        [dict(max_run=1), dict(prefetch_depth=2, io_threads=2)],
-        ids=["max_run=1", "prefetch"],
-    )
-    @pytest.mark.parametrize("name", ["sssp", "wcc"])
-    def test_tile_at_a_time_and_the_prefetch_pipeline(
-        self, graph, symmetric, name, variant, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        factory, sym = PROGRAMS[name]
-        g = symmetric if sym else graph
-        sparse, count, _ = _runs(g, lambda: factory(g), **variant)
-        assert count > 0
-        _full(monkeypatch)
-        assert sparse == _runs(g, lambda: factory(g), **variant)[0]
 
     def test_any_frontier_may_go_sparse(self, graph, symmetric, monkeypatch):
         """The rule E/16 is a speed choice, not a correctness one: with
         every frontier gathered sparsely (WCC's all-active superstep 0
-        included) the story is still the full sweep's."""
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        included) the values are still the reference solution's."""
+        monkeypatch.setattr(mpe_module, "gathers_sparse", lambda *_a: True)
         for name, (factory, sym) in PROGRAMS.items():
             g = symmetric if sym else graph
-            monkeypatch.setattr(mpe_module, "gathers_sparse", lambda *_a: True)
-            sparse, count, steps = _runs(g, lambda: factory(g))
+            result, count, steps = _runs(g, lambda: factory(g))
             # Every server sweeps something in every superstep here but
             # the cold run's superstep 0, which fills the slab first.
             assert count >= steps - 2 * N_SERVERS, name
-            _full(monkeypatch)
-            assert sparse == _runs(g, lambda: factory(g))[0], name
+            expected, _ = reference_solution(factory(g), g)
+            assert np.array_equal(result.values, expected), name
 
 
 class TestIncremental:
@@ -182,18 +119,16 @@ class TestIncremental:
     tiles; otherwise its dirty set is the frontier, and an inserted
     edge's source must reach the edge through a rebuilt index."""
 
-    def _repair(self, graph, batches, make, monkeypatch, sparse):
+    def _check(self, graph, batches, make, monkeypatch):
+        """Each batch repaired incrementally on a warm engine, which
+        gathers sparsely: the repair is a scratch run's values."""
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        monkeypatch.setattr(
-            mpe_module, "gathers_sparse", gathers_sparse if sparse else lambda *_a: False
-        )
         tracer = Tracer()
         mpe, cluster = _engine(graph, tracer, mutations=True)
         cfg = mpe.config
         try:
             mpe.run(make())
             mpe.run(make())  # the slab is full: the index is built
-            out = []
             for ops in batches:
                 mpe.apply_mutations(ops)
                 mpe.config = dataclasses.replace(cfg, incremental=True)
@@ -202,16 +137,9 @@ class TestIncremental:
                 scratch = mpe.run(make())
                 assert inc.converged and scratch.converged
                 assert np.array_equal(inc.values, scratch.values)
-                out.append((_story(mpe, inc), _story(mpe, scratch)))
-            return out, tracer
         finally:
             cluster.close()
-
-    def _check(self, graph, batches, make, monkeypatch):
-        sparse, tracer = self._repair(graph, batches, make, monkeypatch, True)
         assert _counter(tracer, "repro_gather_sparse") > 0
-        full, _ = self._repair(graph, batches, make, monkeypatch, False)
-        assert sparse == full
         return tracer
 
     def test_deletions_force_tiles(self, graph, monkeypatch):

@@ -254,9 +254,6 @@ class TestTunedDeterminism:
     def tuned_serial(self, graph):
         return _run(graph, MPEConfig(tune=True))
 
-    def test_values_match_untuned(self):
-        check(Case(knobs=(("tune", True),)))
-
     def test_explores_fits_and_decides(self, tuned_serial):
         tuning = tuned_serial[0].tuning
         phases = [
@@ -268,10 +265,6 @@ class TestTunedDeterminism:
         # The rotation rated every codec directly.
         rated = set(tuning["constants"]["codec_mbps"])
         assert rated.issuperset(set(CACHE_MODES) - {"raw"})
-
-    @pytest.mark.parametrize("executor", EXECUTORS[1:])
-    def test_identical_across_executors(self, executor):
-        check(Case(executor=executor, width=2, context=(("tune", True),)))
 
     def test_working_set_is_what_the_straggler_loaded(
         self, graph, monkeypatch
@@ -333,15 +326,9 @@ class TestTunedDeterminism:
 class TestScriptedSwitch:
     """A scripted switch of cache mode, codec, representation and the
     prefetch pipeline at superstep boundaries moves no value — the run
-    under it is the one without it, bit for bit — on every executor and
-    under faults (``tests/contract.py``'s "plan" participant)."""
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_switch_equals_config_throughout(self, executor):
-        check(Case(executor=executor, width=2, participant="plan"))
-
-    def test_cache_mode_switch_preserves_values(self):
-        check(Case(program="sssp", participant="plan"))
+    under it is the one without it, bit for bit — on every executor
+    (``tests/test_contract.py``'s pinned "plan" cases) and under faults
+    (``tests/contract.py``'s "plan" participant)."""
 
     def test_switch_under_faults_replays(self):
         """A crash after the last switch resumes before it: the retry
