@@ -7,8 +7,10 @@ tiles consecutive in the assignment is computed by one
 gather-reduce-apply over slices of the slab, whatever the edge cache
 holds.  Neither shows in any number the engine reports: that is the
 contract harness's ``runs-of-one`` and ``per-tile-meter`` references
-(``tests/contract.py``).  Here: the slab's plans, the heads probe, and
-what one engine's sweeps compute, meter, call and leave behind.
+(``tests/contract.py``), which this file also forces where a cache
+under pressure or a mutation batch ends held stretches.  Here: the
+slab's plans, the heads probe, and what one engine's sweeps compute,
+meter, call and leave behind.
 """
 
 import contextlib
@@ -632,9 +634,16 @@ class TestAdditiveSumsLeftToRight:
 
 
 # ----------------------------------------------------------------------
-# (iv) a held stretch is metered in one step (that it is metered as its
-# tiles' loads would be is the harness's ``per-tile-meter`` reference)
+# (iv) a held stretch is metered in one step, as its tiles' loads would
+# be (the harness's ``per-tile-meter`` reference)
 # ----------------------------------------------------------------------
+EXECUTORS = [
+    ("serial", None),
+    ("parallel", 2),
+    pytest.param("process", 2, marks=needs_process),
+]
+
+
 def _count_spans(tracer, name):
     def count(nodes):
         return sum((node.name == name) + count(node.children) for node in nodes)
@@ -666,51 +675,6 @@ class TestHeldStretches:
         charged = counters.get(f"decompressed_{CACHE_MODES[mode - 1]}")
         assert (charged is None) == (mode == 1)
 
-    @pytest.mark.parametrize(
-        "eviction,make,share",
-        [
-            # Admit until full: a miss is rejected, and the held
-            # stretches are what superstep 0 admitted.
-            ("none", PROGRAMS["pagerank"], 0.5),
-            # LRU under a cyclic sweep: an admission evicts the tile the
-            # sweep reaches next, so held-ness is decided per stretch.
-            ("lru", PROGRAMS["sssp"], 0.7),
-        ],
-    )
-    def test_capacity_pressure(self, graph, eviction, make, share):
-        mpe, cluster = _engine(graph)
-        smallest = min(sum(n for _t, _b, n in a) for a in mpe._assignments)
-        cluster.close()
-        mpe, cluster = _engine(
-            graph, cache_capacity_bytes=int(smallest * share), cache_mode=1
-        )
-        try:
-            for server in cluster.servers:
-                server.cache.eviction = eviction
-            for _ in range(3):
-                mpe.run(make())
-            stats = [server.cache.stats for server in cluster.servers]
-        finally:
-            cluster.close()
-        assert sum(s.hits for s in stats) > 0
-        assert (sum(s.evictions for s in stats) > 0, sum(s.rejected for s in stats) > 0) == (
-            eviction == "lru",
-            eviction == "none",
-        )
-
-    def test_pending_mutation_batch(self, graph):
-        """Overlay charges: none before the batch, then on its tiles."""
-        mpe, cluster = _engine(graph, mutations=True)
-        try:
-            mpe.run(PageRank(tolerance=0.0))
-            before = [s.counters.snapshot()["delta_bytes"] for s in cluster.servers]
-            mpe.apply_mutations(random_mutations(graph, 40, 25, seed=5))
-            mpe.run(PageRank(tolerance=0.0))
-            after = [s.counters.snapshot()["delta_bytes"] for s in cluster.servers]
-        finally:
-            cluster.close()
-        assert not any(before) and any(after)
-
     @pytest.mark.parametrize("forced", [False, True])
     def test_a_held_blob_rewritten_behind_the_cache(self, graph, forced):
         reference = REFERENCES["per-tile-meter"].force() if forced else contextlib.nullcontext()
@@ -726,6 +690,94 @@ class TestHeldStretches:
                     mpe.run(PageRank(tolerance=0.0))
         finally:
             cluster.close()
+
+
+class TestHeldRunMetering:
+    """What ends a held stretch — a full edge cache, an LRU eviction, a
+    pending mutation batch — under every executor: three runs on one
+    engine are the ``per-tile-meter`` reference's, bit for bit, with
+    fewer ``tile`` spans than tiles."""
+
+    @pytest.fixture(autouse=True)
+    def _configured(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+
+    @staticmethod
+    def _runs(graph, make, eviction="none", between=None, **cfg):
+        """Cold, warm, then (after ``between(mpe)``) one more run on one
+        engine: each run's fingerprint, the ``tile`` spans and the tiles
+        processed."""
+        tracer = Tracer()
+        mpe, cluster = _engine(graph, tracer=tracer, **cfg)
+        try:
+            for server in cluster.servers:
+                server.cache.eviction = eviction
+            prints, spans, tiles = [], 0, 0
+            for step in range(3):
+                if step == 2 and between is not None:
+                    between(mpe)
+                tracer.clear_events()
+                result = mpe.run(make())
+                fp = fingerprint(cluster, result)
+                prints.append((fp["values"], fp["metered"], fp["traced"]["decoded_stats"]))
+                spans += _count_spans(tracer, "tile")
+                tiles += sum(s.tiles_processed for s in result.supersteps)
+            return prints, spans, tiles
+        finally:
+            cluster.close()
+
+    def _check(self, graph, make, **kw):
+        held, spans, tiles = self._runs(graph, make, **kw)
+        # Patched before any pool forks: workers inherit it.
+        with REFERENCES["per-tile-meter"].force():
+            per_tile, per_tile_spans, per_tile_tiles = self._runs(graph, make, **kw)
+        assert per_tile_spans == per_tile_tiles == tiles  # a span per tile
+        assert spans < tiles  # ... and held stretches metered as one
+        assert held == per_tile
+        return [metered for _values, metered, _decoded in held]
+
+    @pytest.mark.parametrize("executor,width", EXECUTORS)
+    @pytest.mark.parametrize(
+        "eviction,make,share",
+        [
+            # Admit until full: a miss is rejected, and the held
+            # stretches are what superstep 0 admitted.
+            ("none", PROGRAMS["pagerank"], 0.5),
+            # LRU under a cyclic sweep: an admission evicts the tile the
+            # sweep reaches next, so held-ness is decided per stretch.
+            ("lru", PROGRAMS["sssp"], 0.7),
+        ],
+    )
+    def test_capacity_pressure(self, graph, eviction, make, share, executor, width):
+        mpe, cluster = _engine(graph)
+        smallest = min(sum(n for _t, _b, n in a) for a in mpe._assignments)
+        cluster.close()
+        metered = self._check(
+            graph, make,
+            eviction=eviction,
+            cache_capacity_bytes=int(smallest * share),
+            cache_mode=1,
+            executor=executor, num_workers=width, num_threads=width,
+        )
+        stats = metered[-1]["cache_stats"]
+        assert sum(s["hits"] for s in stats) > 0
+        assert (sum(s["evictions"] for s in stats) > 0, sum(s["rejected"] for s in stats) > 0) == (
+            eviction == "lru",
+            eviction == "none",
+        )
+
+    @pytest.mark.parametrize("executor,width", EXECUTORS)
+    def test_pending_mutation_batch(self, graph, executor, width):
+        batch = random_mutations(graph, 40, 25, seed=5)
+        metered = self._check(
+            graph, PROGRAMS["pagerank"],
+            between=lambda mpe: mpe.apply_mutations(batch),
+            mutations=True,
+            executor=executor, num_workers=width, num_threads=width,
+        )
+        # Overlay charges: none before the batch, then on its tiles.
+        assert not any(c["delta_bytes"] for c in metered[1]["counters"])
+        assert any(c["delta_bytes"] for c in metered[2]["counters"])
 
 
 class TestGatherApplySpans:

@@ -6,8 +6,9 @@ whenever they are at most E / ``GATHER_DIVISOR`` of the run's edges.
 That every reported bit equals the full sweep's — under every executor,
 replication policy, participant and knob — is the contract harness's
 ``full-gather`` reference (``tests/contract.py``: ``gathers_sparse``
-patched to ``False``).  Here, on one engine: how often the sparse path
-runs, its incremental repairs, the fold declarations it trusts, and the
+patched to ``False``), also forced here on a graph whose frontiers
+fall on both sides of E/16.  Here, on one engine: how often the sparse
+path runs, its incremental repairs, the fold declarations it trusts, and the
 edge index's lifetime.
 """
 
@@ -23,8 +24,12 @@ from repro.core import MPE, SPE, MPEConfig
 from repro.graph import chung_lu_graph
 from repro.obs.trace import Tracer
 from repro.runtime import process_runtime_available
+from tests.contract import REFERENCES, fingerprint
 
 N_SERVERS = 3
+EXECUTORS = ["serial", "parallel"] + (
+    ["process"] if process_runtime_available() else []
+)
 needs_process = pytest.mark.skipif(
     not process_runtime_available(),
     reason="platform lacks fork + POSIX shared memory",
@@ -73,15 +78,43 @@ def _counter(tracer, name) -> int:
 
 def _runs(graph, make, **cfg):
     """Two runs on one engine (the first fills the slab): the last
-    result, the sparse server-supersteps and the total ones."""
+    result, each run's fingerprint, the sparse server-supersteps and
+    the total ones."""
     tracer = Tracer()
     mpe, cluster = _engine(graph, tracer, **cfg)
     try:
-        results = [mpe.run(make()) for _ in range(2)]
+        results, prints = [], []
+        for _ in range(2):
+            results.append(mpe.run(make()))
+            fp = fingerprint(cluster, results[-1])
+            prints.append((fp["values"], fp["metered"], fp["traced"]["decoded_stats"]))
     finally:
         cluster.close()
     steps = N_SERVERS * sum(r.num_supersteps for r in results)
-    return results[-1], _counter(tracer, "repro_gather_sparse"), steps
+    return results[-1], prints, _counter(tracer, "repro_gather_sparse"), steps
+
+
+class TestSparseEqualsFull:
+    @pytest.mark.parametrize("policy", ["aa", "od"])
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("name", list(PROGRAMS))
+    def test_every_program_executor_and_policy(
+        self, graph, symmetric, name, executor, policy, monkeypatch
+    ):
+        """Frontiers on both sides of E/16 gather sparsely in some
+        server-supersteps, whole in others, and both runs are the
+        ``full-gather`` reference's, bit for bit."""
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        factory, sym = PROGRAMS[name]
+        g = symmetric if sym else graph
+        cfg = dict(executor=executor, replication_policy=policy, num_workers=2)
+        _result, sparse, count, steps = _runs(g, lambda: factory(g), **cfg)
+        assert 0 < count < steps
+        # Patched before any pool forks: workers inherit it.
+        with REFERENCES["full-gather"].force():
+            _result, full, none, _steps = _runs(g, lambda: factory(g), **cfg)
+        assert none == 0
+        assert sparse == full
 
 
 class TestSparseShare:
@@ -96,7 +129,7 @@ class TestSparseShare:
         sparsely, some whole — behind the prefetch pipeline too."""
         factory, sym = PROGRAMS[name]
         g = symmetric if sym else graph
-        _result, count, steps = _runs(g, lambda: factory(g), prefetch_depth=prefetch, io_threads=2)
+        _result, _prints, count, steps = _runs(g, lambda: factory(g), prefetch_depth=prefetch, io_threads=2)
         assert 0 < count < steps
 
     def test_any_frontier_may_go_sparse(self, graph, symmetric, monkeypatch):
@@ -106,7 +139,7 @@ class TestSparseShare:
         monkeypatch.setattr(mpe_module, "gathers_sparse", lambda *_a: True)
         for name, (factory, sym) in PROGRAMS.items():
             g = symmetric if sym else graph
-            result, count, steps = _runs(g, lambda: factory(g))
+            result, _prints, count, steps = _runs(g, lambda: factory(g))
             # Every server sweeps something in every superstep here but
             # the cold run's superstep 0, which fills the slab first.
             assert count >= steps - 2 * N_SERVERS, name
